@@ -11,9 +11,8 @@ use mea_edgecloud::governor::{AccuracyModel, ControlPoint, SlaTarget};
 use mea_edgecloud::network::{LinkEstimate, NetworkLink, PaceChange, PipeConfig, TransportKind};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, CutSelection, EdgeReplica,
-    FeatureConfig, FeatureWire, Fleet, LinkChange, LinkFeedback, PayloadPlan, ServeConfig, ServeReport,
-    ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
+    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
+    LinkChange, LinkFeedback, ServeConfig, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_metrics::{Histogram, StreamingHistogram};
@@ -23,6 +22,20 @@ use meanet::infer::run_inference_with_policy;
 use meanet::model::{AdaptivePlan, MeaNet, Merge, Variant};
 use meanet::{Difficulty, DifficultyPredictor, ExitPoint, InstanceRecord, OffloadPolicy};
 use std::collections::HashMap;
+
+/// Mean wall-clock service time per request (ms) — `1e3 / throughput`.
+fn service_ms(report: &ServeReport) -> f64 {
+    1e3 * report.stats.wall_s / report.stats.total as f64
+}
+
+/// Planned cuts on the lossless wire, unsteered: closed-loop when
+/// `feedback` is given, open-loop otherwise.
+fn planned(planner: CutPlannerConfig, feedback: Option<LinkFeedback>) -> ControlPlan {
+    match feedback {
+        Some(feedback) => ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None },
+        None => ControlPlan::OpenLoop { planner, wire: FeatureWire::F32, controller: None },
+    }
+}
 
 /// One serving configuration's measurements.
 #[derive(Debug, Clone)]
@@ -241,14 +254,14 @@ pub fn feature_payload(scale: Scale) -> FeaturePayloadResult {
     let link = NetworkLink::wifi(50.0).with_rtt(0.002);
     let deep_cut = cloud_replica(42).cut_layer_count() - 1;
 
-    let run = |mode: &'static str, payload: PayloadPlan| -> PayloadModeRow {
+    let run = |mode: &'static str, control: ControlPlan| -> PayloadModeRow {
         let mut edges: Vec<EdgeReplica> =
             (0..2).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(41, &hard), cloud_replica(42))).collect();
         let mut clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(42)).collect();
         let mut cfg = ServeConfig::new(policy, 2, 2, 4);
         cfg.queue_depth = 8;
         cfg.link = Some(link);
-        cfg.payload = payload;
+        cfg.control = control;
         let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
         PayloadModeRow {
             mode,
@@ -256,28 +269,29 @@ pub fn feature_payload(scale: Scale) -> FeaturePayloadResult {
             bytes_from_cloud: report.stats.bytes_from_cloud,
             cloud_macs: report.stats.cloud_macs,
             cloud_macs_saved: report.stats.cloud_macs_saved,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
             cut: report.stats.final_cuts.map(|c| c[0]),
             records: report.records,
         }
     };
 
-    let image_raw = run("image (raw 8-bit)", PayloadPlan::Image(WireFormat::Quantised8Bit));
+    let image_raw =
+        run("image (raw 8-bit)", ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None });
     let feature_f32 = run(
         "features f32 @ planned cut",
-        PayloadPlan::Features(FeatureConfig {
-            wire: FeatureWire::F32,
-            cut: CutSelection::Planned(CutPlannerConfig {
+        planned(
+            CutPlannerConfig {
                 classes: vec![DeviceProfile::new("edge worker", 15.0, 5e11)],
                 cloud: DeviceProfile::new("cloud worker", 200.0, 1e12),
                 objective: Objective::Latency,
                 feedback: None,
-            }),
-        }),
+            },
+            None,
+        ),
     );
     let feature_int8 = run(
         "features int8 @ deepest cut",
-        PayloadPlan::Features(FeatureConfig { wire: FeatureWire::Int8, cut: CutSelection::Fixed(deep_cut) }),
+        ControlPlan::Static { cut: deep_cut, wire: FeatureWire::Int8, controller: None },
     );
 
     let offloaded = offline.iter().filter(|r| r.exit == meanet::ExitPoint::Cloud).count();
@@ -370,18 +384,7 @@ pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
             objective: Objective::Latency,
             feedback: None,
         };
-        match feedback {
-            Some(feedback) => {
-                cfg.control =
-                    Some(ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None });
-            }
-            None => {
-                cfg.payload = PayloadPlan::Features(FeatureConfig {
-                    wire: FeatureWire::F32,
-                    cut: CutSelection::Planned(planner),
-                });
-            }
-        }
+        cfg.control = planned(planner, feedback);
         cfg.link = Some(nominal);
         cfg.link_schedule = vec![LinkChange { after_batches: degrade_after, link: degraded }];
         let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
@@ -390,7 +393,7 @@ pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
             final_cut: report.stats.final_cuts.as_ref().expect("planned mode")[0],
             cut_replans: report.stats.cut_replans,
             bytes_to_cloud: report.stats.bytes_to_cloud,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
             records: report.records.clone(),
         };
         (row, report)
@@ -491,51 +494,46 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
     let requests = trace_requests(&data, 4, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
     let link = NetworkLink::wifi(50.0).with_rtt(0.002);
     let deep_cut = cloud_replica(62).cut_layer_count() - 1;
-    let planned = || {
-        CutSelection::Planned(CutPlannerConfig {
+    let open_loop = planned(
+        CutPlannerConfig {
             classes: vec![DeviceProfile::new("edge worker", 15.0, 5e11)],
             cloud: DeviceProfile::new("cloud worker", 200.0, 1e12),
             objective: Objective::Latency,
             feedback: None,
-        })
-    };
-    let plans: Vec<(&'static str, PayloadPlan)> = vec![
-        ("image f32", PayloadPlan::Image(WireFormat::Float32)),
-        ("image quant8", PayloadPlan::Image(WireFormat::Quantised8Bit)),
+        },
+        None,
+    );
+    let plans: Vec<(&'static str, ControlPlan)> = vec![
+        ("image f32", ControlPlan::Image { wire: WireFormat::Float32, controller: None }),
+        ("image quant8", ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None }),
         (
             "features f32 @ mid cut",
-            PayloadPlan::Features(FeatureConfig {
-                wire: FeatureWire::F32,
-                cut: CutSelection::Fixed(deep_cut / 2),
-            }),
+            ControlPlan::Static { cut: deep_cut / 2, wire: FeatureWire::F32, controller: None },
         ),
         (
             "features int8 @ deep cut",
-            PayloadPlan::Features(FeatureConfig { wire: FeatureWire::Int8, cut: CutSelection::Fixed(deep_cut) }),
+            ControlPlan::Static { cut: deep_cut, wire: FeatureWire::Int8, controller: None },
         ),
-        (
-            "features f32 @ planned cut",
-            PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut: planned() }),
-        ),
+        ("features f32 @ planned cut", open_loop),
     ];
 
-    let run = |payload: &PayloadPlan, transport: TransportKind| -> ServeReport {
+    let run = |control: &ControlPlan, transport: TransportKind| -> ServeReport {
         let mut edges: Vec<EdgeReplica> =
             (0..2).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(61, &hard), cloud_replica(62))).collect();
         let mut clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(62)).collect();
         let mut cfg = ServeConfig::new(policy, 2, 2, 4);
         cfg.queue_depth = 8;
         cfg.link = Some(link);
-        cfg.payload = payload.clone();
+        cfg.control = control.clone();
         cfg.transport = transport;
         try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration")
     };
 
     let mut parity = Vec::new();
     let mut offloaded = 0;
-    for (name, payload) in &plans {
-        let modelled = run(payload, TransportKind::Modelled);
-        let piped = run(payload, TransportKind::Pipe(PipeConfig::default()));
+    for (name, control) in &plans {
+        let modelled = run(control, TransportKind::Modelled);
+        let piped = run(control, TransportKind::Pipe(PipeConfig::default()));
         assert_eq!(
             piped.stats.bytes_to_cloud, modelled.stats.bytes_to_cloud,
             "{name}: uplink bytes diverged between transports"
@@ -552,8 +550,8 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
             bytes_to_cloud: modelled.stats.bytes_to_cloud,
             bytes_from_cloud: modelled.stats.bytes_from_cloud,
             cut: modelled.stats.final_cuts.as_ref().map(|c| c[0]),
-            service_modelled_ms: 1e3 * modelled.stats.wall_s / modelled.stats.total as f64,
-            service_pipe_ms: 1e3 * piped.stats.wall_s / piped.stats.total as f64,
+            service_modelled_ms: service_ms(&modelled),
+            service_pipe_ms: service_ms(&piped),
         });
     }
 
@@ -574,18 +572,7 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
             objective: Objective::Latency,
             feedback: None,
         };
-        match feedback {
-            Some(feedback) => {
-                cfg.control =
-                    Some(ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None });
-            }
-            None => {
-                cfg.payload = PayloadPlan::Features(FeatureConfig {
-                    wire: FeatureWire::F32,
-                    cut: CutSelection::Planned(planner),
-                });
-            }
-        }
+        cfg.control = planned(planner, feedback);
         cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0002));
         cfg.transport = TransportKind::Pipe(PipeConfig {
             up_mbps: Some(50.0),
@@ -600,9 +587,9 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
     let closed = [closed_loop(feedback), closed_loop(feedback)].map(|report| PipeLoopRow {
         final_cut: report.stats.final_cuts.as_ref().expect("planned mode")[0],
         cut_replans: report.stats.cut_replans,
+        service_ms: service_ms(&report),
         estimate: report.stats.link_estimates.expect("feedback reports estimates")[0]
             .expect("class 0 observed at least one batch"),
-        service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
         records: report.records,
     });
 
@@ -614,7 +601,7 @@ fn row_from(cloud_workers: usize, report: &ServeReport) -> ServingRow {
     ServingRow {
         cloud_workers,
         throughput_hz: report.stats.throughput_hz,
-        service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+        service_ms: service_ms(report),
         p50_ms: h.p50() * 1e3,
         p95_ms: h.p95() * 1e3,
         p99_ms: h.p99() * 1e3,
@@ -730,7 +717,8 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
         .map(|i| 0.05 * 1.3f64.powi(i))
         .find(|&r| {
             let planner = planner_at(r);
-            planner.plan_for(&high_profile).cut != planner.plan_for(&low_profile).cut
+            let cut = |edge| planner.plan_placement_for_measured(edge, None, None, None).plan.final_cut();
+            cut(&high_profile) != cut(&low_profile)
         })
         .expect("some link rate separates the High and Low tiers");
     let link = NetworkLink::wifi(link_mbps).with_rtt(0.001);
@@ -747,15 +735,15 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
             .cloud_workers(2)
             .max_batch(4)
             .queue_depth(8)
-            .payload(PayloadPlan::Features(FeatureConfig {
-                wire: FeatureWire::F32,
-                cut: CutSelection::Planned(CutPlannerConfig {
+            .control(planned(
+                CutPlannerConfig {
                     classes: Vec::new(),
                     cloud: DeviceProfile::new("cloud", 200.0, 1e12),
                     objective: Objective::Latency,
                     feedback: None,
-                }),
-            }))
+                },
+                None,
+            ))
             .link(link)
             .fleet(spec.clone());
         if let Some(p) = difficulty {
@@ -770,7 +758,7 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
             offloaded: report.stats.offloaded,
             skipped_main_exits: report.stats.skipped_main_exits,
             main_exit_evals: report.stats.total - report.stats.skipped_main_exits,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
         };
         (row, report)
     };
@@ -1019,7 +1007,7 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         LoadRow {
             label,
             sustained_hz: report.stats.throughput_hz,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
             p50_ms: h.p50() * 1e3,
             p95_ms: h.p95() * 1e3,
             p99_ms: h.p99() * 1e3,
@@ -1211,7 +1199,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
         feedback: None,
     };
     let run = |mode: &'static str,
-               control: Option<ControlPlan>,
+               control: ControlPlan,
                link: NetworkLink,
                schedule: &[LinkChange],
                requests: &[ServeRequest]|
@@ -1220,15 +1208,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
         let mut clouds = vec![cloud_replica(72)];
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
         cfg.queue_depth = 4;
-        match control {
-            Some(plan) => cfg.control = Some(plan),
-            None => {
-                cfg.payload = PayloadPlan::Features(FeatureConfig {
-                    wire: FeatureWire::F32,
-                    cut: CutSelection::Planned(planner()),
-                });
-            }
-        }
+        cfg.control = control;
         cfg.link = Some(link);
         cfg.link_schedule = schedule.to_vec();
         cfg.fleet = Some(spec.clone());
@@ -1248,7 +1228,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
             governor_decisions: report.stats.governor_decisions,
             cut_replans: report.stats.cut_replans,
             bytes_to_cloud: report.stats.bytes_to_cloud,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
             records: report.records.clone(),
         };
         (row, report)
@@ -1277,17 +1257,15 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
     let mut best_closed = None;
     let mut best_governed = None;
     for _attempt in 0..3 {
-        keep_best(&mut best_open, run("open loop (static, f32)", None, nominal, &schedule, &paced));
+        keep_best(
+            &mut best_open,
+            run("open loop (static, f32)", planned(planner(), None), nominal, &schedule, &paced),
+        );
         keep_best(
             &mut best_closed,
             run(
                 "closed loop (feedback, f32)",
-                Some(ControlPlan::ClosedLoop {
-                    planner: planner(),
-                    feedback: LinkFeedback::default(),
-                    wire: FeatureWire::F32,
-                    controller: None,
-                }),
+                planned(planner(), Some(LinkFeedback::default())),
                 nominal,
                 &schedule,
                 &paced,
@@ -1297,7 +1275,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
             &mut best_governed,
             run(
                 "governed (SLA ladder)",
-                Some(ControlPlan::Governed(SlaTarget::new(budget_ms, accuracy_floor))),
+                ControlPlan::Governed(SlaTarget::new(budget_ms, accuracy_floor)),
                 nominal,
                 &schedule,
                 &paced,
@@ -1322,7 +1300,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
     let harsh_floor = 0.90;
     let (harsh, harsh_report) = run(
         "governed (unreachable SLA)",
-        Some(ControlPlan::Governed(SlaTarget::new(1e-3, harsh_floor))),
+        ControlPlan::Governed(SlaTarget::new(1e-3, harsh_floor)),
         NetworkLink::wifi(1.0).with_rtt(0.0002),
         &[],
         &saturating,
@@ -1339,7 +1317,7 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
     let fixed = |wire: FeatureWire| -> u64 {
         let (row, _) = run(
             "fixed wire pricing",
-            Some(ControlPlan::Static { cut: deep_cut, wire, controller: None }),
+            ControlPlan::Static { cut: deep_cut, wire, controller: None },
             nominal,
             &[],
             &saturating,
@@ -1471,15 +1449,15 @@ pub fn coop_edge(scale: Scale) -> CoopEdgeResult {
         .map(|i| 0.05 * 1.3f64.powi(i))
         .find(|&r| {
             let planner = planner_at(r);
-            let pooled = planner.plan_placement_for_measured(&low_profile, None, pool.as_ref());
-            let solo = planner.plan_placement_for_measured(&low_profile, None, None);
+            let pooled = planner.plan_placement_for_measured(&low_profile, None, None, pool.as_ref());
+            let solo = planner.plan_placement_for_measured(&low_profile, None, None, None);
             pooled.plan.peer_stage().is_some() && pooled.upload_bytes < solo.upload_bytes
         })
         .expect("some WAN rate makes the cooperative split pay");
     let link = NetworkLink::wifi(link_mbps).with_rtt(0.001);
     let planner = planner_at(link_mbps);
-    let planned_coop = planner.plan_placement_for_measured(&low_profile, None, pool.as_ref());
-    let planned_solo = planner.plan_placement_for_measured(&low_profile, None, None);
+    let planned_coop = planner.plan_placement_for_measured(&low_profile, None, None, pool.as_ref());
+    let planned_solo = planner.plan_placement_for_measured(&low_profile, None, None, None);
 
     let mut rng = Rng::new(17);
     let requests = trace_requests(&data, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
@@ -1492,15 +1470,15 @@ pub fn coop_edge(scale: Scale) -> CoopEdgeResult {
             .cloud_workers(2)
             .max_batch(4)
             .queue_depth(8)
-            .payload(PayloadPlan::Features(FeatureConfig {
-                wire: FeatureWire::F32,
-                cut: CutSelection::Planned(CutPlannerConfig {
+            .control(planned(
+                CutPlannerConfig {
                     classes: Vec::new(),
                     cloud: DeviceProfile::new("cloud", 200.0, 1e12),
                     objective: Objective::Latency,
                     feedback: None,
-                }),
-            }))
+                },
+                None,
+            ))
             .link(link)
             .fleet(FleetSpec::uniform(class))
             .build()
@@ -1517,7 +1495,7 @@ pub fn coop_edge(scale: Scale) -> CoopEdgeResult {
             peer_hops: report.stats.peer_hops,
             peer_bytes: report.stats.peer_bytes,
             bytes_to_cloud: report.stats.bytes_to_cloud,
-            service_ms: 1e3 * report.stats.wall_s / report.stats.total as f64,
+            service_ms: service_ms(&report),
         };
         (row, report)
     };

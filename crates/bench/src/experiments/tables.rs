@@ -270,8 +270,9 @@ pub fn table1_measured_features() -> (Table, MeasuredFeaturesResult) {
     // the features row earns its keep).
     let cloud_net = cloud_replica(62);
     let in_elems: u64 = cloud_net.in_shape.iter().map(|&d| d as u64).product();
+    let edge = DeviceProfile::new("edge", 10.0, 5e9);
     let env = PartitionEnv {
-        edge: DeviceProfile::new("edge", 10.0, 5e9),
+        edge: edge.clone(),
         cloud: DeviceProfile::new("cloud", 200.0, 1e12),
         link: NetworkLink::wifi(1.0).with_rtt(0.0002),
         bytes_per_elem: 4,
@@ -279,7 +280,7 @@ pub fn table1_measured_features() -> (Table, MeasuredFeaturesResult) {
         response_bytes: 8,
     };
     let planner = CutPlanner::from_network(&cloud_net, env, Objective::Latency, 1);
-    let cut = planner.plan().cut;
+    let cut = planner.plan_placement_for_measured(&edge, None, None, None).plan.final_cut();
 
     let sweep = |payload: SweepPayload| {
         let mut net = edge_replica(61, &hard);

@@ -132,8 +132,8 @@ pub struct SweepStats {
 /// [`run_inference_with_policy`] with a configurable offload payload: the
 /// feature-payload modes run the cloud network's prefix on the edge side
 /// and resume at the cut, exactly like `mea_edgecloud::serve`'s
-/// `PayloadPlan::Features` — same routing, same split execution, same
-/// int8 wire — so the sequential sweep measures Table I's "sending
+/// feature-payload `ControlPlan`s — same routing, same split execution,
+/// same int8 wire — so the sequential sweep measures Table I's "sending
 /// features" row end-to-end and is provably record-identical to
 /// feature-payload serving at the same cut.
 ///

@@ -22,7 +22,8 @@ use serde::{Deserialize, Serialize};
 
 /// What an offloaded instance carries across the edge→cloud wire in the
 /// *offline* evaluation sweep — the measured counterpart of Table I's
-/// strategy rows, mirroring the serving runtime's `PayloadPlan` exactly.
+/// strategy rows, mirroring the serving runtime's `ControlPlan` payloads
+/// exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum SweepPayload {
     /// Raw pixels: the cloud recomputes its whole network from the input

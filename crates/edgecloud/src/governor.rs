@@ -16,8 +16,9 @@
 //!        live window p95 > SLA?
 //!              │ yes (one rung per violating window, per class)
 //!              ▼
-//!  1. SLA-constrained replan     cut moves to the fewest-upload-bytes
-//!     (CutPlanner::plan_for_sla)  cut that fits the p95 budget
+//!  1. SLA-constrained replan     placement moves to the fewest-upload-
+//!     (CutPlanner::               bytes candidate that fits the p95
+//!      plan_placement_for_sla)    budget
 //!  2. wire → per-tensor int8    4× smaller uploads, per-frame params
 //!  3. wire → per-channel int8   smaller still: the calibrated grid
 //!     (grid-indexed frames)      travels out of band, frames carry

@@ -19,9 +19,10 @@
 //!   per-exit refinement driven by Algorithm-2 records;
 //! * [`transport`] — the edge→cloud wire behind a [`transport::Transport`]
 //!   trait: a deterministic modelled conduit (bounded channels, the
-//!   [`network::NetworkLink`] model as the only clock) and a real
-//!   in-process duplex byte pipe with bounded-buffer backpressure and
-//!   frame multiplexing, whose transfer times come from `Instant::now()`;
+//!   [`network::NetworkLink`] model as the only clock) and two real wires
+//!   (an in-process duplex byte pipe and Unix-domain sockets) with
+//!   bounded-buffer backpressure and frame multiplexing, whose transfer
+//!   times come from `Instant::now()`;
 //! * [`sim`] — an edge-cloud pipeline simulator: a deterministic
 //!   virtual-clock mode for latency accounting and a threaded mode (real
 //!   crossbeam channels) for end-to-end integration tests;
@@ -39,7 +40,8 @@
 //!   activations whose cut the [`partition::CutPlanner`] selects online —
 //!   closed-loop when [`serve::LinkFeedback`] feeds the workers' measured
 //!   per-batch link times ([`network::LinkEstimator`]) back into the plan.
-//!   The public entry is [`serve::Fleet`] over a builder-validated
+//!   One [`serve::ControlPlan`] says which of those steers. The public
+//!   entry is [`serve::Fleet`] over a builder-validated
 //!   [`serve::ServeConfig`]; a [`fleet::FleetSpec`] makes the planning,
 //!   link estimation and stats per-device-class, and a calibrated
 //!   `meanet` difficulty predictor can pre-commit predicted-hard inputs
@@ -84,12 +86,10 @@ pub use partition::{
     PlacementCost, PlacementPlan, SlaObjective, Stage, StageExecutor, MEASURED_PRIOR_SAMPLES,
 };
 pub use payload::{channel_absmax, ActivationGrids, Payload};
-#[allow(deprecated)]
-pub use serve::serve;
 pub use serve::{
-    trace_requests, try_serve, Completion, ControlPlan, ControllerConfig, CutPlannerConfig, CutSelection,
-    EdgeReplica, FeatureConfig, FeatureWire, Fleet, LinkChange, LinkFeedback, PayloadPlan, ServeConfig,
-    ServeConfigBuilder, ServeConfigError, ServeError, ServeReport, ServeRequest, ServeStats, WireFormat,
+    trace_requests, try_serve, Completion, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica,
+    FeatureWire, Fleet, LinkChange, LinkFeedback, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeError,
+    ServeReport, ServeRequest, ServeStats, WireFormat,
 };
 pub use traces::ArrivalModel;
 pub use transport::{

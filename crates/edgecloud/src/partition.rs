@@ -389,8 +389,9 @@ pub fn best_cut(profiles: &[LayerProfile], env: &PartitionEnv, objective: Object
 /// available (a [`LinkEstimate`] from the serving runtime's
 /// [`crate::network::LinkEstimator`]), the planner blends the observed
 /// effective rates with the prior by sample count
-/// ([`CutPlanner::plan_for_measured`]) — the Neurosurgeon-style closed
-/// loop: real congestion reaches the plan instead of an assumed divisor.
+/// ([`CutPlanner::effective_env_measured`]) — the Neurosurgeon-style
+/// closed loop: real congestion reaches the plan instead of an assumed
+/// divisor.
 ///
 /// A *serving* cut must end at the cloud (the cloud produces the
 /// prediction), so the edge-only endpoint `cut == L` is excluded from the
@@ -477,11 +478,7 @@ impl CutPlanner {
     /// The environment under the current contention: nominal link rates
     /// divided by the expected concurrent offload streams.
     pub fn effective_env(&self) -> PartitionEnv {
-        let share = (self.beta * self.streams).max(1.0);
-        let mut env = self.env.clone();
-        env.link.throughput_mbps /= share;
-        env.link.download_mbps /= share;
-        env
+        self.blended_env(None, None)
     }
 
     /// The environment the planner scores cuts against when measured link
@@ -493,7 +490,22 @@ impl CutPlanner {
     /// (a leg the estimator never saw carry bytes) keeps that leg on the
     /// prior instead of planning against a free wire.
     pub fn effective_env_measured(&self, measured: Option<&LinkEstimate>) -> PartitionEnv {
-        let mut env = self.effective_env();
+        self.blended_env(None, measured)
+    }
+
+    /// [`CutPlanner::effective_env_measured`] for a class with its own
+    /// link prior: `link` (if `Some`) replaces the shared link model
+    /// *before* the contention scaling and the measured blend — a class
+    /// radio is congested by the same fleet and corrected by the same
+    /// telemetry as the shared wire would be.
+    fn blended_env(&self, link: Option<&NetworkLink>, measured: Option<&LinkEstimate>) -> PartitionEnv {
+        let share = (self.beta * self.streams).max(1.0);
+        let mut env = self.env.clone();
+        if let Some(l) = link {
+            env.link = *l;
+        }
+        env.link.throughput_mbps /= share;
+        env.link.download_mbps /= share;
         if let Some(m) = measured {
             if m.samples > 0 {
                 let w = m.samples as f64 / (m.samples as f64 + self.prior_samples);
@@ -509,215 +521,26 @@ impl CutPlanner {
         env
     }
 
-    /// The cost-minimal serving cut for the configured edge device under
-    /// current conditions.
-    pub fn plan(&self) -> CutCost {
-        self.plan_for(&self.env.edge.clone())
-    }
-
-    /// The cost-minimal serving cut for a specific edge device class
-    /// under the static contention model (no telemetry).
-    pub fn plan_for(&self, edge: &DeviceProfile) -> CutCost {
-        self.plan_for_measured(edge, None)
-    }
-
-    /// The cost-minimal serving cut for a specific edge device class,
-    /// blending the static contention prior with that class's measured
-    /// link estimate (see [`CutPlanner::effective_env_measured`]).
-    pub fn plan_for_measured(&self, edge: &DeviceProfile, measured: Option<&LinkEstimate>) -> CutCost {
-        let costs = self.serving_costs(edge, measured);
-        let score = |c: &CutCost| match self.objective {
-            Objective::Latency => c.latency_s,
-            Objective::EdgeEnergy => c.edge_energy_j,
-        };
-        costs
-            .iter()
-            .rev() // later cuts (more edge) win ties
-            .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite costs"))
-            .copied()
-            .expect("at least the raw-upload cut exists")
-    }
-
-    /// Every *serving* cut (edge-only endpoint excluded) scored under the
-    /// blended environment for one edge class — the shared sweep behind
-    /// [`CutPlanner::plan_for_measured`] and [`CutPlanner::plan_for_sla`].
-    fn serving_costs(&self, edge: &DeviceProfile, measured: Option<&LinkEstimate>) -> Vec<CutCost> {
-        let mut env = self.effective_env_measured(measured);
-        env.edge = edge.clone();
-        let mut costs = sweep_cuts(&self.profiles, &env);
-        costs.truncate(self.profiles.len()); // exclude the edge-only endpoint
-        costs
-    }
-
-    /// SLA-constrained serving cut for one edge class: among the cuts
-    /// whose predicted per-image latency fits inside `sla.p95_budget_s`,
-    /// pick the one occupying the shared uplink for the fewest bytes per
-    /// offload (the sustained-throughput maximiser), breaking byte ties
-    /// by the base objective and then toward more edge layers. Returns
-    /// the chosen cut and whether the budget was satisfiable at all —
-    /// when no cut fits, the fallback is the plain base-objective optimum
-    /// (latency can only be *reduced* by ignoring an unmeetable budget,
-    /// never traded away) flagged `false` so the governor can count the
-    /// SLA as unreachable instead of pretending.
-    pub fn plan_for_sla(
-        &self,
-        edge: &DeviceProfile,
-        measured: Option<&LinkEstimate>,
-        sla: &SlaObjective,
-    ) -> (CutCost, bool) {
-        let costs = self.serving_costs(edge, measured);
-        let base = |c: &CutCost| match sla.base {
-            Objective::Latency => c.latency_s,
-            Objective::EdgeEnergy => c.edge_energy_j,
-        };
-        let feasible = costs
-            .iter()
-            .rev() // later cuts (more edge) win ties
-            .filter(|c| c.latency_s <= sla.p95_budget_s)
-            .min_by(|a, b| {
-                (a.upload_bytes, base(a)).partial_cmp(&(b.upload_bytes, base(b))).expect("finite costs")
-            })
-            .copied();
-        match feasible {
-            Some(c) => (c, true),
-            None => (self.plan_for_measured(edge, measured), false),
-        }
-    }
-
-    /// [`CutPlanner::plan_for_sla`] with an optional per-class link prior
-    /// (the [`CutPlanner::plan_for_measured_with_link`] convention: the
-    /// prior replaces the shared link before contention scaling and the
-    /// measured blend).
-    pub fn plan_for_sla_with_link(
-        &self,
-        edge: &DeviceProfile,
-        link: Option<&NetworkLink>,
-        measured: Option<&LinkEstimate>,
-        sla: &SlaObjective,
-    ) -> (CutCost, bool) {
-        match link {
-            None => self.plan_for_sla(edge, measured, sla),
-            Some(l) => {
-                let mut on_link = self.clone();
-                on_link.env.link = *l;
-                on_link.plan_for_sla(edge, measured, sla)
-            }
-        }
-    }
-
-    /// One cost-minimal serving cut per edge device class, in class order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty.
-    pub fn plan_classes(&self, classes: &[DeviceProfile]) -> Vec<CutCost> {
-        assert!(!classes.is_empty(), "need at least one device class");
-        classes.iter().map(|c| self.plan_for(c)).collect()
-    }
-
-    /// One cost-minimal serving cut per edge device class, each blended
-    /// with that class's measured link estimate (`estimates[c]`; `None`
-    /// entries fall back to the static prior).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty or the slices' lengths differ.
-    pub fn plan_classes_measured(
-        &self,
-        classes: &[DeviceProfile],
-        estimates: &[Option<LinkEstimate>],
-    ) -> Vec<CutCost> {
-        assert!(!classes.is_empty(), "need at least one device class");
-        assert_eq!(classes.len(), estimates.len(), "one (optional) link estimate per device class");
-        classes.iter().zip(estimates).map(|(c, m)| self.plan_for_measured(c, m.as_ref())).collect()
-    }
-
-    /// [`CutPlanner::plan_for_measured`] for a class with its own link
-    /// prior: `link` (if `Some`) replaces the planner's shared link model
-    /// for this plan only, *before* the contention scaling and the
-    /// measured blend — a class radio is congested by the same fleet and
-    /// corrected by the same telemetry as the shared wire would be.
-    /// `None` plans on the shared link, bit-identically to
-    /// [`CutPlanner::plan_for_measured`].
-    pub fn plan_for_measured_with_link(
-        &self,
-        edge: &DeviceProfile,
-        link: Option<&NetworkLink>,
-        measured: Option<&LinkEstimate>,
-    ) -> CutCost {
-        match link {
-            None => self.plan_for_measured(edge, measured),
-            Some(l) => {
-                let mut on_link = self.clone();
-                on_link.env.link = *l;
-                on_link.plan_for_measured(edge, measured)
-            }
-        }
-    }
-
-    /// One cost-minimal serving cut per device class where each class may
-    /// carry its own link prior (`links[c]`; `None` entries use the
-    /// shared link) and its own measured estimate (`estimates[c]`) — the
-    /// heterogeneous-fleet planning entry point
-    /// ([`crate::fleet::FleetSpec::link_priors`] supplies `links`).
-    ///
-    /// With every link `None` this is exactly
-    /// [`CutPlanner::plan_classes_measured`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty or the slices' lengths differ.
-    pub fn plan_classes_measured_with_links(
-        &self,
-        classes: &[DeviceProfile],
-        links: &[Option<NetworkLink>],
-        estimates: &[Option<LinkEstimate>],
-    ) -> Vec<CutCost> {
-        assert!(!classes.is_empty(), "need at least one device class");
-        assert_eq!(classes.len(), links.len(), "one (optional) link prior per device class");
-        assert_eq!(classes.len(), estimates.len(), "one (optional) link estimate per device class");
-        classes
-            .iter()
-            .zip(links)
-            .zip(estimates)
-            .map(|((c, l), m)| self.plan_for_measured_with_link(c, l.as_ref(), m.as_ref()))
-            .collect()
-    }
-
-    /// [`CutPlanner::plan_classes_measured_with_links`] without telemetry:
-    /// per-class link priors under the static contention model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty or the slices' lengths differ.
-    pub fn plan_classes_with_links(
-        &self,
-        classes: &[DeviceProfile],
-        links: &[Option<NetworkLink>],
-    ) -> Vec<CutCost> {
-        let none = vec![None; classes.len()];
-        self.plan_classes_measured_with_links(classes, links, &none)
-    }
-
     /// Every candidate placement for one edge class, scored, in canonical
-    /// search order: final cuts deepest-first (the legacy tie-break), and
-    /// within each final cut the two-stage plan before any cooperative
-    /// split (a peer hop must *strictly* improve the objective to be
-    /// chosen). Two-stage candidates reuse the [`CutCost`] values of
-    /// [`CutPlanner::serving_costs`] verbatim, so without a pool — or with
-    /// a single-member pool, where "splitting" across one device is the
-    /// unsplit plan by construction — the candidate set is exactly the
-    /// legacy scalar sweep.
+    /// search order: final cuts deepest-first (ties break toward more edge
+    /// layers), and within each final cut the two-stage plan before any
+    /// cooperative split (a peer hop must *strictly* improve the objective
+    /// to be chosen). Two-stage candidates are the [`sweep_cuts`] costs of
+    /// the serving cuts verbatim (the edge-only endpoint excluded), so
+    /// without a pool — or with a single-member pool, where "splitting"
+    /// across one device is the unsplit plan by construction — the
+    /// candidate set is exactly the scalar sweep.
     fn placement_candidates(
         &self,
         edge: &DeviceProfile,
+        link: Option<&NetworkLink>,
         measured: Option<&LinkEstimate>,
         pool: Option<&PeerPool>,
     ) -> Vec<PlacementCost> {
         let l = self.profiles.len();
-        let costs = self.serving_costs(edge, measured);
-        let mut env = self.effective_env_measured(measured);
+        let mut env = self.blended_env(link, measured);
         env.edge = edge.clone();
+        let costs = sweep_cuts(&self.profiles, &env);
         let mut prefix_macs = vec![0u64; l + 1];
         for k in 0..l {
             prefix_macs[k + 1] = prefix_macs[k] + self.profiles[k].macs;
@@ -765,14 +588,18 @@ impl CutPlanner {
         out
     }
 
-    /// The cost-minimal [`PlacementPlan`] for one edge class — the
-    /// N-stage generalisation of [`CutPlanner::plan_for_measured`],
-    /// scoring intra-edge peer hops with the same objective as the cloud
-    /// hop. Without a pool (or with a single-member pool) this reduces to
-    /// the scalar plan exactly: same final cut, bit-identical cost.
+    /// The cost-minimal [`PlacementPlan`] for one edge class under
+    /// current conditions, scoring intra-edge peer hops with the same
+    /// objective as the cloud hop. `link` is the class's own WAN link
+    /// prior (`None` plans on the shared link; the peer wire is never
+    /// touched — it is not the shared uplink), `measured` its link
+    /// estimate (see [`CutPlanner::effective_env_measured`]). Without a
+    /// pool (or with a single-member pool) the plan is two-stage and its
+    /// cost is the [`sweep_cuts`] cost of its final cut, bit for bit.
     pub fn plan_placement_for_measured(
         &self,
         edge: &DeviceProfile,
+        link: Option<&NetworkLink>,
         measured: Option<&LinkEstimate>,
         pool: Option<&PeerPool>,
     ) -> PlacementCost {
@@ -780,45 +607,27 @@ impl CutPlanner {
             Objective::Latency => c.latency_s,
             Objective::EdgeEnergy => c.edge_energy_j,
         };
-        self.placement_candidates(edge, measured, pool)
+        self.placement_candidates(edge, link, measured, pool)
             .into_iter()
             .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite costs"))
             .expect("at least the raw-upload cut exists")
     }
 
-    /// [`CutPlanner::plan_placement_for_measured`] with an optional
-    /// per-class link prior (the
-    /// [`CutPlanner::plan_for_measured_with_link`] convention: the prior
-    /// replaces the shared WAN link before contention scaling and the
-    /// measured blend; the peer wire is untouched — it is not the shared
-    /// uplink).
-    pub fn plan_placement_for_measured_with_link(
-        &self,
-        edge: &DeviceProfile,
-        link: Option<&NetworkLink>,
-        measured: Option<&LinkEstimate>,
-        pool: Option<&PeerPool>,
-    ) -> PlacementCost {
-        match link {
-            None => self.plan_placement_for_measured(edge, measured, pool),
-            Some(l) => {
-                let mut on_link = self.clone();
-                on_link.env.link = *l;
-                on_link.plan_placement_for_measured(edge, measured, pool)
-            }
-        }
-    }
-
-    /// SLA-constrained placement — [`CutPlanner::plan_for_sla`] over the
-    /// full candidate set: among placements whose predicted latency fits
-    /// the p95 budget, ship the fewest bytes over the *shared* WAN uplink
-    /// (peer bytes ride a dedicated wire and do not occupy it), breaking
-    /// ties by the base objective, then toward deeper final cuts, then
-    /// toward the plan without a peer hop. The infeasible fallback is the
-    /// unconstrained placement optimum flagged `false`.
+    /// SLA-constrained placement: among the candidates whose predicted
+    /// per-image latency fits inside `sla.p95_budget_s`, ship the fewest
+    /// bytes over the *shared* WAN uplink (the sustained-throughput
+    /// maximiser; peer bytes ride a dedicated wire and do not occupy it),
+    /// breaking ties by the base objective, then toward deeper final
+    /// cuts, then toward the plan without a peer hop. Returns the chosen
+    /// placement and whether the budget was satisfiable at all — when
+    /// nothing fits, the fallback is the unconstrained optimum (latency
+    /// can only be *reduced* by ignoring an unmeetable budget, never
+    /// traded away) flagged `false` so the governor can count the SLA as
+    /// unreachable instead of pretending.
     pub fn plan_placement_for_sla(
         &self,
         edge: &DeviceProfile,
+        link: Option<&NetworkLink>,
         measured: Option<&LinkEstimate>,
         sla: &SlaObjective,
         pool: Option<&PeerPool>,
@@ -828,7 +637,7 @@ impl CutPlanner {
             Objective::EdgeEnergy => c.edge_energy_j,
         };
         let feasible = self
-            .placement_candidates(edge, measured, pool)
+            .placement_candidates(edge, link, measured, pool)
             .into_iter()
             .filter(|c| c.latency_s <= sla.p95_budget_s)
             .min_by(|a, b| {
@@ -836,37 +645,15 @@ impl CutPlanner {
             });
         match feasible {
             Some(c) => (c, true),
-            None => (self.plan_placement_for_measured(edge, measured, pool), false),
-        }
-    }
-
-    /// [`CutPlanner::plan_placement_for_sla`] with an optional per-class
-    /// WAN link prior (see
-    /// [`CutPlanner::plan_placement_for_measured_with_link`]).
-    pub fn plan_placement_for_sla_with_link(
-        &self,
-        edge: &DeviceProfile,
-        link: Option<&NetworkLink>,
-        measured: Option<&LinkEstimate>,
-        sla: &SlaObjective,
-        pool: Option<&PeerPool>,
-    ) -> (PlacementCost, bool) {
-        match link {
-            None => self.plan_placement_for_sla(edge, measured, sla, pool),
-            Some(l) => {
-                let mut on_link = self.clone();
-                on_link.env.link = *l;
-                on_link.plan_placement_for_sla(edge, measured, sla, pool)
-            }
+            None => (self.plan_placement_for_measured(edge, link, measured, pool), false),
         }
     }
 
     /// One cost-minimal placement per device class, each with its own
     /// optional WAN link prior, measured estimate, and cooperative peer
     /// pool — the heterogeneous-fleet placement entry point
-    /// ([`crate::fleet::FleetSpec::peer_pools`] supplies `pools`). With
-    /// every pool `None`, the final cuts and costs match
-    /// [`CutPlanner::plan_classes_measured_with_links`] exactly.
+    /// ([`crate::fleet::FleetSpec::link_priors`] supplies `links`,
+    /// [`crate::fleet::FleetSpec::peer_pools`] supplies `pools`).
     ///
     /// # Panics
     ///
@@ -887,9 +674,7 @@ impl CutPlanner {
             .zip(links)
             .zip(estimates)
             .zip(pools)
-            .map(|(((c, l), m), p)| {
-                self.plan_placement_for_measured_with_link(c, l.as_ref(), m.as_ref(), p.as_ref())
-            })
+            .map(|(((c, l), m), p)| self.plan_placement_for_measured(c, l.as_ref(), m.as_ref(), p.as_ref()))
             .collect()
     }
 
@@ -934,6 +719,33 @@ mod tests {
             raw_input_bytes: 3 * 32 * 32,
             response_bytes: 0,
         }
+    }
+
+    /// The plan for the planner's configured edge device on the shared
+    /// link, no telemetry, no pool.
+    fn plan(planner: &CutPlanner) -> PlacementCost {
+        planner.plan_placement_for_measured(&planner.env.edge, None, None, None)
+    }
+
+    /// One solo plan per class on per-class link priors and estimates.
+    fn plan_classes(
+        planner: &CutPlanner,
+        classes: &[DeviceProfile],
+        links: &[Option<NetworkLink>],
+        estimates: &[Option<LinkEstimate>],
+    ) -> Vec<PlacementCost> {
+        planner.plan_placements_measured_with_links(classes, links, estimates, &vec![None; classes.len()])
+    }
+
+    /// Every serving cut's [`sweep_cuts`] cost for `edge` under the
+    /// planner's blended environment — the scalar sweep the placement
+    /// search must contain.
+    fn serving_costs(planner: &CutPlanner, edge: &DeviceProfile, measured: Option<&LinkEstimate>) -> Vec<CutCost> {
+        let mut env = planner.effective_env_measured(measured);
+        env.edge = edge.clone();
+        let mut costs = sweep_cuts(&planner.profiles, &env);
+        costs.truncate(planner.profiles.len()); // exclude the edge-only endpoint
+        costs
     }
 
     #[test]
@@ -1076,9 +888,9 @@ mod tests {
         // cheaper uploads).
         let mut planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 16);
         planner.set_beta(0.05);
-        let quiet = planner.plan();
+        let quiet = plan(&planner);
         planner.set_beta(1.0);
-        let busy = planner.plan();
+        let busy = plan(&planner);
         assert!(
             busy.upload_bytes <= quiet.upload_bytes,
             "congestion should shrink uploads: {quiet:?} -> {busy:?}"
@@ -1130,16 +942,19 @@ mod tests {
         e.raw_input_bytes = 12288;
         let mut planner = CutPlanner::new(profiles, e, Objective::Latency, 1);
         planner.set_prior_samples(0.0); // trust telemetry outright
-        let open_loop = planner.plan();
-        assert_eq!(open_loop.cut, 0, "with a fat prior link and a huge cloud, ship pixels");
+        let open_loop = plan(&planner);
+        assert_eq!(open_loop.plan.final_cut(), 0, "with a fat prior link and a huge cloud, ship pixels");
         let degraded = LinkEstimate { up_mbps: 0.5, down_mbps: 0.5, rtt_s: 0.0, samples: 32 };
         let edge = planner.effective_env().edge;
-        let closed_loop = planner.plan_for_measured(&edge, Some(&degraded));
+        let closed_loop = planner.plan_placement_for_measured(&edge, None, Some(&degraded), None);
         assert!(
             closed_loop.upload_bytes < open_loop.upload_bytes,
             "measured congestion should shrink uploads: {open_loop:?} -> {closed_loop:?}"
         );
-        assert!(closed_loop.cut > open_loop.cut, "degraded link should push layers to the edge");
+        assert!(
+            closed_loop.plan.final_cut() > open_loop.plan.final_cut(),
+            "degraded link should push layers to the edge"
+        );
     }
 
     #[test]
@@ -1156,11 +971,11 @@ mod tests {
         // Class 0 measures a fat pipe, class 1 has no telemetry: only
         // class 0's plan may move cloudward relative to the static prior.
         let fat = LinkEstimate { up_mbps: 100_000.0, down_mbps: 100_000.0, rtt_s: 0.0, samples: 64 };
-        let static_cuts = planner.plan_classes(&classes);
-        assert!(static_cuts[0].cut > 0, "the slow static prior should keep layers at the edge");
-        let cuts = planner.plan_classes_measured(&classes, &[Some(fat), None]);
+        let static_cuts = plan_classes(&planner, &classes, &[None, None], &[None, None]);
+        assert!(static_cuts[0].plan.final_cut() > 0, "the slow static prior should keep layers at the edge");
+        let cuts = plan_classes(&planner, &classes, &[None, None], &[Some(fat), None]);
         assert_eq!(cuts[1], static_cuts[1], "class without telemetry stays on the prior");
-        assert_eq!(cuts[0].cut, 0, "a free measured uplink ships pixels immediately");
+        assert_eq!(cuts[0].plan.final_cut(), 0, "a free measured uplink ships pixels immediately");
     }
 
     #[test]
@@ -1172,8 +987,8 @@ mod tests {
         e.link = NetworkLink::wifi(0.001).with_rtt(0.5);
         assert_eq!(best_cut(&profiles, &e, Objective::Latency).cut, profiles.len());
         let planner = CutPlanner::new(profiles.clone(), e, Objective::Latency, 1);
-        let cut = planner.plan();
-        assert!(cut.cut < profiles.len(), "serving cut may not be edge-only");
+        let cut = plan(&planner);
+        assert!(cut.plan.final_cut() < profiles.len(), "serving cut may not be edge-only");
         assert_eq!(planner.serving_cut_count(), profiles.len());
     }
 
@@ -1192,8 +1007,11 @@ mod tests {
         let planner = CutPlanner::new(profiles, e, Objective::Latency, 1);
         let fast = DeviceProfile::new("fast edge", 10.0, 1e12);
         let slow = DeviceProfile::new("slow edge", 10.0, 1e6);
-        let cuts = planner.plan_classes(&[fast, slow]);
-        assert!(cuts[1].cut <= cuts[0].cut, "slow edge should offload earlier: {cuts:?}");
+        let cuts = plan_classes(&planner, &[fast, slow], &[None, None], &[None, None]);
+        assert!(
+            cuts[1].plan.final_cut() <= cuts[0].plan.final_cut(),
+            "slow edge should offload earlier: {cuts:?}"
+        );
         assert_eq!(cuts.len(), 2);
     }
 
@@ -1202,10 +1020,10 @@ mod tests {
         let mut e = env();
         e.cloud = DeviceProfile::new("dc", 500.0, 1e14);
         let mut planner = CutPlanner::new(toy_profiles(), e, Objective::Latency, 1);
-        let slow_cut = planner.plan();
+        let slow_cut = plan(&planner);
         planner.set_link(NetworkLink::wifi(100_000.0).with_rtt(0.0));
-        let fast_cut = planner.plan();
-        assert_eq!(fast_cut.cut, 0, "free uplink + huge cloud: ship pixels immediately");
+        let fast_cut = plan(&planner);
+        assert_eq!(fast_cut.plan.final_cut(), 0, "free uplink + huge cloud: ship pixels immediately");
         assert!(fast_cut.latency_s <= slow_cut.latency_s, "a better link cannot make the plan worse");
     }
 
@@ -1213,8 +1031,8 @@ mod tests {
     fn per_class_link_priors_plan_per_radio() {
         // Two identical compute classes on very different radios: the
         // throttled class must not upload more bytes than the one on the
-        // shared fast wire, and an all-`None` priors slice must reproduce
-        // `plan_classes` bit-for-bit.
+        // shared fast wire, and a class without a prior must plan exactly
+        // as it does alone on the shared link.
         let profiles = vec![
             LayerProfile { name: "conv1".into(), macs: 1_000_000, out_elems: 4096 },
             LayerProfile { name: "conv2".into(), macs: 2_000_000, out_elems: 256 },
@@ -1228,27 +1046,27 @@ mod tests {
         let classes = vec![edge.clone(), edge];
         let slow = NetworkLink::wifi(0.01).with_rtt(0.0);
 
-        let cuts = planner.plan_classes_with_links(&classes, &[None, Some(slow)]);
-        let shared = planner.plan_classes(&classes);
-        assert_eq!(cuts[0], shared[0], "a class without a prior plans on the shared link");
+        let cuts = planner.plan_placements_with_links(&classes, &[None, Some(slow)], &[None, None]);
+        let shared = planner.plan_placement_for_measured(&classes[0], None, None, None);
+        assert_eq!(cuts[0], shared, "a class without a prior plans on the shared link");
         assert!(cuts[1].upload_bytes <= cuts[0].upload_bytes, "the throttled class must not ship more: {cuts:?}");
-        assert_ne!(cuts[1].cut, cuts[0].cut, "a 100000x slower radio must move the cut");
+        assert_ne!(cuts[1].plan.final_cut(), cuts[0].plan.final_cut(), "a 100000x slower radio must move the cut");
 
-        let none = planner.plan_classes_with_links(&classes, &[None, None]);
-        assert_eq!(none, shared, "all-None priors must be the shared-link plan exactly");
+        let none = planner.plan_placements_with_links(&classes, &[None, None], &[None, None]);
+        assert_eq!(none, vec![shared.clone(), shared], "all-None priors must be the shared-link plan exactly");
     }
 
     #[test]
     fn per_class_link_prior_composes_with_measured_blend() {
         // The measured estimate corrects the class link exactly as it
         // corrects the shared link: planning with a prior equal to the
-        // shared link and any estimate matches `plan_for_measured`.
+        // shared link and any estimate matches planning without a prior.
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 3);
         let edge = DeviceProfile::new("edge", 10.0, 1e9);
         let est = LinkEstimate { up_mbps: 0.5, down_mbps: 0.5, rtt_s: 0.02, samples: 16 };
         let shared_link = env().link;
-        let with_prior = planner.plan_for_measured_with_link(&edge, Some(&shared_link), Some(&est));
-        let without = planner.plan_for_measured(&edge, Some(&est));
+        let with_prior = planner.plan_placement_for_measured(&edge, Some(&shared_link), Some(&est), None);
+        let without = planner.plan_placement_for_measured(&edge, None, Some(&est), None);
         assert_eq!(with_prior, without);
     }
 
@@ -1268,12 +1086,12 @@ mod tests {
         e.raw_input_bytes = 12288;
         let planner = CutPlanner::new(profiles, e, Objective::Latency, 1);
         let edge = planner.effective_env().edge;
-        let latency_best = planner.plan_for_measured(&edge, None);
-        assert_eq!(latency_best.cut, 0, "free uplink + huge cloud: latency ships pixels");
+        let latency_best = planner.plan_placement_for_measured(&edge, None, None, None);
+        assert_eq!(latency_best.plan.final_cut(), 0, "free uplink + huge cloud: latency ships pixels");
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: 10.0, accuracy_floor: 0.9 };
-        let (cut, feasible) = planner.plan_for_sla(&edge, None, &sla);
+        let (cut, feasible) = planner.plan_placement_for_sla(&edge, None, None, &sla, None);
         assert!(feasible);
-        assert_eq!(cut.cut, 2, "throughput wants the bottleneck cut: {cut:?}");
+        assert_eq!(cut.plan.final_cut(), 2, "throughput wants the bottleneck cut: {cut:?}");
         assert!(cut.upload_bytes < latency_best.upload_bytes);
     }
 
@@ -1283,13 +1101,13 @@ mod tests {
         // infeasible ones; the returned cut must fit it.
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
         let edge = planner.effective_env().edge;
-        let all: Vec<CutCost> = planner.serving_costs(&edge, None);
+        let all: Vec<CutCost> = serving_costs(&planner, &edge, None);
         let (lo, hi) =
             all.iter().fold((f64::MAX, f64::MIN), |(lo, hi), c| (lo.min(c.latency_s), hi.max(c.latency_s)));
         assert!(lo < hi, "toy cuts must differ in latency");
         let budget = (lo + hi) / 2.0;
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: budget, accuracy_floor: 0.9 };
-        let (cut, feasible) = planner.plan_for_sla(&edge, None, &sla);
+        let (cut, feasible) = planner.plan_placement_for_sla(&edge, None, None, &sla, None);
         assert!(feasible);
         assert!(cut.latency_s <= budget, "{cut:?} over budget {budget}");
         let fewest_feasible = all.iter().filter(|c| c.latency_s <= budget).map(|c| c.upload_bytes).min().unwrap();
@@ -1301,9 +1119,13 @@ mod tests {
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
         let edge = planner.effective_env().edge;
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: 1e-12, accuracy_floor: 0.9 };
-        let (cut, feasible) = planner.plan_for_sla(&edge, None, &sla);
+        let (cut, feasible) = planner.plan_placement_for_sla(&edge, None, None, &sla, None);
         assert!(!feasible, "a picosecond budget is unreachable");
-        assert_eq!(cut, planner.plan_for_measured(&edge, None), "fallback is the unconstrained optimum");
+        assert_eq!(
+            cut,
+            planner.plan_placement_for_measured(&edge, None, None, None),
+            "fallback is the unconstrained optimum"
+        );
     }
 
     #[test]
@@ -1313,8 +1135,8 @@ mod tests {
         let est = LinkEstimate { up_mbps: 0.5, down_mbps: 0.5, rtt_s: 0.02, samples: 16 };
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: 0.5, accuracy_floor: 0.9 };
         let shared_link = env().link;
-        let with_prior = planner.plan_for_sla_with_link(&edge, Some(&shared_link), Some(&est), &sla);
-        let without = planner.plan_for_sla(&edge, Some(&est), &sla);
+        let with_prior = planner.plan_placement_for_sla(&edge, Some(&shared_link), Some(&est), &sla, None);
+        let without = planner.plan_placement_for_sla(&edge, None, Some(&est), &sla, None);
         assert_eq!(with_prior, without);
     }
 
@@ -1361,16 +1183,24 @@ mod tests {
 
     #[test]
     fn placement_without_a_pool_is_the_scalar_plan_exactly() {
-        // The degenerate case of the tentpole: no cooperative group means
-        // the placement search *is* the legacy sweep — same final cut,
-        // bit-identical latency/energy/bytes, a two-stage plan.
+        // No cooperative group means the placement search *is* the scalar
+        // sweep over the serving cuts, later cuts winning ties — same
+        // final cut, bit-identical latency/energy/bytes, a two-stage plan.
         for objective in [Objective::Latency, Objective::EdgeEnergy] {
             let planner = CutPlanner::new(toy_profiles(), env(), objective, 4);
             let edge = DeviceProfile::new("edge", 10.0, 1e9);
             let est = LinkEstimate { up_mbps: 2.0, down_mbps: 2.0, rtt_s: 0.005, samples: 6 };
+            let score = |c: &CutCost| match objective {
+                Objective::Latency => c.latency_s,
+                Objective::EdgeEnergy => c.edge_energy_j,
+            };
             for measured in [None, Some(est)] {
-                let scalar = planner.plan_for_measured(&edge, measured.as_ref());
-                let placed = planner.plan_placement_for_measured(&edge, measured.as_ref(), None);
+                let scalar = serving_costs(&planner, &edge, measured.as_ref())
+                    .into_iter()
+                    .rev() // later cuts (more edge) win ties
+                    .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite costs"))
+                    .expect("at least the raw-upload cut exists");
+                let placed = planner.plan_placement_for_measured(&edge, None, measured.as_ref(), None);
                 assert!(placed.plan.is_two_stage());
                 assert_eq!(placed.plan, PlacementPlan::two_stage(scalar.cut, 3));
                 assert_eq!(placed.upload_bytes, scalar.upload_bytes);
@@ -1388,8 +1218,8 @@ mod tests {
         // verbatim (not merely equal-cost — structurally identical).
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 4);
         let edge = DeviceProfile::new("edge", 10.0, 1e9);
-        let solo = planner.plan_placement_for_measured(&edge, None, None);
-        let lone = planner.plan_placement_for_measured(&edge, None, Some(&coop_pool(1, 1000.0)));
+        let solo = planner.plan_placement_for_measured(&edge, None, None, None);
+        let lone = planner.plan_placement_for_measured(&edge, None, None, Some(&coop_pool(1, 1000.0)));
         assert_eq!(solo, lone);
     }
 
@@ -1413,7 +1243,7 @@ mod tests {
             response_bytes: 0,
         };
         let planner = CutPlanner::new(profiles, e.clone(), Objective::Latency, 1);
-        let solo = planner.plan_placement_for_measured(&e.edge, None, None);
+        let solo = planner.plan_placement_for_measured(&e.edge, None, None, None);
         assert!(solo.plan.is_two_stage());
         assert!(solo.plan.final_cut() < 2, "solo cannot afford the bottleneck layer: {solo:?}");
         let pool = PeerPool {
@@ -1422,7 +1252,7 @@ mod tests {
             pooled: e.edge.scaled_throughput(3.0),
             link: NetworkLink::wifi(400.0).with_rtt(0.0),
         };
-        let coop = planner.plan_placement_for_measured(&e.edge, None, Some(&pool));
+        let coop = planner.plan_placement_for_measured(&e.edge, None, None, Some(&pool));
         let peer = coop.plan.peer_stage().expect("the pool should win a stage");
         assert_eq!(peer.executor, StageExecutor::Peer(0));
         assert_eq!(coop.plan.final_cut(), 2, "the pooled split should reach the bottleneck: {coop:?}");
@@ -1435,22 +1265,32 @@ mod tests {
     fn sla_placement_degenerates_to_the_scalar_sla_plan() {
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
         let edge = planner.effective_env().edge;
+        // Without a pool the SLA placement is a serving cut of the scalar
+        // sweep: two-stage, costed bit-identically, the fewest-bytes cut
+        // among those inside the budget — or, when none fits, the
+        // unconstrained optimum flagged infeasible.
+        let costs = serving_costs(&planner, &edge, None);
         for budget in [1e-12, 0.5, 10.0] {
             let sla = SlaObjective { base: Objective::Latency, p95_budget_s: budget, accuracy_floor: 0.9 };
-            let (scalar, scalar_ok) = planner.plan_for_sla(&edge, None, &sla);
-            let (placed, placed_ok) = planner.plan_placement_for_sla(&edge, None, &sla, None);
-            assert_eq!(placed_ok, scalar_ok);
+            let (placed, placed_ok) = planner.plan_placement_for_sla(&edge, None, None, &sla, None);
+            let scalar = costs[placed.plan.final_cut()];
             assert_eq!(placed.plan, PlacementPlan::two_stage(scalar.cut, 3));
             assert_eq!(placed.upload_bytes, scalar.upload_bytes);
             assert!(placed.latency_s == scalar.latency_s);
+            let fewest_feasible = costs.iter().filter(|c| c.latency_s <= budget).map(|c| c.upload_bytes).min();
+            assert_eq!(placed_ok, fewest_feasible.is_some());
+            match fewest_feasible {
+                Some(bytes) => assert_eq!(placed.upload_bytes, bytes),
+                None => assert_eq!(placed, planner.plan_placement_for_measured(&edge, None, None, None)),
+            }
         }
     }
 
     #[test]
     fn placements_per_class_mix_pools_and_priors() {
         // Class 0 plans solo on the shared link; class 1 carries both a
-        // link prior and a pool. The solo class must match the scalar
-        // per-class planner entry point on final cut and cost.
+        // link prior and a pool. The solo class must match its own
+        // single-class plan on final cut and cost.
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 2);
         let edge = DeviceProfile::new("edge", 10.0, 1e9);
         let classes = vec![edge.clone(), edge];
@@ -1461,9 +1301,9 @@ mod tests {
             &[None, Some(slow)],
             &[None, Some(PeerPool { class: 1, ..pool })],
         );
-        let scalar = planner.plan_classes_with_links(&classes, &[None, Some(slow)]);
+        let scalar = plan_classes(&planner, &classes, &[None, Some(slow)], &[None, None]);
         assert_eq!(placements.len(), 2);
-        assert_eq!(placements[0].plan.final_cut(), scalar[0].cut);
+        assert_eq!(placements[0].plan.final_cut(), scalar[0].plan.final_cut());
         assert!(placements[0].latency_s == scalar[0].latency_s);
         if let Some(peer) = placements[1].plan.peer_stage() {
             assert_eq!(peer.executor, StageExecutor::Peer(1));

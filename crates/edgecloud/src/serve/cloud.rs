@@ -1,5 +1,5 @@
 //! Cloud-tier execution: ingress sharding/work stealing, batch
-//! coalescing, the cloud worker loops and batched suffix execution.
+//! coalescing, the cloud worker loop and batched suffix execution.
 
 use super::*;
 
@@ -266,85 +266,54 @@ impl ReorderGate {
     }
 }
 
-/// Cloud worker loop ([`CloudIngress::SingleQueue`]): coalesce the lane's
-/// queued request frames and classify each batch. Kept verbatim as the
-/// record-identity reference path for the sharded ingress.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cloud_worker<T: Transport>(
-    cfg: &ServeConfig,
-    cloud: &mut SegmentedCnn,
-    lane: usize,
-    mut uplink: T::Uplink,
-    transport: &T,
-    counters: &Mutex<CloudCounters>,
-    suffix_macs: &[u64],
-    shared: &Mutex<PolicyState>,
-    measured: bool,
-    grids: Option<&ActivationGrids>,
-) {
-    // However this worker exits — drained uplink or a panic mid-batch —
-    // its response lane closes behind it (collector shutdown).
-    let _closer = LaneCloser { transport, lane };
-    let mut scratch = Vec::new();
-    while let Some(batch) = coalesce_frames(&mut uplink, cfg.max_batch, cfg.max_wait) {
-        let open = process_cloud_batch(
-            cfg,
-            cloud,
-            lane,
-            false,
-            batch,
-            &mut scratch,
-            transport,
-            counters,
-            suffix_macs,
-            shared,
-            measured,
-            grids,
-        );
-        if !open {
-            return;
+/// Where a cloud worker's coalesced batches come from.
+pub(crate) enum BatchSource<'a, U: UplinkReceiver> {
+    /// [`CloudIngress::SingleQueue`]: the worker owns its transport lane
+    /// and blocks on it alone — the record-identity reference path.
+    Lane(U),
+    /// [`CloudIngress::Sharded`]: the worker's own ingress shard, stealing
+    /// FIFO prefixes (whole device-sticky runs) from backlogged peers when
+    /// idle.
+    Shard(&'a ShardedIngress),
+}
+
+impl<'a, U: UplinkReceiver> BatchSource<'a, U> {
+    /// The next coalesced batch for `lane`'s worker and whether it was
+    /// stolen; `None` once the source is closed and drained.
+    fn next_batch(&mut self, lane: usize, cfg: &ServeConfig) -> Option<(Vec<InboundRequest>, bool)> {
+        match self {
+            BatchSource::Lane(uplink) => coalesce_frames(uplink, cfg.max_batch, cfg.max_wait).map(|b| (b, false)),
+            BatchSource::Shard(ingress) => ingress.next_batch(lane, cfg.max_batch, cfg.max_wait),
+        }
+    }
+
+    fn ingress(&self) -> Option<&'a ShardedIngress> {
+        match self {
+            BatchSource::Lane(_) => None,
+            BatchSource::Shard(ingress) => Some(ingress),
         }
     }
 }
 
-/// Cloud worker loop ([`CloudIngress::Sharded`]): coalesce batches from
-/// the worker's own ingress shard, stealing FIFO prefixes (whole
-/// device-sticky runs) from backlogged peers when idle.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn cloud_worker_sharded<T: Transport>(
-    cfg: &ServeConfig,
+/// Cloud worker loop: classify each coalesced batch of `source`.
+pub(crate) fn cloud_worker<T: Transport>(
+    ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
     lane: usize,
-    ingress: &ShardedIngress,
-    transport: &T,
-    counters: &Mutex<CloudCounters>,
-    suffix_macs: &[u64],
-    shared: &Mutex<PolicyState>,
-    measured: bool,
-    grids: Option<&ActivationGrids>,
+    mut source: BatchSource<'_, T::Uplink>,
 ) {
-    let _closer = LaneCloser { transport, lane };
-    let _guard = IngressAbortGuard { ingress };
+    // However this worker exits — drained source or a panic mid-batch —
+    // its response lane closes behind it (collector shutdown).
+    let _closer = LaneCloser { transport: &ctx.transport, lane };
+    let _guard = source.ingress().map(|ingress| IngressAbortGuard { ingress });
     let mut scratch = Vec::new();
-    while let Some((batch, stolen)) = ingress.next_batch(lane, cfg.max_batch, cfg.max_wait) {
-        let open = process_cloud_batch(
-            cfg,
-            cloud,
-            lane,
-            stolen,
-            batch,
-            &mut scratch,
-            transport,
-            counters,
-            suffix_macs,
-            shared,
-            measured,
-            grids,
-        );
-        if !open {
+    while let Some((batch, stolen)) = source.next_batch(lane, ctx.cfg) {
+        if !process_cloud_batch(ctx, cloud, lane, stolen, batch, &mut scratch) {
             // The collector died; unwedge pumps and peers so the join
             // cascade can surface its panic instead of deadlocking.
-            ingress.abort();
+            if let Some(ingress) = source.ingress() {
+                ingress.abort();
+            }
             return;
         }
     }
@@ -359,21 +328,17 @@ pub(crate) fn cloud_worker_sharded<T: Transport>(
 /// batch paid — model time on the modelled transport, genuine
 /// `Instant::now()` deltas on a real one — to the measured-link feedback
 /// loop. Returns `false` when the response lane's collector is gone.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn process_cloud_batch<T: Transport>(
-    cfg: &ServeConfig,
+    ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
     lane: usize,
     stolen: bool,
     batch: Vec<InboundRequest>,
     scratch: &mut Vec<f32>,
-    transport: &T,
-    counters: &Mutex<CloudCounters>,
-    suffix_macs: &[u64],
-    shared: &Mutex<PolicyState>,
-    measured: bool,
-    grids: Option<&ActivationGrids>,
 ) -> bool {
+    let (cfg, transport, counters, shared) = (ctx.cfg, &ctx.transport, &ctx.counters, &ctx.policy);
+    let (suffix_macs, grids) = (&ctx.suffix_macs, ctx.grids.as_ref());
+    let measured = cfg.transport.is_measured();
     let payload_bytes: u64 = batch.iter().map(|b| b.frame.payload.len() as u64).sum();
     let response_bytes = RESPONSE_WIRE_BYTES * batch.len() as u64;
     // Real-wire telemetry: total frame bytes (headers included) and

@@ -32,61 +32,14 @@ pub fn try_serve(
     clouds: &mut [SegmentedCnn],
     requests: &[ServeRequest],
 ) -> Result<ServeReport, ServeError> {
-    // One shared normalisation path: every entry point (this function,
-    // the deprecated free `serve` shim, `Fleet::serve`) expands a
-    // ControlPlan into the legacy fields here, so all of them validate
-    // and serve the *same* effective configuration.
-    let (cfg, governor) = effective_config(cfg)?;
-    let cfg = &cfg;
     validate_serve(cfg, edges, clouds, requests)?;
+    let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
     Ok(match &cfg.transport {
-        TransportKind::Modelled => serve_core(
-            cfg,
-            edges,
-            clouds,
-            requests,
-            ModelledTransport::new(cfg.cloud_workers, cfg.queue_depth),
-            false,
-            governor,
-        ),
-        TransportKind::Pipe(pc) => serve_core(
-            cfg,
-            edges,
-            clouds,
-            requests,
-            PipeTransport::new(cfg.cloud_workers, pc.clone()),
-            true,
-            governor,
-        ),
+        TransportKind::Modelled => serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth)),
+        TransportKind::Pipe(pc) => serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone())),
         #[cfg(unix)]
-        TransportKind::Uds(uc) => serve_core(
-            cfg,
-            edges,
-            clouds,
-            requests,
-            UdsTransport::new(cfg.cloud_workers, uc.clone()),
-            true,
-            governor,
-        ),
+        TransportKind::Uds(uc) => serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone())),
     })
-}
-
-/// Panic-on-misuse shim over [`try_serve`], kept for source
-/// compatibility.
-///
-/// # Panics
-///
-/// Panics with the [`ServeError`]'s message on any configuration,
-/// replica or trace inconsistency — exactly the conditions [`try_serve`]
-/// returns as `Err`.
-#[deprecated(note = "panics on misuse; use Fleet::serve, or try_serve and handle the ServeError")]
-pub fn serve(
-    cfg: &ServeConfig,
-    edges: &mut [EdgeReplica],
-    clouds: &mut [SegmentedCnn],
-    requests: &[ServeRequest],
-) -> ServeReport {
-    try_serve(cfg, edges, clouds, requests).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// A serving deployment behind one validated entry point: the
@@ -96,8 +49,7 @@ pub fn serve(
 /// configuration invariants *and* replica consistency (counts, cloud
 /// prefixes, layer enumeration, cut range) — so a `Fleet` in hand is
 /// known-servable and [`Fleet::serve`] can only fail on a malformed
-/// trace. This replaces the panic-on-misuse free [`serve`] convention:
-/// misconfiguration is a value ([`ServeError`]), not a crash.
+/// trace: misconfiguration is a value ([`ServeError`]), not a crash.
 #[derive(Debug)]
 pub struct Fleet {
     config: ServeConfig,
@@ -118,14 +70,7 @@ impl Fleet {
         edges: Vec<EdgeReplica>,
         clouds: Vec<SegmentedCnn>,
     ) -> Result<Fleet, ServeError> {
-        // Validate the *effective* configuration (any ControlPlan
-        // expanded) so plan-induced requirements — e.g. a governed plan
-        // needing cloud-prefix replicas — are caught here; the original
-        // configuration is kept so `Fleet::config` returns what the
-        // caller set and `Fleet::serve` re-normalises through the same
-        // path as `try_serve`.
-        let (effective, _) = effective_config(&config)?;
-        validate_serve(&effective, &edges, &clouds, &[])?;
+        validate_serve(&config, &edges, &clouds, &[])?;
         Ok(Fleet { config, edges, clouds })
     }
 
@@ -182,34 +127,54 @@ impl<T: Transport> Drop for LaneCloser<'_, T> {
     }
 }
 
-/// The serving runtime over a concrete [`Transport`]. `measured` selects
-/// the telemetry source: `false` feeds the [`LinkEstimator`] the link
-/// model's own times (deterministic), `true` feeds it `Instant::now()`
-/// deltas around the actual transfers (and skips the modelled sleeps —
-/// the wire's own time is the latency).
+/// Everything the serving workers of one run share, built once in
+/// [`serve_core`]: the configuration and resolved fleet spec, the wire,
+/// the mutexed policy state and the run's counters.
+pub(crate) struct WorkerCtx<'a, T: Transport> {
+    pub(crate) cfg: &'a ServeConfig,
+    /// The spec serving runs under (see [`implicit_spec`]).
+    pub(crate) spec: FleetSpec,
+    pub(crate) transport: T,
+    pub(crate) policy: Mutex<PolicyState>,
+    /// Calibrated per-channel activation grids, shared by edge encoders
+    /// and cloud decoders out of band.
+    pub(crate) grids: Option<ActivationGrids>,
+    /// Offloaded requests park here until their response frame returns
+    /// (the wire carries only the request id and the prediction back).
+    pub(crate) pending: Mutex<Vec<Option<PendingEntry>>>,
+    pub(crate) counters: Mutex<CloudCounters>,
+    /// Suffix MACs per resume layer (`suffix_macs[k]` = MACs of layers
+    /// `[k, L)`): what the cloud pays per instance resumed at `k`, and
+    /// the basis of the recompute-saved accounting.
+    pub(crate) suffix_macs: Vec<u64>,
+    pub(crate) skipped_main_exits: AtomicUsize,
+    /// Peer-stage byte/hop counters, fed by every multi-stage offload.
+    pub(crate) peer: PeerTelemetry,
+}
+
+/// The serving runtime over a concrete [`Transport`]. A measured wire
+/// ([`TransportKind::is_measured`]) feeds the [`LinkEstimator`]
+/// `Instant::now()` deltas around the actual transfers and skips the
+/// modelled sleeps — the wire's own time is the latency; the modelled
+/// one feeds it the link model's own times (deterministic).
 pub(crate) fn serve_core<T: Transport>(
     cfg: &ServeConfig,
     edges: &mut [EdgeReplica],
     clouds: &mut [SegmentedCnn],
     requests: &[ServeRequest],
     transport: T,
-    measured: bool,
-    governor: Option<GovernorConfig>,
 ) -> ServeReport {
     let n = requests.len();
     let cloud_available = cfg.cloud_workers > 0;
     let spec = implicit_spec(cfg);
     let cut_table = build_cut_table(cfg, edges, requests, &spec);
-    // Calibrated per-channel activation grids, shared by edge encoders
-    // and cloud decoders out of band: needed whenever offloads may ship
-    // grid-indexed per-channel int8 frames — the configured wire, or any
-    // governed run (per-channel int8 is the governor's deepest wire
-    // rung). Calibrated once from the first request's activations at
-    // every cut, with headroom for hotter inputs.
-    let wants_grids = match &cfg.payload {
-        PayloadPlan::Features(fc) => fc.wire == FeatureWire::PerChannelInt8 || governor.is_some(),
-        _ => false,
-    };
+    let governed = matches!(cfg.control, ControlPlan::Governed(_));
+    // Grids are needed whenever offloads may ship grid-indexed
+    // per-channel int8 frames — the configured wire, or any governed run
+    // (per-channel int8 is the governor's deepest wire rung). Calibrated
+    // once from the first request's activations at every cut, with
+    // headroom for hotter inputs.
+    let wants_grids = governed || cfg.control.feature_wire() == Some(FeatureWire::PerChannelInt8);
     let grids: Option<ActivationGrids> = match (wants_grids, requests.first()) {
         (true, Some(first)) => {
             let prefix = edges[0].cloud_prefix.as_mut().expect("validated in try_serve()");
@@ -223,11 +188,6 @@ pub(crate) fn serve_core<T: Transport>(
         }
         _ => None,
     };
-    let grids = grids.as_ref();
-    let governed = governor.is_some();
-    let policy_state = Mutex::new(PolicyState::new(cfg, cloud_available, cut_table, governor));
-    let cloud_counters =
-        Mutex::new(CloudCounters { per_shard: vec![0; cfg.cloud_workers], ..CloudCounters::default() });
     // Completions of offloaded requests pass a per-device reorder gate,
     // so work stealing cannot reorder a device's cloud responses.
     let reorder = Mutex::new(ReorderGate::default());
@@ -237,12 +197,6 @@ pub(crate) fn serve_core<T: Transport>(
         CloudIngress::Sharded if cloud_available => Some(ShardedIngress::new(cfg.cloud_workers, cfg.queue_depth)),
         _ => None,
     };
-    let skipped_main_exits = AtomicUsize::new(0);
-    // Peer-stage byte/hop counters, fed by every multi-stage offload.
-    let peer_telemetry = PeerTelemetry::default();
-    // Suffix MACs per resume layer (suffix_macs[k] = MACs of layers
-    // [k, L)): what the cloud pays per instance resumed at k, and the
-    // basis of the recompute-saved accounting.
     let suffix_macs: Vec<u64> = match clouds.first() {
         Some(cloud) => {
             let profiles = profile_network(cloud);
@@ -254,9 +208,19 @@ pub(crate) fn serve_core<T: Transport>(
         }
         None => Vec::new(),
     };
-    // Offloaded requests park here until their response frame returns
-    // (the wire carries only the request id and the prediction back).
-    let pending: Mutex<Vec<Option<PendingEntry>>> = Mutex::new((0..n).map(|_| None).collect());
+    let run = WorkerCtx {
+        cfg,
+        policy: Mutex::new(PolicyState::new(cfg, cloud_available, cut_table)),
+        spec,
+        transport,
+        grids,
+        pending: Mutex::new((0..n).map(|_| None).collect()),
+        counters: Mutex::new(CloudCounters { per_shard: vec![0; cfg.cloud_workers], ..CloudCounters::default() }),
+        suffix_macs,
+        skipped_main_exits: AtomicUsize::new(0),
+        peer: PeerTelemetry::default(),
+    };
+    let (ctx, transport, spec) = (&run, &run.transport, &run.spec);
 
     let (done_tx, done_rx) = unbounded::<Completion>();
     let mut edge_txs: Vec<Sender<EdgeJob<'_>>> = Vec::with_capacity(cfg.edge_workers);
@@ -267,7 +231,6 @@ pub(crate) fn serve_core<T: Transport>(
         edge_rxs.push(rx);
     }
 
-    let transport = &transport;
     let t0 = Instant::now();
     let mut worker_panics: Vec<String> = Vec::new();
     let completions = crossbeam::thread::scope(|scope| {
@@ -300,38 +263,20 @@ pub(crate) fn serve_core<T: Transport>(
         }
         let mut cloud_handles = Vec::with_capacity(cfg.cloud_workers);
         for (lane, cloud) in clouds.iter_mut().enumerate() {
-            let counters = &cloud_counters;
-            let suffixes = &suffix_macs;
-            let shared = &policy_state;
-            match ingress.as_ref() {
-                Some(ing) => {
-                    cloud_handles.push(scope.spawn(move |_| {
-                        cloud_worker_sharded(
-                            cfg, cloud, lane, ing, transport, counters, suffixes, shared, measured, grids,
-                        )
-                    }));
-                }
-                None => {
-                    let uplink = transport.take_uplink(lane);
-                    cloud_handles.push(scope.spawn(move |_| {
-                        cloud_worker(
-                            cfg, cloud, lane, uplink, transport, counters, suffixes, shared, measured, grids,
-                        )
-                    }));
-                }
-            }
+            let source = match ingress.as_ref() {
+                Some(ing) => BatchSource::Shard(ing),
+                None => BatchSource::Lane(transport.take_uplink(lane)),
+            };
+            cloud_handles.push(scope.spawn(move |_| cloud_worker(ctx, cloud, lane, source)));
         }
         let mut collector_handles = Vec::with_capacity(cfg.cloud_workers);
         for lane in 0..cfg.cloud_workers {
             let mut downlink = transport.take_downlink(lane);
             let dtx = done_tx.clone();
-            let pending_ref = &pending;
             let gate = &reorder;
-            let shared = &policy_state;
-            let spec_ref = &spec;
             collector_handles.push(scope.spawn(move |_| {
                 while let RecvOutcome::Frame(resp) = downlink.recv() {
-                    let entry = pending_ref.lock()[resp.frame.req_id as usize]
+                    let entry = ctx.pending.lock()[resp.frame.req_id as usize]
                         .take()
                         .expect("one pending entry per response frame");
                     let completion = Completion {
@@ -345,7 +290,7 @@ pub(crate) fn serve_core<T: Transport>(
                     // completion's end-to-end latency, recorded as it
                     // lands (release order is irrelevant to quantiles).
                     if governed {
-                        shared.lock().record_latency(spec_ref.class_of(entry.device), completion.latency_s);
+                        ctx.policy.lock().record_latency(spec.class_of(entry.device), completion.latency_s);
                     }
                     // Latency is measured at arrival; only the *release*
                     // into the completion stream is deferred until every
@@ -357,14 +302,7 @@ pub(crate) fn serve_core<T: Transport>(
         let mut edge_handles = Vec::with_capacity(cfg.edge_workers);
         for (rx, replica) in edge_rxs.into_iter().zip(edges.iter_mut()) {
             let dtx = done_tx.clone();
-            let shared = &policy_state;
-            let pending_ref = &pending;
-            let spec_ref = &spec;
-            let skipped = &skipped_main_exits;
-            let peer = &peer_telemetry;
-            edge_handles.push(scope.spawn(move |_| {
-                edge_worker(cfg, spec_ref, replica, rx, transport, pending_ref, dtx, shared, skipped, grids, peer)
-            }));
+            edge_handles.push(scope.spawn(move |_| edge_worker(ctx, replica, rx, dtx)));
         }
         drop(done_tx);
 
@@ -436,9 +374,10 @@ pub(crate) fn serve_core<T: Transport>(
     let records: Vec<InstanceRecord> = records.into_iter().map(|r| r.expect("every request served")).collect();
 
     let offloaded = records.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
-    let counters = cloud_counters.into_inner();
+    let WorkerCtx { policy, counters, skipped_main_exits, peer: peer_telemetry, .. } = run;
+    let counters = counters.into_inner();
     let (final_threshold, cut_replans, final_cuts, placements, link_estimates, governor_outcome) = {
-        let st = policy_state.into_inner();
+        let st = policy.into_inner();
         let replans = st.cuts.as_ref().map_or(0, |t| t.replans);
         let estimates = st.cuts.as_ref().and_then(|t| t.estimator.as_ref()).map(LinkEstimator::estimates);
         let placements = st.cuts.map(|t| t.placements);
@@ -451,7 +390,7 @@ pub(crate) fn serve_core<T: Transport>(
         None => (0, 0, None),
     };
     // Per-class breakdowns only when a fleet is explicitly configured:
-    // the implicit legacy spec would report a single meaningless class.
+    // the implicit spec would report classes nobody named.
     let per_class = cfg.fleet.as_ref().map(|fleet| {
         let k = fleet.class_count();
         let mut served = vec![0usize; k];

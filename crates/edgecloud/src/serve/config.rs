@@ -1,4 +1,4 @@
-//! Serving configuration surface: payload/control plans, the validated
+//! Serving configuration surface: the [`ControlPlan`], the validated
 //! [`ServeConfig`] builder, and the error taxonomy.
 
 use super::*;
@@ -68,7 +68,7 @@ impl FeatureWire {
 /// Measured-link feedback configuration: the closed loop between the
 /// cloud tier's per-batch link telemetry and the [`CutPlanner`].
 ///
-/// When set on a [`CutPlannerConfig`], every served cloud batch feeds one
+/// Under [`ControlPlan::ClosedLoop`] every served cloud batch feeds one
 /// `(bytes, seconds)` observation per device class into a
 /// [`LinkEstimator`] EWMA, and every [`LinkFeedback::replan_every`]
 /// batches the planner re-derives the per-class cuts from the measured
@@ -113,56 +113,11 @@ pub struct CutPlannerConfig {
     pub cloud: DeviceProfile,
     /// What the planner minimises.
     pub objective: Objective,
-    /// Measured-link feedback: `None` plans open-loop from the static
-    /// contention model only (replanning only when the controller moves
-    /// β); `Some` closes the loop on observed per-batch link times.
+    /// Must be `None`: [`ControlPlan::OpenLoop`] has no feedback loop and
+    /// [`ControlPlan::ClosedLoop`] carries its own
+    /// ([`ServeConfigError::ClosedLoopFeedbackConflict`]). The field
+    /// survives only because the frozen benchmark crate names it.
     pub feedback: Option<LinkFeedback>,
-}
-
-/// How the cut layer of feature-payload serving is chosen.
-#[derive(Debug, Clone, PartialEq)]
-pub enum CutSelection {
-    /// A fixed cut layer index (same for every device).
-    Fixed(usize),
-    /// Online planning: the [`CutPlanner`] scores every cut of the cloud
-    /// network against the serving link and device profiles, picks the
-    /// cost-minimal placement per device class (including cooperative
-    /// peer splits for classes with a
-    /// [`crate::fleet::DeviceClass::coop_group`]), and replans whenever
-    /// the [`ThresholdController`] moves β.
-    Planned(CutPlannerConfig),
-    /// A forced multi-stage [`PlacementPlan`], the same for every device
-    /// class — the N-stage generalisation of `Fixed`. The plan must cover
-    /// the cloud network's layers exactly and its final cut must be a
-    /// serving cut (the cloud runs at least the head).
-    Placement(PlacementPlan),
-}
-
-/// Configuration of feature-payload serving.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FeatureConfig {
-    /// Activation wire encoding.
-    pub wire: FeatureWire,
-    /// Cut-layer choice.
-    pub cut: CutSelection,
-}
-
-/// What crosses the edge→cloud wire for offloaded instances.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PayloadPlan {
-    /// Ship the input image; the cloud computes its whole network from
-    /// pixels (the paper's collaboration mode).
-    Image(WireFormat),
-    /// Ship the cloud network's activation at a cut layer; the cloud
-    /// resumes from there (the Neurosurgeon-style split this repo's
-    /// offline `partition` search scores, now live).
-    Features(FeatureConfig),
-}
-
-impl Default for PayloadPlan {
-    fn default() -> Self {
-        PayloadPlan::Image(WireFormat::Float32)
-    }
 }
 
 /// One edge worker's model state: the MEANet it routes with, plus — in
@@ -173,8 +128,8 @@ pub struct EdgeReplica {
     /// The trained MEANet (routing, main/extension exits).
     pub net: MeaNet,
     /// Cloud-network replica for prefix execution. Must be bitwise
-    /// identical to the cloud workers' replicas; required when
-    /// [`ServeConfig::payload`] is [`PayloadPlan::Features`].
+    /// identical to the cloud workers' replicas; required by every
+    /// [`ControlPlan`] except [`ControlPlan::Image`].
     pub cloud_prefix: Option<SegmentedCnn>,
 }
 
@@ -200,19 +155,20 @@ pub struct ControllerConfig {
     pub window: usize,
 }
 
-/// The unified control plane of feature-payload serving: one value that
-/// says how the (β, cut, wire) operating point is chosen, replacing the
-/// scattered legacy combination of [`ServeConfigBuilder::controller`],
-/// a [`PayloadPlan::Features`] payload with [`CutSelection`], and the
-/// feedback option buried inside [`CutPlannerConfig`].
-///
-/// Set via [`ServeConfigBuilder::control`]; the runtime normalises every
-/// plan into the legacy fields through one shared path, so a plan and the
-/// equivalent hand-assembled legacy configuration serve **identically**.
-/// Combining a plan with the legacy `controller`/`payload` fields is
-/// rejected at build time ([`ServeConfigError`]).
+/// Who steers serving: one value that says what crosses the edge→cloud
+/// wire and how the (β, cut, wire) operating point is chosen. Set via
+/// [`ServeConfigBuilder::control`]; the workers read it directly.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ControlPlan {
+    /// Ship the input image; the cloud computes its whole network from
+    /// pixels (the paper's collaboration mode). The default, with the
+    /// lossless wire and no controller.
+    Image {
+        /// The image wire encoding.
+        wire: WireFormat,
+        /// Optional runtime threshold adaptation.
+        controller: Option<ControllerConfig>,
+    },
     /// Open-loop: a fixed cut and wire for every device, optionally with
     /// SPINN-style threshold steering. Nothing replans at runtime.
     Static {
@@ -223,17 +179,39 @@ pub enum ControlPlan {
         /// Optional runtime threshold adaptation.
         controller: Option<ControllerConfig>,
     },
-    /// Closed-loop planned cuts: the [`CutPlanner`] picks the per-class
-    /// cut online and measured-link `feedback` replans it from the link
-    /// times cloud batches actually paid.
-    ClosedLoop {
-        /// Planner parameters. Its [`CutPlannerConfig::feedback`] field
-        /// must be `None` — the loop's feedback lives in
-        /// [`ControlPlan::ClosedLoop::feedback`], not inside the planner
-        /// config ([`ServeConfigError::ClosedLoopFeedbackConflict`]).
+    /// A forced multi-stage [`PlacementPlan`], the same for every device
+    /// class — the N-stage generalisation of `Static`. The plan must cover
+    /// the cloud network's layers exactly and its final cut must be a
+    /// serving cut (the cloud runs at least the head).
+    Placement {
+        /// The forced placement.
+        plan: PlacementPlan,
+        /// The activation wire encoding.
+        wire: FeatureWire,
+        /// Optional runtime threshold adaptation.
+        controller: Option<ControllerConfig>,
+    },
+    /// Open-loop planned cuts: the [`CutPlanner`] scores every cut of the
+    /// cloud network against the serving link and device profiles, picks
+    /// the cost-minimal placement per device class (including cooperative
+    /// peer splits for classes with a
+    /// [`crate::fleet::DeviceClass::coop_group`]) from the static
+    /// contention model, and replans only when the controller moves β.
+    OpenLoop {
+        /// Planner parameters.
         planner: CutPlannerConfig,
-        /// The measured-link feedback loop (mandatory: a closed loop
-        /// without feedback is the open-loop plan).
+        /// The activation wire encoding.
+        wire: FeatureWire,
+        /// Optional runtime threshold adaptation.
+        controller: Option<ControllerConfig>,
+    },
+    /// Closed-loop planned cuts: [`ControlPlan::OpenLoop`] plus
+    /// measured-link `feedback` replanning from the link times cloud
+    /// batches actually paid.
+    ClosedLoop {
+        /// Planner parameters.
+        planner: CutPlannerConfig,
+        /// The measured-link feedback loop.
         feedback: LinkFeedback,
         /// The activation wire encoding.
         wire: FeatureWire,
@@ -248,6 +226,48 @@ pub enum ControlPlan {
     /// measured-link feedback; requires [`ServeConfig::link`]
     /// ([`ServeConfigError::GovernedWithoutTelemetry`]).
     Governed(SlaTarget),
+}
+
+impl Default for ControlPlan {
+    fn default() -> Self {
+        ControlPlan::Image { wire: WireFormat::Float32, controller: None }
+    }
+}
+
+impl ControlPlan {
+    /// The configured threshold controller (a governor synthesises its
+    /// own when its β rung fires).
+    pub(crate) fn controller(&self) -> Option<&ControllerConfig> {
+        match self {
+            ControlPlan::Image { controller, .. }
+            | ControlPlan::Static { controller, .. }
+            | ControlPlan::Placement { controller, .. }
+            | ControlPlan::OpenLoop { controller, .. }
+            | ControlPlan::ClosedLoop { controller, .. } => controller.as_ref(),
+            ControlPlan::Governed(_) => None,
+        }
+    }
+
+    /// The activation wire offloads start on; `None` ships images.
+    pub(crate) fn feature_wire(&self) -> Option<FeatureWire> {
+        match self {
+            ControlPlan::Image { .. } => None,
+            ControlPlan::Static { wire, .. }
+            | ControlPlan::Placement { wire, .. }
+            | ControlPlan::OpenLoop { wire, .. }
+            | ControlPlan::ClosedLoop { wire, .. } => Some(*wire),
+            ControlPlan::Governed(_) => Some(FeatureWire::F32),
+        }
+    }
+
+    /// The caller-supplied planner parameters of the two planned
+    /// variants.
+    pub(crate) fn planner(&self) -> Option<&CutPlannerConfig> {
+        match self {
+            ControlPlan::OpenLoop { planner, .. } | ControlPlan::ClosedLoop { planner, .. } => Some(planner),
+            _ => None,
+        }
+    }
 }
 
 /// Static configuration of the serving runtime.
@@ -266,56 +286,43 @@ pub struct ServeConfig {
     pub max_wait: Duration,
     /// Capacity of each bounded edge/cloud ingress queue.
     pub queue_depth: usize,
-    /// Offload policy. Ignored when `controller` is set (the controller
-    /// then drives an entropy-threshold policy starting from its own
-    /// threshold).
+    /// Offload policy. Ignored when the [`ControlPlan`] carries a
+    /// controller (the controller then drives an entropy-threshold
+    /// policy starting from its own threshold).
     pub policy: OffloadPolicy,
-    /// Optional SPINN-style runtime threshold adaptation.
-    ///
-    /// Legacy field: prefer [`ServeConfig::control`], which carries the
-    /// controller inside its [`ControlPlan`]. Setting both is rejected
-    /// ([`ServeConfigError::ControlPlanControllerConflict`]).
-    pub controller: Option<ControllerConfig>,
-    /// The unified control plane ([`ControlPlan`]): how the (β, cut,
-    /// wire) operating point of feature-payload serving is chosen.
-    /// `None` keeps the legacy field combination
-    /// (`controller` + `payload`) in charge; `Some` expands into those
-    /// fields through one shared normalisation path before validation,
-    /// and conflicts with explicitly set legacy fields are rejected.
-    pub control: Option<ControlPlan>,
-    /// What offloaded instances carry across the wire: images (the cloud
-    /// recomputes from pixels) or cut-layer activations (the cloud
-    /// resumes from the cut).
-    pub payload: PayloadPlan,
+    /// Who steers ([`ControlPlan`]): what offloaded instances carry
+    /// across the wire and how the (β, cut, wire) operating point is
+    /// chosen.
+    pub control: ControlPlan,
     /// Optional link model: each cloud batch pays its uplink leg (the
     /// upload plus half the RTT) before the forward and its downlink leg
     /// (half the RTT plus the response download) after it, as real
     /// wall-clock delay on the worker that serves it — the same
     /// [`NetworkLink::uplink_leg_s`]/[`NetworkLink::downlink_leg_s`]
     /// convention the virtual-clock simulator and the closed-form
-    /// `round_trip_s` charge. Under [`TransportKind::Pipe`] the wire's
-    /// own transfer time replaces these sleeps; the model then only
-    /// informs the [`CutPlanner`]'s static prior.
+    /// `round_trip_s` charge. On a real transport the wire's own
+    /// transfer time replaces these sleeps; the model then only informs
+    /// the [`CutPlanner`]'s static prior.
     pub link: Option<NetworkLink>,
     /// Which wire the offloaded payloads cross: the deterministic
     /// modelled conduit (default — the CI/record-identity path) or a real
-    /// in-process byte pipe whose transfer times feed the
-    /// [`LinkEstimator`] as genuine `Instant::now()` deltas.
+    /// byte stream (in-process pipe, Unix sockets) whose transfer times
+    /// feed the [`LinkEstimator`] as genuine `Instant::now()` deltas.
     pub transport: TransportKind,
-    /// Scheduled changes of the *real* wire mid-run (radio degradation):
-    /// once the cloud tier has *started* `after_batches` coalesced
-    /// batches, subsequently started batches ride the changed link.
-    /// Applied in order; requires [`ServeConfig::link`]. The planner's
+    /// Scheduled changes of the modelled wire mid-run (radio
+    /// degradation): once the cloud tier has *started* `after_batches`
+    /// coalesced batches, subsequently started batches ride the changed
+    /// link. Applied in order; requires [`ServeConfig::link`] and the
+    /// modelled transport. The planner's
     /// static model is deliberately not told — only measured-link
     /// feedback ([`LinkFeedback`]) can observe the change.
     pub link_schedule: Vec<LinkChange>,
     /// Optional heterogeneous device registry. `Some` routes every
     /// device→class decision (planned cuts, link telemetry, per-class
     /// stats) through [`FleetSpec::class_of`] and plans cuts from each
-    /// class's tier-scaled profile and radio prior; `None` keeps the
-    /// legacy homogeneous convention. A spec whose classes are all
-    /// identical to the legacy planner classes serves record-identically
-    /// to `None`.
+    /// class's tier-scaled profile and radio prior; `None` round-robins
+    /// devices over [`CutPlannerConfig::classes`]. A spec whose classes
+    /// equal those planner classes serves record-identically to `None`.
     pub fleet: Option<FleetSpec>,
     /// Optional difficulty-aware routing. `Some` classifies every request
     /// from its input statistics before any forward pass:
@@ -328,8 +335,8 @@ pub struct ServeConfig {
     /// Algorithm 2.
     pub difficulty: Option<DifficultyPredictor>,
     /// How cloud workers pick up arrived frames: the sharded
-    /// work-stealing ingress (default) or the legacy one-queue-per-worker
-    /// path. Pure scheduling knob — the served [`InstanceRecord`]s are
+    /// work-stealing ingress (default) or the one-queue-per-worker
+    /// reference path. Pure scheduling knob — the served [`InstanceRecord`]s are
     /// identical either way (asserted by the property suite); only
     /// throughput and the [`ServeStats`] scheduling counters differ.
     pub ingress: CloudIngress,
@@ -371,7 +378,7 @@ pub enum CloudIngress {
     /// expose the balancing behaviour.
     #[default]
     Sharded,
-    /// The legacy path: each cloud worker blocks on its own lane only.
+    /// The reference path: each cloud worker blocks on its own lane only.
     /// A skewed device population can idle every other worker; kept as
     /// the record-identity reference and for A/B measurement.
     SingleQueue,
@@ -404,9 +411,7 @@ impl ServeConfig {
             max_wait: Duration::ZERO,
             queue_depth: 4,
             policy,
-            controller: None,
-            control: None,
-            payload: PayloadPlan::default(),
+            control: ControlPlan::default(),
             link: None,
             transport: TransportKind::default(),
             link_schedule: Vec::new(),
@@ -414,13 +419,6 @@ impl ServeConfig {
             difficulty: None,
             ingress: CloudIngress::default(),
         }
-    }
-
-    /// The degenerate single-pipeline configuration (`edge_workers: 1,
-    /// cloud_workers: 1, max_batch: 1`) that
-    /// [`crate::sim::run_threaded`] is a thin wrapper over.
-    pub fn pipeline(policy: OffloadPolicy) -> Self {
-        ServeConfig::new(policy, 1, 1, 1)
     }
 
     /// A validating builder starting from [`ServeConfig::new`]'s defaults
@@ -480,26 +478,10 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Enables SPINN-style runtime threshold adaptation.
-    #[deprecated(note = "use ServeConfigBuilder::control with a ControlPlan carrying the controller")]
-    pub fn controller(mut self, cc: ControllerConfig) -> Self {
-        self.cfg.controller = Some(cc);
-        self
-    }
-
-    /// The unified control plane: how the (β, cut, wire) operating point
-    /// of feature-payload serving is chosen (see [`ControlPlan`]).
-    /// Replaces the legacy `controller`/`payload`/`link_schedule` wiring;
-    /// combining a plan with those legacy setters is rejected at
-    /// [`ServeConfigBuilder::build`].
+    /// Who steers: what crosses the wire and how the (β, cut, wire)
+    /// operating point is chosen (see [`ControlPlan`]).
     pub fn control(mut self, plan: ControlPlan) -> Self {
-        self.cfg.control = Some(plan);
-        self
-    }
-
-    /// What offloaded instances carry across the wire.
-    pub fn payload(mut self, payload: PayloadPlan) -> Self {
-        self.cfg.payload = payload;
+        self.cfg.control = plan;
         self
     }
 
@@ -509,7 +491,7 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Which wire the payloads cross (modelled conduit or real pipe).
+    /// Which wire the payloads cross (modelled conduit or a real one).
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.cfg.transport = transport;
         self
@@ -520,13 +502,6 @@ impl ServeConfigBuilder {
     /// the [`ControlPlan`] decides how serving reacts.
     pub fn link_events(mut self, events: Vec<LinkChange>) -> Self {
         self.cfg.link_schedule = events;
-        self
-    }
-
-    /// Scheduled mid-run changes of the modelled wire.
-    #[deprecated(note = "renamed to ServeConfigBuilder::link_events (link changes are scenario, not control)")]
-    pub fn link_schedule(mut self, schedule: Vec<LinkChange>) -> Self {
-        self.cfg.link_schedule = schedule;
         self
     }
 
@@ -554,11 +529,9 @@ impl ServeConfigBuilder {
     /// # Errors
     ///
     /// One [`ServeConfigError`] per violated invariant — the same checks
-    /// [`try_serve`] runs (including the [`ControlPlan`] normalisation),
-    /// so a built config cannot fail them later.
+    /// [`try_serve`] runs, so a built config cannot fail them later.
     pub fn build(self) -> Result<ServeConfig, ServeConfigError> {
-        let (effective, _) = effective_config(&self.cfg)?;
-        validate_config(&effective)?;
+        validate_config(&self.cfg)?;
         Ok(self.cfg)
     }
 }
@@ -578,18 +551,18 @@ pub enum ServeConfigError {
     /// A [`ServeConfig::link_schedule`] without a [`ServeConfig::link`]
     /// to change.
     ScheduleWithoutLink,
-    /// A link schedule combined with the pipe transport (the schedule
-    /// drives the modelled wire only).
-    ScheduleOnPipe,
+    /// A link schedule combined with a transport that pays real wire
+    /// time (the schedule drives the modelled wire only).
+    ScheduleOnMeasuredWire,
     /// A [`ControllerConfig::window`] of zero instances.
     ControllerWindowEmpty,
     /// An offloading policy (or a controller, which implies one) with no
     /// cloud workers to offload to.
     PolicyNeedsCloud,
-    /// Planned cut selection with no device classes and no fleet spec to
-    /// derive them from.
+    /// A planned [`ControlPlan`] with no device classes and no fleet spec
+    /// to derive them from.
     NoPlannerClasses,
-    /// Planned cut selection without a [`ServeConfig::link`] to plan
+    /// A planned [`ControlPlan`] without a [`ServeConfig::link`] to plan
     /// against.
     PlannedCutWithoutLink,
     /// A [`LinkFeedback::replan_every`] of zero batches.
@@ -597,24 +570,14 @@ pub enum ServeConfigError {
     /// Both [`ServeConfig::fleet`] and [`CutPlannerConfig::classes`] list
     /// device classes — it must be one or the other.
     FleetClassesConflict,
-    /// A [`ControlPlan`] combined with the legacy
-    /// [`ServeConfig::controller`] field — the plan carries its own
-    /// controller slot.
-    ControlPlanControllerConflict,
-    /// A [`ControlPlan`] combined with an explicitly set
-    /// [`ServeConfig::payload`] — the plan *is* the payload decision.
-    ControlPlanPayloadConflict,
-    /// A [`ControlPlan::ClosedLoop`] whose planner config also carries a
-    /// [`CutPlannerConfig::feedback`] — the loop's feedback lives in the
-    /// plan's own field.
+    /// A planned [`ControlPlan`] whose planner config carries a
+    /// [`CutPlannerConfig::feedback`] — a closed loop's feedback lives in
+    /// the plan's own field, and an open loop has none.
     ClosedLoopFeedbackConflict,
     /// [`ControlPlan::Governed`] without a [`ServeConfig::link`]: the
     /// governor plans cuts against a link model and needs link telemetry
     /// to close its loop.
     GovernedWithoutTelemetry,
-    /// [`ControlPlan::Governed`] combined with a fixed-cut features
-    /// payload: an SLA governor must be free to move the cut.
-    GovernedFixedCut,
 }
 
 impl fmt::Display for ServeConfigError {
@@ -626,9 +589,10 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::ScheduleWithoutLink => {
                 write!(f, "a link schedule needs a link model (ServeConfig::link) to change")
             }
-            ServeConfigError::ScheduleOnPipe => write!(
+            ServeConfigError::ScheduleOnMeasuredWire => write!(
                 f,
-                "link_schedule drives the modelled wire; throttle the pipe transport via PipeConfig::throttle"
+                "a link schedule drives the modelled wire only; a real transport (pipe, Unix socket) pays \
+                 whatever its own wire takes"
             ),
             ServeConfigError::ControllerWindowEmpty => write!(f, "controller window must be non-empty"),
             ServeConfigError::PolicyNeedsCloud => {
@@ -648,25 +612,13 @@ impl fmt::Display for ServeConfigError {
                 "planned cut selection must leave CutPlannerConfig::classes empty when ServeConfig::fleet \
                  is set (the fleet's effective profiles drive the planner)"
             ),
-            ServeConfigError::ControlPlanControllerConflict => write!(
-                f,
-                "a ControlPlan carries its own controller slot; drop the legacy \
-                 ServeConfigBuilder::controller setter"
-            ),
-            ServeConfigError::ControlPlanPayloadConflict => write!(
-                f,
-                "a ControlPlan decides the payload; drop the explicit ServeConfigBuilder::payload setter"
-            ),
             ServeConfigError::ClosedLoopFeedbackConflict => write!(
                 f,
-                "ControlPlan::ClosedLoop carries the feedback loop itself; leave \
-                 CutPlannerConfig::feedback as None"
+                "ControlPlan::ClosedLoop carries the feedback loop itself and ControlPlan::OpenLoop has none; \
+                 leave CutPlannerConfig::feedback as None"
             ),
             ServeConfigError::GovernedWithoutTelemetry => {
                 write!(f, "ControlPlan::Governed needs link telemetry: configure a link model (ServeConfig::link)")
-            }
-            ServeConfigError::GovernedFixedCut => {
-                write!(f, "an SLA governor must be free to move the cut; drop the fixed-cut payload")
             }
         }
     }
@@ -738,7 +690,7 @@ pub enum ServeError {
         /// Cut layers of the cloud replica.
         cloud_layers: usize,
     },
-    /// A forced [`CutSelection::Placement`] plan that does not cover the
+    /// A forced [`ControlPlan::Placement`] plan that does not cover the
     /// cloud network's layers exactly.
     PlacementLayerMismatch {
         /// Layers the placement plan covers.
@@ -802,78 +754,6 @@ impl From<ServeConfigError> for ServeError {
     }
 }
 
-/// Normalises a [`ControlPlan`] into the legacy field combination: the
-/// single code path every entry point ([`try_serve`], the deprecated free
-/// [`serve`] shim, [`Fleet::new`] / [`Fleet::serve`],
-/// [`ServeConfigBuilder::build`]) funnels through, so a plan and the
-/// equivalent hand-assembled legacy configuration are *the same*
-/// configuration by the time the runtime sees them.
-///
-/// Returns the effective configuration (the input expanded, `control`
-/// cleared) plus the governor configuration when the plan is
-/// [`ControlPlan::Governed`]. A `None` plan passes the input through
-/// untouched.
-pub(crate) fn effective_config(
-    cfg: &ServeConfig,
-) -> Result<(ServeConfig, Option<GovernorConfig>), ServeConfigError> {
-    let Some(plan) = &cfg.control else { return Ok((cfg.clone(), None)) };
-    if cfg.controller.is_some() {
-        return Err(ServeConfigError::ControlPlanControllerConflict);
-    }
-    // The specific incoherence first, so the error names it: a governor
-    // pinned to a fixed cut (or a forced placement) has nothing to govern.
-    if let (ControlPlan::Governed(_), PayloadPlan::Features(fc)) = (plan, &cfg.payload) {
-        if matches!(fc.cut, CutSelection::Fixed(_) | CutSelection::Placement(_)) {
-            return Err(ServeConfigError::GovernedFixedCut);
-        }
-    }
-    if cfg.payload != PayloadPlan::default() {
-        return Err(ServeConfigError::ControlPlanPayloadConflict);
-    }
-    let mut eff = cfg.clone();
-    eff.control = None;
-    match plan {
-        ControlPlan::Static { cut, wire, controller } => {
-            eff.payload = PayloadPlan::Features(FeatureConfig { wire: *wire, cut: CutSelection::Fixed(*cut) });
-            eff.controller = *controller;
-            Ok((eff, None))
-        }
-        ControlPlan::ClosedLoop { planner, feedback, wire, controller } => {
-            if planner.feedback.is_some() {
-                return Err(ServeConfigError::ClosedLoopFeedbackConflict);
-            }
-            let mut pc = planner.clone();
-            pc.feedback = Some(*feedback);
-            eff.payload = PayloadPlan::Features(FeatureConfig { wire: *wire, cut: CutSelection::Planned(pc) });
-            eff.controller = *controller;
-            Ok((eff, None))
-        }
-        ControlPlan::Governed(target) => {
-            if cfg.link.is_none() {
-                return Err(ServeConfigError::GovernedWithoutTelemetry);
-            }
-            // With a fleet the planner's classes come from the spec
-            // (FleetClassesConflict guards the combination); without one
-            // a single default edge class keeps the legacy convention.
-            let classes = if cfg.fleet.is_some() { Vec::new() } else { vec![DeviceProfile::edge_gpu_cifar()] };
-            let pc = CutPlannerConfig {
-                classes,
-                cloud: DeviceProfile::cloud_accelerator(),
-                objective: Objective::Latency,
-                feedback: Some(LinkFeedback::default()),
-            };
-            // The governor starts at the open-loop operating point —
-            // lossless f32 on latency-planned cuts, the configured
-            // routing policy untouched — and only moves away from it
-            // when live windows violate the SLA.
-            eff.payload =
-                PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut: CutSelection::Planned(pc) });
-            eff.controller = None;
-            Ok((eff, Some(GovernorConfig::new(*target))))
-        }
-    }
-}
-
 /// Checks every invariant knowable from the configuration alone.
 pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
     if cfg.edge_workers == 0 {
@@ -888,39 +768,40 @@ pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError>
     if !cfg.link_schedule.is_empty() && cfg.link.is_none() {
         return Err(ServeConfigError::ScheduleWithoutLink);
     }
-    if matches!(cfg.transport, TransportKind::Pipe(_)) && !cfg.link_schedule.is_empty() {
-        return Err(ServeConfigError::ScheduleOnPipe);
+    if cfg.transport.is_measured() && !cfg.link_schedule.is_empty() {
+        return Err(ServeConfigError::ScheduleOnMeasuredWire);
     }
-    if let Some(cc) = &cfg.controller {
-        if cc.window == 0 {
-            return Err(ServeConfigError::ControllerWindowEmpty);
-        }
+    let controller = cfg.control.controller();
+    if controller.is_some_and(|cc| cc.window == 0) {
+        return Err(ServeConfigError::ControllerWindowEmpty);
     }
     // A controller always drives an entropy-threshold policy, which needs
     // the cloud; otherwise the configured policy decides.
-    let edge_only = cfg.controller.is_none() && cfg.policy.is_edge_only();
+    let edge_only = controller.is_none() && cfg.policy.is_edge_only();
     if cfg.cloud_workers == 0 && !edge_only {
         return Err(ServeConfigError::PolicyNeedsCloud);
     }
-    if let PayloadPlan::Features(fc) = &cfg.payload {
-        if let CutSelection::Planned(pc) = &fc.cut {
-            if cfg.fleet.is_some() && !pc.classes.is_empty() {
-                return Err(ServeConfigError::FleetClassesConflict);
-            }
-            if cfg.fleet.is_none() && pc.classes.is_empty() {
-                return Err(ServeConfigError::NoPlannerClasses);
-            }
-            if cfg.link.is_none() {
-                return Err(ServeConfigError::PlannedCutWithoutLink);
-            }
-            if let Some(fb) = &pc.feedback {
-                if fb.replan_every == 0 {
-                    return Err(ServeConfigError::FeedbackNeverReplans);
-                }
-            }
+    if let Some(pc) = cfg.control.planner() {
+        if pc.feedback.is_some() {
+            return Err(ServeConfigError::ClosedLoopFeedbackConflict);
+        }
+        if cfg.fleet.is_some() && !pc.classes.is_empty() {
+            return Err(ServeConfigError::FleetClassesConflict);
+        }
+        if cfg.fleet.is_none() && pc.classes.is_empty() {
+            return Err(ServeConfigError::NoPlannerClasses);
+        }
+        if cfg.link.is_none() {
+            return Err(ServeConfigError::PlannedCutWithoutLink);
         }
     }
-    Ok(())
+    match &cfg.control {
+        ControlPlan::ClosedLoop { feedback, .. } if feedback.replan_every == 0 => {
+            Err(ServeConfigError::FeedbackNeverReplans)
+        }
+        ControlPlan::Governed(_) if cfg.link.is_none() => Err(ServeConfigError::GovernedWithoutTelemetry),
+        _ => Ok(()),
+    }
 }
 
 /// Checks the configuration plus everything that needs the replicas and
@@ -957,37 +838,35 @@ pub(crate) fn validate_serve(
             return Err(ServeError::NotSingleInstance { index: i });
         }
     }
-    if let PayloadPlan::Features(fc) = &cfg.payload {
-        for (w, e) in edges.iter().enumerate() {
-            if e.cloud_prefix.is_none() {
-                return Err(ServeError::MissingCloudPrefix { worker: w });
-            }
+    if cfg.control.feature_wire().is_none() {
+        return Ok(());
+    }
+    for (w, e) in edges.iter().enumerate() {
+        if e.cloud_prefix.is_none() {
+            return Err(ServeError::MissingCloudPrefix { worker: w });
         }
-        let edge_layers = edges[0].cloud_prefix.as_ref().expect("checked above").cut_layer_count();
-        if let Some(cloud) = clouds.first() {
-            if edge_layers != cloud.cut_layer_count() {
-                return Err(ServeError::PrefixMismatch { edge_layers, cloud_layers: cloud.cut_layer_count() });
-            }
+    }
+    let edge_layers = edges[0].cloud_prefix.as_ref().expect("checked above").cut_layer_count();
+    if let Some(cloud) = clouds.first() {
+        if edge_layers != cloud.cut_layer_count() {
+            return Err(ServeError::PrefixMismatch { edge_layers, cloud_layers: cloud.cut_layer_count() });
         }
-        match &fc.cut {
-            CutSelection::Fixed(k) => {
-                if *k >= edge_layers {
-                    return Err(ServeError::FixedCutOutOfRange { cut: *k, cut_layers: edge_layers });
-                }
+    }
+    let final_cut = match &cfg.control {
+        ControlPlan::Static { cut, .. } => *cut,
+        ControlPlan::Placement { plan, .. } => {
+            if plan.total_layers() != edge_layers {
+                return Err(ServeError::PlacementLayerMismatch {
+                    plan_layers: plan.total_layers(),
+                    cut_layers: edge_layers,
+                });
             }
-            CutSelection::Placement(plan) => {
-                if plan.total_layers() != edge_layers {
-                    return Err(ServeError::PlacementLayerMismatch {
-                        plan_layers: plan.total_layers(),
-                        cut_layers: edge_layers,
-                    });
-                }
-                if plan.final_cut() >= edge_layers {
-                    return Err(ServeError::FixedCutOutOfRange { cut: plan.final_cut(), cut_layers: edge_layers });
-                }
-            }
-            CutSelection::Planned(_) => {}
+            plan.final_cut()
         }
+        _ => return Ok(()),
+    };
+    if final_cut >= edge_layers {
+        return Err(ServeError::FixedCutOutOfRange { cut: final_cut, cut_layers: edge_layers });
     }
     Ok(())
 }

@@ -39,21 +39,21 @@ pub(crate) struct PeerTelemetry {
 /// The live placement table of feature-payload serving: the current
 /// [`PlacementPlan`] per device class, plus the planner that re-derives
 /// it when β moves or the measured-link telemetry says the wire changed.
-/// The legacy scalar cut is the two-stage special case
+/// A scalar cut is the two-stage special case
 /// ([`PlacementPlan::two_stage`]).
 #[derive(Debug)]
 pub(crate) struct CutTable {
-    /// None for `CutSelection::Fixed` / `CutSelection::Placement` (the
-    /// table never changes).
+    /// None for [`ControlPlan::Static`] / [`ControlPlan::Placement`]
+    /// (the table never changes).
     pub(crate) planner: Option<(CutPlanner, Vec<DeviceProfile>)>,
     /// The fleet spec the table is indexed by (the configured one, or the
-    /// legacy-compatible implicit spec).
+    /// implicit round-robin spec).
     pub(crate) spec: FleetSpec,
-    /// Per-class static radio priors (all None without a fleet spec).
+    /// Per-class static radio priors.
     pub(crate) links: Vec<Option<NetworkLink>>,
     pub(crate) placements: Vec<PlacementPlan>,
-    /// Per-class cooperative peer pools (all None without coop groups in
-    /// the fleet spec) — held so every replan rescores peer hops too.
+    /// Per-class cooperative peer pools — held so every replan rescores
+    /// peer hops too.
     pub(crate) pools: Vec<Option<PeerPool>>,
     /// The feature wire each class currently ships offloads on: the
     /// configured wire everywhere until a governor moves a class up its
@@ -72,19 +72,33 @@ pub(crate) struct CutTable {
 }
 
 impl CutTable {
-    pub(crate) fn placement_for(&self, device: usize) -> PlacementPlan {
-        class_placement(&self.placements, &self.spec, device)
+    /// A table serving `placements[class]` on `wire` with no planner
+    /// attached: nothing ever replans it.
+    pub(crate) fn new(spec: &FleetSpec, placements: Vec<PlacementPlan>, wire: FeatureWire) -> CutTable {
+        let classes = placements.len();
+        CutTable {
+            planner: None,
+            spec: spec.clone(),
+            links: vec![None; classes],
+            placements,
+            pools: vec![None; classes],
+            wires: vec![wire; classes],
+            objective: Objective::Latency,
+            replans: 0,
+            feedback: None,
+            estimator: None,
+            observed_batches: 0,
+        }
     }
 
-    pub(crate) fn wire_for(&self, device: usize) -> FeatureWire {
-        self.wires[self.spec.class_of(device)]
+    pub(crate) fn placement_for(&self, device: usize) -> (PlacementPlan, FeatureWire) {
+        class_placement(&self.placements, &self.wires, &self.spec, device)
     }
 
     /// Re-derives the per-class placements under the planner's current β
     /// and whatever telemetry has accumulated; counts a replan only when
-    /// a plan actually changes. Two-stage plans compare equal exactly
-    /// when their final cuts do, so the legacy replan counts are
-    /// preserved for pool-free fleets.
+    /// a plan actually changes (two-stage plans compare equal exactly
+    /// when their final cuts do).
     pub(crate) fn replan(&mut self) {
         let Some((planner, classes)) = &self.planner else { return };
         let costs = match &self.estimator {
@@ -102,9 +116,9 @@ impl CutTable {
 
     /// The governed counterpart of [`CutTable::replan`]: classes the
     /// governor has escalated (`constrained[k]`) plan against the
-    /// SLA-constrained objective
-    /// ([`CutPlanner::plan_placement_for_sla_with_link`] — fewest WAN
-    /// upload bytes among the placements that fit the p95 budget), while
+    /// SLA-constrained objective ([`CutPlanner::plan_placement_for_sla`]
+    /// — fewest WAN upload bytes among the placements that fit the p95
+    /// budget), while
     /// unescalated classes keep the base objective, so a healthy class is
     /// planned bit-identically to the open-loop path.
     pub(crate) fn replan_governed(&mut self, sla: &SlaObjective, constrained: &[bool]) {
@@ -119,9 +133,9 @@ impl CutTable {
                 let measured = estimates[k].as_ref();
                 let pool = self.pools[k].as_ref();
                 if constrained[k] {
-                    planner.plan_placement_for_sla_with_link(edge, link.as_ref(), measured, sla, pool).0.plan
+                    planner.plan_placement_for_sla(edge, link.as_ref(), measured, sla, pool).0.plan
                 } else {
-                    planner.plan_placement_for_measured_with_link(edge, link.as_ref(), measured, pool).plan
+                    planner.plan_placement_for_measured(edge, link.as_ref(), measured, pool).plan
                 }
             })
             .collect();
@@ -132,33 +146,33 @@ impl CutTable {
     }
 }
 
-/// The single definition of device→class placement lookup, shared by the
-/// locked and lock-free edge paths. The spec resolves the class (its
-/// explicit assignment, or the legacy `device % classes` convention).
-pub(crate) fn class_placement(placements: &[PlacementPlan], spec: &FleetSpec, device: usize) -> PlacementPlan {
-    placements[spec.class_of(device)].clone()
+/// The single definition of the device→(placement, wire) lookup, shared
+/// by the locked and lock-free edge paths. The spec resolves the class.
+pub(crate) fn class_placement(
+    placements: &[PlacementPlan],
+    wires: &[FeatureWire],
+    spec: &FleetSpec,
+    device: usize,
+) -> (PlacementPlan, FeatureWire) {
+    let class = spec.class_of(device);
+    (placements[class].clone(), wires[class])
 }
 
 /// The fleet spec serving actually runs under: the configured one, or —
-/// for `ServeConfig::fleet: None` — an implicit legacy-compatible spec
-/// (round-robin over the planner's device classes at [`ComputeTier::High`],
-/// which scales nothing, so every lookup reduces to `device % classes`;
-/// one uniform class outside planned-cut mode).
+/// for `ServeConfig::fleet: None` — an implicit spec round-robining
+/// devices over the planner's device classes at [`ComputeTier::High`]
+/// (which scales nothing, so each class's effective profile *is* the
+/// configured one); one default edge class when no planner config is
+/// given.
 pub(crate) fn implicit_spec(cfg: &ServeConfig) -> FleetSpec {
     if let Some(spec) = &cfg.fleet {
         return spec.clone();
     }
-    if let PayloadPlan::Features(fc) = &cfg.payload {
-        if let CutSelection::Planned(pc) = &fc.cut {
-            return FleetSpec::round_robin(
-                pc.classes
-                    .iter()
-                    .map(|p| DeviceClass::new(p.name.clone(), p.clone(), ComputeTier::High))
-                    .collect(),
-            );
-        }
+    let class = |p: &DeviceProfile| DeviceClass::new(p.name.clone(), p.clone(), ComputeTier::High);
+    match cfg.control.planner() {
+        Some(pc) => FleetSpec::round_robin(pc.classes.iter().map(class).collect()),
+        None => FleetSpec::uniform(class(&DeviceProfile::edge_gpu_cifar())),
     }
-    FleetSpec::uniform(DeviceClass::new("edge", DeviceProfile::edge_gpu_cifar(), ComputeTier::High))
 }
 
 /// Window size of the β controller the governor synthesises when its β
@@ -201,38 +215,34 @@ pub(crate) struct PolicyState {
 }
 
 impl PolicyState {
-    pub(crate) fn new(
-        cfg: &ServeConfig,
-        cloud_available: bool,
-        cuts: Option<CutTable>,
-        governor: Option<GovernorConfig>,
-    ) -> PolicyState {
-        let (policy, controller, window) = match cfg.controller {
+    pub(crate) fn new(cfg: &ServeConfig, cloud_available: bool, cuts: Option<CutTable>) -> PolicyState {
+        let (policy, controller, window) = match cfg.control.controller() {
             Some(cc) => {
-                assert!(cc.window > 0, "controller window must be non-empty");
                 (OffloadPolicy::EntropyThreshold(cc.controller.threshold()), Some(cc.controller), cc.window)
             }
             None => (cfg.policy, None, 0),
         };
-        let governor = governor.map(|config| {
-            let table = cuts.as_ref().expect("a governed plan always builds a planned cut table");
-            let classes = table.placements.len();
-            GovernorState {
-                governor: Governor::new(config, classes),
-                latency: vec![WindowedQuantiles::for_latency(); classes],
-                decisions: 0,
-                // Seed the trajectory with the initial operating point so
-                // `last()` is always the final (β, placement, wire) per
-                // class.
-                trajectory: vec![ControlPoint {
-                    after_batches: 0,
-                    beta_target: None,
-                    cuts: table.placements.iter().map(PlacementPlan::final_cut).collect(),
-                    placements: table.placements.clone(),
-                    wires: table.wires.clone(),
-                }],
+        let governor = match (&cfg.control, &cuts) {
+            (ControlPlan::Governed(target), Some(table)) => {
+                let classes = table.placements.len();
+                Some(GovernorState {
+                    governor: Governor::new(GovernorConfig::new(*target), classes),
+                    latency: vec![WindowedQuantiles::for_latency(); classes],
+                    decisions: 0,
+                    // Seed the trajectory with the initial operating point
+                    // so `last()` is always the final (β, placement, wire)
+                    // per class.
+                    trajectory: vec![ControlPoint {
+                        after_batches: 0,
+                        beta_target: None,
+                        cuts: table.placements.iter().map(PlacementPlan::final_cut).collect(),
+                        placements: table.placements.clone(),
+                        wires: table.wires.clone(),
+                    }],
+                })
             }
-        });
+            _ => None,
+        };
         PolicyState {
             engine: RoutingEngine::new(policy, cloud_available),
             controller,
@@ -290,7 +300,6 @@ impl PolicyState {
     /// [`LinkFeedback::replan_every`] batches, replans the cuts from the
     /// measured rates — through the governor's decision epoch when one is
     /// configured. No-op without a closed-loop cut table.
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn observe_link(
         &mut self,
         devices: &[usize],
@@ -393,109 +402,78 @@ impl PolicyState {
     }
 }
 
-/// Derives the initial cut table (and its planner) from the payload plan
-/// and the resolved fleet spec.
+/// Derives the initial cut table (and its planner) from the control plan
+/// and the resolved fleet spec. `None` for image payloads.
 pub(crate) fn build_cut_table(
     cfg: &ServeConfig,
     edges: &[EdgeReplica],
     requests: &[ServeRequest],
     spec: &FleetSpec,
 ) -> Option<CutTable> {
-    let PayloadPlan::Features(fc) = &cfg.payload else { return None };
+    let wire = cfg.control.feature_wire()?;
     let prefix = edges
         .first()
         .and_then(|e| e.cloud_prefix.as_ref())
         .expect("feature-payload serving requires cloud-prefix replicas on every edge worker");
-    let cut_layers = prefix.cut_layer_count();
-    match &fc.cut {
-        CutSelection::Fixed(k) => {
-            assert!(*k < cut_layers, "fixed cut {k} out of range (cloud network has {cut_layers} cut layers)");
-            Some(CutTable {
-                planner: None,
-                spec: spec.clone(),
-                links: vec![None; spec.class_count()],
-                placements: vec![PlacementPlan::two_stage(*k, cut_layers); spec.class_count()],
-                pools: vec![None; spec.class_count()],
-                wires: vec![fc.wire; spec.class_count()],
-                objective: Objective::Latency,
-                replans: 0,
-                feedback: None,
-                estimator: None,
-                observed_batches: 0,
-            })
+    let fixed = |plan: PlacementPlan| Some(CutTable::new(spec, vec![plan; spec.class_count()], wire));
+    let (cloud, objective, feedback) = match &cfg.control {
+        // Unreachable past `feature_wire()?`; the arm keeps the match
+        // exhaustive without a wildcard.
+        ControlPlan::Image { .. } => return None,
+        // Cut range and plan shape are checked in `validate_serve`; the
+        // forced plan applies to every class.
+        ControlPlan::Static { cut, .. } => return fixed(PlacementPlan::two_stage(*cut, prefix.cut_layer_count())),
+        ControlPlan::Placement { plan, .. } => return fixed(plan.clone()),
+        ControlPlan::OpenLoop { planner, .. } => (planner.cloud.clone(), planner.objective, None),
+        ControlPlan::ClosedLoop { planner, feedback, .. } => {
+            (planner.cloud.clone(), planner.objective, Some(*feedback))
         }
-        CutSelection::Placement(plan) => {
-            // Shape checked in `validate_serve` (layer coverage + final
-            // cut range); the forced plan applies to every class.
-            Some(CutTable {
-                planner: None,
-                spec: spec.clone(),
-                links: vec![None; spec.class_count()],
-                placements: vec![plan.clone(); spec.class_count()],
-                pools: vec![None; spec.class_count()],
-                wires: vec![fc.wire; spec.class_count()],
-                objective: Objective::Latency,
-                replans: 0,
-                feedback: None,
-                estimator: None,
-                observed_batches: 0,
-            })
+        // The governor starts at the open-loop operating point — lossless
+        // f32 on latency-planned cuts against the default cloud, the
+        // configured routing policy untouched — and only moves away from
+        // it when live windows violate the SLA.
+        ControlPlan::Governed(_) => {
+            (DeviceProfile::cloud_accelerator(), Objective::Latency, Some(LinkFeedback::default()))
         }
-        CutSelection::Planned(pc) => {
-            // With a fleet the planner's classes are the spec's effective
-            // (tier-scaled) profiles and its per-class radio priors;
-            // without one, the legacy explicit class list plans against
-            // the shared link only.
-            let (classes, links) = if cfg.fleet.is_some() {
-                (spec.effective_profiles(), spec.link_priors())
-            } else {
-                (pc.classes.clone(), vec![None; pc.classes.len()])
-            };
-            assert!(!classes.is_empty(), "planned cut selection needs at least one device class");
-            let link = cfg.link.expect("planned cut selection requires a link model (ServeConfig::link)");
-            let in_elems: u64 = prefix.in_shape.iter().map(|&d| d as u64).product();
-            let env = PartitionEnv {
-                edge: classes[0].clone(),
-                cloud: pc.cloud.clone(),
-                link,
-                bytes_per_elem: fc.wire.bytes_per_elem(),
-                raw_input_bytes: fc.wire.bytes_per_elem() * in_elems,
-                response_bytes: RESPONSE_WIRE_BYTES,
-            };
-            // Contention counts the *distinct* devices sharing the
-            // uplink: a trace from devices {0, 7} is two streams, not
-            // eight (ids may be sparse — device numbering is opaque).
-            let streams = requests.iter().map(|r| r.device).collect::<std::collections::BTreeSet<_>>().len();
-            let mut planner = CutPlanner::from_network(prefix, env, pc.objective, streams.max(1));
-            if let Some(cc) = &cfg.controller {
-                planner.set_beta(cc.controller.target_beta());
-            }
-            let estimator = pc.feedback.map(|fb| {
-                assert!(fb.replan_every > 0, "feedback must replan after a positive number of batches");
-                planner.set_prior_samples(fb.prior_samples);
-                LinkEstimator::new(classes.len(), fb.alpha)
-            });
-            // Cooperative peer pools exist only through a fleet spec's
-            // coop groups; the legacy class list plans solo.
-            let pools = if cfg.fleet.is_some() { spec.peer_pools() } else { vec![None; classes.len()] };
-            let placements: Vec<PlacementPlan> =
-                planner.plan_placements_with_links(&classes, &links, &pools).into_iter().map(|c| c.plan).collect();
-            let wires = vec![fc.wire; placements.len()];
-            Some(CutTable {
-                planner: Some((planner, classes)),
-                spec: spec.clone(),
-                links,
-                placements,
-                pools,
-                wires,
-                objective: pc.objective,
-                replans: 0,
-                feedback: pc.feedback,
-                estimator,
-                observed_batches: 0,
-            })
-        }
+    };
+    // The planner's classes are the spec's effective (tier-scaled)
+    // profiles, per-class radio priors and cooperative peer pools; the
+    // implicit spec carries the configured classes unscaled, on the
+    // shared link, solo.
+    let (classes, links, pools) = (spec.effective_profiles(), spec.link_priors(), spec.peer_pools());
+    let link = cfg.link.expect("planned cut selection requires a link model (ServeConfig::link)");
+    let in_elems: u64 = prefix.in_shape.iter().map(|&d| d as u64).product();
+    let env = PartitionEnv {
+        edge: classes[0].clone(),
+        cloud,
+        link,
+        bytes_per_elem: wire.bytes_per_elem(),
+        raw_input_bytes: wire.bytes_per_elem() * in_elems,
+        response_bytes: RESPONSE_WIRE_BYTES,
+    };
+    // Contention counts the *distinct* devices sharing the uplink: a
+    // trace from devices {0, 7} is two streams, not eight (ids may be
+    // sparse — device numbering is opaque).
+    let streams = requests.iter().map(|r| r.device).collect::<std::collections::BTreeSet<_>>().len();
+    let mut planner = CutPlanner::from_network(prefix, env, objective, streams.max(1));
+    if let Some(cc) = cfg.control.controller() {
+        planner.set_beta(cc.controller.target_beta());
     }
+    let estimator = feedback.map(|fb| {
+        planner.set_prior_samples(fb.prior_samples);
+        LinkEstimator::new(classes.len(), fb.alpha)
+    });
+    let placements =
+        planner.plan_placements_with_links(&classes, &links, &pools).into_iter().map(|c| c.plan).collect();
+    Some(CutTable {
+        planner: Some((planner, classes)),
+        links,
+        pools,
+        objective,
+        feedback,
+        estimator,
+        ..CutTable::new(spec, placements, wire)
+    })
 }
 
 /// Ships one request toward the cloud tier: executes the device class's
@@ -504,32 +482,29 @@ pub(crate) fn build_cut_table(
 /// lossless f32 peer wire (paying the modelled coop link in real wall
 /// time; the peer runs a bitwise-identical prefix replica, so the hop
 /// cannot change a value) — then encodes the final-cut activation (or
-/// the raw image) straight from the borrowed tensor, parks the pending
-/// record, and puts the frame on the device's sticky lane. `cloud_idx`
-/// is the device's offload sequence number, the key the [`ReorderGate`]
-/// releases the completion in. Returns `false` when the cloud tier is
-/// gone (uplink dropped) — the caller stops quietly and the join in
-/// `serve_core` surfaces whatever panic killed it.
-#[allow(clippy::too_many_arguments)]
+/// the raw image, when there is no `placement`) straight from the
+/// borrowed tensor, parks the pending record, and puts the frame on the
+/// device's sticky lane. `cloud_idx` is the device's offload sequence
+/// number, the key the [`ReorderGate`] releases the completion in.
+/// Returns `false` when the cloud tier is gone (uplink dropped) — the
+/// caller stops quietly and the join in `serve_core` surfaces whatever
+/// panic killed it.
 pub(crate) fn offload_to_cloud<T: Transport>(
-    cfg: &ServeConfig,
-    spec: &FleetSpec,
+    ctx: &WorkerCtx<'_, T>,
     cloud_prefix: &mut Option<SegmentedCnn>,
     job: &EdgeJob<'_>,
     placement: Option<(PlacementPlan, FeatureWire)>,
     parked: PendingCloud,
     cloud_idx: u64,
-    transport: &T,
-    pending: &Mutex<Vec<Option<PendingEntry>>>,
-    grids: Option<&ActivationGrids>,
-    peer: &PeerTelemetry,
 ) -> bool {
     let req = job.req;
-    let (payload, resume) = match &cfg.payload {
-        PayloadPlan::Image(WireFormat::Float32) => (Payload::encode_features(&req.image), 0),
-        PayloadPlan::Image(WireFormat::Quantised8Bit) => (Payload::encode_raw_image(&req.image), 0),
-        PayloadPlan::Features(_) => {
-            let (plan, wire) = placement.expect("feature mode builds a placement table");
+    // No placement means no cut table: image payloads.
+    let (payload, resume) = match (&ctx.cfg.control, placement) {
+        (ControlPlan::Image { wire: WireFormat::Quantised8Bit, .. }, _) => {
+            (Payload::encode_raw_image(&req.image), 0)
+        }
+        (_, None) => (Payload::encode_features(&req.image), 0),
+        (_, Some((plan, wire))) => {
             let prefix = cloud_prefix.as_mut().expect("validated in try_serve()");
             let mut act = req.image.clone();
             let mut resume = 0;
@@ -553,14 +528,14 @@ pub(crate) fn offload_to_cloud<T: Transport>(
                             // the cloud hop's quantiser and break the
                             // cut-is-a-pure-cost-knob invariant.
                             let bytes = Payload::encode_features(&act);
-                            peer.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
-                            peer.hops.fetch_add(1, Ordering::Relaxed);
+                            ctx.peer.bytes.fetch_add(bytes.len() as u64, Ordering::Relaxed);
+                            ctx.peer.hops.fetch_add(1, Ordering::Relaxed);
                             // Pay the coop link (upload + half RTT) in
                             // real wall time, like the modelled WAN. A
                             // forced placement naming a class without a
                             // coop group ships on a free wire rather
                             // than panicking mid-serve.
-                            if let Some(group) = spec.classes()[class].coop {
+                            if let Some(group) = ctx.spec.classes()[class].coop {
                                 let leg = group.link.uplink_leg_s(bytes.len() as u64);
                                 std::thread::sleep(Duration::from_secs_f64(leg));
                             }
@@ -576,7 +551,7 @@ pub(crate) fn offload_to_cloud<T: Transport>(
                 FeatureWire::PerChannelInt8 => Payload::encode_grid_features(
                     &act,
                     resume,
-                    grids.expect("per-channel int8 serving calibrates grids at setup"),
+                    ctx.grids.as_ref().expect("per-channel int8 serving calibrates grids at setup"),
                 ),
             };
             (payload, resume)
@@ -591,14 +566,14 @@ pub(crate) fn offload_to_cloud<T: Transport>(
     };
     // Park the pending record BEFORE the frame leaves: the response can
     // race back on another thread.
-    pending.lock()[job.req_id] = Some(PendingEntry {
+    ctx.pending.lock()[job.req_id] = Some(PendingEntry {
         pending: parked.resume_at(resume),
         device: req.device,
         seq: req.seq,
         due: job.due,
         cloud_idx,
     });
-    transport.send_request(spec.sticky_index(req.device, transport.lanes()), frame).is_ok()
+    ctx.transport.send_request(ctx.spec.sticky_index(req.device, ctx.transport.lanes()), frame).is_ok()
 }
 
 /// Edge worker loop: route each request through the shared engine,
@@ -609,45 +584,36 @@ pub(crate) fn offload_to_cloud<T: Transport>(
 ///
 /// With a [`DifficultyPredictor`] configured the engine is consulted
 /// difficulty-first: predicted-hard inputs pre-commit to the cloud
-/// without evaluating the main exit (counted in `skipped`), and
-/// predicted-easy inputs settle locally without the offload policy ever
-/// seeing them.
-#[allow(clippy::too_many_arguments)]
+/// without evaluating the main exit (counted in `skipped_main_exits`),
+/// and predicted-easy inputs settle locally without the offload policy
+/// ever seeing them.
 pub(crate) fn edge_worker<T: Transport>(
-    cfg: &ServeConfig,
-    spec: &FleetSpec,
+    ctx: &WorkerCtx<'_, T>,
     replica: &mut EdgeReplica,
     rx: Receiver<EdgeJob<'_>>,
-    transport: &T,
-    pending: &Mutex<Vec<Option<PendingEntry>>>,
     done_tx: Sender<Completion>,
-    shared: &Mutex<PolicyState>,
-    skipped: &AtomicUsize,
-    grids: Option<&ActivationGrids>,
-    peer: &PeerTelemetry,
 ) {
     let EdgeReplica { net, cloud_prefix } = replica;
-    // The wire offloads ship on when the cut table is static (a governor
-    // moves it per class through the table instead).
-    let static_wire = match &cfg.payload {
-        PayloadPlan::Features(fc) => fc.wire,
-        _ => FeatureWire::F32,
-    };
+    let (cfg, spec, shared) = (ctx.cfg, &ctx.spec, &ctx.policy);
     // Without a controller, measured-link feedback or a governor neither
     // the policy nor the cut table ever changes: take private copies once
     // and keep the hot path lock-free. With any loop active, the lock
     // serves the current threshold, cuts and wires, and feeds the window
     // back. (A governor always rides measured-link feedback, so governed
     // serving always takes the locked path.)
-    let (static_engine, static_placements, governed): (Option<RoutingEngine>, Option<Vec<PlacementPlan>>, bool) = {
+    type StaticTable = (Vec<PlacementPlan>, Vec<FeatureWire>);
+    let (static_engine, static_table, governed): (Option<RoutingEngine>, Option<StaticTable>, bool) = {
         let st = shared.lock();
         let cuts_move = st.cuts.as_ref().is_some_and(|t| t.feedback.is_some());
         if st.controller.is_none() && !cuts_move {
-            (Some(st.engine), st.cuts.as_ref().map(|t| t.placements.clone()), st.governor.is_some())
+            let table = st.cuts.as_ref().map(|t| (t.placements.clone(), t.wires.clone()));
+            (Some(st.engine), table, st.governor.is_some())
         } else {
             (None, None, st.governor.is_some())
         }
     };
+    let static_placement =
+        |device: usize| static_table.as_ref().map(|(plans, wires)| class_placement(plans, wires, spec, device));
     // Per-device offload sequence numbers. Exactly one edge worker owns
     // each device's stream (device-sticky dispatch), so a thread-local
     // counter is the authoritative offload order the [`ReorderGate`]
@@ -673,31 +639,17 @@ pub(crate) fn edge_worker<T: Transport>(
             };
             if wants {
                 let placement = match &static_engine {
-                    Some(_) => static_placements
-                        .as_ref()
-                        .map(|plans| (class_placement(plans, spec, req.device), static_wire)),
+                    Some(_) => static_placement(req.device),
                     None => {
                         let mut st = shared.lock();
                         st.observe(true);
-                        st.cuts.as_ref().map(|t| (t.placement_for(req.device), t.wire_for(req.device)))
+                        st.cuts.as_ref().map(|t| t.placement_for(req.device))
                     }
                 };
-                skipped.fetch_add(1, Ordering::Relaxed);
+                ctx.skipped_main_exits.fetch_add(1, Ordering::Relaxed);
                 let parked = PendingCloud::precommit(req.truth, predictor.predict_entropy(&req.image));
                 let idx = next_cloud_idx(req.device);
-                if !offload_to_cloud(
-                    cfg,
-                    spec,
-                    cloud_prefix,
-                    &job,
-                    placement,
-                    parked,
-                    idx,
-                    transport,
-                    pending,
-                    grids,
-                    peer,
-                ) {
+                if !offload_to_cloud(ctx, cloud_prefix, &job, placement, parked, idx) {
                     return;
                 }
                 continue;
@@ -710,36 +662,21 @@ pub(crate) fn edge_worker<T: Transport>(
         let (route, placement) = match &static_engine {
             Some(engine) => {
                 let plan = if local_only { engine.plan_local(net, &main) } else { engine.plan(net, &main) };
-                let placement = static_placements
-                    .as_ref()
-                    .map(|plans| (class_placement(plans, spec, req.device), static_wire));
-                (plan.routes[0], placement)
+                (plan.routes[0], static_placement(req.device))
             }
             None => {
                 let mut st = shared.lock();
                 let plan = if local_only { st.engine.plan_local(net, &main) } else { st.engine.plan(net, &main) };
                 let route = plan.routes[0];
                 st.observe(route == ExitPoint::Cloud);
-                (route, st.cuts.as_ref().map(|t| (t.placement_for(req.device), t.wire_for(req.device))))
+                (route, st.cuts.as_ref().map(|t| t.placement_for(req.device)))
             }
         };
         match route {
             ExitPoint::Cloud => {
                 let parked = PendingCloud::from_main(net, &main, 0, req.truth);
                 let idx = next_cloud_idx(req.device);
-                if !offload_to_cloud(
-                    cfg,
-                    spec,
-                    cloud_prefix,
-                    &job,
-                    placement,
-                    parked,
-                    idx,
-                    transport,
-                    pending,
-                    grids,
-                    peer,
-                ) {
+                if !offload_to_cloud(ctx, cloud_prefix, &job, placement, parked, idx) {
                     return;
                 }
             }

@@ -30,20 +30,24 @@
 //!   same frames over a real in-process byte pipe with bounded-buffer
 //!   backpressure, where transfer time is whatever the wire genuinely
 //!   took ([`crate::transport`]).
-//! * [`PayloadPlan::Features`] turns on **feature-payload serving**: the
-//!   edge runs the *cloud network's* prefix up to a cut layer (each
-//!   [`EdgeReplica`] carries a cloud-prefix replica) and ships the
-//!   activation — optionally int8-quantised through the `mea-quant` wire
-//!   codec — and the cloud resumes at the cut instead of recomputing from
-//!   pixels. The cut is fixed or planned online by a
-//!   [`CutPlanner`] per edge device class, replanned whenever the
+//! * One [`ControlPlan`] ([`ServeConfig::control`]) says who steers.
+//!   Every variant but [`ControlPlan::Image`] turns on **feature-payload
+//!   serving**: the edge runs the *cloud network's* prefix up to a cut
+//!   layer (each [`EdgeReplica`] carries a cloud-prefix replica) and
+//!   ships the activation — optionally int8-quantised through the
+//!   `mea-quant` wire codec — and the cloud resumes at the cut instead of
+//!   recomputing from pixels. The cut is fixed
+//!   ([`ControlPlan::Static`], [`ControlPlan::Placement`]) or planned
+//!   online by a [`CutPlanner`] per edge device class
+//!   ([`ControlPlan::OpenLoop`]), replanned whenever the
 //!   [`ThresholdController`] moves the offload fraction. Because suffix
 //!   execution is bitwise identical to the full forward (asserted in
 //!   `mea-nn`), the cut — like batch composition — is a pure cost knob:
 //!   it can never change a prediction under the lossless wire.
-//! * [`LinkFeedback`] closes the planner loop: cloud workers record the
-//!   upload/RTT/download time every batch actually paid into a per-class
-//!   [`LinkEstimator`] EWMA, and the [`CutPlanner`] periodically replans
+//! * [`ControlPlan::ClosedLoop`]'s [`LinkFeedback`] closes the planner
+//!   loop: cloud workers record the upload/RTT/download time every batch
+//!   actually paid into a per-class [`LinkEstimator`] EWMA, and the
+//!   [`CutPlanner`] periodically replans
 //!   from the *measured* effective rates (blended with its static
 //!   `rate / max(1, β·streams)` contention prior by sample count) — so
 //!   real congestion, including a mid-run [`LinkChange`] the static model
@@ -51,8 +55,9 @@
 //!   transport those observations are the model's own times; on the pipe
 //!   they are `Instant::now()` deltas around the actual send/recv, so the
 //!   loop learns from time genuinely paid.
-//! * A [`ThresholdController`] can steer the entropy threshold inside the
-//!   serving path (SPINN-style runtime adaptation): every
+//! * A [`ThresholdController`] (the plan's `controller` slot) can steer
+//!   the entropy threshold inside the serving path (SPINN-style runtime
+//!   adaptation): every
 //!   [`ControllerConfig::window`] routed instances, the achieved offload
 //!   fraction is fed back and the threshold retuned.
 //! * A [`FleetSpec`] ([`ServeConfig::fleet`]) makes the device population
@@ -62,8 +67,8 @@
 //!   then plans one cut per class from each class's *effective* profile
 //!   and link prior, the link estimator indexes its telemetry by the
 //!   spec's class map, and [`ServeStats`] breaks served/offloaded counts
-//!   and latency out per class. Without a spec, serving falls back to the
-//!   legacy homogeneous convention (planner class = `device % classes`).
+//!   and latency out per class. Without a spec, devices round-robin over
+//!   [`CutPlannerConfig::classes`] (planner class = `device % classes`).
 //! * A [`DifficultyPredictor`] ([`ServeConfig::difficulty`]) turns on
 //!   **difficulty-aware routing** from input statistics alone:
 //!   predicted-easy requests settle locally without consulting the
@@ -75,8 +80,8 @@
 //! The preferred entry point is [`Fleet`]: it owns the replicas, checks
 //! every configuration invariant up front (builder-validated via
 //! [`ServeConfig::builder`], or [`Fleet::new`] returning [`ServeError`])
-//! and serves traces through [`Fleet::serve`]. The free [`serve`]
-//! function is a deprecated panic-on-misuse shim over [`try_serve`].
+//! and serves traces through [`Fleet::serve`]; [`try_serve`] is the
+//! borrowing form underneath it.
 //!
 //! Backpressure is end-to-end: bounded edge queues block the dispatcher,
 //! bounded cloud queues block edge workers, so a slow cloud tier slows
@@ -88,10 +93,6 @@ mod config;
 mod edge;
 mod stats;
 #[cfg(test)]
-// The deprecated free `serve` stays under test deliberately: it is the
-// compatibility shim whose behaviour (including every panic message)
-// must keep matching `try_serve`.
-#[allow(deprecated)]
 mod tests;
 
 pub(crate) use cloud::*;

@@ -113,10 +113,12 @@ pub struct ServeStats {
     pub cut_replans: u64,
     /// The final cut each device class ended on — the layer whose
     /// activation crosses the WAN, [`PlacementPlan::final_cut`] of the
-    /// class's placement (None in image-payload mode).
+    /// class's entry in [`ServeStats::placements`] (None in image-payload
+    /// mode). Derived; it survives because the frozen benchmark crate
+    /// reads it.
     pub final_cuts: Option<Vec<usize>>,
     /// The [`PlacementPlan`] each device class ended on (None in
-    /// image-payload mode). A two-stage plan is the legacy scalar cut;
+    /// image-payload mode). A two-stage plan is a scalar cut;
     /// plans with a peer stage split the prefix across cooperating edge
     /// devices before the WAN hop.
     pub placements: Option<Vec<PlacementPlan>>,
@@ -127,9 +129,9 @@ pub struct ServeStats {
     /// Peer-stage hops executed (one per offload whose placement has a
     /// peer stage; 0 without multi-stage placements).
     pub peer_hops: u64,
-    /// Final measured-link estimate per device class (None unless
-    /// [`LinkFeedback`] was configured; a class entry is None until its
-    /// first observed batch).
+    /// Final measured-link estimate per device class (None unless the
+    /// [`ControlPlan`] carries [`LinkFeedback`]; a class entry is None
+    /// until its first observed batch).
     pub link_estimates: Option<Vec<Option<LinkEstimate>>>,
     /// The entropy threshold after the last controller window (None
     /// without a controller).

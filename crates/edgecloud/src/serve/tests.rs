@@ -61,7 +61,7 @@ fn serve_matches_offline_sweep_bitwise() {
         let mut edges = edge_replicas(e, 1);
         let mut clouds = replicas(c, || tiny_cloud(2));
         let cfg = ServeConfig::new(policy, e, c, b);
-        let report = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3));
+        let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves");
         assert_eq!(report.records, expected, "serve({e} edge, {c} cloud, batch {b}) diverged");
         assert_eq!(report.stats.total, bundle.test.len());
     }
@@ -142,17 +142,11 @@ fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
 }
 
 #[test]
-fn pipeline_config_is_the_degenerate_case() {
-    let cfg = ServeConfig::pipeline(OffloadPolicy::Always);
-    assert_eq!((cfg.edge_workers, cfg.cloud_workers, cfg.max_batch), (1, 1, 1));
-}
-
-#[test]
 fn edge_only_serving_needs_no_cloud_replicas() {
     let bundle = presets::tiny(61);
     let mut edges = edge_replicas(2, 3);
     let cfg = ServeConfig::new(OffloadPolicy::Never, 2, 0, 1);
-    let report = serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 2));
+    let report = try_serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 2)).expect("serves");
     assert_eq!(report.stats.offloaded, 0);
     assert!(report.records.iter().all(|r| r.exit != ExitPoint::Cloud));
     let mut net = tiny_net(3);
@@ -169,7 +163,7 @@ fn dynamic_batching_actually_batches_under_saturation() {
     // A generous wait so queued items coalesce even on a slow host.
     cfg.max_wait = Duration::from_millis(2);
     cfg.queue_depth = 16;
-    let report = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1));
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     assert_eq!(report.stats.offloaded, report.stats.total);
     assert!(
         report.stats.cloud_batches < report.stats.offloaded as u64 || report.stats.total <= 1,
@@ -187,8 +181,13 @@ fn controller_steers_beta_in_the_serving_path() {
     let mut clouds = replicas(1, || tiny_cloud(7));
     let target = 0.5;
     let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 1, 4);
-    cfg.controller =
-        Some(ControllerConfig { controller: ThresholdController::new(1.0, target, 2.0, (0.0, 3.0)), window: 8 });
+    cfg.control = ControlPlan::Image {
+        wire: WireFormat::Float32,
+        controller: Some(ControllerConfig {
+            controller: ThresholdController::new(1.0, target, 2.0, (0.0, 3.0)),
+            window: 8,
+        }),
+    };
     // Repeat the tiny set to give the controller windows to converge.
     let mut requests = Vec::new();
     for rep in 0..6 {
@@ -197,7 +196,7 @@ fn controller_steers_beta_in_the_serving_path() {
             requests.push(r);
         }
     }
-    let report = serve(&cfg, &mut edges, &mut clouds, &requests);
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
     assert!(report.stats.final_threshold.is_some());
     let beta = report.achieved_beta();
     assert!((beta - target).abs() < 0.25, "controller failed to steer beta toward {target}: achieved {beta}");
@@ -209,7 +208,7 @@ fn latency_histogram_quantiles_are_ordered() {
     let mut edges = edge_replicas(1, 8);
     let mut clouds = replicas(1, || tiny_cloud(9));
     let cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 2);
-    let report = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2));
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
     let h = report.latency_histogram(128);
     assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
     assert!(report.stats.throughput_hz > 0.0);
@@ -224,7 +223,7 @@ fn simulated_link_delay_shows_up_in_latency() {
         let mut clouds = replicas(1, || tiny_cloud(11));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
         cfg.link = link;
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let fast = run(None);
     let slow = run(Some(NetworkLink::wifi(8.0).with_rtt(0.004)));
@@ -240,8 +239,8 @@ fn quantised_wire_serves_everything_and_mostly_agrees_with_lossless() {
         let mut edges = edge_replicas(2, 14);
         let mut clouds = replicas(1, || tiny_cloud(15));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.payload = PayloadPlan::Image(wire);
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2))
+        cfg.control = image_plan(wire);
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     let lossless = run(WireFormat::Float32);
     let quantised = run(WireFormat::Quantised8Bit);
@@ -284,7 +283,8 @@ fn unsorted_requests_rejected() {
     let mut reqs = instant_requests(&bundle.test, 1);
     reqs[0].arrival_s = 1.0;
     let mut edges = edge_replicas(1, 12);
-    let _ = serve(&ServeConfig::new(OffloadPolicy::Never, 1, 0, 1), &mut edges, &mut [], &reqs);
+    let cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
+    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -293,12 +293,18 @@ fn offload_policy_without_cloud_workers_rejected() {
     let bundle = presets::tiny(68);
     let mut edges = edge_replicas(1, 13);
     let reqs = instant_requests(&bundle.test, 1);
-    let _ = serve(&ServeConfig::new(OffloadPolicy::Always, 1, 0, 1), &mut edges, &mut [], &reqs);
+    let cfg = ServeConfig::new(OffloadPolicy::Always, 1, 0, 1);
+    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
 }
 
-/// A feature config with a fixed cut and the given wire.
-fn feature_plan(wire: FeatureWire, cut: usize) -> PayloadPlan {
-    PayloadPlan::Features(FeatureConfig { wire, cut: CutSelection::Fixed(cut) })
+/// Image payloads on the given wire, no controller.
+fn image_plan(wire: WireFormat) -> ControlPlan {
+    ControlPlan::Image { wire, controller: None }
+}
+
+/// A fixed cut on the given feature wire, no controller.
+fn feature_plan(wire: FeatureWire, cut: usize) -> ControlPlan {
+    ControlPlan::Static { cut, wire, controller: None }
 }
 
 #[test]
@@ -308,14 +314,14 @@ fn feature_payload_any_fixed_cut_matches_image_mode_bitwise() {
     // shipping pixels — the cut moves compute, never predictions.
     let bundle = presets::tiny(72);
     let policy = OffloadPolicy::EntropyThreshold(0.5);
-    let run = |payload: PayloadPlan| {
+    let run = |control: ControlPlan| {
         let mut edges = split_replicas(2, 16, 17);
         let mut clouds = replicas(2, || tiny_cloud(17));
         let mut cfg = ServeConfig::new(policy, 2, 2, 4);
-        cfg.payload = payload;
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3))
+        cfg.control = control;
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
     };
-    let image = run(PayloadPlan::Image(WireFormat::Float32));
+    let image = run(image_plan(WireFormat::Float32));
     let layers = tiny_cloud(17).cut_layer_count();
     for cut in [0, 1, layers / 2, layers - 1] {
         let feat = run(feature_plan(FeatureWire::F32, cut));
@@ -337,14 +343,14 @@ fn feature_payload_any_fixed_cut_matches_image_mode_bitwise() {
 #[test]
 fn deep_int8_cut_beats_raw_image_upload_on_bytes() {
     let bundle = presets::tiny(73);
-    let run = |payload: PayloadPlan| {
+    let run = |control: ControlPlan| {
         let mut edges = split_replicas(1, 18, 19);
         let mut clouds = replicas(1, || tiny_cloud(19));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
-        cfg.payload = payload;
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2))
+        cfg.control = control;
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
-    let raw = run(PayloadPlan::Image(WireFormat::Quantised8Bit));
+    let raw = run(image_plan(WireFormat::Quantised8Bit));
     let deep = tiny_cloud(19).cut_layer_count() - 1;
     let int8 = run(feature_plan(FeatureWire::Int8, deep));
     let f32_deep = run(feature_plan(FeatureWire::F32, deep));
@@ -372,12 +378,12 @@ fn per_channel_int8_is_deterministic_and_undercuts_per_tensor_at_every_cut() {
     // bytes smaller than its per-tensor twin at the same cut: 12 bytes
     // of embedded params plus the squeezed batch-axis dim.
     let bundle = presets::tiny(77);
-    let run = |payload: PayloadPlan| {
+    let run = |control: ControlPlan| {
         let mut edges = split_replicas(1, 46, 47);
         let mut clouds = replicas(1, || tiny_cloud(47));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
-        cfg.payload = payload;
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2))
+        cfg.control = control;
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     for cut in 0..tiny_cloud(47).cut_layer_count() {
         let a = run(feature_plan(FeatureWire::PerChannelInt8, cut));
@@ -414,8 +420,8 @@ fn governed_unreachable_sla_escalates_the_full_ladder() {
     let mut clouds = replicas(1, || tiny_cloud(49));
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
     cfg.link = Some(NetworkLink::wifi(2.0).with_rtt(0.001));
-    cfg.control = Some(ControlPlan::Governed(SlaTarget::new(1e-3, 0.80)));
-    let report = serve(&cfg, &mut edges, &mut clouds, &requests);
+    cfg.control = ControlPlan::Governed(SlaTarget::new(1e-3, 0.80));
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
     assert_eq!(report.records.len(), requests.len());
     assert!(
         report.stats.sla_violations >= 4,
@@ -455,37 +461,25 @@ fn control_plan_rejects_each_incoherent_combination_by_name() {
         b().control(ControlPlan::Governed(SlaTarget::new(50.0, 0.9))).build(),
         Err(ServeConfigError::GovernedWithoutTelemetry)
     );
-    // Governed over a fixed cut cannot move the cut.
-    assert_eq!(
-        b().payload(feature_plan(FeatureWire::F32, 1))
-            .control(ControlPlan::Governed(SlaTarget::new(50.0, 0.9)))
-            .link(NetworkLink::wifi(10.0))
-            .build(),
-        Err(ServeConfigError::GovernedFixedCut)
-    );
-    // A plan carries its own controller slot; the legacy setter clashes.
-    let controller =
-        ControllerConfig { controller: ThresholdController::new(1.0, 0.5, 2.0, (0.0, 3.0)), window: 8 };
-    #[allow(deprecated)]
-    let with_both = b().controller(controller).control(closed()).link(NetworkLink::wifi(10.0)).build();
-    assert_eq!(with_both, Err(ServeConfigError::ControlPlanControllerConflict));
-    // A plan decides the payload; an explicit payload clashes.
-    assert_eq!(
-        b().payload(planned_payload(vec![edge.clone()])).control(closed()).link(NetworkLink::wifi(10.0)).build(),
-        Err(ServeConfigError::ControlPlanPayloadConflict)
-    );
     // ClosedLoop's own feedback slot is the only one.
     let mut doubled = planner();
     doubled.feedback = Some(LinkFeedback::default());
     assert_eq!(
         b().control(ControlPlan::ClosedLoop {
-            planner: doubled,
+            planner: doubled.clone(),
             feedback: LinkFeedback::default(),
             wire: FeatureWire::F32,
             controller: None,
         })
         .link(NetworkLink::wifi(10.0))
         .build(),
+        Err(ServeConfigError::ClosedLoopFeedbackConflict)
+    );
+    // And an open loop has no feedback at all.
+    assert_eq!(
+        b().control(ControlPlan::OpenLoop { planner: doubled, wire: FeatureWire::F32, controller: None })
+            .link(NetworkLink::wifi(10.0))
+            .build(),
         Err(ServeConfigError::ClosedLoopFeedbackConflict)
     );
     // And each coherent plan builds.
@@ -501,22 +495,23 @@ fn control_plan_rejects_each_incoherent_combination_by_name() {
 #[test]
 fn planned_cut_is_deterministic_and_in_range() {
     let bundle = presets::tiny(74);
-    let planned = PayloadPlan::Features(FeatureConfig {
-        wire: FeatureWire::Int8,
-        cut: CutSelection::Planned(CutPlannerConfig {
+    let planned = ControlPlan::OpenLoop {
+        planner: CutPlannerConfig {
             classes: vec![DeviceProfile::new("fast edge", 10.0, 1e12), DeviceProfile::new("slow edge", 10.0, 1e7)],
             cloud: DeviceProfile::new("cloud", 200.0, 1e11),
             objective: Objective::Latency,
             feedback: None,
-        }),
-    });
+        },
+        wire: FeatureWire::Int8,
+        controller: None,
+    };
     let run = || {
         let mut edges = split_replicas(2, 20, 21);
         let mut clouds = replicas(1, || tiny_cloud(21));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.payload = planned.clone();
+        cfg.control = planned.clone();
         cfg.link = Some(NetworkLink::wifi(1.0).with_rtt(0.001));
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 4))
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 4)).expect("serves")
     };
     let a = run();
     let b = run();
@@ -548,26 +543,26 @@ fn controller_replans_cuts_without_touching_predictions() {
     // in arrival order, so both runs see the same threshold (and cut)
     // trajectory. With several edge workers the lock interleaving —
     // not the payload plan — can reorder observations.
-    let run = |payload: PayloadPlan| {
+    let run = |control: ControlPlan| {
         let mut edges = split_replicas(1, 22, 23);
         let mut clouds = replicas(2, || tiny_cloud(23));
         let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 2, 4);
-        cfg.payload = payload;
-        cfg.controller = controller;
+        cfg.control = control;
         cfg.link = Some(NetworkLink::wifi(40.0).with_rtt(0.0005));
-        serve(&cfg, &mut edges, &mut clouds, &requests)
+        try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
     };
-    let planned = PayloadPlan::Features(FeatureConfig {
-        wire: FeatureWire::F32,
-        cut: CutSelection::Planned(CutPlannerConfig {
+    let planned = ControlPlan::OpenLoop {
+        planner: CutPlannerConfig {
             classes: vec![DeviceProfile::new("edge", 10.0, 1e8)],
             cloud: DeviceProfile::new("cloud", 200.0, 1e11),
             objective: Objective::Latency,
             feedback: None,
-        }),
-    });
+        },
+        wire: FeatureWire::F32,
+        controller,
+    };
     let feat = run(planned);
-    let image = run(PayloadPlan::Image(WireFormat::Float32));
+    let image = run(ControlPlan::Image { wire: WireFormat::Float32, controller });
     assert_eq!(feat.records, image.records, "replanning leaked into predictions");
     assert!(feat.stats.final_cuts.is_some());
 }
@@ -588,6 +583,11 @@ fn planner_like_serve(cloud_seed: u64, link: NetworkLink, edge: &DeviceProfile, 
     CutPlanner::from_network(&prefix, env, Objective::Latency, streams)
 }
 
+/// The final cut `planner` picks for `edge` on the shared link, solo.
+fn solo_cut(planner: &CutPlanner, edge: &DeviceProfile) -> usize {
+    planner.plan_placement_for_measured(edge, None, None, None).plan.final_cut()
+}
+
 #[test]
 fn stream_count_uses_distinct_devices_not_max_id() {
     // Regression: the planner's contention model used to estimate the
@@ -605,12 +605,12 @@ fn stream_count_uses_distinct_devices_not_max_id() {
         .find(|&r| {
             let two = planner_like_serve(29, NetworkLink::wifi(r).with_rtt(0.001), &edge, 2);
             let eight = planner_like_serve(29, NetworkLink::wifi(r).with_rtt(0.001), &edge, 8);
-            two.plan_for(&edge).cut != eight.plan_for(&edge).cut
+            solo_cut(&two, &edge) != solo_cut(&eight, &edge)
         })
         .expect("some rate separates 2-stream from 8-stream contention");
     let link = NetworkLink::wifi(rate).with_rtt(0.001);
-    let expected_cut = planner_like_serve(29, link, &edge, 2).plan_for(&edge).cut;
-    let wrong_cut = planner_like_serve(29, link, &edge, 8).plan_for(&edge).cut;
+    let expected_cut = solo_cut(&planner_like_serve(29, link, &edge, 2), &edge);
+    let wrong_cut = solo_cut(&planner_like_serve(29, link, &edge, 8), &edge);
     assert_ne!(expected_cut, wrong_cut, "rate search guaranteed a separation");
 
     // Sparse trace: the same frames, but the second device is id 7.
@@ -620,21 +620,12 @@ fn stream_count_uses_distinct_devices_not_max_id() {
             r.device = 7;
         }
     }
-    let planned = PayloadPlan::Features(FeatureConfig {
-        wire: FeatureWire::F32,
-        cut: CutSelection::Planned(CutPlannerConfig {
-            classes: vec![edge.clone()],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        }),
-    });
     let mut edges = split_replicas(2, 28, 29);
     let mut clouds = replicas(1, || tiny_cloud(29));
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-    cfg.payload = planned;
+    cfg.control = planned(vec![edge.clone()]);
     cfg.link = Some(link);
-    let report = serve(&cfg, &mut edges, &mut clouds, &requests);
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
     assert_eq!(
         report.stats.final_cuts,
         Some(vec![expected_cut]),
@@ -667,25 +658,15 @@ fn measured_degradation_replans_toward_an_edge_heavier_cut() {
             objective: Objective::Latency,
             feedback: None,
         };
-        match feedback {
-            Some(fb) => {
-                cfg.control = Some(ControlPlan::ClosedLoop {
-                    planner,
-                    feedback: fb,
-                    wire: FeatureWire::F32,
-                    controller: None,
-                });
+        cfg.control = match feedback {
+            Some(feedback) => {
+                ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None }
             }
-            None => {
-                cfg.payload = PayloadPlan::Features(FeatureConfig {
-                    wire: FeatureWire::F32,
-                    cut: CutSelection::Planned(planner),
-                });
-            }
-        }
+            None => ControlPlan::OpenLoop { planner, wire: FeatureWire::F32, controller: None },
+        };
         cfg.link = Some(nominal);
         cfg.link_schedule = vec![LinkChange { after_batches: 8, link: degraded }];
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let closed = run(Some(LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 }));
     let open = run(None);
@@ -725,7 +706,8 @@ fn link_schedule_without_link_rejected() {
     let mut edges = edge_replicas(1, 33);
     let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
     cfg.link_schedule = vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(1.0) }];
-    let _ = serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 1));
+    let _ =
+        try_serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 1)).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -735,8 +717,9 @@ fn feature_mode_without_prefixes_rejected() {
     let mut edges = edge_replicas(1, 24);
     let mut clouds = replicas(1, || tiny_cloud(25));
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.payload = feature_plan(FeatureWire::F32, 1);
-    let _ = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1));
+    cfg.control = feature_plan(FeatureWire::F32, 1);
+    let _ = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -746,8 +729,9 @@ fn fixed_cut_out_of_range_rejected() {
     let mut edges = split_replicas(1, 26, 27);
     let mut clouds = replicas(1, || tiny_cloud(27));
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.payload = feature_plan(FeatureWire::F32, tiny_cloud(27).cut_layer_count());
-    let _ = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1));
+    cfg.control = feature_plan(FeatureWire::F32, tiny_cloud(27).cut_layer_count());
+    let _ = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -805,7 +789,7 @@ fn link_change_fires_on_the_started_batch_boundary() {
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 2, 1);
     cfg.link = Some(NetworkLink::wifi(10_000.0).with_rtt(0.0));
     cfg.link_schedule = vec![LinkChange { after_batches: 3, link: NetworkLink::wifi(10_000.0).with_rtt(0.2) }];
-    let report = serve(&cfg, &mut edges, &mut clouds, &reqs);
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &reqs).expect("serves");
     assert_eq!(report.stats.cloud_batches, 12, "max_batch 1 means one batch per offload");
     let fast = report.completions.iter().filter(|c| c.latency_s < 0.1).count();
     assert_eq!(fast, 3, "exactly the batches started before the boundary ride the fast link");
@@ -830,7 +814,8 @@ fn serve_rejects_non_finite_arrivals() {
     let mut reqs = instant_requests(&bundle.test, 1);
     reqs[3].arrival_s = f64::NAN;
     let mut edges = edge_replicas(1, 36);
-    let _ = serve(&ServeConfig::new(OffloadPolicy::Never, 1, 0, 1), &mut edges, &mut [], &reqs);
+    let cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
+    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -846,7 +831,7 @@ fn worker_panic_propagates_instead_of_hanging() {
     reqs[mid].image = Tensor::zeros([1, 1, 8, 8]);
     let mut edges = edge_replicas(1, 37);
     let mut clouds = replicas(2, || tiny_cloud(38));
-    let _ = serve(&ServeConfig::new(OffloadPolicy::Always, 1, 2, 1), &mut edges, &mut clouds, &reqs);
+    let _ = try_serve(&ServeConfig::new(OffloadPolicy::Always, 1, 2, 1), &mut edges, &mut clouds, &reqs);
 }
 
 #[test]
@@ -858,8 +843,8 @@ fn pipe_transport_matches_modelled_records_bitwise() {
     let bundle = presets::tiny(87);
     let deep = tiny_cloud(41).cut_layer_count() - 1;
     let plans = [
-        PayloadPlan::Image(WireFormat::Float32),
-        PayloadPlan::Image(WireFormat::Quantised8Bit),
+        image_plan(WireFormat::Float32),
+        image_plan(WireFormat::Quantised8Bit),
         feature_plan(FeatureWire::F32, 2),
         feature_plan(FeatureWire::Int8, deep),
     ];
@@ -868,9 +853,9 @@ fn pipe_transport_matches_modelled_records_bitwise() {
             let mut edges = split_replicas(2, 40, 41);
             let mut clouds = replicas(2, || tiny_cloud(41));
             let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 2, 2, 4);
-            cfg.payload = plan.clone();
+            cfg.control = plan.clone();
             cfg.transport = transport;
-            serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3))
+            try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
         };
         let modelled = run(TransportKind::Modelled);
         let mut real_wires = vec![("pipe", TransportKind::Pipe(PipeConfig::default()))];
@@ -901,7 +886,7 @@ fn pipe_telemetry_measures_the_real_wire_not_the_model() {
     let mut edges = split_replicas(1, 42, 43);
     let mut clouds = replicas(1, || tiny_cloud(43));
     let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.control = Some(ControlPlan::ClosedLoop {
+    cfg.control = ControlPlan::ClosedLoop {
         planner: CutPlannerConfig {
             classes: vec![DeviceProfile::new("edge", 10.0, 5e8)],
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
@@ -911,10 +896,10 @@ fn pipe_telemetry_measures_the_real_wire_not_the_model() {
         feedback: LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 },
         wire: FeatureWire::F32,
         controller: None,
-    });
+    };
     cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0));
     cfg.transport = TransportKind::Pipe(PipeConfig { up_mbps: Some(4.0), ..PipeConfig::default() });
-    let report = serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1));
+    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     let ests = report.stats.link_estimates.expect("feedback reports estimates");
     let est = ests[0].expect("class 0 observed");
     assert_eq!(est.samples, report.stats.offloaded as u64, "one observation per served batch");
@@ -938,7 +923,7 @@ fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
         let mut edges = split_replicas(1, 44, 45);
         let mut clouds = replicas(1, || tiny_cloud(45));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.control = Some(ControlPlan::ClosedLoop {
+        cfg.control = ControlPlan::ClosedLoop {
             planner: CutPlannerConfig {
                 classes: vec![edge.clone()],
                 cloud: DeviceProfile::new("cloud", 200.0, 1e12),
@@ -948,10 +933,10 @@ fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
             feedback: LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 },
             wire: FeatureWire::F32,
             controller: None,
-        });
+        };
         cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0002));
         cfg.transport = TransportKind::Pipe(PipeConfig { up_mbps: Some(50.0), throttle, ..PipeConfig::default() });
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let steady = run(Vec::new());
     let throttled = run(vec![PaceChange { after_frames: 8, up_mbps: 0.4 }]);
@@ -967,17 +952,18 @@ fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
     assert_eq!(throttled.records, steady.records, "replanning leaked into predictions");
 }
 
-/// A planned-cut feature payload over the given classes (no feedback).
-fn planned_payload(classes: Vec<DeviceProfile>) -> PayloadPlan {
-    PayloadPlan::Features(FeatureConfig {
-        wire: FeatureWire::F32,
-        cut: CutSelection::Planned(CutPlannerConfig {
+/// Open-loop planned cuts over the given classes on the lossless wire.
+fn planned(classes: Vec<DeviceProfile>) -> ControlPlan {
+    ControlPlan::OpenLoop {
+        planner: CutPlannerConfig {
             classes,
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
             objective: Objective::Latency,
             feedback: None,
-        }),
-    })
+        },
+        wire: FeatureWire::F32,
+        controller: None,
+    }
 }
 
 #[test]
@@ -988,45 +974,46 @@ fn builder_rejects_each_static_invariant_by_name() {
     assert_eq!(b().max_batch(0).build(), Err(ServeConfigError::ZeroMaxBatch));
     assert_eq!(b().queue_depth(0).build(), Err(ServeConfigError::ZeroQueueDepth));
     let schedule = vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(1.0) }];
-    assert_eq!(b().link_schedule(schedule.clone()).build(), Err(ServeConfigError::ScheduleWithoutLink));
+    assert_eq!(b().link_events(schedule.clone()).build(), Err(ServeConfigError::ScheduleWithoutLink));
     assert_eq!(
         b().link(NetworkLink::wifi(1.0))
-            .link_schedule(schedule)
+            .link_events(schedule)
             .transport(TransportKind::Pipe(PipeConfig::default()))
             .build(),
-        Err(ServeConfigError::ScheduleOnPipe)
+        Err(ServeConfigError::ScheduleOnMeasuredWire)
     );
     let controller =
         ControllerConfig { controller: ThresholdController::new(1.0, 0.5, 2.0, (0.0, 3.0)), window: 0 };
-    assert_eq!(b().controller(controller).build(), Err(ServeConfigError::ControllerWindowEmpty));
+    assert_eq!(
+        b().control(ControlPlan::Image { wire: WireFormat::Float32, controller: Some(controller) }).build(),
+        Err(ServeConfigError::ControllerWindowEmpty)
+    );
     assert_eq!(b().cloud_workers(0).build(), Err(ServeConfigError::PolicyNeedsCloud));
     // An edge-only policy without cloud workers stays legal.
     assert!(ServeConfig::builder(OffloadPolicy::Never).cloud_workers(0).build().is_ok());
     assert_eq!(
-        b().payload(planned_payload(Vec::new())).link(NetworkLink::wifi(1.0)).build(),
+        b().control(planned(Vec::new())).link(NetworkLink::wifi(1.0)).build(),
         Err(ServeConfigError::NoPlannerClasses)
     );
-    assert_eq!(
-        b().payload(planned_payload(vec![edge.clone()])).build(),
-        Err(ServeConfigError::PlannedCutWithoutLink)
-    );
-    let feedback = Some(LinkFeedback { replan_every: 0, ..LinkFeedback::default() });
-    let never_replans = PayloadPlan::Features(FeatureConfig {
-        wire: FeatureWire::F32,
-        cut: CutSelection::Planned(CutPlannerConfig {
+    assert_eq!(b().control(planned(vec![edge.clone()])).build(), Err(ServeConfigError::PlannedCutWithoutLink));
+    let never_replans = ControlPlan::ClosedLoop {
+        planner: CutPlannerConfig {
             classes: vec![edge.clone()],
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
             objective: Objective::Latency,
-            feedback,
-        }),
-    });
+            feedback: None,
+        },
+        feedback: LinkFeedback { replan_every: 0, ..LinkFeedback::default() },
+        wire: FeatureWire::F32,
+        controller: None,
+    };
     assert_eq!(
-        b().payload(never_replans).link(NetworkLink::wifi(1.0)).build(),
+        b().control(never_replans).link(NetworkLink::wifi(1.0)).build(),
         Err(ServeConfigError::FeedbackNeverReplans)
     );
     let spec = FleetSpec::uniform(DeviceClass::new("edge", edge.clone(), ComputeTier::High));
     assert_eq!(
-        b().payload(planned_payload(vec![edge])).link(NetworkLink::wifi(1.0)).fleet(spec).build(),
+        b().control(planned(vec![edge])).link(NetworkLink::wifi(1.0)).fleet(spec).build(),
         Err(ServeConfigError::FleetClassesConflict)
     );
     // And a fully specified valid configuration builds.
@@ -1034,26 +1021,24 @@ fn builder_rejects_each_static_invariant_by_name() {
     assert_eq!((cfg.edge_workers, cfg.cloud_workers, cfg.max_batch), (2, 1, 4));
 }
 
+#[cfg(unix)]
+#[test]
+fn link_schedule_on_the_unix_socket_wire_rejected() {
+    // The Unix-socket wire pays real time like the pipe, so a modelled
+    // link schedule can never fire on it; the config used to build and
+    // the scheduled degradation silently never happened.
+    let built = ServeConfig::builder(OffloadPolicy::Always)
+        .link(NetworkLink::wifi(1.0))
+        .link_events(vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(0.1) }])
+        .transport(TransportKind::Uds(crate::transport::UdsConfig::default()))
+        .build();
+    assert_eq!(built, Err(ServeConfigError::ScheduleOnMeasuredWire));
+    let message = ServeConfigError::ScheduleOnMeasuredWire.to_string();
+    assert!(!message.contains("PipeConfig"), "a UDS user has no pipe to throttle: {message}");
+}
+
 #[test]
 fn config_errors_keep_the_legacy_panic_wording() {
-    // The deprecated `serve` shim panics with `{error}`; every
-    // `#[should_panic(expected = ...)]` substring that guarded the old
-    // asserts must therefore survive in the Display impls.
-    for (error, legacy) in [
-        (ServeConfigError::PolicyNeedsCloud, "requires a cloud model"),
-        (ServeConfigError::ScheduleWithoutLink, "link schedule needs a link"),
-        (ServeConfigError::NoEdgeWorkers, "need at least one edge worker"),
-    ] {
-        assert!(error.to_string().contains(legacy), "{error:?} lost its wording: {error}");
-    }
-    for (error, legacy) in [
-        (ServeError::UnsortedArrivals, "sorted by arrival"),
-        (ServeError::NonFiniteArrival { index: 0, device: 0, seq: 0 }, "non-finite arrival time"),
-        (ServeError::MissingCloudPrefix { worker: 0 }, "no cloud prefix"),
-        (ServeError::FixedCutOutOfRange { cut: 9, cut_layers: 9 }, "out of range"),
-    ] {
-        assert!(error.to_string().contains(legacy), "{error:?} lost its wording: {error}");
-    }
     // Config errors surface their source through the ServeError chain.
     let wrapped = ServeError::from(ServeConfigError::NoEdgeWorkers);
     assert_eq!(wrapped, ServeError::Config(ServeConfigError::NoEdgeWorkers));
@@ -1116,7 +1101,7 @@ fn try_serve_names_every_runtime_inconsistency() {
 
     // Feature-payload inconsistencies.
     let mut features = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    features.payload = feature_plan(FeatureWire::F32, 1);
+    features.control = feature_plan(FeatureWire::F32, 1);
     assert_eq!(
         try_serve(&features, &mut edges, &mut clouds, &reqs).unwrap_err(),
         ServeError::MissingCloudPrefix { worker: 0 }
@@ -1124,7 +1109,7 @@ fn try_serve_names_every_runtime_inconsistency() {
     let mut split = split_replicas(1, 52, 53);
     let layers = tiny_cloud(53).cut_layer_count();
     let mut out_of_range = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    out_of_range.payload = feature_plan(FeatureWire::F32, layers);
+    out_of_range.control = feature_plan(FeatureWire::F32, layers);
     let mut clouds53 = replicas(1, || tiny_cloud(53));
     assert_eq!(
         try_serve(&out_of_range, &mut split, &mut clouds53, &reqs).unwrap_err(),
@@ -1132,7 +1117,7 @@ fn try_serve_names_every_runtime_inconsistency() {
     );
     let mut deeper = replicas(1, || deeper_cloud(53));
     let mut fixed0 = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    fixed0.payload = feature_plan(FeatureWire::F32, 0);
+    fixed0.control = feature_plan(FeatureWire::F32, 0);
     assert_eq!(
         try_serve(&fixed0, &mut split, &mut deeper, &reqs).unwrap_err(),
         ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: deeper_cloud(53).cut_layer_count() }
@@ -1191,7 +1176,7 @@ fn uniform_high_tier_fleet_matches_the_legacy_planner_path_bitwise() {
         let mut edges = split_replicas(2, 58, 59);
         let mut clouds = replicas(1, || tiny_cloud(59));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.payload = planned_payload(classes);
+        cfg.control = planned(classes);
         cfg.link = Some(link);
         cfg.fleet = fleet;
         try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
@@ -1224,12 +1209,12 @@ fn heterogeneous_tiers_plan_per_class_cuts_from_effective_profiles() {
         .map(|i| 0.05 * 1.3f64.powi(i))
         .find(|&r| {
             let planner = planner_like_serve(61, NetworkLink::wifi(r).with_rtt(0.001), &hp, 2);
-            planner.plan_for(&hp).cut != planner.plan_for(&lp).cut
+            solo_cut(&planner, &hp) != solo_cut(&planner, &lp)
         })
         .expect("some rate separates the High and Low tiers");
     let link = NetworkLink::wifi(rate).with_rtt(0.001);
     let planner = planner_like_serve(61, link, &hp, 2);
-    let expected = vec![planner.plan_for(&hp).cut, planner.plan_for(&lp).cut];
+    let expected = vec![solo_cut(&planner, &hp), solo_cut(&planner, &lp)];
 
     let mut edges = split_replicas(2, 60, 61);
     let mut clouds = replicas(1, || tiny_cloud(61));
@@ -1237,7 +1222,7 @@ fn heterogeneous_tiers_plan_per_class_cuts_from_effective_profiles() {
         .edge_workers(2)
         .cloud_workers(1)
         .max_batch(4)
-        .payload(planned_payload(Vec::new()))
+        .control(planned(Vec::new()))
         .link(link)
         .fleet(FleetSpec::round_robin(vec![high, low]))
         .build()
@@ -1345,6 +1330,11 @@ fn difficulty_respects_an_edge_only_policy() {
     assert!(report.records.iter().all(|r| r.exit != ExitPoint::Cloud));
 }
 
+/// A forced placement on the lossless wire, no controller.
+fn forced(plan: PlacementPlan) -> ControlPlan {
+    ControlPlan::Placement { plan, wire: FeatureWire::F32, controller: None }
+}
+
 #[test]
 fn forced_multi_stage_placement_is_record_identical_to_its_final_cut() {
     // The tentpole's degeneracy proof at the serving layer: a forced
@@ -1356,15 +1346,15 @@ fn forced_multi_stage_placement_is_record_identical_to_its_final_cut() {
     let layers = tiny_cloud(91).cut_layer_count();
     let fin = layers / 2 + 1;
     assert!(fin >= 2, "need room for a local/peer split");
-    let run = |cut: CutSelection| {
+    let run = |control: ControlPlan| {
         let mut edges = split_replicas(2, 90, 91);
         let mut clouds = replicas(1, || tiny_cloud(91));
         let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 2, 1, 4);
-        cfg.payload = PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut });
-        serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3))
+        cfg.control = control;
+        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
     };
-    let fixed = run(CutSelection::Fixed(fin));
-    let placed = run(CutSelection::Placement(PlacementPlan::three_stage(1, fin, 0, layers)));
+    let fixed = run(feature_plan(FeatureWire::F32, fin));
+    let placed = run(forced(PlacementPlan::three_stage(1, fin, 0, layers)));
     assert_eq!(placed.records, fixed.records, "the peer stage changed records");
     assert_eq!(placed.stats.bytes_to_cloud, fixed.stats.bytes_to_cloud, "same final cut, same WAN bytes");
     assert_eq!(placed.stats.final_cuts, Some(vec![fin]));
@@ -1407,14 +1397,14 @@ fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
         .map(|i| 0.05 * 1.3f64.powi(i))
         .find(|&r| {
             let planner = planner_like_serve(93, NetworkLink::wifi(r).with_rtt(0.001), &eff, 2);
-            let coop = planner.plan_placement_for_measured(&eff, None, Some(&pool));
+            let coop = planner.plan_placement_for_measured(&eff, None, None, Some(&pool));
             coop.plan.peer_stage().is_some()
         })
         .expect("some WAN rate makes the pool worthwhile");
     let link = NetworkLink::wifi(rate).with_rtt(0.001);
     let offline = planner_like_serve(93, link, &eff, 2);
-    let expected_coop = offline.plan_placement_for_measured(&eff, None, Some(&pool));
-    let expected_solo = offline.plan_placement_for_measured(&eff, None, None);
+    let expected_coop = offline.plan_placement_for_measured(&eff, None, None, Some(&pool));
+    let expected_solo = offline.plan_placement_for_measured(&eff, None, None, None);
 
     let run = |coop: bool| {
         let mut edges = split_replicas(2, 92, 93);
@@ -1423,7 +1413,7 @@ fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
             .edge_workers(2)
             .cloud_workers(1)
             .max_batch(8)
-            .payload(planned_payload(Vec::new()))
+            .control(planned(Vec::new()))
             .link(link)
             .fleet(spec_with(coop))
             .build()
@@ -1447,39 +1437,24 @@ fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
 fn placement_validation_rejects_each_mismatch_by_name() {
     let bundle = presets::tiny(192);
     let layers = tiny_cloud(95).cut_layer_count();
-    let run = |cut: CutSelection| {
+    let run = |plan: PlacementPlan| {
         let mut edges = split_replicas(1, 94, 95);
         let mut clouds = replicas(1, || tiny_cloud(95));
         let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.payload = PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut });
+        cfg.control = forced(plan);
         try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
     };
     // A plan over the wrong layer count cannot line up with the prefix.
     let short = PlacementPlan::two_stage(1, layers - 1);
     assert_eq!(
-        run(CutSelection::Placement(short)).err(),
+        run(short).err(),
         Some(ServeError::PlacementLayerMismatch { plan_layers: layers - 1, cut_layers: layers })
     );
     // A final cut swallowing the whole network leaves the cloud nothing
     // to run — rejected exactly like the scalar fixed cut.
     let edge_only = PlacementPlan::two_stage(layers, layers);
-    assert_eq!(
-        run(CutSelection::Placement(edge_only)).err(),
-        Some(ServeError::FixedCutOutOfRange { cut: layers, cut_layers: layers })
-    );
-    // And the governor refuses a forced placement just like a fixed cut.
-    let forced = PlacementPlan::three_stage(1, 2, 0, layers);
-    let plan =
-        PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut: CutSelection::Placement(forced) });
-    assert_eq!(
-        ServeConfig::builder(OffloadPolicy::Always)
-            .payload(plan)
-            .control(ControlPlan::Governed(SlaTarget::new(50.0, 0.9)))
-            .link(NetworkLink::wifi(10.0))
-            .build(),
-        Err(ServeConfigError::GovernedFixedCut)
-    );
+    assert_eq!(run(edge_only).err(), Some(ServeError::FixedCutOutOfRange { cut: layers, cut_layers: layers }));
     // A well-formed forced placement serves.
     let ok = PlacementPlan::three_stage(1, layers / 2 + 1, 0, layers);
-    assert!(run(CutSelection::Placement(ok)).is_ok());
+    assert!(run(ok).is_ok());
 }

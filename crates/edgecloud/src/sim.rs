@@ -203,8 +203,8 @@ pub struct ThreadedStats {
 /// worker; predictions return over a response channel in order.
 ///
 /// This is the degenerate `workers: 1, max_batch: 1` configuration of the
-/// serving substrate (see [`crate::serve::ServeConfig::pipeline`]),
-/// delegating to [`crate::serve::run_payload_pipeline`].
+/// serving substrate, delegating to
+/// [`crate::serve::run_payload_pipeline`].
 ///
 /// `classify` runs on the cloud thread and must be `Send + Sync`.
 pub fn run_threaded(

@@ -75,6 +75,15 @@ pub enum TransportKind {
     Uds(UdsConfig),
 }
 
+impl TransportKind {
+    /// Whether payloads pay real wall-clock wire time: link telemetry
+    /// then comes from `Instant::now()` deltas and the runtime charges
+    /// no modelled sleeps (nor applies a modelled link schedule).
+    pub(crate) fn is_measured(&self) -> bool {
+        !matches!(self, TransportKind::Modelled)
+    }
+}
+
 /// One offloaded instance on the uplink: the request identity, the cut
 /// layer the cloud resumes at, and the encoded [`crate::payload::Payload`].
 #[derive(Debug, Clone, PartialEq)]

@@ -3,12 +3,15 @@
 //! The serve monolith was decomposed into `serve/{config, edge, cloud,
 //! collect, stats}` and the two-tier cut generalised into N-stage
 //! placement plans; this test is the proof that neither refactor moved
-//! or renamed anything callers depend on. Every crate-root re-export is
-//! referenced by name (removal or rename breaks compilation right here,
-//! with the missing item in the error), and the workhorse entry points
-//! are pinned to their *exact* signatures through typed function
-//! pointers — so even a parameter-type change is caught, not just a
-//! deletion.
+//! or renamed anything callers depend on. PR 15 then removed the legacy
+//! payload/cut configuration types and the free `serve` shim on purpose
+//! (README's "Removed in PR 15" list names each with its replacement)
+//! and pins the six `ControlPlan` variants by construction below. Every
+//! crate-root re-export is referenced by name (removal or rename breaks
+//! compilation right here, with the missing item in the error), and the
+//! workhorse entry points are pinned to their *exact* signatures through
+//! typed function pointers — so even a parameter-type change is caught,
+//! not just a deletion.
 
 // Pinning exact signatures means writing the full function-pointer
 // types out — aliasing them away would defeat the snapshot.
@@ -73,14 +76,11 @@ fn crate_root_type_reexports_are_stable() {
     has::<ec::ControlPlan>();
     has::<ec::ControllerConfig>();
     has::<ec::CutPlannerConfig>();
-    has::<ec::CutSelection>();
     has::<ec::EdgeReplica>();
-    has::<ec::FeatureConfig>();
     has::<ec::FeatureWire>();
     has::<ec::Fleet>();
     has::<ec::LinkChange>();
     has::<ec::LinkFeedback>();
-    has::<ec::PayloadPlan>();
     has::<ec::ServeConfig>();
     has::<ec::ServeConfigBuilder>();
     has::<ec::ServeConfigError>();
@@ -122,13 +122,6 @@ fn crate_root_fn_signatures_are_stable() {
         &mut [SegmentedCnn],
         &[ec::ServeRequest],
     ) -> Result<ec::ServeReport, ec::ServeError> = ec::try_serve;
-    #[allow(deprecated)]
-    let _: fn(
-        &ec::ServeConfig,
-        &mut [ec::EdgeReplica],
-        &mut [SegmentedCnn],
-        &[ec::ServeRequest],
-    ) -> ec::ServeReport = ec::serve;
     let _: fn(&Dataset, usize, &ec::ArrivalModel, &mut Rng) -> Vec<ec::ServeRequest> = ec::trace_requests;
 
     // Partition search.
@@ -147,6 +140,48 @@ fn crate_root_fn_signatures_are_stable() {
     let _: fn(&ec::FleetSpec, &ec::FleetConfig, &[Vec<ExitPoint>]) -> ec::FleetReport = ec::simulate_fleet_spec;
     let _: fn(&ec::FleetSpec, &ec::FleetConfig, &[Vec<ExitPoint>], &[Vec<f64>]) -> ec::FleetReport =
         ec::simulate_fleet_spec_with_arrivals;
+}
+
+/// The whole steering vocabulary: every `ControlPlan` variant with its
+/// exact field names and types, and `ServeConfig::control` holding one
+/// directly.
+#[test]
+fn control_plan_variants_are_pinned_by_construction() {
+    let controller: Option<ec::ControllerConfig> = None;
+    let planner = || ec::CutPlannerConfig {
+        classes: vec![ec::DeviceProfile::edge_gpu_cifar()],
+        cloud: ec::DeviceProfile::cloud_accelerator(),
+        objective: ec::Objective::Latency,
+        feedback: None,
+    };
+    let link = ec::NetworkLink::wifi(10.0);
+    let plans = [
+        ec::ControlPlan::Image { wire: ec::WireFormat::Float32, controller },
+        ec::ControlPlan::Static { cut: 1, wire: ec::FeatureWire::Int8, controller },
+        ec::ControlPlan::Placement {
+            plan: ec::PlacementPlan::three_stage(1, 2, 0, 3),
+            wire: ec::FeatureWire::F32,
+            controller,
+        },
+        ec::ControlPlan::OpenLoop { planner: planner(), wire: ec::FeatureWire::F32, controller },
+        ec::ControlPlan::ClosedLoop {
+            planner: planner(),
+            feedback: ec::LinkFeedback::default(),
+            wire: ec::FeatureWire::PerChannelInt8,
+            controller,
+        },
+        ec::ControlPlan::Governed(ec::SlaTarget::new(50.0, 0.9)),
+    ];
+    assert_eq!(plans[0], ec::ControlPlan::default(), "the default ships lossless images, unsteered");
+    for plan in plans {
+        let cfg = ec::ServeConfig::builder(meanet::OffloadPolicy::Always)
+            .link(link)
+            .control(plan.clone())
+            .build()
+            .expect("every variant builds");
+        let held: &ec::ControlPlan = &cfg.control;
+        assert_eq!(held, &plan);
+    }
 }
 
 #[test]

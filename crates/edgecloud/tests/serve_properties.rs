@@ -10,8 +10,8 @@ use mea_edgecloud::governor::SlaTarget;
 use mea_edgecloud::network::{LinkEstimate, LinkEstimator, NetworkLink};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, CutSelection, EdgeReplica,
-    FeatureConfig, FeatureWire, Fleet, LinkChange, LinkFeedback, PayloadPlan, ServeConfig, RESPONSE_WIRE_BYTES,
+    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
+    LinkChange, LinkFeedback, ServeConfig, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig, SegmentedCnn};
@@ -164,10 +164,7 @@ proptest! {
             .collect();
         let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(26)).collect();
         let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        cfg.payload = PayloadPlan::Features(FeatureConfig {
-            wire: FeatureWire::F32,
-            cut: CutSelection::Fixed(cut),
-        });
+        cfg.control = ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None };
         let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
         prop_assert_eq!(report.records, expected, "cut {} diverged", cut);
         prop_assert_eq!(report.stats.final_cuts, Some(vec![cut]));
@@ -208,15 +205,15 @@ proptest! {
         let edge = DeviceProfile::new("edge", 10.0, edge_rate);
         let nominal = LinkEstimate { up_mbps: rate, down_mbps: rate, rtt_s: 0.001, samples };
         let degraded = LinkEstimate { up_mbps: rate / factor, down_mbps: rate / factor, ..nominal };
-        let before = planner.plan_for_measured(&edge, Some(&nominal));
-        let after = planner.plan_for_measured(&edge, Some(&degraded));
+        let before = planner.plan_placement_for_measured(&edge, None, Some(&nominal), None);
+        let after = planner.plan_placement_for_measured(&edge, None, Some(&degraded), None);
         prop_assert!(
             after.upload_bytes <= before.upload_bytes,
             "degradation x{} grew the upload: {:?} -> {:?}", factor, before, after
         );
         // And a measured link identical to the static prior is a no-op.
-        let static_plan = planner.plan_for(&edge);
-        prop_assert_eq!(before.cut, static_plan.cut);
+        let static_plan = planner.plan_placement_for_measured(&edge, None, None, None);
+        prop_assert_eq!(before.plan.final_cut(), static_plan.plan.final_cut());
     }
 
     /// EWMA telemetry recovers a stationary link's true rates exactly
@@ -281,22 +278,12 @@ proptest! {
                 objective: Objective::Latency,
                 feedback: None,
             };
-            match feedback {
-                Some(fb) => {
-                    cfg.control = Some(ControlPlan::ClosedLoop {
-                        planner,
-                        feedback: fb,
-                        wire: FeatureWire::F32,
-                        controller: None,
-                    });
+            cfg.control = match feedback {
+                Some(feedback) => {
+                    ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None }
                 }
-                None => {
-                    cfg.payload = PayloadPlan::Features(FeatureConfig {
-                        wire: FeatureWire::F32,
-                        cut: CutSelection::Planned(planner),
-                    });
-                }
-            }
+                None => ControlPlan::OpenLoop { planner, wire: FeatureWire::F32, controller: None },
+            };
             cfg.link = Some(nominal);
             cfg.link_schedule = vec![LinkChange { after_batches, link: degraded }];
             let mut rng = Rng::new(9);
@@ -530,15 +517,16 @@ proptest! {
         let mut rng = Rng::new(10);
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let planned = |classes: Vec<DeviceProfile>| PayloadPlan::Features(FeatureConfig {
-            wire: FeatureWire::F32,
-            cut: CutSelection::Planned(CutPlannerConfig {
+        let planned = |classes: Vec<DeviceProfile>| ControlPlan::OpenLoop {
+            planner: CutPlannerConfig {
                 classes,
                 cloud: DeviceProfile::new("cloud", 200.0, 1e12),
                 objective: Objective::Latency,
                 feedback: None,
-            }),
-        });
+            },
+            wire: FeatureWire::F32,
+            controller: None,
+        };
         let build_replicas = || {
             let edges: Vec<EdgeReplica> = (0..edge_workers)
                 .map(|_| EdgeReplica::with_cloud_prefix(tiny_net(31), tiny_cloud(32)))
@@ -548,7 +536,7 @@ proptest! {
         };
 
         let mut legacy_cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        legacy_cfg.payload = planned(vec![edge.clone()]);
+        legacy_cfg.control = planned(vec![edge.clone()]);
         legacy_cfg.link = Some(link);
         let (mut edges, mut clouds) = build_replicas();
         let legacy = try_serve(&legacy_cfg, &mut edges, &mut clouds, &requests).expect("serves");
@@ -558,7 +546,7 @@ proptest! {
             .edge_workers(edge_workers)
             .cloud_workers(cloud_workers)
             .max_batch(max_batch)
-            .payload(planned(Vec::new()))
+            .control(planned(Vec::new()))
             .link(link)
             .fleet(spec)
             .build()
@@ -617,10 +605,11 @@ proptest! {
                 .link(link)
                 .fleet(FleetSpec::uniform(class));
             builder = match control_pick {
-                0 => builder.payload(PayloadPlan::Features(FeatureConfig {
+                0 => builder.control(ControlPlan::OpenLoop {
+                    planner: planner(),
                     wire: FeatureWire::F32,
-                    cut: CutSelection::Planned(planner()),
-                })),
+                    controller: None,
+                }),
                 1 => builder.control(ControlPlan::ClosedLoop {
                     planner: planner(),
                     feedback: LinkFeedback::default(),
@@ -682,7 +671,7 @@ proptest! {
         let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
         cfg.link = Some(NetworkLink::wifi(1.0).with_rtt(0.002));
         // A 1 µs p95 budget: no cut, wire or beta can reach it.
-        cfg.control = Some(ControlPlan::Governed(SlaTarget::new(1e-3, 0.90)));
+        cfg.control = ControlPlan::Governed(SlaTarget::new(1e-3, 0.90));
         let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
         prop_assert_eq!(report.completions.len(), requests.len());
         let trajectory =
@@ -723,12 +712,12 @@ proptest! {
             let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(44)).collect();
             let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
             cfg.link = Some(NetworkLink::wifi(50.0).with_rtt(0.001));
-            cfg.control = Some(control);
+            cfg.control = control;
             try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
         };
         // A one-minute p95 budget no tiny trace can violate.
         let governed = run(ControlPlan::Governed(SlaTarget::new(60_000.0, 0.80)));
-        // The exact plan Governed normalizes to, minus the governor.
+        // The exact plan Governed starts from, minus the governor.
         let open = run(ControlPlan::ClosedLoop {
             planner: CutPlannerConfig {
                 classes: vec![DeviceProfile::edge_gpu_cifar()],

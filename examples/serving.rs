@@ -16,9 +16,8 @@ use mea_edgecloud::fleet::{ComputeTier, DeviceClass, FleetSpec};
 use mea_edgecloud::network::{NetworkLink, PaceChange, PipeConfig, TransportKind};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv, StageExecutor};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, ControlPlan, ControllerConfig, CutPlannerConfig, CutSelection, EdgeReplica,
-    FeatureConfig, FeatureWire, Fleet, LinkChange, LinkFeedback, PayloadPlan, ServeConfig, ServeRequest,
-    WireFormat, RESPONSE_WIRE_BYTES,
+    trace_requests, try_serve, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
+    LinkChange, LinkFeedback, ServeConfig, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::SegmentedCnn;
@@ -98,19 +97,18 @@ fn main() {
     // toward 0.3. The builder validates the configuration up front and
     // Fleet::new checks it against the replicas, so the serving loop
     // itself can only fail on a malformed trace.
-    // (Image payloads have no ControlPlan form — a Static plan implies a
-    // feature cut — so this is the one site that stays on the legacy
-    // controller setter.)
-    #[allow(deprecated)]
     let serve_cfg = ServeConfig::builder(OffloadPolicy::Never)
         .edge_workers(edge_workers)
         .cloud_workers(cloud_workers)
         .max_batch(8)
         .queue_depth(8)
         .link(NetworkLink::wifi(50.0).with_rtt(0.008))
-        .controller(ControllerConfig {
-            controller: ThresholdController::new(0.5, 0.3, 1.0, (0.0, 2.0)),
-            window: 24,
+        .control(ControlPlan::Image {
+            wire: WireFormat::Float32,
+            controller: Some(ControllerConfig {
+                controller: ThresholdController::new(0.5, 0.3, 1.0, (0.0, 2.0)),
+                window: 24,
+            }),
         })
         .build()
         .expect("valid serving configuration");
@@ -138,13 +136,13 @@ fn main() {
     // offloaded, once as raw 8-bit images (the cloud recomputes from
     // pixels) and once as int8 activations at the cut a CutPlanner picks
     // online (the cloud resumes from the cut).
-    let mut compare = |label: &str, payload: PayloadPlan| {
-        let mut edges = build_edges(matches!(payload, PayloadPlan::Features(_)));
+    let mut compare = |label: &str, control: ControlPlan| {
+        let mut edges = build_edges(!matches!(control, ControlPlan::Image { .. }));
         let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(400 + i as u64)).collect();
         let mut cfg2 = ServeConfig::new(OffloadPolicy::Always, edge_workers, cloud_workers, 8);
         cfg2.queue_depth = 8;
         cfg2.link = Some(NetworkLink::wifi(50.0).with_rtt(0.008));
-        cfg2.payload = payload;
+        cfg2.control = control;
         let r = try_serve(&cfg2, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
         println!(
             "{label:<26} cut {:<8} {:>8} bytes up, cloud ran {:>6.2} MMACs, skipped {:>6.2} MMACs",
@@ -155,21 +153,22 @@ fn main() {
         );
     };
     println!("\npayload modes over the same all-offload trace:");
-    compare("image (raw 8-bit)", PayloadPlan::Image(WireFormat::Quantised8Bit));
+    compare("image (raw 8-bit)", ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None });
     // A congested cloud (two orders of magnitude below the edge's
     // effective throughput) pushes the planner toward a deep cut: the
     // edge absorbs the prefix and the cloud only finishes the suffix.
     compare(
         "features (int8, planned)",
-        PayloadPlan::Features(FeatureConfig {
-            wire: FeatureWire::Int8,
-            cut: CutSelection::Planned(CutPlannerConfig {
+        ControlPlan::OpenLoop {
+            planner: CutPlannerConfig {
                 classes: vec![DeviceProfile::new("edge worker", 15.0, 5e11)],
                 cloud: DeviceProfile::new("congested cloud", 200.0, 1e10),
                 objective: Objective::Latency,
                 feedback: None,
-            }),
-        }),
+            },
+            wire: FeatureWire::Int8,
+            controller: None,
+        },
     );
 
     // Closed-loop planning: the uplink silently collapses 50 -> 1 Mbps a
@@ -182,7 +181,7 @@ fn main() {
     cfg3.queue_depth = 8;
     cfg3.link = Some(NetworkLink::wifi(50.0).with_rtt(0.004));
     cfg3.link_schedule = vec![LinkChange { after_batches: 8, link: NetworkLink::wifi(1.0).with_rtt(0.004) }];
-    cfg3.control = Some(ControlPlan::ClosedLoop {
+    cfg3.control = ControlPlan::ClosedLoop {
         planner: CutPlannerConfig {
             classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
@@ -192,7 +191,7 @@ fn main() {
         feedback: LinkFeedback { alpha: 0.5, prior_samples: 2.0, replan_every: 4 },
         wire: FeatureWire::F32,
         controller: None,
-    });
+    };
     let r = try_serve(&cfg3, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
     let est = r.stats.link_estimates.as_ref().and_then(|e| e[0]);
     println!(
@@ -219,7 +218,7 @@ fn main() {
         throttle: vec![PaceChange { after_frames: 24, up_mbps: 1.0 }],
         ..PipeConfig::default()
     });
-    cfg4.control = Some(ControlPlan::ClosedLoop {
+    cfg4.control = ControlPlan::ClosedLoop {
         planner: CutPlannerConfig {
             classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
@@ -229,7 +228,7 @@ fn main() {
         feedback: LinkFeedback { alpha: 0.5, prior_samples: 2.0, replan_every: 4 },
         wire: FeatureWire::F32,
         controller: None,
-    });
+    };
     let r = try_serve(&cfg4, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
     let est = r.stats.link_estimates.as_ref().and_then(|e| e[0]);
     println!(
@@ -270,9 +269,9 @@ fn main() {
         .map(|i| 0.05 * 1.3f64.powi(i))
         .find(|&r| {
             let planner = planner_at(r);
-            let pooled = planner.plan_placement_for_measured(&low, None, pool.as_ref());
+            let pooled = planner.plan_placement_for_measured(&low, None, None, pool.as_ref());
             pooled.plan.peer_stage().is_some()
-                && pooled.upload_bytes < planner.plan_placement_for_measured(&low, None, None).upload_bytes
+                && pooled.upload_bytes < planner.plan_placement_for_measured(&low, None, None, None).upload_bytes
         })
         .expect("some WAN rate rewards the cooperative split");
     println!("\ncooperative edge splitting over a {wan:.2} Mbps WAN (Low tier, all-offload):");
@@ -286,15 +285,16 @@ fn main() {
             .max_batch(8)
             .queue_depth(8)
             .link(NetworkLink::wifi(wan).with_rtt(0.001))
-            .payload(PayloadPlan::Features(FeatureConfig {
-                wire: FeatureWire::F32,
-                cut: CutSelection::Planned(CutPlannerConfig {
+            .control(ControlPlan::OpenLoop {
+                planner: CutPlannerConfig {
                     classes: Vec::new(),
                     cloud: DeviceProfile::new("cloud", 200.0, 1e12),
                     objective: Objective::Latency,
                     feedback: None,
-                }),
-            }))
+                },
+                wire: FeatureWire::F32,
+                controller: None,
+            })
             .fleet(FleetSpec::uniform(class))
             .build()
             .expect("valid serving configuration");

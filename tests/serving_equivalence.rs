@@ -1,14 +1,12 @@
 //! The serving runtime and the offline sweep must be the same system:
-//! for any worker/batch configuration — and for any payload plan with a
+//! for any worker/batch configuration — and for any control plan with a
 //! lossless wire — `edgecloud::serve` over a trained MEANet must produce
 //! exactly the `InstanceRecord`s that sequential `run_inference` produces
 //! on the same dataset and policy. Dynamic batching, worker scheduling,
 //! the wire format and the partition cut may not change a single
 //! prediction, entropy or exit.
 
-use mea_edgecloud::serve::{
-    trace_requests, try_serve, CutSelection, EdgeReplica, FeatureConfig, FeatureWire, PayloadPlan, ServeConfig,
-};
+use mea_edgecloud::serve::{trace_requests, try_serve, ControlPlan, EdgeReplica, FeatureWire, ServeConfig};
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::SegmentedCnn;
 use mea_nn::StateDict;
@@ -134,8 +132,7 @@ fn feature_payload_serving_is_the_same_system_at_every_cut() {
         let mut edges = split_serving_replicas(&mut pipe, &cfg, e);
         let mut clouds = cloud_replicas(&mut pipe, &cfg, c);
         let mut serve_cfg = ServeConfig::new(policy, e, c, b);
-        serve_cfg.payload =
-            PayloadPlan::Features(FeatureConfig { wire: FeatureWire::F32, cut: CutSelection::Fixed(cut) });
+        serve_cfg.control = ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None };
         let report = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration");
         assert_eq!(
             report.records, expected,
@@ -169,7 +166,7 @@ fn offline_feature_sweep_is_bitwise_identical_to_feature_serving() {
         let mut edges = split_serving_replicas(pipe, &cfg, 2);
         let mut clouds = cloud_replicas(pipe, &cfg, 2);
         let mut serve_cfg = ServeConfig::new(policy, 2, 2, 4);
-        serve_cfg.payload = PayloadPlan::Features(FeatureConfig { wire, cut: CutSelection::Fixed(cut) });
+        serve_cfg.control = ControlPlan::Static { cut, wire, controller: None };
         try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration")
     };
 
