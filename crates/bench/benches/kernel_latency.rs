@@ -8,21 +8,27 @@ use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
 use mea_tensor::{matmul, Rng, Tensor};
 
-fn bench_edge_inference(c: &mut Criterion) {
-    let mut rng = Rng::new(0);
-    let mut net = resnet_cifar(&CifarResNetConfig::repro_scale(100), &mut rng);
+/// Batch 8 is the training/sweep regime; batch 1 is the serving regime,
+/// where per-call overhead (a spawn, a system call, an allocation per
+/// layer) is not amortised over images and shows at full size.
+fn bench_forward(c: &mut Criterion, name: &str, cfg: &CifarResNetConfig, seed: u64) {
+    let mut rng = Rng::new(seed);
+    let mut net = resnet_cifar(cfg, &mut rng);
     let x = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
-    c.bench_function("edge_resnet_forward_batch8", |b| b.iter(|| net.forward(&x, Mode::Eval)));
+    c.bench_function(&format!("{name}_resnet_forward_batch8"), |b| b.iter(|| net.forward(&x, Mode::Eval)));
+    let x1 = x.slice_axis0(0, 1);
+    c.bench_function(&format!("{name}_resnet_forward_batch1"), |b| b.iter(|| net.forward(&x1, Mode::Eval)));
+}
+
+fn bench_edge_inference(c: &mut Criterion) {
+    bench_forward(c, "edge", &CifarResNetConfig::repro_scale(100), 0);
 }
 
 fn bench_cloud_inference(c: &mut Criterion) {
-    let mut rng = Rng::new(1);
     let mut cfg = CifarResNetConfig::repro_scale(100);
     cfg.blocks_per_stage = 3;
     cfg.channels = [12, 24, 48];
-    let mut net = resnet_cifar(&cfg, &mut rng);
-    let x = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
-    c.bench_function("cloud_resnet_forward_batch8", |b| b.iter(|| net.forward(&x, Mode::Eval)));
+    bench_forward(c, "cloud", &cfg, 1);
 }
 
 fn bench_matmul(c: &mut Criterion) {

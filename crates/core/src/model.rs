@@ -370,7 +370,7 @@ impl MeaNet {
     pub fn extension_logits(&mut self, x: &Tensor, features: &Tensor, mode: Mode) -> Tensor {
         let merge = self.merge;
         let edge = self.edge.as_mut().expect("edge blocks not attached");
-        let f2 = edge.adaptive.forward(x, mode);
+        let mut f2 = edge.adaptive.forward(x, mode);
         assert_eq!(
             f2.dims(),
             features.dims(),
@@ -379,11 +379,14 @@ impl MeaNet {
             features.dims()
         );
         let merged = match merge {
-            Merge::Sum => features.add(&f2),
+            Merge::Sum => {
+                f2.add_assign(features);
+                f2
+            }
             Merge::Concat => Tensor::concat_channels(features, &f2),
         };
-        let feats = edge.extension.forward(&merged, mode);
-        edge.exit.forward(&feats, mode)
+        let feats = edge.extension.forward_owned(merged, mode);
+        edge.exit.forward_owned(feats, mode)
     }
 
     // ------------------------------------------------------- backward paths

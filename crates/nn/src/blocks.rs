@@ -65,13 +65,12 @@ impl Layer for BasicBlock {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let main_out = self.main.forward(x, mode);
-        let shortcut = match &mut self.projection {
-            Some(proj) => proj.forward(x, mode),
-            None => x.clone(),
-        };
-        let sum = main_out.add(&shortcut);
-        self.relu_out.forward(&sum, mode)
+        let mut sum = self.main.forward(x, mode);
+        match &mut self.projection {
+            Some(proj) => sum.add_assign(&proj.forward(x, mode)),
+            None => sum.add_assign(x),
+        }
+        self.relu_out.forward_owned(sum, mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
@@ -206,12 +205,11 @@ impl Layer for InvertedResidual {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let y = self.main.forward(x, mode);
+        let mut y = self.main.forward(x, mode);
         if self.use_skip {
-            y.add(x)
-        } else {
-            y
+            y.add_assign(x);
         }
+        y
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -63,6 +63,14 @@ pub trait Layer: std::fmt::Debug + Send {
     /// Computes the layer output.
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor;
 
+    /// [`Layer::forward`] for a caller that is done with `x`: the same
+    /// output, bit for bit, but a shape-preserving layer may write it over
+    /// `x` instead of allocating. Containers hand each intermediate
+    /// activation to the next layer this way. The default borrows `x`.
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        self.forward(&x, mode)
+    }
+
     /// Backpropagates `grad_out`, returning the gradient w.r.t. the input.
     ///
     /// # Panics

@@ -47,12 +47,16 @@ impl Layer for Activation {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let y = match self.kind {
-            Kind::Relu => x.map(|v| v.max(0.0)),
-            Kind::Relu6 => x.map(|v| v.clamp(0.0, 6.0)),
-        };
+        self.forward_owned(x.clone(), mode)
+    }
+
+    fn forward_owned(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
         self.cache = mode.is_train().then(|| x.clone());
-        y
+        match self.kind {
+            Kind::Relu => x.map_inplace(|v| v.max(0.0)),
+            Kind::Relu6 => x.map_inplace(|v| v.clamp(0.0, 6.0)),
+        }
+        x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -89,10 +89,13 @@ impl Layer for BatchNorm2d {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let (n, c, h, w) = self.dims(x);
+        self.forward_owned(x.clone(), mode)
+    }
+
+    fn forward_owned(&mut self, mut out: Tensor, mode: Mode) -> Tensor {
+        let (n, c, h, w) = self.dims(&out);
         let plane = h * w;
         let m = n * plane; // samples per channel
-        let mut out = x.clone();
         let gamma = self.gamma.value.as_slice();
         let beta = self.beta.value.as_slice();
 
@@ -100,7 +103,7 @@ impl Layer for BatchNorm2d {
             assert!(m > 1, "BatchNorm2d training needs more than one sample per channel");
             let mut mean = vec![0.0f32; c];
             let mut var = vec![0.0f32; c];
-            let src = x.as_slice();
+            let src = out.as_slice();
             for img in 0..n {
                 for (ch, acc) in mean.iter_mut().enumerate() {
                     let base = (img * c + ch) * plane;
@@ -126,7 +129,7 @@ impl Layer for BatchNorm2d {
             }
 
             let inv_std: Vec<f32> = var.iter().map(|&v| 1.0 / (v + EPS).sqrt()).collect();
-            let mut xhat = x.clone();
+            let mut xhat = out.clone();
             {
                 let xh = xhat.as_mut_slice();
                 let o = out.as_mut_slice();

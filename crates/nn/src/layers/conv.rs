@@ -1,29 +1,39 @@
-//! Dense 2-D convolution lowered to im2col + matmul, batch-parallel.
+//! Dense 2-D convolution lowered to im2col + GEMM, one image at a time.
+//!
+//! An image is unfolded into its patch matrix and multiplied by the
+//! flattened weights, the product accumulating straight into that image's
+//! slice of the output. Patch matrices live in one buffer the layer owns:
+//! an eval forward unfolds every image of a band into the same slot, so
+//! after the first call it allocates nothing but its output; a training
+//! forward gives each image its own slot and leaves them for `backward`.
+//!
+//! [`mea_tensor::parallel`] decides whether the batch is cut into bands of
+//! images. A batch of one, a one-core host, and a call from inside another
+//! op's band all run as one straight-line loop on the calling thread; the
+//! GEMM inside a band is always serial. Images are independent, so the
+//! split never changes a forward result; `backward` sums weight gradients
+//! per band, then band by band, as it always has.
 
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
-use mea_tensor::conv::{col2im, im2col, ConvGeom};
-use mea_tensor::{matmul, ops, Rng, Tensor};
+use mea_tensor::conv::{col2im, im2col_into, ConvGeom};
+use mea_tensor::{matmul, ops, parallel, Rng, Tensor};
 
 /// A standard 2-D convolution over `[N, C, H, W]` tensors.
 ///
 /// Weights are stored pre-flattened as `[out_c, in_c·kh·kw]` so forward and
-/// backward are single matrix products per image. The batch dimension is
-/// split across threads.
+/// backward are single matrix products per image.
 #[derive(Debug)]
 pub struct Conv2d {
     geom: ConvGeom,
     out_channels: usize,
     weight: Param,
     bias: Option<Param>,
-    cache: Option<Cache>,
-}
-
-#[derive(Debug)]
-struct Cache {
-    /// Per-image im2col patch matrices from the last training forward.
-    cols: Vec<Tensor>,
-    in_hw: (usize, usize),
+    /// im2col patch matrices, `[in_c·kh·kw, oh·ow]` each: one per image
+    /// after a training forward, otherwise one per band, reused every call.
+    cols: Vec<f32>,
+    /// Input height and width of the training batch `cols` holds, if any.
+    cache: Option<(usize, usize)>,
 }
 
 impl Conv2d {
@@ -42,7 +52,7 @@ impl Conv2d {
         let geom = ConvGeom::square(in_channels, kernel, stride, pad);
         let weight = Param::new(init::kaiming_conv(out_channels, geom.patch_len(), rng));
         let bias = bias.then(|| Param::new(Tensor::zeros([out_channels])));
-        Conv2d { geom, out_channels, weight, bias, cache: None }
+        Conv2d { geom, out_channels, weight, bias, cols: Vec::new(), cache: None }
     }
 
     /// Output channel count.
@@ -90,115 +100,74 @@ impl Layer for Conv2d {
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
         let (n, h, w) = self.check_input(x);
         let (oh, ow) = self.geom.out_hw(h, w);
-        let chw = self.geom.in_channels * h * w;
-        let out_per_img = self.out_channels * oh * ow;
-        let mut out = Tensor::zeros([n, self.out_channels, oh, ow]);
+        let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
+        let (chw, out_per_img, cols_len) = (self.geom.in_channels * h * w, oc * ncols, patch * ncols);
+        let mut out = Tensor::zeros([n, oc, oh, ow]);
 
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
-        let band = n.div_ceil(workers);
-        let weight = &self.weight.value;
-        let xs = x.as_slice();
-        let mut cols_store: Vec<Option<Tensor>> = (0..n).map(|_| None).collect();
-
-        crossbeam::thread::scope(|scope| {
-            let mut out_rest = out.as_mut_slice();
-            let mut cols_rest = cols_store.as_mut_slice();
-            let mut start = 0usize;
-            while start < n {
-                let take = band.min(n - start);
-                let (out_band, out_tail) = out_rest.split_at_mut(take * out_per_img);
-                out_rest = out_tail;
-                let (cols_band, cols_tail) = cols_rest.split_at_mut(take);
-                cols_rest = cols_tail;
-                let geom = self.geom;
-                let i0 = start;
-                scope.spawn(move |_| {
-                    for di in 0..take {
-                        let img = &xs[(i0 + di) * chw..(i0 + di + 1) * chw];
-                        let cols = im2col(img, h, w, &geom);
-                        let y = matmul::matmul(weight, &cols);
-                        out_band[di * out_per_img..(di + 1) * out_per_img].copy_from_slice(y.as_slice());
-                        if mode.is_train() {
-                            cols_band[di] = Some(cols);
-                        }
-                    }
-                });
-                start += take;
+        let train = mode.is_train();
+        if self.cache.take().is_some() && !train {
+            self.cols = Vec::new(); // a training batch's patches: free them before serving
+        }
+        let band = parallel::band_len(n);
+        // Patch-matrix slots per band: every image's in training, one to reuse in eval.
+        let slots = if train { band } else { 1 };
+        self.cols.resize(if train { n } else { n.div_ceil(band) } * cols_len, 0.0);
+        let (geom, weight) = (self.geom, self.weight.value.as_slice());
+        let parts = out
+            .as_mut_slice()
+            .chunks_mut(band * out_per_img)
+            .zip(x.as_slice().chunks(band * chw))
+            .zip(self.cols.chunks_mut(slots * cols_len));
+        parallel::run(parts, |((out_band, x_band), cols_band)| {
+            for (i, (y, img)) in out_band.chunks_exact_mut(out_per_img).zip(x_band.chunks_exact(chw)).enumerate() {
+                let cols = &mut cols_band[(i % slots) * cols_len..][..cols_len];
+                im2col_into(img, h, w, &geom, cols);
+                matmul::gemm_into(weight, cols, y, oc, patch, ncols);
             }
-        })
-        .expect("conv forward worker panicked");
+        });
 
         if let Some(bias) = &self.bias {
             ops::add_bias_nchw(&mut out, &bias.value);
         }
-        if mode.is_train() {
-            let cols = cols_store.into_iter().map(|c| c.expect("cols cached")).collect();
-            self.cache = Some(Cache { cols, in_hw: (h, w) });
-        } else {
-            self.cache = None;
-        }
+        self.cache = train.then_some((h, w));
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let cache = self.cache.as_ref().expect("Conv2d::backward called without a training forward");
-        let (h, w) = cache.in_hw;
+        let (h, w) = self.cache.expect("Conv2d::backward called without a training forward");
         let n = grad_out.dims()[0];
-        assert_eq!(n, cache.cols.len(), "batch size changed between forward and backward");
         let (oh, ow) = self.geom.out_hw(h, w);
-        let out_per_img = self.out_channels * oh * ow;
-        let chw = self.geom.in_channels * h * w;
+        let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
+        let (chw, out_per_img, cols_len) = (self.geom.in_channels * h * w, oc * ncols, patch * ncols);
+        assert_eq!(n * cols_len, self.cols.len(), "batch size changed between forward and backward");
         let mut grad_in = Tensor::zeros([n, self.geom.in_channels, h, w]);
 
-        let workers = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1).min(n);
-        let band = n.div_ceil(workers);
-        let weight = &self.weight.value;
-        let gs = grad_out.as_slice();
-        let cols_all = &cache.cols;
-        let has_bias = self.bias.is_some();
-
-        // Each worker accumulates its own (dW, db), merged after the scope.
-        let mut partials: Vec<(Tensor, Tensor)> = Vec::new();
-        crossbeam::thread::scope(|scope| {
-            let mut handles = Vec::new();
-            let mut gi_rest = grad_in.as_mut_slice();
-            let mut start = 0usize;
-            while start < n {
-                let take = band.min(n - start);
-                let (gi_band, gi_tail) = gi_rest.split_at_mut(take * chw);
-                gi_rest = gi_tail;
-                let geom = self.geom;
-                let oc = self.out_channels;
-                let i0 = start;
-                handles.push(scope.spawn(move |_| {
-                    let mut dw = Tensor::zeros([oc, geom.patch_len()]);
-                    let mut db = Tensor::zeros([oc]);
-                    for di in 0..take {
-                        let g_img = Tensor::from_vec(
-                            gs[(i0 + di) * out_per_img..(i0 + di + 1) * out_per_img].to_vec(),
-                            &[oc, oh * ow],
-                        )
-                        .expect("grad slice shape");
-                        let cols = &cols_all[i0 + di];
-                        dw.add_assign(&matmul::matmul_a_bt(&g_img, cols));
-                        if has_bias {
-                            let db_s = db.as_mut_slice();
-                            for (c, row) in g_img.as_slice().chunks_exact(oh * ow).enumerate() {
-                                db_s[c] += row.iter().sum::<f32>();
-                            }
-                        }
-                        let grad_cols = matmul::matmul_at_b(weight, &g_img);
-                        col2im(&grad_cols, h, w, &geom, &mut gi_band[di * chw..(di + 1) * chw]);
+        let band = parallel::band_len(n);
+        let (geom, weight, has_bias) = (self.geom, self.weight.value.as_slice(), self.bias.is_some());
+        let parts = grad_in
+            .as_mut_slice()
+            .chunks_mut(band * chw)
+            .zip(grad_out.as_slice().chunks(band * out_per_img))
+            .zip(self.cols.chunks(band * cols_len));
+        // Each band accumulates its own (dW, db), merged in band order below.
+        let partials = parallel::run(parts, |((gi_band, g_band), cols_band)| {
+            let mut dw = Tensor::zeros([oc, patch]);
+            let mut db = Tensor::zeros([oc]);
+            let mut grad_cols = Tensor::zeros([patch, ncols]);
+            let images = gi_band.chunks_exact_mut(chw).zip(g_band.chunks_exact(out_per_img));
+            for ((gi, g), cols) in images.zip(cols_band.chunks_exact(cols_len)) {
+                matmul::gemm_a_bt_into(g, cols, dw.as_mut_slice(), oc, ncols, patch);
+                if has_bias {
+                    for (b, row) in db.as_mut_slice().iter_mut().zip(g.chunks_exact(ncols)) {
+                        *b += row.iter().sum::<f32>();
                     }
-                    (dw, db)
-                }));
-                start += take;
+                }
+                grad_cols.fill(0.0);
+                matmul::gemm_at_b_into(weight, g, grad_cols.as_mut_slice(), patch, oc, ncols);
+                col2im(&grad_cols, h, w, &geom, gi);
             }
-            for handle in handles {
-                partials.push(handle.join().expect("conv backward worker panicked"));
-            }
-        })
-        .expect("conv backward scope failed");
+            (dw, db)
+        });
 
         for (dw, db) in partials {
             self.weight.grad.add_assign(&dw);
@@ -233,6 +202,7 @@ impl Layer for Conv2d {
 
     fn clear_cache(&mut self) {
         self.cache = None;
+        self.cols = Vec::new();
     }
 }
 
@@ -323,21 +293,54 @@ mod tests {
         assert!(result.is_err(), "backward after eval forward must panic");
     }
 
+    fn same_bits(a: &Tensor, b: &Tensor) -> bool {
+        a.dims() == b.dims() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
+    /// A batch cut into bands (several cores, several images) and the same
+    /// images one at a time (always inline) must agree bit for bit, in both
+    /// modes: that is the contract the serve ≡ sweep verifier enforces.
     #[test]
     fn forward_is_deterministic_across_batch_split() {
-        // The threaded path must give identical results to a 1-image batch.
         let mut rng = Rng::new(9);
         let mut conv = Conv2d::new(2, 4, 3, 1, 1, true, &mut rng);
-        let x = Tensor::randn([4, 2, 6, 6], 1.0, &mut rng);
-        let y_batch = conv.forward(&x, Mode::Eval);
-        for i in 0..4 {
-            let xi = x.slice_axis0(i, i + 1);
-            let yi = conv.forward(&xi, Mode::Eval);
-            let expected = y_batch.slice_axis0(i, i + 1);
-            for (a, b) in yi.as_slice().iter().zip(expected.as_slice()) {
-                assert!((a - b).abs() < 1e-6);
+        for mode in [Mode::Eval, Mode::Train] {
+            for n in [1usize, 2, 3, 8] {
+                let x = Tensor::randn([n, 2, 6, 6], 1.0, &mut rng);
+                let y_batch = conv.forward(&x, mode);
+                for i in 0..n {
+                    let yi = conv.forward(&x.slice_axis0(i, i + 1), mode);
+                    assert!(same_bits(&yi, &y_batch.slice_axis0(i, i + 1)), "{mode:?}, image {i} of {n}");
+                }
             }
         }
+    }
+
+    /// The patch buffer outlives the call: a smaller input, a larger one
+    /// again, and a training batch in between must each see a buffer that
+    /// leaks nothing of the previous occupant into its padding taps.
+    #[test]
+    fn reused_patch_buffer_leaks_nothing_across_input_sizes_and_modes() {
+        let mut rng = Rng::new(10);
+        let mut conv = Conv2d::new(3, 5, 3, 1, 1, false, &mut rng);
+        let mut fresh = Conv2d::new(3, 5, 3, 1, 1, false, &mut Rng::new(0));
+        let mut fresh_forward = |x: &Tensor, conv: &Conv2d| {
+            fresh.weight.value = conv.weight.value.clone();
+            fresh.clear_cache();
+            fresh.forward(x, Mode::Eval)
+        };
+        let big = Tensor::randn([1, 3, 16, 16], 1.0, &mut rng);
+        let small = Tensor::randn([1, 3, 8, 8], 1.0, &mut rng);
+        let batch = Tensor::randn([4, 3, 16, 16], 1.0, &mut rng);
+        for x in [&big, &small, &big, &batch, &small] {
+            assert!(same_bits(&conv.forward(x, Mode::Eval), &fresh_forward(x, &conv)), "eval {:?}", x.dims());
+        }
+        let trained = conv.forward(&batch, Mode::Train);
+        assert!(same_bits(&trained, &fresh_forward(&batch, &conv)));
+        assert_eq!(conv.cols.len(), 4 * 27 * 256, "a training forward keeps one patch matrix per image");
+        assert!(same_bits(&conv.forward(&small, Mode::Eval), &fresh_forward(&small, &conv)));
+        assert_eq!(conv.cols.len(), 27 * 64, "the next eval forward hands the training patches back");
+        assert!(conv.cols.capacity() < 4 * 27 * 256);
     }
 
     #[test]

@@ -42,18 +42,24 @@ impl Layer for Dropout {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(x.clone(), mode)
+    }
+
+    fn forward_owned(&mut self, mut x: Tensor, mode: Mode) -> Tensor {
         if !mode.is_train() || self.p == 0.0 {
             self.mask = None;
-            return x.clone();
+            return x;
         }
         let keep = 1.0 - self.p;
         let scale = 1.0 / keep;
         let mut rng = self.rng.borrow_mut();
         let mask = x.map(|_| if rng.bernoulli(keep) { scale } else { 0.0 });
         drop(rng);
-        let y = x.zip_with(&mask, |a, m| a * m);
+        for (a, m) in x.as_mut_slice().iter_mut().zip(mask.as_slice()) {
+            *a *= m;
+        }
         self.mask = Some(mask);
-        y
+        x
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

@@ -32,10 +32,14 @@ impl Layer for Flatten {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
+        self.forward_owned(x.clone(), mode)
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
         let n = x.dims()[0];
         let rest: usize = x.dims()[1..].iter().product();
         self.cache_dims = mode.is_train().then(|| x.dims().to_vec());
-        x.clone().reshape(&[n, rest]).expect("flatten reshape")
+        x.reshape(&[n, rest]).expect("flatten reshape")
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

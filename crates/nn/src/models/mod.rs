@@ -10,8 +10,9 @@ pub use resnet::{resnet_cifar, resnet_imagenet, CifarResNetConfig, ImageNetResNe
 
 use crate::layer::{Layer, Mode};
 use crate::layers::{GlobalAvgPool, Linear};
-use crate::sequential::Sequential;
+use crate::sequential::{chain, Sequential};
 use mea_tensor::{Rng, Tensor};
+use std::borrow::Cow;
 
 /// Static description of one convolutional segment of a backbone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,11 +46,8 @@ pub struct SegmentedCnn {
 impl SegmentedCnn {
     /// Runs the full network (all segments, then the head).
     pub fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = x.clone();
-        for seg in &mut self.segments {
-            cur = seg.forward(&cur, mode);
-        }
-        self.head.forward(&cur, mode)
+        let blocks = self.segments.iter_mut().chain(std::iter::once(&mut self.head));
+        chain(blocks.map(|b| b as &mut dyn Layer), Cow::Borrowed(x), mode)
     }
 
     /// Number of partitionable top-level layers: every layer of every
@@ -64,8 +62,8 @@ impl SegmentedCnn {
     /// Runs top-level layers `[from, to)` in evaluation order. The head
     /// occupies the final index (`cut_layer_count() - 1`).
     ///
-    /// Because [`crate::sequential::Sequential::forward`] is exactly this
-    /// loop, chaining `forward_range(x, 0, k)` into
+    /// Because [`crate::sequential::Sequential::forward`] is this same
+    /// chain over its layers, running `forward_range(x, 0, k)` into
     /// `forward_range(·, k, L)` is **bitwise identical** to one
     /// uninterrupted [`SegmentedCnn::forward`] — the guarantee the
     /// feature-payload serving path relies on.
@@ -77,20 +75,9 @@ impl SegmentedCnn {
         let total = self.cut_layer_count();
         assert!(from <= to, "inverted layer range [{from}, {to})");
         assert!(to <= total, "layer range end {to} exceeds the {total} cut layers");
-        let mut cur = x.clone();
-        let mut idx = 0usize;
-        for seg in &mut self.segments {
-            for layer in seg.layers_mut() {
-                if idx >= from && idx < to {
-                    cur = layer.forward(&cur, mode);
-                }
-                idx += 1;
-            }
-        }
-        if idx >= from && idx < to {
-            cur = self.head.forward(&cur, mode);
-        }
-        cur
+        let head = std::iter::once(&mut self.head as &mut dyn Layer);
+        let layers = self.segments.iter_mut().flat_map(|s| s.layers_mut()).map(|l| &mut **l as &mut dyn Layer);
+        chain(layers.chain(head).skip(from).take(to - from), Cow::Borrowed(x), mode)
     }
 
     /// Runs the prefix `[0, cut)` — what the edge executes before

@@ -2,6 +2,7 @@
 
 use crate::layer::{Layer, Mode, Param};
 use mea_tensor::Tensor;
+use std::borrow::Cow;
 
 /// A chain of layers applied in order; the workhorse container for MEANet
 /// blocks.
@@ -63,6 +64,29 @@ impl Sequential {
     pub fn append(&mut self, mut other: Sequential) {
         self.layers.append(&mut other.layers);
     }
+
+    fn chain(&mut self, x: Cow<'_, Tensor>, mode: Mode) -> Tensor {
+        chain(self.layers.iter_mut().map(|l| &mut **l as &mut dyn Layer), x, mode)
+    }
+}
+
+/// Runs `layers` in order over `x`. A borrowed input is only ever read by
+/// the first layer; every activation after it belongs to the chain and is
+/// handed on by value, so shape-preserving layers work in place and nothing
+/// is cloned on entry.
+pub(crate) fn chain<'a>(
+    layers: impl Iterator<Item = &'a mut dyn Layer>,
+    x: Cow<'_, Tensor>,
+    mode: Mode,
+) -> Tensor {
+    let mut cur = x;
+    for layer in layers {
+        cur = Cow::Owned(match cur {
+            Cow::Borrowed(x) => layer.forward(x, mode),
+            Cow::Owned(x) => layer.forward_owned(x, mode),
+        });
+    }
+    cur.into_owned()
 }
 
 impl Layer for Sequential {
@@ -75,11 +99,11 @@ impl Layer for Sequential {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let mut cur = x.clone();
-        for layer in &mut self.layers {
-            cur = layer.forward(&cur, mode);
-        }
-        cur
+        self.chain(Cow::Borrowed(x), mode)
+    }
+
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        self.chain(Cow::Owned(x), mode)
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {

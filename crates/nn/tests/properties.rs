@@ -136,3 +136,56 @@ fn tiny_cnn_learns_separable_classes() {
     let correct = preds.iter().zip(&labels).filter(|(p, l)| p == l).count();
     assert!(correct as f64 / n as f64 > 0.9, "accuracy {correct}/{n}");
 }
+
+/// `forward_owned` is `forward` for a caller that is done with its input:
+/// the same output and, after a training forward, the same input gradient,
+/// bit for bit — for the layers that work in place, the containers that
+/// hand activations on by value, and a whole segmented network.
+#[test]
+fn forward_owned_matches_forward_bit_for_bit() {
+    use mea_nn::blocks::{separable_stack, BasicBlock, InvertedResidual};
+    use mea_nn::layers::{Dropout, Flatten, GlobalAvgPool};
+
+    let build = |rng: &mut Rng| -> Vec<Box<dyn Layer>> {
+        vec![
+            Box::new(BatchNorm2d::new(4)),
+            Box::new(Activation::relu()),
+            Box::new(Activation::relu6()),
+            Box::new(Dropout::new(0.3, 5)),
+            Box::new(Flatten::new()),
+            Box::new(Conv2d::new(4, 4, 3, 1, 1, true, rng)),
+            Box::new(BasicBlock::new(4, 4, 1, rng)),
+            Box::new(BasicBlock::new(4, 8, 2, rng)),
+            Box::new(InvertedResidual::new(4, 4, 1, 2, rng)),
+            Box::new(separable_stack(4, 6, 2, rng)),
+            Box::new(Sequential::empty()),
+            Box::new(Sequential::new(vec![
+                Box::new(Conv2d::new(4, 3, 1, 1, 0, false, rng)),
+                Box::new(BatchNorm2d::new(3)),
+                Box::new(Activation::relu()),
+                Box::new(GlobalAvgPool::new()),
+                Box::new(Flatten::new()),
+                Box::new(Dropout::new(0.5, 9)),
+                Box::new(Linear::new(3, 2, rng)),
+            ])),
+        ]
+    };
+    let bits = |t: &Tensor| (t.dims().to_vec(), t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>());
+
+    // Twin copies: dropout draws from its own stream and batch norm moves
+    // its running statistics, so each path gets an identically built layer.
+    let borrowed = build(&mut Rng::new(21));
+    let owned = build(&mut Rng::new(21));
+    let x = Tensor::randn([3, 4, 6, 6], 2.0, &mut Rng::new(22));
+    for (mut a, mut b) in borrowed.into_iter().zip(owned) {
+        for mode in [Mode::Eval, Mode::Train, Mode::Eval] {
+            let ya = a.forward(&x, mode);
+            let yb = b.forward_owned(x.clone(), mode);
+            assert_eq!(bits(&ya), bits(&yb), "{} forward, {mode:?}", a.name());
+            if mode.is_train() {
+                let g = Tensor::randn(ya.shape().clone(), 1.0, &mut Rng::new(23));
+                assert_eq!(bits(&a.backward(&g)), bits(&b.backward(&g)), "{} backward", a.name());
+            }
+        }
+    }
+}

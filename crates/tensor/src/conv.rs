@@ -61,35 +61,46 @@ impl ConvGeom {
 ///
 /// Panics if `image.len() != C·H·W`.
 pub fn im2col(image: &[f32], h: usize, w: usize, geom: &ConvGeom) -> Tensor {
-    assert_eq!(image.len(), geom.in_channels * h * w, "image length mismatch");
     let (oh, ow) = geom.out_hw(h, w);
     let mut cols = Tensor::zeros([geom.patch_len(), oh * ow]);
-    let out = cols.as_mut_slice();
+    im2col_into(image, h, w, geom, cols.as_mut_slice());
+    cols
+}
+
+/// [`im2col`] into a caller-owned buffer of `C·kh·kw · oh·ow` elements,
+/// which may hold anything on entry: every element is written exactly once,
+/// a tap inside the image with its pixel and a padding tap with zero, so a
+/// buffer reused across images and input sizes leaks nothing.
+///
+/// # Panics
+///
+/// Panics if `image.len() != C·H·W` or `cols` has the wrong length.
+pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mut [f32]) {
+    assert_eq!(image.len(), geom.in_channels * h * w, "image length mismatch");
+    let (oh, ow) = geom.out_hw(h, w);
     let ncols = oh * ow;
+    assert_eq!(cols.len(), geom.patch_len() * ncols, "patch matrix length mismatch");
     for c in 0..geom.in_channels {
         let img_plane = &image[c * h * w..(c + 1) * h * w];
         for ki in 0..geom.kh {
             for kj in 0..geom.kw {
                 let row = (c * geom.kh + ki) * geom.kw + kj;
-                let dst = &mut out[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
+                let dst = &mut cols[row * ncols..(row + 1) * ncols];
+                for (oy, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
                     let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
                     if iy < 0 || iy >= h as isize {
-                        continue; // stays zero
+                        dst_row.fill(0.0);
+                        continue;
                     }
                     let src_row = &img_plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
+                    for (ox, dst) in dst_row.iter_mut().enumerate() {
                         let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
-                        }
-                        dst[oy * ow + ox] = src_row[ix as usize];
+                        *dst = if ix < 0 || ix >= w as isize { 0.0 } else { src_row[ix as usize] };
                     }
                 }
             }
         }
     }
-    cols
 }
 
 /// Folds a patch-matrix gradient back into an image gradient, accumulating
@@ -178,6 +189,37 @@ mod tests {
         assert_eq!(cols.at(&[0, 0]), 0.0);
         // Center tap at the same position reads image(0,0) = 1.
         assert_eq!(cols.at(&[4, 0]), 1.0);
+    }
+
+    /// A reused buffer relies on `im2col_into` clearing every padding tap it
+    /// does not fill from the image: poison it first and compare with a
+    /// fresh `im2col`.
+    #[test]
+    fn im2col_into_overwrites_every_element_of_a_dirty_buffer() {
+        let mut rng = Rng::new(3);
+        for kernel in [1usize, 3] {
+            for stride in [1usize, 2] {
+                for pad in [0usize, 1] {
+                    let g = ConvGeom::square(2, kernel, stride, pad);
+                    let (h, w) = (6, 5);
+                    let x = Tensor::randn([2 * h * w], 1.0, &mut rng);
+                    let fresh = im2col(x.as_slice(), h, w, &g);
+                    let mut dirty = vec![f32::NAN; fresh.numel()];
+                    im2col_into(x.as_slice(), h, w, &g, &mut dirty);
+                    let same = dirty.iter().zip(fresh.as_slice()).all(|(a, b)| a.to_bits() == b.to_bits());
+                    assert!(same, "kernel {kernel}, stride {stride}, pad {pad}");
+                    if pad > 0 && kernel > 1 {
+                        assert!(dirty.contains(&0.0), "padding taps exist in this geometry");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "patch matrix length mismatch")]
+    fn im2col_into_rejects_a_wrong_sized_buffer() {
+        im2col_into(&[0.0; 16], 4, 4, &ConvGeom::square(1, 3, 1, 1), &mut [0.0; 9 * 16 - 1]);
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! stack needs, nothing more:
 //!
 //! * [`Tensor`] — a dense, row-major `f32` tensor with shape checking;
-//! * [`matmul`] — blocked, optionally multi-threaded matrix products
-//!   (`A·B`, `Aᵀ·B`, `A·Bᵀ`) used by linear layers and im2col convolution;
+//! * [`matmul`] — matrix products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), as allocating
+//!   wrappers and as in-place slice kernels, used by linear layers and
+//!   im2col convolution;
+//! * [`parallel`] — the one place that decides whether an op runs inline or
+//!   is cut into per-core bands;
 //! * [`conv`] — im2col / col2im transforms and convolution geometry;
 //! * [`pool`] — average / max pooling forward and backward kernels;
 //! * [`ops`] — softmax, ReLU, bias broadcast and other pointwise kernels;
@@ -33,6 +36,7 @@ pub mod conv;
 pub mod error;
 pub mod matmul;
 pub mod ops;
+pub mod parallel;
 pub mod pool;
 pub mod rng;
 pub mod shape;
