@@ -1,34 +1,101 @@
-//! Criterion micro-benchmarks: per-image inference latency of the repro
-//! edge/cloud models and the core matmul/conv kernels — the measured side
-//! of Table VII.
+//! Criterion micro-benchmarks: per-image inference latency and per-step
+//! training latency of the repro edge/cloud models, and the core
+//! matmul/conv kernels — the measured side of Table VII.
 
 use criterion::{BatchSize, Criterion};
 use mea_bench::regression::Reporter;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
+use mea_tensor::conv::{col2im, ConvGeom};
 use mea_tensor::{matmul, Rng, Tensor};
 
-/// Batch 8 is the training/sweep regime; batch 1 is the serving regime,
-/// where per-call overhead (a spawn, a system call, an allocation per
-/// layer) is not amortised over images and shows at full size.
-fn bench_forward(c: &mut Criterion, name: &str, cfg: &CifarResNetConfig, seed: u64) {
+/// Batch 8 is the sweep regime; batch 1 is the serving regime, where
+/// per-call overhead (a spawn, a system call, an allocation per layer) is
+/// not amortised over images and shows at full size; a training step is a
+/// `Mode::Train` forward plus `backward` at the batch size the end-to-end
+/// benchmark's recipe trains that network with.
+fn bench_network(c: &mut Criterion, name: &str, cfg: &CifarResNetConfig, train_batch: usize, seed: u64) {
     let mut rng = Rng::new(seed);
     let mut net = resnet_cifar(cfg, &mut rng);
     let x = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
     c.bench_function(&format!("{name}_resnet_forward_batch8"), |b| b.iter(|| net.forward(&x, Mode::Eval)));
     let x1 = x.slice_axis0(0, 1);
     c.bench_function(&format!("{name}_resnet_forward_batch1"), |b| b.iter(|| net.forward(&x1, Mode::Eval)));
+    let xt = Tensor::randn([train_batch, 3, 16, 16], 1.0, &mut rng);
+    let grad = Tensor::randn([train_batch, cfg.num_classes], 1.0, &mut rng);
+    c.bench_function(&format!("{name}_resnet_train_step_batch{train_batch}"), |b| {
+        b.iter(|| {
+            net.visit_params(&mut |p| p.zero_grad());
+            let logits = net.forward(&xt, Mode::Train);
+            net.backward(&grad);
+            logits
+        })
+    });
 }
 
-fn bench_edge_inference(c: &mut Criterion) {
-    bench_forward(c, "edge", &CifarResNetConfig::repro_scale(100), 0);
-}
-
-fn bench_cloud_inference(c: &mut Criterion) {
+fn cloud_config() -> CifarResNetConfig {
     let mut cfg = CifarResNetConfig::repro_scale(100);
     cfg.blocks_per_stage = 3;
     cfg.channels = [12, 24, 48];
-    bench_forward(c, "cloud", &cfg, 1);
+    cfg
+}
+
+fn bench_edge(c: &mut Criterion) {
+    bench_network(c, "edge", &CifarResNetConfig::repro_scale(100), 10, 0);
+}
+
+fn bench_cloud(c: &mut Criterion) {
+    bench_network(c, "cloud", &cloud_config(), 6, 1);
+}
+
+/// What `Conv2d::backward` runs per image — `dW += dY·colsᵀ`, a zeroed
+/// `Wᵀ·dY` and its `col2im` — once over each of the twelve distinct 3×3
+/// convolutions of the two networks above, into buffers kept across calls
+/// as the layer keeps them across images.
+fn bench_conv_backward_kernels(c: &mut Criterion) {
+    struct Conv {
+        geom: ConvGeom,
+        hw: usize,
+        weight: Tensor,
+        grad_out: Tensor,
+        cols: Tensor,
+        dw: Tensor,
+        grad_cols: Tensor,
+        grad_in: Vec<f32>,
+    }
+    let mut rng = Rng::new(5);
+    let mut convs = Vec::new();
+    for [c1, c2, c3] in [CifarResNetConfig::repro_scale(100).channels, cloud_config().channels] {
+        for (in_c, out_c, hw, stride) in
+            [(3, c1, 16, 1), (c1, c1, 16, 1), (c1, c2, 16, 2), (c2, c2, 8, 1), (c2, c3, 8, 2), (c3, c3, 4, 1)]
+        {
+            let geom = ConvGeom::square(in_c, 3, stride, 1);
+            let (oh, ow) = geom.out_hw(hw, hw);
+            let (patch, ncols) = (geom.patch_len(), oh * ow);
+            convs.push(Conv {
+                geom,
+                hw,
+                weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
+                grad_out: Tensor::randn([out_c, ncols], 1.0, &mut rng),
+                cols: Tensor::randn([patch, ncols], 1.0, &mut rng),
+                dw: Tensor::zeros([out_c, patch]),
+                grad_cols: Tensor::zeros([patch, ncols]),
+                grad_in: vec![0.0; in_c * hw * hw],
+            });
+        }
+    }
+    c.bench_function("conv_backward_kernels", |b| {
+        b.iter(|| {
+            for conv in &mut convs {
+                let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
+                let (g, dw) = (conv.grad_out.as_slice(), conv.dw.as_mut_slice());
+                matmul::gemm_a_bt_into(g, conv.cols.as_slice(), dw, oc, ncols, patch);
+                conv.grad_cols.fill(0.0);
+                matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
+                col2im(&conv.grad_cols, conv.hw, conv.hw, &conv.geom, &mut conv.grad_in);
+            }
+        })
+    });
 }
 
 fn bench_matmul(c: &mut Criterion) {
@@ -71,8 +138,9 @@ fn main() {
     let mut repeats: Vec<Vec<(String, f64)>> = Vec::new();
     for _ in 0..3 {
         let mut c = Criterion::default().sample_size(10);
-        bench_edge_inference(&mut c);
-        bench_cloud_inference(&mut c);
+        bench_edge(&mut c);
+        bench_cloud(&mut c);
+        bench_conv_backward_kernels(&mut c);
         bench_matmul(&mut c);
         bench_int8_inference(&mut c);
         bench_qgemm(&mut c);

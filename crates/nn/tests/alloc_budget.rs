@@ -7,7 +7,7 @@
 //! batch of one never leaves the calling thread.
 
 use mea_nn::layer::zero_grads;
-use mea_nn::layers::Conv2d;
+use mea_nn::layers::{Conv2d, Linear};
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
 use mea_nn::{Layer, Mode};
 use mea_tensor::{Rng, Tensor};
@@ -76,6 +76,23 @@ fn warm_batch1_eval_forward_stays_within_its_allocator_budget() {
     assert!(calls <= EVAL_FORWARD_BUDGET, "{calls} allocator calls in one warm batch-1 eval forward");
     let steady = allocator_calls(|| drop(net.forward(&x, Mode::Eval)));
     assert_eq!(steady, calls, "the count is a property of the network, not of the call");
+}
+
+/// The exit head every request runs: a batch-1 `Linear::forward` is a
+/// one-row `A·Bᵀ`, which must allocate its output tensor and nothing else —
+/// the transposed copy that kernel makes of a many-row operand belongs to
+/// training and must never show up on the serving path.
+#[test]
+fn batch1_linear_forward_allocates_only_its_output() {
+    let mut rng = Rng::new(3);
+    let mut head = Linear::new(32, 10, &mut rng);
+    let output_only = allocator_calls(|| drop(Tensor::zeros([1, 10])));
+    let x = Tensor::randn([1, 32], 1.0, &mut rng);
+    let _warm = head.forward(&x, Mode::Eval);
+    assert_eq!(allocator_calls(|| drop(head.forward(&x, Mode::Eval))), output_only);
+    // The count can tell: a batch of two is packed, and that is seen.
+    let x2 = Tensor::randn([2, 32], 1.0, &mut rng);
+    assert!(allocator_calls(|| drop(head.forward(&x2, Mode::Eval))) > output_only);
 }
 
 /// A layer that has been serving (its patch buffer sized for eval and full

@@ -107,6 +107,14 @@ pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mu
 /// overlapping taps. `cols` must have shape `[C·kh·kw, oh·ow]`; the result
 /// is added into `image_grad` (length `C·H·W`).
 ///
+/// A kernel tap `(ki, kj)` reaches the image from a contiguous range of
+/// output rows and columns, so both ranges are computed once per tap and
+/// nothing inside them tests the border: at stride 1 an output row is added
+/// to its stretch of an image row as one slice, at a larger stride to every
+/// `stride`-th pixel of it. Taps are visited in `(c, ki, kj, oy, ox)` order,
+/// so each pixel of `image_grad` receives its taps in the same order
+/// whatever the geometry — the sum is the per-element loop's, bit for bit.
+///
 /// # Panics
 ///
 /// Panics if shapes disagree with the geometry.
@@ -114,26 +122,33 @@ pub fn col2im(cols: &Tensor, h: usize, w: usize, geom: &ConvGeom, image_grad: &m
     let (oh, ow) = geom.out_hw(h, w);
     assert_eq!(cols.dims(), &[geom.patch_len(), oh * ow], "col2im shape mismatch: {}", cols.shape());
     assert_eq!(image_grad.len(), geom.in_channels * h * w, "image gradient length mismatch");
-    let ncols = oh * ow;
-    let src = cols.as_slice();
-    for c in 0..geom.in_channels {
-        let img_plane = &mut image_grad[c * h * w..(c + 1) * h * w];
+    let (stride, pad, ncols) = (geom.stride, geom.pad, oh * ow);
+    // The output positions `o < outs` whose tap `o·stride + k − pad` falls in `0..size`.
+    let reaching = |k: usize, size: usize, outs: usize| {
+        let end = if size + pad > k { (size + pad - k - 1) / stride + 1 } else { 0 };
+        pad.saturating_sub(k).div_ceil(stride)..end.min(outs)
+    };
+    for (c, img_plane) in image_grad.chunks_exact_mut(h * w).enumerate() {
         for ki in 0..geom.kh {
+            let oys = reaching(ki, h, oh);
             for kj in 0..geom.kw {
-                let row = (c * geom.kh + ki) * geom.kw + kj;
-                let s = &src[row * ncols..(row + 1) * ncols];
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    let dst_row = &mut img_plane[iy as usize * w..(iy as usize + 1) * w];
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let oxs = reaching(kj, w, ow);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let ix0 = oxs.start * stride + kj - pad;
+                let tap = &cols.as_slice()[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
+                for oy in oys.clone() {
+                    let src = &tap[oy * ow..][oxs.clone()];
+                    let dst = &mut img_plane[(oy * stride + ki - pad) * w + ix0..];
+                    if stride == 1 {
+                        for (d, &g) in dst.iter_mut().zip(src) {
+                            *d += g;
                         }
-                        dst_row[ix as usize] += s[oy * ow + ox];
+                    } else {
+                        for (d, &g) in dst.iter_mut().step_by(stride).zip(src) {
+                            *d += g;
+                        }
                     }
                 }
             }
@@ -237,6 +252,66 @@ mod tests {
         col2im(&y, h, w, &g, &mut xgrad);
         let rhs: f64 = x.as_slice().iter().zip(xgrad.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
+    }
+
+    /// The loop [`col2im`] replaced, kept as its reference: every tap of
+    /// every output position, each tested against the border.
+    fn col2im_per_element(cols: &Tensor, h: usize, w: usize, geom: &ConvGeom, image_grad: &mut [f32]) {
+        let (oh, ow) = geom.out_hw(h, w);
+        let ncols = oh * ow;
+        let src = cols.as_slice();
+        for c in 0..geom.in_channels {
+            let img_plane = &mut image_grad[c * h * w..(c + 1) * h * w];
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let row = (c * geom.kh + ki) * geom.kw + kj;
+                    let s = &src[row * ncols..(row + 1) * ncols];
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        let dst_row = &mut img_plane[iy as usize * w..(iy as usize + 1) * w];
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            dst_row[ix as usize] += s[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Row-wise and per-element folding agree bit for bit, into a gradient
+    /// that is not zero on entry, on non-square images including ones
+    /// smaller than the kernel (some taps then reach no pixel at all).
+    #[test]
+    fn col2im_matches_the_per_element_loop_bit_for_bit() {
+        let mut rng = Rng::new(8);
+        for kernel in [1usize, 3, 5] {
+            for stride in [1usize, 2, 3] {
+                for pad in [0usize, 1, 2] {
+                    for (h, w) in [(7, 4), (5, 9), (2, 6)] {
+                        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                            continue;
+                        }
+                        let g = ConvGeom::square(2, kernel, stride, pad);
+                        let (oh, ow) = g.out_hw(h, w);
+                        let cols = Tensor::randn([g.patch_len(), oh * ow], 1.0, &mut rng);
+                        let on_entry = Tensor::randn([2 * h * w], 1.0, &mut rng);
+                        let mut got = on_entry.as_slice().to_vec();
+                        col2im(&cols, h, w, &g, &mut got);
+                        let mut want = on_entry.as_slice().to_vec();
+                        col2im_per_element(&cols, h, w, &g, &mut want);
+                        let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]
