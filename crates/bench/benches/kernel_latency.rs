@@ -6,7 +6,7 @@ use criterion::{BatchSize, Criterion};
 use mea_bench::regression::Reporter;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
-use mea_tensor::conv::{col2im, ConvGeom};
+use mea_tensor::conv::{col2im, im2col_into, ConvGeom};
 use mea_tensor::{matmul, Rng, Tensor};
 
 /// Batch 8 is the sweep regime; batch 1 is the serving regime, where
@@ -48,10 +48,70 @@ fn bench_cloud(c: &mut Criterion) {
     bench_network(c, "cloud", &cloud_config(), 6, 1);
 }
 
+/// The twelve distinct 3×3 convolutions of the two networks above, as
+/// `(geometry, input height = width, output channels)`.
+fn conv_shapes() -> Vec<(ConvGeom, usize, usize)> {
+    let mut shapes = Vec::new();
+    for [c1, c2, c3] in [CifarResNetConfig::repro_scale(100).channels, cloud_config().channels] {
+        for (in_c, out_c, hw, stride) in
+            [(3, c1, 16, 1), (c1, c1, 16, 1), (c1, c2, 16, 2), (c2, c2, 8, 1), (c2, c3, 8, 2), (c3, c3, 4, 1)]
+        {
+            shapes.push((ConvGeom::square(in_c, 3, stride, 1), hw, out_c));
+        }
+    }
+    shapes
+}
+
+/// What `Conv2d::forward` runs per image — `im2col_into` and a zeroed
+/// `W·cols` — once over each of [`conv_shapes`], into buffers kept across
+/// calls as the layer keeps them across images.
+fn bench_conv_forward_kernels(c: &mut Criterion) {
+    struct Conv {
+        geom: ConvGeom,
+        hw: usize,
+        weight: Tensor,
+        image: Tensor,
+        cols: Tensor,
+        out: Tensor,
+    }
+    let mut rng = Rng::new(6);
+    let mut convs: Vec<Conv> = conv_shapes()
+        .into_iter()
+        .map(|(geom, hw, out_c)| {
+            let (oh, ow) = geom.out_hw(hw, hw);
+            let (patch, ncols) = (geom.patch_len(), oh * ow);
+            Conv {
+                geom,
+                hw,
+                weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
+                image: Tensor::randn([geom.in_channels, hw, hw], 1.0, &mut rng),
+                cols: Tensor::zeros([patch, ncols]),
+                out: Tensor::zeros([out_c, ncols]),
+            }
+        })
+        .collect();
+    c.bench_function("conv_forward_kernels", |b| {
+        b.iter(|| {
+            for conv in &mut convs {
+                let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
+                im2col_into(conv.image.as_slice(), conv.hw, conv.hw, &conv.geom, conv.cols.as_mut_slice());
+                conv.out.fill(0.0);
+                matmul::gemm_into(
+                    conv.weight.as_slice(),
+                    conv.cols.as_slice(),
+                    conv.out.as_mut_slice(),
+                    oc,
+                    patch,
+                    ncols,
+                );
+            }
+        })
+    });
+}
+
 /// What `Conv2d::backward` runs per image — `dW += dY·colsᵀ`, a zeroed
-/// `Wᵀ·dY` and its `col2im` — once over each of the twelve distinct 3×3
-/// convolutions of the two networks above, into buffers kept across calls
-/// as the layer keeps them across images.
+/// `Wᵀ·dY` and its `col2im` — once over each of [`conv_shapes`], into
+/// buffers kept across calls as the layer keeps them across images.
 fn bench_conv_backward_kernels(c: &mut Criterion) {
     struct Conv {
         geom: ConvGeom,
@@ -64,15 +124,12 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
         grad_in: Vec<f32>,
     }
     let mut rng = Rng::new(5);
-    let mut convs = Vec::new();
-    for [c1, c2, c3] in [CifarResNetConfig::repro_scale(100).channels, cloud_config().channels] {
-        for (in_c, out_c, hw, stride) in
-            [(3, c1, 16, 1), (c1, c1, 16, 1), (c1, c2, 16, 2), (c2, c2, 8, 1), (c2, c3, 8, 2), (c3, c3, 4, 1)]
-        {
-            let geom = ConvGeom::square(in_c, 3, stride, 1);
+    let mut convs: Vec<Conv> = conv_shapes()
+        .into_iter()
+        .map(|(geom, hw, out_c)| {
             let (oh, ow) = geom.out_hw(hw, hw);
             let (patch, ncols) = (geom.patch_len(), oh * ow);
-            convs.push(Conv {
+            Conv {
                 geom,
                 hw,
                 weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
@@ -80,10 +137,10 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
                 cols: Tensor::randn([patch, ncols], 1.0, &mut rng),
                 dw: Tensor::zeros([out_c, patch]),
                 grad_cols: Tensor::zeros([patch, ncols]),
-                grad_in: vec![0.0; in_c * hw * hw],
-            });
-        }
-    }
+                grad_in: vec![0.0; geom.in_channels * hw * hw],
+            }
+        })
+        .collect();
     c.bench_function("conv_backward_kernels", |b| {
         b.iter(|| {
             for conv in &mut convs {
@@ -133,13 +190,23 @@ fn bench_qgemm(c: &mut Criterion) {
 // load (a concurrent compile once pushed one kernel over the 20%
 // threshold), while a median tolerates one bad repeat without loosening
 // the gate itself.
+//
+// Pinned to one CPU before the first forward (`mea_tensor::parallel` reads
+// the core count once): across the two vCPUs of the reference host the same
+// kernel spreads by 1.5× between runs minutes apart, which no 20 % gate
+// survives.
 fn main() {
+    match mea_bench::pin::pin_to_last_cpu() {
+        Some(cpu) => println!("[kernel_latency] pinned to cpu {cpu}"),
+        None => println!("[kernel_latency] UNPINNED (no /proc or taskset): timings spread beyond the 20 % gate"),
+    }
     let mut rep = Reporter::start("kernel_latency");
     let mut repeats: Vec<Vec<(String, f64)>> = Vec::new();
     for _ in 0..3 {
         let mut c = Criterion::default().sample_size(10);
         bench_edge(&mut c);
         bench_cloud(&mut c);
+        bench_conv_forward_kernels(&mut c);
         bench_conv_backward_kernels(&mut c);
         bench_matmul(&mut c);
         bench_int8_inference(&mut c);

@@ -21,6 +21,7 @@
 #![warn(missing_docs)]
 
 pub mod experiments;
+pub mod pin;
 pub mod regression;
 pub mod scale;
 

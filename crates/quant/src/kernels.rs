@@ -17,7 +17,7 @@
 //! value ranges of the paper's models and considerably clearer.
 
 use crate::qparams::{QMAX, QMIN};
-use mea_tensor::conv::ConvGeom;
+use mea_tensor::conv::{unfold_into, ConvGeom};
 
 /// Unfolds one int8 `[C, H, W]` image into a patch matrix of shape
 /// `[C·kh·kw, oh·ow]`, filling padding taps with the activation
@@ -27,28 +27,9 @@ use mea_tensor::conv::ConvGeom;
 ///
 /// Panics if `image.len() != C·H·W`.
 pub fn qim2col(image: &[i8], h: usize, w: usize, geom: &ConvGeom, zero_point: i8) -> Vec<i8> {
-    assert_eq!(image.len(), geom.in_channels * h * w, "image length mismatch");
     let (oh, ow) = geom.out_hw(h, w);
-    let patch = geom.patch_len();
-    let mut cols = vec![zero_point; patch * oh * ow];
-    let mut r = 0usize;
-    for c in 0..geom.in_channels {
-        let chan = &image[c * h * w..(c + 1) * h * w];
-        for ky in 0..geom.kh {
-            for kx in 0..geom.kw {
-                for oy in 0..oh {
-                    let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
-                    for ox in 0..ow {
-                        let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
-                        if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
-                            cols[r * oh * ow + oy * ow + ox] = chan[iy as usize * w + ix as usize];
-                        }
-                    }
-                }
-                r += 1;
-            }
-        }
-    }
+    let mut cols = vec![0; geom.patch_len() * oh * ow];
+    unfold_into(image, h, w, geom, zero_point, &mut cols);
     cols
 }
 
@@ -129,6 +110,50 @@ mod tests {
         assert!(cols.contains(&-7));
         // And the real pixels survive.
         assert!(cols.contains(&1));
+    }
+
+    /// The loop [`qim2col`] ran before it shared the float unfold, kept as
+    /// its reference: every tap of every output position tested against
+    /// the border, over a buffer of zero-points.
+    fn qim2col_per_element(image: &[i8], h: usize, w: usize, geom: &ConvGeom, zero_point: i8) -> Vec<i8> {
+        let (oh, ow) = geom.out_hw(h, w);
+        let mut cols = vec![zero_point; geom.patch_len() * oh * ow];
+        let mut r = 0usize;
+        for c in 0..geom.in_channels {
+            let chan = &image[c * h * w..(c + 1) * h * w];
+            for ky in 0..geom.kh {
+                for kx in 0..geom.kw {
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride + ky) as isize - geom.pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride + kx) as isize - geom.pad as isize;
+                            if iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize {
+                                cols[r * oh * ow + oy * ow + ox] = chan[iy as usize * w + ix as usize];
+                            }
+                        }
+                    }
+                    r += 1;
+                }
+            }
+        }
+        cols
+    }
+
+    /// Every padding site of the shared unfold — rows above and below,
+    /// columns left and right, taps that reach nothing — takes the
+    /// zero-point, not zero.
+    #[test]
+    fn qim2col_matches_the_per_element_loop_at_a_nonzero_zero_point() {
+        let mut rng = Rng::new(5);
+        for (kernel, stride, pad) in [(3, 1, 1), (3, 2, 1), (5, 1, 2), (3, 3, 4), (1, 2, 2)] {
+            for (h, w) in [(6, 5), (2, 7), (1, 1)] {
+                let geom = ConvGeom::square(2, kernel, stride, pad);
+                let img: Vec<i8> = (0..2 * h * w).map(|_| rng.uniform_range(-128.0, 127.0) as i8).collect();
+                let got = qim2col(&img, h, w, &geom, -7);
+                assert_eq!(got, qim2col_per_element(&img, h, w, &geom, -7), "{geom:?} on {h}x{w}");
+                assert!(got.contains(&-7));
+            }
+        }
     }
 
     #[test]

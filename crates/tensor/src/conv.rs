@@ -4,9 +4,17 @@
 //! matrix `cols` has shape `[C·kh·kw, oh·ow]`, and the layer computes
 //! `W · cols` with `W: [C_out, C·kh·kw]`. The backward pass uses
 //! [`col2im`] to scatter patch gradients back onto the input image.
+//!
+//! Both transforms walk the patch matrix a tap `(c, ki, kj)` at a time, and
+//! a tap's source pixel is inside the image for a contiguous range of output
+//! rows and of output columns ([`ConvGeom::reaching`]). The ranges are
+//! computed once per tap and nothing inside them tests the border: at stride
+//! 1 an output row and its stretch of an image row are two slices, at a
+//! larger stride the image side takes every `stride`-th pixel.
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
+use std::ops::Range;
 
 /// Geometry of a 2-D convolution (square stride/padding, no dilation —
 /// sufficient for ResNet and MobileNetV2 family architectures).
@@ -51,6 +59,15 @@ impl ConvGeom {
     pub fn patch_len(&self) -> usize {
         self.in_channels * self.kh * self.kw
     }
+
+    /// The output positions `o < outs` whose kernel tap `k` reads a pixel of
+    /// the image rather than padding — `o·stride + k − pad` falls in
+    /// `0..size` — along one spatial dimension. Possibly empty, never
+    /// inverted.
+    pub fn reaching(&self, k: usize, size: usize, outs: usize) -> Range<usize> {
+        let end = if size + self.pad > k { (size + self.pad - k - 1) / self.stride + 1 } else { 0 }.min(outs);
+        self.pad.saturating_sub(k).div_ceil(self.stride).min(end)..end
+    }
 }
 
 /// Unfolds one `[C, H, W]` image (given as a raw slice) into a patch matrix
@@ -76,26 +93,49 @@ pub fn im2col(image: &[f32], h: usize, w: usize, geom: &ConvGeom) -> Tensor {
 ///
 /// Panics if `image.len() != C·H·W` or `cols` has the wrong length.
 pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mut [f32]) {
+    unfold_into(image, h, w, geom, 0.0, cols);
+}
+
+/// [`im2col_into`] for any element type, padding taps written as `padding`
+/// (zero for floats, the activation zero-point for quantised images).
+///
+/// Per tap, the output rows and columns outside [`ConvGeom::reaching`] are
+/// filled with `padding` and the rest copied from the image, one slice per
+/// output row at stride 1.
+///
+/// # Panics
+///
+/// Panics if `image.len() != C·H·W` or `cols` has the wrong length.
+pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, padding: T, cols: &mut [T]) {
     assert_eq!(image.len(), geom.in_channels * h * w, "image length mismatch");
     let (oh, ow) = geom.out_hw(h, w);
     let ncols = oh * ow;
     assert_eq!(cols.len(), geom.patch_len() * ncols, "patch matrix length mismatch");
+    let (stride, pad) = (geom.stride, geom.pad);
     for c in 0..geom.in_channels {
-        let img_plane = &image[c * h * w..(c + 1) * h * w];
+        let img_plane = &image[c * h * w..][..h * w];
         for ki in 0..geom.kh {
+            let oys = geom.reaching(ki, h, oh);
             for kj in 0..geom.kw {
-                let row = (c * geom.kh + ki) * geom.kw + kj;
-                let dst = &mut cols[row * ncols..(row + 1) * ncols];
-                for (oy, dst_row) in dst.chunks_exact_mut(ow).enumerate() {
-                    let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
-                    if iy < 0 || iy >= h as isize {
-                        dst_row.fill(0.0);
-                        continue;
-                    }
-                    let src_row = &img_plane[iy as usize * w..(iy as usize + 1) * w];
-                    for (ox, dst) in dst_row.iter_mut().enumerate() {
-                        let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
-                        *dst = if ix < 0 || ix >= w as isize { 0.0 } else { src_row[ix as usize] };
+                let tap = &mut cols[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
+                let oxs = geom.reaching(kj, w, ow);
+                if oxs.is_empty() {
+                    tap.fill(padding);
+                    continue;
+                }
+                tap[..oys.start * ow].fill(padding);
+                tap[oys.end * ow..].fill(padding);
+                for (oy, dst_row) in oys.clone().zip(tap[oys.start * ow..oys.end * ow].chunks_exact_mut(ow)) {
+                    let src = &img_plane[(oy * stride + ki - pad) * w + oxs.start * stride + kj - pad..];
+                    dst_row[..oxs.start].fill(padding);
+                    dst_row[oxs.end..].fill(padding);
+                    let dst = &mut dst_row[oxs.clone()];
+                    if stride == 1 {
+                        dst.copy_from_slice(&src[..dst.len()]);
+                    } else {
+                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d = v;
+                        }
                     }
                 }
             }
@@ -107,10 +147,9 @@ pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mu
 /// overlapping taps. `cols` must have shape `[C·kh·kw, oh·ow]`; the result
 /// is added into `image_grad` (length `C·H·W`).
 ///
-/// A kernel tap `(ki, kj)` reaches the image from a contiguous range of
-/// output rows and columns, so both ranges are computed once per tap and
-/// nothing inside them tests the border: at stride 1 an output row is added
-/// to its stretch of an image row as one slice, at a larger stride to every
+/// The adjoint of [`im2col_into`], tap by tap over the same
+/// [`ConvGeom::reaching`] ranges: at stride 1 an output row is added to its
+/// stretch of an image row as one slice, at a larger stride to every
 /// `stride`-th pixel of it. Taps are visited in `(c, ki, kj, oy, ox)` order,
 /// so each pixel of `image_grad` receives its taps in the same order
 /// whatever the geometry — the sum is the per-element loop's, bit for bit.
@@ -123,16 +162,11 @@ pub fn col2im(cols: &Tensor, h: usize, w: usize, geom: &ConvGeom, image_grad: &m
     assert_eq!(cols.dims(), &[geom.patch_len(), oh * ow], "col2im shape mismatch: {}", cols.shape());
     assert_eq!(image_grad.len(), geom.in_channels * h * w, "image gradient length mismatch");
     let (stride, pad, ncols) = (geom.stride, geom.pad, oh * ow);
-    // The output positions `o < outs` whose tap `o·stride + k − pad` falls in `0..size`.
-    let reaching = |k: usize, size: usize, outs: usize| {
-        let end = if size + pad > k { (size + pad - k - 1) / stride + 1 } else { 0 };
-        pad.saturating_sub(k).div_ceil(stride)..end.min(outs)
-    };
     for (c, img_plane) in image_grad.chunks_exact_mut(h * w).enumerate() {
         for ki in 0..geom.kh {
-            let oys = reaching(ki, h, oh);
+            let oys = geom.reaching(ki, h, oh);
             for kj in 0..geom.kw {
-                let oxs = reaching(kj, w, ow);
+                let oxs = geom.reaching(kj, w, ow);
                 if oxs.is_empty() {
                     continue;
                 }
@@ -229,6 +263,67 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The loop [`im2col_into`] replaced, kept as its reference: every tap
+    /// of every output position, each tested against the border.
+    fn im2col_per_element(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mut [f32]) {
+        let (oh, ow) = geom.out_hw(h, w);
+        let ncols = oh * ow;
+        for c in 0..geom.in_channels {
+            let img_plane = &image[c * h * w..(c + 1) * h * w];
+            for ki in 0..geom.kh {
+                for kj in 0..geom.kw {
+                    let row = (c * geom.kh + ki) * geom.kw + kj;
+                    for oy in 0..oh {
+                        let iy = (oy * geom.stride + ki) as isize - geom.pad as isize;
+                        for ox in 0..ow {
+                            let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
+                            let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
+                            cols[row * ncols + oy * ow + ox] =
+                                if inside { img_plane[iy as usize * w + ix as usize] } else { 0.0 };
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Row-wise and per-element unfolding agree bit for bit, into a
+    /// poisoned buffer, on non-square images including ones smaller than
+    /// the kernel and a single pixel, and with `pad ≥ kernel`, where some
+    /// taps find nothing but padding along a whole row or column range.
+    #[test]
+    fn im2col_into_matches_the_per_element_loop_bit_for_bit() {
+        let mut rng = Rng::new(9);
+        let (mut geometries, mut all_padding_taps) = (0, 0);
+        for kernel in [1usize, 3, 5] {
+            for stride in [1usize, 2, 3] {
+                for pad in [0usize, 1, 2, 4] {
+                    for (h, w) in [(7, 4), (5, 9), (2, 6), (3, 1), (1, 1)] {
+                        if h + 2 * pad < kernel || w + 2 * pad < kernel {
+                            continue;
+                        }
+                        let g = ConvGeom::square(2, kernel, stride, pad);
+                        let (oh, ow) = g.out_hw(h, w);
+                        let x = Tensor::randn([2 * h * w], 1.0, &mut rng);
+                        let mut got = vec![f32::NAN; g.patch_len() * oh * ow];
+                        im2col_into(x.as_slice(), h, w, &g, &mut got);
+                        let mut want = vec![f32::NAN; got.len()];
+                        im2col_per_element(x.as_slice(), h, w, &g, &mut want);
+                        let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                        assert!(same, "kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}");
+                        geometries += 1;
+                        all_padding_taps +=
+                            want.chunks_exact(oh * ow).filter(|tap| tap.iter().all(|&v| v == 0.0)).count();
+                    }
+                }
+            }
+        }
+        assert!(
+            geometries > 100 && all_padding_taps > 0,
+            "{geometries} geometries, {all_padding_taps} empty taps"
+        );
     }
 
     #[test]

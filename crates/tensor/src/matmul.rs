@@ -11,23 +11,20 @@
 //! already owns its output (a convolution writing one image of a batch, a
 //! gradient summed over images) pays for neither a temporary nor a copy.
 //!
-//! # Two kernels
+//! # One tile, three operand layouts
 //!
-//! [`gemm_into`], the product every served request runs, is the `i-k-j`
-//! loop: a row of `C` takes `aik · B[k]` for each `k`, the `j` loop
-//! vectorises, and a zero `aik` is skipped.
+//! All three kernels run on one register tile: `MR × NR` accumulators stay
+//! in registers for all of `k` while each step takes `NR` contiguous
+//! elements of one operand (the *wide* one) and `MR` strided elements of the
+//! other (the *tall* one, read through strides so that `A` and `Aᵀ` are the
+//! same code). Edges reuse the same body: half as wide, then one column at a
+//! time, and one row at a time. A kernel is a choice of which operand is
+//! tall, which is wide, and where the accumulators start and end up:
 //!
-//! [`gemm_at_b_into`] and [`gemm_a_bt_into`], the products of a training
-//! step, run on one register tile: `MR × NR` accumulators stay in registers
-//! for all of `k` while each step takes `NR` contiguous elements of one
-//! operand (the *wide* one) and `MR` strided elements of the other (the
-//! *tall* one, read through strides so that `A` and `Aᵀ` are the same
-//! code). Edges reuse the same body: half as wide, then one column at a
-//! time, and one row at a time.
-//!
-//! * `Aᵀ·B` loads a tile of `C`, adds its `k` terms and stores it once,
-//!   where the row loop re-streamed all of `C` for every `k`. `B` is wide as
-//!   it lies.
+//! * `A·B`, the product every served request runs: `A` is tall as it lies
+//!   (a row is `k` apart, a term one apart), `B` is wide as it lies, and a
+//!   tile of `C` is loaded, takes its `k` terms and is stored once.
+//! * `Aᵀ·B` is the same with the strides of `A` exchanged.
 //! * `A·Bᵀ` is `m·n` dot products, and one dot product is one chain of
 //!   additions that cannot be vectorised without reordering it. So the
 //!   operand with fewer rows is copied transposed (`1/rows-of-the-other` of
@@ -40,20 +37,23 @@
 //! # What the bits depend on
 //!
 //! Nothing but the operands. Every element of `C` sums its `k` terms in
-//! ascending order — `Aᵀ·B` and `A·B` onto the value `C` held, `A·Bᵀ` from
+//! ascending order — `A·B` and `Aᵀ·B` onto the value `C` held, `A·Bᵀ` from
 //! zero and then onto `C` — whichever tile, edge or band it falls in, and
 //! no product is fused into its addition. A product below 2²⁰
 //! multiply-adds, on a one-core host, or called from inside another op's
 //! band runs on the calling thread; otherwise [`crate::parallel`] gives
 //! each core a contiguous band of `C`'s rows.
 //!
-//! The tile has no zero-skip branch. For finite operands that changes no
-//! bit: a skipped term is `±0`, `x + ±0 = x` for every `x` but `−0`, and a
-//! sum that starts at `+0` (every caller's `C` does) never becomes `−0`.
-//! For a non-finite operand it is the point: `0 · NaN` is `NaN`, and a
-//! branch that skips it lets a diverged upstream gradient reach some rows
-//! of a gradient and not others, so that a broken step can look finite.
-//! [`gemm_into`] keeps its branch until it moves onto the tile.
+//! The tile has no zero-skip branch, which the row loops it replaced had.
+//! For finite operands that changes no bit but one: a skipped term is `±0`,
+//! `x + ±0 = x` for every `x` except that `−0 + +0 = +0`, and a sum that
+//! starts at `+0` (every caller's `C` does) never becomes `−0`. A `C` that
+//! holds `−0` on entry is the one case in which the branch could show — it
+//! kept the `−0` where the tile may return `+0`. For a non-finite operand
+//! the missing branch is the point: `0 · NaN` is `NaN`, and a branch that
+//! skips it lets a `NaN` activation or a diverged upstream gradient reach
+//! some rows of the result and not others, so that a broken forward or step
+//! can look finite.
 
 use crate::parallel;
 use crate::tensor::Tensor;
@@ -122,27 +122,6 @@ fn band_rows(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> O
     );
     let flops = m * n * k;
     (flops > 0).then(|| if flops >= PARALLEL_FLOP_THRESHOLD { parallel::band_len(m) } else { m })
-}
-
-/// `C += A·B` on row-major slices, `A: [m, k]`, `B: [k, n]`, `C: [m, n]`.
-///
-/// # Panics
-///
-/// Panics if a slice length disagrees with `m`, `k`, `n`.
-pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-    parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-        for (crow, arow) in c_band.chunks_exact_mut(n).zip(a_band.chunks_exact(k)) {
-            for (&aik, brow) in arow.iter().zip(b.chunks_exact(n)) {
-                if aik == 0.0 {
-                    continue;
-                }
-                for (cv, &bv) in crow.iter_mut().zip(brow) {
-                    *cv += aik * bv;
-                }
-            }
-        }
-    });
 }
 
 /// Rows and columns of the register tile. `MR × NR` accumulators are eight
@@ -291,6 +270,20 @@ fn transposed(matrix: &[f32], k: usize) -> Vec<f32> {
         }
     }
     out
+}
+
+/// `C += A·B` on row-major slices, `A: [m, k]`, `B: [k, n]`, `C: [m, n]`:
+/// each element of `C` takes its `k` terms in ascending order, none skipped.
+///
+/// # Panics
+///
+/// Panics if a slice length disagrees with `m`, `k`, `n`.
+pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+    let Some(band) = band_rows(a, b, c, m, k, n) else { return };
+    parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
+        let tall = Strided { data: a_band, row: k, col: 1 };
+        sweep(tall, a_band.len() / k, b, n, k, &mut Running { c: c_band, n });
+    });
 }
 
 /// `C += A·Bᵀ` on row-major slices, `A: [m, k]`, `B: [n, k]`, `C: [m, n]`:
@@ -567,13 +560,12 @@ mod tests {
     /// that is bit-neutral — checked against a reference that does skip, on
     /// an `A` that is mostly `±0` — and for a non-finite `B[k][j]` it is the
     /// fix: the `NaN` reaches `C[i][j]` for every `i`, also through a zero
-    /// `A[k][i]`, and no other column.
-    #[test]
-    fn at_b_takes_every_term_zero_or_not() {
-        let mut rng = Rng::new(12);
+    /// `A[i][k]`, and no other column. `kernel` indexes [`three_products`].
+    fn takes_every_term_zero_or_not(seed: u64, kernel: usize) {
+        let mut rng = Rng::new(seed);
         let (m, k, n) = (10, 6, 11);
-        let mut a_t = Tensor::randn([k, m], 1.0, &mut rng);
-        for (i, v) in a_t.as_mut_slice().iter_mut().enumerate() {
+        let mut a = Tensor::randn([m, k], 1.0, &mut rng);
+        for (i, v) in a.as_mut_slice().iter_mut().enumerate() {
             match i % 3 {
                 0 => *v = 0.0,
                 1 => *v = -0.0,
@@ -582,26 +574,35 @@ mod tests {
         }
         let mut b = Tensor::randn([k, n], 1.0, &mut rng);
         for c_on_entry in [Tensor::zeros([m, n]), Tensor::randn([m, n], 1.0, &mut rng)] {
-            let mut got = c_on_entry.as_slice().to_vec();
-            gemm_at_b_into(a_t.as_slice(), b.as_slice(), &mut got, m, k, n);
+            let got = &three_products(&a, &b, c_on_entry.as_slice())[kernel];
             let mut skipping = c_on_entry.as_slice().to_vec();
             for (i, j, p) in (0..m).flat_map(|i| (0..n).flat_map(move |j| (0..k).map(move |p| (i, j, p)))) {
-                if a_t.at(&[p, i]) != 0.0 {
-                    skipping[i * n + j] += a_t.at(&[p, i]) * b.at(&[p, j]);
+                if a.at(&[i, p]) != 0.0 {
+                    skipping[i * n + j] += a.at(&[i, p]) * b.at(&[p, j]);
                 }
             }
-            assert_eq!(bits(&got), bits(&skipping));
+            assert_eq!(bits(got), bits(&skipping));
         }
 
         let (bad_k, bad_j) = (1, 4);
-        assert!((0..m).any(|i| a_t.at(&[bad_k, i]) == 0.0), "some rows meet the NaN through a zero");
+        assert!((0..m).any(|i| a.at(&[i, bad_k]) == 0.0), "some rows meet the NaN through a zero");
         b.set(&[bad_k, bad_j], f32::NAN);
-        let c = matmul_at_b(&a_t, &b);
-        for i in 0..m {
-            for j in 0..n {
-                assert_eq!(c.at(&[i, j]).is_nan(), j == bad_j, "C[{i}][{j}]");
-            }
+        let c = &three_products(&a, &b, &vec![0.0; m * n])[kernel];
+        for (at, v) in c.iter().enumerate() {
+            assert_eq!(v.is_nan(), at % n == bad_j, "C[{}][{}]", at / n, at % n);
         }
+    }
+
+    #[test]
+    fn at_b_takes_every_term_zero_or_not() {
+        takes_every_term_zero_or_not(12, 2);
+    }
+
+    /// The forward's twin: a `NaN` activation behind a zero weight reaches
+    /// every output channel of its pixel, not only those with a weight on it.
+    #[test]
+    fn a_b_takes_every_term_zero_or_not() {
+        takes_every_term_zero_or_not(13, 0);
     }
 
     #[test]
