@@ -8,9 +8,10 @@
 //! A compact binary codec (length-prefixed shape + little-endian payload)
 //! over [`bytes`] makes the transfer concrete for the threaded simulator.
 
-use bytes::{Buf, BufMut, Bytes};
+use bytes::{BufMut, Bytes};
 use mea_quant::{wire, QTensor, QuantParams};
-use mea_tensor::Tensor;
+use mea_tensor::reader::put_dims;
+use mea_tensor::{Reader, Tensor, WireError};
 use std::borrow::Cow;
 
 /// Calibrated per-channel int8 activation grids, one per partition cut.
@@ -27,7 +28,8 @@ use std::borrow::Cow;
 ///
 /// Entries are indexed by cut layer; `None` marks cuts that were never
 /// calibrated (offloads at those cuts must use a self-describing wire).
-#[derive(Debug, Clone, PartialEq)]
+/// The default table is empty: no cut is calibrated.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ActivationGrids {
     per_cut: Vec<Option<QuantParams>>,
 }
@@ -48,11 +50,6 @@ impl ActivationGrids {
     /// The calibrated parameters at `cut`, if any.
     pub fn params(&self, cut: usize) -> Option<&QuantParams> {
         self.per_cut.get(cut).and_then(|p| p.as_ref())
-    }
-
-    /// Number of cut slots in the table.
-    pub fn cuts(&self) -> usize {
-        self.per_cut.len()
     }
 }
 
@@ -108,8 +105,8 @@ impl Payload {
     /// `mea_quant::wire` frame (1 byte/element plus parameter header).
     pub fn wire_size_bytes(&self) -> u64 {
         match self {
-            Payload::RawImage { image } => header_len(image) + image.numel() as u64,
-            Payload::Features { features } => header_len(features) + 4 * features.numel() as u64,
+            Payload::RawImage { image } => 2 + 4 * image.shape().rank() as u64 + image.numel() as u64,
+            Payload::Features { features } => 2 + 4 * features.shape().rank() as u64 + 4 * features.numel() as u64,
             Payload::QuantFeatures { features } => 1 + wire::encoded_len(features),
         }
     }
@@ -128,9 +125,9 @@ impl Payload {
     /// bytes as `Payload::RawImage { .. }.encode()` without constructing
     /// (and cloning into) the enum first.
     pub fn encode_raw_image(image: &Tensor) -> Bytes {
-        let mut buf = Vec::with_capacity(header_len(image) as usize + image.numel());
+        let mut buf = Vec::with_capacity(2 + 4 * image.shape().rank() + image.numel());
         buf.put_u8(0);
-        put_header(&mut buf, image);
+        put_dims(&mut buf, image.dims());
         // Quantise [-2, 2] → u8, mirroring a sensor's 8-bit output.
         buf.extend(image.as_slice().iter().map(|&v| ((v + 2.0) / 4.0 * 255.0).clamp(0.0, 255.0) as u8));
         Bytes::from(buf)
@@ -138,9 +135,9 @@ impl Payload {
 
     /// Encodes an f32 feature payload straight from a borrowed tensor.
     pub fn encode_features(features: &Tensor) -> Bytes {
-        let mut buf = Vec::with_capacity(header_len(features) as usize + 4 * features.numel());
+        let mut buf = Vec::with_capacity(2 + 4 * features.shape().rank() + 4 * features.numel());
         buf.put_u8(1);
-        put_header(&mut buf, features);
+        put_dims(&mut buf, features.dims());
         for &v in features.as_slice() {
             buf.put_f32_le(v);
         }
@@ -199,84 +196,71 @@ impl Payload {
         Bytes::from(buf)
     }
 
-    /// Decodes a payload produced by [`Payload::encode`].
+    /// Decodes a payload produced by [`Payload::encode`]; a grid-indexed
+    /// frame (tag 3) decodes only through [`Payload::decode_into_with_grids`].
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed buffer (wrong tag, truncated data).
-    pub fn decode(buf: Bytes) -> Payload {
-        let tag = buf[0];
-        if tag == 2 {
-            let (features, _) = wire::decode(&buf[1..]);
-            return Payload::QuantFeatures { features };
+    /// Returns a [`WireError`] on a malformed buffer, and on tag 3.
+    pub fn decode(buf: Bytes) -> Result<Payload, WireError> {
+        if let Some((&2, frame)) = buf.split_first() {
+            return Ok(Payload::QuantFeatures { features: wire::try_decode(frame)?.0 });
         }
+        let raw = buf.first() == Some(&0);
         let mut data = Vec::new();
-        let dims = Self::decode_into(buf, &mut data);
-        let t = Tensor::from_vec(data, &dims).expect("decoded shape");
-        match tag {
-            0 => Payload::RawImage { image: t },
-            1 => Payload::Features { features: t },
-            t => unreachable!("decode_into rejected tag {t}"),
-        }
+        let dims = Self::decode_into_with_grids(buf, &ActivationGrids::default(), &mut data)?;
+        let t = Tensor::from_vec(data, &dims).map_err(|_| WireError::BadShape)?;
+        Ok(if raw { Payload::RawImage { image: t } } else { Payload::Features { features: t } })
+    }
+
+    /// [`Payload::decode_into_with_grids`] with no grid table, panicking
+    /// on a malformed buffer. Kept only because the benchmark crate calls
+    /// it by this name.
+    pub fn decode_into(buf: Bytes, out: &mut Vec<f32>) -> Vec<usize> {
+        Self::decode_into_with_grids(buf, &ActivationGrids::default(), out).expect("malformed payload frame")
     }
 
     /// Decodes the payload's f32 tensor data straight into `out`
     /// (appending; bit-identical values to
-    /// `Payload::decode(buf).into_tensor()`), returning the tensor dims.
+    /// `Payload::decode(buf)?.into_tensor()`), returning the tensor dims.
     /// This is the cloud worker's batch-assembly path: consecutive
     /// payloads decode into one reused scratch arena, so stacking a batch
-    /// needs no per-frame tensor allocation and no concat pass.
+    /// needs no per-frame tensor allocation and no concat pass. A
+    /// grid-indexed frame (tag 3) decodes against the `grids` entry
+    /// (possibly none) for its cut, and its dims regain the batch axis.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a malformed buffer (wrong tag, truncated data).
-    pub fn decode_into(mut buf: Bytes, out: &mut Vec<f32>) -> Vec<usize> {
-        let tag = buf.get_u8();
-        if tag == 2 {
-            let (features, _) = wire::decode(&buf);
-            features.dequantize_into(out);
-            return features.dims().to_vec();
-        }
-        let rank = buf.get_u8() as usize;
-        let dims: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
-        let numel: usize = dims.iter().product();
-        out.reserve(numel);
-        match tag {
-            // Bulk little-endian conversion over the remaining slice: the
-            // frame is decoded in place, not element-by-element through a
-            // cursor.
-            0 => out.extend(buf.chunk()[..numel].iter().map(|&b| (b as f32 / 255.0) * 4.0 - 2.0)),
-            1 => out.extend(
-                buf.chunk()[..4 * numel].chunks_exact(4).map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]])),
-            ),
-            t => panic!("unknown payload tag {t}"),
-        }
-        dims
-    }
-
-    /// [`Payload::decode_into`] extended with the grid-indexed frame
-    /// (payload tag 3): the frame's cut index selects the shared
-    /// calibrated [`ActivationGrids`] entry, the params-less frame decodes
-    /// against it, and the dequantized values append to `out` with the
-    /// single-instance batch axis reinstated in the returned dims. All
-    /// other tags fall through to [`Payload::decode_into`] unchanged.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed buffer or a cut with no calibrated grid.
-    pub fn decode_into_with_grids(mut buf: Bytes, grids: &ActivationGrids, out: &mut Vec<f32>) -> Vec<usize> {
-        if buf[0] != 3 {
-            return Self::decode_into(buf, out);
-        }
-        buf.advance(1);
-        let cut = buf.get_u8() as usize;
-        let params = grids.params(cut).unwrap_or_else(|| panic!("no activation grid calibrated for cut {cut}"));
-        let (q, _) = wire::decode_indexed(&buf, params);
+    /// Returns a [`WireError`] on a malformed buffer or a cut with no
+    /// calibrated grid; `out` may then hold a partial append.
+    pub fn decode_into_with_grids(
+        buf: Bytes,
+        grids: &ActivationGrids,
+        out: &mut Vec<f32>,
+    ) -> Result<Vec<usize>, WireError> {
+        let mut r = Reader::new(&buf);
+        let tag = r.u8()?;
+        let (q, batch_axis) = match tag {
+            0 | 1 => {
+                let rank = r.u8()? as usize;
+                let (dims, numel) = r.dims(rank)?;
+                if tag == 0 {
+                    out.extend(r.take(numel)?.iter().map(|&b| (b as f32 / 255.0) * 4.0 - 2.0));
+                } else {
+                    out.extend(r.f32s(numel)?);
+                }
+                return Ok(dims);
+            }
+            2 => (wire::try_decode(r.rest())?.0, None),
+            3 => {
+                let cut = r.u8()? as usize;
+                let params = grids.params(cut).ok_or(WireError::NoGrid(cut))?;
+                (wire::decode_indexed(r.rest(), params.clone())?.0, Some(1))
+            }
+            t => return Err(WireError::UnknownTag(t)),
+        };
         q.dequantize_into(out);
-        let mut dims = Vec::with_capacity(q.dims().len() + 1);
-        dims.push(1);
-        dims.extend_from_slice(q.dims());
-        dims
+        Ok(batch_axis.into_iter().chain(q.dims().iter().copied()).collect())
     }
 
     /// The f32 tensor the cloud computes on, consuming the payload —
@@ -311,17 +295,6 @@ impl Payload {
     }
 }
 
-fn put_header(buf: &mut Vec<u8>, t: &Tensor) {
-    buf.put_u8(t.shape().rank() as u8);
-    for &d in t.dims() {
-        buf.put_u32_le(d as u32);
-    }
-}
-
-fn header_len(t: &Tensor) -> u64 {
-    2 + 4 * t.shape().rank() as u64
-}
-
 /// Wire size of a raw image with the paper's 1-byte-per-sample accounting
 /// and *no* header — the exact quantity in Table VII (`32·32·3` bytes for
 /// CIFAR, `224·224·3` for ImageNet).
@@ -344,7 +317,7 @@ mod tests {
         let mut rng = Rng::new(0);
         let t = Tensor::randn([2, 3, 4, 4], 1.0, &mut rng);
         let p = Payload::Features { features: t.clone() };
-        let decoded = Payload::decode(p.encode());
+        let decoded = Payload::decode(p.encode()).unwrap();
         match decoded {
             Payload::Features { features } => assert_eq!(features, t),
             _ => panic!("wrong variant"),
@@ -356,7 +329,7 @@ mod tests {
         let mut rng = Rng::new(1);
         let t = Tensor::randn([3, 8, 8], 0.5, &mut rng);
         let p = Payload::RawImage { image: t.clone() };
-        let d = Payload::decode(p.encode()).into_tensor();
+        let d = Payload::decode(p.encode()).unwrap().into_tensor();
         assert_eq!(d.dims(), t.dims());
         for (a, b) in d.as_slice().iter().zip(t.as_slice()) {
             assert!((a - b).abs() < 4.0 / 255.0 + 1e-4, "{a} vs {b}");
@@ -368,7 +341,7 @@ mod tests {
         let mut rng = Rng::new(5);
         let t = Tensor::randn([1, 4, 4, 4], 1.0, &mut rng);
         let p = Payload::quantize_features(&t);
-        let decoded = Payload::decode(p.encode());
+        let decoded = Payload::decode(p.encode()).unwrap();
         assert_eq!(decoded, p, "int8 wire round trip must be bit-exact");
         let d = decoded.into_tensor();
         assert_eq!(d.dims(), t.dims());
@@ -467,8 +440,8 @@ mod tests {
             assert_eq!(dims_a, dims_b);
             // …and the arena holds exactly the concatenation of the
             // per-payload decodes, bit for bit.
-            let ta = Payload::decode(payloads[0].encode()).into_tensor();
-            let tb = Payload::decode(payloads[1].encode()).into_tensor();
+            let ta = Payload::decode(payloads[0].encode()).unwrap().into_tensor();
+            let tb = Payload::decode(payloads[1].encode()).unwrap().into_tensor();
             let expect: Vec<f32> = ta.as_slice().iter().chain(tb.as_slice()).copied().collect();
             assert_eq!(arena, expect);
         }
@@ -481,7 +454,7 @@ mod tests {
         let grids = ActivationGrids::from_absmax(vec![None, Some(channel_absmax(&t))]);
         let buf = Payload::encode_grid_features(&t, 1, &grids);
         let mut arena = Vec::new();
-        let dims = Payload::decode_into_with_grids(buf.clone(), &grids, &mut arena);
+        let dims = Payload::decode_into_with_grids(buf.clone(), &grids, &mut arena).unwrap();
         assert_eq!(dims, vec![1, 8, 3, 3]);
         // The decode is exactly quantize → dequantize on the shared grid.
         let params = grids.params(1).unwrap();
@@ -516,7 +489,7 @@ mod tests {
         let grids = ActivationGrids::new(vec![]);
         for buf in [Payload::encode_features(&t), Payload::encode_quantized_features(&t)] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
-            let da = Payload::decode_into_with_grids(buf.clone(), &grids, &mut a);
+            let da = Payload::decode_into_with_grids(buf.clone(), &grids, &mut a).unwrap();
             let db = Payload::decode_into(buf, &mut b);
             assert_eq!(da, db);
             assert_eq!(a, b);

@@ -337,7 +337,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     scratch: &mut Vec<f32>,
 ) -> bool {
     let (cfg, transport, counters, shared) = (ctx.cfg, &ctx.transport, &ctx.counters, &ctx.policy);
-    let (suffix_macs, grids) = (&ctx.suffix_macs, ctx.grids.as_ref());
+    let (suffix_macs, grids) = (&ctx.suffix_macs, &ctx.grids);
     let measured = cfg.transport.is_measured();
     let payload_bytes: u64 = batch.iter().map(|b| b.frame.payload.len() as u64).sum();
     let response_bytes = RESPONSE_WIRE_BYTES * batch.len() as u64;
@@ -402,10 +402,10 @@ pub(crate) fn process_cloud_batch<T: Transport>(
         scratch.clear();
         let mut frame_dims: Option<Vec<usize>> = None;
         for f in &group {
-            let dims = match grids {
-                Some(g) => Payload::decode_into_with_grids(f.payload.clone(), g, scratch),
-                None => Payload::decode_into(f.payload.clone(), scratch),
-            };
+            // Every in-process wire carries frames this process encoded, so
+            // an undecodable payload is a bug here, not a fault on the wire.
+            let dims = Payload::decode_into_with_grids(f.payload.clone(), grids, scratch)
+                .unwrap_or_else(|e| panic!("request {}: undecodable payload: {e}", f.req_id));
             match &frame_dims {
                 Some(prev) => assert_eq!(prev, &dims, "coalesced group mixes tensor shapes"),
                 None => frame_dims = Some(dims),

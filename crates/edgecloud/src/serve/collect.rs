@@ -137,8 +137,8 @@ pub(crate) struct WorkerCtx<'a, T: Transport> {
     pub(crate) transport: T,
     pub(crate) policy: Mutex<PolicyState>,
     /// Calibrated per-channel activation grids, shared by edge encoders
-    /// and cloud decoders out of band.
-    pub(crate) grids: Option<ActivationGrids>,
+    /// and cloud decoders out of band (empty when no wire needs them).
+    pub(crate) grids: ActivationGrids,
     /// Offloaded requests park here until their response frame returns
     /// (the wire carries only the request id and the prediction back).
     pub(crate) pending: Mutex<Vec<Option<PendingEntry>>>,
@@ -175,7 +175,7 @@ pub(crate) fn serve_core<T: Transport>(
     // once from the first request's activations at every cut, with
     // headroom for hotter inputs.
     let wants_grids = governed || cfg.control.feature_wire() == Some(FeatureWire::PerChannelInt8);
-    let grids: Option<ActivationGrids> = match (wants_grids, requests.first()) {
+    let grids = match (wants_grids, requests.first()) {
         (true, Some(first)) => {
             let prefix = edges[0].cloud_prefix.as_mut().expect("validated in try_serve()");
             let per_cut = (0..prefix.cut_layer_count())
@@ -184,9 +184,9 @@ pub(crate) fn serve_core<T: Transport>(
                     Some(channel_absmax(&act).iter().map(|a| (a * GRID_HEADROOM).max(1e-6)).collect())
                 })
                 .collect();
-            Some(ActivationGrids::from_absmax(per_cut))
+            ActivationGrids::from_absmax(per_cut)
         }
-        _ => None,
+        _ => ActivationGrids::default(),
     };
     // Completions of offloaded requests pass a per-device reorder gate,
     // so work stealing cannot reorder a device's cloud responses.
@@ -550,7 +550,7 @@ pub(crate) fn pipeline_core<T: Transport>(
                     }
                     for b in batch {
                         let req_id = b.frame.req_id;
-                        let payload = Payload::decode(b.frame.payload);
+                        let payload = Payload::decode(b.frame.payload).expect("the edge ships well-formed frames");
                         let resp = ResponseFrame { req_id, prediction: classify_ref(&payload) as u32 };
                         if transport.send_response(lane, resp).is_err() {
                             return;

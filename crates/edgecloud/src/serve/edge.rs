@@ -539,7 +539,9 @@ pub(crate) fn offload_to_cloud<T: Transport>(
                                 let leg = group.link.uplink_leg_s(bytes.len() as u64);
                                 std::thread::sleep(Duration::from_secs_f64(leg));
                             }
-                            act = Payload::decode(bytes).into_tensor();
+                            act = Payload::decode(bytes)
+                                .expect("a peer hop ships a well-formed frame")
+                                .into_tensor();
                             act = prefix.forward_range(&act, from, to, Mode::Eval);
                         }
                     }
@@ -548,11 +550,7 @@ pub(crate) fn offload_to_cloud<T: Transport>(
             let payload = match wire {
                 FeatureWire::F32 => Payload::encode_features(&act),
                 FeatureWire::Int8 => Payload::encode_quantized_features(&act),
-                FeatureWire::PerChannelInt8 => Payload::encode_grid_features(
-                    &act,
-                    resume,
-                    ctx.grids.as_ref().expect("per-channel int8 serving calibrates grids at setup"),
-                ),
+                FeatureWire::PerChannelInt8 => Payload::encode_grid_features(&act, resume, &ctx.grids),
             };
             (payload, resume)
         }

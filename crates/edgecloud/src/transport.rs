@@ -29,8 +29,10 @@
 //! direction by an in-flight byte budget ([`PipeConfig::buffer_bytes`] /
 //! [`UdsConfig::window_bytes`]: bytes sent but not yet decoded, where an
 //! idle direction admits one frame of any size); reassembles partial
-//! frames on the receiving side; and carries per-frame send timestamps in
-//! a side queue (the stand-in for NIC timestamping).
+//! frames on the receiving side, where a malformed frame (a length over
+//! [`MAX_FRAME_BYTES`], a body wrong for its type) ends the lane as EOF
+//! does; and carries per-frame send timestamps in a side queue (the
+//! stand-in for NIC timestamping).
 //!
 //! One **lane** connects the edge tier to one cloud worker: requests flow
 //! up the lane, responses flow back down it. Both directions carry
@@ -48,10 +50,12 @@
 
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
+use mea_tensor::{Reader, WireError};
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::io::{ErrorKind, Write};
 use std::marker::PhantomData;
+use std::ops::RangeInclusive;
 #[cfg(unix)]
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -159,32 +163,26 @@ impl ResponseFrame {
     }
 }
 
-/// A received request frame plus its transfer timestamps: `sent_at` is
-/// stamped when the sender initiated the send (before any pacing or
-/// backpressure wait), `received_at` when the frame was fully
-/// reassembled — so `received_at - sent_at` is the time the transfer
-/// genuinely took, queueing included.
+/// A received frame plus its transfer timestamps: `sent_at` is stamped
+/// when the sender initiated the send (before any pacing or backpressure
+/// wait), `received_at` when the frame was fully reassembled — so
+/// `received_at - sent_at` is the time the transfer genuinely took,
+/// queueing included.
 #[derive(Debug)]
-pub struct InboundRequest {
+pub struct Inbound<F> {
     /// The frame.
-    pub frame: RequestFrame,
+    pub frame: F,
     /// When the sender initiated the send.
     pub sent_at: Instant,
     /// When the receiver held the complete frame.
     pub received_at: Instant,
 }
 
-/// A received response frame plus its transfer timestamps (same
-/// convention as [`InboundRequest`]).
-#[derive(Debug)]
-pub struct InboundResponse {
-    /// The frame.
-    pub frame: ResponseFrame,
-    /// When the sender initiated the send.
-    pub sent_at: Instant,
-    /// When the receiver held the complete frame.
-    pub received_at: Instant,
-}
+/// A received request frame plus its transfer timestamps.
+pub type InboundRequest = Inbound<RequestFrame>;
+
+/// A received response frame plus its transfer timestamps.
+pub type InboundResponse = Inbound<ResponseFrame>;
 
 /// Error returned by sends once the other end of a lane is gone (receiver
 /// dropped) or the direction was explicitly closed.
@@ -619,23 +617,23 @@ pub struct FramedReceiver<R, F> {
 }
 
 impl<R: TimedRead, F> FramedReceiver<R, F> {
-    /// The next frame `decode` pops off the stream, built into `I` with
-    /// its send and receive stamps; blocks up to `timeout` (`None` = until
-    /// a frame or EOF).
-    fn next<T, I>(
-        &mut self,
-        timeout: Option<Duration>,
-        decode: fn(&mut Vec<u8>) -> Option<T>,
-        inbound: fn(T, Instant, Instant) -> I,
-    ) -> RecvOutcome<I> {
+    /// The next frame `decode` pops off the stream; blocks up to `timeout`
+    /// (`None` = until a frame or EOF).
+    fn next(&mut self, timeout: Option<Duration>, decode: Decode<F>) -> RecvOutcome<Inbound<F>> {
         let deadline = timeout.map(|t| Instant::now() + t);
         let mut buf = [0u8; 8192];
         loop {
             let buffered = self.acc.len();
-            if let Some(frame) = decode(&mut self.acc) {
+            let Ok(decoded) = decode(&mut self.acc) else {
+                // A byte stream cannot resynchronise after a bad length:
+                // the lane ends as it does at EOF.
+                self.shared.close();
+                return RecvOutcome::Closed;
+            };
+            if let Some(frame) = decoded {
                 let received_at = Instant::now();
                 let sent_at = self.shared.credit(buffered - self.acc.len());
-                return RecvOutcome::Frame(inbound(frame, sent_at, received_at));
+                return RecvOutcome::Frame(Inbound { frame, sent_at, received_at });
             }
             // Read before judging the deadline: bytes already in the
             // stream are delivered even by an expired (or zero) wait.
@@ -667,59 +665,55 @@ impl<R, F> Drop for FramedReceiver<R, F> {
 
 impl<R: TimedRead> UplinkReceiver for FramedReceiver<R, RequestFrame> {
     fn recv(&mut self, timeout: Option<Duration>) -> RecvOutcome<InboundRequest> {
-        self.next(timeout, decode_request, |frame, sent_at, received_at| InboundRequest {
-            frame,
-            sent_at,
-            received_at,
-        })
+        self.next(timeout, decode_request)
     }
 }
 
 impl<R: TimedRead> DownlinkReceiver for FramedReceiver<R, ResponseFrame> {
     fn recv(&mut self) -> RecvOutcome<InboundResponse> {
-        self.next(None, decode_response, |frame, sent_at, received_at| InboundResponse {
-            frame,
-            sent_at,
-            received_at,
-        })
+        self.next(None, decode_response)
     }
 }
+
+/// Pops one frame off a reassembly buffer: `None` while it is incomplete.
+type Decode<F> = fn(&mut Vec<u8>) -> Result<Option<F>, WireError>;
+
+/// The largest frame body a byte-stream lane accepts, far above the few
+/// MiB of the largest payload served (an f32 ImageNet-scale activation).
+pub const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Pops one complete length-prefixed frame body off `acc`, if present.
 /// The body leaves the reassembly buffer with a single copy and is handed
 /// out as shared [`Bytes`], so the payload below is a zero-copy slice of
-/// it rather than a second allocation.
-fn split_frame(acc: &mut Vec<u8>) -> Option<Bytes> {
-    if acc.len() < 4 {
-        return None;
+/// it rather than a second allocation. A length outside `lens` fails and
+/// leaves `acc` as it is, before the buffer grows for that frame.
+fn split_frame(acc: &mut Vec<u8>, lens: RangeInclusive<usize>) -> Result<Option<Bytes>, WireError> {
+    match Reader::new(acc).u32().map(|len| len as usize) {
+        Ok(body) if !lens.contains(&body) => Err(WireError::FrameLength(body)),
+        Ok(body) if acc.len() >= 4 + body => {
+            let frame: Vec<u8> = acc.drain(..4 + body).collect();
+            Ok(Some(Bytes::from(frame).slice(4..)))
+        }
+        _ => Ok(None),
     }
-    let body = u32::from_le_bytes([acc[0], acc[1], acc[2], acc[3]]) as usize;
-    if acc.len() < 4 + body {
-        return None;
-    }
-    let frame: Vec<u8> = acc.drain(..4 + body).collect();
-    Some(Bytes::from(frame).slice(4..))
 }
 
-fn decode_request(acc: &mut Vec<u8>) -> Option<RequestFrame> {
-    let body = split_frame(acc)?;
-    assert!(body.len() >= 24, "request frame shorter than its header");
-    Some(RequestFrame {
-        req_id: u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")),
-        device: u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
-        seq: u64::from_le_bytes(body[12..20].try_into().expect("8 bytes")),
-        resume_layer: u32::from_le_bytes(body[20..24].try_into().expect("4 bytes")),
-        payload: body.slice(24..),
-    })
+fn decode_request(acc: &mut Vec<u8>) -> Result<Option<RequestFrame>, WireError> {
+    let Some(body) = split_frame(acc, 24..=MAX_FRAME_BYTES)? else { return Ok(None) };
+    let mut r = Reader::new(&body);
+    Ok(Some(RequestFrame {
+        req_id: r.u64()?,
+        device: r.u32()?,
+        seq: r.u64()?,
+        resume_layer: r.u32()?,
+        payload: body.slice(r.position()..),
+    }))
 }
 
-fn decode_response(acc: &mut Vec<u8>) -> Option<ResponseFrame> {
-    let body = split_frame(acc)?;
-    assert_eq!(body.len(), 12, "response frame has a fixed 12-byte body");
-    Some(ResponseFrame {
-        req_id: u64::from_le_bytes(body[0..8].try_into().expect("8 bytes")),
-        prediction: u32::from_le_bytes(body[8..12].try_into().expect("4 bytes")),
-    })
+fn decode_response(acc: &mut Vec<u8>) -> Result<Option<ResponseFrame>, WireError> {
+    let Some(body) = split_frame(acc, 12..=12)? else { return Ok(None) };
+    let mut r = Reader::new(&body);
+    Ok(Some(ResponseFrame { req_id: r.u64()?, prediction: r.u32()? }))
 }
 
 // ---------------------------------------------------------------------------
@@ -950,6 +944,8 @@ impl<W: Write + Send, R: TimedRead + Send> Transport for FramedTransport<W, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::payload::{ActivationGrids, Payload};
+    use mea_tensor::Tensor;
 
     fn frame(id: u64, payload: Vec<u8>) -> RequestFrame {
         RequestFrame {
@@ -1204,5 +1200,173 @@ mod tests {
     #[test]
     fn pipe_uplink_timeout_preserves_partial_frames() {
         check_timeout_preserves_partial_frames(pipe_lane());
+    }
+
+    /// Writes `bytes` into a fresh lane and receives with `decode`: a
+    /// framing error must end the lane as EOF does, for every later
+    /// receive and for the next sender.
+    fn check_ends_lane<W: Write, R: TimedRead, F: std::fmt::Debug>(
+        lane: FramedLane<W, R>,
+        bytes: &[u8],
+        decode: Decode<F>,
+    ) {
+        let mut rx: FramedReceiver<R, F> = lane.take_receiver();
+        write_raw(&lane, 1, bytes, bytes.len());
+        for _ in 0..2 {
+            match rx.next(Some(Duration::from_millis(50)), decode) {
+                RecvOutcome::Closed => {}
+                other => panic!("a bad frame must end the lane, got {other:?}"),
+            }
+        }
+        let resp = ResponseFrame { req_id: 1, prediction: 2 };
+        assert_eq!(lane.send(&Pacer::default(), &resp.encode()), Err(TransportClosed));
+    }
+
+    fn check_bad_frames_end_the_lane<W: Write, R: TimedRead>(new_lane: impl Fn() -> FramedLane<W, R>) {
+        let framed = |body: &[u8]| [&(body.len() as u32).to_le_bytes()[..], body].concat();
+        check_ends_lane(new_lane(), &(MAX_FRAME_BYTES as u32 + 1).to_le_bytes(), decode_request);
+        check_ends_lane(new_lane(), &framed(&[7; 10]), decode_request);
+        check_ends_lane(new_lane(), &framed(&[7; 11]), decode_response);
+    }
+
+    #[test]
+    fn a_bad_frame_ends_the_lane_on_both_byte_wires() {
+        check_bad_frames_end_the_lane(pipe_lane);
+        #[cfg(unix)]
+        check_bad_frames_end_the_lane(uds_lane);
+    }
+
+    /// A self-describing int8 frame built by hand, so the corpus can hold
+    /// parameter blocks no encoder would write.
+    fn int8_frame(scheme: u8, scales: &[f32], zero_points: &[i32], dims: &[u32]) -> Vec<u8> {
+        let mut f = vec![scheme];
+        f.extend((scales.len() as u32).to_le_bytes());
+        f.extend(scales.iter().flat_map(|s| s.to_le_bytes()));
+        f.extend(zero_points.iter().flat_map(|z| z.to_le_bytes()));
+        f.push(dims.len() as u8);
+        f.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+        f.extend(std::iter::repeat_n(0, dims.iter().product::<u32>() as usize));
+        f
+    }
+
+    /// The grid table the corpus's payloads decode against: 4 channels at
+    /// cut 1, nothing calibrated at cut 0.
+    fn corpus_grids() -> ActivationGrids {
+        ActivationGrids::from_absmax(vec![None, Some(vec![1.0; 4])])
+    }
+
+    fn payload_err(bytes: &[u8]) -> Option<WireError> {
+        Payload::decode_into_with_grids(Bytes::from(bytes.to_vec()), &corpus_grids(), &mut Vec::new()).err()
+    }
+
+    fn int8_err(bytes: &[u8]) -> Option<WireError> {
+        mea_quant::wire::try_decode(bytes).err()
+    }
+
+    fn request_err(bytes: &[u8]) -> Option<WireError> {
+        decode_request(&mut bytes.to_vec()).err()
+    }
+
+    fn response_err(bytes: &[u8]) -> Option<WireError> {
+        decode_response(&mut bytes.to_vec()).err()
+    }
+
+    /// Every decoder of the edge→cloud formats against hostile bytes:
+    /// each row names the decoder, the bytes and the error it must return
+    /// (in release as in debug) instead of panicking, wrapping or aborting.
+    #[test]
+    fn hostile_frame_corpus() {
+        use WireError::*;
+        type Decoder = fn(&[u8]) -> Option<WireError>;
+        let t = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut mea_tensor::Rng::new(3));
+        let act = Tensor::rand_uniform([1, 4, 2, 2], -1.0, 1.0, &mut mea_tensor::Rng::new(4));
+        let payloads = [
+            Payload::encode_raw_image(&t),
+            Payload::encode_features(&t),
+            Payload::encode_quantized_features(&t),
+            Payload::encode_grid_features(&act, 1, &corpus_grids()),
+        ];
+        let request = frame(9, vec![1, 2, 3]).encode();
+        let response = ResponseFrame { req_id: 9, prediction: 4 }.encode();
+        // The frames the rows cut are themselves accepted, and a stream cut
+        // short is an incomplete frame, not an error.
+        assert!(payloads.iter().all(|p| payload_err(p).is_none()));
+        assert_eq!((request_err(&request), response_err(&response)), (None, None));
+        assert_eq!(int8_err(&int8_frame(2, &[0.5, 2.0], &[0, 0], &[2, 3])), None);
+        for k in 0..request.len() {
+            assert_eq!(decode_request(&mut request[..k].to_vec()), Ok(None), "{k}-byte prefix");
+        }
+
+        let framed = |body: &[u8]| [&(body.len() as u32).to_le_bytes()[..], body].concat();
+        let shape =
+            |ds: &[u32]| [vec![ds.len() as u8], ds.iter().flat_map(|d| d.to_le_bytes()).collect()].concat();
+        let tag = |t: u8, rest: &[u8]| [&[t][..], rest].concat();
+        let over_cap = MAX_FRAME_BYTES + 1;
+        let mut rows: Vec<(&str, Decoder, Vec<u8>, WireError)> = Vec::new();
+        for p in &payloads {
+            for k in 0..p.len() {
+                rows.push(("payload truncated", payload_err, p[..k].to_vec(), Truncated));
+            }
+        }
+        for k in 0..24 {
+            rows.push(("request body under 24 bytes", request_err, framed(&request[4..4 + k]), FrameLength(k)));
+        }
+        for k in (0..12).chain([13]) {
+            let body = [&response[4..], &[0]].concat();
+            rows.push(("response body other than 12 bytes", response_err, framed(&body[..k]), FrameLength(k)));
+        }
+        rows.extend([
+            (
+                "length prefix over the cap",
+                request_err as Decoder,
+                (over_cap as u32).to_le_bytes().to_vec(),
+                FrameLength(over_cap),
+            ),
+            ("length prefix u32::MAX", request_err, vec![0xFF; 4], FrameLength(u32::MAX as usize)),
+            (
+                "response prefix over the cap",
+                response_err,
+                (over_cap as u32).to_le_bytes().to_vec(),
+                FrameLength(over_cap),
+            ),
+            ("unknown payload tag", payload_err, tag(4, &shape(&[1])), UnknownTag(4)),
+            ("unknown scheme tag", int8_err, int8_frame(3, &[1.0], &[0], &[1]), UnknownTag(3)),
+            ("unknown scheme tag, tag 2", payload_err, tag(2, &int8_frame(7, &[1.0], &[0], &[1])), UnknownTag(7)),
+            ("rank 0", payload_err, tag(1, &shape(&[])), BadShape),
+            ("zero dim", payload_err, tag(1, &shape(&[2, 0])), BadShape),
+            ("dims overflow usize", payload_err, tag(0, &shape(&[65536; 4])), BadShape),
+            ("indexed rank 0", payload_err, tag(3, &[1, 0]), BadShape),
+            ("oversized channel count", int8_err, vec![2, 0xFF, 0xFF, 0xFF, 0xFF], Truncated),
+            ("NaN scale", int8_err, int8_frame(0, &[f32::NAN], &[0], &[2]), BadParams),
+            ("zero scale", int8_err, int8_frame(0, &[0.0], &[0], &[2]), BadParams),
+            ("negative scale", int8_err, int8_frame(0, &[-1.0], &[0], &[2]), BadParams),
+            ("infinite scale", int8_err, int8_frame(1, &[f32::INFINITY], &[0], &[2]), BadParams),
+            ("symmetric zero-point", int8_err, int8_frame(1, &[1.0], &[3], &[2]), BadParams),
+            ("zero-point off the grid", int8_err, int8_frame(0, &[1.0], &[i32::MIN], &[2]), BadParams),
+            ("per-tensor, 2 channels", int8_err, int8_frame(0, &[1.0, 1.0], &[0, 0], &[2]), BadParams),
+            ("no channels", int8_err, int8_frame(2, &[], &[], &[2]), BadParams),
+            ("channels vs leading dim", int8_err, int8_frame(2, &[1.0, 1.0], &[0, 0], &[3]), GridMismatch(2, 3)),
+            (
+                "tag 3, uncalibrated cut",
+                payload_err,
+                tag(3, &[&[0][..], &shape(&[4]), &[0; 4]].concat()),
+                NoGrid(0),
+            ),
+            (
+                "tag 3, cut past the table",
+                payload_err,
+                tag(3, &[&[9][..], &shape(&[4]), &[0; 4]].concat()),
+                NoGrid(9),
+            ),
+            (
+                "tag 3, axis off the grid",
+                payload_err,
+                tag(3, &[&[1][..], &shape(&[3]), &[0; 3]].concat()),
+                GridMismatch(4, 3),
+            ),
+        ]);
+        for (name, decode, bytes, expected) in &rows {
+            assert_eq!(decode(bytes), Some(*expected), "{name}: {bytes:?}");
+        }
     }
 }

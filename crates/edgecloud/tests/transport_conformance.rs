@@ -71,7 +71,7 @@ fn check_round_trip<T: Transport>(t: T) {
         // (the image codec itself is lossy u8 quantisation, so decoded
         // equality is only promised for the feature codecs).
         assert_eq!(got.frame.payload.as_ref(), encoded.as_ref(), "payload {i} did not cross bit-exactly");
-        let decoded = Payload::decode(got.frame.payload);
+        let decoded = Payload::decode(got.frame.payload).expect("a payload that crossed bit-exactly decodes");
         assert_eq!(decoded.wire_size_bytes(), p.wire_size_bytes());
         if matches!(p, Payload::Features { .. } | Payload::QuantFeatures { .. }) {
             assert_eq!(&decoded, p, "feature payload {i} must round-trip losslessly");
@@ -138,7 +138,7 @@ fn check_multiplexing<T: Transport>(t: T) {
             next_seq[d as usize] += 1;
             assert_eq!(
                 Payload::decode(got.frame.payload),
-                tagged_payload(d, got.frame.seq),
+                Ok(tagged_payload(d, got.frame.seq)),
                 "frame from sender {d} was corrupted by interleaving"
             );
         }

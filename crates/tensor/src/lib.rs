@@ -15,6 +15,8 @@
 //! * [`conv`] — im2col / col2im transforms and convolution geometry;
 //! * [`pool`] — average / max pooling forward and backward kernels;
 //! * [`ops`] — softmax, ReLU, bias broadcast and other pointwise kernels;
+//! * [`reader`] — the bounds-checked cursor every wire decoder parses
+//!   received bytes through;
 //! * [`rng`] — a seeded random source with normal/uniform fills so every
 //!   experiment in the reproduction is deterministic.
 //!
@@ -38,11 +40,13 @@ pub mod matmul;
 pub mod ops;
 pub mod parallel;
 pub mod pool;
+pub mod reader;
 pub mod rng;
 pub mod shape;
 pub mod tensor;
 
 pub use error::TensorError;
+pub use reader::{Reader, WireError};
 pub use rng::Rng;
 pub use shape::Shape;
 pub use tensor::Tensor;

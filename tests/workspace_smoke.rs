@@ -57,7 +57,7 @@ fn workspace_smoke() {
     }
     let wire = Payload::Features { features: edge_out }.encode();
     assert!(!wire.is_empty(), "encoded payload is empty");
-    let received = Payload::decode(wire);
+    let received = Payload::decode(wire).expect("a self-encoded payload decodes");
     let mut cloud_out = received.into_tensor();
     for seg in &mut net.segments[cut..] {
         cloud_out = seg.forward(&cloud_out, Mode::Eval);
