@@ -195,10 +195,16 @@ fn bench_qgemm(c: &mut Criterion) {
 // the core count once): across the two vCPUs of the reference host the same
 // kernel spreads by 1.5× between runs minutes apart, which no 20 % gate
 // survives.
+//
+// Every row depends on the host and on the register tile the process picked
+// for its CPU (`matmul::kernel`), so both are printed first.
 fn main() {
+    let tile = matmul::kernel();
     match mea_bench::pin::pin_to_last_cpu() {
-        Some(cpu) => println!("[kernel_latency] pinned to cpu {cpu}"),
-        None => println!("[kernel_latency] UNPINNED (no /proc or taskset): timings spread beyond the 20 % gate"),
+        Some(cpu) => println!("[kernel_latency] pinned to cpu {cpu}, {tile} tile"),
+        None => println!(
+            "[kernel_latency] UNPINNED (no /proc or taskset): timings spread beyond the 20 % gate, {tile} tile"
+        ),
     }
     let mut rep = Reporter::start("kernel_latency");
     let mut repeats: Vec<Vec<(String, f64)>> = Vec::new();

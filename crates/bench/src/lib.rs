@@ -19,6 +19,7 @@
 //! against the baselines under `baselines/` in CI.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod experiments;
 pub mod pin;

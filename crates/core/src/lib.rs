@@ -49,6 +49,7 @@
 //!   the examples, the integration tests and the bench harness.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod continual;
 pub mod detector;

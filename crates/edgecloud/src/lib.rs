@@ -58,6 +58,7 @@
 //!   bursty) driving both the fleet simulator and the serving runtime.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod cost;
 pub mod device;

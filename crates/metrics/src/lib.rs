@@ -16,6 +16,7 @@
 //! * [`report`] — plain-text table rendering for the bench harness.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod calibration;
 pub mod confusion;

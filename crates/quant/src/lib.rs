@@ -47,6 +47,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod convert;
 pub mod error;

@@ -9,7 +9,8 @@
 //! * [`Tensor`] — a dense, row-major `f32` tensor with shape checking;
 //! * [`matmul`] — matrix products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), as allocating
 //!   wrappers and as in-place slice kernels, used by linear layers and
-//!   im2col convolution;
+//!   im2col convolution, on the widest register tile the CPU runs — the
+//!   one place in the crate with an `unsafe` block;
 //! * [`parallel`] — the one place that decides whether an op runs inline or
 //!   is cut into per-core bands;
 //! * [`conv`] — im2col / col2im transforms and convolution geometry;
@@ -33,6 +34,8 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
+#![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod conv;
 pub mod error;

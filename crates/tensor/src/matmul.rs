@@ -17,9 +17,10 @@
 //! in registers for all of `k` while each step takes `NR` contiguous
 //! elements of one operand (the *wide* one) and `MR` strided elements of the
 //! other (the *tall* one, read through strides so that `A` and `Aᵀ` are the
-//! same code). Edges reuse the same body: half as wide, then one column at a
-//! time, and one row at a time. A kernel is a choice of which operand is
-//! tall, which is wide, and where the accumulators start and end up:
+//! same code). Edges reuse the same body: half as wide and halving again
+//! down to four columns, then one column at a time, and one row at a time.
+//! A kernel is a choice of which operand is tall, which is wide, and where
+//! the accumulators start and end up:
 //!
 //! * `A·B`, the product every served request runs: `A` is tall as it lies
 //!   (a row is `k` apart, a term one apart), `B` is wide as it lies, and a
@@ -44,6 +45,19 @@
 //! band runs on the calling thread; otherwise [`crate::parallel`] gives
 //! each core a contiguous band of `C`'s rows.
 //!
+//! Nor on the width of the vectors that run the tile. One lane of an
+//! accumulator vector is one element of `C`: a step multiplies the lane's
+//! own pair of operands and adds the product to that lane alone, so a
+//! vector of 4, 8 or 16 lanes is 4, 8 or 16 of the chains above side by
+//! side, each still adding its `k` terms in ascending order. No lane is
+//! ever summed into another (`A·Bᵀ` packs a transpose precisely so that it
+//! never has to reduce across a vector). And no product is fused into its
+//! addition on any build: Rust does not contract `a * b + c` into one
+//! rounding, even in a function compiled for a CPU with fused multiply-add
+//! (AVX-512F implies it), and this file has no `mul_add`. So every build
+//! below returns the same bits, and the tests check each one against a
+//! scalar reference with `to_bits`.
+//!
 //! The tile has no zero-skip branch, which the row loops it replaced had.
 //! For finite operands that changes no bit but one: a skipped term is `±0`,
 //! `x + ±0 = x` for every `x` except that `−0 + +0 = +0`, and a sum that
@@ -54,9 +68,41 @@
 //! skips it lets a `NaN` activation or a diverged upstream gradient reach
 //! some rows of the result and not others, so that a broken forward or step
 //! can look finite.
+//!
+//! # Which tile runs
+//!
+//! The sweep that covers `C` with tiles — `sweep` → `tile_row` → `tile_at`,
+//! with the inner loop `tile` inlined — has one source, the `tile_build!`
+//! macro, compiled once per instruction set, each at the width that fills
+//! its registers with eight accumulator vectors:
+//!
+//! | build       | tile    | edge widths   | vector registers      |
+//! |-------------|---------|---------------|-----------------------|
+//! | `baseline`  | 4 × 8   | 4, 1          | sixteen 4-lane (SSE2) |
+//! | `avx2`      | 4 × 16  | 8, 4, 1       | sixteen 8-lane        |
+//! | `avx512f`   | 4 × 32  | 16, 8, 4, 1   | thirty-two 16-lane    |
+//!
+//! On first use the process picks the widest build its CPU supports, by
+//! `is_x86_feature_detected!`, and keeps it; [`kernel`] names it. All three
+//! kernels, so served forwards and training steps alike, go through that
+//! one choice. A target other than x86-64 compiles the baseline only.
+//!
+//! The wide builds are `#[target_feature]` functions, which are safe to
+//! write and unsafe to call from code compiled without the feature. The one
+//! `unsafe` block of this crate is that call, in the private dispatcher
+//! `sweep`, whose every wide arm is guarded by `is_x86_feature_detected!`;
+//! the crate denies `unsafe_code` everywhere else.
+//!
+//! Why not a build flag such as `-C target-cpu=native`: it changes the
+//! instructions, not the tile. At 4 × 8 AVX2 was only 1.2× faster than the
+//! baseline, because the width has to grow with the registers before the
+//! wider vectors pay. A flag would also recompile every crate that links
+//! this one, benchmark harnesses and their reference loops included, and
+//! the binary would stop running on CPUs without those features.
 
 use crate::parallel;
 use crate::tensor::Tensor;
+use std::sync::OnceLock;
 
 /// Multiply-adds below which a product is never banded: a band costs a
 /// thread spawn, which dominates on small matrices.
@@ -124,16 +170,6 @@ fn band_rows(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> O
     (flops > 0).then(|| if flops >= PARALLEL_FLOP_THRESHOLD { parallel::band_len(m) } else { m })
 }
 
-/// Rows and columns of the register tile. `MR × NR` accumulators are eight
-/// four-lane vectors, which together with one row of the wide operand and
-/// one broadcast of the tall one fill the sixteen vector registers every
-/// x86-64 has; wider hardware only unrolls less.
-const MR: usize = 4;
-const NR: usize = 8;
-/// Width of the one narrower tile between `NR` and single columns, so that
-/// a 12-channel layer is a tile and a half, not a tile and four columns.
-const HALF_NR: usize = NR / 2;
-
 /// A matrix read through strides — element `(r, p)` is
 /// `data[r·row + p·col]` — so a row-major matrix and its transpose are the
 /// same code.
@@ -148,7 +184,8 @@ struct Strided<'a> {
 /// for `p` ascending over `k`, where `wide` is row-major with rows `ldw`
 /// apart. The accumulators are a by-value array of constant size, so they
 /// live in registers for all of `k`; each is its own chain, so the `w` loop
-/// vectorises without reordering any sum.
+/// vectorises without reordering any sum. Inlined into every build below,
+/// it is compiled for that build's instruction set.
 #[inline(always)]
 fn tile<const R: usize, const W: usize>(
     mut acc: [[f32; W]; R],
@@ -171,6 +208,9 @@ fn tile<const R: usize, const W: usize>(
 
 /// Where a tile's accumulators start and where they end up; `(t, w)` is the
 /// tile's first row of the tall operand and first column of the wide one.
+/// Every method is `#[inline(always)]`, as [`tile`] is: one called from
+/// several builds would otherwise stay out of line as baseline code, and
+/// the baseline's own sweep would change with it.
 trait Sink {
     fn seed<const R: usize, const W: usize>(&self, t: usize, w: usize) -> [[f32; W]; R];
     fn emit<const R: usize, const W: usize>(&mut self, t: usize, w: usize, acc: [[f32; W]; R]);
@@ -184,10 +224,12 @@ struct Running<'a> {
 }
 
 impl Sink for Running<'_> {
+    #[inline(always)]
     fn seed<const R: usize, const W: usize>(&self, t: usize, w: usize) -> [[f32; W]; R] {
         std::array::from_fn(|r| self.c[(t + r) * self.n + w..][..W].try_into().expect("W elements"))
     }
 
+    #[inline(always)]
     fn emit<const R: usize, const W: usize>(&mut self, t: usize, w: usize, acc: [[f32; W]; R]) {
         for (r, acc_row) in acc.iter().enumerate() {
             self.c[(t + r) * self.n + w..][..W].copy_from_slice(acc_row);
@@ -204,10 +246,12 @@ struct Dots<'a> {
 }
 
 impl Sink for Dots<'_> {
+    #[inline(always)]
     fn seed<const R: usize, const W: usize>(&self, _: usize, _: usize) -> [[f32; W]; R] {
         [[0.0; W]; R]
     }
 
+    #[inline(always)]
     fn emit<const R: usize, const W: usize>(&mut self, t: usize, w: usize, acc: [[f32; W]; R]) {
         for (r, acc_row) in acc.iter().enumerate() {
             for (x, av) in acc_row.iter().enumerate() {
@@ -217,47 +261,184 @@ impl Sink for Dots<'_> {
     }
 }
 
-/// Covers `rows` of the tall operand by `cols` of the wide one (row-major,
-/// `cols` wide) with tiles: `MR × NR` where they fit, and at the edges the
-/// same body over single rows, half-width and single columns.
-fn sweep<S: Sink>(tall: Strided, rows: usize, wide: &[f32], cols: usize, k: usize, sink: &mut S) {
-    let mut t = 0;
-    while t < rows {
-        let from_t = Strided { data: &tall.data[t * tall.row..], ..tall };
-        if t + MR <= rows {
-            tile_row::<MR, S>(from_t, t, wide, cols, k, sink);
-            t += MR;
-        } else {
-            tile_row::<1, S>(from_t, t, wide, cols, k, sink);
-            t += 1;
+/// The one source of the tile sweep, compiled once per build: a module
+/// holding `sweep` → `tile_row` → `tile_at`, each carrying the build's
+/// attributes, for a tile of `MR` rows by the first of `widths` columns.
+/// The other widths, narrowest last, and then single columns cover the
+/// right edge; single rows cover the bottom one.
+macro_rules! tile_build {
+    (
+        $(#[$isa:meta])* mod $build:ident, MR = $mr:literal, widths = [$nr:literal $(, $narrower:literal)*]
+    ) => {
+        mod $build {
+            use super::{tile, Sink, Strided};
+
+            /// The instruction set and the tile shape, as [`super::kernel`] names them.
+            pub(super) const NAME: &str = concat!(stringify!($build), " ", $mr, "x", $nr);
+            const MR: usize = $mr;
+
+            /// Covers `rows` of the tall operand by `cols` of the wide one
+            /// (row-major, `cols` wide) with tiles.
+            $(#[$isa])*
+            pub(super) fn sweep<S: Sink>(
+                tall: Strided,
+                rows: usize,
+                wide: &[f32],
+                cols: usize,
+                k: usize,
+                sink: &mut S,
+            ) {
+                let mut t = 0;
+                while t < rows {
+                    let from_t = Strided { data: &tall.data[t * tall.row..], ..tall };
+                    if t + MR <= rows {
+                        tile_row::<MR, S>(from_t, t, wide, cols, k, sink);
+                        t += MR;
+                    } else {
+                        tile_row::<1, S>(from_t, t, wide, cols, k, sink);
+                        t += 1;
+                    }
+                }
+            }
+
+            $(#[$isa])*
+            fn tile_row<const R: usize, S: Sink>(
+                tall: Strided,
+                t: usize,
+                wide: &[f32],
+                cols: usize,
+                k: usize,
+                sink: &mut S,
+            ) {
+                let mut w = 0;
+                while w < cols {
+                    let wide = &wide[w..];
+                    w += match cols - w {
+                        $nr.. => tile_at::<R, $nr, S>(tall, t, wide, cols, w, k, sink),
+                        $($narrower.. => tile_at::<R, $narrower, S>(tall, t, wide, cols, w, k, sink),)*
+                        _ => tile_at::<R, 1, S>(tall, t, wide, cols, w, k, sink),
+                    };
+                }
+            }
+
+            /// One tile from seed to sink; returns its width.
+            $(#[$isa])*
+            fn tile_at<const R: usize, const W: usize, S: Sink>(
+                tall: Strided,
+                t: usize,
+                wide: &[f32],
+                ldw: usize,
+                w: usize,
+                k: usize,
+                sink: &mut S,
+            ) -> usize {
+                sink.emit(t, w, tile(sink.seed::<R, W>(t, w), tall, wide, ldw, k));
+                W
+            }
+        }
+    };
+}
+
+// 4 × 8 accumulators are eight four-lane vectors, which with one row of the
+// wide operand and one broadcast of the tall one fill the sixteen vector
+// registers every x86-64 has. The half-width tile makes a 12-channel layer
+// a tile and a half, not a tile and four columns.
+tile_build!(mod baseline, MR = 4, widths = [8, 4]);
+// The same eight accumulator vectors at eight lanes (AVX2, sixteen
+// registers) and at sixteen (AVX-512F, thirty-two registers). On the cloud
+// network's convolutions the AVX-512F forward products took 0.72× as long at
+// 4 × 32 as at 4 × 16, whose four accumulators left most registers idle.
+#[cfg(target_arch = "x86_64")]
+tile_build!(#[target_feature(enable = "avx2")] mod avx2, MR = 4, widths = [16, 8, 4]);
+#[cfg(target_arch = "x86_64")]
+tile_build!(#[target_feature(enable = "avx512f")] mod avx512f, MR = 4, widths = [32, 16, 8, 4]);
+
+/// One compilation of the tile sweep. Only the baseline is compiled for a
+/// target other than x86-64.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Build {
+    #[cfg(target_arch = "x86_64")]
+    Avx512f,
+    #[cfg(target_arch = "x86_64")]
+    Avx2,
+    Baseline,
+}
+
+impl Build {
+    /// Every build in this binary, widest first.
+    pub(crate) const ALL: &[Build] = &[
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx512f,
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2,
+        Build::Baseline,
+    ];
+
+    /// Whether this CPU has the instructions the build is compiled for.
+    pub(crate) fn runs_here(self) -> bool {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512f => is_x86_feature_detected!("avx512f"),
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => is_x86_feature_detected!("avx2"),
+            Build::Baseline => true,
         }
     }
-}
 
-fn tile_row<const R: usize, S: Sink>(tall: Strided, t: usize, wide: &[f32], cols: usize, k: usize, sink: &mut S) {
-    let mut w = 0;
-    while w < cols {
-        let wide = &wide[w..];
-        w += match cols - w {
-            NR.. => tile_at::<R, NR, S>(tall, t, wide, cols, w, k, sink),
-            HALF_NR.. => tile_at::<R, HALF_NR, S>(tall, t, wide, cols, w, k, sink),
-            _ => tile_at::<R, 1, S>(tall, t, wide, cols, w, k, sink),
-        };
+    pub(crate) fn name(self) -> &'static str {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512f => avx512f::NAME,
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => avx2::NAME,
+            Build::Baseline => baseline::NAME,
+        }
+    }
+
+    /// The widest build this CPU runs, picked on first use and kept for the
+    /// life of the process.
+    fn selected() -> Build {
+        static SELECTED: OnceLock<Build> = OnceLock::new();
+        *SELECTED.get_or_init(|| Build::ALL.iter().copied().find(|b| b.runs_here()).unwrap_or(Build::Baseline))
     }
 }
 
-/// One tile from seed to sink; returns its width.
-fn tile_at<const R: usize, const W: usize, S: Sink>(
-    tall: Strided,
-    t: usize,
-    wide: &[f32],
-    ldw: usize,
-    w: usize,
-    k: usize,
-    sink: &mut S,
-) -> usize {
-    sink.emit(t, w, tile(sink.seed::<R, W>(t, w), tall, wide, ldw, k));
-    W
+/// The build of the register tile this process runs, as instruction set and
+/// tile shape (`"avx512f 4x32"`, `"avx2 4x16"` or `"baseline 4x8"`): the
+/// widest this CPU supports, picked on first use.
+pub fn kernel() -> &'static str {
+    Build::selected().name()
+}
+
+/// The dispatcher: runs `build`'s sweep, and is the one place that calls a
+/// function compiled for instructions the baseline lacks.
+///
+/// # Panics
+///
+/// Panics if this CPU cannot run `build`.
+#[allow(unsafe_code)]
+fn sweep<S: Sink>(build: Build, tall: Strided, rows: usize, wide: &[f32], cols: usize, k: usize, sink: &mut S) {
+    match build {
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx512f if is_x86_feature_detected!("avx512f") => {
+            // SAFETY: `avx512f::sweep` is compiled with
+            // `target_feature(enable = "avx512f")`, and this arm runs only
+            // when its `is_x86_feature_detected!("avx512f")` guard has found
+            // that feature on this CPU.
+            unsafe { avx512f::sweep(tall, rows, wide, cols, k, sink) }
+        }
+        #[cfg(target_arch = "x86_64")]
+        Build::Avx2 if is_x86_feature_detected!("avx2") => {
+            // SAFETY: `avx2::sweep` is compiled with
+            // `target_feature(enable = "avx2")`, and this arm runs only when
+            // its `is_x86_feature_detected!("avx2")` guard has found that
+            // feature on this CPU.
+            unsafe { avx2::sweep(tall, rows, wide, cols, k, sink) }
+        }
+        Build::Baseline => baseline::sweep(tall, rows, wide, cols, k, sink),
+        #[cfg(target_arch = "x86_64")]
+        unsupported => panic!("the {} tile does not run on this CPU", unsupported.name()),
+    }
 }
 
 /// `[k, rows]` from row-major `[rows, k]`.
@@ -279,11 +460,7 @@ fn transposed(matrix: &[f32], k: usize) -> Vec<f32> {
 ///
 /// Panics if a slice length disagrees with `m`, `k`, `n`.
 pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-    parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-        let tall = Strided { data: a_band, row: k, col: 1 };
-        sweep(tall, a_band.len() / k, b, n, k, &mut Running { c: c_band, n });
-    });
+    Build::selected().gemm_into(a, b, c, m, k, n);
 }
 
 /// `C += A·Bᵀ` on row-major slices, `A: [m, k]`, `B: [n, k]`, `C: [m, n]`:
@@ -295,24 +472,7 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 ///
 /// Panics if a slice length disagrees with `m`, `k`, `n`.
 pub fn gemm_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-    parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-        let rows = a_band.len() / k;
-        let (tall, wide, mut sink) = if rows <= n {
-            (b, a_band, Dots { c: c_band, row: 1, col: n })
-        } else {
-            (a_band, b, Dots { c: c_band, row: n, col: 1 })
-        };
-        let cols = wide.len() / k;
-        let packed;
-        let wide = if cols > 1 {
-            packed = transposed(wide, k);
-            &packed
-        } else {
-            wide // a single row is its own transpose
-        };
-        sweep(Strided { data: tall, row: k, col: 1 }, tall.len() / k, wide, cols, k, &mut sink);
-    });
+    Build::selected().gemm_a_bt_into(a, b, c, m, k, n);
 }
 
 /// `C += Aᵀ·B` on row-major slices, `A: [k, m]`, `B: [k, n]`, `C: [m, n]`:
@@ -322,11 +482,47 @@ pub fn gemm_a_bt_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 ///
 /// Panics if a slice length disagrees with `m`, `k`, `n`.
 pub fn gemm_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-    let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-    parallel::run(c.chunks_mut(band * n).enumerate(), |(band_idx, c_band)| {
-        let tall = Strided { data: &a[band_idx * band..], row: 1, col: m };
-        sweep(tall, c_band.len() / n, b, n, k, &mut Running { c: c_band, n });
-    });
+    Build::selected().gemm_at_b_into(a, b, c, m, k, n);
+}
+
+/// The three kernels on one build's tile.
+impl Build {
+    pub(crate) fn gemm_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
+        parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
+            let tall = Strided { data: a_band, row: k, col: 1 };
+            sweep(self, tall, a_band.len() / k, b, n, k, &mut Running { c: c_band, n });
+        });
+    }
+
+    pub(crate) fn gemm_a_bt_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
+        parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
+            let rows = a_band.len() / k;
+            let (tall, wide, mut sink) = if rows <= n {
+                (b, a_band, Dots { c: c_band, row: 1, col: n })
+            } else {
+                (a_band, b, Dots { c: c_band, row: n, col: 1 })
+            };
+            let cols = wide.len() / k;
+            let packed;
+            let wide = if cols > 1 {
+                packed = transposed(wide, k);
+                &packed
+            } else {
+                wide // a single row is its own transpose
+            };
+            sweep(self, Strided { data: tall, row: k, col: 1 }, tall.len() / k, wide, cols, k, &mut sink);
+        });
+    }
+
+    pub(crate) fn gemm_at_b_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
+        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
+        parallel::run(c.chunks_mut(band * n).enumerate(), |(band_idx, c_band)| {
+            let tall = Strided { data: &a[band_idx * band..], row: 1, col: m };
+            sweep(self, tall, c_band.len() / n, b, n, k, &mut Running { c: c_band, n });
+        });
+    }
 }
 
 #[cfg(test)]
@@ -478,32 +674,49 @@ mod tests {
         }
     }
 
-    /// `[A·B, A·Bᵀ, Aᵀ·B]` added into copies of `c`, each kernel reading its
-    /// operand in the layout it expects of the same `A: [m, k]`, `B: [k, n]`.
-    fn three_products(a: &Tensor, b: &Tensor, c: &[f32]) -> [Vec<f32>; 3] {
+    /// `[A·B, A·Bᵀ, Aᵀ·B]` added into copies of `c` on `build`'s tile, each
+    /// kernel reading its operand in the layout it expects of the same
+    /// `A: [m, k]`, `B: [k, n]`.
+    fn products_on(build: Build, a: &Tensor, b: &Tensor, c: &[f32]) -> [Vec<f32>; 3] {
         let (m, k, n) = (a.dims()[0], a.dims()[1], b.dims()[1]);
         let (a_t, b_t) = (a.transpose2d(), b.transpose2d());
         let mut out = [c.to_vec(), c.to_vec(), c.to_vec()];
-        gemm_into(a.as_slice(), b.as_slice(), &mut out[0], m, k, n);
-        gemm_a_bt_into(a.as_slice(), b_t.as_slice(), &mut out[1], m, k, n);
-        gemm_at_b_into(a_t.as_slice(), b.as_slice(), &mut out[2], m, k, n);
+        build.gemm_into(a.as_slice(), b.as_slice(), &mut out[0], m, k, n);
+        build.gemm_a_bt_into(a.as_slice(), b_t.as_slice(), &mut out[1], m, k, n);
+        build.gemm_at_b_into(a_t.as_slice(), b.as_slice(), &mut out[2], m, k, n);
         out
+    }
+
+    /// [`products_on`] on the tile the dispatcher picked.
+    fn three_products(a: &Tensor, b: &Tensor, c: &[f32]) -> [Vec<f32>; 3] {
+        products_on(Build::selected(), a, b, c)
+    }
+
+    /// The builds this CPU runs, straight from the table; the others are
+    /// named on stderr as skipped.
+    fn builds_here() -> Vec<Build> {
+        let (here, skipped): (Vec<Build>, Vec<Build>) = Build::ALL.iter().partition(|b| b.runs_here());
+        for build in skipped {
+            eprintln!("skipped the {} tile: this CPU cannot run it", build.name());
+        }
+        here
     }
 
     fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
-    fn kernels_match_the_reference(m: usize, k: usize, n: usize, seed: u64) {
+    fn kernels_match_the_reference(build: Build, m: usize, k: usize, n: usize, seed: u64) {
         let mut rng = Rng::new(seed);
         let a = Tensor::randn([m, k], 1.0, &mut rng);
         let b = Tensor::randn([k, n], 1.0, &mut rng);
         let c = Tensor::randn([m, n], 1.0, &mut rng); // not zero on entry
-        let got = three_products(&a, &b, c.as_slice());
+        let got = products_on(build, &a, &b, c.as_slice());
         for (kernel, dot) in [false, true, false].into_iter().enumerate() {
             let mut want = c.as_slice().to_vec();
             reference(|i, p| a.at(&[i, p]), |p, j| b.at(&[p, j]), &mut want, (m, k, n), dot);
-            assert_eq!(bits(&got[kernel]), bits(&want), "kernel {kernel} at m={m}, k={k}, n={n}");
+            let tile = build.name();
+            assert_eq!(bits(&got[kernel]), bits(&want), "{tile} kernel {kernel} at m={m}, k={k}, n={n}");
         }
     }
 
@@ -517,23 +730,30 @@ mod tests {
             n in 1usize..40,
             seed in proptest::prelude::any::<u64>(),
         ) {
-            kernels_match_the_reference(m, k, n, seed);
+            for build in builds_here() {
+                kernels_match_the_reference(build, m, k, n, seed);
+            }
         }
     }
 
-    /// Every edge of the tile grid: fewer rows than `MR`, fewer columns than
-    /// `NR`, the half-width column tile, a single row on either side of
-    /// `A·Bᵀ` (nothing packed), the packed side being `A` and being `B`, and
-    /// a single term.
+    /// Every edge of every build's tile grid: fewer rows than the 4 of a
+    /// tile, fewer columns than the 8, 16 or 32 of one, each narrower width
+    /// of the ladders (12 = 8 + 4, 24 = 16 + 8, 28 = 16 + 8 + 4, 48 = 32 + 16,
+    /// 60 = 32 + 16 + 8 + 4), one column past a full tile and two, a single
+    /// row on either side of `A·Bᵀ` (nothing packed), the packed side being
+    /// `A` and being `B`, and a single term.
     #[test]
     fn slice_kernels_match_the_reference_at_the_tile_edges() {
-        let edges = [1, MR - 1, MR, MR + 1, NR - 1, NR, NR + HALF_NR, 2 * NR + 1];
-        for (seed, &m) in edges.iter().enumerate() {
-            for &n in &edges {
-                for k in [1, 2, 19] {
-                    kernels_match_the_reference(m, k, n, seed as u64);
+        let edges = [1, 3, 4, 5, 7, 8, 12, 15, 16, 17, 24, 28, 31, 32, 33, 48, 60];
+        for build in builds_here() {
+            for (seed, &m) in edges.iter().enumerate() {
+                for &n in &edges {
+                    for k in [1, 2, 19] {
+                        kernels_match_the_reference(build, m, k, n, seed as u64);
+                    }
                 }
             }
+            eprintln!("the {} tile matches the reference bit for bit at every edge", build.name());
         }
     }
 
@@ -560,8 +780,8 @@ mod tests {
     /// that is bit-neutral — checked against a reference that does skip, on
     /// an `A` that is mostly `±0` — and for a non-finite `B[k][j]` it is the
     /// fix: the `NaN` reaches `C[i][j]` for every `i`, also through a zero
-    /// `A[i][k]`, and no other column. `kernel` indexes [`three_products`].
-    fn takes_every_term_zero_or_not(seed: u64, kernel: usize) {
+    /// `A[i][k]`, and no other column. `kernel` indexes [`products_on`].
+    fn takes_every_term_zero_or_not(build: Build, seed: u64, kernel: usize) {
         let mut rng = Rng::new(seed);
         let (m, k, n) = (10, 6, 11);
         let mut a = Tensor::randn([m, k], 1.0, &mut rng);
@@ -574,7 +794,7 @@ mod tests {
         }
         let mut b = Tensor::randn([k, n], 1.0, &mut rng);
         for c_on_entry in [Tensor::zeros([m, n]), Tensor::randn([m, n], 1.0, &mut rng)] {
-            let got = &three_products(&a, &b, c_on_entry.as_slice())[kernel];
+            let got = &products_on(build, &a, &b, c_on_entry.as_slice())[kernel];
             let mut skipping = c_on_entry.as_slice().to_vec();
             for (i, j, p) in (0..m).flat_map(|i| (0..n).flat_map(move |j| (0..k).map(move |p| (i, j, p)))) {
                 if a.at(&[i, p]) != 0.0 {
@@ -587,7 +807,7 @@ mod tests {
         let (bad_k, bad_j) = (1, 4);
         assert!((0..m).any(|i| a.at(&[i, bad_k]) == 0.0), "some rows meet the NaN through a zero");
         b.set(&[bad_k, bad_j], f32::NAN);
-        let c = &three_products(&a, &b, &vec![0.0; m * n])[kernel];
+        let c = &products_on(build, &a, &b, &vec![0.0; m * n])[kernel];
         for (at, v) in c.iter().enumerate() {
             assert_eq!(v.is_nan(), at % n == bad_j, "C[{}][{}]", at / n, at % n);
         }
@@ -595,14 +815,26 @@ mod tests {
 
     #[test]
     fn at_b_takes_every_term_zero_or_not() {
-        takes_every_term_zero_or_not(12, 2);
+        for build in builds_here() {
+            takes_every_term_zero_or_not(build, 12, 2);
+        }
     }
 
     /// The forward's twin: a `NaN` activation behind a zero weight reaches
     /// every output channel of its pixel, not only those with a weight on it.
     #[test]
     fn a_b_takes_every_term_zero_or_not() {
-        takes_every_term_zero_or_not(13, 0);
+        for build in builds_here() {
+            takes_every_term_zero_or_not(build, 13, 0);
+        }
+    }
+
+    /// The dispatcher picks the widest build this CPU runs, and names it.
+    #[test]
+    fn the_widest_build_that_runs_here_is_picked() {
+        assert_eq!(Some(&Build::selected()), builds_here().first());
+        assert_eq!(kernel(), Build::selected().name());
+        assert_eq!(Build::ALL.last(), Some(&Build::Baseline), "the baseline runs everywhere, so it comes last");
     }
 
     #[test]
