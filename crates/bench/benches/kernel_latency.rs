@@ -6,7 +6,7 @@ use criterion::{BatchSize, Criterion};
 use mea_bench::regression::Reporter;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
-use mea_tensor::conv::{col2im, im2col_into, ConvGeom};
+use mea_tensor::conv::{col2im, depthwise_into, im2col_into, ConvGeom};
 use mea_tensor::{matmul, Rng, Tensor};
 
 /// Batch 8 is the sweep regime; batch 1 is the serving regime, where
@@ -155,6 +155,42 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
     });
 }
 
+/// What `DepthwiseConv2d::forward` runs — `depthwise_into` at batch 1, as
+/// a request that exits at the extension runs it — once over each of the
+/// extension's five 3×3 depthwise convolutions, `(channels, input height =
+/// width, stride)`, into buffers kept across calls.
+fn bench_depthwise_forward_kernels(c: &mut Criterion) {
+    struct Depthwise {
+        geom: ConvGeom,
+        hw: usize,
+        weight: Tensor,
+        image: Tensor,
+        out: Vec<f32>,
+    }
+    let mut rng = Rng::new(7);
+    let mut convs: Vec<Depthwise> = [(3, 16, 1), (8, 16, 1), (8, 16, 2), (16, 8, 2), (32, 4, 1)]
+        .into_iter()
+        .map(|(channels, hw, stride)| {
+            let geom = ConvGeom::square(channels, 3, stride, 1);
+            let (oh, ow) = geom.out_hw(hw, hw);
+            Depthwise {
+                geom,
+                hw,
+                weight: Tensor::randn([channels, 9], 1.0, &mut rng),
+                image: Tensor::randn([channels, hw, hw], 1.0, &mut rng),
+                out: vec![0.0; channels * oh * ow],
+            }
+        })
+        .collect();
+    c.bench_function("depthwise_forward_kernels", |b| {
+        b.iter(|| {
+            for dw in &mut convs {
+                depthwise_into(dw.image.as_slice(), dw.hw, dw.hw, &dw.geom, dw.weight.as_slice(), &mut dw.out);
+            }
+        })
+    });
+}
+
 fn bench_matmul(c: &mut Criterion) {
     let mut rng = Rng::new(2);
     let a = Tensor::randn([128, 128], 1.0, &mut rng);
@@ -214,6 +250,7 @@ fn main() {
         bench_cloud(&mut c);
         bench_conv_forward_kernels(&mut c);
         bench_conv_backward_kernels(&mut c);
+        bench_depthwise_forward_kernels(&mut c);
         bench_matmul(&mut c);
         bench_int8_inference(&mut c);
         bench_qgemm(&mut c);

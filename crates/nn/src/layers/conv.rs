@@ -40,6 +40,10 @@ impl Conv2d {
     /// Creates a convolution with a square `kernel`, given `stride` and
     /// `pad`, Kaiming-initialised. ResNet-style networks set `bias = false`
     /// because a BatchNorm follows.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is 0.
     pub fn new(
         in_channels: usize,
         out_channels: usize,
@@ -280,6 +284,12 @@ mod tests {
         let x = Tensor::randn([1, 3, 8, 8], 1.0, &mut rng);
         let y = conv.forward(&x, Mode::Eval);
         assert_eq!(y.dims(), &[1, 8, 4, 4]);
+    }
+
+    #[test]
+    #[should_panic(expected = "stride")]
+    fn a_zero_stride_is_rejected_at_construction() {
+        Conv2d::new(3, 8, 3, 0, 1, false, &mut Rng::new(0));
     }
 
     #[test]

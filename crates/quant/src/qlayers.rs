@@ -309,10 +309,7 @@ impl QDepthwiseConv2d {
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
         assert_eq!(c, self.channels, "QDepthwiseConv2d expects {} channels, got {c}", self.channels);
         let k = self.kernel;
-        let ph = h + 2 * self.pad;
-        let pw = w + 2 * self.pad;
-        assert!(ph >= k && pw >= k, "kernel does not fit padded input");
-        let (oh, ow) = ((ph - k) / self.stride + 1, (pw - k) / self.stride + 1);
+        let (oh, ow) = ConvGeom::square(c, k, self.stride, self.pad).out_hw(h, w);
         let zp_x = x.params().zero_point(0);
         let s_x = x.params().scale(0);
         let s_y = self.out_params.scale(0);

@@ -11,6 +11,16 @@
 //! computed once per tap and nothing inside them tests the border: at stride
 //! 1 an output row and its stretch of an image row are two slices, at a
 //! larger stride the image side takes every `stride`-th pixel.
+//!
+//! A depthwise convolution has no patch matrix to multiply: [`depthwise_into`]
+//! walks the same per-tap ranges and adds `weight · pixel` straight into the
+//! output row. Its bits depend only on the order in which each output element
+//! receives its taps: every element starts at `+0.0` and adds the products of
+//! its in-image taps in ascending `(ki, kj)` order, one rounding per product
+//! and one per addition (no fused multiply-add), padding taps skipped rather
+//! than added as zero products (the same sum for finite weights, but
+//! `∞ · 0` is NaN). Any loop order gives the per-element loop's sums exactly
+//! as long as the taps are the outermost loops, taken in ascending order.
 
 use crate::tensor::Tensor;
 use serde::{Deserialize, Serialize};
@@ -34,7 +44,12 @@ pub struct ConvGeom {
 
 impl ConvGeom {
     /// Square-kernel convenience constructor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `stride` is 0, which no output size could be computed for.
     pub fn square(in_channels: usize, kernel: usize, stride: usize, pad: usize) -> Self {
+        assert!(stride >= 1, "convolution stride must be at least 1, got stride {stride}");
         ConvGeom { in_channels, kh: kernel, kw: kernel, stride, pad }
     }
 
@@ -135,6 +150,57 @@ pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, pa
                     } else {
                         for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
                             *d = v;
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Depthwise convolution of a batch of `[C, H, W]` images (given as one raw
+/// slice of `N·C·H·W`, `C = geom.in_channels`): channel `c` of each image is
+/// convolved with its own `kh × kw` filter, row `c` of the `[C, kh·kw]`
+/// `weight`, into `out` (`N·C·oh·ow`), which may hold anything on entry.
+///
+/// Each output plane is zeroed, then each tap `(ki, kj)` in ascending order
+/// adds `weight · pixel` over the output rows and columns it reaches
+/// ([`ConvGeom::reaching`]): at stride 1 a run of an output row and its
+/// stretch of an image row are two slices. Every output element thus adds
+/// its in-image taps in the per-element loop's order (module docs).
+///
+/// # Panics
+///
+/// Panics if `images` is not a whole number of `C·H·W` images, or `weight`
+/// or `out` has the wrong length.
+pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weight: &[f32], out: &mut [f32]) {
+    let (oh, ow) = geom.out_hw(h, w);
+    let chw = geom.in_channels * h * w;
+    assert_eq!(images.len() % chw, 0, "image length mismatch");
+    assert_eq!(weight.len(), geom.patch_len(), "depthwise weight length mismatch");
+    assert_eq!(out.len(), images.len() / chw * geom.in_channels * oh * ow, "output length mismatch");
+    let (stride, pad, taps) = (geom.stride, geom.pad, geom.kh * geom.kw);
+    let planes = images.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
+    for ((img_plane, out_plane), filt) in planes.zip(weight.chunks_exact(taps).cycle()) {
+        out_plane.fill(0.0);
+        for ki in 0..geom.kh {
+            let oys = geom.reaching(ki, h, oh);
+            for kj in 0..geom.kw {
+                let oxs = geom.reaching(kj, w, ow);
+                if oxs.is_empty() {
+                    continue;
+                }
+                let (wv, ix0) = (filt[ki * geom.kw + kj], oxs.start * stride + kj - pad);
+                for oy in oys.clone() {
+                    let dst = &mut out_plane[oy * ow..][oxs.clone()];
+                    let src = &img_plane[(oy * stride + ki - pad) * w + ix0..];
+                    if stride == 1 {
+                        for (d, &x) in dst.iter_mut().zip(&src[..oxs.len()]) {
+                            *d += wv * x;
+                        }
+                    } else {
+                        for (d, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                            *d += wv * x;
                         }
                     }
                 }
