@@ -109,9 +109,10 @@ fn bench_conv_forward_kernels(c: &mut Criterion) {
     });
 }
 
-/// What `Conv2d::backward` runs per image — `dW += dY·colsᵀ`, a zeroed
-/// `Wᵀ·dY` and its `col2im` — once over each of [`conv_shapes`], into
-/// buffers kept across calls as the layer keeps them across images.
+/// What `Conv2d::backward` runs for a batch of one image — `dWᵀ = cols·dYᵀ`
+/// into a zeroed accumulator, a zeroed `Wᵀ·dY` and its `col2im`, then `dWᵀ`
+/// added to `dW` transposed — once over each of [`conv_shapes`], into
+/// buffers kept across calls.
 fn bench_conv_backward_kernels(c: &mut Criterion) {
     struct Conv {
         geom: ConvGeom,
@@ -119,7 +120,8 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
         weight: Tensor,
         grad_out: Tensor,
         cols: Tensor,
-        dw: Tensor,
+        dw: Vec<f32>,
+        dw_t: Vec<f32>,
         grad_cols: Tensor,
         grad_in: Vec<f32>,
     }
@@ -135,7 +137,8 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
                 weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
                 grad_out: Tensor::randn([out_c, ncols], 1.0, &mut rng),
                 cols: Tensor::randn([patch, ncols], 1.0, &mut rng),
-                dw: Tensor::zeros([out_c, patch]),
+                dw: vec![0.0; out_c * patch],
+                dw_t: vec![0.0; patch * out_c],
                 grad_cols: Tensor::zeros([patch, ncols]),
                 grad_in: vec![0.0; geom.in_channels * hw * hw],
             }
@@ -145,11 +148,17 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
         b.iter(|| {
             for conv in &mut convs {
                 let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
-                let (g, dw) = (conv.grad_out.as_slice(), conv.dw.as_mut_slice());
-                matmul::gemm_a_bt_into(g, conv.cols.as_slice(), dw, oc, ncols, patch);
+                let g = conv.grad_out.as_slice();
+                conv.dw_t.fill(0.0);
+                matmul::gemm_a_bt_into(conv.cols.as_slice(), g, &mut conv.dw_t, patch, ncols, oc);
                 conv.grad_cols.fill(0.0);
                 matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
                 col2im(&conv.grad_cols, conv.hw, conv.hw, &conv.geom, &mut conv.grad_in);
+                for (o, dw_row) in conv.dw.chunks_exact_mut(patch).enumerate() {
+                    for (d, dw_t_row) in dw_row.iter_mut().zip(conv.dw_t.chunks_exact(oc)) {
+                        *d += dw_t_row[o];
+                    }
+                }
             }
         })
     });

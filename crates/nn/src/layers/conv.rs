@@ -7,12 +7,21 @@
 //! after the first call it allocates nothing but its output; a training
 //! forward gives each image its own slot and leaves them for `backward`.
 //!
-//! [`mea_tensor::parallel`] decides whether the batch is cut into bands of
-//! images. A batch of one, a one-core host, and a call from inside another
-//! op's band all run as one straight-line loop on the calling thread; the
-//! GEMM inside a band is always serial. Images are independent, so the
-//! split never changes a forward result; `backward` sums weight gradients
-//! per band, then band by band, as it always has.
+//! In `forward`, [`mea_tensor::parallel`] decides whether the batch is cut
+//! into bands of images. A batch of one, a one-core host, and a call from
+//! inside another op's band all run as one straight-line loop on the calling
+//! thread; the GEMM inside a band is always serial. Images are independent,
+//! so the split never changes a result.
+//!
+//! `backward` runs on the calling thread, image after image, so its
+//! gradients are the same bits on any number of cores. Every element of
+//! `dW` sums its dot product over one image from zero and adds it to a
+//! per-call accumulator, in image order, and the accumulator is then added
+//! to the parameter's gradient once; `db` is summed the same way. The
+//! accumulator is `dWᵀ` (`[patch, oc]`), because with the patch matrix as
+//! the tall operand of `cols·dYᵀ` the tile stores contiguous rows; it is
+//! transposed as it is added. A partial per band of images, added in band
+//! order, would make the bits depend on how many cores cut the batch.
 
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
@@ -146,38 +155,33 @@ impl Layer for Conv2d {
         assert_eq!(n * cols_len, self.cols.len(), "batch size changed between forward and backward");
         let mut grad_in = Tensor::zeros([n, self.geom.in_channels, h, w]);
 
-        let band = parallel::band_len(n);
-        let (geom, weight, has_bias) = (self.geom, self.weight.value.as_slice(), self.bias.is_some());
-        let parts = grad_in
-            .as_mut_slice()
-            .chunks_mut(band * chw)
-            .zip(grad_out.as_slice().chunks(band * out_per_img))
-            .zip(self.cols.chunks(band * cols_len));
-        // Each band accumulates its own (dW, db), merged in band order below.
-        let partials = parallel::run(parts, |((gi_band, g_band), cols_band)| {
-            let mut dw = Tensor::zeros([oc, patch]);
-            let mut db = Tensor::zeros([oc]);
-            let mut grad_cols = Tensor::zeros([patch, ncols]);
-            let images = gi_band.chunks_exact_mut(chw).zip(g_band.chunks_exact(out_per_img));
-            for ((gi, g), cols) in images.zip(cols_band.chunks_exact(cols_len)) {
-                matmul::gemm_a_bt_into(g, cols, dw.as_mut_slice(), oc, ncols, patch);
-                if has_bias {
-                    for (b, row) in db.as_mut_slice().iter_mut().zip(g.chunks_exact(ncols)) {
-                        *b += row.iter().sum::<f32>();
-                    }
+        // dWᵀ, `[patch, oc]`: with the patches as the tall operand of
+        // `cols·dYᵀ`, each tile of dot products is stored as contiguous rows.
+        let mut dw_t = vec![0.0; patch * oc];
+        let mut db = Tensor::zeros([oc]);
+        let mut grad_cols = Tensor::zeros([patch, ncols]);
+        let (geom, weight) = (self.geom, self.weight.value.as_slice());
+        let images =
+            grad_in.as_mut_slice().chunks_exact_mut(chw).zip(grad_out.as_slice().chunks_exact(out_per_img));
+        for ((gi, g), cols) in images.zip(self.cols.chunks_exact(cols_len)) {
+            matmul::gemm_a_bt_into(cols, g, &mut dw_t, patch, ncols, oc);
+            if self.bias.is_some() {
+                for (b, row) in db.as_mut_slice().iter_mut().zip(g.chunks_exact(ncols)) {
+                    *b += row.iter().sum::<f32>();
                 }
-                grad_cols.fill(0.0);
-                matmul::gemm_at_b_into(weight, g, grad_cols.as_mut_slice(), patch, oc, ncols);
-                col2im(&grad_cols, h, w, &geom, gi);
             }
-            (dw, db)
-        });
+            grad_cols.fill(0.0);
+            matmul::gemm_at_b_into(weight, g, grad_cols.as_mut_slice(), patch, oc, ncols);
+            col2im(&grad_cols, h, w, &geom, gi);
+        }
 
-        for (dw, db) in partials {
-            self.weight.grad.add_assign(&dw);
-            if let Some(bias) = &mut self.bias {
-                bias.grad.add_assign(&db);
+        for (o, dw_row) in self.weight.grad.as_mut_slice().chunks_exact_mut(patch).enumerate() {
+            for (d, dw_t_row) in dw_row.iter_mut().zip(dw_t.chunks_exact(oc)) {
+                *d += dw_t_row[o];
             }
+        }
+        if let Some(bias) = &mut self.bias {
+            bias.grad.add_assign(&db);
         }
         grad_in
     }
@@ -324,6 +328,48 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A batch's `backward` and its images' `backward`s one at a time, each
+    /// adding to the gradients of the one before, give the same bits: `dW`,
+    /// `db` and every image's `grad_in`. The gradients start at zero, as an
+    /// optimizer step leaves them. A batch cut into per-band partials, as
+    /// `backward` once did on a host with several cores, fails this.
+    #[test]
+    fn batch_backward_is_its_images_backwards_in_order_bit_for_bit() {
+        let mut rng = Rng::new(11);
+        for (in_c, out_c, stride, bias) in [(3, 12, 1, true), (5, 8, 2, false), (4, 24, 1, false)] {
+            let mut conv = Conv2d::new(in_c, out_c, 3, stride, 1, bias, &mut rng);
+            for n in [2usize, 3, 8] {
+                let x = Tensor::randn([n, in_c, 7, 6], 1.0, &mut rng);
+                let (oh, ow) = conv.geom.out_hw(7, 6);
+                let g = Tensor::randn([n, out_c, oh, ow], 1.0, &mut rng);
+
+                zero_grads(&mut conv);
+                let _ = conv.forward(&x, Mode::Train);
+                let batch_in = conv.backward(&g);
+                let batch_grads = grads(&mut conv);
+
+                zero_grads(&mut conv);
+                for i in 0..n {
+                    let _ = conv.forward(&x.slice_axis0(i, i + 1), Mode::Train);
+                    let image_in = conv.backward(&g.slice_axis0(i, i + 1));
+                    assert!(same_bits(&image_in, &batch_in.slice_axis0(i, i + 1)), "grad_in of image {i} of {n}");
+                }
+                for (at, (one_by_one, batch)) in grads(&mut conv).iter().zip(&batch_grads).enumerate() {
+                    assert!(
+                        same_bits(one_by_one, batch),
+                        "parameter {at}, {in_c}→{out_c}, stride {stride}, n={n}"
+                    );
+                }
+            }
+        }
+    }
+
+    fn grads(layer: &mut dyn Layer) -> Vec<Tensor> {
+        let mut out = Vec::new();
+        layer.visit_params(&mut |p| out.push(p.grad.clone()));
+        out
     }
 
     /// The patch buffer outlives the call: a smaller input, a larger one

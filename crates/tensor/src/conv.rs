@@ -10,7 +10,9 @@
 //! rows and of output columns ([`ConvGeom::reaching`]). The ranges are
 //! computed once per tap and nothing inside them tests the border: at stride
 //! 1 an output row and its stretch of an image row are two slices, at a
-//! larger stride the image side takes every `stride`-th pixel.
+//! larger stride the image side takes every `stride`-th pixel. The unfold
+//! of a "same" convolution copies a whole tap as one slice
+//! ([`unfold_into`]).
 //!
 //! A depthwise convolution has no patch matrix to multiply: [`depthwise_into`]
 //! walks the same per-tap ranges and adds `weight · pixel` straight into the
@@ -100,9 +102,9 @@ pub fn im2col(image: &[f32], h: usize, w: usize, geom: &ConvGeom) -> Tensor {
 }
 
 /// [`im2col`] into a caller-owned buffer of `C·kh·kw · oh·ow` elements,
-/// which may hold anything on entry: every element is written exactly once,
-/// a tap inside the image with its pixel and a padding tap with zero, so a
-/// buffer reused across images and input sizes leaks nothing.
+/// which may hold anything on entry: every element is written, a tap inside
+/// the image with its pixel and a padding tap with zero, so a buffer reused
+/// across images and input sizes leaks nothing.
 ///
 /// # Panics
 ///
@@ -115,8 +117,21 @@ pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mu
 /// (zero for floats, the activation zero-point for quantised images).
 ///
 /// Per tap, the output rows and columns outside [`ConvGeom::reaching`] are
-/// filled with `padding` and the rest copied from the image, one slice per
-/// output row at stride 1.
+/// filled with `padding` and the rest copied from the image: at a larger
+/// stride every `stride`-th pixel of each image row, at stride 1 one slice
+/// per output row — or, when the output is as wide as the image (every
+/// "same" convolution: `kw = 2·pad + 1`), one slice for the whole tap.
+///
+/// That block copy writes the same elements as the row copies. With
+/// `ow = w`, output element `(oy, ox)` of tap `(ki, kj)` reads pixel
+/// `(oy + ki − pad, ox + kj − pad)`, which is `(ki − pad)·w + kj − pad`
+/// elements from its own index for every element of the tap. So one slice
+/// from the first in-image element to the last puts each in-image element's
+/// pixel in place. Between two in-image runs it also writes the at most
+/// `pad` border columns at the end of one row and the start of the next,
+/// with pixels of the neighbouring image row. Those are then overwritten
+/// with `padding`, as the row copies write them, so the tap ends up
+/// element for element the same.
 ///
 /// # Panics
 ///
@@ -134,13 +149,25 @@ pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, pa
             for kj in 0..geom.kw {
                 let tap = &mut cols[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
                 let oxs = geom.reaching(kj, w, ow);
-                if oxs.is_empty() {
+                if oxs.is_empty() || oys.is_empty() {
                     tap.fill(padding);
                     continue;
                 }
                 tap[..oys.start * ow].fill(padding);
                 tap[oys.end * ow..].fill(padding);
-                for (oy, dst_row) in oys.clone().zip(tap[oys.start * ow..oys.end * ow].chunks_exact_mut(ow)) {
+                let rows = &mut tap[oys.start * ow..oys.end * ow];
+                if stride == 1 && ow == w {
+                    // The block copy of the doc above, then its border columns.
+                    let len = (oys.len() - 1) * ow + oxs.len();
+                    let src = (oys.start + ki - pad) * w + oxs.start + kj - pad;
+                    rows[oxs.start..][..len].copy_from_slice(&img_plane[src..][..len]);
+                    for row in rows.chunks_exact_mut(ow) {
+                        row[..oxs.start].fill(padding);
+                        row[oxs.end..].fill(padding);
+                    }
+                    continue;
+                }
+                for (oy, dst_row) in oys.clone().zip(rows.chunks_exact_mut(ow)) {
                     let src = &img_plane[(oy * stride + ki - pad) * w + oxs.start * stride + kj - pad..];
                     dst_row[..oxs.start].fill(padding);
                     dst_row[oxs.end..].fill(padding);
@@ -333,7 +360,7 @@ mod tests {
 
     /// The loop [`im2col_into`] replaced, kept as its reference: every tap
     /// of every output position, each tested against the border.
-    fn im2col_per_element(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mut [f32]) {
+    fn unfold_per_element<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, padding: T, cols: &mut [T]) {
         let (oh, ow) = geom.out_hw(h, w);
         let ncols = oh * ow;
         for c in 0..geom.in_channels {
@@ -347,7 +374,7 @@ mod tests {
                             let ix = (ox * geom.stride + kj) as isize - geom.pad as isize;
                             let inside = iy >= 0 && iy < h as isize && ix >= 0 && ix < w as isize;
                             cols[row * ncols + oy * ow + ox] =
-                                if inside { img_plane[iy as usize * w + ix as usize] } else { 0.0 };
+                                if inside { img_plane[iy as usize * w + ix as usize] } else { padding };
                         }
                     }
                 }
@@ -355,14 +382,16 @@ mod tests {
         }
     }
 
-    /// Row-wise and per-element unfolding agree bit for bit, into a
+    /// Row-wise, block and per-element unfolding agree bit for bit, into a
     /// poisoned buffer, on non-square images including ones smaller than
     /// the kernel and a single pixel, and with `pad ≥ kernel`, where some
     /// taps find nothing but padding along a whole row or column range.
+    /// Each geometry also unfolds a `u8` image padded with a non-zero value,
+    /// as an int8 activation is padded with its zero-point.
     #[test]
     fn im2col_into_matches_the_per_element_loop_bit_for_bit() {
         let mut rng = Rng::new(9);
-        let (mut geometries, mut all_padding_taps) = (0, 0);
+        let (mut geometries, mut all_padding_taps, mut block_copies) = (0, 0, 0);
         for kernel in [1usize, 3, 5] {
             for stride in [1usize, 2, 3] {
                 for pad in [0usize, 1, 2, 4] {
@@ -376,16 +405,31 @@ mod tests {
                         let mut got = vec![f32::NAN; g.patch_len() * oh * ow];
                         im2col_into(x.as_slice(), h, w, &g, &mut got);
                         let mut want = vec![f32::NAN; got.len()];
-                        im2col_per_element(x.as_slice(), h, w, &g, &mut want);
+                        unfold_per_element(x.as_slice(), h, w, &g, 0.0, &mut want);
                         let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
                         assert!(same, "kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}");
+
+                        let bytes: Vec<u8> = (0..2 * h * w).map(|_| rng.uniform_range(1.0, 256.0) as u8).collect();
+                        let mut got = vec![0xAA; want.len()];
+                        unfold_into(&bytes, h, w, &g, 128u8, &mut got);
+                        let mut want_bytes = vec![0x55; want.len()];
+                        unfold_per_element(&bytes, h, w, &g, 128u8, &mut want_bytes);
+                        assert_eq!(
+                            got, want_bytes,
+                            "u8: kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}"
+                        );
+
                         geometries += 1;
+                        block_copies += usize::from(stride == 1 && ow == w);
                         all_padding_taps +=
                             want.chunks_exact(oh * ow).filter(|tap| tap.iter().all(|&v| v == 0.0)).count();
                     }
                 }
             }
         }
+        // 1×1 at pad 0, 3×3 at pad 1 and 5×5 at pad 2 on each of the five
+        // images: the geometries the block copy takes.
+        assert_eq!(block_copies, 15, "geometries unfolded by the stride-1 block copy");
         assert!(
             geometries > 100 && all_padding_taps > 0,
             "{geometries} geometries, {all_padding_taps} empty taps"

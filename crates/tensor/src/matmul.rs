@@ -13,27 +13,31 @@
 //!
 //! # One tile, three operand layouts
 //!
-//! All three kernels run on one register tile: `MR × NR` accumulators stay
-//! in registers for all of `k` while each step takes `NR` contiguous
-//! elements of one operand (the *wide* one) and `MR` strided elements of the
-//! other (the *tall* one, read through strides so that `A` and `Aᵀ` are the
-//! same code). Edges reuse the same body: half as wide and halving again
-//! down to four columns, then one column at a time, and one row at a time.
-//! A kernel is a choice of which operand is tall, which is wide, and where
-//! the accumulators start and end up:
+//! All three kernels run on one register tile: `R × W` accumulators stay in
+//! registers for all of `k` while each step takes `W` contiguous elements of
+//! one operand (the *wide* one) and `R` elements of the other (the *tall*
+//! one). A kernel is a choice of which operand is tall, which is wide, and
+//! where the accumulators start and end up:
 //!
 //! * `A·B`, the product every served request runs: `A` is tall as it lies
-//!   (a row is `k` apart, a term one apart), `B` is wide as it lies, and a
-//!   tile of `C` is loaded, takes its `k` terms and is stored once.
-//! * `Aᵀ·B` is the same with the strides of `A` exchanged.
+//!   (its rows contiguous), `B` is wide as it lies, and a tile of `C` is
+//!   loaded, takes its `k` terms and is stored once.
+//! * `Aᵀ·B` is the same with `A` read down its columns, which are
+//!   contiguous in `Aᵀ`: the `R` elements of a step are one slice. The two
+//!   layouts are two types, so each sweep is compiled for its own and its
+//!   inner loop branches on none.
 //! * `A·Bᵀ` is `m·n` dot products, and one dot product is one chain of
 //!   additions that cannot be vectorised without reordering it. So the
 //!   operand with fewer rows is copied transposed (`1/rows-of-the-other` of
 //!   the work; in a convolution's backward pass it is the upstream
-//!   gradient, `1/patch`), which puts `NR` dot products side by side in one
-//!   vector, each still its own accumulator. A single row is its own
-//!   transpose: the exit head of a batch-1 request packs and allocates
-//!   nothing.
+//!   gradient, `1/patch`), which puts `W` dot products side by side in one
+//!   vector, each still its own accumulator. The copy is zero-padded to
+//!   whole vectors of the build: a layer of 12 or 24 output channels is one
+//!   16- or 32-wide tile on AVX-512F, not a 16-wide one plus a half-width or
+//!   quarter-width one that does as many steps for half or a quarter of the
+//!   products. The padding lanes multiply zeros and are never emitted. A
+//!   single row is its own transpose: the exit head of a batch-1 request
+//!   packs and allocates nothing.
 //!
 //! # What the bits depend on
 //!
@@ -45,18 +49,20 @@
 //! band runs on the calling thread; otherwise [`crate::parallel`] gives
 //! each core a contiguous band of `C`'s rows.
 //!
-//! Nor on the width of the vectors that run the tile. One lane of an
-//! accumulator vector is one element of `C`: a step multiplies the lane's
-//! own pair of operands and adds the product to that lane alone, so a
-//! vector of 4, 8 or 16 lanes is 4, 8 or 16 of the chains above side by
-//! side, each still adding its `k` terms in ascending order. No lane is
-//! ever summed into another (`A·Bᵀ` packs a transpose precisely so that it
-//! never has to reduce across a vector). And no product is fused into its
-//! addition on any build: Rust does not contract `a * b + c` into one
-//! rounding, even in a function compiled for a CPU with fused multiply-add
-//! (AVX-512F implies it), and this file has no `mul_add`. So every build
-//! below returns the same bits, and the tests check each one against a
-//! scalar reference with `to_bits`.
+//! Nor on the width of the vectors that run the tile, nor on its height.
+//! One lane of an accumulator vector is one element of `C`: a step
+//! multiplies the lane's own pair of operands and adds the product to that
+//! lane alone, so a vector of 4, 8 or 16 lanes is 4, 8 or 16 of the chains
+//! above side by side, each still adding its `k` terms in ascending order,
+//! and a taller tile is more such chains. No lane is ever summed into
+//! another (`A·Bᵀ` packs a transpose precisely so that it never has to
+//! reduce across a vector), and a padding lane of `A·Bᵀ` is a chain of its
+//! own whose sum is dropped. And no product is fused into its addition on
+//! any build: Rust does not contract `a * b + c` into one rounding, even in
+//! a function compiled for a CPU with fused multiply-add (AVX-512F implies
+//! it), and this file has no `mul_add`. So every build below returns the
+//! same bits, and the tests check each one against a scalar reference with
+//! `to_bits`.
 //!
 //! The tile has no zero-skip branch, which the row loops it replaced had.
 //! For finite operands that changes no bit but one: a skipped term is `±0`,
@@ -71,16 +77,28 @@
 //!
 //! # Which tile runs
 //!
-//! The sweep that covers `C` with tiles — `sweep` → `tile_row` → `tile_at`,
-//! with the inner loop `tile` inlined — has one source, the `tile_build!`
-//! macro, compiled once per instruction set, each at the width that fills
-//! its registers with eight accumulator vectors:
+//! The sweep that covers `C` with tiles — `sweep` → `panel` → `tile_at`,
+//! with the layout's inner loop inlined — has one source, the `tile_build!`
+//! macro, compiled once per instruction set with that build's table of
+//! tile shapes, `rows × columns`. The sweep cuts `C` into panels of
+//! columns, each as wide as the widest shape that fits, and covers a panel
+//! with tiles of that shape's height. Rows left below the last full tile
+//! take 4-row tiles and then single rows; columns left right of the
+//! narrowest shape take single columns, 4 rows at a time.
 //!
-//! | build       | tile    | edge widths   | vector registers      |
-//! |-------------|---------|---------------|-----------------------|
-//! | `baseline`  | 4 × 8   | 4, 1          | sixteen 4-lane (SSE2) |
-//! | `avx2`      | 4 × 16  | 8, 4, 1       | sixteen 8-lane        |
-//! | `avx512f`   | 4 × 32  | 16, 8, 4, 1   | thirty-two 16-lane    |
+//! | build      | tiles, rows × columns          | vector registers      |
+//! |------------|--------------------------------|-----------------------|
+//! | `baseline` | 4 × 8, 8 × 4                   | sixteen 4-lane (SSE2) |
+//! | `avx2`     | 6 × 16, 8 × 8, 8 × 4           | sixteen 8-lane        |
+//! | `avx512f`  | 8 × 32, 8 × 16, 8 × 8, 8 × 4   | thirty-two 16-lane    |
+//!
+//! A narrower shape is taller, because every accumulator vector is one
+//! chain of dependent additions: a step must start enough of them to cover
+//! an addition's latency, and a tile one vector wide and four rows tall
+//! starts only four. The heights stop where the measurements did: on
+//! AVX-512F, 12-row tiles made `Aᵀ·B` 7–10× slower (its accumulators no
+//! longer stayed in registers), and 6 × 48 made the served `A·B` 1.1–1.2×
+//! slower than 8 × 32.
 //!
 //! On first use the process picks the widest build its CPU supports, by
 //! `is_x86_feature_detected!`, and keeps it; [`kernel`] names it. All three
@@ -170,37 +188,100 @@ fn band_rows(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> O
     (flops > 0).then(|| if flops >= PARALLEL_FLOP_THRESHOLD { parallel::band_len(m) } else { m })
 }
 
-/// A matrix read through strides — element `(r, p)` is
-/// `data[r·row + p·col]` — so a row-major matrix and its transpose are the
-/// same code.
-#[derive(Clone, Copy)]
-struct Strided<'a> {
-    data: &'a [f32],
-    row: usize,
-    col: usize,
+/// The tall operand of a tile sweep, in one of the two layouts the kernels
+/// meet it in. Each layout is its own type, so the inner loop of a sweep is
+/// compiled for its layout and branches on none.
+trait Tall: Copy {
+    /// The operand from its row `t` on.
+    fn skip_rows(self, t: usize) -> Self;
+
+    /// The one inner loop of the tiled kernels:
+    /// `acc[r][w] += T(r, p)·wide[p][w]` for `p` ascending over `k`, where
+    /// `T` is this operand and `wide` is row-major with rows `ldw` apart. The
+    /// accumulators are a by-value array of constant size, so they live in
+    /// registers for all of `k`; each is its own chain, so the `w` loop
+    /// vectorises without reordering any sum. Inlined into every build
+    /// below, it is compiled for that build's instruction set.
+    fn tile<const R: usize, const W: usize>(
+        self,
+        acc: [[f32; W]; R],
+        wide: &[f32],
+        ldw: usize,
+        k: usize,
+    ) -> [[f32; W]; R];
 }
 
-/// The one inner loop of the tiled kernels: `acc[r][w] += T(r, p)·wide[p][w]`
-/// for `p` ascending over `k`, where `wide` is row-major with rows `ldw`
-/// apart. The accumulators are a by-value array of constant size, so they
-/// live in registers for all of `k`; each is its own chain, so the `w` loop
-/// vectorises without reordering any sum. Inlined into every build below,
-/// it is compiled for that build's instruction set.
-#[inline(always)]
-fn tile<const R: usize, const W: usize>(
-    mut acc: [[f32; W]; R],
-    tall: Strided,
-    wide: &[f32],
-    ldw: usize,
+/// A row-major `[rows, k]` operand, `A` of `A·B` and of `A·Bᵀ`: element
+/// `(r, p)` is `data[r·k + p]`.
+#[derive(Clone, Copy)]
+struct Rows<'a> {
+    data: &'a [f32],
     k: usize,
+}
+
+impl Tall for Rows<'_> {
+    #[inline(always)]
+    fn skip_rows(self, t: usize) -> Self {
+        Rows { data: &self.data[t * self.k..], ..self }
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        mut acc: [[f32; W]; R],
+        wide: &[f32],
+        ldw: usize,
+        k: usize,
+    ) -> [[f32; W]; R] {
+        for p in 0..k {
+            acc = step(acc, |r| self.data[r * self.k + p], &wide[p * ldw..][..W]);
+        }
+        acc
+    }
+}
+
+/// The transpose of a row-major `[k, rows]` matrix, `Aᵀ` of `Aᵀ·B`: element
+/// `(r, p)` is `data[p·rows + r]`, so the `R` elements a tile takes per
+/// term are one slice.
+#[derive(Clone, Copy)]
+struct Columns<'a> {
+    data: &'a [f32],
+    rows: usize,
+}
+
+impl Tall for Columns<'_> {
+    #[inline(always)]
+    fn skip_rows(self, t: usize) -> Self {
+        Columns { data: &self.data[t..], ..self }
+    }
+
+    #[inline(always)]
+    fn tile<const R: usize, const W: usize>(
+        self,
+        mut acc: [[f32; W]; R],
+        wide: &[f32],
+        ldw: usize,
+        k: usize,
+    ) -> [[f32; W]; R] {
+        for (column, wrow) in self.data.chunks(self.rows).zip(wide.chunks(ldw)).take(k) {
+            let column = &column[..R];
+            acc = step(acc, |r| column[r], &wrow[..W]);
+        }
+        acc
+    }
+}
+
+/// One term of [`Tall::tile`]: `acc[r][w] += t(r)·wrow[w]`.
+#[inline(always)]
+fn step<const R: usize, const W: usize>(
+    mut acc: [[f32; W]; R],
+    t: impl Fn(usize) -> f32,
+    wrow: &[f32],
 ) -> [[f32; W]; R] {
-    for p in 0..k {
-        let wrow = &wide[p * ldw..][..W];
-        for (r, acc_row) in acc.iter_mut().enumerate() {
-            let t = tall.data[r * tall.row + p * tall.col];
-            for (av, &wv) in acc_row.iter_mut().zip(wrow) {
-                *av += t * wv;
-            }
+    for (r, acc_row) in acc.iter_mut().enumerate() {
+        let t = t(r);
+        for (av, &wv) in acc_row.iter_mut().zip(wrow) {
+            *av += t * wv;
         }
     }
     acc
@@ -238,11 +319,13 @@ impl Sink for Running<'_> {
 }
 
 /// `C += (p₁ + p₂ + …)`: a tile of dot products is summed from zero and then
-/// added; tile element `(t, w)` is `c[t·row + w·col]`.
+/// added; tile element `(t, w)` is `c[t·row + w·col]`. Columns from `cols`
+/// on are the zero padding of the packed operand and are never emitted.
 struct Dots<'a> {
     c: &'a mut [f32],
     row: usize,
     col: usize,
+    cols: usize,
 }
 
 impl Sink for Dots<'_> {
@@ -253,58 +336,53 @@ impl Sink for Dots<'_> {
 
     #[inline(always)]
     fn emit<const R: usize, const W: usize>(&mut self, t: usize, w: usize, acc: [[f32; W]; R]) {
+        let real = W.min(self.cols - w);
         for (r, acc_row) in acc.iter().enumerate() {
-            for (x, av) in acc_row.iter().enumerate() {
-                self.c[(t + r) * self.row + (w + x) * self.col] += av;
+            if self.col == 1 {
+                let c_row = &mut self.c[(t + r) * self.row + w..][..real];
+                for (cv, av) in c_row.iter_mut().zip(acc_row) {
+                    *cv += av;
+                }
+            } else {
+                for (x, av) in acc_row[..real].iter().enumerate() {
+                    self.c[(t + r) * self.row + (w + x) * self.col] += av;
+                }
             }
         }
     }
 }
 
+/// Rows per tile at the bottom edge, below a full tile's height, before
+/// single rows take the rest; also the height of the single-column tiles at
+/// the right edge.
+const EDGE_ROWS: usize = 4;
+
 /// The one source of the tile sweep, compiled once per build: a module
-/// holding `sweep` → `tile_row` → `tile_at`, each carrying the build's
-/// attributes, for a tile of `MR` rows by the first of `widths` columns.
-/// The other widths, narrowest last, and then single columns cover the
-/// right edge; single rows cover the bottom one.
+/// holding `sweep` → `panel` → `tile_at`, each carrying the build's
+/// attributes, for the build's table of tile shapes, widest first, each
+/// `rows x columns`. The columns of the operand are covered by the widest
+/// tile that fits, then the narrower ones, then single columns; each
+/// panel of columns is covered by tiles of its shape's height, then
+/// [`EDGE_ROWS`]-row tiles, then single rows.
 macro_rules! tile_build {
     (
-        $(#[$isa:meta])* mod $build:ident, MR = $mr:literal, widths = [$nr:literal $(, $narrower:literal)*]
+        $(#[$isa:meta])* mod $build:ident, lanes = $lanes:literal,
+        tiles = [$($mr:literal x $nr:literal),+]
     ) => {
         mod $build {
-            use super::{tile, Sink, Strided};
+            use super::{Sink, Tall, EDGE_ROWS};
 
-            /// The instruction set and the tile shape, as [`super::kernel`] names them.
-            pub(super) const NAME: &str = concat!(stringify!($build), " ", $mr, "x", $nr);
-            const MR: usize = $mr;
+            /// The instruction set and its tile shapes, as [`super::kernel`] names them.
+            pub(super) const NAME: &str = concat!(stringify!($build) $(, " ", $mr, "x", $nr)+);
+            /// `f32` lanes in one vector register of the build.
+            pub(super) const LANES: usize = $lanes;
 
             /// Covers `rows` of the tall operand by `cols` of the wide one
             /// (row-major, `cols` wide) with tiles.
             $(#[$isa])*
-            pub(super) fn sweep<S: Sink>(
-                tall: Strided,
+            pub(super) fn sweep<T: Tall, S: Sink>(
+                tall: T,
                 rows: usize,
-                wide: &[f32],
-                cols: usize,
-                k: usize,
-                sink: &mut S,
-            ) {
-                let mut t = 0;
-                while t < rows {
-                    let from_t = Strided { data: &tall.data[t * tall.row..], ..tall };
-                    if t + MR <= rows {
-                        tile_row::<MR, S>(from_t, t, wide, cols, k, sink);
-                        t += MR;
-                    } else {
-                        tile_row::<1, S>(from_t, t, wide, cols, k, sink);
-                        t += 1;
-                    }
-                }
-            }
-
-            $(#[$isa])*
-            fn tile_row<const R: usize, S: Sink>(
-                tall: Strided,
-                t: usize,
                 wide: &[f32],
                 cols: usize,
                 k: usize,
@@ -314,17 +392,39 @@ macro_rules! tile_build {
                 while w < cols {
                     let wide = &wide[w..];
                     w += match cols - w {
-                        $nr.. => tile_at::<R, $nr, S>(tall, t, wide, cols, w, k, sink),
-                        $($narrower.. => tile_at::<R, $narrower, S>(tall, t, wide, cols, w, k, sink),)*
-                        _ => tile_at::<R, 1, S>(tall, t, wide, cols, w, k, sink),
+                        $($nr.. => panel::<$mr, $nr, T, S>(tall, rows, wide, cols, w, k, sink),)+
+                        _ => panel::<EDGE_ROWS, 1, T, S>(tall, rows, wide, cols, w, k, sink),
                     };
                 }
             }
 
-            /// One tile from seed to sink; returns its width.
+            /// Columns `w..w + W` of every row, `R` rows to a tile; returns `W`.
             $(#[$isa])*
-            fn tile_at<const R: usize, const W: usize, S: Sink>(
-                tall: Strided,
+            fn panel<const R: usize, const W: usize, T: Tall, S: Sink>(
+                tall: T,
+                rows: usize,
+                wide: &[f32],
+                ldw: usize,
+                w: usize,
+                k: usize,
+                sink: &mut S,
+            ) -> usize {
+                let mut t = 0;
+                while t < rows {
+                    let from_t = tall.skip_rows(t);
+                    t += match rows - t {
+                        left if left >= R => tile_at::<R, W, T, S>(from_t, t, wide, ldw, w, k, sink),
+                        left if left >= EDGE_ROWS => tile_at::<EDGE_ROWS, W, T, S>(from_t, t, wide, ldw, w, k, sink),
+                        _ => tile_at::<1, W, T, S>(from_t, t, wide, ldw, w, k, sink),
+                    };
+                }
+                W
+            }
+
+            /// One tile from seed to sink; returns its height.
+            $(#[$isa])*
+            fn tile_at<const R: usize, const W: usize, T: Tall, S: Sink>(
+                tall: T,
                 t: usize,
                 wide: &[f32],
                 ldw: usize,
@@ -332,26 +432,28 @@ macro_rules! tile_build {
                 k: usize,
                 sink: &mut S,
             ) -> usize {
-                sink.emit(t, w, tile(sink.seed::<R, W>(t, w), tall, wide, ldw, k));
-                W
+                sink.emit(t, w, tall.tile(sink.seed::<R, W>(t, w), wide, ldw, k));
+                R
             }
         }
     };
 }
 
-// 4 × 8 accumulators are eight four-lane vectors, which with one row of the
-// wide operand and one broadcast of the tall one fill the sixteen vector
-// registers every x86-64 has. The half-width tile makes a 12-channel layer
-// a tile and a half, not a tile and four columns.
-tile_build!(mod baseline, MR = 4, widths = [8, 4]);
-// The same eight accumulator vectors at eight lanes (AVX2, sixteen
-// registers) and at sixteen (AVX-512F, thirty-two registers). On the cloud
-// network's convolutions the AVX-512F forward products took 0.72× as long at
-// 4 × 32 as at 4 × 16, whose four accumulators left most registers idle.
+// A shape's accumulators, one row of the wide operand and a broadcast of the
+// tall one must fit the build's vector registers. The baseline's 4 × 8 and
+// 8 × 4 are eight four-lane accumulators of the sixteen registers every
+// x86-64 has; the half-width tile makes a 12-channel layer a tile and a half,
+// not a tile and four columns.
+tile_build!(mod baseline, lanes = 4, tiles = [4 x 8, 8 x 4]);
+// AVX2 has sixteen eight-lane registers: twelve accumulators at 6 × 16, eight
+// below. AVX-512F has thirty-two sixteen-lane ones: sixteen accumulators at
+// 8 × 32, fewer below, all 8 rows tall. On the networks' convolutions `dW`
+// took 0.55–0.57× as long as on 4-row tiles on AVX-512F and 0.67–0.70× on
+// AVX2; the forward products took no longer.
 #[cfg(target_arch = "x86_64")]
-tile_build!(#[target_feature(enable = "avx2")] mod avx2, MR = 4, widths = [16, 8, 4]);
+tile_build!(#[target_feature(enable = "avx2")] mod avx2, lanes = 8, tiles = [6 x 16, 8 x 8, 8 x 4]);
 #[cfg(target_arch = "x86_64")]
-tile_build!(#[target_feature(enable = "avx512f")] mod avx512f, MR = 4, widths = [32, 16, 8, 4]);
+tile_build!(#[target_feature(enable = "avx512f")] mod avx512f, lanes = 16, tiles = [8 x 32, 8 x 16, 8 x 8, 8 x 4]);
 
 /// One compilation of the tile sweep. Only the baseline is compiled for a
 /// target other than x86-64.
@@ -385,6 +487,17 @@ impl Build {
         }
     }
 
+    /// `f32` lanes in one of the build's vector registers.
+    fn lanes(self) -> usize {
+        match self {
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx512f => avx512f::LANES,
+            #[cfg(target_arch = "x86_64")]
+            Build::Avx2 => avx2::LANES,
+            Build::Baseline => baseline::LANES,
+        }
+    }
+
     pub(crate) fn name(self) -> &'static str {
         match self {
             #[cfg(target_arch = "x86_64")]
@@ -404,8 +517,9 @@ impl Build {
 }
 
 /// The build of the register tile this process runs, as instruction set and
-/// tile shape (`"avx512f 4x32"`, `"avx2 4x16"` or `"baseline 4x8"`): the
-/// widest this CPU supports, picked on first use.
+/// table of tile shapes (`"avx512f 8x32 8x16 8x8 8x4"`, `"avx2 6x16 8x8 8x4"`
+/// or `"baseline 4x8 8x4"`): the widest this CPU supports, picked on first
+/// use.
 pub fn kernel() -> &'static str {
     Build::selected().name()
 }
@@ -417,7 +531,7 @@ pub fn kernel() -> &'static str {
 ///
 /// Panics if this CPU cannot run `build`.
 #[allow(unsafe_code)]
-fn sweep<S: Sink>(build: Build, tall: Strided, rows: usize, wide: &[f32], cols: usize, k: usize, sink: &mut S) {
+fn sweep<T: Tall, S: Sink>(build: Build, tall: T, rows: usize, wide: &[f32], cols: usize, k: usize, sink: &mut S) {
     match build {
         #[cfg(target_arch = "x86_64")]
         Build::Avx512f if is_x86_feature_detected!("avx512f") => {
@@ -441,13 +555,13 @@ fn sweep<S: Sink>(build: Build, tall: Strided, rows: usize, wide: &[f32], cols: 
     }
 }
 
-/// `[k, rows]` from row-major `[rows, k]`.
-fn transposed(matrix: &[f32], k: usize) -> Vec<f32> {
-    let rows = matrix.len() / k;
-    let mut out = vec![0.0; matrix.len()];
+/// `[k, padded]` from row-major `[rows, k]`: the transpose, each of its
+/// rows zero-padded from `rows` to `padded` elements.
+fn transposed(matrix: &[f32], k: usize, padded: usize) -> Vec<f32> {
+    let mut out = vec![0.0; k * padded];
     for (j, row) in matrix.chunks_exact(k).enumerate() {
         for (p, &v) in row.iter().enumerate() {
-            out[p * rows + j] = v;
+            out[p * padded + j] = v;
         }
     }
     out
@@ -466,7 +580,8 @@ pub fn gemm_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usi
 /// `C += A·Bᵀ` on row-major slices, `A: [m, k]`, `B: [n, k]`, `C: [m, n]`:
 /// each dot product is summed from zero in ascending `k`, then added to its
 /// element of `C`. Allocates a transposed copy of whichever of `A` and `B`
-/// has fewer rows, unless that is a single row.
+/// has fewer rows, zero-padded to whole vectors, unless that is a single
+/// row. `C`'s rows are written contiguously when `A` has more rows than `B`.
 ///
 /// # Panics
 ///
@@ -490,7 +605,7 @@ impl Build {
     pub(crate) fn gemm_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         let Some(band) = band_rows(a, b, c, m, k, n) else { return };
         parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-            let tall = Strided { data: a_band, row: k, col: 1 };
+            let tall = Rows { data: a_band, k };
             sweep(self, tall, a_band.len() / k, b, n, k, &mut Running { c: c_band, n });
         });
     }
@@ -500,26 +615,26 @@ impl Build {
         parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
             let rows = a_band.len() / k;
             let (tall, wide, mut sink) = if rows <= n {
-                (b, a_band, Dots { c: c_band, row: 1, col: n })
+                (b, a_band, Dots { c: c_band, row: 1, col: n, cols: rows })
             } else {
-                (a_band, b, Dots { c: c_band, row: n, col: 1 })
+                (a_band, b, Dots { c: c_band, row: n, col: 1, cols: n })
             };
-            let cols = wide.len() / k;
             let packed;
-            let wide = if cols > 1 {
-                packed = transposed(wide, k);
-                &packed
+            let (wide, cols) = if sink.cols > 1 {
+                let padded = sink.cols.next_multiple_of(self.lanes());
+                packed = transposed(wide, k, padded);
+                (&packed[..], padded)
             } else {
-                wide // a single row is its own transpose
+                (wide, 1) // a single row is its own transpose
             };
-            sweep(self, Strided { data: tall, row: k, col: 1 }, tall.len() / k, wide, cols, k, &mut sink);
+            sweep(self, Rows { data: tall, k }, tall.len() / k, wide, cols, k, &mut sink);
         });
     }
 
     pub(crate) fn gemm_at_b_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
         let Some(band) = band_rows(a, b, c, m, k, n) else { return };
         parallel::run(c.chunks_mut(band * n).enumerate(), |(band_idx, c_band)| {
-            let tall = Strided { data: &a[band_idx * band..], row: 1, col: m };
+            let tall = Columns { data: &a[band_idx * band..], rows: m };
             sweep(self, tall, c_band.len() / n, b, n, k, &mut Running { c: c_band, n });
         });
     }
@@ -712,11 +827,15 @@ mod tests {
         let b = Tensor::randn([k, n], 1.0, &mut rng);
         let c = Tensor::randn([m, n], 1.0, &mut rng); // not zero on entry
         let got = products_on(build, &a, &b, c.as_slice());
-        for (kernel, dot) in [false, true, false].into_iter().enumerate() {
+        let (a, b) = (a.as_slice(), b.as_slice());
+        let [running, dots] = [false, true].map(|dot| {
             let mut want = c.as_slice().to_vec();
-            reference(|i, p| a.at(&[i, p]), |p, j| b.at(&[p, j]), &mut want, (m, k, n), dot);
+            reference(|i, p| a[i * k + p], |p, j| b[p * n + j], &mut want, (m, k, n), dot);
+            bits(&want)
+        });
+        for (kernel, want) in [&running, &dots, &running].into_iter().enumerate() {
             let tile = build.name();
-            assert_eq!(bits(&got[kernel]), bits(&want), "{tile} kernel {kernel} at m={m}, k={k}, n={n}");
+            assert_eq!(&bits(&got[kernel]), want, "{tile} kernel {kernel} at m={m}, k={k}, n={n}");
         }
     }
 
@@ -736,24 +855,31 @@ mod tests {
         }
     }
 
-    /// Every edge of every build's tile grid: fewer rows than the 4 of a
-    /// tile, fewer columns than the 8, 16 or 32 of one, each narrower width
-    /// of the ladders (12 = 8 + 4, 24 = 16 + 8, 28 = 16 + 8 + 4, 48 = 32 + 16,
-    /// 60 = 32 + 16 + 8 + 4), one column past a full tile and two, a single
-    /// row on either side of `A·Bᵀ` (nothing packed), the packed side being
-    /// `A` and being `B`, and a single term.
+    /// Every edge of every build's tile grid: fewer rows than a tile's 4, 6
+    /// or 8, each of those heights and one row either side of it, a full
+    /// tile plus the 4-row edge tile and one row more (12, 13), several full
+    /// tiles and one row more (36, 37); fewer columns than the 8, 16 or 32
+    /// of a tile, each narrower width of the tables (12 = 8 + 4, 24 = 16 + 8,
+    /// 28 = 16 + 8 + 4, 48 = 32 + 16, 60 = 32 + 16 + 8 + 4), one column past
+    /// a full tile and two; a single row on either side of `A·Bᵀ` (nothing
+    /// packed), the packed side being `A` and being `B`, padded to whole
+    /// vectors or not; and a single term, a few, and more than a tile has
+    /// rows or columns.
     #[test]
     fn slice_kernels_match_the_reference_at_the_tile_edges() {
-        let edges = [1, 3, 4, 5, 7, 8, 12, 15, 16, 17, 24, 28, 31, 32, 33, 48, 60];
+        let edges = [1, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 15, 16, 17, 24, 28, 31, 32, 33, 36, 37, 48, 60];
         for build in builds_here() {
             for (seed, &m) in edges.iter().enumerate() {
                 for &n in &edges {
-                    for k in [1, 2, 19] {
+                    for k in [1, 2, 19, 70] {
                         kernels_match_the_reference(build, m, k, n, seed as u64);
                     }
                 }
             }
-            eprintln!("the {} tile matches the reference bit for bit at every edge", build.name());
+            eprintln!(
+                "the {} tile (rows x columns) matches the reference bit for bit at every edge",
+                build.name()
+            );
         }
     }
 
