@@ -236,10 +236,9 @@ fn bench_qgemm(c: &mut Criterion) {
 // threshold), while a median tolerates one bad repeat without loosening
 // the gate itself.
 //
-// Pinned to one CPU before the first forward (`mea_tensor::parallel` reads
-// the core count once): across the two vCPUs of the reference host the same
-// kernel spreads by 1.5× between runs minutes apart, which no 20 % gate
-// survives.
+// Pinned to one CPU before the first forward, only so that timings repeat:
+// across the two vCPUs of the reference host the same kernel spreads by 1.5×
+// between runs minutes apart, which no 20 % gate survives.
 //
 // Every row depends on the host and on the register tile the process picked
 // for its CPU (`matmul::kernel`), so both are printed first.

@@ -4,10 +4,11 @@
 //! host they do not while the scheduler moves the process between vCPUs.
 //! The standard library cannot set an affinity mask, so a timing target
 //! asks `taskset` to pin it before its first forward; every thread it
-//! spawns later inherits the mask, and `mea_tensor::parallel`, which reads
-//! the core count once, then runs every op inline. (The end-to-end
-//! benchmark under `e2e/` pins itself the same way; it is its own workspace
-//! and shares no code with this crate.)
+//! spawns later inherits the mask. Pinning changes no result: every op runs
+//! on its caller's thread whatever the core count, so it exists only so
+//! that timings repeat. (The end-to-end benchmark under `e2e/` pins itself
+//! the same way; it is its own workspace and shares no code with this
+//! crate.)
 
 use std::process::{Command, Stdio};
 

@@ -24,8 +24,7 @@
 //!   framing layer with an in-flight byte budget and frame multiplexing,
 //!   whose transfer times come from `Instant::now()`;
 //! * [`sim`] — an edge-cloud pipeline simulator: a deterministic
-//!   virtual-clock mode for latency accounting and a threaded mode (real
-//!   crossbeam channels) for end-to-end integration tests;
+//!   virtual-clock model for latency accounting;
 //! * [`fleet`] — a multi-device extension of the simulator where many edge
 //!   devices share a bounded pool of cloud servers, quantifying the cloud
 //!   congestion the paper's introduction argues early exits relieve —

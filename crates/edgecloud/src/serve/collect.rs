@@ -443,46 +443,30 @@ pub(crate) fn serve_core<T: Transport>(
     ServeReport { records, completions, stats }
 }
 
+/// Statistics gathered by [`run_payload_pipeline`].
+#[derive(Debug, Default)]
+pub struct ThreadedStats {
+    /// Total bytes that crossed the edge→cloud channel.
+    pub bytes_sent: u64,
+    /// Number of payloads processed by the cloud workers.
+    pub payloads: u64,
+}
+
 /// Generic payload pipeline: round-robins encoded payloads across
-/// `workers` dynamic-batching consumers and returns the classifications
-/// in request order — the transport skeleton of the cloud tier, exposed
-/// so [`crate::sim::run_threaded`] is literally the
-/// `workers: 1, max_batch: 1` special case of the serving substrate.
+/// `workers` dynamic-batching consumers over the chosen wire and returns
+/// the classifications in request order — the transport skeleton of the
+/// cloud tier. [`TransportKind::Modelled`] uses in-memory channels,
+/// [`TransportKind::Pipe`] a real byte pipe; both yield identical results
+/// and byte accounting, only the wall-clock differs. `workers: 1,
+/// max_batch: 1` is a plain two-node edge→cloud pipeline.
+///
+/// `classify` runs on the worker threads.
 ///
 /// # Panics
 ///
 /// Panics if `workers == 0` or `max_batch == 0`, or when a worker thread
 /// panics.
 pub fn run_payload_pipeline(
-    payloads: Vec<Payload>,
-    workers: usize,
-    max_batch: usize,
-    max_wait: Duration,
-    queue_depth: usize,
-    classify: impl Fn(&Payload) -> usize + Send + Sync,
-) -> (Vec<usize>, ThreadedStats) {
-    run_payload_pipeline_over(
-        &TransportKind::Modelled,
-        payloads,
-        workers,
-        max_batch,
-        max_wait,
-        queue_depth,
-        classify,
-    )
-}
-
-/// [`run_payload_pipeline`] over an explicit transport: the same
-/// round-robin fan-out and dynamic batching, with the frames crossing the
-/// chosen wire ([`TransportKind::Modelled`] in-memory channels, or a real
-/// byte pipe under [`TransportKind::Pipe`]). Both yield identical results
-/// and byte accounting; only the wall-clock differs.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or `max_batch == 0`, or when a worker thread
-/// panics.
-pub fn run_payload_pipeline_over(
     kind: &TransportKind,
     payloads: Vec<Payload>,
     workers: usize,
@@ -520,7 +504,7 @@ pub fn run_payload_pipeline_over(
 /// The payload pipeline over a concrete [`Transport`]: per-lane dynamic
 /// batching workers decode and classify, per-lane collectors funnel the
 /// response frames back, the caller's thread dispatches round-robin.
-pub(crate) fn pipeline_core<T: Transport>(
+fn pipeline_core<T: Transport>(
     transport: T,
     payloads: Vec<Payload>,
     workers: usize,

@@ -111,7 +111,6 @@ pub(crate) use crate::partition::{
     MEASURED_PRIOR_SAMPLES,
 };
 pub(crate) use crate::payload::{channel_absmax, ActivationGrids, Payload};
-pub(crate) use crate::sim::ThreadedStats;
 pub(crate) use crate::traces::ArrivalModel;
 #[cfg(unix)]
 pub(crate) use crate::transport::UdsTransport;

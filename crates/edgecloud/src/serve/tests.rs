@@ -745,18 +745,64 @@ fn payload_pipeline_round_trips_in_order_across_workers() {
         .collect();
     let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
     for workers in [1usize, 3] {
-        let (results, stats) =
-            run_payload_pipeline(payloads.clone(), workers, 4, Duration::from_millis(1), 4, |p| {
-                p.as_tensor().sum().clamp(0.0, 11.0) as usize
-            });
+        let (results, stats) = run_payload_pipeline(
+            &TransportKind::Modelled,
+            payloads.clone(),
+            workers,
+            4,
+            Duration::from_millis(1),
+            4,
+            |p| p.as_tensor().sum().clamp(0.0, 11.0) as usize,
+        );
         assert_eq!(results.len(), 12);
         assert_eq!(stats.payloads, 12);
         assert_eq!(stats.bytes_sent, expected_bytes);
-        let (serial, _) = run_payload_pipeline(payloads.clone(), 1, 1, Duration::ZERO, 4, |p| {
-            p.as_tensor().sum().clamp(0.0, 11.0) as usize
-        });
+        let (serial, _) =
+            run_payload_pipeline(&TransportKind::Modelled, payloads.clone(), 1, 1, Duration::ZERO, 4, |p| {
+                p.as_tensor().sum().clamp(0.0, 11.0) as usize
+            });
         assert_eq!(results, serial, "worker/batch configuration changed results");
     }
+}
+
+#[test]
+fn payload_pipeline_round_trips_on_one_unbatched_worker() {
+    let mut rng = Rng::new(0);
+    let payloads: Vec<Payload> = (0..6)
+        .map(|i| {
+            let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
+            Payload::Features { features: t }
+        })
+        .collect();
+    // "Classifier": index of the largest element sum bucketised.
+    let (results, stats) =
+        run_payload_pipeline(&TransportKind::Modelled, payloads.clone(), 1, 1, Duration::ZERO, 4, |p| {
+            let s = p.as_tensor().sum();
+            s.clamp(0.0, 5.0) as usize
+        });
+    assert_eq!(results.len(), 6);
+    assert_eq!(stats.payloads, 6);
+    let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
+    assert_eq!(stats.bytes_sent, expected_bytes);
+}
+
+#[test]
+fn payload_pipeline_is_transport_agnostic() {
+    let mut rng = Rng::new(7);
+    let payloads: Vec<Payload> = (0..6)
+        .map(|i| {
+            let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
+            Payload::Features { features: t }
+        })
+        .collect();
+    let classify = |p: &Payload| p.as_tensor().sum().clamp(0.0, 5.0) as usize;
+    let one_worker =
+        |kind: &TransportKind, payloads| run_payload_pipeline(kind, payloads, 1, 1, Duration::ZERO, 4, classify);
+    let (modelled, modelled_stats) = one_worker(&TransportKind::Modelled, payloads.clone());
+    let (piped, piped_stats) = one_worker(&TransportKind::Pipe(PipeConfig::default()), payloads);
+    assert_eq!(piped, modelled, "the byte pipe changed classifications");
+    assert_eq!(piped_stats.payloads, modelled_stats.payloads);
+    assert_eq!(piped_stats.bytes_sent, modelled_stats.bytes_sent, "payload byte accounting diverged");
 }
 
 #[test]

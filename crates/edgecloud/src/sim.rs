@@ -1,32 +1,20 @@
 //! Edge-cloud pipeline simulation.
 //!
-//! Two complementary modes:
-//!
-//! * [`simulate`] — a deterministic **virtual-clock** model of the paper's
-//!   deployment: frames arrive at a fixed interval, the edge GPU is a FIFO
-//!   server, the radio is a FIFO channel, the cloud is a FIFO server.
-//!   Produces per-instance end-to-end latency, the makespan, and the edge
-//!   energy split. This is what backs the latency claims of §IV-B ("since
-//!   more than 50% of data inference have terminated at the edge,
-//!   edge-cloud distributed inference still has the advantage in latency").
-//! * [`run_threaded`] — a **real** two-node pipeline: the edge thread
-//!   encodes [`Payload`]s onto a bounded crossbeam channel, a cloud worker
-//!   thread decodes and classifies, and responses flow back over a second
-//!   channel. Used by integration tests to prove the wire format and
-//!   routing logic work end to end, not just in closed form. Since the
-//!   serving runtime landed this is just the
-//!   `workers: 1, max_batch: 1` special case of
-//!   [`crate::serve::run_payload_pipeline`].
+//! [`simulate`] is a deterministic **virtual-clock** model of the paper's
+//! deployment: frames arrive at a fixed interval, the edge GPU is a FIFO
+//! server, the radio is a FIFO channel, the cloud is a FIFO server. It
+//! produces per-instance end-to-end latency, the makespan, and the edge
+//! energy split. This is what backs the latency claims of §IV-B ("since
+//! more than 50% of data inference have terminated at the edge, edge-cloud
+//! distributed inference still has the advantage in latency"). The real
+//! threaded pipeline is [`crate::serve::run_payload_pipeline`].
 
 use crate::device::DeviceProfile;
 use crate::energy::EnergyReport;
 use crate::network::NetworkLink;
-use crate::payload::Payload;
-use crate::transport::TransportKind;
 use mea_metrics::Histogram;
 use meanet::ExitPoint;
 use serde::{Deserialize, Serialize};
-use std::time::Duration;
 
 /// Static parameters of a virtual-clock simulation.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -189,48 +177,9 @@ pub fn simulate(cfg: &SimConfig, routes: &[ExitPoint]) -> SimReport {
     SimReport { timings, makespan_s, mean_latency_s, p95_latency_s, energy }
 }
 
-/// Statistics gathered by the threaded pipeline.
-#[derive(Debug, Default)]
-pub struct ThreadedStats {
-    /// Total bytes that crossed the edge→cloud channel.
-    pub bytes_sent: u64,
-    /// Number of payloads processed by the cloud worker.
-    pub payloads: u64,
-}
-
-/// Runs a real two-thread edge→cloud pipeline: payloads are encoded,
-/// shipped over a bounded channel, decoded and classified by the cloud
-/// worker; predictions return over a response channel in order.
-///
-/// This is the degenerate `workers: 1, max_batch: 1` configuration of the
-/// serving substrate, delegating to
-/// [`crate::serve::run_payload_pipeline`].
-///
-/// `classify` runs on the cloud thread and must be `Send + Sync`.
-pub fn run_threaded(
-    payloads: Vec<Payload>,
-    classify: impl Fn(&Payload) -> usize + Send + Sync,
-) -> (Vec<usize>, ThreadedStats) {
-    run_threaded_over(&TransportKind::Modelled, payloads, classify)
-}
-
-/// [`run_threaded`] with an explicit transport: `Modelled` keeps the
-/// deterministic bounded-channel wire, [`TransportKind::Pipe`] ships the
-/// same frames over the real in-process byte pipe
-/// ([`crate::transport::PipeTransport`]). Results and byte accounting are
-/// identical either way — the transport only changes where the time goes.
-pub fn run_threaded_over(
-    transport: &TransportKind,
-    payloads: Vec<Payload>,
-    classify: impl Fn(&Payload) -> usize + Send + Sync,
-) -> (Vec<usize>, ThreadedStats) {
-    crate::serve::run_payload_pipeline_over(transport, payloads, 1, 1, Duration::ZERO, 4, classify)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mea_tensor::{Rng, Tensor};
 
     fn cfg() -> SimConfig {
         SimConfig {
@@ -346,44 +295,5 @@ mod tests {
         let with = simulate(&c, &[ExitPoint::Main, ExitPoint::Extension]);
         let without = simulate(&cfg(), &[ExitPoint::Main, ExitPoint::Extension]);
         assert_eq!(with.timings, without.timings, "local exits never touch the coop stage");
-    }
-
-    #[test]
-    fn threaded_pipeline_round_trips() {
-        let mut rng = Rng::new(0);
-        let payloads: Vec<Payload> = (0..6)
-            .map(|i| {
-                let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
-                Payload::Features { features: t }
-            })
-            .collect();
-        // "Classifier": index of the largest element sum bucketised.
-        let (results, stats) = run_threaded(payloads.clone(), |p| {
-            let s = p.as_tensor().sum();
-            s.clamp(0.0, 5.0) as usize
-        });
-        assert_eq!(results.len(), 6);
-        assert_eq!(stats.payloads, 6);
-        let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
-        assert_eq!(stats.bytes_sent, expected_bytes);
-    }
-
-    #[test]
-    fn threaded_pipeline_is_transport_agnostic() {
-        use crate::transport::PipeConfig;
-        let mut rng = Rng::new(7);
-        let payloads: Vec<Payload> = (0..6)
-            .map(|i| {
-                let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
-                Payload::Features { features: t }
-            })
-            .collect();
-        let classify = |p: &Payload| p.as_tensor().sum().clamp(0.0, 5.0) as usize;
-        let (modelled, modelled_stats) = run_threaded_over(&TransportKind::Modelled, payloads.clone(), classify);
-        let (piped, piped_stats) =
-            run_threaded_over(&TransportKind::Pipe(PipeConfig::default()), payloads, classify);
-        assert_eq!(piped, modelled, "the byte pipe changed classifications");
-        assert_eq!(piped_stats.payloads, modelled_stats.payloads);
-        assert_eq!(piped_stats.bytes_sent, modelled_stats.bytes_sent, "payload byte accounting diverged");
     }
 }

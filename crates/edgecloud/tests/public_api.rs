@@ -192,14 +192,10 @@ fn serve_module_surface_survived_the_decomposition() {
     has::<ec::serve::CloudIngress>();
     let _: u64 = ec::serve::RESPONSE_WIRE_BYTES;
 
-    // The generic pipeline entry points take `impl Fn` classifiers, so
-    // they are pinned by calling them (an empty run terminates
-    // immediately) rather than by a function-pointer cast.
-    let (preds, stats) =
-        ec::serve::run_payload_pipeline(Vec::new(), 1, 1, Duration::from_millis(1), 1, |_| 0usize);
-    assert!(preds.is_empty());
-    assert_eq!(stats.payloads, 0);
-    let (preds, _stats) = ec::serve::run_payload_pipeline_over(
+    // The generic pipeline entry point takes an `impl Fn` classifier, so
+    // it is pinned by calling it (an empty run terminates immediately)
+    // rather than by a function-pointer cast.
+    let (preds, stats) = ec::serve::run_payload_pipeline(
         &ec::TransportKind::Modelled,
         Vec::new(),
         1,
@@ -208,5 +204,6 @@ fn serve_module_surface_survived_the_decomposition() {
         1,
         |_| 0usize,
     );
+    assert_eq!(stats.payloads, 0);
     assert!(preds.is_empty());
 }

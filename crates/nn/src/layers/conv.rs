@@ -3,30 +3,23 @@
 //! An image is unfolded into its patch matrix and multiplied by the
 //! flattened weights, the product accumulating straight into that image's
 //! slice of the output. Patch matrices live in one buffer the layer owns:
-//! an eval forward unfolds every image of a band into the same slot, so
-//! after the first call it allocates nothing but its output; a training
-//! forward gives each image its own slot and leaves them for `backward`.
+//! an eval forward unfolds every image into the same slot, so after the
+//! first call it allocates nothing but its output; a training forward gives
+//! each image its own slot and leaves them for `backward`.
 //!
-//! In `forward`, [`mea_tensor::parallel`] decides whether the batch is cut
-//! into bands of images. A batch of one, a one-core host, and a call from
-//! inside another op's band all run as one straight-line loop on the calling
-//! thread; the GEMM inside a band is always serial. Images are independent,
-//! so the split never changes a result.
-//!
-//! `backward` runs on the calling thread, image after image, so its
-//! gradients are the same bits on any number of cores. Every element of
+//! Both passes run on the calling thread, image after image, so their
+//! results are the same bits on any number of cores. Every element of
 //! `dW` sums its dot product over one image from zero and adds it to a
 //! per-call accumulator, in image order, and the accumulator is then added
 //! to the parameter's gradient once; `db` is summed the same way. The
 //! accumulator is `dWᵀ` (`[patch, oc]`), because with the patch matrix as
 //! the tall operand of `cols·dYᵀ` the tile stores contiguous rows; it is
-//! transposed as it is added. A partial per band of images, added in band
-//! order, would make the bits depend on how many cores cut the batch.
+//! transposed as it is added.
 
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
 use mea_tensor::conv::{col2im, im2col_into, ConvGeom};
-use mea_tensor::{matmul, ops, parallel, Rng, Tensor};
+use mea_tensor::{matmul, ops, Rng, Tensor};
 
 /// A standard 2-D convolution over `[N, C, H, W]` tensors.
 ///
@@ -38,8 +31,9 @@ pub struct Conv2d {
     out_channels: usize,
     weight: Param,
     bias: Option<Param>,
-    /// im2col patch matrices, `[in_c·kh·kw, oh·ow]` each: one per image
-    /// after a training forward, otherwise one per band, reused every call.
+    /// im2col patch matrices, `[in_c·kh·kw, oh·ow]` each, filled on the
+    /// calling thread: one per image after a training forward, otherwise
+    /// one, reused for every image of every call.
     cols: Vec<f32>,
     /// Input height and width of the training batch `cols` holds, if any.
     cache: Option<(usize, usize)>,
@@ -121,23 +115,14 @@ impl Layer for Conv2d {
         if self.cache.take().is_some() && !train {
             self.cols = Vec::new(); // a training batch's patches: free them before serving
         }
-        let band = parallel::band_len(n);
-        // Patch-matrix slots per band: every image's in training, one to reuse in eval.
-        let slots = if train { band } else { 1 };
-        self.cols.resize(if train { n } else { n.div_ceil(band) } * cols_len, 0.0);
-        let (geom, weight) = (self.geom, self.weight.value.as_slice());
-        let parts = out
-            .as_mut_slice()
-            .chunks_mut(band * out_per_img)
-            .zip(x.as_slice().chunks(band * chw))
-            .zip(self.cols.chunks_mut(slots * cols_len));
-        parallel::run(parts, |((out_band, x_band), cols_band)| {
-            for (i, (y, img)) in out_band.chunks_exact_mut(out_per_img).zip(x_band.chunks_exact(chw)).enumerate() {
-                let cols = &mut cols_band[(i % slots) * cols_len..][..cols_len];
-                im2col_into(img, h, w, &geom, cols);
-                matmul::gemm_into(weight, cols, y, oc, patch, ncols);
-            }
-        });
+        self.cols.resize(if train { n } else { 1 } * cols_len, 0.0);
+        let weight = self.weight.value.as_slice();
+        let images = out.as_mut_slice().chunks_exact_mut(out_per_img).zip(x.as_slice().chunks_exact(chw));
+        for (i, (y, img)) in images.enumerate() {
+            let cols = &mut self.cols[if train { i * cols_len } else { 0 }..][..cols_len];
+            im2col_into(img, h, w, &self.geom, cols);
+            matmul::gemm_into(weight, cols, y, oc, patch, ncols);
+        }
 
         if let Some(bias) = &self.bias {
             ops::add_bias_nchw(&mut out, &bias.value);
@@ -311,9 +296,9 @@ mod tests {
         a.dims() == b.dims() && a.as_slice().iter().zip(b.as_slice()).all(|(x, y)| x.to_bits() == y.to_bits())
     }
 
-    /// A batch cut into bands (several cores, several images) and the same
-    /// images one at a time (always inline) must agree bit for bit, in both
-    /// modes: that is the contract the serve ≡ sweep verifier enforces.
+    /// A batch and the same images one at a time must agree bit for bit, in
+    /// both modes, whichever slot of `cols` an image is unfolded into: that
+    /// is the contract the serve ≡ sweep verifier enforces.
     #[test]
     fn forward_is_deterministic_across_batch_split() {
         let mut rng = Rng::new(9);

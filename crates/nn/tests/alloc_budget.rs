@@ -3,8 +3,8 @@
 //! fixed number of times — its activations, not its scratch.
 //!
 //! This test binary installs a counting `#[global_allocator]`. It counts
-//! per thread, so the test harness's other threads do not show up, and a
-//! batch of one never leaves the calling thread.
+//! per thread, so the test harness's other threads do not show up; every
+//! op runs on the calling thread, whatever the batch.
 
 use mea_nn::layer::zero_grads;
 use mea_nn::layers::{Conv2d, Linear};
@@ -76,6 +76,25 @@ fn warm_batch1_eval_forward_stays_within_its_allocator_budget() {
     assert!(calls <= EVAL_FORWARD_BUDGET, "{calls} allocator calls in one warm batch-1 eval forward");
     let steady = allocator_calls(|| drop(net.forward(&x, Mode::Eval)));
     assert_eq!(steady, calls, "the count is a property of the network, not of the call");
+}
+
+/// A batched forward stays on the calling thread as well: after a warm-up,
+/// batch 8 makes at most one allocator call more than batch 1 (22 calls on
+/// this commit). The one extra is the classifier's `A·Bᵀ`, which packs a
+/// transposed copy of an operand with more than one row. An op that spawned
+/// threads for a large batch would pay for their bookkeeping here, on the
+/// calling thread.
+#[test]
+fn warm_batch8_eval_forward_allocates_like_batch1_plus_the_packed_head() {
+    let mut net = resnet_cifar(&CifarResNetConfig::repro_scale(10), &mut Rng::new(1));
+    let mut rng = Rng::new(2);
+    let x1 = Tensor::randn([1, 3, 16, 16], 1.0, &mut rng);
+    let x8 = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
+    drop(net.forward(&x8, Mode::Eval));
+    drop(net.forward(&x1, Mode::Eval));
+    let one = allocator_calls(|| drop(net.forward(&x1, Mode::Eval)));
+    let eight = allocator_calls(|| drop(net.forward(&x8, Mode::Eval)));
+    assert!(eight <= one + 1, "{eight} allocator calls at batch 8 against {one} at batch 1");
 }
 
 /// The exit head every request runs: a batch-1 `Linear::forward` is a

@@ -4,15 +4,13 @@
 //! the MEANet reproduction (`meanet` crate and friends).
 //!
 //! The crate provides exactly the operations a from-scratch CNN training
-//! stack needs, nothing more:
+//! stack needs, nothing more, each on the calling thread:
 //!
 //! * [`Tensor`] — a dense, row-major `f32` tensor with shape checking;
 //! * [`matmul`] — matrix products (`A·B`, `Aᵀ·B`, `A·Bᵀ`), as allocating
 //!   wrappers and as in-place slice kernels, used by linear layers and
 //!   im2col convolution, on the widest register tile the CPU runs — the
 //!   one place in the crate with an `unsafe` block;
-//! * [`parallel`] — the one place that decides whether an op runs inline or
-//!   is cut into per-core bands;
 //! * [`conv`] — im2col / col2im transforms and convolution geometry;
 //! * [`pool`] — average / max pooling forward and backward kernels;
 //! * [`ops`] — softmax, ReLU, bias broadcast and other pointwise kernels;
@@ -41,7 +39,6 @@ pub mod conv;
 pub mod error;
 pub mod matmul;
 pub mod ops;
-pub mod parallel;
 pub mod pool;
 pub mod reader;
 pub mod rng;

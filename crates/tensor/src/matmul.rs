@@ -1,5 +1,5 @@
-//! Matrix products that never materialise a transpose, banded over output
-//! rows when large.
+//! Matrix products that never materialise a transpose, each on the calling
+//! thread.
 //!
 //! * [`matmul`]      — `C = A·B`   (linear/conv forward),
 //! * [`matmul_a_bt`] — `C = A·Bᵀ`  (linear forward, conv weight gradients `dW = dY·colsᵀ`),
@@ -43,11 +43,9 @@
 //!
 //! Nothing but the operands. Every element of `C` sums its `k` terms in
 //! ascending order — `A·B` and `Aᵀ·B` onto the value `C` held, `A·Bᵀ` from
-//! zero and then onto `C` — whichever tile, edge or band it falls in, and
-//! no product is fused into its addition. A product below 2²⁰
-//! multiply-adds, on a one-core host, or called from inside another op's
-//! band runs on the calling thread; otherwise [`crate::parallel`] gives
-//! each core a contiguous band of `C`'s rows.
+//! zero and then onto `C` — whichever tile or edge it falls in, and no
+//! product is fused into its addition. Every product runs on the calling
+//! thread, so neither the core count nor the size of `C` enters.
 //!
 //! Nor on the width of the vectors that run the tile, nor on its height.
 //! One lane of an accumulator vector is one element of `C`: a step
@@ -118,13 +116,8 @@
 //! this one, benchmark harnesses and their reference loops included, and
 //! the binary would stop running on CPUs without those features.
 
-use crate::parallel;
 use crate::tensor::Tensor;
 use std::sync::OnceLock;
-
-/// Multiply-adds below which a product is never banded: a band costs a
-/// thread spawn, which dominates on small matrices.
-const PARALLEL_FLOP_THRESHOLD: usize = 1 << 20;
 
 /// `C = A·B` for `A: [m, k]`, `B: [k, n]`.
 ///
@@ -173,10 +166,8 @@ fn mat_dims(t: &Tensor, name: &str) -> (usize, usize) {
     (t.dims()[0], t.dims()[1])
 }
 
-/// Checks the slice lengths and returns the rows of `C` per band — all `m`
-/// of them, one band run inline, for a small product — or `None` when there
-/// is nothing to add.
-fn band_rows(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> Option<usize> {
+/// Checks the slice lengths and says whether there is anything to add.
+fn has_terms(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> bool {
     assert!(
         a.len() == m * k && b.len() == k * n && c.len() == m * n,
         "gemm operands of {}, {} and {} elements do not fit m={m}, k={k}, n={n}",
@@ -184,8 +175,7 @@ fn band_rows(a: &[f32], b: &[f32], c: &[f32], m: usize, k: usize, n: usize) -> O
         b.len(),
         c.len()
     );
-    let flops = m * n * k;
-    (flops > 0).then(|| if flops >= PARALLEL_FLOP_THRESHOLD { parallel::band_len(m) } else { m })
+    m * n * k > 0
 }
 
 /// The tall operand of a tile sweep, in one of the two layouts the kernels
@@ -603,40 +593,35 @@ pub fn gemm_at_b_into(a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n
 /// The three kernels on one build's tile.
 impl Build {
     pub(crate) fn gemm_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-        parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-            let tall = Rows { data: a_band, k };
-            sweep(self, tall, a_band.len() / k, b, n, k, &mut Running { c: c_band, n });
-        });
+        if has_terms(a, b, c, m, k, n) {
+            sweep(self, Rows { data: a, k }, m, b, n, k, &mut Running { c, n });
+        }
     }
 
     pub(crate) fn gemm_a_bt_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-        parallel::run(c.chunks_mut(band * n).zip(a.chunks(band * k)), |(c_band, a_band)| {
-            let rows = a_band.len() / k;
-            let (tall, wide, mut sink) = if rows <= n {
-                (b, a_band, Dots { c: c_band, row: 1, col: n, cols: rows })
-            } else {
-                (a_band, b, Dots { c: c_band, row: n, col: 1, cols: n })
-            };
-            let packed;
-            let (wide, cols) = if sink.cols > 1 {
-                let padded = sink.cols.next_multiple_of(self.lanes());
-                packed = transposed(wide, k, padded);
-                (&packed[..], padded)
-            } else {
-                (wide, 1) // a single row is its own transpose
-            };
-            sweep(self, Rows { data: tall, k }, tall.len() / k, wide, cols, k, &mut sink);
-        });
+        if !has_terms(a, b, c, m, k, n) {
+            return;
+        }
+        let (tall, wide, mut sink) = if m <= n {
+            (b, a, Dots { c, row: 1, col: n, cols: m })
+        } else {
+            (a, b, Dots { c, row: n, col: 1, cols: n })
+        };
+        let packed;
+        let (wide, cols) = if sink.cols > 1 {
+            let padded = sink.cols.next_multiple_of(self.lanes());
+            packed = transposed(wide, k, padded);
+            (&packed[..], padded)
+        } else {
+            (wide, 1) // a single row is its own transpose
+        };
+        sweep(self, Rows { data: tall, k }, tall.len() / k, wide, cols, k, &mut sink);
     }
 
     pub(crate) fn gemm_at_b_into(self, a: &[f32], b: &[f32], c: &mut [f32], m: usize, k: usize, n: usize) {
-        let Some(band) = band_rows(a, b, c, m, k, n) else { return };
-        parallel::run(c.chunks_mut(band * n).enumerate(), |(band_idx, c_band)| {
-            let tall = Columns { data: &a[band_idx * band..], rows: m };
-            sweep(self, tall, c_band.len() / n, b, n, k, &mut Running { c: c_band, n });
-        });
+        if has_terms(a, b, c, m, k, n) {
+            sweep(self, Columns { data: a, rows: m }, m, b, n, k, &mut Running { c, n });
+        }
     }
 }
 
@@ -692,10 +677,9 @@ mod tests {
         assert_close(&matmul(&a, &b), &naive(&a, &b), 1e-5);
     }
 
+    /// A product of many tile rows and panels, against the naive loop.
     #[test]
-    fn parallel_path_matches_serial() {
-        // Big enough to cross PARALLEL_FLOP_THRESHOLD.
-        let _alone = crate::parallel::probe::exclusive();
+    fn large_product_spanning_many_tile_rows_matches_naive() {
         let mut rng = Rng::new(2);
         let a = Tensor::randn([128, 96], 1.0, &mut rng);
         let b = Tensor::randn([96, 128], 1.0, &mut rng);
@@ -718,35 +702,13 @@ mod tests {
         assert_close(&matmul_at_b(&a, &b), &matmul(&a.transpose2d(), &b), 1e-5);
     }
 
+    /// `Aᵀ·B` over many tile rows and panels, against the naive loop.
     #[test]
-    fn at_b_parallel_matches() {
-        let _alone = crate::parallel::probe::exclusive();
+    fn large_at_b_spanning_many_tile_rows_matches_naive() {
         let mut rng = Rng::new(5);
         let a = Tensor::randn([96, 128], 1.0, &mut rng);
         let b = Tensor::randn([96, 100], 1.0, &mut rng);
-        assert_close(&matmul_at_b(&a, &b), &matmul(&a.transpose2d(), &b), 1e-4);
-    }
-
-    /// The banded product (from a free thread, above the threshold) against
-    /// the same product computed inside a band, where it must stay serial:
-    /// the split is invisible in the bits, for all three kernels.
-    #[test]
-    fn banded_and_serial_products_agree_bit_for_bit() {
-        let _alone = crate::parallel::probe::exclusive();
-        let mut rng = Rng::new(6);
-        let (m, k, n) = (96, 128, 100);
-        let a = Tensor::randn([m, k], 1.0, &mut rng);
-        let a_t = a.transpose2d();
-        let b = Tensor::randn([k, n], 1.0, &mut rng);
-        let b_t = b.transpose2d();
-        let products = || [matmul(&a, &b), matmul_a_bt(&a, &b_t), matmul_at_b(&a_t, &b)];
-        let banded = products();
-        let serial = parallel::run(0..2, |_| products()).swap_remove(0);
-        for (x, y) in banded.iter().zip(&serial) {
-            assert!(x.as_slice().iter().zip(y.as_slice()).all(|(p, q)| p.to_bits() == q.to_bits()));
-        }
-        assert_close(&banded[1], &banded[0], 1e-4);
-        assert_close(&banded[2], &banded[0], 1e-4);
+        assert_close(&matmul_at_b(&a, &b), &naive(&a.transpose2d(), &b), 1e-4);
     }
 
     #[test]

@@ -12,10 +12,13 @@ use mea_edgecloud::device::DeviceProfile;
 use mea_edgecloud::energy::energy_from_records;
 use mea_edgecloud::network::NetworkLink;
 use mea_edgecloud::payload::Payload;
-use mea_edgecloud::sim::{run_threaded, simulate, SimConfig};
+use mea_edgecloud::serve::run_payload_pipeline;
+use mea_edgecloud::sim::{simulate, SimConfig};
+use mea_edgecloud::transport::TransportKind;
 use mea_nn::layer::Mode;
 use meanet::pipeline::{BackboneChoice, Pipeline, PipelineConfig};
 use parking_lot::Mutex;
+use std::time::Duration;
 
 fn main() {
     // Train a small distributed system.
@@ -83,10 +86,12 @@ fn main() {
         return;
     }
     let n = offload.len();
-    let (preds, stats) = run_threaded(offload, |payload| {
-        let logits = cloud_net.lock().forward(&payload.as_tensor(), Mode::Eval);
-        logits.argmax_rows()[0]
-    });
+    // One cloud worker, no batching: the plain two-node pipeline.
+    let (preds, stats) =
+        run_payload_pipeline(&TransportKind::Modelled, offload, 1, 1, Duration::ZERO, 4, |payload| {
+            let logits = cloud_net.lock().forward(&payload.as_tensor(), Mode::Eval);
+            logits.argmax_rows()[0]
+        });
     println!(
         "threaded pipeline: {} payloads, {} bytes on the wire, predictions {:?}",
         stats.payloads,

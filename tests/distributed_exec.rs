@@ -4,12 +4,14 @@
 
 use mea_data::presets;
 use mea_edgecloud::payload::Payload;
-use mea_edgecloud::sim::run_threaded;
+use mea_edgecloud::serve::run_payload_pipeline;
+use mea_edgecloud::transport::TransportKind;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
 use mea_tensor::Rng;
 use meanet::train::{train_backbone, TrainConfig};
 use parking_lot::Mutex;
+use std::time::Duration;
 
 #[test]
 fn threaded_cloud_matches_local_predictions_for_feature_payloads() {
@@ -34,8 +36,9 @@ fn threaded_cloud_matches_local_predictions_for_feature_payloads() {
         .collect();
     let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
     let cloud = Mutex::new(cloud);
-    let (remote, stats) =
-        run_threaded(payloads, |p| cloud.lock().forward(&p.as_tensor(), Mode::Eval).argmax_rows()[0]);
+    let (remote, stats) = run_payload_pipeline(&TransportKind::Modelled, payloads, 1, 1, Duration::ZERO, 4, |p| {
+        cloud.lock().forward(&p.as_tensor(), Mode::Eval).argmax_rows()[0]
+    });
 
     assert_eq!(remote, local, "wire transfer changed predictions");
     assert_eq!(stats.bytes_sent, expected_bytes, "byte accounting mismatch");
@@ -60,8 +63,9 @@ fn raw_payload_quantisation_rarely_flips_predictions() {
     let payloads: Vec<Payload> =
         (0..n).map(|i| Payload::RawImage { image: bundle.test.images.slice_axis0(i, i + 1) }).collect();
     let cloud = Mutex::new(cloud);
-    let (remote, _) =
-        run_threaded(payloads, |p| cloud.lock().forward(&p.as_tensor(), Mode::Eval).argmax_rows()[0]);
+    let (remote, _) = run_payload_pipeline(&TransportKind::Modelled, payloads, 1, 1, Duration::ZERO, 4, |p| {
+        cloud.lock().forward(&p.as_tensor(), Mode::Eval).argmax_rows()[0]
+    });
     let agree = remote.iter().zip(&local).filter(|(a, b)| a == b).count();
     assert!(agree * 4 >= n * 3, "8-bit quantisation flipped too many predictions: {agree}/{n}");
 }
