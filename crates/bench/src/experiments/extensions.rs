@@ -11,8 +11,8 @@ use mea_data::synth::generate;
 use mea_data::ClassDict;
 use mea_edgecloud::payload::paper_raw_image_bytes;
 use mea_edgecloud::{
-    best_cut, profile_network, simulate_fleet, sweep_cuts, DeviceProfile, FleetConfig, NetworkLink, Objective,
-    PartitionEnv,
+    best_cut, profile_network, simulate_fleet, sweep_cuts, ArrivalModel, ComputeTier, DeviceClass, DeviceProfile,
+    FleetConfig, FleetSpec, NetworkLink, Objective, PartitionEnv,
 };
 use mea_metrics::memory::{blockwise_bytes, joint_bytes, mib};
 use mea_metrics::Table;
@@ -280,8 +280,8 @@ pub fn fleet_scaling(scale: Scale) -> (Table, Vec<FleetRow>) {
     // The shared cloud here is a *regional* server (a few devices' worth
     // of headroom), not a hyperscale datacenter — the regime where fleet
     // growth visibly congests the offload path.
+    let spec = FleetSpec::uniform(DeviceClass::new("edge", DeviceProfile::edge_jetson_like(), ComputeTier::High));
     let cfg = FleetConfig {
-        edge: DeviceProfile::edge_jetson_like(),
         cloud: DeviceProfile::new("regional server", 150.0, 2.0e10),
         link: NetworkLink::wifi_18_88(),
         cloud_servers: 2,
@@ -289,8 +289,10 @@ pub fn fleet_scaling(scale: Scale) -> (Table, Vec<FleetRow>) {
         macs_extension_extra: macs_ext,
         macs_cloud,
         payload_bytes: paper_raw_image_bytes(3, 16, 16),
-        arrival_interval_s: 0.002,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     };
+    let frames = ArrivalModel::Uniform { interval_s: 0.002 }.generate(base_routes.len(), &mut Rng::new(0));
     let mut rows = Vec::new();
     for devices in [1usize, 2, 4, 8, 16] {
         // Rotate each device's route stream so offloads don't align.
@@ -300,7 +302,8 @@ pub fn fleet_scaling(scale: Scale) -> (Table, Vec<FleetRow>) {
                 base_routes.iter().cycle().skip(shift).take(base_routes.len()).copied().collect()
             })
             .collect();
-        let report = simulate_fleet(&cfg, &routes);
+        let arrivals = vec![frames.clone(); devices];
+        let report = simulate_fleet(&spec, &cfg, &routes, &arrivals);
         rows.push(FleetRow {
             devices,
             mean_ms: report.mean_latency_s * 1e3,

@@ -14,17 +14,21 @@
 //! Two consumers share the spec: the serving runtime
 //! ([`crate::serve::Fleet`]) plans per-class cuts and reports per-class
 //! stats from it, and the virtual-clock simulator here
-//! ([`simulate_fleet_spec`]) prices the same fleet analytically. Skew is
+//! ([`simulate_fleet`]) prices the same fleet analytically. Skew is
 //! also why the runtime's cloud tier defaults to the sharded
 //! work-stealing ingress ([`crate::serve::CloudIngress`]): a population
 //! whose sticky lanes collapse onto few shards would otherwise idle every
 //! other cloud worker, exactly the regime a lopsided [`FleetSpec`]
-//! produces. Each
-//! device runs the [`crate::sim`] pipeline (its own edge compute and
-//! radio), while the cloud is a shared pool of `cloud_servers` FIFO
-//! execution slots. Offloaded jobs queue when all slots are busy, so cloud
-//! latency degrades as the fleet grows or the offload fraction β rises —
-//! and recovers when MEANet keeps more inference at the edge.
+//! produces. In the simulator each device runs its own FIFO pipeline
+//! (edge compute, an optional cooperative peer hop, radio), while the
+//! cloud is a shared pool of `cloud_servers` FIFO execution slots.
+//! Offloaded jobs queue when all slots are busy, so cloud latency
+//! degrades as the fleet grows or the offload fraction β rises — and
+//! recovers when MEANet keeps more inference at the edge. This is what
+//! backs the latency claims of §IV-B ("since more than 50% of data
+//! inference have terminated at the edge, edge-cloud distributed
+//! inference still has the advantage in latency"); a one-device fleet
+//! is the paper's single edge-cloud pipeline.
 //!
 //! The simulation is a deterministic virtual-clock model: identical inputs
 //! produce identical reports.
@@ -102,8 +106,8 @@ pub struct DeviceClass {
 /// A cooperative group of same-class edge devices: `members` devices
 /// pooling their tier-scaled throughput, reachable over a dedicated local
 /// `link` (never the shared WAN uplink). A single-member group is legal
-/// and structurally equivalent to serving solo — the placement planner
-/// never scores a peer hop across one device.
+/// and structurally equivalent to serving solo — neither the placement
+/// planner nor [`simulate_fleet`] prices a peer hop across one device.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoopGroup {
     /// Devices in the group (>= 1).
@@ -255,18 +259,14 @@ impl FleetSpec {
     }
 }
 
-/// Static parameters of a fleet simulation.
+/// Static parameters of a fleet simulation. Who the devices are (their
+/// compute, radio and cooperative group) comes from the [`FleetSpec`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
-    /// Edge device profile shared by every device in the homogeneous
-    /// entry points ([`simulate_fleet`], [`simulate_fleet_with_arrivals`]).
-    /// The [`FleetSpec`]-aware entry points ignore it and give each
-    /// device its class's tier-scaled profile instead.
-    pub edge: DeviceProfile,
     /// Cloud device profile (per server slot).
     pub cloud: DeviceProfile,
     /// Radio link per device (independent radios). Classes with a
-    /// [`DeviceClass::link_prior`] override it under a [`FleetSpec`].
+    /// [`DeviceClass::link_prior`] override it.
     pub link: NetworkLink,
     /// Parallel execution slots at the cloud.
     pub cloud_servers: usize,
@@ -278,8 +278,12 @@ pub struct FleetConfig {
     pub macs_cloud: u64,
     /// Upload payload bytes per offloaded instance.
     pub payload_bytes: u64,
-    /// Per-device inter-arrival time of frames (s).
-    pub arrival_interval_s: f64,
+    /// MACs the cooperative peer stage runs per offloaded instance of a
+    /// device whose class has a [`CoopGroup`] of two or more members.
+    pub macs_peer: u64,
+    /// Activation bytes such a device ships over its group's local wire
+    /// (always the lossless f32 codec, whatever the WAN wire carries).
+    pub peer_payload_bytes: u64,
 }
 
 /// Aggregate results of a fleet simulation.
@@ -317,85 +321,34 @@ struct CloudJob {
     ready_s: f64,
 }
 
-/// Runs the homogeneous fleet simulation with the fixed per-device frame
-/// interval of `cfg.arrival_interval_s`. `routes[d]` is the per-instance
-/// exit sequence of device `d` (e.g. from Algorithm-2 records); devices
-/// may have different instance counts.
+/// Runs the fleet simulation. `routes[d]` is the per-instance exit
+/// sequence of device `d` (e.g. from Algorithm-2 records) and
+/// `arrivals[d][i]` is when instance `i` reaches device `d` (e.g. from
+/// [`crate::traces::ArrivalModel`]); devices may have different instance
+/// counts.
 ///
-/// # Panics
-///
-/// Panics if `routes` is empty, any device has no instances, or
-/// `cfg.cloud_servers == 0`.
-pub fn simulate_fleet(cfg: &FleetConfig, routes: &[Vec<ExitPoint>]) -> FleetReport {
-    let arrivals = interval_arrivals(cfg, routes);
-    simulate_fleet_with_arrivals(cfg, routes, &arrivals)
-}
-
-/// [`simulate_fleet`] with explicit per-device arrival times (e.g. from
-/// [`crate::traces::ArrivalModel`]): `arrivals[d][i]` is when instance `i`
-/// reaches device `d`. `cfg.arrival_interval_s` is ignored.
+/// Device `d` computes with its class's tier-scaled profile and uploads
+/// over its class's link prior (falling back to `cfg.link`), so the
+/// virtual clock prices the same fleet the serving runtime schedules.
+/// Each device's edge compute and radio are FIFO servers; an offload
+/// crosses the radio, then half the RTT, queues FIFO for one of the
+/// shared `cloud_servers` slots, and is back at the edge half an RTT
+/// after the cloud finishes (no response payload bytes). A device whose
+/// class has a [`CoopGroup`] of two or more members first pays the peer
+/// hop of a multi-stage [`crate::partition::PlacementPlan`]: its own
+/// FIFO local wire (serialisation, then half that wire's RTT, with the
+/// upload energy charged to the edge) and its own FIFO pooled peer
+/// ([`DeviceClass::peer_pool`]) running `cfg.macs_peer`. A one-member
+/// group serves solo, as the placement planner treats it.
 ///
 /// # Panics
 ///
 /// Panics if `routes` is empty, any device has no instances,
 /// `cfg.cloud_servers == 0`, or any arrival sequence has the wrong length
 /// or decreases.
-pub fn simulate_fleet_with_arrivals(
-    cfg: &FleetConfig,
-    routes: &[Vec<ExitPoint>],
-    arrivals: &[Vec<f64>],
-) -> FleetReport {
-    let per_device: Vec<(DeviceProfile, NetworkLink)> =
-        routes.iter().map(|_| (cfg.edge.clone(), cfg.link)).collect();
-    simulate_core(cfg, &per_device, routes, arrivals)
-}
-
-/// Runs the heterogeneous fleet simulation: device `d` computes with its
-/// class's tier-scaled profile and uploads over its class's link prior
-/// (falling back to `cfg.link` for classes without one), so the virtual
-/// clock prices the same fleet the serving runtime schedules.
-/// `cfg.edge` is ignored. A spec whose every class carries `cfg.edge` at
-/// [`ComputeTier::High`] with no link prior reproduces [`simulate_fleet`]
-/// exactly.
-///
-/// # Panics
-///
-/// Panics as [`simulate_fleet`] does.
-pub fn simulate_fleet_spec(spec: &FleetSpec, cfg: &FleetConfig, routes: &[Vec<ExitPoint>]) -> FleetReport {
-    let arrivals = interval_arrivals(cfg, routes);
-    simulate_fleet_spec_with_arrivals(spec, cfg, routes, &arrivals)
-}
-
-/// [`simulate_fleet_spec`] with explicit per-device arrival times.
-///
-/// # Panics
-///
-/// Panics as [`simulate_fleet_with_arrivals`] does.
-pub fn simulate_fleet_spec_with_arrivals(
+pub fn simulate_fleet(
     spec: &FleetSpec,
     cfg: &FleetConfig,
-    routes: &[Vec<ExitPoint>],
-    arrivals: &[Vec<f64>],
-) -> FleetReport {
-    let per_device: Vec<(DeviceProfile, NetworkLink)> = (0..routes.len())
-        .map(|d| {
-            let class = spec.device_class(d);
-            (class.effective_profile(), class.link_prior.unwrap_or(cfg.link))
-        })
-        .collect();
-    simulate_core(cfg, &per_device, routes, arrivals)
-}
-
-fn interval_arrivals(cfg: &FleetConfig, routes: &[Vec<ExitPoint>]) -> Vec<Vec<f64>> {
-    routes.iter().map(|r| (0..r.len()).map(|i| i as f64 * cfg.arrival_interval_s).collect()).collect()
-}
-
-/// The shared virtual-clock core: per-device edge/radio FIFOs feeding a
-/// shared FIFO cloud-server pool, with device `d`'s compute and link
-/// taken from `per_device[d]`.
-fn simulate_core(
-    cfg: &FleetConfig,
-    per_device: &[(DeviceProfile, NetworkLink)],
     routes: &[Vec<ExitPoint>],
     arrivals: &[Vec<f64>],
 ) -> FleetReport {
@@ -408,6 +361,7 @@ fn simulate_core(
         assert!(a.windows(2).all(|w| w[1] >= w[0]), "device {d}: arrival times must be non-decreasing");
     }
 
+    let link_of = |d: usize| spec.device_class(d).link_prior.unwrap_or(cfg.link);
     let t_cloud = cfg.cloud.latency_s(cfg.macs_cloud);
 
     let mut energy = EnergyReport::default();
@@ -416,12 +370,18 @@ fn simulate_core(
     let mut cloud_jobs: Vec<CloudJob> = Vec::new();
 
     for (d, dev_routes) in routes.iter().enumerate() {
-        let (edge, link) = &per_device[d];
+        let class = spec.class_of(d);
+        let dc = &spec.classes()[class];
+        let edge = dc.effective_profile();
+        let link = link_of(d);
+        let peer = dc.peer_pool(class).filter(|p| p.members >= 2);
         let t_main = edge.latency_s(cfg.macs_main);
         let t_ext = edge.latency_s(cfg.macs_extension_extra);
         let t_up = link.upload_time_s(cfg.payload_bytes);
         let half_rtt = link.rtt_s / 2.0;
         let mut edge_free = 0.0f64;
+        let mut wire_free = 0.0f64;
+        let mut peer_free = 0.0f64;
         let mut radio_free = 0.0f64;
         for (i, route) in dev_routes.iter().enumerate() {
             let arrival = arrivals[d][i];
@@ -441,7 +401,16 @@ fn simulate_core(
                 }
                 ExitPoint::Cloud => {
                     edge_free = done_main;
-                    let start_up = radio_free.max(done_main);
+                    let mut to_radio = done_main;
+                    if let Some(pool) = &peer {
+                        let start_wire = wire_free.max(done_main);
+                        wire_free = start_wire + pool.link.upload_time_s(cfg.peer_payload_bytes);
+                        energy.communication_j += pool.link.upload_energy_j(cfg.peer_payload_bytes);
+                        let start_peer = peer_free.max(wire_free + pool.link.rtt_s / 2.0);
+                        peer_free = start_peer + pool.pooled.latency_s(cfg.macs_peer);
+                        to_radio = peer_free;
+                    }
+                    let start_up = radio_free.max(to_radio);
                     let uploaded = start_up + t_up;
                     radio_free = uploaded;
                     energy.communication_j += link.upload_energy_j(cfg.payload_bytes);
@@ -474,8 +443,7 @@ fn simulate_core(
         let finish = start + t_cloud;
         busy += t_cloud;
         servers.push(Reverse(OrderedF64(finish)));
-        let half_rtt = per_device[job.device].1.rtt_s / 2.0;
-        completion[job.device][job.index] = finish + half_rtt;
+        completion[job.device][job.index] = finish + link_of(job.device).rtt_s / 2.0;
     }
 
     let mut latencies: Vec<f64> = Vec::new();
@@ -526,20 +494,50 @@ impl Ord for OrderedF64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::{simulate, SimConfig};
+    use crate::traces::ArrivalModel;
+    use mea_tensor::Rng;
+
+    fn edge() -> DeviceProfile {
+        DeviceProfile::new("edge", 10.0, 1e9)
+    }
 
     fn cfg(servers: usize) -> FleetConfig {
         FleetConfig {
-            edge: DeviceProfile::new("edge", 10.0, 1e9),
             cloud: DeviceProfile::new("cloud", 100.0, 1e10),
             link: NetworkLink::wifi(8.0).with_rtt(0.01),
             cloud_servers: servers,
-            macs_main: 1_000_000,
-            macs_extension_extra: 500_000,
-            macs_cloud: 10_000_000,
-            payload_bytes: 1000,
-            arrival_interval_s: 0.002,
+            macs_main: 1_000_000,          // 1 ms on edge
+            macs_extension_extra: 500_000, // 0.5 ms
+            macs_cloud: 10_000_000,        // 1 ms on cloud
+            payload_bytes: 1000,           // 1 ms on the 1 MB/s link
+            macs_peer: 0,
+            peer_payload_bytes: 0,
         }
+    }
+
+    /// Every device is `edge()` at full speed on the shared link.
+    fn uniform() -> FleetSpec {
+        FleetSpec::uniform(DeviceClass::new("edge", edge(), ComputeTier::High))
+    }
+
+    /// One frame every `interval_s` on every device.
+    fn paced_at(routes: &[Vec<ExitPoint>], interval_s: f64) -> Vec<Vec<f64>> {
+        let mut rng = Rng::new(0);
+        routes.iter().map(|r| ArrivalModel::Uniform { interval_s }.generate(r.len(), &mut rng)).collect()
+    }
+
+    fn paced(routes: &[Vec<ExitPoint>]) -> Vec<Vec<f64>> {
+        paced_at(routes, 0.002)
+    }
+
+    /// The homogeneous fleet of `uniform()` devices, frames every 2 ms.
+    fn run(f: &FleetConfig, routes: &[Vec<ExitPoint>]) -> FleetReport {
+        simulate_fleet(&uniform(), f, routes, &paced(routes))
+    }
+
+    /// One `uniform()` device, frames every 2 ms.
+    fn run_one(f: &FleetConfig, routes: &[ExitPoint]) -> FleetReport {
+        run(f, &[routes.to_vec()])
     }
 
     fn mixed_routes(n: usize) -> Vec<ExitPoint> {
@@ -552,38 +550,186 @@ mod tests {
             .collect()
     }
 
-    fn tiered_spec(base: &FleetConfig) -> FleetSpec {
+    fn tiered_spec() -> FleetSpec {
         FleetSpec::round_robin(vec![
-            DeviceClass::new("high", base.edge.clone(), ComputeTier::High),
-            DeviceClass::new("medium", base.edge.clone(), ComputeTier::Medium),
-            DeviceClass::new("low", base.edge.clone(), ComputeTier::Low),
+            DeviceClass::new("high", edge(), ComputeTier::High),
+            DeviceClass::new("medium", edge(), ComputeTier::Medium),
+            DeviceClass::new("low", edge(), ComputeTier::Low),
         ])
+    }
+
+    /// `uniform()` devices in a cooperative group of three behind a fast
+    /// local wire, the pool running 1 ms of peer work per offload.
+    fn coop() -> (FleetSpec, FleetConfig) {
+        let class = DeviceClass::new("edge", edge(), ComputeTier::High)
+            .coop_group(3, NetworkLink::wifi(80.0).with_rtt(0.002));
+        let f = FleetConfig { macs_peer: 3_000_000, peer_payload_bytes: 10_000, ..cfg(1) };
+        (FleetSpec::uniform(class), f)
+    }
+
+    #[test]
+    fn main_exits_have_main_latency() {
+        let report = run_one(&cfg(1), &[ExitPoint::Main; 5]);
+        // Interval (2 ms) exceeds service (1 ms): no queueing. No latency
+        // is below the service time, so a mean and a maximum (the p99 of
+        // five) of 1 ms mean every instance took 1 ms.
+        assert!((report.mean_latency_s - 0.001).abs() < 1e-9, "mean {}", report.mean_latency_s);
+        assert!((report.p99_latency_s - 0.001).abs() < 1e-9, "max {}", report.p99_latency_s);
+        assert!((report.makespan_s - 0.009).abs() < 1e-9, "makespan {}", report.makespan_s);
+        assert_eq!(report.energy.communication_j, 0.0);
+    }
+
+    #[test]
+    fn cloud_exits_pay_upload_and_rtt() {
+        let report = run_one(&cfg(1), &[ExitPoint::Cloud]);
+        // 1 ms edge + 1 ms upload + 5 ms half-rtt + 1 ms cloud + 5 ms back.
+        let expect = 0.001 + 0.001 + 0.005 + 0.001 + 0.005;
+        assert!((report.mean_latency_s - expect).abs() < 1e-9);
+        assert!(report.energy.communication_j > 0.0);
+    }
+
+    #[test]
+    fn rtt_convention_is_shared_across_paths() {
+        // Cross-path check of the one documented RTT convention: an
+        // uncontended cloud exit's simulated latency is exactly the edge
+        // compute plus the two `NetworkLink` legs plus the cloud compute.
+        // The simulator charges rtt/2 per leg inline; the closed-form
+        // `round_trip_s` and the serving runtime use the leg helpers, so
+        // all three charge the same convention.
+        let c = cfg(1);
+        let report = run_one(&c, &[ExitPoint::Cloud]);
+        let legs = c.link.uplink_leg_s(c.payload_bytes) + c.link.downlink_leg_s(0);
+        let expect = edge().latency_s(c.macs_main) + legs + c.cloud.latency_s(c.macs_cloud);
+        assert!((report.mean_latency_s - expect).abs() < 1e-12);
+        // The closed form agrees with the legs it is built from.
+        assert!((c.link.round_trip_s(c.payload_bytes, 0) - legs).abs() < 1e-15);
+    }
+
+    #[test]
+    fn queueing_appears_when_arrivals_outpace_service() {
+        // 0.5 ms arrivals vs 1 ms service: the last of ten instances (the
+        // p99 of ten) waits behind the others; the first waits for none.
+        let routes = vec![vec![ExitPoint::Main; 10]];
+        let report = simulate_fleet(&uniform(), &cfg(1), &routes, &paced_at(&routes, 0.0005));
+        let first = run_one(&cfg(1), &[ExitPoint::Main]).mean_latency_s;
+        let last = report.p99_latency_s;
+        assert!(last > first * 3.0, "queueing should build up: {first} vs {last}");
+    }
+
+    #[test]
+    fn extension_exits_occupy_edge_longer() {
+        let base = run_one(&cfg(1), &[ExitPoint::Main; 4]);
+        let ext = run_one(&cfg(1), &[ExitPoint::Extension; 4]);
+        assert!(ext.mean_latency_s > base.mean_latency_s);
+        assert!(ext.energy.compute_j > base.energy.compute_j);
+    }
+
+    #[test]
+    fn cloud_offload_overlaps_with_edge_work() {
+        // While instance 0 is in flight to the cloud, instance 1 should
+        // complete at the edge: pipeline parallelism. The pair ends when
+        // the offload alone ends, and the main exit pays only its own
+        // service time.
+        let c = cfg(1);
+        let pair = run_one(&c, &[ExitPoint::Cloud, ExitPoint::Main]);
+        let offload = run_one(&c, &[ExitPoint::Cloud]);
+        assert_eq!(pair.makespan_s, offload.makespan_s, "edge work should overlap offload");
+        let t_main = edge().latency_s(c.macs_main);
+        assert!((2.0 * pair.mean_latency_s - offload.mean_latency_s - t_main).abs() < 1e-12);
+        assert!(0.002 + t_main < offload.makespan_s, "the main exit completes first");
+    }
+
+    #[test]
+    fn coop_stage_prices_peer_hop_before_radio() {
+        let (spec, c) = coop();
+        let pool = spec.classes()[0].peer_pool(0).expect("grouped class");
+        let report = simulate_fleet(&spec, &c, &[vec![ExitPoint::Cloud]], &[vec![0.0]]);
+        // Edge main + coop leg + peer compute + WAN upload leg + cloud +
+        // downlink leg, each from the same helpers the closed form uses.
+        let expect = edge().latency_s(c.macs_main)
+            + pool.link.uplink_leg_s(c.peer_payload_bytes)
+            + pool.pooled.latency_s(c.macs_peer)
+            + c.link.uplink_leg_s(c.payload_bytes)
+            + c.cloud.latency_s(c.macs_cloud)
+            + c.link.downlink_leg_s(0);
+        assert!((report.mean_latency_s - expect).abs() < 1e-9, "got {}", report.mean_latency_s);
+        // The coop wire's energy lands in the communication bucket.
+        let solo = run_one(&c, &[ExitPoint::Cloud]);
+        assert!(report.energy.communication_j > solo.energy.communication_j);
+    }
+
+    #[test]
+    fn coop_stage_only_affects_cloud_exits() {
+        let (spec, c) = coop();
+        let routes = vec![vec![ExitPoint::Main, ExitPoint::Extension]];
+        let with = simulate_fleet(&spec, &c, &routes, &paced(&routes));
+        let without = run(&cfg(1), &routes);
+        assert_eq!(with, without, "local exits never touch the coop stage");
+    }
+
+    #[test]
+    fn one_member_coop_group_is_solo() {
+        // A one-member group is no group: the planner never scores a peer
+        // hop across one device, and the simulator charges none.
+        let (_, c) = coop();
+        let alone = FleetSpec::uniform(
+            DeviceClass::new("edge", edge(), ComputeTier::High).coop_group(1, NetworkLink::wifi(80.0)),
+        );
+        let routes: Vec<Vec<ExitPoint>> = (0..3).map(|d| mixed_routes(9 + d)).collect();
+        let arrivals = paced(&routes);
+        assert_eq!(
+            simulate_fleet(&alone, &c, &routes, &arrivals),
+            simulate_fleet(&uniform(), &c, &routes, &arrivals)
+        );
     }
 
     #[test]
     fn single_device_matches_pipeline_simulator() {
-        // With one device and one cloud server, the fleet model must agree
-        // with the single-pipeline simulator (same FIFO disciplines).
-        let f = cfg(1);
-        let routes = mixed_routes(12);
-        let fleet = simulate_fleet(&f, std::slice::from_ref(&routes));
-        let single = simulate(
-            &SimConfig {
-                edge: f.edge.clone(),
-                cloud: f.cloud.clone(),
-                link: f.link,
-                macs_main: f.macs_main,
-                macs_extension_extra: f.macs_extension_extra,
-                macs_cloud: f.macs_cloud,
-                payload_bytes: f.payload_bytes,
-                arrival_interval_s: f.arrival_interval_s,
-                coop: None,
-            },
-            &routes,
+        // Regression anchor for folding the single-pipeline simulator into
+        // this one: these literals are what that simulator (FIFO edge,
+        // radio, optional coop wire and pooled peer, and cloud) gave for
+        // the same inputs, so a one-device fleet still prices them.
+        let close = |got: f64, want: f64| ((got - want) / want).abs() < 1e-12;
+        let check = |r: &FleetReport, mean: f64, makespan: f64, energy: f64| {
+            assert!(close(r.mean_latency_s, mean), "mean {:?} vs {mean:?}", r.mean_latency_s);
+            assert!(close(r.makespan_s, makespan), "makespan {:?} vs {makespan:?}", r.makespan_s);
+            assert!(close(r.energy.total_j(), energy), "energy {:?} vs {energy:?}", r.energy.total_j());
+        };
+        check(
+            &run_one(&cfg(1), &mixed_routes(12)),
+            0.0051666666666666675,
+            0.034999999999999996,
+            0.14959287999999998,
         );
-        assert!((fleet.mean_latency_s - single.mean_latency_s).abs() < 1e-12);
-        assert!((fleet.makespan_s - single.makespan_s).abs() < 1e-12);
-        assert!((fleet.energy.total_j() - single.energy.total_j()).abs() < 1e-12);
+
+        // `examples/fleet_simulation.rs`'s cooperative comparison: one
+        // Low-tier device on a 2 Mbps uplink, offloading everything.
+        let low = DeviceClass::new("low", DeviceProfile::edge_jetson_like(), ComputeTier::Low);
+        let solo = FleetConfig {
+            cloud: DeviceProfile::cloud_accelerator(),
+            link: NetworkLink::wifi(2.0),
+            cloud_servers: 1,
+            macs_main: 70_000_000,
+            macs_extension_extra: 30_000_000,
+            macs_cloud: 2_000_000_000,
+            payload_bytes: 3072,
+            macs_peer: 0,
+            peer_payload_bytes: 0,
+        };
+        let coop = FleetConfig {
+            macs_cloud: 1_000_000_000,
+            payload_bytes: 512,
+            macs_peer: 1_000_000_000,
+            peer_payload_bytes: 4096,
+            ..solo.clone()
+        };
+        let routes = vec![vec![ExitPoint::Cloud; 40]];
+        let arrivals = paced_at(&routes, 0.005);
+        let r_solo = simulate_fleet(&FleetSpec::uniform(low.clone()), &solo, &routes, &arrivals);
+        check(&r_solo, 0.15625400000000006, 0.4933700000000003, 1.043670784);
+        let grouped = FleetSpec::uniform(low.coop_group(3, NetworkLink::wifi(400.0)));
+        let r_coop = simulate_fleet(&grouped, &coop, &routes, &arrivals);
+        check(&r_coop, 0.07726325333333335, 0.33726325333333357, 1.1288704020479994);
     }
 
     #[test]
@@ -591,8 +737,8 @@ mod tests {
         let f = cfg(1);
         let routes_small: Vec<Vec<ExitPoint>> = (0..2).map(|_| vec![ExitPoint::Cloud; 10]).collect();
         let routes_big: Vec<Vec<ExitPoint>> = (0..16).map(|_| vec![ExitPoint::Cloud; 10]).collect();
-        let small = simulate_fleet(&f, &routes_small);
-        let big = simulate_fleet(&f, &routes_big);
+        let small = run(&f, &routes_small);
+        let big = run(&f, &routes_big);
         assert!(
             big.cloud_wait_mean_s > small.cloud_wait_mean_s,
             "16 devices must queue more than 2: {} vs {}",
@@ -605,8 +751,8 @@ mod tests {
     #[test]
     fn more_servers_relieve_contention() {
         let routes: Vec<Vec<ExitPoint>> = (0..12).map(|_| vec![ExitPoint::Cloud; 8]).collect();
-        let one = simulate_fleet(&cfg(1), &routes);
-        let eight = simulate_fleet(&cfg(8), &routes);
+        let one = run(&cfg(1), &routes);
+        let eight = run(&cfg(8), &routes);
         assert!(eight.cloud_wait_mean_s < one.cloud_wait_mean_s);
         assert!(eight.mean_latency_s < one.mean_latency_s);
     }
@@ -615,8 +761,8 @@ mod tests {
     fn edge_exits_are_immune_to_fleet_size() {
         let routes_a: Vec<Vec<ExitPoint>> = (0..1).map(|_| vec![ExitPoint::Main; 10]).collect();
         let routes_b: Vec<Vec<ExitPoint>> = (0..32).map(|_| vec![ExitPoint::Main; 10]).collect();
-        let a = simulate_fleet(&cfg(1), &routes_a);
-        let b = simulate_fleet(&cfg(1), &routes_b);
+        let a = run(&cfg(1), &routes_a);
+        let b = run(&cfg(1), &routes_b);
         assert!(
             (a.mean_latency_s - b.mean_latency_s).abs() < 1e-12,
             "edge-only latency must not depend on fleet size"
@@ -630,8 +776,8 @@ mod tests {
         // Same fleet, two policies: offload everything vs offload a third.
         let all_cloud: Vec<Vec<ExitPoint>> = (0..8).map(|_| vec![ExitPoint::Cloud; 9]).collect();
         let meanet: Vec<Vec<ExitPoint>> = (0..8).map(|_| mixed_routes(9)).collect();
-        let heavy = simulate_fleet(&cfg(1), &all_cloud);
-        let light = simulate_fleet(&cfg(1), &meanet);
+        let heavy = run(&cfg(1), &all_cloud);
+        let light = run(&cfg(1), &meanet);
         assert!(light.cloud_wait_mean_s < heavy.cloud_wait_mean_s);
         assert!(light.mean_latency_s < heavy.mean_latency_s);
         assert!(light.energy.communication_j < heavy.energy.communication_j);
@@ -640,15 +786,15 @@ mod tests {
     #[test]
     fn deterministic_across_runs() {
         let routes: Vec<Vec<ExitPoint>> = (0..5).map(|d| mixed_routes(7 + d)).collect();
-        let a = simulate_fleet(&cfg(2), &routes);
-        let b = simulate_fleet(&cfg(2), &routes);
+        let a = run(&cfg(2), &routes);
+        let b = run(&cfg(2), &routes);
         assert_eq!(a, b);
     }
 
     #[test]
     fn percentiles_are_ordered() {
         let routes: Vec<Vec<ExitPoint>> = (0..6).map(|_| mixed_routes(20)).collect();
-        let r = simulate_fleet(&cfg(2), &routes);
+        let r = run(&cfg(2), &routes);
         assert!(r.p50_latency_s <= r.p95_latency_s);
         assert!(r.p95_latency_s <= r.p99_latency_s);
         assert!(r.p99_latency_s <= r.makespan_s + 1e-12);
@@ -660,36 +806,23 @@ mod tests {
     fn zero_servers_rejected() {
         let mut f = cfg(1);
         f.cloud_servers = 0;
-        let _ = simulate_fleet(&f, &[vec![ExitPoint::Main]]);
-    }
-
-    #[test]
-    fn explicit_uniform_arrivals_match_the_interval_path() {
-        let f = cfg(2);
-        let routes: Vec<Vec<ExitPoint>> = (0..3).map(|_| mixed_routes(9)).collect();
-        let arrivals: Vec<Vec<f64>> =
-            routes.iter().map(|r| (0..r.len()).map(|i| i as f64 * f.arrival_interval_s).collect()).collect();
-        let a = simulate_fleet(&f, &routes);
-        let b = simulate_fleet_with_arrivals(&f, &routes, &arrivals);
-        assert_eq!(a, b);
+        let _ = run(&f, &[vec![ExitPoint::Main]]);
     }
 
     #[test]
     fn bursty_arrivals_inflate_tail_latency_at_equal_mean_rate() {
-        use crate::traces::ArrivalModel;
-        use mea_tensor::Rng;
         let f = cfg(1);
         let n = 60;
         let routes: Vec<Vec<ExitPoint>> = (0..4).map(|_| vec![ExitPoint::Cloud; n]).collect();
-        let uniform = ArrivalModel::Uniform { interval_s: 0.004 };
+        let uniform_model = ArrivalModel::Uniform { interval_s: 0.004 };
         // Same mean interval (3·0 + 0.016)/4 = 0.004 s, but 4-deep bursts.
         let bursty = ArrivalModel::Bursty { burst_len: 4, intra_s: 0.0, gap_s: 0.016 };
-        assert!((uniform.mean_interval_s() - bursty.mean_interval_s()).abs() < 1e-12);
+        assert!((uniform_model.mean_interval_s() - bursty.mean_interval_s()).abs() < 1e-12);
         let mut rng = Rng::new(0);
-        let ua: Vec<Vec<f64>> = (0..4).map(|_| uniform.generate(n, &mut rng)).collect();
+        let ua: Vec<Vec<f64>> = (0..4).map(|_| uniform_model.generate(n, &mut rng)).collect();
         let ba: Vec<Vec<f64>> = (0..4).map(|_| bursty.generate(n, &mut rng)).collect();
-        let u = simulate_fleet_with_arrivals(&f, &routes, &ua);
-        let b = simulate_fleet_with_arrivals(&f, &routes, &ba);
+        let u = simulate_fleet(&uniform(), &f, &routes, &ua);
+        let b = simulate_fleet(&uniform(), &f, &routes, &ba);
         assert!(
             b.p95_latency_s > u.p95_latency_s,
             "bursts must hurt the tail: {} vs {}",
@@ -702,7 +835,7 @@ mod tests {
     #[should_panic(expected = "non-decreasing")]
     fn decreasing_arrivals_rejected() {
         let f = cfg(1);
-        let _ = simulate_fleet_with_arrivals(&f, &[vec![ExitPoint::Main; 2]], &[vec![1.0, 0.5]]);
+        let _ = simulate_fleet(&uniform(), &f, &[vec![ExitPoint::Main; 2]], &[vec![1.0, 0.5]]);
     }
 
     #[test]
@@ -727,7 +860,7 @@ mod tests {
 
     #[test]
     fn round_robin_matches_the_legacy_modulo_convention() {
-        let spec = tiered_spec(&cfg(1));
+        let spec = tiered_spec();
         for d in 0..30 {
             assert_eq!(spec.class_of(d), d % 3);
         }
@@ -737,7 +870,7 @@ mod tests {
     fn explicit_assignment_overrides_round_robin() {
         // A skewed population: one gateway, everything else pinned low —
         // including a sparse id far past the class count.
-        let spec = tiered_spec(&cfg(1)).assign(0, 0).assign(1, 2).assign(2, 2).assign(1000, 2);
+        let spec = tiered_spec().assign(0, 0).assign(1, 2).assign(2, 2).assign(1000, 2);
         assert_eq!(spec.class_of(0), 0);
         assert_eq!(spec.class_of(1), 2);
         assert_eq!(spec.class_of(2), 2);
@@ -750,7 +883,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of range")]
     fn assignment_to_unknown_class_rejected() {
-        let _ = tiered_spec(&cfg(1)).assign(0, 3);
+        let _ = tiered_spec().assign(0, 3);
     }
 
     #[test]
@@ -763,15 +896,15 @@ mod tests {
     fn identity_spec_reproduces_the_homogeneous_fleet_exactly() {
         // The regression anchor for the simulator port: a spec whose every
         // class is the shared profile at High tier with no link prior must
-        // be bit-identical to the homogeneous entry point.
+        // be bit-identical to the one-class fleet.
         let f = cfg(2);
         let spec = FleetSpec::round_robin(vec![
-            DeviceClass::new("a", f.edge.clone(), ComputeTier::High),
-            DeviceClass::new("b", f.edge.clone(), ComputeTier::High),
+            DeviceClass::new("a", edge(), ComputeTier::High),
+            DeviceClass::new("b", edge(), ComputeTier::High),
         ]);
         let routes: Vec<Vec<ExitPoint>> = (0..5).map(|d| mixed_routes(7 + d)).collect();
-        let homogeneous = simulate_fleet(&f, &routes);
-        let spec_report = simulate_fleet_spec(&spec, &f, &routes);
+        let homogeneous = run(&f, &routes);
+        let spec_report = simulate_fleet(&spec, &f, &routes, &paced(&routes));
         assert_eq!(spec_report, homogeneous);
     }
 
@@ -779,15 +912,13 @@ mod tests {
     fn slower_tiers_raise_fleet_latency() {
         let f = cfg(2);
         let routes: Vec<Vec<ExitPoint>> = (0..6).map(|_| mixed_routes(12)).collect();
-        let high = simulate_fleet_spec(
-            &FleetSpec::uniform(DeviceClass::new("high", f.edge.clone(), ComputeTier::High)),
+        let arrivals = paced(&routes);
+        let high = simulate_fleet(&uniform(), &f, &routes, &arrivals);
+        let low = simulate_fleet(
+            &FleetSpec::uniform(DeviceClass::new("low", edge(), ComputeTier::Low)),
             &f,
             &routes,
-        );
-        let low = simulate_fleet_spec(
-            &FleetSpec::uniform(DeviceClass::new("low", f.edge.clone(), ComputeTier::Low)),
-            &f,
-            &routes,
+            &arrivals,
         );
         assert!(
             low.mean_latency_s > high.mean_latency_s,
@@ -805,17 +936,13 @@ mod tests {
         let f = cfg(2);
         let slow_radio = NetworkLink::wifi(0.5).with_rtt(0.05);
         let routes: Vec<Vec<ExitPoint>> = (0..4).map(|_| vec![ExitPoint::Cloud; 8]).collect();
-        let shared = simulate_fleet_spec(
-            &FleetSpec::uniform(DeviceClass::new("edge", f.edge.clone(), ComputeTier::High)),
+        let arrivals = paced(&routes);
+        let shared = simulate_fleet(&uniform(), &f, &routes, &arrivals);
+        let throttled = simulate_fleet(
+            &FleetSpec::uniform(DeviceClass::new("edge", edge(), ComputeTier::High).with_link_prior(slow_radio)),
             &f,
             &routes,
-        );
-        let throttled = simulate_fleet_spec(
-            &FleetSpec::uniform(
-                DeviceClass::new("edge", f.edge.clone(), ComputeTier::High).with_link_prior(slow_radio),
-            ),
-            &f,
-            &routes,
+            &arrivals,
         );
         assert!(
             throttled.mean_latency_s > shared.mean_latency_s,

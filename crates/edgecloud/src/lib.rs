@@ -23,14 +23,15 @@
 //!   (an in-process byte stream and Unix-domain sockets) sharing one
 //!   framing layer with an in-flight byte budget and frame multiplexing,
 //!   whose transfer times come from `Instant::now()`;
-//! * [`sim`] — an edge-cloud pipeline simulator: a deterministic
-//!   virtual-clock model for latency accounting;
-//! * [`fleet`] — a multi-device extension of the simulator where many edge
-//!   devices share a bounded pool of cloud servers, quantifying the cloud
-//!   congestion the paper's introduction argues early exits relieve —
-//!   plus the [`fleet::FleetSpec`] registry of heterogeneous device
-//!   classes (tier-scaled compute profiles, per-class link priors,
-//!   device→class assignment) shared with the serving runtime;
+//! * [`fleet`] — the edge-cloud simulator: a deterministic virtual-clock
+//!   model for latency and energy accounting where one or many edge
+//!   devices (each with an optional cooperative peer stage) share a
+//!   bounded pool of cloud servers, quantifying the §IV-B latency claim
+//!   and the cloud congestion the paper's introduction argues early
+//!   exits relieve — plus the [`fleet::FleetSpec`] registry of
+//!   heterogeneous device classes (tier-scaled compute profiles,
+//!   per-class link priors, cooperative groups, device→class assignment)
+//!   shared with the serving runtime;
 //! * [`mod@serve`] — the *online* counterpart of [`fleet`]: a real multi-worker
 //!   serving runtime (N edge workers, M dynamically batching cloud
 //!   workers over bounded channels) that routes trace-driven traffic
@@ -68,17 +69,13 @@ pub mod network;
 pub mod partition;
 pub mod payload;
 pub mod serve;
-pub mod sim;
 pub mod traces;
 pub mod transport;
 
 pub use cost::{CostBreakdown, CostParams, Strategy};
 pub use device::DeviceProfile;
 pub use energy::{EnergyReport, PerImageCosts};
-pub use fleet::{
-    simulate_fleet, simulate_fleet_spec, simulate_fleet_spec_with_arrivals, simulate_fleet_with_arrivals,
-    ComputeTier, CoopGroup, DeviceClass, FleetConfig, FleetReport, FleetSpec,
-};
+pub use fleet::{simulate_fleet, ComputeTier, CoopGroup, DeviceClass, FleetConfig, FleetReport, FleetSpec};
 pub use governor::{AccuracyModel, ControlPoint, Governor, GovernorConfig, SlaTarget};
 pub use network::{LinkEstimate, LinkEstimator, NetworkLink, UploadPowerModel};
 pub use partition::{

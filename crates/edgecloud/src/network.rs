@@ -123,11 +123,12 @@ impl NetworkLink {
     /// link, then cross half the propagation delay.
     ///
     /// This is the repo-wide RTT convention: each direction of a round
-    /// trip carries `rtt_s / 2`. The virtual-clock simulator
-    /// (`crate::sim::simulate`), the closed-form
+    /// trip carries `rtt_s / 2`. The closed-form
     /// [`NetworkLink::round_trip_s`] and the serving runtime
-    /// (`crate::serve`) all charge propagation through this pair of leg
-    /// helpers, so their totals are identical by construction.
+    /// (`crate::serve`) charge propagation through this pair of leg
+    /// helpers; the virtual-clock simulator
+    /// ([`crate::fleet::simulate_fleet`]) charges the same convention
+    /// inline.
     pub fn uplink_leg_s(&self, bytes: u64) -> f64 {
         self.upload_time_s(bytes) + self.rtt_s / 2.0
     }

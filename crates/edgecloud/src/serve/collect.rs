@@ -1,5 +1,5 @@
 //! Serving entry points and orchestration: [`try_serve`], the [`Fleet`]
-//! API, the core worker scaffold and the payload pipelines.
+//! API and the one worker scaffold (`serve_core`) every transport runs.
 
 use super::*;
 
@@ -441,143 +441,4 @@ pub(crate) fn serve_core<T: Transport>(
         control_trajectory,
     };
     ServeReport { records, completions, stats }
-}
-
-/// Statistics gathered by [`run_payload_pipeline`].
-#[derive(Debug, Default)]
-pub struct ThreadedStats {
-    /// Total bytes that crossed the edge→cloud channel.
-    pub bytes_sent: u64,
-    /// Number of payloads processed by the cloud workers.
-    pub payloads: u64,
-}
-
-/// Generic payload pipeline: round-robins encoded payloads across
-/// `workers` dynamic-batching consumers over the chosen wire and returns
-/// the classifications in request order — the transport skeleton of the
-/// cloud tier. [`TransportKind::Modelled`] uses in-memory channels,
-/// [`TransportKind::Pipe`] a real byte pipe; both yield identical results
-/// and byte accounting, only the wall-clock differs. `workers: 1,
-/// max_batch: 1` is a plain two-node edge→cloud pipeline.
-///
-/// `classify` runs on the worker threads.
-///
-/// # Panics
-///
-/// Panics if `workers == 0` or `max_batch == 0`, or when a worker thread
-/// panics.
-pub fn run_payload_pipeline(
-    kind: &TransportKind,
-    payloads: Vec<Payload>,
-    workers: usize,
-    max_batch: usize,
-    max_wait: Duration,
-    queue_depth: usize,
-    classify: impl Fn(&Payload) -> usize + Send + Sync,
-) -> (Vec<usize>, ThreadedStats) {
-    assert!(workers > 0, "need at least one worker");
-    assert!(max_batch > 0, "max_batch must be at least 1");
-    match kind {
-        TransportKind::Modelled => pipeline_core(
-            ModelledTransport::new(workers, queue_depth),
-            payloads,
-            workers,
-            max_batch,
-            max_wait,
-            classify,
-        ),
-        TransportKind::Pipe(pc) => pipeline_core(
-            PipeTransport::new(workers, pc.clone()),
-            payloads,
-            workers,
-            max_batch,
-            max_wait,
-            classify,
-        ),
-        #[cfg(unix)]
-        TransportKind::Uds(uc) => {
-            pipeline_core(UdsTransport::new(workers, uc.clone()), payloads, workers, max_batch, max_wait, classify)
-        }
-    }
-}
-
-/// The payload pipeline over a concrete [`Transport`]: per-lane dynamic
-/// batching workers decode and classify, per-lane collectors funnel the
-/// response frames back, the caller's thread dispatches round-robin.
-fn pipeline_core<T: Transport>(
-    transport: T,
-    payloads: Vec<Payload>,
-    workers: usize,
-    max_batch: usize,
-    max_wait: Duration,
-    classify: impl Fn(&Payload) -> usize + Send + Sync,
-) -> (Vec<usize>, ThreadedStats) {
-    let n = payloads.len();
-    let stats = Mutex::new(ThreadedStats::default());
-    let (resp_tx, resp_rx) = unbounded::<(usize, usize)>();
-    let mut results = vec![0usize; n];
-    let transport = &transport;
-    crossbeam::thread::scope(|scope| {
-        for lane in 0..workers {
-            let mut uplink = transport.take_uplink(lane);
-            let stats_ref = &stats;
-            let classify_ref = &classify;
-            scope.spawn(move |_| {
-                let _closer = LaneCloser { transport, lane };
-                while let Some(batch) = coalesce_frames(&mut uplink, max_batch, max_wait) {
-                    {
-                        let mut guard = stats_ref.lock();
-                        for b in &batch {
-                            guard.bytes_sent += b.frame.payload.len() as u64;
-                            guard.payloads += 1;
-                        }
-                    }
-                    for b in batch {
-                        let req_id = b.frame.req_id;
-                        let payload = Payload::decode(b.frame.payload).expect("the edge ships well-formed frames");
-                        let resp = ResponseFrame { req_id, prediction: classify_ref(&payload) as u32 };
-                        if transport.send_response(lane, resp).is_err() {
-                            return;
-                        }
-                    }
-                }
-            });
-        }
-        for lane in 0..workers {
-            let mut downlink = transport.take_downlink(lane);
-            let tx = resp_tx.clone();
-            scope.spawn(move |_| {
-                while let RecvOutcome::Frame(resp) = downlink.recv() {
-                    if tx.send((resp.frame.req_id as usize, resp.frame.prediction as usize)).is_err() {
-                        return;
-                    }
-                }
-            });
-        }
-        drop(resp_tx);
-        for (id, p) in payloads.iter().enumerate() {
-            let frame = RequestFrame {
-                req_id: id as u64,
-                device: (id % workers) as u32,
-                seq: id as u64,
-                resume_layer: 0,
-                payload: p.encode(),
-            };
-            if transport.send_request(id % workers, frame).is_err() {
-                break;
-            }
-        }
-        transport.close_requests();
-        for _ in 0..n {
-            match resp_rx.recv() {
-                Ok((id, pred)) => results[id] = pred,
-                // A worker died mid-run: stop collecting; the scope join
-                // re-raises its panic.
-                Err(_) => break,
-            }
-        }
-    })
-    .expect("payload pipeline panicked");
-
-    (results, stats.into_inner())
 }

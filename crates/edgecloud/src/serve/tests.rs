@@ -735,74 +735,34 @@ fn fixed_cut_out_of_range_rejected() {
 }
 
 #[test]
-fn payload_pipeline_round_trips_in_order_across_workers() {
-    let mut rng = Rng::new(0);
-    let payloads: Vec<Payload> = (0..12)
-        .map(|i| {
-            let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
-            Payload::Features { features: t }
-        })
-        .collect();
-    let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
-    for workers in [1usize, 3] {
-        let (results, stats) = run_payload_pipeline(
-            &TransportKind::Modelled,
-            payloads.clone(),
-            workers,
-            4,
-            Duration::from_millis(1),
-            4,
-            |p| p.as_tensor().sum().clamp(0.0, 11.0) as usize,
-        );
-        assert_eq!(results.len(), 12);
-        assert_eq!(stats.payloads, 12);
-        assert_eq!(stats.bytes_sent, expected_bytes);
-        let (serial, _) =
-            run_payload_pipeline(&TransportKind::Modelled, payloads.clone(), 1, 1, Duration::ZERO, 4, |p| {
-                p.as_tensor().sum().clamp(0.0, 11.0) as usize
-            });
-        assert_eq!(results, serial, "worker/batch configuration changed results");
+fn try_serve_counts_every_uplink_byte() {
+    // Every offloaded image crosses the wire as exactly one encoded
+    // payload: `bytes_to_cloud` is the offload count times the codec's
+    // wire size of one `[1, C, H, W]` image, on the modelled wire and on
+    // the byte pipe alike.
+    let bundle = presets::tiny(88);
+    let image = bundle.test.images.slice_axis0(0, 1);
+    let codecs = [
+        (WireFormat::Float32, Payload::Features { features: image.clone() }),
+        (WireFormat::Quantised8Bit, Payload::RawImage { image }),
+    ];
+    for (wire, payload) in codecs {
+        for kind in [TransportKind::Modelled, TransportKind::Pipe(PipeConfig::default())] {
+            let mut edges = edge_replicas(1, 42);
+            let mut clouds = replicas(1, || tiny_cloud(43));
+            let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 4);
+            cfg.control = image_plan(wire);
+            cfg.transport = kind.clone();
+            let report =
+                try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
+            assert!(report.stats.offloaded > 0, "{wire:?} on {kind:?}: nothing offloaded");
+            assert_eq!(
+                report.stats.bytes_to_cloud,
+                report.stats.offloaded as u64 * payload.wire_size_bytes(),
+                "{wire:?} on {kind:?}: uplink bytes are not one payload per offload"
+            );
+        }
     }
-}
-
-#[test]
-fn payload_pipeline_round_trips_on_one_unbatched_worker() {
-    let mut rng = Rng::new(0);
-    let payloads: Vec<Payload> = (0..6)
-        .map(|i| {
-            let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
-            Payload::Features { features: t }
-        })
-        .collect();
-    // "Classifier": index of the largest element sum bucketised.
-    let (results, stats) =
-        run_payload_pipeline(&TransportKind::Modelled, payloads.clone(), 1, 1, Duration::ZERO, 4, |p| {
-            let s = p.as_tensor().sum();
-            s.clamp(0.0, 5.0) as usize
-        });
-    assert_eq!(results.len(), 6);
-    assert_eq!(stats.payloads, 6);
-    let expected_bytes: u64 = payloads.iter().map(|p| p.wire_size_bytes()).sum();
-    assert_eq!(stats.bytes_sent, expected_bytes);
-}
-
-#[test]
-fn payload_pipeline_is_transport_agnostic() {
-    let mut rng = Rng::new(7);
-    let payloads: Vec<Payload> = (0..6)
-        .map(|i| {
-            let t = Tensor::randn([3, 4, 4], 1.0, &mut rng).map(|v| v + i as f32);
-            Payload::Features { features: t }
-        })
-        .collect();
-    let classify = |p: &Payload| p.as_tensor().sum().clamp(0.0, 5.0) as usize;
-    let one_worker =
-        |kind: &TransportKind, payloads| run_payload_pipeline(kind, payloads, 1, 1, Duration::ZERO, 4, classify);
-    let (modelled, modelled_stats) = one_worker(&TransportKind::Modelled, payloads.clone());
-    let (piped, piped_stats) = one_worker(&TransportKind::Pipe(PipeConfig::default()), payloads);
-    assert_eq!(piped, modelled, "the byte pipe changed classifications");
-    assert_eq!(piped_stats.payloads, modelled_stats.payloads);
-    assert_eq!(piped_stats.bytes_sent, modelled_stats.bytes_sent, "payload byte accounting diverged");
 }
 
 #[test]

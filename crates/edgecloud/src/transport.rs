@@ -64,7 +64,7 @@ use std::time::{Duration, Instant};
 use stream::{PipeReader, PipeWriter, TimedRead};
 
 /// Which wire the serving runtime's offloaded payloads cross — the knob
-/// threaded through `ServeConfig`, `sim`, the benches and the examples.
+/// threaded through `ServeConfig`, the benches and the examples.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub enum TransportKind {
     /// [`ModelledTransport`]: deterministic; the

@@ -2,7 +2,8 @@
 //! arrival-trace generators.
 
 use mea_edgecloud::{
-    simulate_fleet, sweep_cuts, ArrivalModel, DeviceProfile, FleetConfig, LayerProfile, NetworkLink, PartitionEnv,
+    simulate_fleet, sweep_cuts, ArrivalModel, ComputeTier, DeviceClass, DeviceProfile, FleetConfig, FleetReport,
+    FleetSpec, LayerProfile, NetworkLink, PartitionEnv,
 };
 use mea_tensor::Rng;
 use meanet::ExitPoint;
@@ -82,7 +83,6 @@ fn arb_routes() -> impl Strategy<Value = Vec<Vec<ExitPoint>>> {
 
 fn fleet_cfg(servers: usize) -> FleetConfig {
     FleetConfig {
-        edge: DeviceProfile::new("edge", 10.0, 1e9),
         cloud: DeviceProfile::new("cloud", 100.0, 1e10),
         link: NetworkLink::wifi(8.0).with_rtt(0.01),
         cloud_servers: servers,
@@ -90,8 +90,22 @@ fn fleet_cfg(servers: usize) -> FleetConfig {
         macs_extension_extra: 500_000,
         macs_cloud: 10_000_000,
         payload_bytes: 1000,
-        arrival_interval_s: 0.002,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     }
+}
+
+fn edge() -> DeviceProfile {
+    DeviceProfile::new("edge", 10.0, 1e9)
+}
+
+/// A homogeneous fleet of `edge()` devices, one frame every 2 ms each.
+fn simulate(cfg: &FleetConfig, routes: &[Vec<ExitPoint>]) -> FleetReport {
+    let spec = FleetSpec::uniform(DeviceClass::new("edge", edge(), ComputeTier::High));
+    let mut rng = Rng::new(0);
+    let arrivals: Vec<Vec<f64>> =
+        routes.iter().map(|r| ArrivalModel::Uniform { interval_s: 0.002 }.generate(r.len(), &mut rng)).collect();
+    simulate_fleet(&spec, cfg, routes, &arrivals)
 }
 
 proptest! {
@@ -100,12 +114,12 @@ proptest! {
     #[test]
     fn fleet_simulation_invariants(routes in arb_routes(), servers in 1usize..4) {
         let cfg = fleet_cfg(servers);
-        let a = simulate_fleet(&cfg, &routes);
-        let b = simulate_fleet(&cfg, &routes);
+        let a = simulate(&cfg, &routes);
+        let b = simulate(&cfg, &routes);
         prop_assert_eq!(&a, &b);
         let expected: usize = routes.iter().map(Vec::len).sum();
         prop_assert_eq!(a.instances, expected);
-        let t_main = cfg.edge.latency_s(cfg.macs_main);
+        let t_main = edge().latency_s(cfg.macs_main);
         prop_assert!(a.p50_latency_s >= t_main - 1e-12);
         prop_assert!(a.p50_latency_s <= a.p95_latency_s + 1e-12);
         prop_assert!(a.p95_latency_s <= a.p99_latency_s + 1e-12);
@@ -124,8 +138,8 @@ proptest! {
     /// Adding cloud servers never makes any latency statistic worse.
     #[test]
     fn more_servers_never_hurt(routes in arb_routes()) {
-        let one = simulate_fleet(&fleet_cfg(1), &routes);
-        let four = simulate_fleet(&fleet_cfg(4), &routes);
+        let one = simulate(&fleet_cfg(1), &routes);
+        let four = simulate(&fleet_cfg(4), &routes);
         prop_assert!(four.mean_latency_s <= one.mean_latency_s + 1e-12);
         prop_assert!(four.cloud_wait_mean_s <= one.cloud_wait_mean_s + 1e-12);
         prop_assert!(four.makespan_s <= one.makespan_s + 1e-12);

@@ -22,7 +22,6 @@ use mea_edgecloud as ec;
 use mea_nn::models::SegmentedCnn;
 use mea_tensor::{Rng, Tensor};
 use meanet::ExitPoint;
-use std::time::Duration;
 
 /// References `T` in type position: instantiating this is the snapshot
 /// assertion that the type still exists under its re-exported name.
@@ -133,13 +132,10 @@ fn crate_root_fn_signatures_are_stable() {
     // Payload helpers.
     let _: fn(&Tensor) -> Vec<f32> = ec::channel_absmax;
 
-    // Fleet simulators.
-    let _: fn(&ec::FleetConfig, &[Vec<ExitPoint>]) -> ec::FleetReport = ec::simulate_fleet;
-    let _: fn(&ec::FleetConfig, &[Vec<ExitPoint>], &[Vec<f64>]) -> ec::FleetReport =
-        ec::simulate_fleet_with_arrivals;
-    let _: fn(&ec::FleetSpec, &ec::FleetConfig, &[Vec<ExitPoint>]) -> ec::FleetReport = ec::simulate_fleet_spec;
+    // The fleet simulator: one entry point, devices from the spec and
+    // explicit per-device arrivals.
     let _: fn(&ec::FleetSpec, &ec::FleetConfig, &[Vec<ExitPoint>], &[Vec<f64>]) -> ec::FleetReport =
-        ec::simulate_fleet_spec_with_arrivals;
+        ec::simulate_fleet;
 }
 
 /// The whole steering vocabulary: every `ControlPlan` variant with its
@@ -191,19 +187,4 @@ fn serve_module_surface_survived_the_decomposition() {
     // `mea_edgecloud::serve::` paths.
     has::<ec::serve::CloudIngress>();
     let _: u64 = ec::serve::RESPONSE_WIRE_BYTES;
-
-    // The generic pipeline entry point takes an `impl Fn` classifier, so
-    // it is pinned by calling it (an empty run terminates immediately)
-    // rather than by a function-pointer cast.
-    let (preds, stats) = ec::serve::run_payload_pipeline(
-        &ec::TransportKind::Modelled,
-        Vec::new(),
-        1,
-        1,
-        Duration::from_millis(1),
-        1,
-        |_| 0usize,
-    );
-    assert_eq!(stats.payloads, 0);
-    assert!(preds.is_empty());
 }

@@ -1,7 +1,8 @@
-//! The distributed-systems view: run Algorithm 2, then feed its routing
-//! decisions into (a) the energy model, (b) the virtual-clock pipeline
-//! simulator, and (c) a real two-thread edge→cloud pipeline with encoded
-//! payloads.
+//! The distributed-systems view: run Algorithm 2, feed its routing
+//! decisions into (a) the energy model and (b) the virtual-clock
+//! simulator, then (c) serve the same test set through the threaded
+//! runtime — one edge worker, one cloud worker, offloads crossing the
+//! wire as encoded payloads.
 //!
 //! ```bash
 //! cargo run --release --example edge_cloud_sim
@@ -11,14 +12,12 @@ use mea_data::presets;
 use mea_edgecloud::device::DeviceProfile;
 use mea_edgecloud::energy::energy_from_records;
 use mea_edgecloud::network::NetworkLink;
-use mea_edgecloud::payload::Payload;
-use mea_edgecloud::serve::run_payload_pipeline;
-use mea_edgecloud::sim::{simulate, SimConfig};
-use mea_edgecloud::transport::TransportKind;
-use mea_nn::layer::Mode;
+use mea_edgecloud::serve::{trace_requests, try_serve, ControlPlan, EdgeReplica, ServeConfig, WireFormat};
+use mea_edgecloud::traces::ArrivalModel;
+use mea_edgecloud::{simulate_fleet, ComputeTier, DeviceClass, FleetConfig, FleetSpec};
+use mea_tensor::Rng;
 use meanet::pipeline::{BackboneChoice, Pipeline, PipelineConfig};
-use parking_lot::Mutex;
-use std::time::Duration;
+use meanet::OffloadPolicy;
 
 fn main() {
     // Train a small distributed system.
@@ -51,19 +50,22 @@ fn main() {
         1e3 * energy.total_j()
     );
 
-    // (b) Virtual-clock latency simulation: frames at 5 ms intervals.
-    let sim_cfg = SimConfig {
-        edge: device,
+    // (b) Virtual-clock latency simulation: one device, frames at 5 ms
+    // intervals.
+    let spec = FleetSpec::uniform(DeviceClass::new("edge", device, ComputeTier::High));
+    let sim_cfg = FleetConfig {
         cloud: DeviceProfile::cloud_accelerator(),
         link: link.with_rtt(0.02),
+        cloud_servers: 1,
         macs_main: split.fixed_macs,
         macs_extension_extra: split.trained_macs,
         macs_cloud: pipe.cloud.as_ref().map(|c| c.total_macs()).unwrap_or(0),
         payload_bytes: 3 * 8 * 8,
-        arrival_interval_s: 0.005,
-        coop: None,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     };
-    let report = simulate(&sim_cfg, &routes);
+    let frames = ArrivalModel::Uniform { interval_s: 0.005 }.generate(routes.len(), &mut Rng::new(0));
+    let report = simulate_fleet(&spec, &sim_cfg, &[routes], &[frames]);
     println!(
         "virtual clock: mean latency {:.2} ms, p95 {:.2} ms, makespan {:.1} ms",
         1e3 * report.mean_latency_s,
@@ -71,31 +73,24 @@ fn main() {
         1e3 * report.makespan_s
     );
 
-    // (c) A real two-thread pipeline: raw images cross a channel as encoded
-    // payloads; the cloud thread decodes and classifies with the trained
-    // cloud model.
-    let cloud_net = Mutex::new(pipe.cloud.take().expect("pipeline has a cloud"));
-    let offload: Vec<Payload> = records
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| matches!(r.exit, meanet::ExitPoint::Cloud))
-        .map(|(i, _)| Payload::RawImage { image: bundle.test.images.slice_axis0(i, i + 1) })
-        .collect();
-    if offload.is_empty() {
-        println!("threaded pipeline: nothing offloaded at this threshold");
-        return;
-    }
-    let n = offload.len();
-    // One cloud worker, no batching: the plain two-node pipeline.
-    let (preds, stats) =
-        run_payload_pipeline(&TransportKind::Modelled, offload, 1, 1, Duration::ZERO, 4, |payload| {
-            let logits = cloud_net.lock().forward(&payload.as_tensor(), Mode::Eval);
-            logits.argmax_rows()[0]
-        });
+    // (c) The threaded runtime: one edge worker routes every test image
+    // with the same Algorithm-2 threshold, and one cloud worker classifies
+    // the offloads, which cross the wire as 8-bit raw images (the payload
+    // size the simulation above charges). Quantisation can flip a
+    // borderline cloud prediction, so agreement with the offline sweep is
+    // counted rather than assumed.
+    let Pipeline { net, cloud, .. } = pipe;
+    let mut edges = vec![EdgeReplica::new(net)];
+    let mut clouds = vec![cloud.expect("pipeline has a cloud")];
+    let mut serve_cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.3), 1, 1, 1);
+    serve_cfg.control = ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None };
+    let requests = trace_requests(&bundle.test, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut Rng::new(0));
+    let served = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("a valid one-by-one deployment");
+    let agree = served.records.iter().zip(&records).filter(|(s, r)| s.prediction == r.prediction).count();
     println!(
-        "threaded pipeline: {} payloads, {} bytes on the wire, predictions {:?}",
-        stats.payloads,
-        stats.bytes_sent,
-        &preds[..n.min(8)]
+        "threaded runtime: {} payloads, {} bytes on the wire, {agree}/{} predictions as in the offline sweep",
+        served.stats.offloaded,
+        served.stats.bytes_to_cloud,
+        records.len()
     );
 }

@@ -8,11 +8,10 @@
 //! cargo run --release --example fleet_simulation
 //! ```
 
-use mea_edgecloud::sim::{simulate, CoopStage, SimConfig};
 use mea_edgecloud::{
-    simulate_fleet, simulate_fleet_spec, ComputeTier, DeviceClass, DeviceProfile, FleetConfig, FleetSpec,
-    NetworkLink,
+    simulate_fleet, ArrivalModel, ComputeTier, DeviceClass, DeviceProfile, FleetConfig, FleetSpec, NetworkLink,
 };
+use mea_tensor::Rng;
 use meanet::ExitPoint;
 
 fn routes(n: usize, meanet: bool) -> Vec<ExitPoint> {
@@ -33,9 +32,16 @@ fn routes(n: usize, meanet: bool) -> Vec<ExitPoint> {
         .collect()
 }
 
+/// One frame every 5 ms on every device.
+fn paced(fleet: &[Vec<ExitPoint>]) -> Vec<Vec<f64>> {
+    let mut rng = Rng::new(0);
+    fleet.iter().map(|r| ArrivalModel::Uniform { interval_s: 0.005 }.generate(r.len(), &mut rng)).collect()
+}
+
 fn main() {
+    let jetson =
+        FleetSpec::uniform(DeviceClass::new("edge", DeviceProfile::edge_jetson_like(), ComputeTier::High));
     let cfg = FleetConfig {
-        edge: DeviceProfile::edge_jetson_like(),
         cloud: DeviceProfile::cloud_accelerator(),
         link: NetworkLink::wifi_18_88(),
         cloud_servers: 2,
@@ -43,7 +49,8 @@ fn main() {
         macs_extension_extra: 30_000_000,
         macs_cloud: 2_000_000_000,
         payload_bytes: 3 * 32 * 32,
-        arrival_interval_s: 0.005,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     };
     println!(
         "{:<9} {:>14} {:>14} {:>16} {:>14}",
@@ -52,7 +59,7 @@ fn main() {
     for devices in [1usize, 4, 16, 64] {
         for (label, meanet) in [("all-cloud", false), ("MEANet", true)] {
             let fleet: Vec<Vec<ExitPoint>> = (0..devices).map(|d| routes(40 + d % 3, meanet)).collect();
-            let r = simulate_fleet(&cfg, &fleet);
+            let r = simulate_fleet(&jetson, &cfg, &fleet, &paced(&fleet));
             println!(
                 "{:<9} {:>14} {:>14.2} {:>16.2} {:>14.3}",
                 devices,
@@ -79,7 +86,7 @@ fn main() {
     for devices in [4usize, 16, 64] {
         for (label, meanet) in [("all-cloud", false), ("MEANet", true)] {
             let fleet: Vec<Vec<ExitPoint>> = (0..devices).map(|d| routes(40 + d % 3, meanet)).collect();
-            let r = simulate_fleet_spec(&spec, &cfg, &fleet);
+            let r = simulate_fleet(&spec, &cfg, &fleet, &paced(&fleet));
             println!(
                 "{:<9} {:>14} {:>14.2} {:>16.2} {:>14.3}",
                 devices,
@@ -95,35 +102,28 @@ fn main() {
     // Cooperative edge splitting on the same virtual clock: one Low-tier
     // device behind a congested 2 Mbps uplink, offloading everything.
     // Solo, it ships the full activation and the cloud runs the whole
-    // network. With a `CoopStage` — the simulator's multi-stage
+    // network. In a cooperative group — the simulator's multi-stage
     // `PlacementPlan` shape — three pooled same-class peers behind a
     // fast local wire absorb half the cloud MACs first, so the WAN
     // upload shrinks to the deeper cut's activation.
-    let low = DeviceProfile::edge_jetson_like().scaled_throughput(ComputeTier::Low.throughput_factor());
-    let solo = SimConfig {
-        edge: low.clone(),
-        cloud: DeviceProfile::cloud_accelerator(),
+    let low = DeviceClass::new("low", DeviceProfile::edge_jetson_like(), ComputeTier::Low);
+    let solo = FleetConfig {
         link: NetworkLink::wifi(2.0),
-        macs_main: cfg.macs_main,
-        macs_extension_extra: cfg.macs_extension_extra,
-        macs_cloud: cfg.macs_cloud,
+        cloud_servers: 1,
         payload_bytes: 3072, // full activation over the WAN
-        arrival_interval_s: 0.005,
-        coop: None,
+        ..cfg.clone()
     };
-    let coop = SimConfig {
+    let coop = FleetConfig {
         macs_cloud: cfg.macs_cloud / 2,
         payload_bytes: 512, // the deeper cut's activation over the WAN
-        coop: Some(CoopStage {
-            link: NetworkLink::wifi(400.0),
-            pooled: low.scaled_throughput(3.0), // 3 pooled peers
-            macs_peer: cfg.macs_cloud / 2,
-            peer_payload_bytes: 4096, // lossless f32 over the local wire
-        }),
+        macs_peer: cfg.macs_cloud / 2,
+        peer_payload_bytes: 4096, // lossless f32 over the local wire
         ..solo.clone()
     };
-    let routes = vec![ExitPoint::Cloud; 40];
-    let (r_solo, r_coop) = (simulate(&solo, &routes), simulate(&coop, &routes));
+    let grouped = FleetSpec::uniform(low.clone().coop_group(3, NetworkLink::wifi(400.0)));
+    let routes = vec![vec![ExitPoint::Cloud; 40]];
+    let r_solo = simulate_fleet(&FleetSpec::uniform(low), &solo, &routes, &paced(&routes));
+    let r_coop = simulate_fleet(&grouped, &coop, &routes, &paced(&routes));
     println!(
         "\ncooperative splitting on a 2 Mbps uplink (all-offload, one Low-tier device):\n\
          {:<9} mean {:>7.2} ms   p95 {:>7.2} ms\n\

@@ -6,7 +6,8 @@ use mea_edgecloud::cost::{estimate, CostParams, Strategy};
 use mea_edgecloud::device::DeviceProfile;
 use mea_edgecloud::energy::{cloud_only_energy, energy_from_records};
 use mea_edgecloud::network::NetworkLink;
-use mea_edgecloud::sim::{simulate, SimConfig};
+use mea_edgecloud::{simulate_fleet, ArrivalModel, ComputeTier, DeviceClass, FleetConfig, FleetReport, FleetSpec};
+use mea_tensor::Rng;
 use meanet::{ExitPoint, InstanceRecord};
 
 fn record(exit: ExitPoint) -> InstanceRecord {
@@ -19,6 +20,14 @@ fn record(exit: ExitPoint) -> InstanceRecord {
         detected_hard: false,
         correct: true,
     }
+}
+
+/// One `edge` device at full speed on the virtual clock, a frame every
+/// 10 ms.
+fn simulate_one(edge: &DeviceProfile, cfg: &FleetConfig, routes: &[ExitPoint]) -> FleetReport {
+    let spec = FleetSpec::uniform(DeviceClass::new("edge", edge.clone(), ComputeTier::High));
+    let arrivals = ArrivalModel::Uniform { interval_s: 0.01 }.generate(routes.len(), &mut Rng::new(0));
+    simulate_fleet(&spec, cfg, &[routes.to_vec()], &[arrivals])
 }
 
 #[test]
@@ -61,18 +70,18 @@ fn simulator_energy_matches_record_accounting() {
     let routes = vec![ExitPoint::Main, ExitPoint::Extension, ExitPoint::Cloud, ExitPoint::Main, ExitPoint::Cloud];
     let records: Vec<InstanceRecord> = routes.iter().map(|&e| record(e)).collect();
 
-    let cfg = SimConfig {
-        edge: device.clone(),
+    let cfg = FleetConfig {
         cloud: DeviceProfile::cloud_accelerator(),
         link,
+        cloud_servers: 1,
         macs_main: 2_000_000,
         macs_extension_extra: 1_000_000,
         macs_cloud: 50_000_000,
         payload_bytes: 2048,
-        arrival_interval_s: 0.01,
-        coop: None,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     };
-    let report = simulate(&cfg, &routes);
+    let report = simulate_one(&device, &cfg, &routes);
     let fine = energy_from_records(&records, &device, &link, 2_000_000, 1_000_000, 2048);
     assert!((report.energy.compute_j - fine.compute_j).abs() < 1e-9);
     assert!((report.energy.communication_j - fine.communication_j).abs() < 1e-9);
@@ -100,22 +109,23 @@ fn cloud_only_closed_form_matches_helper() {
 fn latency_beats_cloud_only_when_most_exit_early() {
     // The §IV-B latency claim: with >50% early exits, distributed inference
     // has lower mean latency than sending everything to the cloud.
-    let cfg = SimConfig {
-        edge: DeviceProfile::new("edge", 10.0, 1e9),
+    let edge = DeviceProfile::new("edge", 10.0, 1e9);
+    let cfg = FleetConfig {
         cloud: DeviceProfile::cloud_accelerator(),
         link: NetworkLink::wifi(18.88).with_rtt(0.04),
+        cloud_servers: 1,
         macs_main: 1_000_000,
         macs_extension_extra: 500_000,
         macs_cloud: 100_000_000,
         payload_bytes: 3072,
-        arrival_interval_s: 0.01,
-        coop: None,
+        macs_peer: 0,
+        peer_payload_bytes: 0,
     };
     let mixed: Vec<ExitPoint> =
         (0..40).map(|i| if i % 4 == 0 { ExitPoint::Cloud } else { ExitPoint::Main }).collect();
     let all_cloud = vec![ExitPoint::Cloud; 40];
-    let distributed = simulate(&cfg, &mixed);
-    let cloud_only = simulate(&cfg, &all_cloud);
+    let distributed = simulate_one(&edge, &cfg, &mixed);
+    let cloud_only = simulate_one(&edge, &cfg, &all_cloud);
     assert!(
         distributed.mean_latency_s < cloud_only.mean_latency_s,
         "distributed {:.4}s should beat cloud-only {:.4}s",
