@@ -153,7 +153,7 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
                 matmul::gemm_a_bt_into(conv.cols.as_slice(), g, &mut conv.dw_t, patch, ncols, oc);
                 conv.grad_cols.fill(0.0);
                 matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
-                col2im(&conv.grad_cols, conv.hw, conv.hw, &conv.geom, &mut conv.grad_in);
+                col2im(conv.grad_cols.as_slice(), conv.hw, conv.hw, &conv.geom, &mut conv.grad_in);
                 for (o, dw_row) in conv.dw.chunks_exact_mut(patch).enumerate() {
                     for (d, dw_t_row) in dw_row.iter_mut().zip(conv.dw_t.chunks_exact(oc)) {
                         *d += dw_t_row[o];

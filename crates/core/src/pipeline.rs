@@ -207,11 +207,13 @@ impl Pipeline {
         net.attach_edge_blocks(cfg.adaptive, dict.clone(), &mut rng);
         let hard_train = build_hard_dataset(&train_split, &dict);
         let edge_stats = train_edge_blocks(&mut net, &hard_train, &cfg.edge_train);
+        net.clear_caches(); // the last step's activations: serving needs none of them
 
         // The independent cloud DNN trains on the full training set.
         let cloud = cfg.cloud.as_ref().map(|choice| {
             let mut cloud_net = choice.build(&mut rng);
             let _ = train_backbone(&mut cloud_net, train_full, &cfg.cloud_pretrain);
+            cloud_net.clear_caches();
             cloud_net
         });
 
@@ -251,20 +253,28 @@ mod tests {
     use crate::stats::ExitStats;
     use mea_data::presets;
 
-    /// One end-to-end smoke test at micro scale; thorough accuracy checks
-    /// live in the integration suite where bigger budgets are acceptable.
-    #[test]
-    fn tiny_pipeline_end_to_end() {
-        let bundle = presets::tiny(21);
+    use mea_nn::Layer;
+    use mea_tensor::Tensor;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// Model B shrunk to the tiny preset's 8×8 images.
+    fn tiny_config() -> PipelineConfig {
         let mut cfg = PipelineConfig::repro_resnet_b(6, 4, 1);
-        // Shrink to the tiny preset's 8×8 images.
         if let BackboneChoice::CifarResNet(ref mut c) = cfg.backbone {
             c.input_hw = 8;
         }
         if let Some(BackboneChoice::CifarResNet(ref mut c)) = cfg.cloud {
             c.input_hw = 8;
         }
-        let mut pipe = Pipeline::run(&cfg, &bundle.train);
+        cfg
+    }
+
+    /// One end-to-end smoke test at micro scale; thorough accuracy checks
+    /// live in the integration suite where bigger budgets are acceptable.
+    #[test]
+    fn tiny_pipeline_end_to_end() {
+        let bundle = presets::tiny(21);
+        let mut pipe = Pipeline::run(&tiny_config(), &bundle.train);
         assert_eq!(pipe.hard_classes.len(), 3);
         assert!(pipe.pretrain_stats.last().unwrap().accuracy > 0.2);
 
@@ -277,5 +287,31 @@ mod tests {
         let dist = pipe.infer_distributed(&bundle.test, 0.5, 8);
         let dstats = ExitStats::from_records(&dist, &dict);
         assert!(dstats.cloud_exits > 0, "no instance reached the cloud at threshold 0.5");
+    }
+
+    /// Whether `backward` stops for want of a training forward — every
+    /// layer checks its cache before it reads the gradient's shape.
+    fn backward_finds_no_cache(backward: impl FnOnce()) -> bool {
+        let Err(panic) = catch_unwind(AssertUnwindSafe(backward)) else { return false };
+        let message = panic.downcast_ref::<String>().map(String::as_str).or(panic.downcast_ref::<&str>().copied());
+        message.is_some_and(|m| m.contains("without"))
+    }
+
+    /// The trained networks leave `run` holding no training caches: the
+    /// last step's activations, patch inputs and masks are dropped, so no
+    /// layer of the cloud network and neither exit of the MEANet can
+    /// backpropagate until a new training forward.
+    #[test]
+    fn run_drops_the_training_caches_of_both_networks() {
+        let bundle = presets::tiny(22);
+        let mut pipe = Pipeline::run(&tiny_config(), &bundle.train);
+        let grad = Tensor::zeros([1]);
+        let cloud = pipe.cloud.as_mut().expect("model B has a cloud");
+        let layers = cloud.segments.iter_mut().flat_map(|s| s.layers_mut()).map(|l| &mut **l as &mut dyn Layer);
+        for (at, layer) in layers.chain(std::iter::once(&mut cloud.head as &mut dyn Layer)).enumerate() {
+            assert!(backward_finds_no_cache(|| drop(layer.backward(&grad))), "cloud layer {at} kept its cache");
+        }
+        assert!(backward_finds_no_cache(|| pipe.net.edge_backward(&grad)), "the extension exit kept its cache");
+        assert!(backward_finds_no_cache(|| pipe.net.main_backward(&grad)), "the main exit kept its cache");
     }
 }

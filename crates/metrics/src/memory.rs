@@ -13,6 +13,16 @@
 //! * backprop stores the forward activations of trained parts only:
 //!   `batch · A_trained` (frozen parts run in eval mode and keep nothing
 //!   but their output, counted as the boundary term `batch · boundary`).
+//!
+//! Measured against the heap, the activation term holds. One training step
+//! (forward, loss, backward) of a freshly built repro-scale ResNet peaks at
+//! 1.34× `4 · batch · A` for the cloud network (12/24/48, two blocks per
+//! stage, batch 6) and 1.26× for the edge one (8/16/32, batch 10);
+//! `mea-nn`'s `alloc_budget` test prints the ratio and bounds it at 1.5×.
+//! Backward keeps each convolution's input, each batch norm's normalised
+//! input and each ReLU's one-bit pass mask. The excess is one patch slot
+//! per convolution and the gradients in flight. Per-image patch matrices
+//! and float ReLU caches once made it 3.36× and 3.18×.
 
 use mea_nn::Layer;
 use serde::{Deserialize, Serialize};

@@ -75,17 +75,15 @@ impl Layer for BasicBlock {
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
         let g_sum = self.relu_out.backward(grad_out);
-        let g_main = self.main.backward(&g_sum);
+        let mut g_main = self.main.backward(&g_sum);
         match &mut self.projection {
-            Some(proj) => {
-                let g_skip = proj.backward(&g_sum);
-                g_main.add(&g_skip)
-            }
+            Some(proj) => g_main.add_assign(&proj.backward(&g_sum)),
             None => {
                 debug_assert!(self.needs_identity_grad);
-                g_main.add(&g_sum)
+                g_main.add_assign(&g_sum)
             }
         }
+        g_main
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
@@ -213,12 +211,11 @@ impl Layer for InvertedResidual {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let g_main = self.main.backward(grad_out);
+        let mut g_main = self.main.backward(grad_out);
         if self.use_skip {
-            g_main.add(grad_out)
-        } else {
-            g_main
+            g_main.add_assign(grad_out);
         }
+        g_main
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

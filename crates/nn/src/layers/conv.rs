@@ -2,10 +2,15 @@
 //!
 //! An image is unfolded into its patch matrix and multiplied by the
 //! flattened weights, the product accumulating straight into that image's
-//! slice of the output. Patch matrices live in one buffer the layer owns:
-//! an eval forward unfolds every image into the same slot, so after the
-//! first call it allocates nothing but its output; a training forward gives
-//! each image its own slot and leaves them for `backward`.
+//! slice of the output. The patch matrix lives in one slot the layer owns,
+//! which every image of every call, in either mode, is unfolded into: after
+//! the first call a forward allocates nothing but its output. A training
+//! forward keeps its input, not its patches (each about `kh·kw` times the
+//! image), and `backward` unfolds each image into the slot again just
+//! before that image's `dWᵀ` product, then computes the image's patch
+//! gradient `Wᵀ·dY` in the same slot. The input stays cached until the
+//! next forward or `clear_cache`, so one forward may be followed by
+//! several backwards.
 //!
 //! Both passes run on the calling thread, image after image, so their
 //! results are the same bits on any number of cores. Every element of
@@ -31,12 +36,11 @@ pub struct Conv2d {
     out_channels: usize,
     weight: Param,
     bias: Option<Param>,
-    /// im2col patch matrices, `[in_c·kh·kw, oh·ow]` each, filled on the
-    /// calling thread: one per image after a training forward, otherwise
-    /// one, reused for every image of every call.
+    /// The im2col patch matrix, `[in_c·kh·kw, oh·ow]`, filled on the
+    /// calling thread for one image at a time in both passes.
     cols: Vec<f32>,
-    /// Input height and width of the training batch `cols` holds, if any.
-    cache: Option<(usize, usize)>,
+    /// The input of the last training forward, for `backward`.
+    cache: Option<Tensor>,
 }
 
 impl Conv2d {
@@ -93,6 +97,25 @@ impl Conv2d {
         );
         (x.dims()[0], x.dims()[2], x.dims()[3])
     }
+
+    /// The convolution of `x`, every image unfolded into the one slot.
+    fn convolve(&mut self, x: &Tensor) -> Tensor {
+        let (n, h, w) = self.check_input(x);
+        let (oh, ow) = self.geom.out_hw(h, w);
+        let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
+        let (chw, out_per_img) = (self.geom.in_channels * h * w, oc * ncols);
+        let mut out = Tensor::zeros([n, oc, oh, ow]);
+        self.cols.resize(patch * ncols, 0.0);
+        let weight = self.weight.value.as_slice();
+        for (y, img) in out.as_mut_slice().chunks_exact_mut(out_per_img).zip(x.as_slice().chunks_exact(chw)) {
+            im2col_into(img, h, w, &self.geom, &mut self.cols);
+            matmul::gemm_into(weight, &self.cols, y, oc, patch, ncols);
+        }
+        if let Some(bias) = &self.bias {
+            ops::add_bias_nchw(&mut out, &bias.value);
+        }
+        out
+    }
 }
 
 impl Layer for Conv2d {
@@ -105,59 +128,50 @@ impl Layer for Conv2d {
     }
 
     fn forward(&mut self, x: &Tensor, mode: Mode) -> Tensor {
-        let (n, h, w) = self.check_input(x);
-        let (oh, ow) = self.geom.out_hw(h, w);
-        let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
-        let (chw, out_per_img, cols_len) = (self.geom.in_channels * h * w, oc * ncols, patch * ncols);
-        let mut out = Tensor::zeros([n, oc, oh, ow]);
+        self.cache = None;
+        let out = self.convolve(x);
+        self.cache = mode.is_train().then(|| x.clone());
+        out
+    }
 
-        let train = mode.is_train();
-        if self.cache.take().is_some() && !train {
-            self.cols = Vec::new(); // a training batch's patches: free them before serving
-        }
-        self.cols.resize(if train { n } else { 1 } * cols_len, 0.0);
-        let weight = self.weight.value.as_slice();
-        let images = out.as_mut_slice().chunks_exact_mut(out_per_img).zip(x.as_slice().chunks_exact(chw));
-        for (i, (y, img)) in images.enumerate() {
-            let cols = &mut self.cols[if train { i * cols_len } else { 0 }..][..cols_len];
-            im2col_into(img, h, w, &self.geom, cols);
-            matmul::gemm_into(weight, cols, y, oc, patch, ncols);
-        }
-
-        if let Some(bias) = &self.bias {
-            ops::add_bias_nchw(&mut out, &bias.value);
-        }
-        self.cache = train.then_some((h, w));
+    fn forward_owned(&mut self, x: Tensor, mode: Mode) -> Tensor {
+        self.cache = None;
+        let out = self.convolve(&x);
+        self.cache = mode.is_train().then_some(x);
         out
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let (h, w) = self.cache.expect("Conv2d::backward called without a training forward");
-        let n = grad_out.dims()[0];
+        let x = self.cache.as_ref().expect("Conv2d::backward called without a training forward");
+        let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
+        assert_eq!(grad_out.dims()[0], n, "batch size changed between forward and backward");
         let (oh, ow) = self.geom.out_hw(h, w);
         let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
-        let (chw, out_per_img, cols_len) = (self.geom.in_channels * h * w, oc * ncols, patch * ncols);
-        assert_eq!(n * cols_len, self.cols.len(), "batch size changed between forward and backward");
+        let (chw, out_per_img) = (self.geom.in_channels * h * w, oc * ncols);
         let mut grad_in = Tensor::zeros([n, self.geom.in_channels, h, w]);
 
         // dWᵀ, `[patch, oc]`: with the patches as the tall operand of
         // `cols·dYᵀ`, each tile of dot products is stored as contiguous rows.
         let mut dw_t = vec![0.0; patch * oc];
         let mut db = Tensor::zeros([oc]);
-        let mut grad_cols = Tensor::zeros([patch, ncols]);
         let (geom, weight) = (self.geom, self.weight.value.as_slice());
-        let images =
-            grad_in.as_mut_slice().chunks_exact_mut(chw).zip(grad_out.as_slice().chunks_exact(out_per_img));
-        for ((gi, g), cols) in images.zip(self.cols.chunks_exact(cols_len)) {
-            matmul::gemm_a_bt_into(cols, g, &mut dw_t, patch, ncols, oc);
+        let images = grad_in
+            .as_mut_slice()
+            .chunks_exact_mut(chw)
+            .zip(grad_out.as_slice().chunks_exact(out_per_img))
+            .zip(x.as_slice().chunks_exact(chw));
+        for ((gi, g), img) in images {
+            im2col_into(img, h, w, &geom, &mut self.cols);
+            matmul::gemm_a_bt_into(&self.cols, g, &mut dw_t, patch, ncols, oc);
             if self.bias.is_some() {
                 for (b, row) in db.as_mut_slice().iter_mut().zip(g.chunks_exact(ncols)) {
                     *b += row.iter().sum::<f32>();
                 }
             }
-            grad_cols.fill(0.0);
-            matmul::gemm_at_b_into(weight, g, grad_cols.as_mut_slice(), patch, oc, ncols);
-            col2im(&grad_cols, h, w, &geom, gi);
+            // The image's patches are spent: the slot takes their gradient.
+            self.cols.fill(0.0);
+            matmul::gemm_at_b_into(weight, g, &mut self.cols, patch, oc, ncols);
+            col2im(&self.cols, h, w, &geom, gi);
         }
 
         for (o, dw_row) in self.weight.grad.as_mut_slice().chunks_exact_mut(patch).enumerate() {
@@ -357,9 +371,11 @@ mod tests {
         out
     }
 
-    /// The patch buffer outlives the call: a smaller input, a larger one
-    /// again, and a training batch in between must each see a buffer that
-    /// leaks nothing of the previous occupant into its padding taps.
+    /// The patch slot outlives the call: a smaller input, a larger one
+    /// again, and a training batch in between must each see a slot that
+    /// leaks nothing of the previous occupant into its padding taps. A
+    /// training forward unfolds its images into the same one slot and
+    /// keeps its input instead of their patches.
     #[test]
     fn reused_patch_buffer_leaks_nothing_across_input_sizes_and_modes() {
         let mut rng = Rng::new(10);
@@ -378,10 +394,38 @@ mod tests {
         }
         let trained = conv.forward(&batch, Mode::Train);
         assert!(same_bits(&trained, &fresh_forward(&batch, &conv)));
-        assert_eq!(conv.cols.len(), 4 * 27 * 256, "a training forward keeps one patch matrix per image");
+        assert_eq!(conv.cols.len(), 27 * 256, "a training forward keeps one 27 × 256 patch slot");
+        assert!(conv.cache.as_ref().is_some_and(|x| same_bits(x, &batch)), "and its input");
+        let _ = conv.backward(&Tensor::randn([4, 5, 16, 16], 1.0, &mut rng));
+        assert_eq!(conv.cols.len(), 27 * 256, "backward unfolds into the same slot");
         assert!(same_bits(&conv.forward(&small, Mode::Eval), &fresh_forward(&small, &conv)));
-        assert_eq!(conv.cols.len(), 27 * 64, "the next eval forward hands the training patches back");
-        assert!(conv.cols.capacity() < 4 * 27 * 256);
+        assert_eq!(conv.cols.len(), 27 * 64);
+        assert!(conv.cache.is_none(), "the next eval forward drops the training input");
+    }
+
+    /// `train_edge_joint_weighted` backpropagates two losses through one
+    /// training forward, so the cached input must survive a `backward`:
+    /// the second returns the same bits as the first and adds the same
+    /// gradients again.
+    #[test]
+    fn two_backwards_after_one_training_forward_agree_bit_for_bit() {
+        let mut rng = Rng::new(12);
+        for (stride, bias) in [(1, true), (2, false)] {
+            let mut conv = Conv2d::new(3, 6, 3, stride, 1, bias, &mut rng);
+            let x = Tensor::randn([3, 3, 9, 8], 1.0, &mut rng);
+            let (oh, ow) = conv.geom.out_hw(9, 8);
+            let g = Tensor::randn([3, 6, oh, ow], 1.0, &mut rng);
+            let _ = conv.forward(&x, Mode::Train);
+            zero_grads(&mut conv);
+            let first = conv.backward(&g);
+            let first_grads = grads(&mut conv);
+            zero_grads(&mut conv);
+            let second = conv.backward(&g);
+            assert!(same_bits(&first, &second), "grad_in, stride {stride}");
+            for (at, (a, b)) in first_grads.iter().zip(&grads(&mut conv)).enumerate() {
+                assert!(same_bits(a, b), "parameter {at}, stride {stride}");
+            }
+        }
     }
 
     #[test]

@@ -107,11 +107,11 @@ impl Layer for Sequential {
     }
 
     fn backward(&mut self, grad_out: &Tensor) -> Tensor {
-        let mut grad = grad_out.clone();
-        for layer in self.layers.iter_mut().rev() {
-            grad = layer.backward(&grad);
+        let mut layers = self.layers.iter_mut().rev();
+        match layers.next() {
+            Some(last) => layers.fold(last.backward(grad_out), |grad, layer| layer.backward(&grad)),
+            None => grad_out.clone(),
         }
-        grad
     }
 
     fn visit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {

@@ -1,15 +1,17 @@
-//! The serving regime's allocator budget: after one warm-up call, an eval
-//! forward of the repro-scale edge ResNet at batch 1 allocates a small,
-//! fixed number of times — its activations, not its scratch.
+//! The allocator's view of the network. Serving: after one warm-up call,
+//! an eval forward of the repro-scale edge ResNet at batch 1 allocates a
+//! small, fixed number of times — its activations, not its scratch.
+//! Training: one step's peak of live heap stays near the activation term
+//! of the paper's Fig. 6 memory model (`mea_metrics::memory`).
 //!
 //! This test binary installs a counting `#[global_allocator]`. It counts
-//! per thread, so the test harness's other threads do not show up; every
-//! op runs on the calling thread, whatever the batch.
+//! calls and live bytes per thread, so the test harness's other threads do
+//! not show up; every op runs on the calling thread, whatever the batch.
 
 use mea_nn::layer::zero_grads;
 use mea_nn::layers::{Conv2d, Linear};
-use mea_nn::models::{resnet_cifar, CifarResNetConfig};
-use mea_nn::{Layer, Mode};
+use mea_nn::models::{resnet_cifar, CifarResNetConfig, SegmentedCnn};
+use mea_nn::{CrossEntropyLoss, Layer, Mode};
 use mea_tensor::{Rng, Tensor};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -18,31 +20,49 @@ struct Counting;
 
 thread_local! {
     static CALLS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes this thread has allocated and not freed (wrapping: a block
+    /// freed here may have come from another thread).
+    static LIVE: Cell<u64> = const { Cell::new(0) };
+    /// The highest `LIVE` since the last [`peak_live_bytes`] reset.
+    static PEAK: Cell<u64> = const { Cell::new(0) };
+}
+
+fn grow(bytes: usize) {
+    CALLS.set(CALLS.get() + 1);
+    let live = LIVE.get().wrapping_add(bytes as u64);
+    LIVE.set(live);
+    PEAK.set(PEAK.get().max(live));
+}
+
+fn shrink(bytes: usize) {
+    LIVE.set(LIVE.get().wrapping_sub(bytes as u64));
 }
 
 // SAFETY: every request is forwarded unchanged to `System`; the only added
-// work is a bump of a const-initialised thread-local `Cell`, which neither
-// allocates nor unwinds.
+// work is arithmetic on const-initialised thread-local `Cell`s, which
+// neither allocates nor unwinds.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        CALLS.set(CALLS.get() + 1);
+        grow(layout.size());
         // SAFETY: the caller's contract for `alloc` is passed on as is.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        shrink(layout.size());
         // SAFETY: `ptr` came from `System` through this allocator with this layout.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        CALLS.set(CALLS.get() + 1);
+        grow(layout.size());
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        CALLS.set(CALLS.get() + 1);
+        shrink(layout.size());
+        grow(new_size);
         // SAFETY: as for `dealloc`, and `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -55,6 +75,15 @@ fn allocator_calls(f: impl FnOnce()) -> u64 {
     let before = CALLS.get();
     f();
     CALLS.get() - before
+}
+
+/// The most live heap `f` held at any moment on this thread, above what
+/// was live when it started.
+fn peak_live_bytes(f: impl FnOnce()) -> u64 {
+    let before = LIVE.get();
+    PEAK.set(before);
+    f();
+    PEAK.get() - before
 }
 
 /// Measured on this commit: 22 calls — data and shape of the eleven tensors
@@ -164,4 +193,56 @@ fn training_after_serving_still_passes_the_gradient_check() {
         let ana = wgrad[0].as_slice()[idx] as f64;
         assert!((num - ana).abs() < 2e-2 * (1.0 + ana.abs()), "weight grad {idx}: {num} vs {ana}");
     }
+}
+
+/// Fig. 6's activation term for one training step of `net`:
+/// `4 · batch · Σ activation_elems` bytes, summed over its segments and head.
+fn modelled_activation_bytes(net: &SegmentedCnn, batch: usize) -> u64 {
+    let mut shape = net.in_shape.to_vec();
+    let mut elems = 0;
+    for part in net.segments.iter().chain(std::iter::once(&net.head)) {
+        elems += part.activation_elems(&shape);
+        shape = part.macs(&shape).1;
+    }
+    4 * batch as u64 * elems
+}
+
+/// One training step — forward, loss and backward — of a freshly built
+/// network holds at most 1.5× the activations Fig. 6 prices. Backward
+/// needs a convolution's input, not its `[in_c·kh·kw, oh·ow]` patch
+/// matrices (about nine times the input), and a ReLU's pass mask, not a
+/// float copy of its input; a layer that kept either pushes the step past
+/// three times the model. The test prints the measured/modelled ratio.
+#[test]
+fn a_training_step_holds_about_the_activations_fig6_models() {
+    const BOUND: f64 = 1.5;
+    let mut cloud = CifarResNetConfig::repro_scale(10);
+    cloud.blocks_per_stage = 2;
+    cloud.channels = [12, 24, 48];
+    let mut over = Vec::new();
+    for (name, config, batch) in [("cloud", cloud, 6), ("edge", CifarResNetConfig::repro_scale(10), 10)] {
+        let mut rng = Rng::new(5);
+        let mut net = resnet_cifar(&config, &mut rng);
+        let x = Tensor::randn([batch, 3, config.input_hw, config.input_hw], 1.0, &mut rng);
+        let labels: Vec<usize> = (0..batch).map(|i| i % config.num_classes).collect();
+        let peak = peak_live_bytes(|| {
+            let logits = net.forward(&x, Mode::Train);
+            let loss = CrossEntropyLoss::new().forward(&logits, &labels);
+            drop(logits);
+            net.backward(&loss.grad);
+        });
+        let modelled = modelled_activation_bytes(&net, batch);
+        let ratio = peak as f64 / modelled as f64;
+        println!(
+            "{name} ResNet {:?}×{}, batch {batch}: training step peak {} KiB, Fig. 6 activations {} KiB, ratio {ratio:.2}",
+            config.channels,
+            config.blocks_per_stage,
+            peak / 1024,
+            modelled / 1024
+        );
+        if ratio > BOUND {
+            over.push(format!("{name} {ratio:.2}×"));
+        }
+    }
+    assert!(over.is_empty(), "a training step holds more than {BOUND}× the modelled activations: {over:?}");
 }

@@ -237,8 +237,8 @@ pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weigh
 }
 
 /// Folds a patch-matrix gradient back into an image gradient, accumulating
-/// overlapping taps. `cols` must have shape `[C·kh·kw, oh·ow]`; the result
-/// is added into `image_grad` (length `C·H·W`).
+/// overlapping taps. `cols` must hold a row-major `[C·kh·kw, oh·ow]`
+/// matrix; the result is added into `image_grad` (length `C·H·W`).
 ///
 /// The adjoint of [`im2col_into`], tap by tap over the same
 /// [`ConvGeom::reaching`] ranges: at stride 1 an output row is added to its
@@ -250,9 +250,9 @@ pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weigh
 /// # Panics
 ///
 /// Panics if shapes disagree with the geometry.
-pub fn col2im(cols: &Tensor, h: usize, w: usize, geom: &ConvGeom, image_grad: &mut [f32]) {
+pub fn col2im(cols: &[f32], h: usize, w: usize, geom: &ConvGeom, image_grad: &mut [f32]) {
     let (oh, ow) = geom.out_hw(h, w);
-    assert_eq!(cols.dims(), &[geom.patch_len(), oh * ow], "col2im shape mismatch: {}", cols.shape());
+    assert_eq!(cols.len(), geom.patch_len() * oh * ow, "col2im shape mismatch");
     assert_eq!(image_grad.len(), geom.in_channels * h * w, "image gradient length mismatch");
     let (stride, pad, ncols) = (geom.stride, geom.pad, oh * ow);
     for (c, img_plane) in image_grad.chunks_exact_mut(h * w).enumerate() {
@@ -264,7 +264,7 @@ pub fn col2im(cols: &Tensor, h: usize, w: usize, geom: &ConvGeom, image_grad: &m
                     continue;
                 }
                 let ix0 = oxs.start * stride + kj - pad;
-                let tap = &cols.as_slice()[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
+                let tap = &cols[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
                 for oy in oys.clone() {
                     let src = &tap[oy * ow..][oxs.clone()];
                     let dst = &mut img_plane[(oy * stride + ki - pad) * w + ix0..];
@@ -454,7 +454,7 @@ mod tests {
         let y = Tensor::randn([cols.dims()[0], cols.dims()[1]], 1.0, &mut rng);
         let lhs: f64 = cols.as_slice().iter().zip(y.as_slice()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         let mut xgrad = vec![0.0f32; x.numel()];
-        col2im(&y, h, w, &g, &mut xgrad);
+        col2im(y.as_slice(), h, w, &g, &mut xgrad);
         let rhs: f64 = x.as_slice().iter().zip(xgrad.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         assert!((lhs - rhs).abs() < 1e-3, "{lhs} vs {rhs}");
     }
@@ -508,7 +508,7 @@ mod tests {
                         let cols = Tensor::randn([g.patch_len(), oh * ow], 1.0, &mut rng);
                         let on_entry = Tensor::randn([2 * h * w], 1.0, &mut rng);
                         let mut got = on_entry.as_slice().to_vec();
-                        col2im(&cols, h, w, &g, &mut got);
+                        col2im(cols.as_slice(), h, w, &g, &mut got);
                         let mut want = on_entry.as_slice().to_vec();
                         col2im_per_element(&cols, h, w, &g, &mut want);
                         let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
@@ -525,7 +525,7 @@ mod tests {
         let g = ConvGeom::square(1, 3, 1, 1);
         let cols = Tensor::ones([9, 9]);
         let mut grad = vec![0.0f32; 9];
-        col2im(&cols, 3, 3, &g, &mut grad);
+        col2im(cols.as_slice(), 3, 3, &g, &mut grad);
         assert_eq!(grad[4], 9.0); // center
         assert_eq!(grad[0], 4.0); // corner reached by 4 taps
     }

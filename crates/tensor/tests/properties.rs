@@ -111,7 +111,7 @@ proptest! {
         let y = Tensor::randn([cols.dims()[0], cols.dims()[1]], 1.0, &mut rng);
         let lhs: f64 = cols.as_slice().iter().zip(y.as_slice()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         let mut xg = vec![0.0f32; x.numel()];
-        col2im(&y, hw, hw, &geom, &mut xg);
+        col2im(y.as_slice(), hw, hw, &geom, &mut xg);
         let rhs: f64 = x.as_slice().iter().zip(xg.iter()).map(|(&a, &b)| (a as f64) * (b as f64)).sum();
         prop_assert!((lhs - rhs).abs() < 1e-2 * (1.0 + lhs.abs()), "{lhs} vs {rhs}");
     }

@@ -98,7 +98,7 @@ fn col2im_rejects_wrong_cols_shape() {
     let geom = ConvGeom::square(1, 3, 1, 1);
     let cols = Tensor::zeros([9, 99]); // 4x4 input needs [9, 16]
     let mut grad = vec![0.0; 16];
-    col2im(&cols, 4, 4, &geom, &mut grad);
+    col2im(cols.as_slice(), 4, 4, &geom, &mut grad);
 }
 
 #[test]
@@ -107,7 +107,7 @@ fn col2im_rejects_wrong_grad_length() {
     let geom = ConvGeom::square(1, 3, 1, 1);
     let cols = Tensor::zeros([9, 16]);
     let mut grad = vec![0.0; 5]; // needs 16
-    col2im(&cols, 4, 4, &geom, &mut grad);
+    col2im(cols.as_slice(), 4, 4, &geom, &mut grad);
 }
 
 // ---- elementwise shape agreement ----
