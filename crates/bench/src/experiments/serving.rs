@@ -11,8 +11,8 @@ use mea_edgecloud::governor::{AccuracyModel, ControlPoint, SlaTarget};
 use mea_edgecloud::network::{LinkEstimate, NetworkLink};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
-    LinkChange, LinkFeedback, ServeConfig, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
+    trace_requests, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange,
+    LinkFeedback, ServeConfig, ServeConfigBuilder, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_edgecloud::transport::{PaceChange, PipeConfig, TransportKind};
@@ -23,6 +23,7 @@ use meanet::infer::run_inference_with_policy;
 use meanet::model::{AdaptivePlan, MeaNet, Merge, Variant};
 use meanet::{Difficulty, DifficultyPredictor, ExitPoint, InstanceRecord, OffloadPolicy};
 use std::collections::HashMap;
+use std::num::NonZeroU64;
 
 /// Mean wall-clock service time per request (ms) — `1e3 / throughput`.
 fn service_ms(report: &ServeReport) -> f64 {
@@ -112,51 +113,186 @@ pub(crate) fn high_offload_policy(net: &mut MeaNet, data: &Dataset, beta: f64) -
     OffloadPolicy::budgeted_from_validation(&entropies, beta)
 }
 
+/// The edge blocks' hard classes in every serving scenario.
+const HARD: [usize; 3] = [0, 2, 4];
+
+/// Worker counts and queue sizes of one serving run.
+#[derive(Debug, Clone, Copy)]
+struct Topology {
+    edge_workers: usize,
+    cloud_workers: usize,
+    max_batch: usize,
+    queue_depth: usize,
+}
+
+/// Two edge and two cloud workers, batches of up to 4, queues of 8.
+const PAIR: Topology = Topology { edge_workers: 2, cloud_workers: 2, max_batch: 4, queue_depth: 8 };
+
+/// One edge and one cloud worker, one payload per batch: batches start in
+/// completion order, so every telemetry and control trajectory is
+/// deterministic.
+const PIPELINE: Topology = Topology { edge_workers: 1, cloud_workers: 1, max_batch: 1, queue_depth: 4 };
+
+/// The driver every serving runner shares: the instances it serves and the
+/// models its replicas are built from, afresh for each run.
+struct Scenario {
+    /// The served instances, in dataset order.
+    data: Dataset,
+    /// The training split of the same synthetic bundle.
+    train: Dataset,
+    edge: fn(u64, &[usize]) -> MeaNet,
+    cloud: fn(u64) -> SegmentedCnn,
+    edge_seed: u64,
+    cloud_seed: u64,
+}
+
+impl Scenario {
+    /// The first 96 test images (`repro_instances` at repro scale) of a
+    /// 6-class, 8×8 `cifar100_like(data_seed)` bundle, served by
+    /// [`edge_replica`] / [`cloud_replica`] networks of the given seeds.
+    fn new(scale: Scale, data_seed: u64, repro_instances: usize, edge_seed: u64, cloud_seed: u64) -> Scenario {
+        let instances = match scale {
+            Scale::Smoke => 96,
+            Scale::Repro | Scale::Full => repro_instances,
+        };
+        let mut data_cfg = scale.cifar100_like(data_seed);
+        data_cfg.num_classes = 6;
+        data_cfg.num_clusters = 3;
+        data_cfg.image_hw = 8;
+        data_cfg.test_per_class = instances / 6 + 1;
+        let bundle = generate(&data_cfg);
+        let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
+        Scenario { data, train: bundle.train, edge: edge_replica, cloud: cloud_replica, edge_seed, cloud_seed }
+    }
+
+    /// A fresh edge network, bitwise equal to every other.
+    fn edge_net(&self) -> MeaNet {
+        (self.edge)(self.edge_seed, &HARD)
+    }
+
+    /// A fresh cloud network, bitwise equal to every other.
+    fn cloud_net(&self) -> SegmentedCnn {
+        (self.cloud)(self.cloud_seed)
+    }
+
+    /// The entropy threshold that offloads about `beta` of the instances.
+    fn policy(&self, beta: f64) -> OffloadPolicy {
+        high_offload_policy(&mut self.edge_net(), &self.data, beta)
+    }
+
+    /// The sequential offline sweep's records under `policy`: the ground
+    /// truth every served run must reproduce.
+    fn offline(&self, policy: OffloadPolicy) -> Vec<InstanceRecord> {
+        run_inference_with_policy(&mut self.edge_net(), Some(&mut self.cloud_net()), &self.data, policy, 16)
+    }
+
+    /// A trace of every instance from `devices` devices, one frame per
+    /// device every `interval_s` seconds.
+    fn trace(&self, devices: usize, interval_s: f64, rng: &mut Rng) -> Vec<ServeRequest> {
+        trace_requests(&self.data, devices, &ArrivalModel::Uniform { interval_s }, rng)
+    }
+
+    /// Serves `requests` once through a fresh [`Fleet`] of `topology`'s
+    /// replicas under `cfg` steered by `control`. Edge replicas carry a
+    /// cloud-network prefix whenever `control` ships features.
+    fn serve(
+        &self,
+        topology: Topology,
+        control: ControlPlan,
+        cfg: ServeConfigBuilder,
+        requests: &[ServeRequest],
+    ) -> ServeReport {
+        let features = !matches!(control, ControlPlan::Image { .. });
+        let edge = || {
+            if features {
+                EdgeReplica::with_cloud_prefix(self.edge_net(), self.cloud_net())
+            } else {
+                EdgeReplica::new(self.edge_net())
+            }
+        };
+        let edges = (0..topology.edge_workers).map(|_| edge()).collect();
+        let clouds = (0..topology.cloud_workers).map(|_| self.cloud_net()).collect();
+        let cfg = cfg
+            .edge_workers(topology.edge_workers)
+            .cloud_workers(topology.cloud_workers)
+            .max_batch(topology.max_batch)
+            .queue_depth(topology.queue_depth)
+            .control(control)
+            .build()
+            .expect("valid serving configuration");
+        let mut fleet = Fleet::new(cfg, edges, clouds).expect("replicas match the configuration");
+        fleet.serve(requests).expect("the fleet serves the trace")
+    }
+
+    /// The first rate on the grid `0.05 · 1.3^i` Mbps (`i < 60`, 1 ms RTT)
+    /// at which `pick` accepts the latency planner for `edge` devices, with
+    /// `streams` of them contending for the link; returns the rate and
+    /// that planner.
+    fn search_link_rate(
+        &self,
+        edge: &DeviceProfile,
+        streams: usize,
+        pick: impl Fn(&CutPlanner) -> bool,
+    ) -> (f64, CutPlanner) {
+        let cloud_net = self.cloud_net();
+        let in_elems: u64 = cloud_net.in_shape.iter().map(|&d| d as u64).product();
+        let planner_at = |rate: f64| {
+            let env = PartitionEnv {
+                edge: edge.clone(),
+                cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+                link: NetworkLink::wifi(rate).with_rtt(0.001),
+                bytes_per_elem: 4,
+                raw_input_bytes: 4 * in_elems,
+                response_bytes: RESPONSE_WIRE_BYTES,
+            };
+            CutPlanner::from_network(&cloud_net, env, Objective::Latency, streams)
+        };
+        let rate = (0..60)
+            .map(|i| 0.05 * 1.3f64.powi(i))
+            .find(|&r| pick(&planner_at(r)))
+            .expect("some link rate on the grid satisfies the search");
+        (rate, planner_at(rate))
+    }
+}
+
+/// Latency-objective planner parameters over `classes` (empty when a
+/// fleet spec supplies them) against a 200-GFLOP/s cloud.
+fn latency_planner(classes: Vec<DeviceProfile>) -> CutPlannerConfig {
+    CutPlannerConfig {
+        classes,
+        cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+        objective: Objective::Latency,
+        feedback: None,
+    }
+}
+
+/// The measured-link loop of the feedback experiments: a fast-moving
+/// EWMA with no prior weight, replanning every 8 batches.
+fn eager_feedback() -> LinkFeedback {
+    LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: NonZeroU64::new(8).expect("8 > 0") }
+}
+
 /// Runs the cloud-worker scaling sweep: saturating arrivals (everything
 /// due at t=0), a WiFi-class link model on the offload path (so extra
 /// cloud workers overlap upload/RTT like concurrent in-flight RPCs), and
 /// the same policy/instances for every configuration.
 pub fn serving_throughput(scale: Scale) -> ServingResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 384,
-    };
-    let mut data_cfg = scale.cifar100_like(4201);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = edge_replica(31, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.8);
-
-    // Ground truth: the sequential offline sweep.
-    let mut offline_net = edge_replica(31, &hard);
-    let mut offline_cloud = cloud_replica(32);
-    let offline = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &data, policy, 16);
+    let scenario = Scenario::new(scale, 4201, 384, 31, 32);
+    let policy = scenario.policy(0.8);
+    let offline = scenario.offline(policy);
+    // A WiFi-class uplink with a 10 ms RTT: each coalesced batch pays its
+    // upload plus one round trip in real wall-clock time, so the cloud
+    // tier scales by overlapping in-flight batches even when host cores
+    // are scarce.
+    let cfg = || ServeConfig::builder(policy).link(NetworkLink::wifi(50.0).with_rtt(0.010));
+    let topology = |cloud_workers| Topology { cloud_workers, ..PAIR };
 
     let mut rng = Rng::new(7);
-    let requests: Vec<ServeRequest> =
-        trace_requests(&data, 8, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-
+    let requests = scenario.trace(8, 0.0, &mut rng);
     let mut rows = Vec::new();
     let mut served = Vec::new();
     for cloud_workers in [1usize, 2, 4] {
-        let edge_workers = 2;
-        let mut edges: Vec<EdgeReplica> =
-            (0..edge_workers).map(|_| EdgeReplica::new(edge_replica(31, &hard))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| cloud_replica(32)).collect();
-        let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, 4);
-        cfg.queue_depth = 8;
-        // A WiFi-class uplink with a 10 ms RTT: each coalesced batch pays
-        // its upload plus one round trip in real wall-clock time, so the
-        // cloud tier scales by overlapping in-flight batches even when
-        // host cores are scarce.
-        cfg.link = Some(NetworkLink::wifi(50.0).with_rtt(0.010));
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+        let report = scenario.serve(topology(cloud_workers), ControlPlan::default(), cfg(), &requests);
         rows.push(row_from(cloud_workers, &report));
         served.push(report.records);
     }
@@ -165,14 +301,9 @@ pub fn serving_throughput(scale: Scale) -> ServingResult {
     // 16 ms (aggregate ~500 req/s, comfortably under the 4-worker
     // capacity), so end-to-end latency reflects service + batching + link
     // rather than the saturation backlog.
-    let mut edges: Vec<EdgeReplica> = (0..2).map(|_| EdgeReplica::new(edge_replica(31, &hard))).collect();
-    let mut clouds: Vec<SegmentedCnn> = (0..4).map(|_| cloud_replica(32)).collect();
-    let mut cfg = ServeConfig::new(policy, 2, 4, 4);
-    cfg.queue_depth = 8;
-    cfg.max_wait = std::time::Duration::from_millis(1);
-    cfg.link = Some(NetworkLink::wifi(50.0).with_rtt(0.010));
-    let paced_requests = trace_requests(&data, 8, &ArrivalModel::Uniform { interval_s: 0.016 }, &mut rng);
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &paced_requests).expect("valid serving configuration");
+    let paced_requests = scenario.trace(8, 0.016, &mut rng);
+    let paced_cfg = cfg().max_wait(std::time::Duration::from_millis(1));
+    let report = scenario.serve(topology(4), ControlPlan::default(), paced_cfg, &paced_requests);
     let paced = row_from(4, &report);
     // The paced trace interleaves devices by arrival time; map records
     // back to dataset order (instance = seq · devices + device) so they
@@ -230,40 +361,15 @@ pub struct FeaturePayloadResult {
 /// feature payload at the deepest cut. Same models, same policy, same
 /// instances — only the wire and the split move.
 pub fn feature_payload(scale: Scale) -> FeaturePayloadResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 384,
-    };
-    let mut data_cfg = scale.cifar100_like(5301);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = edge_replica(41, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.8);
-
-    let mut offline_net = edge_replica(41, &hard);
-    let mut offline_cloud = cloud_replica(42);
-    let offline = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &data, policy, 16);
-
-    let mut rng = Rng::new(8);
-    let requests = trace_requests(&data, 8, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let scenario = Scenario::new(scale, 5301, 384, 41, 42);
+    let policy = scenario.policy(0.8);
+    let offline = scenario.offline(policy);
+    let requests = scenario.trace(8, 0.0, &mut Rng::new(8));
     let link = NetworkLink::wifi(50.0).with_rtt(0.002);
-    let deep_cut = cloud_replica(42).cut_layer_count() - 1;
+    let deep_cut = scenario.cloud_net().cut_layer_count() - 1;
 
     let run = |mode: &'static str, control: ControlPlan| -> PayloadModeRow {
-        let mut edges: Vec<EdgeReplica> =
-            (0..2).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(41, &hard), cloud_replica(42))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(42)).collect();
-        let mut cfg = ServeConfig::new(policy, 2, 2, 4);
-        cfg.queue_depth = 8;
-        cfg.link = Some(link);
-        cfg.control = control;
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+        let report = scenario.serve(PAIR, control, ServeConfig::builder(policy).link(link), &requests);
         PayloadModeRow {
             mode,
             bytes_to_cloud: report.stats.bytes_to_cloud,
@@ -280,23 +386,15 @@ pub fn feature_payload(scale: Scale) -> FeaturePayloadResult {
         run("image (raw 8-bit)", ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None });
     let feature_f32 = run(
         "features f32 @ planned cut",
-        planned(
-            CutPlannerConfig {
-                classes: vec![DeviceProfile::new("edge worker", 15.0, 5e11)],
-                cloud: DeviceProfile::new("cloud worker", 200.0, 1e12),
-                objective: Objective::Latency,
-                feedback: None,
-            },
-            None,
-        ),
+        planned(latency_planner(vec![DeviceProfile::new("edge worker", 15.0, 5e11)]), None),
     );
     let feature_int8 = run(
         "features int8 @ deepest cut",
         ControlPlan::Static { cut: deep_cut, wire: FeatureWire::Int8, controller: None },
     );
 
-    let offloaded = offline.iter().filter(|r| r.exit == meanet::ExitPoint::Cloud).count();
-    let cloud_total_macs = cloud_replica(42).total_macs();
+    let offloaded = offline.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
+    let cloud_total_macs = scenario.cloud_net().total_macs();
     FeaturePayloadResult { image_raw, feature_f32, feature_int8, offline, offloaded, cloud_total_macs }
 }
 
@@ -345,23 +443,8 @@ pub struct PlannerFeedbackResult {
 /// same trace runs open-loop (static contention model only) and
 /// closed-loop ([`LinkFeedback`]); only the closed loop can move the cut.
 pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 288,
-    };
-    let mut data_cfg = scale.cifar100_like(6401);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut offline_net = edge_replica(51, &hard);
-    let mut offline_cloud = cloud_replica(52);
-    let offline =
-        run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &data, OffloadPolicy::Always, 16);
+    let scenario = Scenario::new(scale, 6401, 288, 51, 52);
+    let offline = scenario.offline(OffloadPolicy::Always);
 
     // A slow edge next to a fast cloud: under the nominal 100 Mbps wire
     // the planner ships pixels; once the wire collapses to 1 Mbps, paying
@@ -369,26 +452,15 @@ pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
     // telemetry can find that out.
     let nominal = NetworkLink::wifi(100.0).with_rtt(0.0002);
     let degraded = NetworkLink::wifi(1.0).with_rtt(0.0002);
-    let degrade_after = instances as u64 / 4;
-    let edge_class = DeviceProfile::new("edge", 10.0, 5e9);
+    let degrade_after = scenario.data.len() as u64 / 4;
+    let planner = latency_planner(vec![DeviceProfile::new("edge", 10.0, 5e9)]);
 
-    let mut rng = Rng::new(9);
-    let requests = trace_requests(&data, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let requests = scenario.trace(1, 0.0, &mut Rng::new(9));
     let run = |mode: &'static str, feedback: Option<LinkFeedback>| -> (FeedbackRow, ServeReport) {
-        let mut edges = vec![EdgeReplica::with_cloud_prefix(edge_replica(51, &hard), cloud_replica(52))];
-        let mut clouds = vec![cloud_replica(52)];
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.queue_depth = 4;
-        let planner = CutPlannerConfig {
-            classes: vec![edge_class.clone()],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        };
-        cfg.control = planned(planner, feedback);
-        cfg.link = Some(nominal);
-        cfg.link_schedule = vec![LinkChange { after_batches: degrade_after, link: degraded }];
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+        let cfg = ServeConfig::builder(OffloadPolicy::Always)
+            .link(nominal)
+            .link_events(vec![LinkChange { after_batches: degrade_after, link: degraded }]);
+        let report = scenario.serve(PIPELINE, planned(planner.clone(), feedback), cfg, &requests);
         let row = FeedbackRow {
             mode,
             final_cut: report.stats.final_cuts.as_ref().expect("planned mode")[0],
@@ -401,13 +473,10 @@ pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
     };
 
     let (open, _) = run("open loop (static model)", None);
-    let (closed, closed_report) = run(
-        "closed loop (measured feedback)",
-        Some(LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 8 }),
-    );
+    let (closed, closed_report) = run("closed loop (measured feedback)", Some(eager_feedback()));
     let estimate = closed_report.stats.link_estimates.expect("feedback reports estimates")[0]
         .expect("class 0 observed at least one batch");
-    let offloaded = offline.iter().filter(|r| r.exit == meanet::ExitPoint::Cloud).count();
+    let offloaded = offline.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
     PlannerFeedbackResult { open, closed, offline, offloaded, degraded_up_mbps: 1.0, estimate }
 }
 
@@ -475,35 +544,13 @@ pub struct RealTransportResult {
 /// closed loop (fed by `Instant::now()` deltas around real sends) moves
 /// the cut; the static model is never told.
 pub fn real_transport(scale: Scale) -> RealTransportResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 192,
-    };
-    let mut data_cfg = scale.cifar100_like(7501);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = edge_replica(61, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.8);
-
+    let scenario = Scenario::new(scale, 7501, 192, 61, 62);
+    let policy = scenario.policy(0.8);
     let mut rng = Rng::new(10);
-    let requests = trace_requests(&data, 4, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let requests = scenario.trace(4, 0.0, &mut rng);
     let link = NetworkLink::wifi(50.0).with_rtt(0.002);
-    let deep_cut = cloud_replica(62).cut_layer_count() - 1;
-    let open_loop = planned(
-        CutPlannerConfig {
-            classes: vec![DeviceProfile::new("edge worker", 15.0, 5e11)],
-            cloud: DeviceProfile::new("cloud worker", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        },
-        None,
-    );
+    let deep_cut = scenario.cloud_net().cut_layer_count() - 1;
+    let open_loop = planned(latency_planner(vec![DeviceProfile::new("edge worker", 15.0, 5e11)]), None);
     let plans: Vec<(&'static str, ControlPlan)> = vec![
         ("image f32", ControlPlan::Image { wire: WireFormat::Float32, controller: None }),
         ("image quant8", ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None }),
@@ -519,15 +566,8 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
     ];
 
     let run = |control: &ControlPlan, transport: TransportKind| -> ServeReport {
-        let mut edges: Vec<EdgeReplica> =
-            (0..2).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(61, &hard), cloud_replica(62))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(62)).collect();
-        let mut cfg = ServeConfig::new(policy, 2, 2, 4);
-        cfg.queue_depth = 8;
-        cfg.link = Some(link);
-        cfg.control = control.clone();
-        cfg.transport = transport;
-        try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("valid serving configuration")
+        let cfg = ServeConfig::builder(policy).link(link).transport(transport);
+        scenario.serve(PAIR, control.clone(), cfg, &requests)
     };
 
     let mut parity = Vec::new();
@@ -556,35 +596,30 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
         });
     }
 
-    // Part two: a single deterministic pipeline (1 edge x 1 cloud x
-    // max_batch 1) over the PACED pipe. The pacer starts at 50 Mbps and
-    // silently throttles to 1 Mbps a quarter of the way in; the static
-    // model (the planner's prior) is told 100 Mbps and never updated.
+    // Part two: a single deterministic pipeline over the PACED pipe. The
+    // pacer starts at 50 Mbps and silently throttles to 1 Mbps a quarter
+    // of the way in; the static model (the planner's prior) is told
+    // 100 Mbps and never updated.
     let throttled_up_mbps = 1.0;
-    let loop_requests = trace_requests(&data, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let loop_requests = scenario.trace(1, 0.0, &mut rng);
     let closed_loop = |feedback: Option<LinkFeedback>| -> ServeReport {
-        let mut edges = vec![EdgeReplica::with_cloud_prefix(edge_replica(61, &hard), cloud_replica(62))];
-        let mut clouds = vec![cloud_replica(62)];
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.queue_depth = 4;
-        let planner = CutPlannerConfig {
-            classes: vec![DeviceProfile::new("edge", 10.0, 5e9)],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        };
-        cfg.control = planned(planner, feedback);
-        cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0002));
-        cfg.transport = TransportKind::Pipe(PipeConfig {
+        let pipe = PipeConfig {
             up_mbps: Some(50.0),
-            throttle: vec![PaceChange { after_frames: instances as u64 / 4, up_mbps: throttled_up_mbps }],
+            throttle: vec![PaceChange {
+                after_frames: scenario.data.len() as u64 / 4,
+                up_mbps: throttled_up_mbps,
+            }],
             ..PipeConfig::default()
-        });
-        try_serve(&cfg, &mut edges, &mut clouds, &loop_requests).expect("valid serving configuration")
+        };
+        let cfg = ServeConfig::builder(OffloadPolicy::Always)
+            .link(NetworkLink::wifi(100.0).with_rtt(0.0002))
+            .transport(TransportKind::Pipe(pipe));
+        let planner = latency_planner(vec![DeviceProfile::new("edge", 10.0, 5e9)]);
+        scenario.serve(PIPELINE, planned(planner, feedback), cfg, &loop_requests)
     };
     let open = closed_loop(None);
     let open_cut = open.stats.final_cuts.as_ref().expect("planned mode")[0];
-    let feedback = Some(LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 8 });
+    let feedback = Some(eager_feedback());
     let closed = [closed_loop(feedback), closed_loop(feedback)].map(|report| PipeLoopRow {
         final_cut: report.stats.final_cuts.as_ref().expect("planned mode")[0],
         cut_replans: report.stats.cut_replans,
@@ -594,7 +629,7 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
         records: report.records,
     });
 
-    RealTransportResult { parity, total: data.len(), offloaded, open_cut, closed, throttled_up_mbps }
+    RealTransportResult { parity, total: scenario.data.len(), offloaded, open_cut, closed, throttled_up_mbps }
 }
 
 fn row_from(cloud_workers: usize, report: &ServeReport) -> ServingRow {
@@ -672,22 +707,10 @@ pub struct HeteroFleetResult {
 /// pre-commit to the cloud (skipping their main-exit forwards) and easy
 /// requests refuse the offload leg.
 pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 288,
-    };
-    let mut data_cfg = scale.cifar100_like(8601);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = edge_replica(71, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.5);
-    let predictor = DifficultyPredictor::calibrate(&mut probe_net, &bundle.train.images, 16);
+    let scenario = Scenario::new(scale, 8601, 288, 71, 72);
+    let mut probe_net = scenario.edge_net();
+    let policy = high_offload_policy(&mut probe_net, &scenario.data, 0.5);
+    let predictor = DifficultyPredictor::calibrate(&mut probe_net, &scenario.train.images, 16);
 
     // Three tiers sharing one hardware profile: only the kernel-latency
     // scale factor separates their effective throughputs.
@@ -700,59 +723,22 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
     // different cuts (their throughputs differ 2.5x, so some rate must),
     // making the per-class cut assertion meaningful at every scale.
     let devices = 6;
-    let cloud_net = cloud_replica(72);
-    let in_elems: u64 = cloud_net.in_shape.iter().map(|&d| d as u64).product();
-    let planner_at = |rate: f64| {
-        let env = PartitionEnv {
-            edge: classes[0].effective_profile(),
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            link: NetworkLink::wifi(rate).with_rtt(0.001),
-            bytes_per_elem: 4,
-            raw_input_bytes: 4 * in_elems,
-            response_bytes: RESPONSE_WIRE_BYTES,
-        };
-        CutPlanner::from_network(&cloud_net, env, Objective::Latency, devices)
-    };
     let (high_profile, low_profile) = (classes[0].effective_profile(), classes[2].effective_profile());
-    let link_mbps = (0..60)
-        .map(|i| 0.05 * 1.3f64.powi(i))
-        .find(|&r| {
-            let planner = planner_at(r);
-            let cut = |edge| planner.plan_placement_for_measured(edge, None, None, None).plan.final_cut();
-            cut(&high_profile) != cut(&low_profile)
-        })
-        .expect("some link rate separates the High and Low tiers");
+    let (link_mbps, _) = scenario.search_link_rate(&high_profile, devices, |planner| {
+        let cut = |edge| planner.plan_placement_for_measured(edge, None, None, None).plan.final_cut();
+        cut(&high_profile) != cut(&low_profile)
+    });
     let link = NetworkLink::wifi(link_mbps).with_rtt(0.001);
 
-    let mut rng = Rng::new(11);
-    let requests = trace_requests(&data, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let requests = scenario.trace(devices, 0.0, &mut Rng::new(11));
     let spec = FleetSpec::round_robin(classes.clone());
     let run = |mode: &'static str, difficulty: Option<DifficultyPredictor>| {
-        let edges: Vec<EdgeReplica> =
-            (0..3).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(71, &hard), cloud_replica(72))).collect();
-        let clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(72)).collect();
-        let mut builder = ServeConfig::builder(policy)
-            .edge_workers(3)
-            .cloud_workers(2)
-            .max_batch(4)
-            .queue_depth(8)
-            .control(planned(
-                CutPlannerConfig {
-                    classes: Vec::new(),
-                    cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-                    objective: Objective::Latency,
-                    feedback: None,
-                },
-                None,
-            ))
-            .link(link)
-            .fleet(spec.clone());
+        let mut cfg = ServeConfig::builder(policy).link(link).fleet(spec.clone());
         if let Some(p) = difficulty {
-            builder = builder.difficulty(p);
+            cfg = cfg.difficulty(p);
         }
-        let cfg = builder.build().expect("valid fleet configuration");
-        let mut fleet = Fleet::new(cfg, edges, clouds).expect("replicas match the configuration");
-        let report = fleet.serve(&requests).expect("the fleet serves the trace");
+        let topology = Topology { edge_workers: 3, ..PAIR };
+        let report = scenario.serve(topology, planned(latency_planner(Vec::new()), None), cfg, &requests);
         let row = FleetRunRow {
             mode,
             total: report.stats.total,
@@ -933,39 +919,27 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         Scale::Smoke => (1_000, 2),
         Scale::Repro | Scale::Full => (10_000, 2),
     };
-    let instances = 96;
-    let mut data_cfg = scale.cifar100_like(9701);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = slim_edge(81, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.8);
-
+    let scenario = Scenario { edge: slim_edge, cloud: slim_cloud, ..Scenario::new(scale, 9701, 96, 81, 82) };
+    let data = &scenario.data;
+    let policy = scenario.policy(0.8);
     // Ground truth: the sequential offline sweep over the base instances.
     // Each request is a cycled instance, so its record must equal the
     // offline record of that instance regardless of ingress or transport.
-    let mut offline_net = slim_edge(81, &hard);
-    let mut offline_cloud = slim_cloud(82);
-    let offline = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &data, policy, 16);
+    let offline = scenario.offline(policy);
 
-    let cloud_workers = 6;
-    let edge_workers = 2;
+    let topology = Topology { edge_workers: 2, cloud_workers: 6, max_batch: 8, queue_depth: 64 };
+    let cloud_workers = topology.cloud_workers;
     let mut rng = Rng::new(12);
 
     // Heavy tail: median inter-arrival ~0.9 ms per device with sigma=1
     // log-normal stragglers — saturating in aggregate, bursty per device.
     let heavy = ArrivalModel::LogNormal { mu: -7.0, sigma: 1.0 };
-    let (instance_of, requests) = skewed_trace(&data, devices, frames_per_device, cloud_workers, &heavy, &mut rng);
+    let (instance_of, requests) = skewed_trace(data, devices, frames_per_device, cloud_workers, &heavy, &mut rng);
     // Day/night swing compressed to a sub-second period so the modulation
     // actually moves within the trace.
     let diurnal_model = ArrivalModel::Diurnal { base_rate_hz: 2_000.0, amplitude: 0.8, period_s: 0.25 };
     let (diurnal_instance_of, diurnal_requests) =
-        skewed_trace(&data, devices, frames_per_device, cloud_workers, &diurnal_model, &mut rng);
+        skewed_trace(data, devices, frames_per_device, cloud_workers, &diurnal_model, &mut rng);
 
     let run = |label: &'static str,
                ingress: CloudIngress,
@@ -973,20 +947,14 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
                requests: &[ServeRequest],
                instance_of: &[usize]|
      -> LoadRow {
-        let mut edges: Vec<EdgeReplica> =
-            (0..edge_workers).map(|_| EdgeReplica::new(slim_edge(81, &hard))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| slim_cloud(82)).collect();
-        let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, 8);
-        cfg.queue_depth = 64;
-        cfg.ingress = ingress;
+        let mut cfg = ServeConfig::builder(policy).ingress(ingress);
         if matches!(transport, TransportKind::Modelled) {
             // WiFi-class uplink with a 20 ms RTT: each batch pays real
             // wall-clock sleep, so overlap (not host cores) sets capacity,
             // and deep shards let stolen prefixes fill whole batches.
-            cfg.link = Some(NetworkLink::wifi(50.0).with_rtt(0.020));
+            cfg = cfg.link(NetworkLink::wifi(50.0).with_rtt(0.020));
         }
-        cfg.transport = transport;
-        let report = try_serve(&cfg, &mut edges, &mut clouds, requests).expect("valid serving configuration");
+        let report = scenario.serve(topology, ControlPlan::default(), cfg.transport(transport), requests);
         assert_eq!(report.completions.len(), requests.len(), "{label}: every request completes");
 
         let mut fifo_ok = true;
@@ -1154,20 +1122,8 @@ fn steady_p95_ms(report: &ServeReport) -> f64 {
 /// to the accuracy floor — and two fixed-cut runs price the int8 wires
 /// against each other byte-for-byte.
 pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 192,
-    };
-    let mut data_cfg = scale.cifar100_like(7301);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-    let instances = data.len();
-
-    let hard = [0usize, 2, 4];
+    let scenario = Scenario::new(scale, 7301, 192, 71, 72);
+    let instances = scenario.data.len();
     let budget_ms = 16.0;
     let accuracy_floor = 0.80;
     // Nominal, the plan ships pixels comfortably under budget; degraded,
@@ -1183,8 +1139,8 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
     // Paced slower than the worst degraded f32 service (~36 ms), so no
     // backlog builds and the decision windows see clean per-wire
     // latencies (no cross-epoch stragglers).
-    let paced = trace_requests(&data, 1, &ArrivalModel::Uniform { interval_s: 0.050 }, &mut rng);
-    let saturating = trace_requests(&data, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let paced = scenario.trace(1, 0.050, &mut rng);
+    let saturating = scenario.trace(1, 0.0, &mut rng);
 
     // A single-class fleet with a compute-poor edge: nominally the
     // latency plan ships pixels (cut 0), so the collapse forces the
@@ -1205,15 +1161,11 @@ pub fn sla_governor(scale: Scale) -> SlaGovernorResult {
                schedule: &[LinkChange],
                requests: &[ServeRequest]|
      -> (SlaRunRow, ServeReport) {
-        let mut edges = vec![EdgeReplica::with_cloud_prefix(edge_replica(71, &hard), cloud_replica(72))];
-        let mut clouds = vec![cloud_replica(72)];
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.queue_depth = 4;
-        cfg.control = control;
-        cfg.link = Some(link);
-        cfg.link_schedule = schedule.to_vec();
-        cfg.fleet = Some(spec.clone());
-        let report = try_serve(&cfg, &mut edges, &mut clouds, requests).expect("valid serving configuration");
+        let cfg = ServeConfig::builder(OffloadPolicy::Always)
+            .link(link)
+            .link_events(schedule.to_vec())
+            .fleet(spec.clone());
+        let report = scenario.serve(PIPELINE, control, cfg, requests);
         let final_wire = report
             .stats
             .control_trajectory
@@ -1403,21 +1355,8 @@ pub struct CoopEdgeResult {
 /// Both runs ship `f32` features, so their Algorithm-2 records must be
 /// bitwise identical despite the different cuts.
 pub fn coop_edge(scale: Scale) -> CoopEdgeResult {
-    let instances = match scale {
-        Scale::Smoke => 96,
-        Scale::Repro | Scale::Full => 240,
-    };
-    let mut data_cfg = scale.cifar100_like(9301);
-    data_cfg.num_classes = 6;
-    data_cfg.num_clusters = 3;
-    data_cfg.image_hw = 8;
-    data_cfg.test_per_class = instances / 6 + 1;
-    let bundle = generate(&data_cfg);
-    let data = bundle.test.subset(&(0..instances.min(bundle.test.len())).collect::<Vec<_>>());
-
-    let hard = [0usize, 2, 4];
-    let mut probe_net = edge_replica(91, &hard);
-    let policy = high_offload_policy(&mut probe_net, &data, 0.6);
+    let scenario = Scenario::new(scale, 9301, 240, 91, 92);
+    let policy = scenario.policy(0.6);
 
     // One Low-tier class in two guises: solo, and pooled into a
     // 3-member cooperative group behind a fast dedicated local wire.
@@ -1433,59 +1372,19 @@ pub fn coop_edge(scale: Scale) -> CoopEdgeResult {
     // strictly shrinks the upload: the cooperative win is then decisive
     // (the saved WAN bytes dominate the cheap local hop at any scale).
     let devices = 4;
-    let cloud_net = cloud_replica(92);
-    let in_elems: u64 = cloud_net.in_shape.iter().map(|&d| d as u64).product();
-    let planner_at = |rate: f64| {
-        let env = PartitionEnv {
-            edge: low_profile.clone(),
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            link: NetworkLink::wifi(rate).with_rtt(0.001),
-            bytes_per_elem: 4,
-            raw_input_bytes: 4 * in_elems,
-            response_bytes: RESPONSE_WIRE_BYTES,
-        };
-        CutPlanner::from_network(&cloud_net, env, Objective::Latency, devices)
-    };
-    let link_mbps = (0..60)
-        .map(|i| 0.05 * 1.3f64.powi(i))
-        .find(|&r| {
-            let planner = planner_at(r);
-            let pooled = planner.plan_placement_for_measured(&low_profile, None, None, pool.as_ref());
-            let solo = planner.plan_placement_for_measured(&low_profile, None, None, None);
-            pooled.plan.peer_stage().is_some() && pooled.upload_bytes < solo.upload_bytes
-        })
-        .expect("some WAN rate makes the cooperative split pay");
+    let (link_mbps, planner) = scenario.search_link_rate(&low_profile, devices, |planner| {
+        let pooled = planner.plan_placement_for_measured(&low_profile, None, None, pool.as_ref());
+        let solo = planner.plan_placement_for_measured(&low_profile, None, None, None);
+        pooled.plan.peer_stage().is_some() && pooled.upload_bytes < solo.upload_bytes
+    });
     let link = NetworkLink::wifi(link_mbps).with_rtt(0.001);
-    let planner = planner_at(link_mbps);
     let planned_coop = planner.plan_placement_for_measured(&low_profile, None, None, pool.as_ref());
     let planned_solo = planner.plan_placement_for_measured(&low_profile, None, None, None);
 
-    let mut rng = Rng::new(17);
-    let requests = trace_requests(&data, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
+    let requests = scenario.trace(devices, 0.0, &mut Rng::new(17));
     let run = |mode: &'static str, class: DeviceClass| {
-        let edges: Vec<EdgeReplica> =
-            (0..2).map(|_| EdgeReplica::with_cloud_prefix(edge_replica(91, &hard), cloud_replica(92))).collect();
-        let clouds: Vec<SegmentedCnn> = (0..2).map(|_| cloud_replica(92)).collect();
-        let cfg = ServeConfig::builder(policy)
-            .edge_workers(2)
-            .cloud_workers(2)
-            .max_batch(4)
-            .queue_depth(8)
-            .control(planned(
-                CutPlannerConfig {
-                    classes: Vec::new(),
-                    cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-                    objective: Objective::Latency,
-                    feedback: None,
-                },
-                None,
-            ))
-            .link(link)
-            .fleet(FleetSpec::uniform(class))
-            .build()
-            .expect("valid fleet configuration");
-        let mut fleet = Fleet::new(cfg, edges, clouds).expect("replicas match the configuration");
-        let report = fleet.serve(&requests).expect("the fleet serves the trace");
+        let cfg = ServeConfig::builder(policy).link(link).fleet(FleetSpec::uniform(class));
+        let report = scenario.serve(PAIR, planned(latency_planner(Vec::new()), None), cfg, &requests);
         let placement = report.stats.placements.as_ref().expect("planned mode reports placements")[0].clone();
         let row = CoopRunRow {
             mode,

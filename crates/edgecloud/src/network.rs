@@ -248,11 +248,6 @@ impl LinkEstimator {
         self.classes[class].samples
     }
 
-    /// Batch observations recorded across all classes.
-    pub fn total_samples(&self) -> u64 {
-        self.classes.iter().map(|c| c.samples).sum()
-    }
-
     /// The current estimate for `class`, or `None` before the first
     /// observation (cold start: the planner stays on its static prior).
     ///
@@ -383,7 +378,6 @@ mod tests {
         assert!((e.rtt_s - 0.006).abs() < 1e-12);
         // The untouched class is still cold.
         assert!(est.estimate(1).is_none());
-        assert_eq!(est.total_samples(), 10);
     }
 
     #[test]

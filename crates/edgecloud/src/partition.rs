@@ -440,12 +440,6 @@ impl CutPlanner {
         self.beta
     }
 
-    /// Number of candidate serving cuts (`0 ..= L-1`; the edge-only
-    /// endpoint is not a serving cut).
-    pub fn serving_cut_count(&self) -> usize {
-        self.profiles.len()
-    }
-
     /// Feeds back an observed offload fraction (e.g. a
     /// `ThresholdController` window outcome).
     ///
@@ -455,11 +449,6 @@ impl CutPlanner {
     pub fn set_beta(&mut self, beta: f64) {
         assert!((0.0..=1.0).contains(&beta), "offload fraction must be in [0,1], got {beta}");
         self.beta = beta;
-    }
-
-    /// Swaps the link model (radio conditions changed).
-    pub fn set_link(&mut self, link: NetworkLink) {
-        self.env.link = link;
     }
 
     /// Sets the pseudo-sample weight of the static contention prior in
@@ -989,7 +978,6 @@ mod tests {
         let planner = CutPlanner::new(profiles.clone(), e, Objective::Latency, 1);
         let cut = plan(&planner);
         assert!(cut.plan.final_cut() < profiles.len(), "serving cut may not be edge-only");
-        assert_eq!(planner.serving_cut_count(), profiles.len());
     }
 
     #[test]
@@ -1013,18 +1001,6 @@ mod tests {
             "slow edge should offload earlier: {cuts:?}"
         );
         assert_eq!(cuts.len(), 2);
-    }
-
-    #[test]
-    fn planner_link_swap_replans() {
-        let mut e = env();
-        e.cloud = DeviceProfile::new("dc", 500.0, 1e14);
-        let mut planner = CutPlanner::new(toy_profiles(), e, Objective::Latency, 1);
-        let slow_cut = plan(&planner);
-        planner.set_link(NetworkLink::wifi(100_000.0).with_rtt(0.0));
-        let fast_cut = plan(&planner);
-        assert_eq!(fast_cut.plan.final_cut(), 0, "free uplink + huge cloud: ship pixels immediately");
-        assert!(fast_cut.latency_s <= slow_cut.latency_s, "a better link cannot make the plan worse");
     }
 
     #[test]

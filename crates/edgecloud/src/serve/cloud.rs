@@ -88,7 +88,7 @@ pub(crate) struct ShardedIngress {
     pub(crate) arrived: Condvar,
     /// Signalled when frames leave a full shard (and on abort).
     pub(crate) space: Condvar,
-    /// Per-shard frame capacity ([`ServeConfig::queue_depth`]).
+    /// Per-shard frame capacity ([`ServeConfigBuilder::queue_depth`]).
     pub(crate) depth_cap: usize,
 }
 

@@ -1,55 +1,23 @@
-//! Serving entry points and orchestration: [`try_serve`], the [`Fleet`]
-//! API and the one worker scaffold (`serve_core`) every transport runs.
+//! The serving entry point and orchestration: [`Fleet`], and the one
+//! worker scaffold (`serve_core`) every transport runs.
 
 use super::*;
 
-/// Runs the serving runtime to completion over a request trace.
+/// A serving deployment behind one validated entry point: the
+/// configuration plus the edge/cloud replicas it owns.
 ///
 /// `edges` and `clouds` are per-worker model replicas (`edges[w]` serves
 /// edge worker `w`); replicate a trained system onto them with
 /// `MeaNet::replicate_into` / `mea_nn::StateDict::from_cnn` so every
 /// worker answers identically. In feature-payload mode every
 /// [`EdgeReplica`] must also carry a bitwise replica of the cloud network
-/// (its prefix runs at the edge). Requests must be sorted by `arrival_s`
-/// (see [`trace_requests`]); the dispatcher paces them in real time.
+/// (its prefix runs at the edge).
 ///
-/// Prefer [`Fleet`], which owns its replicas and validates once at
-/// construction; `try_serve` is the borrowing form underneath it.
-///
-/// # Errors
-///
-/// Every inconsistency is rejected up front, before any thread spawns:
-/// [`ServeError::Config`] wraps the static [`ServeConfigError`]s
-/// (zero workers or batch, schedules without links, planner
-/// misconfiguration, fleet/class conflicts), and the remaining variants
-/// cover replica-count mismatches, malformed traces (non-finite,
-/// unsorted or negative arrivals, multi-instance images) and
-/// feature-payload plans whose replicas lack or disagree on cloud
-/// prefixes or whose fixed cut is out of range.
-pub fn try_serve(
-    cfg: &ServeConfig,
-    edges: &mut [EdgeReplica],
-    clouds: &mut [SegmentedCnn],
-    requests: &[ServeRequest],
-) -> Result<ServeReport, ServeError> {
-    validate_serve(cfg, edges, clouds, requests)?;
-    let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
-    Ok(match &cfg.transport {
-        TransportKind::Modelled => serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth)),
-        TransportKind::Pipe(pc) => serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone())),
-        #[cfg(unix)]
-        TransportKind::Uds(uc) => serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone())),
-    })
-}
-
-/// A serving deployment behind one validated entry point: the
-/// configuration plus the edge/cloud replicas it owns.
-///
-/// [`Fleet::new`] runs every request-independent check once —
-/// configuration invariants *and* replica consistency (counts, cloud
-/// prefixes, layer enumeration, cut range) — so a `Fleet` in hand is
-/// known-servable and [`Fleet::serve`] can only fail on a malformed
-/// trace: misconfiguration is a value ([`ServeError`]), not a crash.
+/// A [`ServeConfig`] is valid by construction, and [`Fleet::new`] checks
+/// the replicas against it once — counts, cloud prefixes, layer
+/// enumeration, cut range — so a `Fleet` in hand is known-servable and
+/// [`Fleet::serve`] can only fail on a malformed trace: misconfiguration
+/// is a value ([`ServeError`]), not a crash.
 #[derive(Debug)]
 pub struct Fleet {
     config: ServeConfig,
@@ -58,33 +26,50 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Validates the configuration against the replicas and bundles them.
+    /// Checks the replicas against the configuration and bundles them.
     ///
     /// # Errors
     ///
-    /// Everything [`try_serve`] rejects except trace errors: wrapped
-    /// [`ServeConfigError`]s, replica-count mismatches, and
-    /// feature-payload prefix/cut inconsistencies.
+    /// Replica-count mismatches, and feature-payload plans whose replicas
+    /// lack or disagree on cloud prefixes or whose fixed cut or placement
+    /// does not fit them.
     pub fn new(
         config: ServeConfig,
         edges: Vec<EdgeReplica>,
         clouds: Vec<SegmentedCnn>,
     ) -> Result<Fleet, ServeError> {
-        validate_serve(&config, &edges, &clouds, &[])?;
+        validate_replicas(&config, &edges, &clouds)?;
         Ok(Fleet { config, edges, clouds })
     }
 
-    /// Serves a request trace to completion (see [`try_serve`]).
+    /// Serves a request trace to completion. Requests must be sorted by
+    /// `arrival_s` (see [`trace_requests`]); the dispatcher paces them in
+    /// real time.
     ///
     /// # Errors
     ///
-    /// Only trace errors remain possible after [`Fleet::new`]: non-finite,
-    /// unsorted or negative arrival times, or multi-instance images.
+    /// Only trace errors: non-finite, unsorted or negative arrival times,
+    /// or multi-instance images. They are rejected before any thread
+    /// spawns.
     pub fn serve(&mut self, requests: &[ServeRequest]) -> Result<ServeReport, ServeError> {
-        try_serve(&self.config, &mut self.edges, &mut self.clouds, requests)
+        validate_trace(requests)?;
+        let Fleet { config: cfg, edges, clouds } = self;
+        let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
+        Ok(match &cfg.transport {
+            TransportKind::Modelled => {
+                serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth))
+            }
+            TransportKind::Pipe(pc) => {
+                serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone()))
+            }
+            #[cfg(unix)]
+            TransportKind::Uds(uc) => {
+                serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone()))
+            }
+        })
     }
 
-    /// The validated configuration this fleet serves under.
+    /// The configuration this fleet serves under.
     pub fn config(&self) -> &ServeConfig {
         &self.config
     }
@@ -177,7 +162,7 @@ pub(crate) fn serve_core<T: Transport>(
     let wants_grids = governed || cfg.control.feature_wire() == Some(FeatureWire::PerChannelInt8);
     let grids = match (wants_grids, requests.first()) {
         (true, Some(first)) => {
-            let prefix = edges[0].cloud_prefix.as_mut().expect("validated in try_serve()");
+            let prefix = edges[0].cloud_prefix.as_mut().expect("validated in Fleet::new()");
             let per_cut = (0..prefix.cut_layer_count())
                 .map(|k| {
                     let act = prefix.forward_prefix(&first.image, k, Mode::Eval);

@@ -86,7 +86,7 @@ pub struct LinkFeedback {
     /// [`CutPlanner::effective_env_measured`]).
     pub prior_samples: f64,
     /// Replan the per-class cuts every this many observed batches.
-    pub replan_every: u64,
+    pub replan_every: NonZeroU64,
 }
 
 impl Default for LinkFeedback {
@@ -94,7 +94,11 @@ impl Default for LinkFeedback {
     /// static prior worth [`MEASURED_PRIOR_SAMPLES`] batches, replanning
     /// every 8 batches.
     fn default() -> Self {
-        LinkFeedback { alpha: 0.3, prior_samples: MEASURED_PRIOR_SAMPLES, replan_every: 8 }
+        LinkFeedback {
+            alpha: 0.3,
+            prior_samples: MEASURED_PRIOR_SAMPLES,
+            replan_every: NonZeroU64::new(8).expect("8 > 0"),
+        }
     }
 }
 
@@ -104,7 +108,7 @@ pub struct CutPlannerConfig {
     /// Edge device classes: device `d` belongs to class
     /// `d % classes.len()` and serves from that class's planned cut.
     ///
-    /// When [`ServeConfig::fleet`] is set this list must be **empty** —
+    /// When [`ServeConfigBuilder::fleet`] is set this list must be **empty** —
     /// the fleet's effective per-class profiles (and link priors) drive
     /// the planner, and devices map to classes through
     /// [`FleetSpec::class_of`] instead of the modulo convention.
@@ -223,7 +227,7 @@ pub enum ControlPlan {
     /// escalates cut objective, wire format and finally the offload
     /// fraction to hold the [`SlaTarget`] — see [`crate::governor`].
     /// Starts from lossless `f32` on latency-planned cuts with default
-    /// measured-link feedback; requires [`ServeConfig::link`]
+    /// measured-link feedback; requires [`ServeConfigBuilder::link`]
     /// ([`ServeConfigError::GovernedWithoutTelemetry`]).
     Governed(SlaTarget),
 }
@@ -270,80 +274,28 @@ impl ControlPlan {
     }
 }
 
-/// Static configuration of the serving runtime.
+/// Static configuration of the serving runtime, valid by construction:
+/// [`ServeConfig::builder`] is the only way to make one, and each setting
+/// is documented on its [`ServeConfigBuilder`] setter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
-    /// Edge worker threads (must equal the number of edge replicas).
-    pub edge_workers: usize,
-    /// Cloud worker threads (must equal the number of cloud replicas).
-    pub cloud_workers: usize,
-    /// Dynamic-batching cap: a cloud worker coalesces at most this many
-    /// queued payloads into one batched forward.
-    pub max_batch: usize,
-    /// How long a cloud worker waits for stragglers once it holds at
-    /// least one payload. `Duration::ZERO` coalesces only what is already
-    /// queued (no added latency).
-    pub max_wait: Duration,
-    /// Capacity of each bounded edge/cloud ingress queue.
-    pub queue_depth: usize,
-    /// Offload policy. Ignored when the [`ControlPlan`] carries a
-    /// controller (the controller then drives an entropy-threshold
-    /// policy starting from its own threshold).
-    pub policy: OffloadPolicy,
-    /// Who steers ([`ControlPlan`]): what offloaded instances carry
-    /// across the wire and how the (β, cut, wire) operating point is
-    /// chosen.
-    pub control: ControlPlan,
-    /// Optional link model: each cloud batch pays its uplink leg (the
-    /// upload plus half the RTT) before the forward and its downlink leg
-    /// (half the RTT plus the response download) after it, as real
-    /// wall-clock delay on the worker that serves it — the same
-    /// [`NetworkLink::uplink_leg_s`]/[`NetworkLink::downlink_leg_s`]
-    /// convention the virtual-clock simulator and the closed-form
-    /// `round_trip_s` charge. On a real transport the wire's own
-    /// transfer time replaces these sleeps; the model then only informs
-    /// the [`CutPlanner`]'s static prior.
-    pub link: Option<NetworkLink>,
-    /// Which wire the offloaded payloads cross: the deterministic
-    /// modelled conduit (default — the CI/record-identity path) or a real
-    /// byte stream (in-process pipe, Unix sockets) whose transfer times
-    /// feed the [`LinkEstimator`] as genuine `Instant::now()` deltas.
-    pub transport: TransportKind,
-    /// Scheduled changes of the modelled wire mid-run (radio
-    /// degradation): once the cloud tier has *started* `after_batches`
-    /// coalesced batches, subsequently started batches ride the changed
-    /// link. Applied in order; requires [`ServeConfig::link`] and the
-    /// modelled transport. The planner's
-    /// static model is deliberately not told — only measured-link
-    /// feedback ([`LinkFeedback`]) can observe the change.
-    pub link_schedule: Vec<LinkChange>,
-    /// Optional heterogeneous device registry. `Some` routes every
-    /// device→class decision (planned cuts, link telemetry, per-class
-    /// stats) through [`FleetSpec::class_of`] and plans cuts from each
-    /// class's tier-scaled profile and radio prior; `None` round-robins
-    /// devices over [`CutPlannerConfig::classes`]. A spec whose classes
-    /// equal those planner classes serves record-identically to `None`.
-    pub fleet: Option<FleetSpec>,
-    /// Optional difficulty-aware routing. `Some` classifies every request
-    /// from its input statistics before any forward pass:
-    /// predicted-**easy** requests settle locally (main or extension
-    /// exit) without consulting the offload policy, predicted-**hard**
-    /// requests pre-commit to the cloud without evaluating the main exit
-    /// (skipped evaluations are counted in
-    /// [`ServeStats::skipped_main_exits`]), and ambiguous requests take
-    /// the unchanged Algorithm-2 path. `None` routes everything through
-    /// Algorithm 2.
-    pub difficulty: Option<DifficultyPredictor>,
-    /// How cloud workers pick up arrived frames: the sharded
-    /// work-stealing ingress (default) or the one-queue-per-worker
-    /// reference path. Pure scheduling knob — the served [`InstanceRecord`]s are
-    /// identical either way (asserted by the property suite); only
-    /// throughput and the [`ServeStats`] scheduling counters differ.
-    pub ingress: CloudIngress,
+    pub(crate) edge_workers: usize,
+    pub(crate) cloud_workers: usize,
+    pub(crate) max_batch: usize,
+    pub(crate) max_wait: Duration,
+    pub(crate) queue_depth: usize,
+    pub(crate) policy: OffloadPolicy,
+    pub(crate) control: ControlPlan,
+    pub(crate) link: Option<NetworkLink>,
+    pub(crate) transport: TransportKind,
+    pub(crate) link_schedule: Vec<LinkChange>,
+    pub(crate) fleet: Option<FleetSpec>,
+    pub(crate) difficulty: Option<DifficultyPredictor>,
+    pub(crate) ingress: CloudIngress,
 }
 
 /// One scheduled change of serving link conditions (see
-/// [`ServeConfig::link_schedule`]).
+/// [`ServeConfigBuilder::link_events`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkChange {
     /// The change takes effect once this many coalesced cloud batches
@@ -358,7 +310,7 @@ pub struct LinkChange {
 }
 
 /// How offloaded frames reach the cloud workers (see
-/// [`ServeConfig::ingress`]).
+/// [`ServeConfigBuilder::ingress`]).
 ///
 /// Either way every frame still enters through its device-sticky lane
 /// (`spec.sticky_index(device, lanes)`), so the wire-level ordering
@@ -385,7 +337,7 @@ pub enum CloudIngress {
 }
 
 /// The link a batch rides given how many batches the cloud tier has
-/// *started* (dequeued) before it: [`ServeConfig::link`] with every due
+/// *started* (dequeued) before it: [`ServeConfigBuilder::link`] with every due
 /// [`LinkChange`] applied in order. Keying on started batches matches
 /// [`LinkChange::after_batches`]: the counter increments when a worker
 /// dequeues a coalesced batch, before any leg of the link is paid.
@@ -400,33 +352,30 @@ pub(crate) fn scheduled_link(cfg: &ServeConfig, batches_before: u64) -> Option<N
 }
 
 impl ServeConfig {
-    /// A serving configuration with sane defaults: no batching wait, a
-    /// queue depth of 4 per worker, lossless wire format, no simulated
-    /// link, no controller.
-    pub fn new(policy: OffloadPolicy, edge_workers: usize, cloud_workers: usize, max_batch: usize) -> Self {
-        ServeConfig {
-            edge_workers,
-            cloud_workers,
-            max_batch,
-            max_wait: Duration::ZERO,
-            queue_depth: 4,
-            policy,
-            control: ControlPlan::default(),
-            link: None,
-            transport: TransportKind::default(),
-            link_schedule: Vec::new(),
-            fleet: None,
-            difficulty: None,
-            ingress: CloudIngress::default(),
-        }
-    }
-
-    /// A validating builder starting from [`ServeConfig::new`]'s defaults
-    /// (`edge_workers: 1, cloud_workers: 1, max_batch: 1`).
-    /// [`ServeConfigBuilder::build`] checks every static invariant and
-    /// returns [`ServeConfigError`] instead of panicking downstream.
+    /// A validating builder with sane defaults: one edge worker, one cloud
+    /// worker, `max_batch` 1, no batching wait, a queue depth of 4 per
+    /// worker, image payloads on the lossless wire, no simulated link, no
+    /// controller. [`ServeConfigBuilder::build`] checks every static
+    /// invariant and returns [`ServeConfigError`] instead of panicking
+    /// downstream.
     pub fn builder(policy: OffloadPolicy) -> ServeConfigBuilder {
-        ServeConfigBuilder { cfg: ServeConfig::new(policy, 1, 1, 1) }
+        ServeConfigBuilder {
+            cfg: ServeConfig {
+                edge_workers: 1,
+                cloud_workers: 1,
+                max_batch: 1,
+                max_wait: Duration::ZERO,
+                queue_depth: 4,
+                policy,
+                control: ControlPlan::default(),
+                link: None,
+                transport: TransportKind::default(),
+                link_schedule: Vec::new(),
+                fleet: None,
+                difficulty: None,
+                ingress: CloudIngress::default(),
+            },
+        }
     }
 }
 
@@ -441,26 +390,29 @@ pub struct ServeConfigBuilder {
 }
 
 impl ServeConfigBuilder {
-    /// Number of edge worker threads (one replica each).
+    /// Edge worker threads: one per edge replica, at least one.
     pub fn edge_workers(mut self, n: usize) -> Self {
         self.cfg.edge_workers = n;
         self
     }
 
-    /// Number of cloud worker threads (one replica each).
+    /// Cloud worker threads: one per cloud replica. Zero only under an
+    /// edge-only policy without a controller.
     pub fn cloud_workers(mut self, n: usize) -> Self {
         self.cfg.cloud_workers = n;
         self
     }
 
-    /// Dynamic-batching cap per coalesced cloud batch.
+    /// Dynamic-batching cap: a cloud worker coalesces at most this many
+    /// queued payloads into one batched forward.
     pub fn max_batch(mut self, n: usize) -> Self {
         self.cfg.max_batch = n;
         self
     }
 
-    /// How long a cloud worker waits for stragglers once it holds a
-    /// payload.
+    /// How long a cloud worker waits for stragglers once it holds at
+    /// least one payload. `Duration::ZERO` (the default) coalesces only
+    /// what is already queued (no added latency).
     pub fn max_wait(mut self, wait: Duration) -> Self {
         self.cfg.max_wait = wait;
         self
@@ -472,53 +424,88 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Replaces the offload policy.
+    /// Replaces the offload policy. Ignored when the [`ControlPlan`]
+    /// carries a controller (the controller then drives an
+    /// entropy-threshold policy starting from its own threshold).
     pub fn policy(mut self, policy: OffloadPolicy) -> Self {
         self.cfg.policy = policy;
         self
     }
 
-    /// Who steers: what crosses the wire and how the (β, cut, wire)
-    /// operating point is chosen (see [`ControlPlan`]).
+    /// Who steers ([`ControlPlan`]): what offloaded instances carry
+    /// across the wire and how the (β, cut, wire) operating point is
+    /// chosen.
     pub fn control(mut self, plan: ControlPlan) -> Self {
         self.cfg.control = plan;
         self
     }
 
-    /// The modelled network link.
+    /// The modelled network link: each cloud batch pays its uplink leg
+    /// (the upload plus half the RTT) before the forward and its downlink
+    /// leg (half the RTT plus the response download) after it, as real
+    /// wall-clock delay on the worker that serves it — the same
+    /// [`NetworkLink::uplink_leg_s`]/[`NetworkLink::downlink_leg_s`]
+    /// convention the virtual-clock simulator and the closed-form
+    /// `round_trip_s` charge. On a real transport the wire's own transfer
+    /// time replaces these sleeps; the model then only informs the
+    /// [`CutPlanner`]'s static prior.
     pub fn link(mut self, link: NetworkLink) -> Self {
         self.cfg.link = Some(link);
         self
     }
 
-    /// Which wire the payloads cross (modelled conduit or a real one).
+    /// Which wire the offloaded payloads cross: the deterministic
+    /// modelled conduit (default — the CI/record-identity path) or a real
+    /// byte stream (in-process pipe, Unix sockets) whose transfer times
+    /// feed the [`LinkEstimator`] as genuine `Instant::now()` deltas.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.cfg.transport = transport;
         self
     }
 
-    /// Scheduled mid-run changes of the modelled wire. These are
-    /// *scenario* input — what happens to the radio — not control policy;
-    /// the [`ControlPlan`] decides how serving reacts.
+    /// Scheduled changes of the modelled wire mid-run (radio
+    /// degradation): once the cloud tier has *started* `after_batches`
+    /// coalesced batches, subsequently started batches ride the changed
+    /// link. Applied in order; requires [`ServeConfigBuilder::link`] and
+    /// the modelled transport. These are *scenario* input — what happens
+    /// to the radio — not control policy: the planner's static model is
+    /// deliberately not told, and only measured-link feedback
+    /// ([`LinkFeedback`]) can observe the change.
     pub fn link_events(mut self, events: Vec<LinkChange>) -> Self {
         self.cfg.link_schedule = events;
         self
     }
 
-    /// Heterogeneous device registry (see [`ServeConfig::fleet`]).
+    /// Heterogeneous device registry: routes every device→class decision
+    /// (planned cuts, link telemetry, per-class stats) through
+    /// [`FleetSpec::class_of`] and plans cuts from each class's
+    /// tier-scaled profile and radio prior. Without one, devices
+    /// round-robin over [`CutPlannerConfig::classes`]. A spec whose
+    /// classes equal those planner classes serves record-identically.
     pub fn fleet(mut self, spec: FleetSpec) -> Self {
         self.cfg.fleet = Some(spec);
         self
     }
 
-    /// Difficulty-aware routing (see [`ServeConfig::difficulty`]).
+    /// Difficulty-aware routing: classifies every request from its input
+    /// statistics before any forward pass. Predicted-**easy** requests
+    /// settle locally (main or extension exit) without consulting the
+    /// offload policy, predicted-**hard** requests pre-commit to the
+    /// cloud without evaluating the main exit (skipped evaluations are
+    /// counted in [`ServeStats::skipped_main_exits`]), and ambiguous
+    /// requests take the unchanged Algorithm-2 path. Without a predictor
+    /// everything routes through Algorithm 2.
     pub fn difficulty(mut self, predictor: DifficultyPredictor) -> Self {
         self.cfg.difficulty = Some(predictor);
         self
     }
 
-    /// How cloud workers pick up arrived frames (see
-    /// [`ServeConfig::ingress`]).
+    /// How cloud workers pick up arrived frames: the sharded
+    /// work-stealing ingress (default) or the one-queue-per-worker
+    /// reference path. Pure scheduling knob — the served
+    /// [`InstanceRecord`]s are identical either way (asserted by the
+    /// property suite); only throughput and the [`ServeStats`] scheduling
+    /// counters differ.
     pub fn ingress(mut self, ingress: CloudIngress) -> Self {
         self.cfg.ingress = ingress;
         self
@@ -528,8 +515,7 @@ impl ServeConfigBuilder {
     ///
     /// # Errors
     ///
-    /// One [`ServeConfigError`] per violated invariant — the same checks
-    /// [`try_serve`] runs, so a built config cannot fail them later.
+    /// One [`ServeConfigError`] per violated invariant.
     pub fn build(self) -> Result<ServeConfig, ServeConfigError> {
         validate_config(&self.cfg)?;
         Ok(self.cfg)
@@ -538,8 +524,8 @@ impl ServeConfigBuilder {
 
 /// A [`ServeConfig`] that violates a static invariant — everything
 /// checkable from the configuration alone, before any replica or request
-/// is seen. Returned by [`ServeConfigBuilder::build`] and (wrapped in
-/// [`ServeError::Config`]) by [`try_serve`] / [`Fleet::new`].
+/// is seen. Returned by [`ServeConfigBuilder::build`], the only way to
+/// make a [`ServeConfig`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ServeConfigError {
     /// `edge_workers == 0`: there is nobody to route requests.
@@ -548,8 +534,8 @@ pub enum ServeConfigError {
     ZeroMaxBatch,
     /// `queue_depth == 0`: bounded queues need capacity.
     ZeroQueueDepth,
-    /// A [`ServeConfig::link_schedule`] without a [`ServeConfig::link`]
-    /// to change.
+    /// [`ServeConfigBuilder::link_events`] without a
+    /// [`ServeConfigBuilder::link`] to change.
     ScheduleWithoutLink,
     /// A link schedule combined with a transport that pays real wire
     /// time (the schedule drives the modelled wire only).
@@ -565,19 +551,17 @@ pub enum ServeConfigError {
     /// A planned [`ControlPlan`] with no device classes and no fleet spec
     /// to derive them from.
     NoPlannerClasses,
-    /// A planned [`ControlPlan`] without a [`ServeConfig::link`] to plan
-    /// against.
+    /// A planned [`ControlPlan`] without a [`ServeConfigBuilder::link`] to
+    /// plan against.
     PlannedCutWithoutLink,
-    /// A [`LinkFeedback::replan_every`] of zero batches.
-    FeedbackNeverReplans,
-    /// Both [`ServeConfig::fleet`] and [`CutPlannerConfig::classes`] list
+    /// Both [`ServeConfigBuilder::fleet`] and [`CutPlannerConfig::classes`] list
     /// device classes — it must be one or the other.
     FleetClassesConflict,
     /// A planned [`ControlPlan`] whose planner config carries a
     /// [`CutPlannerConfig::feedback`] — a closed loop's feedback lives in
     /// the plan's own field, and an open loop has none.
     ClosedLoopFeedbackConflict,
-    /// [`ControlPlan::Governed`] without a [`ServeConfig::link`]: the
+    /// [`ControlPlan::Governed`] without a [`ServeConfigBuilder::link`]: the
     /// governor plans cuts against a link model and needs link telemetry
     /// to close its loop.
     GovernedWithoutTelemetry,
@@ -590,7 +574,7 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
             ServeConfigError::ZeroQueueDepth => write!(f, "queues need capacity"),
             ServeConfigError::ScheduleWithoutLink => {
-                write!(f, "a link schedule needs a link model (ServeConfig::link) to change")
+                write!(f, "a link schedule needs a link model (ServeConfigBuilder::link) to change")
             }
             ServeConfigError::ScheduleOnMeasuredWire => write!(
                 f,
@@ -608,14 +592,11 @@ impl fmt::Display for ServeConfigError {
                 write!(f, "planned cut selection needs at least one device class")
             }
             ServeConfigError::PlannedCutWithoutLink => {
-                write!(f, "planned cut selection requires a link model (ServeConfig::link)")
-            }
-            ServeConfigError::FeedbackNeverReplans => {
-                write!(f, "feedback must replan after a positive number of batches")
+                write!(f, "planned cut selection requires a link model (ServeConfigBuilder::link)")
             }
             ServeConfigError::FleetClassesConflict => write!(
                 f,
-                "planned cut selection must leave CutPlannerConfig::classes empty when ServeConfig::fleet \
+                "planned cut selection must leave CutPlannerConfig::classes empty when ServeConfigBuilder::fleet \
                  is set (the fleet's effective profiles drive the planner)"
             ),
             ServeConfigError::ClosedLoopFeedbackConflict => write!(
@@ -624,7 +605,7 @@ impl fmt::Display for ServeConfigError {
                  leave CutPlannerConfig::feedback as None"
             ),
             ServeConfigError::GovernedWithoutTelemetry => {
-                write!(f, "ControlPlan::Governed needs link telemetry: configure a link model (ServeConfig::link)")
+                write!(f, "ControlPlan::Governed needs link telemetry: configure a link model (ServeConfigBuilder::link)")
             }
         }
     }
@@ -632,21 +613,18 @@ impl fmt::Display for ServeConfigError {
 
 impl std::error::Error for ServeConfigError {}
 
-/// Anything [`try_serve`] / [`Fleet::new`] / [`Fleet::serve`] can reject:
-/// an invalid configuration, replicas that do not match it, or a
-/// malformed request trace.
+/// Anything [`Fleet::new`] or [`Fleet::serve`] can reject: replicas that
+/// do not match the configuration, or a malformed request trace.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The configuration itself violates a static invariant.
-    Config(ServeConfigError),
-    /// `edges.len()` does not match [`ServeConfig::edge_workers`].
+    /// `edges.len()` does not match [`ServeConfigBuilder::edge_workers`].
     EdgeReplicaMismatch {
         /// Configured edge workers.
         workers: usize,
         /// Edge replicas supplied.
         replicas: usize,
     },
-    /// `clouds.len()` does not match [`ServeConfig::cloud_workers`].
+    /// `clouds.len()` does not match [`ServeConfigBuilder::cloud_workers`].
     CloudReplicaMismatch {
         /// Configured cloud workers.
         workers: usize,
@@ -688,8 +666,8 @@ pub enum ServeError {
         /// Cut layers the cloud network actually has.
         cut_layers: usize,
     },
-    /// Edge cloud-prefix and cloud replicas disagree on the layer
-    /// enumeration.
+    /// An edge cloud-prefix replica and a cloud replica disagree on the
+    /// layer enumeration.
     PrefixMismatch {
         /// Cut layers of the edge-side prefix replica.
         edge_layers: usize,
@@ -709,7 +687,6 @@ pub enum ServeError {
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ServeError::Config(e) => e.fmt(f),
             ServeError::EdgeReplicaMismatch { workers, replicas } => {
                 write!(f, "one edge replica per edge worker ({workers} workers, {replicas} replicas)")
             }
@@ -745,23 +722,10 @@ impl fmt::Display for ServeError {
     }
 }
 
-impl std::error::Error for ServeError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ServeError::Config(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ServeConfigError> for ServeError {
-    fn from(e: ServeConfigError) -> Self {
-        ServeError::Config(e)
-    }
-}
+impl std::error::Error for ServeError {}
 
 /// Checks every invariant knowable from the configuration alone.
-pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
+fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
     if cfg.edge_workers == 0 {
         return Err(ServeConfigError::NoEdgeWorkers);
     }
@@ -805,30 +769,72 @@ pub(crate) fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError>
         }
     }
     match &cfg.control {
-        ControlPlan::ClosedLoop { feedback, .. } if feedback.replan_every == 0 => {
-            Err(ServeConfigError::FeedbackNeverReplans)
-        }
         ControlPlan::Governed(_) if cfg.link.is_none() => Err(ServeConfigError::GovernedWithoutTelemetry),
         _ => Ok(()),
     }
 }
 
-/// Checks the configuration plus everything that needs the replicas and
-/// the trace: worker/replica counts, arrival-time sanity, image shapes
-/// and feature-payload prefix consistency.
-pub(crate) fn validate_serve(
+/// Checks the replicas against the configuration, once, in
+/// [`Fleet::new`]: worker/replica counts and, for feature payloads, that
+/// every edge carries a cloud prefix, that every prefix and cloud replica
+/// enumerate the same cut layers, and that a forced cut or placement fits
+/// them.
+pub(crate) fn validate_replicas(
     cfg: &ServeConfig,
     edges: &[EdgeReplica],
     clouds: &[SegmentedCnn],
-    requests: &[ServeRequest],
 ) -> Result<(), ServeError> {
-    validate_config(cfg)?;
     if cfg.edge_workers != edges.len() {
         return Err(ServeError::EdgeReplicaMismatch { workers: cfg.edge_workers, replicas: edges.len() });
     }
     if cfg.cloud_workers != clouds.len() {
         return Err(ServeError::CloudReplicaMismatch { workers: cfg.cloud_workers, replicas: clouds.len() });
     }
+    if cfg.control.feature_wire().is_none() {
+        return Ok(());
+    }
+    let mut prefixes = Vec::with_capacity(edges.len());
+    for (w, e) in edges.iter().enumerate() {
+        prefixes.push(e.cloud_prefix.as_ref().ok_or(ServeError::MissingCloudPrefix { worker: w })?);
+    }
+    // One layer count for every replica: the first cloud's, or the first
+    // prefix's when the fleet is edge-only.
+    let layers = clouds.first().unwrap_or(prefixes[0]).cut_layer_count();
+    for prefix in prefixes {
+        if prefix.cut_layer_count() != layers {
+            return Err(ServeError::PrefixMismatch {
+                edge_layers: prefix.cut_layer_count(),
+                cloud_layers: layers,
+            });
+        }
+    }
+    for cloud in clouds {
+        if cloud.cut_layer_count() != layers {
+            return Err(ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: cloud.cut_layer_count() });
+        }
+    }
+    let final_cut = match &cfg.control {
+        ControlPlan::Static { cut, .. } => *cut,
+        ControlPlan::Placement { plan, .. } => {
+            if plan.total_layers() != layers {
+                return Err(ServeError::PlacementLayerMismatch {
+                    plan_layers: plan.total_layers(),
+                    cut_layers: layers,
+                });
+            }
+            plan.final_cut()
+        }
+        _ => return Ok(()),
+    };
+    if final_cut >= layers {
+        return Err(ServeError::FixedCutOutOfRange { cut: final_cut, cut_layers: layers });
+    }
+    Ok(())
+}
+
+/// Checks a request trace before [`Fleet::serve`] runs it: finite,
+/// sorted, non-negative arrival times and single-instance images.
+pub(crate) fn validate_trace(requests: &[ServeRequest]) -> Result<(), ServeError> {
     // Finiteness first: a NaN arrival would otherwise trip the sortedness
     // check (NaN fails every comparison) with a misleading message.
     for (i, r) in requests.iter().enumerate() {
@@ -846,36 +852,6 @@ pub(crate) fn validate_serve(
         if r.image.dims()[0] != 1 {
             return Err(ServeError::NotSingleInstance { index: i });
         }
-    }
-    if cfg.control.feature_wire().is_none() {
-        return Ok(());
-    }
-    for (w, e) in edges.iter().enumerate() {
-        if e.cloud_prefix.is_none() {
-            return Err(ServeError::MissingCloudPrefix { worker: w });
-        }
-    }
-    let edge_layers = edges[0].cloud_prefix.as_ref().expect("checked above").cut_layer_count();
-    if let Some(cloud) = clouds.first() {
-        if edge_layers != cloud.cut_layer_count() {
-            return Err(ServeError::PrefixMismatch { edge_layers, cloud_layers: cloud.cut_layer_count() });
-        }
-    }
-    let final_cut = match &cfg.control {
-        ControlPlan::Static { cut, .. } => *cut,
-        ControlPlan::Placement { plan, .. } => {
-            if plan.total_layers() != edge_layers {
-                return Err(ServeError::PlacementLayerMismatch {
-                    plan_layers: plan.total_layers(),
-                    cut_layers: edge_layers,
-                });
-            }
-            plan.final_cut()
-        }
-        _ => return Ok(()),
-    };
-    if final_cut >= edge_layers {
-        return Err(ServeError::FixedCutOutOfRange { cut: final_cut, cut_layers: edge_layers });
     }
     Ok(())
 }

@@ -159,7 +159,7 @@ pub(crate) fn class_placement(
 }
 
 /// The fleet spec serving actually runs under: the configured one, or —
-/// for `ServeConfig::fleet: None` — an implicit spec round-robining
+/// for `ServeConfigBuilder::fleet: None` — an implicit spec round-robining
 /// devices over the planner's device classes at [`ComputeTier::High`]
 /// (which scales nothing, so each class's effective profile *is* the
 /// configured one); one default edge class when no planner config is
@@ -323,7 +323,7 @@ impl PolicyState {
                 }
             }
             table.observed_batches += 1;
-            table.observed_batches % fb.replan_every == 0
+            table.observed_batches % fb.replan_every.get() == 0
         };
         if !due {
             return;
@@ -441,7 +441,7 @@ pub(crate) fn build_cut_table(
     // implicit spec carries the configured classes unscaled, on the
     // shared link, solo.
     let (classes, links, pools) = (spec.effective_profiles(), spec.link_priors(), spec.peer_pools());
-    let link = cfg.link.expect("planned cut selection requires a link model (ServeConfig::link)");
+    let link = cfg.link.expect("planned cut selection requires a link model (ServeConfigBuilder::link)");
     let in_elems: u64 = prefix.in_shape.iter().map(|&d| d as u64).product();
     let env = PartitionEnv {
         edge: classes[0].clone(),
@@ -505,7 +505,7 @@ pub(crate) fn offload_to_cloud<T: Transport>(
         }
         (_, None) => (Payload::encode_features(&req.image), 0),
         (_, Some((plan, wire))) => {
-            let prefix = cloud_prefix.as_mut().expect("validated in try_serve()");
+            let prefix = cloud_prefix.as_mut().expect("validated in Fleet::new()");
             let mut act = req.image.clone();
             let mut resume = 0;
             for stage in plan.stages() {

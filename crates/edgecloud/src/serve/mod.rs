@@ -16,13 +16,13 @@
 //!   evaluation sweep provably produce identical [`InstanceRecord`]s.
 //! * **M cloud workers** each drain a bounded ingress queue with
 //!   **dynamic batching**: whatever is queued is coalesced up to
-//!   [`ServeConfig::max_batch`] (waiting at most
-//!   [`ServeConfig::max_wait`] for stragglers) and classified in *one*
+//!   [`ServeConfigBuilder::max_batch`] (waiting at most
+//!   [`ServeConfigBuilder::max_wait`] for stragglers) and classified in *one*
 //!   batched forward. Because eval-mode forwards are bitwise per-sample
 //!   independent, batch composition cannot change predictions.
 //! * Offloaded instances cross a real wire format ([`Payload`]) inside
 //!   length-prefixed request/response frames, carried by a pluggable
-//!   [`Transport`] ([`ServeConfig::transport`]). The default modelled
+//!   [`Transport`] ([`ServeConfigBuilder::transport`]). The default modelled
 //!   conduit pays an optional [`NetworkLink`] as upload + RTT + response
 //!   download wall-clock sleeps (deterministic, the CI path), so
 //!   cloud-worker scaling overlaps network latency exactly like
@@ -31,7 +31,7 @@
 //!   `TransportKind::Uds` over a Unix socket) under an in-flight byte
 //!   budget, where transfer time is whatever the wire genuinely took
 //!   ([`crate::transport`]).
-//! * One [`ControlPlan`] ([`ServeConfig::control`]) says who steers.
+//! * One [`ControlPlan`] ([`ServeConfigBuilder::control`]) says who steers.
 //!   Every variant but [`ControlPlan::Image`] turns on **feature-payload
 //!   serving**: the edge runs the *cloud network's* prefix up to a cut
 //!   layer (each [`EdgeReplica`] carries a cloud-prefix replica) and
@@ -61,7 +61,7 @@
 //!   adaptation): every
 //!   [`ControllerConfig::window`] routed instances, the achieved offload
 //!   fraction is fed back and the threshold retuned.
-//! * A [`FleetSpec`] ([`ServeConfig::fleet`]) makes the device population
+//! * A [`FleetSpec`] ([`ServeConfigBuilder::fleet`]) makes the device population
 //!   **heterogeneous**: named [`DeviceClass`]es with a [`ComputeTier`]
 //!   (high/medium/low kernel-latency scaling), an optional per-class
 //!   radio prior, and explicit device→class assignments. The cut planner
@@ -70,7 +70,7 @@
 //!   spec's class map, and [`ServeStats`] breaks served/offloaded counts
 //!   and latency out per class. Without a spec, devices round-robin over
 //!   [`CutPlannerConfig::classes`] (planner class = `device % classes`).
-//! * A [`DifficultyPredictor`] ([`ServeConfig::difficulty`]) turns on
+//! * A [`DifficultyPredictor`] ([`ServeConfigBuilder::difficulty`]) turns on
 //!   **difficulty-aware routing** from input statistics alone:
 //!   predicted-easy requests settle locally without consulting the
 //!   offload policy, predicted-hard requests pre-commit to the cloud
@@ -78,11 +78,11 @@
 //!   ([`ServeStats::skipped_main_exits`] counts the saved forwards), and
 //!   ambiguous requests take the full Algorithm-2 path unchanged.
 //!
-//! The preferred entry point is [`Fleet`]: it owns the replicas, checks
-//! every configuration invariant up front (builder-validated via
-//! [`ServeConfig::builder`], or [`Fleet::new`] returning [`ServeError`])
-//! and serves traces through [`Fleet::serve`]; [`try_serve`] is the
-//! borrowing form underneath it.
+//! The one entry point is [`Fleet`]. A [`ServeConfig`] is valid by
+//! construction ([`ServeConfig::builder`] is the only way to make one);
+//! [`Fleet::new`] checks the replicas against it once, and
+//! [`Fleet::serve`] checks each trace before serving it. Both return
+//! [`ServeError`] instead of panicking.
 //!
 //! Backpressure is end-to-end: bounded edge queues block the dispatcher,
 //! bounded cloud queues block edge workers, so a slow cloud tier slows
@@ -132,6 +132,7 @@ pub(crate) use parking_lot::Mutex;
 pub(crate) use serde::{Deserialize, Serialize};
 pub(crate) use std::collections::{BTreeMap, HashMap, VecDeque};
 pub(crate) use std::fmt;
+pub(crate) use std::num::NonZeroU64;
 pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 pub(crate) use std::sync::{Condvar, Mutex as StdMutex};
 pub(crate) use std::time::{Duration, Instant};

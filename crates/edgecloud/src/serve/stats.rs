@@ -138,17 +138,17 @@ pub struct ServeStats {
     pub final_threshold: Option<f32>,
     /// Requests whose main exit was never evaluated because the
     /// difficulty predictor pre-committed them to the cloud (0 without
-    /// [`ServeConfig::difficulty`]): the main-exit forwards
+    /// [`ServeConfigBuilder::difficulty`]): the main-exit forwards
     /// difficulty-aware routing saved.
     pub skipped_main_exits: usize,
     /// Requests served per fleet device class (Some exactly when
-    /// [`ServeConfig::fleet`] is set; indexed by class).
+    /// [`ServeConfigBuilder::fleet`] is set; indexed by class).
     pub per_class_served: Option<Vec<usize>>,
     /// Requests classified by the cloud per fleet device class (Some
-    /// exactly when [`ServeConfig::fleet`] is set).
+    /// exactly when [`ServeConfigBuilder::fleet`] is set).
     pub per_class_offload: Option<Vec<usize>>,
     /// End-to-end latency distribution per fleet device class (Some
-    /// exactly when [`ServeConfig::fleet`] is set; a class entry is None
+    /// exactly when [`ServeConfigBuilder::fleet`] is set; a class entry is None
     /// until it serves its first request). Recorded incrementally into
     /// bounded [`StreamingHistogram`]s, so memory stays flat at any
     /// trace length.

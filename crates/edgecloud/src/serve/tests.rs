@@ -44,6 +44,23 @@ fn split_replicas(count: usize, net_seed: u64, cloud_seed: u64) -> Vec<EdgeRepli
     replicas(count, || EdgeReplica::with_cloud_prefix(tiny_net(net_seed), tiny_cloud(cloud_seed)))
 }
 
+/// A configuration builder for `edge` and `cloud` workers batching up to
+/// `max_batch`.
+fn config(policy: OffloadPolicy, edge: usize, cloud: usize, max_batch: usize) -> ServeConfigBuilder {
+    ServeConfig::builder(policy).edge_workers(edge).cloud_workers(cloud).max_batch(max_batch)
+}
+
+/// Builds the configuration, checks the replicas against it and serves
+/// `requests` once.
+fn serve(
+    cfg: ServeConfigBuilder,
+    edges: Vec<EdgeReplica>,
+    clouds: Vec<SegmentedCnn>,
+    requests: &[ServeRequest],
+) -> Result<ServeReport, ServeError> {
+    Fleet::new(cfg.build().expect("valid config"), edges, clouds)?.serve(requests)
+}
+
 fn instant_requests(data: &Dataset, devices: usize) -> Vec<ServeRequest> {
     let mut rng = Rng::new(0);
     trace_requests(data, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng)
@@ -58,10 +75,10 @@ fn serve_matches_offline_sweep_bitwise() {
     let expected = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &bundle.test, policy, 8);
 
     for (e, c, b) in [(1usize, 1usize, 1usize), (2, 1, 4), (3, 2, 4)] {
-        let mut edges = edge_replicas(e, 1);
-        let mut clouds = replicas(c, || tiny_cloud(2));
-        let cfg = ServeConfig::new(policy, e, c, b);
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves");
+        let edges = edge_replicas(e, 1);
+        let clouds = replicas(c, || tiny_cloud(2));
+        let cfg = config(policy, e, c, b);
+        let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves");
         assert_eq!(report.records, expected, "serve({e} edge, {c} cloud, batch {b}) diverged");
         assert_eq!(report.stats.total, bundle.test.len());
     }
@@ -76,16 +93,10 @@ fn sharded_ingress_serves_record_identically_to_single_queue() {
     let requests = instant_requests(&bundle.test, 4);
     for (e, c, b) in [(1usize, 2usize, 1usize), (2, 3, 4), (3, 1, 2)] {
         let run = |ingress: CloudIngress| {
-            let mut edges = edge_replicas(e, 21);
-            let mut clouds = replicas(c, || tiny_cloud(22));
-            let cfg = ServeConfig::builder(policy)
-                .edge_workers(e)
-                .cloud_workers(c)
-                .max_batch(b)
-                .ingress(ingress)
-                .build()
-                .expect("valid config");
-            try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
+            let edges = edge_replicas(e, 21);
+            let clouds = replicas(c, || tiny_cloud(22));
+            let cfg = config(policy, e, c, b).ingress(ingress);
+            serve(cfg, edges, clouds, &requests).expect("serves")
         };
         let sharded = run(CloudIngress::Sharded);
         let single = run(CloudIngress::SingleQueue);
@@ -109,17 +120,10 @@ fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
     // busy long enough for the shard to refill, forcing steals even
     // on a single-core host.
     let bundle = presets::tiny(171);
-    let mut edges = edge_replicas(1, 23);
-    let mut clouds = replicas(3, || tiny_cloud(24));
-    let cfg = ServeConfig::builder(OffloadPolicy::Always)
-        .edge_workers(1)
-        .cloud_workers(3)
-        .max_batch(1)
-        .queue_depth(8)
-        .link(NetworkLink::wifi(50.0).with_rtt(0.002))
-        .build()
-        .expect("valid config");
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves");
+    let edges = edge_replicas(1, 23);
+    let clouds = replicas(3, || tiny_cloud(24));
+    let cfg = config(OffloadPolicy::Always, 1, 3, 1).queue_depth(8).link(NetworkLink::wifi(50.0).with_rtt(0.002));
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     assert_eq!(report.stats.offloaded, report.stats.total);
     assert!(
         report.stats.steals > 0,
@@ -144,9 +148,9 @@ fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
 #[test]
 fn edge_only_serving_needs_no_cloud_replicas() {
     let bundle = presets::tiny(61);
-    let mut edges = edge_replicas(2, 3);
-    let cfg = ServeConfig::new(OffloadPolicy::Never, 2, 0, 1);
-    let report = try_serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 2)).expect("serves");
+    let edges = edge_replicas(2, 3);
+    let cfg = config(OffloadPolicy::Never, 2, 0, 1);
+    let report = serve(cfg, edges, Vec::new(), &instant_requests(&bundle.test, 2)).expect("serves");
     assert_eq!(report.stats.offloaded, 0);
     assert!(report.records.iter().all(|r| r.exit != ExitPoint::Cloud));
     let mut net = tiny_net(3);
@@ -157,13 +161,11 @@ fn edge_only_serving_needs_no_cloud_replicas() {
 #[test]
 fn dynamic_batching_actually_batches_under_saturation() {
     let bundle = presets::tiny(62);
-    let mut edges = edge_replicas(1, 4);
-    let mut clouds = replicas(1, || tiny_cloud(5));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 8);
+    let edges = edge_replicas(1, 4);
+    let clouds = replicas(1, || tiny_cloud(5));
     // A generous wait so queued items coalesce even on a slow host.
-    cfg.max_wait = Duration::from_millis(2);
-    cfg.queue_depth = 16;
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves");
+    let cfg = config(OffloadPolicy::Always, 1, 1, 8).max_wait(Duration::from_millis(2)).queue_depth(16);
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     assert_eq!(report.stats.offloaded, report.stats.total);
     assert!(
         report.stats.cloud_batches < report.stats.offloaded as u64 || report.stats.total <= 1,
@@ -177,17 +179,16 @@ fn dynamic_batching_actually_batches_under_saturation() {
 #[test]
 fn controller_steers_beta_in_the_serving_path() {
     let bundle = presets::tiny(63);
-    let mut edges = edge_replicas(1, 6);
-    let mut clouds = replicas(1, || tiny_cloud(7));
+    let edges = edge_replicas(1, 6);
+    let clouds = replicas(1, || tiny_cloud(7));
     let target = 0.5;
-    let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 1, 4);
-    cfg.control = ControlPlan::Image {
+    let cfg = config(OffloadPolicy::Never, 1, 1, 4).control(ControlPlan::Image {
         wire: WireFormat::Float32,
         controller: Some(ControllerConfig {
             controller: ThresholdController::new(1.0, target, 2.0, (0.0, 3.0)),
             window: 8,
         }),
-    };
+    });
     // Repeat the tiny set to give the controller windows to converge.
     let mut requests = Vec::new();
     for rep in 0..6 {
@@ -196,7 +197,7 @@ fn controller_steers_beta_in_the_serving_path() {
             requests.push(r);
         }
     }
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+    let report = serve(cfg, edges, clouds, &requests).expect("serves");
     assert!(report.stats.final_threshold.is_some());
     let beta = report.achieved_beta();
     assert!((beta - target).abs() < 0.25, "controller failed to steer beta toward {target}: achieved {beta}");
@@ -205,10 +206,10 @@ fn controller_steers_beta_in_the_serving_path() {
 #[test]
 fn latency_histogram_quantiles_are_ordered() {
     let bundle = presets::tiny(64);
-    let mut edges = edge_replicas(1, 8);
-    let mut clouds = replicas(1, || tiny_cloud(9));
-    let cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 2);
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
+    let edges = edge_replicas(1, 8);
+    let clouds = replicas(1, || tiny_cloud(9));
+    let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 2);
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves");
     let h = report.latency_histogram(128);
     assert!(h.p50() <= h.p95() && h.p95() <= h.p99());
     assert!(report.stats.throughput_hz > 0.0);
@@ -219,11 +220,13 @@ fn simulated_link_delay_shows_up_in_latency() {
     let bundle = presets::tiny(65);
     let n = bundle.test.len();
     let run = |link: Option<NetworkLink>| {
-        let mut edges = edge_replicas(1, 10);
-        let mut clouds = replicas(1, || tiny_cloud(11));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
-        cfg.link = link;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
+        let edges = edge_replicas(1, 10);
+        let clouds = replicas(1, || tiny_cloud(11));
+        let mut cfg = config(OffloadPolicy::Always, 1, 1, 4);
+        if let Some(link) = link {
+            cfg = cfg.link(link);
+        }
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let fast = run(None);
     let slow = run(Some(NetworkLink::wifi(8.0).with_rtt(0.004)));
@@ -236,11 +239,10 @@ fn simulated_link_delay_shows_up_in_latency() {
 fn quantised_wire_serves_everything_and_mostly_agrees_with_lossless() {
     let bundle = presets::tiny(69);
     let run = |wire: WireFormat| {
-        let mut edges = edge_replicas(2, 14);
-        let mut clouds = replicas(1, || tiny_cloud(15));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.control = image_plan(wire);
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
+        let edges = edge_replicas(2, 14);
+        let clouds = replicas(1, || tiny_cloud(15));
+        let cfg = config(OffloadPolicy::Always, 2, 1, 4).control(image_plan(wire));
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     let lossless = run(WireFormat::Float32);
     let quantised = run(WireFormat::Quantised8Bit);
@@ -282,19 +284,15 @@ fn unsorted_requests_rejected() {
     let bundle = presets::tiny(67);
     let mut reqs = instant_requests(&bundle.test, 1);
     reqs[0].arrival_s = 1.0;
-    let mut edges = edge_replicas(1, 12);
-    let cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
-    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
+    let edges = edge_replicas(1, 12);
+    let cfg = config(OffloadPolicy::Never, 1, 0, 1);
+    let _ = serve(cfg, edges, Vec::new(), &reqs).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 #[should_panic(expected = "requires a cloud model")]
 fn offload_policy_without_cloud_workers_rejected() {
-    let bundle = presets::tiny(68);
-    let mut edges = edge_replicas(1, 13);
-    let reqs = instant_requests(&bundle.test, 1);
-    let cfg = ServeConfig::new(OffloadPolicy::Always, 1, 0, 1);
-    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
+    let _ = config(OffloadPolicy::Always, 1, 0, 1).build().unwrap_or_else(|e| panic!("{e}"));
 }
 
 /// Image payloads on the given wire, no controller.
@@ -315,11 +313,10 @@ fn feature_payload_any_fixed_cut_matches_image_mode_bitwise() {
     let bundle = presets::tiny(72);
     let policy = OffloadPolicy::EntropyThreshold(0.5);
     let run = |control: ControlPlan| {
-        let mut edges = split_replicas(2, 16, 17);
-        let mut clouds = replicas(2, || tiny_cloud(17));
-        let mut cfg = ServeConfig::new(policy, 2, 2, 4);
-        cfg.control = control;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
+        let edges = split_replicas(2, 16, 17);
+        let clouds = replicas(2, || tiny_cloud(17));
+        let cfg = config(policy, 2, 2, 4).control(control);
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves")
     };
     let image = run(image_plan(WireFormat::Float32));
     let layers = tiny_cloud(17).cut_layer_count();
@@ -344,11 +341,10 @@ fn feature_payload_any_fixed_cut_matches_image_mode_bitwise() {
 fn deep_int8_cut_beats_raw_image_upload_on_bytes() {
     let bundle = presets::tiny(73);
     let run = |control: ControlPlan| {
-        let mut edges = split_replicas(1, 18, 19);
-        let mut clouds = replicas(1, || tiny_cloud(19));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
-        cfg.control = control;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
+        let edges = split_replicas(1, 18, 19);
+        let clouds = replicas(1, || tiny_cloud(19));
+        let cfg = config(OffloadPolicy::Always, 1, 1, 4).control(control);
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     let raw = run(image_plan(WireFormat::Quantised8Bit));
     let deep = tiny_cloud(19).cut_layer_count() - 1;
@@ -379,11 +375,10 @@ fn per_channel_int8_is_deterministic_and_undercuts_per_tensor_at_every_cut() {
     // of embedded params plus the squeezed batch-axis dim.
     let bundle = presets::tiny(77);
     let run = |control: ControlPlan| {
-        let mut edges = split_replicas(1, 46, 47);
-        let mut clouds = replicas(1, || tiny_cloud(47));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 4);
-        cfg.control = control;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
+        let edges = split_replicas(1, 46, 47);
+        let clouds = replicas(1, || tiny_cloud(47));
+        let cfg = config(OffloadPolicy::Always, 1, 1, 4).control(control);
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     for cut in 0..tiny_cloud(47).cut_layer_count() {
         let a = run(feature_plan(FeatureWire::PerChannelInt8, cut));
@@ -416,12 +411,12 @@ fn governed_unreachable_sla_escalates_the_full_ladder() {
             requests.push(r);
         }
     }
-    let mut edges = split_replicas(1, 48, 49);
-    let mut clouds = replicas(1, || tiny_cloud(49));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.link = Some(NetworkLink::wifi(2.0).with_rtt(0.001));
-    cfg.control = ControlPlan::Governed(SlaTarget::new(1e-3, 0.80));
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+    let edges = split_replicas(1, 48, 49);
+    let clouds = replicas(1, || tiny_cloud(49));
+    let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+        .link(NetworkLink::wifi(2.0).with_rtt(0.001))
+        .control(ControlPlan::Governed(SlaTarget::new(1e-3, 0.80)));
+    let report = serve(cfg, edges, clouds, &requests).expect("serves");
     assert_eq!(report.records.len(), requests.len());
     assert!(
         report.stats.sla_violations >= 4,
@@ -506,12 +501,12 @@ fn planned_cut_is_deterministic_and_in_range() {
         controller: None,
     };
     let run = || {
-        let mut edges = split_replicas(2, 20, 21);
-        let mut clouds = replicas(1, || tiny_cloud(21));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.control = planned.clone();
-        cfg.link = Some(NetworkLink::wifi(1.0).with_rtt(0.001));
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 4)).expect("serves")
+        let edges = split_replicas(2, 20, 21);
+        let clouds = replicas(1, || tiny_cloud(21));
+        let cfg = config(OffloadPolicy::Always, 2, 1, 4)
+            .control(planned.clone())
+            .link(NetworkLink::wifi(1.0).with_rtt(0.001));
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 4)).expect("serves")
     };
     let a = run();
     let b = run();
@@ -544,12 +539,11 @@ fn controller_replans_cuts_without_touching_predictions() {
     // trajectory. With several edge workers the lock interleaving —
     // not the payload plan — can reorder observations.
     let run = |control: ControlPlan| {
-        let mut edges = split_replicas(1, 22, 23);
-        let mut clouds = replicas(2, || tiny_cloud(23));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 2, 4);
-        cfg.control = control;
-        cfg.link = Some(NetworkLink::wifi(40.0).with_rtt(0.0005));
-        try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
+        let edges = split_replicas(1, 22, 23);
+        let clouds = replicas(2, || tiny_cloud(23));
+        let cfg =
+            config(OffloadPolicy::Never, 1, 2, 4).control(control).link(NetworkLink::wifi(40.0).with_rtt(0.0005));
+        serve(cfg, edges, clouds, &requests).expect("serves")
     };
     let planned = ControlPlan::OpenLoop {
         planner: CutPlannerConfig {
@@ -620,12 +614,10 @@ fn stream_count_uses_distinct_devices_not_max_id() {
             r.device = 7;
         }
     }
-    let mut edges = split_replicas(2, 28, 29);
-    let mut clouds = replicas(1, || tiny_cloud(29));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-    cfg.control = planned(vec![edge.clone()]);
-    cfg.link = Some(link);
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+    let edges = split_replicas(2, 28, 29);
+    let clouds = replicas(1, || tiny_cloud(29));
+    let cfg = config(OffloadPolicy::Always, 2, 1, 4).control(planned(vec![edge.clone()])).link(link);
+    let report = serve(cfg, edges, clouds, &requests).expect("serves");
     assert_eq!(
         report.stats.final_cuts,
         Some(vec![expected_cut]),
@@ -649,26 +641,31 @@ fn measured_degradation_replans_toward_an_edge_heavier_cut() {
     let degraded = NetworkLink::wifi(0.5).with_rtt(0.0002);
     let edge = DeviceProfile::new("edge", 10.0, 5e8);
     let run = |feedback: Option<LinkFeedback>| {
-        let mut edges = split_replicas(1, 30, 31);
-        let mut clouds = replicas(1, || tiny_cloud(31));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
+        let edges = split_replicas(1, 30, 31);
+        let clouds = replicas(1, || tiny_cloud(31));
         let planner = CutPlannerConfig {
             classes: vec![edge.clone()],
             cloud: DeviceProfile::new("cloud", 200.0, 1e12),
             objective: Objective::Latency,
             feedback: None,
         };
-        cfg.control = match feedback {
+        let control = match feedback {
             Some(feedback) => {
                 ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None }
             }
             None => ControlPlan::OpenLoop { planner, wire: FeatureWire::F32, controller: None },
         };
-        cfg.link = Some(nominal);
-        cfg.link_schedule = vec![LinkChange { after_batches: 8, link: degraded }];
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
+        let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+            .control(control)
+            .link(nominal)
+            .link_events(vec![LinkChange { after_batches: 8, link: degraded }]);
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
-    let closed = run(Some(LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 }));
+    let closed = run(Some(LinkFeedback {
+        alpha: 0.5,
+        prior_samples: 0.0,
+        replan_every: NonZeroU64::new(4).expect("4 > 0"),
+    }));
     let open = run(None);
 
     // Open loop: the degradation happened, nobody replanned.
@@ -702,40 +699,35 @@ fn measured_degradation_replans_toward_an_edge_heavier_cut() {
 #[test]
 #[should_panic(expected = "link schedule needs a link")]
 fn link_schedule_without_link_rejected() {
-    let bundle = presets::tiny(82);
-    let mut edges = edge_replicas(1, 33);
-    let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
-    cfg.link_schedule = vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(1.0) }];
-    let _ =
-        try_serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 1)).unwrap_or_else(|e| panic!("{e}"));
+    let _ = config(OffloadPolicy::Never, 1, 0, 1)
+        .link_events(vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(1.0) }])
+        .build()
+        .unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 #[should_panic(expected = "no cloud prefix")]
 fn feature_mode_without_prefixes_rejected() {
     let bundle = presets::tiny(76);
-    let mut edges = edge_replicas(1, 24);
-    let mut clouds = replicas(1, || tiny_cloud(25));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.control = feature_plan(FeatureWire::F32, 1);
-    let _ = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
-        .unwrap_or_else(|e| panic!("{e}"));
+    let edges = edge_replicas(1, 24);
+    let clouds = replicas(1, || tiny_cloud(25));
+    let cfg = config(OffloadPolicy::Always, 1, 1, 1).control(feature_plan(FeatureWire::F32, 1));
+    let _ = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
 #[should_panic(expected = "out of range")]
 fn fixed_cut_out_of_range_rejected() {
     let bundle = presets::tiny(78);
-    let mut edges = split_replicas(1, 26, 27);
-    let mut clouds = replicas(1, || tiny_cloud(27));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.control = feature_plan(FeatureWire::F32, tiny_cloud(27).cut_layer_count());
-    let _ = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
-        .unwrap_or_else(|e| panic!("{e}"));
+    let edges = split_replicas(1, 26, 27);
+    let clouds = replicas(1, || tiny_cloud(27));
+    let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+        .control(feature_plan(FeatureWire::F32, tiny_cloud(27).cut_layer_count()));
+    let _ = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
-fn try_serve_counts_every_uplink_byte() {
+fn serve_counts_every_uplink_byte() {
     // Every offloaded image crosses the wire as exactly one encoded
     // payload: `bytes_to_cloud` is the offload count times the codec's
     // wire size of one `[1, C, H, W]` image, on the modelled wire and on
@@ -748,13 +740,12 @@ fn try_serve_counts_every_uplink_byte() {
     ];
     for (wire, payload) in codecs {
         for kind in [TransportKind::Modelled, TransportKind::Pipe(PipeConfig::default())] {
-            let mut edges = edge_replicas(1, 42);
-            let mut clouds = replicas(1, || tiny_cloud(43));
-            let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 4);
-            cfg.control = image_plan(wire);
-            cfg.transport = kind.clone();
-            let report =
-                try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
+            let edges = edge_replicas(1, 42);
+            let clouds = replicas(1, || tiny_cloud(43));
+            let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 4)
+                .control(image_plan(wire))
+                .transport(kind.clone());
+            let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves");
             assert!(report.stats.offloaded > 0, "{wire:?} on {kind:?}: nothing offloaded");
             assert_eq!(
                 report.stats.bytes_to_cloud,
@@ -770,11 +761,13 @@ fn scheduled_link_keys_on_started_batches() {
     // `after_batches: 3` means "the 4th started batch (and later) rides
     // the new link": a batch with 3 starts before it has crossed the
     // boundary, one with 2 has not.
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
     let before = NetworkLink::wifi(100.0);
     let after = NetworkLink::wifi(1.0);
-    cfg.link = Some(before);
-    cfg.link_schedule = vec![LinkChange { after_batches: 3, link: after }];
+    let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+        .link(before)
+        .link_events(vec![LinkChange { after_batches: 3, link: after }])
+        .build()
+        .expect("valid config");
     assert_eq!(scheduled_link(&cfg, 2), Some(before));
     assert_eq!(scheduled_link(&cfg, 3), Some(after));
     assert_eq!(scheduled_link(&cfg, 9), Some(after));
@@ -790,12 +783,12 @@ fn link_change_fires_on_the_started_batch_boundary() {
     let bundle = presets::tiny(83);
     let mut reqs = instant_requests(&bundle.test, 2);
     reqs.truncate(12);
-    let mut edges = edge_replicas(1, 34);
-    let mut clouds = replicas(2, || tiny_cloud(35));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 2, 1);
-    cfg.link = Some(NetworkLink::wifi(10_000.0).with_rtt(0.0));
-    cfg.link_schedule = vec![LinkChange { after_batches: 3, link: NetworkLink::wifi(10_000.0).with_rtt(0.2) }];
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &reqs).expect("serves");
+    let edges = edge_replicas(1, 34);
+    let clouds = replicas(2, || tiny_cloud(35));
+    let cfg = config(OffloadPolicy::Always, 1, 2, 1)
+        .link(NetworkLink::wifi(10_000.0).with_rtt(0.0))
+        .link_events(vec![LinkChange { after_batches: 3, link: NetworkLink::wifi(10_000.0).with_rtt(0.2) }]);
+    let report = serve(cfg, edges, clouds, &reqs).expect("serves");
     assert_eq!(report.stats.cloud_batches, 12, "max_batch 1 means one batch per offload");
     let fast = report.completions.iter().filter(|c| c.latency_s < 0.1).count();
     assert_eq!(fast, 3, "exactly the batches started before the boundary ride the fast link");
@@ -819,9 +812,9 @@ fn serve_rejects_non_finite_arrivals() {
     let bundle = presets::tiny(85);
     let mut reqs = instant_requests(&bundle.test, 1);
     reqs[3].arrival_s = f64::NAN;
-    let mut edges = edge_replicas(1, 36);
-    let cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
-    let _ = try_serve(&cfg, &mut edges, &mut [], &reqs).unwrap_or_else(|e| panic!("{e}"));
+    let edges = edge_replicas(1, 36);
+    let cfg = config(OffloadPolicy::Never, 1, 0, 1);
+    let _ = serve(cfg, edges, Vec::new(), &reqs).unwrap_or_else(|e| panic!("{e}"));
 }
 
 #[test]
@@ -835,9 +828,9 @@ fn worker_panic_propagates_instead_of_hanging() {
     let mut reqs = instant_requests(&bundle.test, 1);
     let mid = reqs.len() / 2;
     reqs[mid].image = Tensor::zeros([1, 1, 8, 8]);
-    let mut edges = edge_replicas(1, 37);
-    let mut clouds = replicas(2, || tiny_cloud(38));
-    let _ = try_serve(&ServeConfig::new(OffloadPolicy::Always, 1, 2, 1), &mut edges, &mut clouds, &reqs);
+    let edges = edge_replicas(1, 37);
+    let clouds = replicas(2, || tiny_cloud(38));
+    let _ = serve(config(OffloadPolicy::Always, 1, 2, 1), edges, clouds, &reqs);
 }
 
 #[test]
@@ -856,12 +849,11 @@ fn pipe_transport_matches_modelled_records_bitwise() {
     ];
     for plan in plans {
         let run = |transport: TransportKind| {
-            let mut edges = split_replicas(2, 40, 41);
-            let mut clouds = replicas(2, || tiny_cloud(41));
-            let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 2, 2, 4);
-            cfg.control = plan.clone();
-            cfg.transport = transport;
-            try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
+            let edges = split_replicas(2, 40, 41);
+            let clouds = replicas(2, || tiny_cloud(41));
+            let cfg =
+                config(OffloadPolicy::EntropyThreshold(0.5), 2, 2, 4).control(plan.clone()).transport(transport);
+            serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves")
         };
         let modelled = run(TransportKind::Modelled);
         let mut real_wires = vec![("pipe", TransportKind::Pipe(PipeConfig::default()))];
@@ -889,23 +881,27 @@ fn pipe_telemetry_measures_the_real_wire_not_the_model() {
     // link is 100 Mbps. The estimator must report the paced wire (from
     // Instant::now() deltas around real sends), not echo the model.
     let bundle = presets::tiny(88);
-    let mut edges = split_replicas(1, 42, 43);
-    let mut clouds = replicas(1, || tiny_cloud(43));
-    let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    cfg.control = ControlPlan::ClosedLoop {
-        planner: CutPlannerConfig {
-            classes: vec![DeviceProfile::new("edge", 10.0, 5e8)],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        },
-        feedback: LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 },
-        wire: FeatureWire::F32,
-        controller: None,
-    };
-    cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0));
-    cfg.transport = TransportKind::Pipe(PipeConfig { up_mbps: Some(4.0), ..PipeConfig::default() });
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves");
+    let edges = split_replicas(1, 42, 43);
+    let clouds = replicas(1, || tiny_cloud(43));
+    let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+        .control(ControlPlan::ClosedLoop {
+            planner: CutPlannerConfig {
+                classes: vec![DeviceProfile::new("edge", 10.0, 5e8)],
+                cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+                objective: Objective::Latency,
+                feedback: None,
+            },
+            feedback: LinkFeedback {
+                alpha: 0.5,
+                prior_samples: 0.0,
+                replan_every: NonZeroU64::new(4).expect("4 > 0"),
+            },
+            wire: FeatureWire::F32,
+            controller: None,
+        })
+        .link(NetworkLink::wifi(100.0).with_rtt(0.0))
+        .transport(TransportKind::Pipe(PipeConfig { up_mbps: Some(4.0), ..PipeConfig::default() }));
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     let ests = report.stats.link_estimates.expect("feedback reports estimates");
     let est = ests[0].expect("class 0 observed");
     assert_eq!(est.samples, report.stats.offloaded as u64, "one observation per served batch");
@@ -926,23 +922,27 @@ fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
     let edge = DeviceProfile::new("edge", 10.0, 5e8);
     let bundle = presets::tiny(89);
     let run = |throttle: Vec<PaceChange>| {
-        let mut edges = split_replicas(1, 44, 45);
-        let mut clouds = replicas(1, || tiny_cloud(45));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.control = ControlPlan::ClosedLoop {
-            planner: CutPlannerConfig {
-                classes: vec![edge.clone()],
-                cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-                objective: Objective::Latency,
-                feedback: None,
-            },
-            feedback: LinkFeedback { alpha: 0.5, prior_samples: 0.0, replan_every: 4 },
-            wire: FeatureWire::F32,
-            controller: None,
-        };
-        cfg.link = Some(NetworkLink::wifi(100.0).with_rtt(0.0002));
-        cfg.transport = TransportKind::Pipe(PipeConfig { up_mbps: Some(50.0), throttle, ..PipeConfig::default() });
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1)).expect("serves")
+        let edges = split_replicas(1, 44, 45);
+        let clouds = replicas(1, || tiny_cloud(45));
+        let cfg = config(OffloadPolicy::Always, 1, 1, 1)
+            .control(ControlPlan::ClosedLoop {
+                planner: CutPlannerConfig {
+                    classes: vec![edge.clone()],
+                    cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+                    objective: Objective::Latency,
+                    feedback: None,
+                },
+                feedback: LinkFeedback {
+                    alpha: 0.5,
+                    prior_samples: 0.0,
+                    replan_every: NonZeroU64::new(4).expect("4 > 0"),
+                },
+                wire: FeatureWire::F32,
+                controller: None,
+            })
+            .link(NetworkLink::wifi(100.0).with_rtt(0.0002))
+            .transport(TransportKind::Pipe(PipeConfig { up_mbps: Some(50.0), throttle, ..PipeConfig::default() }));
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let steady = run(Vec::new());
     let throttled = run(vec![PaceChange { after_frames: 8, up_mbps: 0.4 }]);
@@ -1021,21 +1021,6 @@ fn builder_rejects_each_static_invariant_by_name() {
         Err(ServeConfigError::NoPlannerClasses)
     );
     assert_eq!(b().control(planned(vec![edge.clone()])).build(), Err(ServeConfigError::PlannedCutWithoutLink));
-    let never_replans = ControlPlan::ClosedLoop {
-        planner: CutPlannerConfig {
-            classes: vec![edge.clone()],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        },
-        feedback: LinkFeedback { replan_every: 0, ..LinkFeedback::default() },
-        wire: FeatureWire::F32,
-        controller: None,
-    };
-    assert_eq!(
-        b().control(never_replans).link(NetworkLink::wifi(1.0)).build(),
-        Err(ServeConfigError::FeedbackNeverReplans)
-    );
     let spec = FleetSpec::uniform(DeviceClass::new("edge", edge.clone(), ComputeTier::High));
     assert_eq!(
         b().control(planned(vec![edge])).link(NetworkLink::wifi(1.0)).fleet(spec).build(),
@@ -1062,14 +1047,6 @@ fn link_schedule_on_the_unix_socket_wire_rejected() {
     assert!(!message.contains("PipeConfig"), "a UDS user has no pipe to throttle: {message}");
 }
 
-#[test]
-fn config_errors_keep_the_legacy_panic_wording() {
-    // Config errors surface their source through the ServeError chain.
-    let wrapped = ServeError::from(ServeConfigError::NoEdgeWorkers);
-    assert_eq!(wrapped, ServeError::Config(ServeConfigError::NoEdgeWorkers));
-    assert!(std::error::Error::source(&wrapped).is_some());
-}
-
 /// A deeper cloud variant (two blocks per stage): same input shape as
 /// [`tiny_cloud`], different layer enumeration.
 fn deeper_cloud(seed: u64) -> SegmentedCnn {
@@ -1082,106 +1059,119 @@ fn deeper_cloud(seed: u64) -> SegmentedCnn {
 }
 
 #[test]
-fn try_serve_names_every_runtime_inconsistency() {
+fn fleet_names_every_replica_and_trace_inconsistency() {
     let bundle = presets::tiny(150);
     let reqs = instant_requests(&bundle.test, 1);
-    let mut edges = edge_replicas(1, 50);
-    let mut clouds = replicas(1, || tiny_cloud(51));
+    let fleet =
+        |cfg: ServeConfigBuilder, edges, clouds| Fleet::new(cfg.build().expect("valid config"), edges, clouds);
 
-    let two_workers = ServeConfig::new(OffloadPolicy::Never, 2, 0, 1);
     assert_eq!(
-        try_serve(&two_workers, &mut edges, &mut [], &reqs).unwrap_err(),
+        fleet(config(OffloadPolicy::Never, 2, 0, 1), edge_replicas(1, 50), Vec::new()).unwrap_err(),
         ServeError::EdgeReplicaMismatch { workers: 2, replicas: 1 }
     );
-    let no_cloud = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
     assert_eq!(
-        try_serve(&no_cloud, &mut edges, &mut clouds, &reqs).unwrap_err(),
+        fleet(config(OffloadPolicy::Never, 1, 0, 1), edge_replicas(1, 50), replicas(1, || tiny_cloud(51)))
+            .unwrap_err(),
         ServeError::CloudReplicaMismatch { workers: 0, replicas: 1 }
     );
 
-    let cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
+    let mut edge_only =
+        fleet(config(OffloadPolicy::Never, 1, 0, 1), edge_replicas(1, 50), Vec::new()).expect("consistent");
     let mut unsorted = reqs.clone();
     unsorted[0].arrival_s = 1.0;
-    assert_eq!(try_serve(&cfg, &mut edges, &mut [], &unsorted).unwrap_err(), ServeError::UnsortedArrivals);
+    assert_eq!(edge_only.serve(&unsorted).unwrap_err(), ServeError::UnsortedArrivals);
     // Finiteness is named before sortedness: a NaN fails every
     // comparison, so it must not masquerade as "unsorted".
     let mut nan = reqs.clone();
     nan[2].arrival_s = f64::NAN;
-    assert!(matches!(
-        try_serve(&cfg, &mut edges, &mut [], &nan),
-        Err(ServeError::NonFiniteArrival { index: 2, .. })
-    ));
+    assert!(matches!(edge_only.serve(&nan), Err(ServeError::NonFiniteArrival { index: 2, .. })));
     let mut negative = reqs.clone();
     negative[0].arrival_s = -1.0;
-    assert_eq!(
-        try_serve(&cfg, &mut edges, &mut [], &negative).unwrap_err(),
-        ServeError::NegativeArrival { index: 0 }
-    );
+    assert_eq!(edge_only.serve(&negative).unwrap_err(), ServeError::NegativeArrival { index: 0 });
     let mut batched = reqs.clone();
     batched[1].image = Tensor::zeros([2, 3, 8, 8]);
-    assert_eq!(
-        try_serve(&cfg, &mut edges, &mut [], &batched).unwrap_err(),
-        ServeError::NotSingleInstance { index: 1 }
-    );
+    assert_eq!(edge_only.serve(&batched).unwrap_err(), ServeError::NotSingleInstance { index: 1 });
+    // A rejected trace leaves the fleet servable.
+    assert_eq!(edge_only.serve(&reqs).expect("serves").stats.total, reqs.len());
 
     // Feature-payload inconsistencies.
-    let mut features = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    features.control = feature_plan(FeatureWire::F32, 1);
+    let fixed = |cut| config(OffloadPolicy::Always, 1, 1, 1).control(feature_plan(FeatureWire::F32, cut));
     assert_eq!(
-        try_serve(&features, &mut edges, &mut clouds, &reqs).unwrap_err(),
+        fleet(fixed(1), edge_replicas(1, 50), replicas(1, || tiny_cloud(51))).unwrap_err(),
         ServeError::MissingCloudPrefix { worker: 0 }
     );
-    let mut split = split_replicas(1, 52, 53);
     let layers = tiny_cloud(53).cut_layer_count();
-    let mut out_of_range = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    out_of_range.control = feature_plan(FeatureWire::F32, layers);
-    let mut clouds53 = replicas(1, || tiny_cloud(53));
     assert_eq!(
-        try_serve(&out_of_range, &mut split, &mut clouds53, &reqs).unwrap_err(),
+        fleet(fixed(layers), split_replicas(1, 52, 53), replicas(1, || tiny_cloud(53))).unwrap_err(),
         ServeError::FixedCutOutOfRange { cut: layers, cut_layers: layers }
     );
-    let mut deeper = replicas(1, || deeper_cloud(53));
-    let mut fixed0 = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-    fixed0.control = feature_plan(FeatureWire::F32, 0);
     assert_eq!(
-        try_serve(&fixed0, &mut split, &mut deeper, &reqs).unwrap_err(),
+        fleet(fixed(0), split_replicas(1, 52, 53), replicas(1, || deeper_cloud(53))).unwrap_err(),
         ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: deeper_cloud(53).cut_layer_count() }
-    );
-    // A config error reaches try_serve callers wrapped.
-    let zero_batch = ServeConfig::new(OffloadPolicy::Never, 1, 0, 0);
-    assert_eq!(
-        try_serve(&zero_batch, &mut edges, &mut [], &reqs).unwrap_err(),
-        ServeError::Config(ServeConfigError::ZeroMaxBatch)
     );
 }
 
 #[test]
-fn fleet_serve_matches_the_free_function_bitwise() {
-    let bundle = presets::tiny(151);
-    let cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(0.8))
-        .edge_workers(2)
-        .cloud_workers(1)
-        .max_batch(4)
+fn fleet_new_checks_every_cloud_replica_against_the_prefixes() {
+    // The second cloud replica enumerates more layers than the edge
+    // prefixes and the first cloud: a plan made for one network would
+    // resume on another.
+    let layers = tiny_cloud(53).cut_layer_count();
+    let cfg = ServeConfig::builder(OffloadPolicy::Always)
+        .cloud_workers(2)
+        .control(feature_plan(FeatureWire::F32, 1))
         .build()
         .expect("valid config");
-    let reqs = instant_requests(&bundle.test, 3);
-    let mut edges = edge_replicas(2, 54);
-    let mut clouds = replicas(1, || tiny_cloud(55));
-    let expected = try_serve(&cfg, &mut edges, &mut clouds, &reqs).expect("serves");
+    let edges = vec![EdgeReplica::with_cloud_prefix(tiny_net(52), tiny_cloud(53))];
+    let err = Fleet::new(cfg, edges, vec![tiny_cloud(53), deeper_cloud(53)]).expect_err("second cloud is deeper");
+    assert_eq!(
+        err,
+        ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: deeper_cloud(53).cut_layer_count() }
+    );
+}
 
+#[test]
+fn fleet_new_checks_every_edge_prefix_against_the_clouds() {
+    // The second edge worker's prefix enumerates more layers than the
+    // cloud it ships to.
+    let layers = tiny_cloud(53).cut_layer_count();
+    let cfg = ServeConfig::builder(OffloadPolicy::Always)
+        .edge_workers(2)
+        .control(feature_plan(FeatureWire::F32, 1))
+        .build()
+        .expect("valid config");
+    let edges = vec![
+        EdgeReplica::with_cloud_prefix(tiny_net(52), tiny_cloud(53)),
+        EdgeReplica::with_cloud_prefix(tiny_net(52), deeper_cloud(53)),
+    ];
+    let err = Fleet::new(cfg, edges, vec![tiny_cloud(53)]).expect_err("second prefix is deeper");
+    assert_eq!(
+        err,
+        ServeError::PrefixMismatch { edge_layers: deeper_cloud(53).cut_layer_count(), cloud_layers: layers }
+    );
+}
+
+#[test]
+fn fleet_serves_again_from_its_parts_bitwise() {
+    let bundle = presets::tiny(151);
+    let cfg = config(OffloadPolicy::EntropyThreshold(0.8), 2, 1, 4).build().expect("valid config");
+    let reqs = instant_requests(&bundle.test, 3);
     let mut fleet = Fleet::new(cfg, edge_replicas(2, 54), replicas(1, || tiny_cloud(55))).expect("consistent");
     assert!(fleet.spec().is_none(), "no registry configured");
-    let report = fleet.serve(&reqs).expect("serves");
-    assert_eq!(report.records, expected.records);
-    assert_eq!(report.stats.offloaded, expected.stats.offloaded);
-    // The parts come back out for rebuilding.
+    let first = fleet.serve(&reqs).expect("serves");
+
+    // The parts come back out, and a fleet rebuilt from them serves the
+    // same records.
     let (cfg, edges, clouds) = fleet.into_parts();
     assert_eq!((edges.len(), clouds.len()), (cfg.edge_workers, cfg.cloud_workers));
+    let again = Fleet::new(cfg, edges, clouds).expect("consistent").serve(&reqs).expect("serves");
+    assert_eq!(again.records, first.records);
+    assert_eq!(again.stats.offloaded, first.stats.offloaded);
 }
 
 #[test]
 fn fleet_new_rejects_mismatched_replicas_up_front() {
-    let cfg = ServeConfig::new(OffloadPolicy::Never, 2, 0, 1);
+    let cfg = config(OffloadPolicy::Never, 2, 0, 1).build().expect("valid config");
     let err = Fleet::new(cfg, edge_replicas(1, 56), Vec::new()).expect_err("one replica short");
     assert_eq!(err, ServeError::EdgeReplicaMismatch { workers: 2, replicas: 1 });
     assert!(err.to_string().contains("one edge replica per edge worker"));
@@ -1198,13 +1188,13 @@ fn uniform_high_tier_fleet_matches_the_legacy_planner_path_bitwise() {
     let edge = DeviceProfile::new("edge", 10.0, 5e8);
     let link = NetworkLink::wifi(1.0).with_rtt(0.001);
     let run = |classes: Vec<DeviceProfile>, fleet: Option<FleetSpec>| {
-        let mut edges = split_replicas(2, 58, 59);
-        let mut clouds = replicas(1, || tiny_cloud(59));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 2, 1, 4);
-        cfg.control = planned(classes);
-        cfg.link = Some(link);
-        cfg.fleet = fleet;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
+        let edges = split_replicas(2, 58, 59);
+        let clouds = replicas(1, || tiny_cloud(59));
+        let mut cfg = config(OffloadPolicy::Always, 2, 1, 4).control(planned(classes)).link(link);
+        if let Some(fleet) = fleet {
+            cfg = cfg.fleet(fleet);
+        }
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     let legacy = run(vec![edge.clone()], None);
     let spec = FleetSpec::uniform(DeviceClass::new("edge", edge, ComputeTier::High));
@@ -1241,18 +1231,13 @@ fn heterogeneous_tiers_plan_per_class_cuts_from_effective_profiles() {
     let planner = planner_like_serve(61, link, &hp, 2);
     let expected = vec![solo_cut(&planner, &hp), solo_cut(&planner, &lp)];
 
-    let mut edges = split_replicas(2, 60, 61);
-    let mut clouds = replicas(1, || tiny_cloud(61));
-    let cfg = ServeConfig::builder(OffloadPolicy::Always)
-        .edge_workers(2)
-        .cloud_workers(1)
-        .max_batch(4)
+    let edges = split_replicas(2, 60, 61);
+    let clouds = replicas(1, || tiny_cloud(61));
+    let cfg = config(OffloadPolicy::Always, 2, 1, 4)
         .control(planned(Vec::new()))
         .link(link)
-        .fleet(FleetSpec::round_robin(vec![high, low]))
-        .build()
-        .expect("valid config");
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
+        .fleet(FleetSpec::round_robin(vec![high, low]));
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves");
     assert_eq!(report.stats.final_cuts, Some(expected.clone()));
     assert_ne!(expected[0], expected[1], "tiers must plan different cuts");
 
@@ -1280,16 +1265,10 @@ fn explicit_assignment_overrides_the_modulo_convention() {
     ])
     .assign(0, 1)
     .assign(1, 1);
-    let cfg = ServeConfig::builder(OffloadPolicy::Always)
-        .edge_workers(2)
-        .cloud_workers(1)
-        .max_batch(4)
-        .fleet(spec)
-        .build()
-        .expect("valid config");
-    let mut edges = edge_replicas(2, 62);
-    let mut clouds = replicas(1, || tiny_cloud(63));
-    let report = try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves");
+    let cfg = config(OffloadPolicy::Always, 2, 1, 4).fleet(spec);
+    let edges = edge_replicas(2, 62);
+    let clouds = replicas(1, || tiny_cloud(63));
+    let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves");
     let served = report.stats.per_class_served.expect("fleet stats");
     assert_eq!(served[0], 0, "every device is pinned to class b");
     assert_eq!(served[1], report.stats.total);
@@ -1312,11 +1291,13 @@ fn difficulty_routing_skips_main_exits_and_settles_easy_locally() {
     assert!(hard > 0 && easy > 0, "calibration must spread the trace across bands: {verdicts:?}");
 
     let run = |difficulty: Option<DifficultyPredictor>| {
-        let mut edges = edge_replicas(2, 64);
-        let mut clouds = replicas(1, || tiny_cloud(65));
-        let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.8), 2, 1, 4);
-        cfg.difficulty = difficulty;
-        try_serve(&cfg, &mut edges, &mut clouds, &reqs).expect("serves")
+        let edges = edge_replicas(2, 64);
+        let clouds = replicas(1, || tiny_cloud(65));
+        let mut cfg = config(OffloadPolicy::EntropyThreshold(0.8), 2, 1, 4);
+        if let Some(difficulty) = difficulty {
+            cfg = cfg.difficulty(difficulty);
+        }
+        serve(cfg, edges, clouds, &reqs).expect("serves")
     };
     let plain = run(None);
     let routed = run(Some(predictor.clone()));
@@ -1345,10 +1326,9 @@ fn difficulty_respects_an_edge_only_policy() {
     let bundle = presets::tiny(156);
     let mut calibration = tiny_net(66);
     let predictor = DifficultyPredictor::calibrate(&mut calibration, &bundle.train.images, 8);
-    let mut edges = edge_replicas(1, 66);
-    let mut cfg = ServeConfig::new(OffloadPolicy::Never, 1, 0, 1);
-    cfg.difficulty = Some(predictor);
-    let report = try_serve(&cfg, &mut edges, &mut [], &instant_requests(&bundle.test, 1)).expect("serves");
+    let edges = edge_replicas(1, 66);
+    let cfg = config(OffloadPolicy::Never, 1, 0, 1).difficulty(predictor);
+    let report = serve(cfg, edges, Vec::new(), &instant_requests(&bundle.test, 1)).expect("serves");
     assert_eq!(report.stats.offloaded, 0);
     assert_eq!(report.stats.skipped_main_exits, 0, "edge-only serving never pre-commits");
     assert_eq!(report.stats.total, bundle.test.len());
@@ -1372,11 +1352,10 @@ fn forced_multi_stage_placement_is_record_identical_to_its_final_cut() {
     let fin = layers / 2 + 1;
     assert!(fin >= 2, "need room for a local/peer split");
     let run = |control: ControlPlan| {
-        let mut edges = split_replicas(2, 90, 91);
-        let mut clouds = replicas(1, || tiny_cloud(91));
-        let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.5), 2, 1, 4);
-        cfg.control = control;
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 3)).expect("serves")
+        let edges = split_replicas(2, 90, 91);
+        let clouds = replicas(1, || tiny_cloud(91));
+        let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 2, 1, 4).control(control);
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves")
     };
     let fixed = run(feature_plan(FeatureWire::F32, fin));
     let placed = run(forced(PlacementPlan::three_stage(1, fin, 0, layers)));
@@ -1432,18 +1411,11 @@ fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
     let expected_solo = offline.plan_placement_for_measured(&eff, None, None, None);
 
     let run = |coop: bool| {
-        let mut edges = split_replicas(2, 92, 93);
-        let mut clouds = replicas(1, || tiny_cloud(93));
-        let cfg = ServeConfig::builder(OffloadPolicy::Always)
-            .edge_workers(2)
-            .cloud_workers(1)
-            .max_batch(8)
-            .control(planned(Vec::new()))
-            .link(link)
-            .fleet(spec_with(coop))
-            .build()
-            .expect("valid config");
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 2)).expect("serves")
+        let edges = split_replicas(2, 92, 93);
+        let clouds = replicas(1, || tiny_cloud(93));
+        let cfg =
+            config(OffloadPolicy::Always, 2, 1, 8).control(planned(Vec::new())).link(link).fleet(spec_with(coop));
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves")
     };
     let coop = run(true);
     let solo = run(false);
@@ -1463,11 +1435,10 @@ fn placement_validation_rejects_each_mismatch_by_name() {
     let bundle = presets::tiny(192);
     let layers = tiny_cloud(95).cut_layer_count();
     let run = |plan: PlacementPlan| {
-        let mut edges = split_replicas(1, 94, 95);
-        let mut clouds = replicas(1, || tiny_cloud(95));
-        let mut cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, 1);
-        cfg.control = forced(plan);
-        try_serve(&cfg, &mut edges, &mut clouds, &instant_requests(&bundle.test, 1))
+        let edges = split_replicas(1, 94, 95);
+        let clouds = replicas(1, || tiny_cloud(95));
+        let cfg = config(OffloadPolicy::Always, 1, 1, 1).control(forced(plan));
+        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1))
     };
     // A plan over the wrong layer count cannot line up with the prefix.
     let short = PlacementPlan::two_stage(1, layers - 1);

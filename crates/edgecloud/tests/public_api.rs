@@ -113,14 +113,11 @@ fn crate_root_type_reexports_are_stable() {
 
 #[test]
 fn crate_root_fn_signatures_are_stable() {
-    // The serving entry points: the decomposition of `serve.rs` into
-    // submodules must not have moved or retyped them.
-    let _: fn(
-        &ec::ServeConfig,
-        &mut [ec::EdgeReplica],
-        &mut [SegmentedCnn],
-        &[ec::ServeRequest],
-    ) -> Result<ec::ServeReport, ec::ServeError> = ec::try_serve;
+    // The one serving entry point: `Fleet::new` checks the replicas once,
+    // `Fleet::serve` checks and serves each trace.
+    let _: fn(ec::ServeConfig, Vec<ec::EdgeReplica>, Vec<SegmentedCnn>) -> Result<ec::Fleet, ec::ServeError> =
+        ec::Fleet::new;
+    let _: fn(&mut ec::Fleet, &[ec::ServeRequest]) -> Result<ec::ServeReport, ec::ServeError> = ec::Fleet::serve;
     let _: fn(&Dataset, usize, &ec::ArrivalModel, &mut Rng) -> Vec<ec::ServeRequest> = ec::trace_requests;
 
     // Partition search.
@@ -139,8 +136,8 @@ fn crate_root_fn_signatures_are_stable() {
 }
 
 /// The whole steering vocabulary: every `ControlPlan` variant with its
-/// exact field names and types, and `ServeConfig::control` holding one
-/// directly.
+/// exact field names and types, each held by the `ServeConfig` built
+/// with it.
 #[test]
 fn control_plan_variants_are_pinned_by_construction() {
     let controller: Option<ec::ControllerConfig> = None;
@@ -169,14 +166,11 @@ fn control_plan_variants_are_pinned_by_construction() {
         ec::ControlPlan::Governed(ec::SlaTarget::new(50.0, 0.9)),
     ];
     assert_eq!(plans[0], ec::ControlPlan::default(), "the default ships lossless images, unsteered");
+    let builder = || ec::ServeConfig::builder(meanet::OffloadPolicy::Always).link(link);
+    let unsteered = builder().build().expect("the default builds");
     for plan in plans {
-        let cfg = ec::ServeConfig::builder(meanet::OffloadPolicy::Always)
-            .link(link)
-            .control(plan.clone())
-            .build()
-            .expect("every variant builds");
-        let held: &ec::ControlPlan = &cfg.control;
-        assert_eq!(held, &plan);
+        let cfg = builder().control(plan.clone()).build().expect("every variant builds");
+        assert_eq!(cfg == unsteered, plan == ec::ControlPlan::default(), "the config holds {plan:?}");
     }
 }
 

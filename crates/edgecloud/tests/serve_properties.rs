@@ -10,8 +10,8 @@ use mea_edgecloud::governor::SlaTarget;
 use mea_edgecloud::network::{LinkEstimate, LinkEstimator, NetworkLink};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
-    LinkChange, LinkFeedback, ServeConfig, RESPONSE_WIRE_BYTES,
+    trace_requests, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange,
+    LinkFeedback, ServeConfig, ServeReport, ServeRequest, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig, SegmentedCnn};
@@ -20,7 +20,18 @@ use meanet::infer::run_inference_with_policy;
 use meanet::model::{AdaptivePlan, MeaNet, Merge, Variant};
 use meanet::{DifficultyPredictor, ExitPoint, OffloadPolicy};
 use proptest::prelude::*;
+use std::num::NonZeroU64;
 use std::time::Duration;
+
+/// Checks the replicas against `cfg` and serves `requests` once.
+fn serve(
+    cfg: ServeConfig,
+    edges: Vec<EdgeReplica>,
+    clouds: Vec<SegmentedCnn>,
+    requests: &[ServeRequest],
+) -> ServeReport {
+    Fleet::new(cfg, edges, clouds).expect("consistent replicas").serve(requests).expect("serves")
+}
 
 fn tiny_net(seed: u64) -> MeaNet {
     let mut rng = Rng::new(seed);
@@ -68,16 +79,16 @@ proptest! {
         let mut rng = Rng::new(5);
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let mut edges: Vec<EdgeReplica> = (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(21))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(22)).collect();
-        let mut cfg = ServeConfig::new(
-            OffloadPolicy::EntropyThreshold(threshold),
-            edge_workers,
-            cloud_workers,
-            max_batch,
-        );
-        cfg.max_wait = Duration::from_micros(wait_us);
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let edges: Vec<EdgeReplica> = (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(21))).collect();
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(22)).collect();
+        let cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(threshold))
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(max_batch)
+            .max_wait(Duration::from_micros(wait_us))
+            .build()
+            .expect("valid config");
+        let report = serve(cfg, edges, clouds, &requests);
         prop_assert_eq!(report.completions.len(), requests.len());
 
         for d in 0..devices {
@@ -127,10 +138,15 @@ proptest! {
         let mut rng = Rng::new(6);
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let mut edges: Vec<EdgeReplica> = (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(23))).collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(24)).collect();
-        let cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let edges: Vec<EdgeReplica> = (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(23))).collect();
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(24)).collect();
+        let cfg = ServeConfig::builder(policy)
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(max_batch)
+            .build()
+            .expect("valid config");
+        let report = serve(cfg, edges, clouds, &requests);
         prop_assert_eq!(report.records, expected);
     }
 
@@ -159,13 +175,18 @@ proptest! {
         let mut rng = Rng::new(7);
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let mut edges: Vec<EdgeReplica> = (0..edge_workers)
+        let edges: Vec<EdgeReplica> = (0..edge_workers)
             .map(|_| EdgeReplica::with_cloud_prefix(tiny_net(25), tiny_cloud(26)))
             .collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(26)).collect();
-        let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        cfg.control = ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None };
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(26)).collect();
+        let cfg = ServeConfig::builder(policy)
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(max_batch)
+            .control(ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None })
+            .build()
+            .expect("valid config");
+        let report = serve(cfg, edges, clouds, &requests);
         prop_assert_eq!(report.records, expected, "cut {} diverged", cut);
         prop_assert_eq!(report.stats.final_cuts, Some(vec![cut]));
         // MAC conservation: executed + saved = offloads x full forward.
@@ -268,29 +289,33 @@ proptest! {
         let degraded = NetworkLink::wifi(0.5).with_rtt(0.0002);
         let edge = DeviceProfile::new("edge", 10.0, 5e8);
         let run = |feedback: Option<LinkFeedback>| {
-            let mut edges =
+            let edges =
                 vec![EdgeReplica::with_cloud_prefix(tiny_net(27), tiny_cloud(28))];
-            let mut clouds: Vec<SegmentedCnn> = vec![tiny_cloud(28)];
-            let mut cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(threshold), 1, 1, 1);
+            let clouds: Vec<SegmentedCnn> = vec![tiny_cloud(28)];
             let planner = CutPlannerConfig {
                 classes: vec![edge.clone()],
                 cloud: DeviceProfile::new("cloud", 200.0, 1e12),
                 objective: Objective::Latency,
                 feedback: None,
             };
-            cfg.control = match feedback {
+            let control = match feedback {
                 Some(feedback) => {
                     ControlPlan::ClosedLoop { planner, feedback, wire: FeatureWire::F32, controller: None }
                 }
                 None => ControlPlan::OpenLoop { planner, wire: FeatureWire::F32, controller: None },
             };
-            cfg.link = Some(nominal);
-            cfg.link_schedule = vec![LinkChange { after_batches, link: degraded }];
+            let cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(threshold))
+                .control(control)
+                .link(nominal)
+                .link_events(vec![LinkChange { after_batches, link: degraded }])
+                .build()
+                .expect("valid config");
             let mut rng = Rng::new(9);
             let requests =
                 trace_requests(&bundle.test, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-            try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
+            serve(cfg, edges, clouds, &requests)
         };
+        let replan_every = NonZeroU64::new(replan_every).expect("the strategy starts at 1");
         let closed = run(Some(LinkFeedback { alpha, prior_samples: 0.0, replan_every }));
         let open = run(None);
         prop_assert_eq!(&closed.records, &open.records, "feedback leaked into predictions");
@@ -410,9 +435,9 @@ proptest! {
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
         let run = |ingress: CloudIngress| {
-            let mut edges: Vec<EdgeReplica> =
+            let edges: Vec<EdgeReplica> =
                 (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(33))).collect();
-            let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(34)).collect();
+            let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(34)).collect();
             let cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(threshold))
                 .edge_workers(edge_workers)
                 .cloud_workers(cloud_workers)
@@ -421,7 +446,7 @@ proptest! {
                 .ingress(ingress)
                 .build()
                 .expect("valid config");
-            try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
+            serve(cfg, edges, clouds, &requests)
         };
         let sharded = run(CloudIngress::Sharded);
         let single = run(CloudIngress::SingleQueue);
@@ -459,8 +484,8 @@ proptest! {
         for r in &mut requests {
             r.device *= cloud_workers;
         }
-        let mut edges = vec![EdgeReplica::new(tiny_net(35))];
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(36)).collect();
+        let edges = vec![EdgeReplica::new(tiny_net(35))];
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(36)).collect();
         let cfg = ServeConfig::builder(policy)
             .edge_workers(1)
             .cloud_workers(cloud_workers)
@@ -469,7 +494,7 @@ proptest! {
             .link(NetworkLink::wifi(200.0).with_rtt(0.0005))
             .build()
             .expect("valid config");
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let report = serve(cfg, edges, clouds, &requests);
         prop_assert_eq!(report.completions.len(), requests.len());
         for d in (0..device_count).map(|d| d * cloud_workers) {
             let mut last_cloud_seq = None;
@@ -535,11 +560,16 @@ proptest! {
             (edges, clouds)
         };
 
-        let mut legacy_cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        legacy_cfg.control = planned(vec![edge.clone()]);
-        legacy_cfg.link = Some(link);
-        let (mut edges, mut clouds) = build_replicas();
-        let legacy = try_serve(&legacy_cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let legacy_cfg = ServeConfig::builder(policy)
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(max_batch)
+            .control(planned(vec![edge.clone()]))
+            .link(link)
+            .build()
+            .expect("valid config");
+        let (edges, clouds) = build_replicas();
+        let legacy = serve(legacy_cfg, edges, clouds, &requests);
 
         let spec = FleetSpec::uniform(DeviceClass::new("edge", edge, ComputeTier::High));
         let fleet_cfg = ServeConfig::builder(policy)
@@ -664,15 +694,20 @@ proptest! {
         let mut rng = Rng::new(13);
         let requests =
             trace_requests(&bundle.test, 2, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let mut edges: Vec<EdgeReplica> = (0..edge_workers)
+        let edges: Vec<EdgeReplica> = (0..edge_workers)
             .map(|_| EdgeReplica::with_cloud_prefix(tiny_net(41), tiny_cloud(42)))
             .collect();
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(42)).collect();
-        let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-        cfg.link = Some(NetworkLink::wifi(1.0).with_rtt(0.002));
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(42)).collect();
         // A 1 µs p95 budget: no cut, wire or beta can reach it.
-        cfg.control = ControlPlan::Governed(SlaTarget::new(1e-3, 0.90));
-        let report = try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves");
+        let cfg = ServeConfig::builder(policy)
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(max_batch)
+            .link(NetworkLink::wifi(1.0).with_rtt(0.002))
+            .control(ControlPlan::Governed(SlaTarget::new(1e-3, 0.90)))
+            .build()
+            .expect("valid config");
+        let report = serve(cfg, edges, clouds, &requests);
         prop_assert_eq!(report.completions.len(), requests.len());
         let trajectory =
             report.stats.control_trajectory.as_ref().expect("governed runs report their trajectory");
@@ -706,14 +741,19 @@ proptest! {
         let requests =
             trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
         let run = |control: ControlPlan| {
-            let mut edges: Vec<EdgeReplica> = (0..edge_workers)
+            let edges: Vec<EdgeReplica> = (0..edge_workers)
                 .map(|_| EdgeReplica::with_cloud_prefix(tiny_net(43), tiny_cloud(44)))
                 .collect();
-            let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(44)).collect();
-            let mut cfg = ServeConfig::new(policy, edge_workers, cloud_workers, max_batch);
-            cfg.link = Some(NetworkLink::wifi(50.0).with_rtt(0.001));
-            cfg.control = control;
-            try_serve(&cfg, &mut edges, &mut clouds, &requests).expect("serves")
+            let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(44)).collect();
+            let cfg = ServeConfig::builder(policy)
+                .edge_workers(edge_workers)
+                .cloud_workers(cloud_workers)
+                .max_batch(max_batch)
+                .link(NetworkLink::wifi(50.0).with_rtt(0.001))
+                .control(control)
+                .build()
+                .expect("valid config");
+            serve(cfg, edges, clouds, &requests)
         };
         // A one-minute p95 budget no tiny trace can violate.
         let governed = run(ControlPlan::Governed(SlaTarget::new(60_000.0, 0.80)));

@@ -1,8 +1,8 @@
 //! The distributed-systems view: run Algorithm 2, feed its routing
 //! decisions into (a) the energy model and (b) the virtual-clock
 //! simulator, then (c) serve the same test set through the threaded
-//! runtime — one edge worker, one cloud worker, offloads crossing the
-//! wire as encoded payloads.
+//! runtime's `Fleet` — one edge worker, one cloud worker, offloads
+//! crossing the wire as encoded payloads.
 //!
 //! ```bash
 //! cargo run --release --example edge_cloud_sim
@@ -12,7 +12,7 @@ use mea_data::presets;
 use mea_edgecloud::device::DeviceProfile;
 use mea_edgecloud::energy::energy_from_records;
 use mea_edgecloud::network::NetworkLink;
-use mea_edgecloud::serve::{trace_requests, try_serve, ControlPlan, EdgeReplica, ServeConfig, WireFormat};
+use mea_edgecloud::serve::{trace_requests, ControlPlan, EdgeReplica, Fleet, ServeConfig, WireFormat};
 use mea_edgecloud::traces::ArrivalModel;
 use mea_edgecloud::{simulate_fleet, ComputeTier, DeviceClass, FleetConfig, FleetSpec};
 use mea_tensor::Rng;
@@ -80,12 +80,20 @@ fn main() {
     // borderline cloud prediction, so agreement with the offline sweep is
     // counted rather than assumed.
     let Pipeline { net, cloud, .. } = pipe;
-    let mut edges = vec![EdgeReplica::new(net)];
-    let mut clouds = vec![cloud.expect("pipeline has a cloud")];
-    let mut serve_cfg = ServeConfig::new(OffloadPolicy::EntropyThreshold(0.3), 1, 1, 1);
-    serve_cfg.control = ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None };
+    let edges = vec![EdgeReplica::new(net)];
+    let clouds = vec![cloud.expect("pipeline has a cloud")];
+    let serve_cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(0.3))
+        .edge_workers(1)
+        .cloud_workers(1)
+        .max_batch(1)
+        .control(ControlPlan::Image { wire: WireFormat::Quantised8Bit, controller: None })
+        .build()
+        .expect("valid configuration");
     let requests = trace_requests(&bundle.test, 1, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut Rng::new(0));
-    let served = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("a valid one-by-one deployment");
+    let served = Fleet::new(serve_cfg, edges, clouds)
+        .expect("replicas match the configuration")
+        .serve(&requests)
+        .expect("a valid one-by-one deployment");
     let agree = served.records.iter().zip(&records).filter(|(s, r)| s.prediction == r.prediction).count();
     println!(
         "threaded runtime: {} payloads, {} bytes on the wire, {agree}/{} predictions as in the offline sweep",

@@ -16,8 +16,8 @@ use mea_edgecloud::fleet::{ComputeTier, DeviceClass, FleetSpec};
 use mea_edgecloud::network::NetworkLink;
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv, StageExecutor};
 use mea_edgecloud::serve::{
-    trace_requests, try_serve, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
-    LinkChange, LinkFeedback, ServeConfig, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
+    trace_requests, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange,
+    LinkFeedback, ServeConfig, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_edgecloud::transport::{PaceChange, PipeConfig, TransportKind};
@@ -26,6 +26,7 @@ use mea_nn::StateDict;
 use mea_tensor::Rng;
 use meanet::pipeline::{BackboneChoice, Pipeline, PipelineConfig};
 use meanet::{MeaNet, OffloadPolicy, ThresholdController};
+use std::num::NonZeroU64;
 
 fn main() {
     // Train a small distributed system (same recipe as edge_cloud_sim).
@@ -138,13 +139,21 @@ fn main() {
     // pixels) and once as int8 activations at the cut a CutPlanner picks
     // online (the cloud resumes from the cut).
     let mut compare = |label: &str, control: ControlPlan| {
-        let mut edges = build_edges(!matches!(control, ControlPlan::Image { .. }));
-        let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(400 + i as u64)).collect();
-        let mut cfg2 = ServeConfig::new(OffloadPolicy::Always, edge_workers, cloud_workers, 8);
-        cfg2.queue_depth = 8;
-        cfg2.link = Some(NetworkLink::wifi(50.0).with_rtt(0.008));
-        cfg2.control = control;
-        let r = try_serve(&cfg2, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+        let edges = build_edges(!matches!(control, ControlPlan::Image { .. }));
+        let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(400 + i as u64)).collect();
+        let cfg2 = ServeConfig::builder(OffloadPolicy::Always)
+            .edge_workers(edge_workers)
+            .cloud_workers(cloud_workers)
+            .max_batch(8)
+            .queue_depth(8)
+            .link(NetworkLink::wifi(50.0).with_rtt(0.008))
+            .control(control)
+            .build()
+            .expect("valid configuration");
+        let r = Fleet::new(cfg2, edges, clouds)
+            .expect("replicas match the configuration")
+            .serve(&requests)
+            .expect("a well-formed trace");
         println!(
             "{label:<26} cut {:<8} {:>8} bytes up, cloud ran {:>6.2} MMACs, skipped {:>6.2} MMACs",
             r.stats.final_cuts.map_or("-".into(), |c| format!("{c:?}")),
@@ -176,24 +185,36 @@ fn main() {
     // few batches in. The planner's static model never hears about it —
     // the cloud workers' per-batch telemetry (LinkEstimator EWMA) is the
     // only way the degradation can reach the cut decision.
-    let mut edges = build_edges(true);
-    let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(500 + i as u64)).collect();
-    let mut cfg3 = ServeConfig::new(OffloadPolicy::Always, edge_workers, cloud_workers, 8);
-    cfg3.queue_depth = 8;
-    cfg3.link = Some(NetworkLink::wifi(50.0).with_rtt(0.004));
-    cfg3.link_schedule = vec![LinkChange { after_batches: 8, link: NetworkLink::wifi(1.0).with_rtt(0.004) }];
-    cfg3.control = ControlPlan::ClosedLoop {
-        planner: CutPlannerConfig {
-            classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        },
-        feedback: LinkFeedback { alpha: 0.5, prior_samples: 2.0, replan_every: 4 },
-        wire: FeatureWire::F32,
-        controller: None,
-    };
-    let r = try_serve(&cfg3, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+    let edges = build_edges(true);
+    let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(500 + i as u64)).collect();
+    let cfg3 = ServeConfig::builder(OffloadPolicy::Always)
+        .edge_workers(edge_workers)
+        .cloud_workers(cloud_workers)
+        .max_batch(8)
+        .queue_depth(8)
+        .link(NetworkLink::wifi(50.0).with_rtt(0.004))
+        .link_events(vec![LinkChange { after_batches: 8, link: NetworkLink::wifi(1.0).with_rtt(0.004) }])
+        .control(ControlPlan::ClosedLoop {
+            planner: CutPlannerConfig {
+                classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
+                cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+                objective: Objective::Latency,
+                feedback: None,
+            },
+            feedback: LinkFeedback {
+                alpha: 0.5,
+                prior_samples: 2.0,
+                replan_every: NonZeroU64::new(4).expect("4 > 0"),
+            },
+            wire: FeatureWire::F32,
+            controller: None,
+        })
+        .build()
+        .expect("valid configuration");
+    let r = Fleet::new(cfg3, edges, clouds)
+        .expect("replicas match the configuration")
+        .serve(&requests)
+        .expect("a well-formed trace");
     let est = r.stats.link_estimates.as_ref().and_then(|e| e[0]);
     println!(
         "\nclosed-loop planning under a mid-run 50 -> 1 Mbps degradation: {} replans, final cut {:?},\n\
@@ -209,28 +230,40 @@ fn main() {
     // mid-run. No modelled sleeps on this path — the telemetry is
     // Instant::now() deltas around the actual sends, so the estimate
     // (and hence the replanned cut) comes from time genuinely paid.
-    let mut edges = build_edges(true);
-    let mut clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(500 + i as u64)).collect();
-    let mut cfg4 = ServeConfig::new(OffloadPolicy::Always, edge_workers, cloud_workers, 8);
-    cfg4.queue_depth = 8;
-    cfg4.link = Some(NetworkLink::wifi(20.0).with_rtt(0.004)); // the planner's (stale) prior
-    cfg4.transport = TransportKind::Pipe(PipeConfig {
-        up_mbps: Some(20.0),
-        throttle: vec![PaceChange { after_frames: 24, up_mbps: 1.0 }],
-        ..PipeConfig::default()
-    });
-    cfg4.control = ControlPlan::ClosedLoop {
-        planner: CutPlannerConfig {
-            classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
-            cloud: DeviceProfile::new("cloud", 200.0, 1e12),
-            objective: Objective::Latency,
-            feedback: None,
-        },
-        feedback: LinkFeedback { alpha: 0.5, prior_samples: 2.0, replan_every: 4 },
-        wire: FeatureWire::F32,
-        controller: None,
-    };
-    let r = try_serve(&cfg4, &mut edges, &mut clouds, &requests).expect("valid serving configuration");
+    let edges = build_edges(true);
+    let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|i| build_cloud(500 + i as u64)).collect();
+    let cfg4 = ServeConfig::builder(OffloadPolicy::Always)
+        .edge_workers(edge_workers)
+        .cloud_workers(cloud_workers)
+        .max_batch(8)
+        .queue_depth(8)
+        .link(NetworkLink::wifi(20.0).with_rtt(0.004))
+        .transport(TransportKind::Pipe(PipeConfig {
+            up_mbps: Some(20.0),
+            throttle: vec![PaceChange { after_frames: 24, up_mbps: 1.0 }],
+            ..PipeConfig::default()
+        }))
+        .control(ControlPlan::ClosedLoop {
+            planner: CutPlannerConfig {
+                classes: vec![DeviceProfile::new("edge worker", 15.0, 2e9)],
+                cloud: DeviceProfile::new("cloud", 200.0, 1e12),
+                objective: Objective::Latency,
+                feedback: None,
+            },
+            feedback: LinkFeedback {
+                alpha: 0.5,
+                prior_samples: 2.0,
+                replan_every: NonZeroU64::new(4).expect("4 > 0"),
+            },
+            wire: FeatureWire::F32,
+            controller: None,
+        })
+        .build()
+        .expect("valid configuration");
+    let r = Fleet::new(cfg4, edges, clouds)
+        .expect("replicas match the configuration")
+        .serve(&requests)
+        .expect("a well-formed trace");
     let est = r.stats.link_estimates.as_ref().and_then(|e| e[0]);
     println!(
         "\nsame loop over the real byte pipe (pacer throttled 20 -> 1 Mbps): {} replans, final cut {:?},\n\

@@ -6,7 +6,7 @@
 //! the wire format and the partition cut may not change a single
 //! prediction, entropy or exit.
 
-use mea_edgecloud::serve::{trace_requests, try_serve, ControlPlan, EdgeReplica, FeatureWire, ServeConfig};
+use mea_edgecloud::serve::{trace_requests, ControlPlan, EdgeReplica, FeatureWire, Fleet, ServeConfig};
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::SegmentedCnn;
 use mea_nn::StateDict;
@@ -91,10 +91,18 @@ fn serving_runtime_reproduces_sequential_inference_exactly() {
     let mut rng = Rng::new(3);
     let requests = trace_requests(&bundle.test, 5, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
     for (e, c, b) in [(1usize, 1usize, 1usize), (2, 2, 1), (4, 1, 8), (3, 2, 4)] {
-        let mut edges = serving_replicas(&mut pipe, &cfg, e);
-        let mut clouds = cloud_replicas(&mut pipe, &cfg, c);
-        let serve_cfg = ServeConfig::new(policy, e, c, b);
-        let report = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration");
+        let edges = serving_replicas(&mut pipe, &cfg, e);
+        let clouds = cloud_replicas(&mut pipe, &cfg, c);
+        let serve_cfg = ServeConfig::builder(policy)
+            .edge_workers(e)
+            .cloud_workers(c)
+            .max_batch(b)
+            .build()
+            .expect("valid configuration");
+        let report = Fleet::new(serve_cfg, edges, clouds)
+            .expect("replicas match the configuration")
+            .serve(&requests)
+            .expect("a well-formed trace");
         assert_eq!(
             report.records, expected,
             "serve(edge={e}, cloud={c}, max_batch={b}) diverged from the offline sweep"
@@ -129,11 +137,19 @@ fn feature_payload_serving_is_the_same_system_at_every_cut() {
     for (e, c, b, cut) in
         [(1usize, 1usize, 1usize, 0usize), (2, 2, 4, 1), (3, 1, 8, layers / 2), (2, 2, 2, layers - 1)]
     {
-        let mut edges = split_serving_replicas(&mut pipe, &cfg, e);
-        let mut clouds = cloud_replicas(&mut pipe, &cfg, c);
-        let mut serve_cfg = ServeConfig::new(policy, e, c, b);
-        serve_cfg.control = ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None };
-        let report = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration");
+        let edges = split_serving_replicas(&mut pipe, &cfg, e);
+        let clouds = cloud_replicas(&mut pipe, &cfg, c);
+        let serve_cfg = ServeConfig::builder(policy)
+            .edge_workers(e)
+            .cloud_workers(c)
+            .max_batch(b)
+            .control(ControlPlan::Static { cut, wire: FeatureWire::F32, controller: None })
+            .build()
+            .expect("valid configuration");
+        let report = Fleet::new(serve_cfg, edges, clouds)
+            .expect("replicas match the configuration")
+            .serve(&requests)
+            .expect("a well-formed trace");
         assert_eq!(
             report.records, expected,
             "feature serve(edge={e}, cloud={c}, max_batch={b}, cut={cut}) diverged from the offline sweep"
@@ -163,11 +179,19 @@ fn offline_feature_sweep_is_bitwise_identical_to_feature_serving() {
     let layers = cloud_replicas(&mut pipe, &cfg, 1)[0].cut_layer_count();
 
     let serve_at = |pipe: &mut Pipeline, wire: FeatureWire, cut: usize| {
-        let mut edges = split_serving_replicas(pipe, &cfg, 2);
-        let mut clouds = cloud_replicas(pipe, &cfg, 2);
-        let mut serve_cfg = ServeConfig::new(policy, 2, 2, 4);
-        serve_cfg.control = ControlPlan::Static { cut, wire, controller: None };
-        try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration")
+        let edges = split_serving_replicas(pipe, &cfg, 2);
+        let clouds = cloud_replicas(pipe, &cfg, 2);
+        let serve_cfg = ServeConfig::builder(policy)
+            .edge_workers(2)
+            .cloud_workers(2)
+            .max_batch(4)
+            .control(ControlPlan::Static { cut, wire, controller: None })
+            .build()
+            .expect("valid configuration");
+        Fleet::new(serve_cfg, edges, clouds)
+            .expect("replicas match the configuration")
+            .serve(&requests)
+            .expect("a well-formed trace")
     };
 
     // Lossless wire, several cuts: offline sweep == serving, bitwise.
@@ -222,12 +246,20 @@ fn batched_cloud_forward_is_bitwise_stable_across_batch_caps() {
     let requests = trace_requests(&bundle.test, 3, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
     let mut baseline = None;
     for max_batch in [1usize, 2, 8] {
-        let mut edges = serving_replicas(&mut pipe, &cfg, 1);
-        let mut clouds = cloud_replicas(&mut pipe, &cfg, 1);
-        let mut serve_cfg = ServeConfig::new(OffloadPolicy::Always, 1, 1, max_batch);
-        serve_cfg.max_wait = std::time::Duration::from_millis(1);
-        serve_cfg.queue_depth = 8;
-        let report = try_serve(&serve_cfg, &mut edges, &mut clouds, &requests).expect("valid configuration");
+        let edges = serving_replicas(&mut pipe, &cfg, 1);
+        let clouds = cloud_replicas(&mut pipe, &cfg, 1);
+        let serve_cfg = ServeConfig::builder(OffloadPolicy::Always)
+            .edge_workers(1)
+            .cloud_workers(1)
+            .max_batch(max_batch)
+            .max_wait(std::time::Duration::from_millis(1))
+            .queue_depth(8)
+            .build()
+            .expect("valid configuration");
+        let report = Fleet::new(serve_cfg, edges, clouds)
+            .expect("replicas match the configuration")
+            .serve(&requests)
+            .expect("a well-formed trace");
         assert_eq!(report.stats.offloaded, report.stats.total);
         match &baseline {
             None => baseline = Some(report.records),
