@@ -69,12 +69,6 @@ impl ComputeTier {
             ComputeTier::Low => 0.4,
         }
     }
-
-    /// Kernel-latency multiplier relative to the base profile (the
-    /// reciprocal of [`Self::throughput_factor`]).
-    pub fn latency_factor(self) -> f64 {
-        1.0 / self.throughput_factor()
-    }
 }
 
 /// One named class of devices in a heterogeneous fleet.
@@ -239,7 +233,7 @@ impl FleetSpec {
 
     /// Per-class cooperative peer pools in index order (`None` = the
     /// class serves solo) — what
-    /// [`crate::partition::CutPlanner::plan_placements_measured_with_links`]
+    /// [`crate::partition::CutPlanner::plan_placements_with_links`]
     /// consumes.
     pub fn peer_pools(&self) -> Vec<Option<PeerPool>> {
         self.classes.iter().enumerate().map(|(c, dc)| dc.peer_pool(c)).collect()
@@ -840,8 +834,13 @@ mod tests {
 
     #[test]
     fn tier_factors_are_reciprocal() {
+        // A tier's kernel-latency multiplier is the reciprocal of its
+        // throughput factor.
+        let base = DeviceProfile::new("edge", 10.0, 1e9);
         for tier in [ComputeTier::High, ComputeTier::Medium, ComputeTier::Low] {
-            assert!((tier.throughput_factor() * tier.latency_factor() - 1.0).abs() < 1e-12);
+            let scaled = DeviceClass::new("c", base.clone(), tier).effective_profile();
+            let latency_factor = scaled.latency_s(1_000_000) / base.latency_s(1_000_000);
+            assert!((tier.throughput_factor() * latency_factor - 1.0).abs() < 1e-12);
         }
         assert_eq!(ComputeTier::High.throughput_factor(), 1.0);
         assert!(ComputeTier::Medium.throughput_factor() > ComputeTier::Low.throughput_factor());
@@ -855,7 +854,7 @@ mod tests {
         assert_eq!(high, base, "High tier is the identity");
         let macs = 1_000_000u64;
         let ratio = low.latency_s(macs) / base.latency_s(macs);
-        assert!((ratio - ComputeTier::Low.latency_factor()).abs() < 1e-9, "Low runs 2.5x slower: {ratio}");
+        assert!((ratio - 2.5).abs() < 1e-9, "Low runs 2.5x slower: {ratio}");
     }
 
     #[test]

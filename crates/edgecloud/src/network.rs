@@ -252,7 +252,8 @@ impl LinkEstimator {
     /// observation (cold start: the planner stays on its static prior).
     ///
     /// A leg that has never carried bytes (or whose observed time was 0)
-    /// reports an *infinite* rate; `CutPlanner::effective_env_measured`
+    /// reports an *infinite* rate;
+    /// [`crate::partition::CutPlanner::plan_placement_for_measured`]
     /// ignores non-finite legs and stays on its prior for them.
     pub fn estimate(&self, class: usize) -> Option<LinkEstimate> {
         let t = &self.classes[class];

@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// Default pseudo-sample weight of the static contention prior when
 /// blending with measured [`LinkEstimate`]s: a measurement with this many
 /// batch observations behind it counts as much as the prior (see
-/// [`CutPlanner::effective_env_measured`]).
+/// [`CutPlanner::plan_placement_for_measured`]).
 pub const MEASURED_PRIOR_SAMPLES: f64 = 8.0;
 
 /// Compute/output profile of one top-level layer (one candidate slice of
@@ -389,7 +389,7 @@ pub fn best_cut(profiles: &[LayerProfile], env: &PartitionEnv, objective: Object
 /// available (a [`LinkEstimate`] from the serving runtime's
 /// [`crate::network::LinkEstimator`]), the planner blends the observed
 /// effective rates with the prior by sample count
-/// ([`CutPlanner::effective_env_measured`]) — the Neurosurgeon-style
+/// ([`CutPlanner::plan_placement_for_measured`]) — the Neurosurgeon-style
 /// closed loop: real congestion reaches the plan instead of an assumed
 /// divisor.
 ///
@@ -464,29 +464,11 @@ impl CutPlanner {
         self.prior_samples = prior_samples;
     }
 
-    /// The environment under the current contention: nominal link rates
-    /// divided by the expected concurrent offload streams.
-    pub fn effective_env(&self) -> PartitionEnv {
-        self.blended_env(None, None)
-    }
-
-    /// The environment the planner scores cuts against when measured link
-    /// telemetry is available: the static contention model's effective
-    /// rates (the cold-start prior) blended with the observed rates by
-    /// sample count — `w = samples / (samples + prior_samples)` on the
-    /// measurement side. `None` (or zero samples) reduces to
-    /// [`CutPlanner::effective_env`] exactly, and a non-finite leg rate
-    /// (a leg the estimator never saw carry bytes) keeps that leg on the
-    /// prior instead of planning against a free wire.
-    pub fn effective_env_measured(&self, measured: Option<&LinkEstimate>) -> PartitionEnv {
-        self.blended_env(None, measured)
-    }
-
-    /// [`CutPlanner::effective_env_measured`] for a class with its own
-    /// link prior: `link` (if `Some`) replaces the shared link model
-    /// *before* the contention scaling and the measured blend — a class
-    /// radio is congested by the same fleet and corrected by the same
-    /// telemetry as the shared wire would be.
+    /// The environment the planner scores cuts against: the static
+    /// contention model (nominal link rates divided by the expected
+    /// concurrent offload streams), with `link` (if `Some`) replacing the
+    /// shared link model first, blended with `measured` telemetry as
+    /// described on [`CutPlanner::plan_placement_for_measured`].
     fn blended_env(&self, link: Option<&NetworkLink>, measured: Option<&LinkEstimate>) -> PartitionEnv {
         let share = (self.beta * self.streams).max(1.0);
         let mut env = self.env.clone();
@@ -581,10 +563,20 @@ impl CutPlanner {
     /// current conditions, scoring intra-edge peer hops with the same
     /// objective as the cloud hop. `link` is the class's own WAN link
     /// prior (`None` plans on the shared link; the peer wire is never
-    /// touched — it is not the shared uplink), `measured` its link
-    /// estimate (see [`CutPlanner::effective_env_measured`]). Without a
-    /// pool (or with a single-member pool) the plan is two-stage and its
-    /// cost is the [`sweep_cuts`] cost of its final cut, bit for bit.
+    /// touched — it is not the shared uplink). Without a pool (or with a
+    /// single-member pool) the plan is two-stage and its cost is the
+    /// [`sweep_cuts`] cost of its final cut, bit for bit.
+    ///
+    /// `measured` is the class's link estimate. The link is first
+    /// scaled by the static contention model (the cold-start prior), then
+    /// blended with the observed rates by sample count —
+    /// `w = samples / (samples + prior_samples)` on the measurement side.
+    /// A class radio (`link`) is congested by the same fleet and
+    /// corrected by the same telemetry as the shared wire would be.
+    /// `None` (or zero samples) plans on the prior exactly, and a
+    /// non-finite leg rate (a leg the estimator never saw carry bytes)
+    /// keeps that leg on the prior instead of planning against a free
+    /// wire.
     pub fn plan_placement_for_measured(
         &self,
         edge: &DeviceProfile,
@@ -638,38 +630,11 @@ impl CutPlanner {
         }
     }
 
-    /// One cost-minimal placement per device class, each with its own
-    /// optional WAN link prior, measured estimate, and cooperative peer
-    /// pool — the heterogeneous-fleet placement entry point
-    /// ([`crate::fleet::FleetSpec::link_priors`] supplies `links`,
+    /// One cost-minimal placement per device class under the static
+    /// contention model, each with its own optional WAN link prior and
+    /// cooperative peer pool — the heterogeneous-fleet placement entry
+    /// point ([`crate::fleet::FleetSpec::link_priors`] supplies `links`,
     /// [`crate::fleet::FleetSpec::peer_pools`] supplies `pools`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `classes` is empty or the slices' lengths differ.
-    pub fn plan_placements_measured_with_links(
-        &self,
-        classes: &[DeviceProfile],
-        links: &[Option<NetworkLink>],
-        estimates: &[Option<LinkEstimate>],
-        pools: &[Option<PeerPool>],
-    ) -> Vec<PlacementCost> {
-        assert!(!classes.is_empty(), "need at least one device class");
-        assert_eq!(classes.len(), links.len(), "one (optional) link prior per device class");
-        assert_eq!(classes.len(), estimates.len(), "one (optional) link estimate per device class");
-        assert_eq!(classes.len(), pools.len(), "one (optional) peer pool per device class");
-        classes
-            .iter()
-            .zip(links)
-            .zip(estimates)
-            .zip(pools)
-            .map(|(((c, l), m), p)| self.plan_placement_for_measured(c, l.as_ref(), m.as_ref(), p.as_ref()))
-            .collect()
-    }
-
-    /// [`CutPlanner::plan_placements_measured_with_links`] without
-    /// telemetry: per-class link priors and peer pools under the static
-    /// contention model.
     ///
     /// # Panics
     ///
@@ -680,8 +645,15 @@ impl CutPlanner {
         links: &[Option<NetworkLink>],
         pools: &[Option<PeerPool>],
     ) -> Vec<PlacementCost> {
-        let none = vec![None; classes.len()];
-        self.plan_placements_measured_with_links(classes, links, &none, pools)
+        assert!(!classes.is_empty(), "need at least one device class");
+        assert_eq!(classes.len(), links.len(), "one (optional) link prior per device class");
+        assert_eq!(classes.len(), pools.len(), "one (optional) peer pool per device class");
+        classes
+            .iter()
+            .zip(links)
+            .zip(pools)
+            .map(|((c, l), p)| self.plan_placement_for_measured(c, l.as_ref(), None, p.as_ref()))
+            .collect()
     }
 }
 
@@ -723,14 +695,19 @@ mod tests {
         links: &[Option<NetworkLink>],
         estimates: &[Option<LinkEstimate>],
     ) -> Vec<PlacementCost> {
-        planner.plan_placements_measured_with_links(classes, links, estimates, &vec![None; classes.len()])
+        classes
+            .iter()
+            .zip(links)
+            .zip(estimates)
+            .map(|((c, l), m)| planner.plan_placement_for_measured(c, l.as_ref(), m.as_ref(), None))
+            .collect()
     }
 
     /// Every serving cut's [`sweep_cuts`] cost for `edge` under the
     /// planner's blended environment — the scalar sweep the placement
     /// search must contain.
     fn serving_costs(planner: &CutPlanner, edge: &DeviceProfile, measured: Option<&LinkEstimate>) -> Vec<CutCost> {
-        let mut env = planner.effective_env_measured(measured);
+        let mut env = planner.blended_env(None, measured);
         env.edge = edge.clone();
         let mut costs = sweep_cuts(&planner.profiles, &env);
         costs.truncate(planner.profiles.len()); // exclude the edge-only endpoint
@@ -885,7 +862,7 @@ mod tests {
             "congestion should shrink uploads: {quiet:?} -> {busy:?}"
         );
         // And the effective environment really is slower.
-        let eff = planner.effective_env();
+        let eff = planner.blended_env(None, None);
         assert!((eff.link.throughput_mbps - env().link.throughput_mbps / 16.0).abs() < 1e-12);
     }
 
@@ -893,24 +870,23 @@ mod tests {
     fn measured_blend_interpolates_between_prior_and_measurement() {
         let mut planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 4);
         planner.set_beta(1.0); // static share = 4 -> prior rate = nominal / 4
-        let prior = planner.effective_env().link;
+        let prior = planner.blended_env(None, None).link;
         let measured = LinkEstimate { up_mbps: 100.0, down_mbps: 100.0, rtt_s: 0.0, samples: 8 };
         // Default prior weight is 8 pseudo-samples: 8 real samples = 50/50.
-        let blended = planner.effective_env_measured(Some(&measured)).link;
+        let blended = planner.blended_env(None, Some(&measured)).link;
         assert!((blended.throughput_mbps - 0.5 * (100.0 + prior.throughput_mbps)).abs() < 1e-12);
         assert!((blended.rtt_s - 0.5 * prior.rtt_s).abs() < 1e-12);
-        // No measurement (or zero samples) is exactly the static prior.
-        assert_eq!(planner.effective_env_measured(None), planner.effective_env());
+        // Zero samples is exactly the static prior.
         let cold = LinkEstimate { samples: 0, ..measured };
-        assert_eq!(planner.effective_env_measured(Some(&cold)), planner.effective_env());
+        assert_eq!(planner.blended_env(None, Some(&cold)), planner.blended_env(None, None));
         // With the prior weight at zero, measurements win outright.
         planner.set_prior_samples(0.0);
-        let pure = planner.effective_env_measured(Some(&measured)).link;
+        let pure = planner.blended_env(None, Some(&measured)).link;
         assert!((pure.throughput_mbps - 100.0).abs() < 1e-12);
         // And as samples grow, the blend converges to the measurement.
         planner.set_prior_samples(8.0);
         let heavy = LinkEstimate { samples: 10_000, ..measured };
-        let near = planner.effective_env_measured(Some(&heavy)).link;
+        let near = planner.blended_env(None, Some(&heavy)).link;
         assert!((near.throughput_mbps - 100.0).abs() < 0.1);
     }
 
@@ -934,7 +910,7 @@ mod tests {
         let open_loop = plan(&planner);
         assert_eq!(open_loop.plan.final_cut(), 0, "with a fat prior link and a huge cloud, ship pixels");
         let degraded = LinkEstimate { up_mbps: 0.5, down_mbps: 0.5, rtt_s: 0.0, samples: 32 };
-        let edge = planner.effective_env().edge;
+        let edge = planner.blended_env(None, None).edge;
         let closed_loop = planner.plan_placement_for_measured(&edge, None, Some(&degraded), None);
         assert!(
             closed_loop.upload_bytes < open_loop.upload_bytes,
@@ -1061,7 +1037,7 @@ mod tests {
         e.cloud = DeviceProfile::new("dc", 500.0, 1e14);
         e.raw_input_bytes = 12288;
         let planner = CutPlanner::new(profiles, e, Objective::Latency, 1);
-        let edge = planner.effective_env().edge;
+        let edge = planner.blended_env(None, None).edge;
         let latency_best = planner.plan_placement_for_measured(&edge, None, None, None);
         assert_eq!(latency_best.plan.final_cut(), 0, "free uplink + huge cloud: latency ships pixels");
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: 10.0, accuracy_floor: 0.9 };
@@ -1076,7 +1052,7 @@ mod tests {
         // A budget between the slowest and fastest cut prunes the
         // infeasible ones; the returned cut must fit it.
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
-        let edge = planner.effective_env().edge;
+        let edge = planner.blended_env(None, None).edge;
         let all: Vec<CutCost> = serving_costs(&planner, &edge, None);
         let (lo, hi) =
             all.iter().fold((f64::MAX, f64::MIN), |(lo, hi), c| (lo.min(c.latency_s), hi.max(c.latency_s)));
@@ -1093,7 +1069,7 @@ mod tests {
     #[test]
     fn unreachable_sla_falls_back_to_the_base_optimum() {
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
-        let edge = planner.effective_env().edge;
+        let edge = planner.blended_env(None, None).edge;
         let sla = SlaObjective { base: Objective::Latency, p95_budget_s: 1e-12, accuracy_floor: 0.9 };
         let (cut, feasible) = planner.plan_placement_for_sla(&edge, None, None, &sla, None);
         assert!(!feasible, "a picosecond budget is unreachable");
@@ -1240,7 +1216,7 @@ mod tests {
     #[test]
     fn sla_placement_degenerates_to_the_scalar_sla_plan() {
         let planner = CutPlanner::new(toy_profiles(), env(), Objective::Latency, 1);
-        let edge = planner.effective_env().edge;
+        let edge = planner.blended_env(None, None).edge;
         // Without a pool the SLA placement is a serving cut of the scalar
         // sweep: two-stage, costed bit-identically, the fewest-bytes cut
         // among those inside the budget — or, when none fits, the

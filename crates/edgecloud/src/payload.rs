@@ -277,21 +277,12 @@ impl Payload {
 
     /// Borrows the f32 tensor the cloud computes on: f32 variants are
     /// handed out without any copy, only int8 features pay a dequantise.
-    /// Prefer this over [`Payload::to_tensor`] wherever the payload
-    /// outlives the use.
     pub fn as_tensor(&self) -> Cow<'_, Tensor> {
         match self {
             Payload::RawImage { image } => Cow::Borrowed(image),
             Payload::Features { features } => Cow::Borrowed(features),
             Payload::QuantFeatures { features } => Cow::Owned(features.dequantize()),
         }
-    }
-
-    /// The f32 tensor the cloud computes on, cloned out of the payload.
-    /// Prefer [`Payload::as_tensor`] (borrows) or [`Payload::into_tensor`]
-    /// (consumes) — both skip the copy for f32 payloads.
-    pub fn to_tensor(&self) -> Tensor {
-        self.as_tensor().into_owned()
     }
 }
 
@@ -399,7 +390,7 @@ mod tests {
     }
 
     #[test]
-    fn as_tensor_borrows_f32_payloads_and_matches_to_tensor() {
+    fn as_tensor_borrows_f32_payloads_and_matches_into_tensor() {
         let mut rng = Rng::new(9);
         let t = Tensor::randn([2, 3, 3], 1.0, &mut rng);
         for p in [
@@ -408,7 +399,7 @@ mod tests {
             Payload::quantize_features(&t),
         ] {
             let borrowed = p.as_tensor();
-            assert_eq!(*borrowed, p.to_tensor(), "accessors must agree");
+            assert_eq!(*borrowed, p.clone().into_tensor(), "accessors must agree");
             match (&p, &borrowed) {
                 // f32 payloads hand out the exact tensor they hold — no copy.
                 (Payload::RawImage { image }, std::borrow::Cow::Borrowed(b)) => {

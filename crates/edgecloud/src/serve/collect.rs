@@ -31,8 +31,8 @@ impl Fleet {
     /// # Errors
     ///
     /// Replica-count mismatches, and feature-payload plans whose replicas
-    /// lack or disagree on cloud prefixes or whose fixed cut or placement
-    /// does not fit them.
+    /// lack or disagree on cloud prefixes or whose fixed cut does not fit
+    /// them.
     pub fn new(
         config: ServeConfig,
         edges: Vec<EdgeReplica>,
@@ -49,10 +49,10 @@ impl Fleet {
     /// # Errors
     ///
     /// Only trace errors: non-finite, unsorted or negative arrival times,
-    /// or multi-instance images. They are rejected before any thread
-    /// spawns.
+    /// or an image that is not one `[1, C, H, W]` instance of the edge
+    /// network's input. They are rejected before any thread spawns.
     pub fn serve(&mut self, requests: &[ServeRequest]) -> Result<ServeReport, ServeError> {
-        validate_trace(requests)?;
+        validate_trace(requests, self.edges[0].net.in_shape())?;
         let Fleet { config: cfg, edges, clouds } = self;
         let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
         Ok(match &cfg.transport {

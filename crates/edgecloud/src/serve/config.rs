@@ -83,7 +83,7 @@ pub struct LinkFeedback {
     /// Pseudo-sample weight of the static contention prior: a class with
     /// `n` observed batches trusts its measurement with weight
     /// `n / (n + prior_samples)` (see
-    /// [`CutPlanner::effective_env_measured`]).
+    /// [`CutPlanner::plan_placement_for_measured`]).
     pub prior_samples: f64,
     /// Replan the per-class cuts every this many observed batches.
     pub replan_every: NonZeroU64,
@@ -183,18 +183,6 @@ pub enum ControlPlan {
         /// Optional runtime threshold adaptation.
         controller: Option<ControllerConfig>,
     },
-    /// A forced multi-stage [`PlacementPlan`], the same for every device
-    /// class — the N-stage generalisation of `Static`. The plan must cover
-    /// the cloud network's layers exactly and its final cut must be a
-    /// serving cut (the cloud runs at least the head).
-    Placement {
-        /// The forced placement.
-        plan: PlacementPlan,
-        /// The activation wire encoding.
-        wire: FeatureWire,
-        /// Optional runtime threshold adaptation.
-        controller: Option<ControllerConfig>,
-    },
     /// Open-loop planned cuts: the [`CutPlanner`] scores every cut of the
     /// cloud network against the serving link and device profiles, picks
     /// the cost-minimal placement per device class (including cooperative
@@ -245,7 +233,6 @@ impl ControlPlan {
         match self {
             ControlPlan::Image { controller, .. }
             | ControlPlan::Static { controller, .. }
-            | ControlPlan::Placement { controller, .. }
             | ControlPlan::OpenLoop { controller, .. }
             | ControlPlan::ClosedLoop { controller, .. } => controller.as_ref(),
             ControlPlan::Governed(_) => None,
@@ -257,7 +244,6 @@ impl ControlPlan {
         match self {
             ControlPlan::Image { .. } => None,
             ControlPlan::Static { wire, .. }
-            | ControlPlan::Placement { wire, .. }
             | ControlPlan::OpenLoop { wire, .. }
             | ControlPlan::ClosedLoop { wire, .. } => Some(*wire),
             ControlPlan::Governed(_) => Some(FeatureWire::F32),
@@ -647,11 +633,15 @@ pub enum ServeError {
         /// Index of the offending request in the trace.
         index: usize,
     },
-    /// A request whose image is not a single-instance `[1, C, H, W]`
-    /// batch.
-    NotSingleInstance {
+    /// A request whose image is not one instance of the edge network's
+    /// input, `[1, C, H, W]` (a batched image is one case).
+    ImageShapeMismatch {
         /// Index of the offending request in the trace.
         index: usize,
+        /// The dims every image must have.
+        expected: [usize; 4],
+        /// The image's dims.
+        found: Vec<usize>,
     },
     /// Feature-payload serving with an edge replica lacking a
     /// cloud-prefix replica.
@@ -674,14 +664,6 @@ pub enum ServeError {
         /// Cut layers of the cloud replica.
         cloud_layers: usize,
     },
-    /// A forced [`ControlPlan::Placement`] plan that does not cover the
-    /// cloud network's layers exactly.
-    PlacementLayerMismatch {
-        /// Layers the placement plan covers.
-        plan_layers: usize,
-        /// Cut layers the cloud network actually has.
-        cut_layers: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -700,8 +682,8 @@ impl fmt::Display for ServeError {
             ServeError::NegativeArrival { index } => {
                 write!(f, "negative arrival time for request {index}")
             }
-            ServeError::NotSingleInstance { index } => {
-                write!(f, "requests carry single-instance [1, C, H, W] images (request {index} is not)")
+            ServeError::ImageShapeMismatch { index, expected, found } => {
+                write!(f, "request {index} has image dims {found:?}; the edge network takes {expected:?}")
             }
             ServeError::MissingCloudPrefix { worker } => {
                 write!(f, "feature-payload serving: edge worker {worker} has no cloud prefix")
@@ -713,10 +695,6 @@ impl fmt::Display for ServeError {
                 f,
                 "edge cloud-prefix and cloud replicas disagree on the layer enumeration \
                  ({edge_layers} vs {cloud_layers} cut layers)"
-            ),
-            ServeError::PlacementLayerMismatch { plan_layers, cut_layers } => write!(
-                f,
-                "placement plan covers {plan_layers} layers but the cloud network has {cut_layers} cut layers"
             ),
         }
     }
@@ -777,8 +755,7 @@ fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
 /// Checks the replicas against the configuration, once, in
 /// [`Fleet::new`]: worker/replica counts and, for feature payloads, that
 /// every edge carries a cloud prefix, that every prefix and cloud replica
-/// enumerate the same cut layers, and that a forced cut or placement fits
-/// them.
+/// enumerate the same cut layers, and that a forced cut fits them.
 pub(crate) fn validate_replicas(
     cfg: &ServeConfig,
     edges: &[EdgeReplica],
@@ -813,28 +790,20 @@ pub(crate) fn validate_replicas(
             return Err(ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: cloud.cut_layer_count() });
         }
     }
-    let final_cut = match &cfg.control {
-        ControlPlan::Static { cut, .. } => *cut,
-        ControlPlan::Placement { plan, .. } => {
-            if plan.total_layers() != layers {
-                return Err(ServeError::PlacementLayerMismatch {
-                    plan_layers: plan.total_layers(),
-                    cut_layers: layers,
-                });
-            }
-            plan.final_cut()
+    match cfg.control {
+        ControlPlan::Static { cut, .. } if cut >= layers => {
+            Err(ServeError::FixedCutOutOfRange { cut, cut_layers: layers })
         }
-        _ => return Ok(()),
-    };
-    if final_cut >= layers {
-        return Err(ServeError::FixedCutOutOfRange { cut: final_cut, cut_layers: layers });
+        _ => Ok(()),
     }
-    Ok(())
 }
 
 /// Checks a request trace before [`Fleet::serve`] runs it: finite,
-/// sorted, non-negative arrival times and single-instance images.
-pub(crate) fn validate_trace(requests: &[ServeRequest]) -> Result<(), ServeError> {
+/// sorted, non-negative arrival times, and images that are one instance
+/// of the edge network's `[C, H, W]` input.
+pub(crate) fn validate_trace(requests: &[ServeRequest], in_shape: [usize; 3]) -> Result<(), ServeError> {
+    let [c, h, w] = in_shape;
+    let expected = [1, c, h, w];
     // Finiteness first: a NaN arrival would otherwise trip the sortedness
     // check (NaN fails every comparison) with a misleading message.
     for (i, r) in requests.iter().enumerate() {
@@ -849,8 +818,8 @@ pub(crate) fn validate_trace(requests: &[ServeRequest]) -> Result<(), ServeError
         if r.arrival_s < 0.0 {
             return Err(ServeError::NegativeArrival { index: i });
         }
-        if r.image.dims()[0] != 1 {
-            return Err(ServeError::NotSingleInstance { index: i });
+        if r.image.dims() != expected {
+            return Err(ServeError::ImageShapeMismatch { index: i, expected, found: r.image.dims().to_vec() });
         }
     }
     Ok(())

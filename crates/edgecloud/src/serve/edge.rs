@@ -43,8 +43,7 @@ pub(crate) struct PeerTelemetry {
 /// ([`PlacementPlan::two_stage`]).
 #[derive(Debug)]
 pub(crate) struct CutTable {
-    /// None for [`ControlPlan::Static`] / [`ControlPlan::Placement`]
-    /// (the table never changes).
+    /// None for [`ControlPlan::Static`] (the table never changes).
     pub(crate) planner: Option<(CutPlanner, Vec<DeviceProfile>)>,
     /// The fleet spec the table is indexed by (the configured one, or the
     /// implicit round-robin spec).
@@ -91,51 +90,36 @@ impl CutTable {
         }
     }
 
+    /// The placement and wire of `device`'s class.
     pub(crate) fn placement_for(&self, device: usize) -> (PlacementPlan, FeatureWire) {
-        class_placement(&self.placements, &self.wires, &self.spec, device)
+        let class = self.spec.class_of(device);
+        (self.placements[class].clone(), self.wires[class])
     }
 
     /// Re-derives the per-class placements under the planner's current β
     /// and whatever telemetry has accumulated; counts a replan only when
     /// a plan actually changes (two-stage plans compare equal exactly
-    /// when their final cuts do).
-    pub(crate) fn replan(&mut self) {
+    /// when their final cuts do). Under a governor, `sla` carries its
+    /// SLA objective and the classes it has escalated (`constrained[k]`):
+    /// those plan against [`CutPlanner::plan_placement_for_sla`] — fewest
+    /// WAN upload bytes among the placements that fit the p95 budget —
+    /// while every other class keeps the base objective, so a healthy
+    /// class is planned bit-identically to the open-loop path.
+    pub(crate) fn replan(&mut self, sla: Option<(&SlaObjective, &[bool])>) {
         let Some((planner, classes)) = &self.planner else { return };
-        let costs = match &self.estimator {
-            Some(est) => {
-                planner.plan_placements_measured_with_links(classes, &self.links, &est.estimates(), &self.pools)
-            }
-            None => planner.plan_placements_with_links(classes, &self.links, &self.pools),
-        };
-        let new_placements: Vec<PlacementPlan> = costs.into_iter().map(|c| c.plan).collect();
-        if new_placements != self.placements {
-            self.placements = new_placements;
-            self.replans += 1;
-        }
-    }
-
-    /// The governed counterpart of [`CutTable::replan`]: classes the
-    /// governor has escalated (`constrained[k]`) plan against the
-    /// SLA-constrained objective ([`CutPlanner::plan_placement_for_sla`]
-    /// — fewest WAN upload bytes among the placements that fit the p95
-    /// budget), while
-    /// unescalated classes keep the base objective, so a healthy class is
-    /// planned bit-identically to the open-loop path.
-    pub(crate) fn replan_governed(&mut self, sla: &SlaObjective, constrained: &[bool]) {
-        let Some((planner, classes)) = &self.planner else { return };
-        let estimates =
-            self.estimator.as_ref().map(LinkEstimator::estimates).unwrap_or_else(|| vec![None; classes.len()]);
+        let estimates = self.estimator.as_ref().map(LinkEstimator::estimates);
         let new_placements: Vec<PlacementPlan> = classes
             .iter()
             .enumerate()
             .map(|(k, edge)| {
-                let link = self.links[k];
-                let measured = estimates[k].as_ref();
+                let link = self.links[k].as_ref();
+                let measured = estimates.as_ref().and_then(|e| e[k].as_ref());
                 let pool = self.pools[k].as_ref();
-                if constrained[k] {
-                    planner.plan_placement_for_sla(edge, link.as_ref(), measured, sla, pool).0.plan
-                } else {
-                    planner.plan_placement_for_measured(edge, link.as_ref(), measured, pool).plan
+                match sla {
+                    Some((sla, constrained)) if constrained[k] => {
+                        planner.plan_placement_for_sla(edge, link, measured, sla, pool).0.plan
+                    }
+                    _ => planner.plan_placement_for_measured(edge, link, measured, pool).plan,
                 }
             })
             .collect();
@@ -144,18 +128,6 @@ impl CutTable {
             self.replans += 1;
         }
     }
-}
-
-/// The single definition of the device→(placement, wire) lookup, shared
-/// by the locked and lock-free edge paths. The spec resolves the class.
-pub(crate) fn class_placement(
-    placements: &[PlacementPlan],
-    wires: &[FeatureWire],
-    spec: &FleetSpec,
-    device: usize,
-) -> (PlacementPlan, FeatureWire) {
-    let class = spec.class_of(device);
-    (placements[class].clone(), wires[class])
 }
 
 /// The fleet spec serving actually runs under: the configured one, or —
@@ -280,7 +252,7 @@ impl PolicyState {
                     // A governed cut table replans only at the governor's
                     // own epochs, with its per-class constraints.
                     if self.governor.is_none() {
-                        table.replan();
+                        table.replan(None);
                     }
                 }
             }
@@ -331,7 +303,7 @@ impl PolicyState {
         if self.governor.is_some() {
             self.governor_epoch();
         } else if let Some(table) = &mut self.cuts {
-            table.replan();
+            table.replan(None);
         }
     }
 
@@ -357,15 +329,11 @@ impl PolicyState {
         for class in 0..classes {
             table.wires[class] = gv.governor.wire(class);
         }
+        // Unescalated classes plan exactly like the open-loop path, so a
+        // generous SLA serves record-identically to it.
         let constrained: Vec<bool> = (0..classes).map(|c| gv.governor.sla_constrained(c)).collect();
-        if constrained.iter().any(|&c| c) {
-            let sla = gv.governor.sla_objective(table.objective);
-            table.replan_governed(&sla, &constrained);
-        } else {
-            // No class escalated yet: plan exactly like the open-loop
-            // path, so a generous SLA serves record-identically to it.
-            table.replan();
-        }
+        let sla = gv.governor.sla_objective(table.objective);
+        table.replan(Some((&sla, &constrained)));
         if let Some(beta) = gv.governor.beta_target() {
             match &mut self.controller {
                 Some(ctrl) => ctrl.set_target_beta(beta),
@@ -415,15 +383,16 @@ pub(crate) fn build_cut_table(
         .first()
         .and_then(|e| e.cloud_prefix.as_ref())
         .expect("feature-payload serving requires cloud-prefix replicas on every edge worker");
-    let fixed = |plan: PlacementPlan| Some(CutTable::new(spec, vec![plan; spec.class_count()], wire));
     let (cloud, objective, feedback) = match &cfg.control {
         // Unreachable past `feature_wire()?`; the arm keeps the match
         // exhaustive without a wildcard.
         ControlPlan::Image { .. } => return None,
-        // Cut range and plan shape are checked in `validate_serve`; the
-        // forced plan applies to every class.
-        ControlPlan::Static { cut, .. } => return fixed(PlacementPlan::two_stage(*cut, prefix.cut_layer_count())),
-        ControlPlan::Placement { plan, .. } => return fixed(plan.clone()),
+        // The cut range is checked in `validate_replicas`; the forced cut
+        // applies to every class.
+        ControlPlan::Static { cut, .. } => {
+            let plan = PlacementPlan::two_stage(*cut, prefix.cut_layer_count());
+            return Some(CutTable::new(spec, vec![plan; spec.class_count()], wire));
+        }
         ControlPlan::OpenLoop { planner, .. } => (planner.cloud.clone(), planner.objective, None),
         ControlPlan::ClosedLoop { planner, feedback, .. } => {
             (planner.cloud.clone(), planner.objective, Some(*feedback))
@@ -593,25 +562,7 @@ pub(crate) fn edge_worker<T: Transport>(
 ) {
     let EdgeReplica { net, cloud_prefix } = replica;
     let (cfg, spec, shared) = (ctx.cfg, &ctx.spec, &ctx.policy);
-    // Without a controller, measured-link feedback or a governor neither
-    // the policy nor the cut table ever changes: take private copies once
-    // and keep the hot path lock-free. With any loop active, the lock
-    // serves the current threshold, cuts and wires, and feeds the window
-    // back. (A governor always rides measured-link feedback, so governed
-    // serving always takes the locked path.)
-    type StaticTable = (Vec<PlacementPlan>, Vec<FeatureWire>);
-    let (static_engine, static_table, governed): (Option<RoutingEngine>, Option<StaticTable>, bool) = {
-        let st = shared.lock();
-        let cuts_move = st.cuts.as_ref().is_some_and(|t| t.feedback.is_some());
-        if st.controller.is_none() && !cuts_move {
-            let table = st.cuts.as_ref().map(|t| (t.placements.clone(), t.wires.clone()));
-            (Some(st.engine), table, st.governor.is_some())
-        } else {
-            (None, None, st.governor.is_some())
-        }
-    };
-    let static_placement =
-        |device: usize| static_table.as_ref().map(|(plans, wires)| class_placement(plans, wires, spec, device));
+    let governed = matches!(cfg.control, ControlPlan::Governed(_));
     // Per-device offload sequence numbers. Exactly one edge worker owns
     // each device's stream (device-sticky dispatch), so a thread-local
     // counter is the authoritative offload order the [`ReorderGate`]
@@ -631,19 +582,14 @@ pub(crate) fn edge_worker<T: Transport>(
         // predictor's entropy estimate and the PRECOMMITTED sentinel
         // instead of main-exit values.
         if let Some((predictor, Difficulty::Hard)) = difficulty {
-            let wants = match &static_engine {
-                Some(engine) => engine.wants_precommit(Difficulty::Hard),
-                None => shared.lock().engine.wants_precommit(Difficulty::Hard),
+            let placement = {
+                let mut st = shared.lock();
+                st.engine.wants_precommit(Difficulty::Hard).then(|| {
+                    st.observe(true);
+                    st.cuts.as_ref().map(|t| t.placement_for(req.device))
+                })
             };
-            if wants {
-                let placement = match &static_engine {
-                    Some(_) => static_placement(req.device),
-                    None => {
-                        let mut st = shared.lock();
-                        st.observe(true);
-                        st.cuts.as_ref().map(|t| t.placement_for(req.device))
-                    }
-                };
+            if let Some(placement) = placement {
                 ctx.skipped_main_exits.fetch_add(1, Ordering::Relaxed);
                 let parked = PendingCloud::precommit(req.truth, predictor.predict_entropy(&req.image));
                 let idx = next_cloud_idx(req.device);
@@ -657,18 +603,16 @@ pub(crate) fn edge_worker<T: Transport>(
         // A predicted-easy input settles locally: the plan picks main or
         // extension exit, never the cloud.
         let local_only = matches!(difficulty, Some((_, Difficulty::Easy)));
-        let (route, placement) = match &static_engine {
-            Some(engine) => {
-                let plan = if local_only { engine.plan_local(net, &main) } else { engine.plan(net, &main) };
-                (plan.routes[0], static_placement(req.device))
-            }
-            None => {
-                let mut st = shared.lock();
-                let plan = if local_only { st.engine.plan_local(net, &main) } else { st.engine.plan(net, &main) };
-                let route = plan.routes[0];
-                st.observe(route == ExitPoint::Cloud);
-                (route, st.cuts.as_ref().map(|t| t.placement_for(req.device)))
-            }
+        // One look at the live policy state per decision: the current
+        // threshold, cuts and wires, with the routed instance fed back to
+        // the controller window.
+        let (route, placement) = {
+            let mut st = shared.lock();
+            let plan = if local_only { st.engine.plan_local(net, &main) } else { st.engine.plan(net, &main) };
+            let route = plan.routes[0];
+            let offload = route == ExitPoint::Cloud;
+            st.observe(offload);
+            (route, st.cuts.as_ref().filter(|_| offload).map(|t| t.placement_for(req.device)))
         };
         match route {
             ExitPoint::Cloud => {

@@ -37,11 +37,12 @@
 //!   layer (each [`EdgeReplica`] carries a cloud-prefix replica) and
 //!   ships the activation — optionally int8-quantised through the
 //!   `mea-quant` wire codec — and the cloud resumes at the cut instead of
-//!   recomputing from pixels. The cut is fixed
-//!   ([`ControlPlan::Static`], [`ControlPlan::Placement`]) or planned
-//!   online by a [`CutPlanner`] per edge device class
+//!   recomputing from pixels. The cut is fixed ([`ControlPlan::Static`])
+//!   or planned online by a [`CutPlanner`] per edge device class
 //!   ([`ControlPlan::OpenLoop`]), replanned whenever the
-//!   [`ThresholdController`] moves the offload fraction. Because suffix
+//!   [`ThresholdController`] moves the offload fraction. Either way an
+//!   edge worker reads each request's route, placement and wire from
+//!   the one live policy state. Because suffix
 //!   execution is bitwise identical to the full forward (asserted in
 //!   `mea-nn`), the cut — like batch composition — is a pure cost knob:
 //!   it can never change a prediction under the lossless wire.

@@ -820,17 +820,22 @@ fn serve_rejects_non_finite_arrivals() {
 #[test]
 #[should_panic(expected = "edge worker 0 panicked")]
 fn worker_panic_propagates_instead_of_hanging() {
-    // A poisoned frame (wrong channel count) blows up the edge forward
-    // mid-run. The collector used to block forever on `done_rx.recv()`;
+    // An edge replica without its edge blocks blows up on the first
+    // request it settles locally, with offloads in flight. (A wrong-shape
+    // image cannot be the poison: `Fleet::serve` rejects it before any
+    // worker starts.) The collector used to block forever on `done_rx.recv()`;
     // now the runtime joins the workers and re-raises the original
     // panic, naming the worker that died.
     let bundle = presets::tiny(86);
-    let mut reqs = instant_requests(&bundle.test, 1);
-    let mid = reqs.len() / 2;
-    reqs[mid].image = Tensor::zeros([1, 1, 8, 8]);
-    let edges = edge_replicas(1, 37);
+    let reqs = instant_requests(&bundle.test, 1);
+    let mut rng = Rng::new(37);
+    let mut cfg = CifarResNetConfig::repro_scale(6);
+    cfg.input_hw = 8;
+    let variant = Variant::FullBackbone { extension_channels: 8, extension_blocks: 1 };
+    let net = MeaNet::from_backbone(resnet_cifar(&cfg, &mut rng), variant, Merge::Sum, &mut rng);
     let clouds = replicas(2, || tiny_cloud(38));
-    let _ = serve(config(OffloadPolicy::Always, 1, 2, 1), edges, clouds, &reqs);
+    let policy = OffloadPolicy::EntropyThreshold(0.5);
+    let _ = serve(config(policy, 1, 2, 1), vec![EdgeReplica::new(net)], clouds, &reqs);
 }
 
 #[test]
@@ -1090,7 +1095,10 @@ fn fleet_names_every_replica_and_trace_inconsistency() {
     assert_eq!(edge_only.serve(&negative).unwrap_err(), ServeError::NegativeArrival { index: 0 });
     let mut batched = reqs.clone();
     batched[1].image = Tensor::zeros([2, 3, 8, 8]);
-    assert_eq!(edge_only.serve(&batched).unwrap_err(), ServeError::NotSingleInstance { index: 1 });
+    assert_eq!(
+        edge_only.serve(&batched).unwrap_err(),
+        ServeError::ImageShapeMismatch { index: 1, expected: [1, 3, 8, 8], found: vec![2, 3, 8, 8] }
+    );
     // A rejected trace leaves the fleet servable.
     assert_eq!(edge_only.serve(&reqs).expect("serves").stats.total, reqs.len());
 
@@ -1108,6 +1116,36 @@ fn fleet_names_every_replica_and_trace_inconsistency() {
     assert_eq!(
         fleet(fixed(0), split_replicas(1, 52, 53), replicas(1, || deeper_cloud(53))).unwrap_err(),
         ServeError::PrefixMismatch { edge_layers: layers, cloud_layers: deeper_cloud(53).cut_layer_count() }
+    );
+}
+
+/// Serves `reqs` with `index`'s image replaced by a `dims`-shaped one on
+/// an edge-only fleet, whose tiny network takes `[3, 8, 8]` images.
+fn serve_with_image(reqs: &[ServeRequest], index: usize, dims: [usize; 4]) -> Result<ServeReport, ServeError> {
+    let mut reqs = reqs.to_vec();
+    reqs[index].image = Tensor::zeros(dims);
+    serve(config(OffloadPolicy::Never, 1, 0, 1), edge_replicas(1, 50), Vec::new(), &reqs)
+}
+
+#[test]
+fn fleet_serve_rejects_an_image_of_the_wrong_height_and_width() {
+    // Global average pooling would classify a 16×16 image at the wrong
+    // geometry without a complaint: the trace check names it instead.
+    let reqs = instant_requests(&presets::tiny(150).test, 1);
+    assert_eq!(
+        serve_with_image(&reqs, 2, [1, 3, 16, 16]).err(),
+        Some(ServeError::ImageShapeMismatch { index: 2, expected: [1, 3, 8, 8], found: vec![1, 3, 16, 16] })
+    );
+}
+
+#[test]
+fn fleet_serve_rejects_an_image_with_the_wrong_channel_count() {
+    // A one-channel image would panic inside the edge worker's first
+    // convolution; the trace check rejects it before any thread spawns.
+    let reqs = instant_requests(&presets::tiny(150).test, 1);
+    assert_eq!(
+        serve_with_image(&reqs, 0, [1, 1, 8, 8]).err(),
+        Some(ServeError::ImageShapeMismatch { index: 0, expected: [1, 3, 8, 8], found: vec![1, 1, 8, 8] })
     );
 }
 
@@ -1335,47 +1373,6 @@ fn difficulty_respects_an_edge_only_policy() {
     assert!(report.records.iter().all(|r| r.exit != ExitPoint::Cloud));
 }
 
-/// A forced placement on the lossless wire, no controller.
-fn forced(plan: PlacementPlan) -> ControlPlan {
-    ControlPlan::Placement { plan, wire: FeatureWire::F32, controller: None }
-}
-
-#[test]
-fn forced_multi_stage_placement_is_record_identical_to_its_final_cut() {
-    // The tentpole's degeneracy proof at the serving layer: a forced
-    // 3-stage placement (edge → peer → cloud) serves the exact records
-    // of the fixed scalar cut at the same final cut. The peer hop ships
-    // the lossless f32 codec through a bitwise prefix replica, so
-    // splitting the prefix across edge devices is a pure cost knob.
-    let bundle = presets::tiny(190);
-    let layers = tiny_cloud(91).cut_layer_count();
-    let fin = layers / 2 + 1;
-    assert!(fin >= 2, "need room for a local/peer split");
-    let run = |control: ControlPlan| {
-        let edges = split_replicas(2, 90, 91);
-        let clouds = replicas(1, || tiny_cloud(91));
-        let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 2, 1, 4).control(control);
-        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves")
-    };
-    let fixed = run(feature_plan(FeatureWire::F32, fin));
-    let placed = run(forced(PlacementPlan::three_stage(1, fin, 0, layers)));
-    assert_eq!(placed.records, fixed.records, "the peer stage changed records");
-    assert_eq!(placed.stats.bytes_to_cloud, fixed.stats.bytes_to_cloud, "same final cut, same WAN bytes");
-    assert_eq!(placed.stats.final_cuts, Some(vec![fin]));
-    // Every offload paid exactly one peer hop, and the hop shipped real
-    // bytes; the scalar path never touched the peer wire.
-    assert_eq!(placed.stats.peer_hops, placed.stats.offloaded as u64);
-    assert!(placed.stats.offloaded > 0, "threshold 0.5 offloads some of the trace");
-    assert!(placed.stats.peer_bytes > 0);
-    assert_eq!(fixed.stats.peer_hops, 0);
-    assert_eq!(fixed.stats.peer_bytes, 0);
-    let plans = placed.stats.placements.expect("feature mode reports placements");
-    assert_eq!(plans[0].stages().len(), 3);
-    assert!(plans[0].peer_stage().is_some());
-    let fixed_plans = fixed.stats.placements.expect("feature mode reports placements");
-    assert!(fixed_plans[0].is_two_stage(), "a fixed cut is the two-stage special case");
-}
-
 #[test]
 fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
     // Cooperative edge splitting end to end: a Low-tier class pooled
@@ -1428,29 +1425,4 @@ fn coop_fleet_plans_multi_stage_placements_and_keeps_records() {
     assert_eq!(coop.stats.peer_hops, coop.stats.offloaded as u64);
     assert!(coop.stats.peer_bytes > 0);
     assert_eq!(solo.stats.peer_hops, 0);
-}
-
-#[test]
-fn placement_validation_rejects_each_mismatch_by_name() {
-    let bundle = presets::tiny(192);
-    let layers = tiny_cloud(95).cut_layer_count();
-    let run = |plan: PlacementPlan| {
-        let edges = split_replicas(1, 94, 95);
-        let clouds = replicas(1, || tiny_cloud(95));
-        let cfg = config(OffloadPolicy::Always, 1, 1, 1).control(forced(plan));
-        serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1))
-    };
-    // A plan over the wrong layer count cannot line up with the prefix.
-    let short = PlacementPlan::two_stage(1, layers - 1);
-    assert_eq!(
-        run(short).err(),
-        Some(ServeError::PlacementLayerMismatch { plan_layers: layers - 1, cut_layers: layers })
-    );
-    // A final cut swallowing the whole network leaves the cloud nothing
-    // to run — rejected exactly like the scalar fixed cut.
-    let edge_only = PlacementPlan::two_stage(layers, layers);
-    assert_eq!(run(edge_only).err(), Some(ServeError::FixedCutOutOfRange { cut: layers, cut_layers: layers }));
-    // A well-formed forced placement serves.
-    let ok = PlacementPlan::three_stage(1, layers / 2 + 1, 0, layers);
-    assert!(run(ok).is_ok());
 }

@@ -151,11 +151,6 @@ fn control_plan_variants_are_pinned_by_construction() {
     let plans = [
         ec::ControlPlan::Image { wire: ec::WireFormat::Float32, controller },
         ec::ControlPlan::Static { cut: 1, wire: ec::FeatureWire::Int8, controller },
-        ec::ControlPlan::Placement {
-            plan: ec::PlacementPlan::three_stage(1, 2, 0, 3),
-            wire: ec::FeatureWire::F32,
-            controller,
-        },
         ec::ControlPlan::OpenLoop { planner: planner(), wire: ec::FeatureWire::F32, controller },
         ec::ControlPlan::ClosedLoop {
             planner: planner(),
