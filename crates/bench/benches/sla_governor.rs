@@ -18,6 +18,7 @@ use mea_bench::experiments::serving;
 use mea_bench::regression::Reporter;
 use mea_bench::Scale;
 use mea_edgecloud::serve::FeatureWire;
+use mea_edgecloud::PlacementPlan;
 use mea_metrics::Table;
 
 /// Stable numeric code for a wire format (gated as an invariant).
@@ -115,7 +116,9 @@ fn main() {
         result.governed.governor_decisions
     );
     assert_eq!(result.governed_trajectory[0].after_batches, 0, "trajectory must start at the initial point");
-    assert_eq!(result.governed_trajectory[0].cuts, vec![0], "nominal plan should ship pixels");
+    let nominal: Vec<usize> =
+        result.governed_trajectory[0].placements.iter().map(PlacementPlan::final_cut).collect();
+    assert_eq!(nominal, vec![0], "nominal plan should ship pixels");
     assert_ne!(result.governed.final_wire, FeatureWire::F32, "holding the budget requires a cheaper wire");
 
     // The unreachable budget walks the full ladder: per-channel int8 at

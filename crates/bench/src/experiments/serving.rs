@@ -757,9 +757,7 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
     let (routed, _) = run("difficulty-aware routing", Some(predictor));
 
     let cuts = base_report.stats.final_cuts.clone().expect("planned mode reports cuts");
-    let served = base_report.stats.per_class_served.clone().expect("fleet stats");
-    let offload = base_report.stats.per_class_offload.clone().expect("fleet stats");
-    let latency = base_report.stats.per_class_latency.clone().expect("fleet stats");
+    let classes = base_report.stats.per_class.as_ref().expect("fleet stats");
     let tiers = tier_list
         .iter()
         .enumerate()
@@ -767,9 +765,9 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
             name,
             throughput_factor: tier.throughput_factor(),
             planned_cut: cuts[i],
-            served: served[i],
-            offloaded: offload[i],
-            p95_ms: latency[i].as_ref().map_or(0.0, |h| h.p95() * 1e3),
+            served: classes[i].served,
+            offloaded: classes[i].offloaded,
+            p95_ms: classes[i].latency.as_ref().map_or(0.0, |h| h.p95() * 1e3),
         })
         .collect();
 

@@ -145,12 +145,9 @@ pub struct ControlPoint {
     /// first touches the β rung — routing then still follows the
     /// configured static policy).
     pub beta_target: Option<f64>,
-    /// The planned final cut per device class — the layer whose
-    /// activation crosses the WAN ([`PlacementPlan::final_cut`] of
-    /// `placements`, kept alongside it for scalar-cut consumers).
-    pub cuts: Vec<usize>,
     /// The planned placement per device class (the full stage list; a
-    /// two-stage plan is the legacy scalar cut).
+    /// two-stage plan is a scalar cut, and [`PlacementPlan::final_cut`] is
+    /// the layer whose activation crosses the WAN).
     pub placements: Vec<PlacementPlan>,
     /// The feature wire per device class.
     pub wires: Vec<FeatureWire>,

@@ -84,9 +84,9 @@ pub use partition::{
 };
 pub use payload::{channel_absmax, ActivationGrids, Payload};
 pub use serve::{
-    trace_requests, Completion, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet,
-    LinkChange, LinkFeedback, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeError, ServeReport,
-    ServeRequest, ServeStats, WireFormat,
+    trace_requests, ClassStats, Completion, ControlPlan, ControllerConfig, CutPlannerConfig, EdgeReplica,
+    FeatureWire, Fleet, LinkChange, LinkFeedback, ServeConfig, ServeConfigBuilder, ServeConfigError, ServeError,
+    ServeReport, ServeRequest, ServeStats, WireFormat,
 };
 pub use traces::ArrivalModel;
 pub use transport::{

@@ -35,9 +35,7 @@ pub(crate) fn coalesce_frames<U: UplinkReceiver>(
     let mut batch = vec![first];
     let deadline = Instant::now() + max_wait;
     while batch.len() < max_batch {
-        let now = Instant::now();
-        let timeout = if now >= deadline { Duration::ZERO } else { deadline - now };
-        match up.recv(Some(timeout)) {
+        match up.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
             RecvOutcome::Frame(f) => batch.push(f),
             RecvOutcome::TimedOut | RecvOutcome::Closed => break,
         }
@@ -165,12 +163,8 @@ impl ShardedIngress {
                 let mut batch = vec![first];
                 let deadline = Instant::now() + max_wait;
                 loop {
-                    while batch.len() < max_batch {
-                        match st.shards[shard].queue.pop_front() {
-                            Some(f) => batch.push(f),
-                            None => break,
-                        }
-                    }
+                    let queue = &mut st.shards[shard].queue;
+                    batch.extend(queue.drain(..queue.len().min(max_batch - batch.len())));
                     // A partial batch is returned (never dropped) on
                     // abort, lane close, or deadline — mirroring how
                     // `coalesce_frames` gives up on stragglers.

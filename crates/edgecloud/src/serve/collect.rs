@@ -42,41 +42,58 @@ impl Fleet {
         Ok(Fleet { config, edges, clouds })
     }
 
-    /// Serves a request trace to completion. Requests must be sorted by
-    /// `arrival_s` (see [`trace_requests`]); the dispatcher paces them in
-    /// real time.
+    /// Serves a request trace to completion: [`Fleet::serve_with`] with a
+    /// sink that keeps every record (in input order) and every completion
+    /// (in the order they landed).
     ///
     /// # Errors
     ///
-    /// Only trace errors: non-finite, unsorted or negative arrival times,
-    /// or an image that is not one `[1, C, H, W]` instance of the edge
-    /// network's input. They are rejected before any thread spawns.
+    /// As [`Fleet::serve_with`].
     pub fn serve(&mut self, requests: &[ServeRequest]) -> Result<ServeReport, ServeError> {
+        let mut records: Vec<Option<InstanceRecord>> = vec![None; requests.len()];
+        let mut completions = Vec::with_capacity(requests.len());
+        let stats = self.serve_with(requests, |c| {
+            let earlier = records[c.req_id].replace(c.record);
+            assert!(earlier.is_none(), "request {} completed twice", c.req_id);
+            completions.push(c);
+        })?;
+        let records = records.into_iter().map(|r| r.expect("every request served")).collect();
+        Ok(ServeReport { records, completions, stats })
+    }
+
+    /// Serves a request trace (sorted by `arrival_s`, see
+    /// [`trace_requests`]) in real time, handing each [`Completion`] to
+    /// `sink` as it settles: on the calling (dispatching) thread, between
+    /// arrivals and after the joins, in completion order. A settled request
+    /// is folded into the returned [`ServeStats`] and forgotten, so memory
+    /// is bounded by the requests in flight, not by the trace. A panic in
+    /// the sink shuts the run down and is re-raised.
+    ///
+    /// # Errors
+    ///
+    /// Only trace errors, before any thread spawns: non-finite, unsorted,
+    /// negative or unschedulably late arrivals, or an image that is not
+    /// one `[1, C, H, W]` instance of the edge network's input.
+    pub fn serve_with(
+        &mut self,
+        requests: &[ServeRequest],
+        sink: impl FnMut(Completion),
+    ) -> Result<ServeStats, ServeError> {
         validate_trace(requests, self.edges[0].net.in_shape())?;
         let Fleet { config: cfg, edges, clouds } = self;
         let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
         Ok(match &cfg.transport {
             TransportKind::Modelled => {
-                serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth))
+                serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth), sink)
             }
             TransportKind::Pipe(pc) => {
-                serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone()))
+                serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone()), sink)
             }
             #[cfg(unix)]
             TransportKind::Uds(uc) => {
-                serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone()))
+                serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone()), sink)
             }
         })
-    }
-
-    /// The configuration this fleet serves under.
-    pub fn config(&self) -> &ServeConfig {
-        &self.config
-    }
-
-    /// The heterogeneous device registry, if one is configured.
-    pub fn spec(&self) -> Option<&FleetSpec> {
-        self.config.fleet.as_ref()
     }
 
     /// Releases the configuration and replicas (e.g. to retrain the
@@ -86,15 +103,18 @@ impl Fleet {
     }
 }
 
-/// Renders a joined worker's panic payload so the original message
-/// survives propagation out of the serving runtime.
-pub(crate) fn panic_note(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&'static str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Joins one kind of worker, noting each panic as "`what` `i` panicked:
+/// …" with its original message, so the message survives propagation out
+/// of the serving runtime.
+fn join_noting(what: &str, handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, ()>>, panics: &mut Vec<String>) {
+    for (i, h) in handles.into_iter().enumerate() {
+        let Err(p) = h.join() else { continue };
+        let note = match (p.downcast_ref::<&'static str>(), p.downcast_ref::<String>()) {
+            (Some(s), _) => s,
+            (_, Some(s)) => s.as_str(),
+            _ => "non-string panic payload",
+        };
+        panics.push(format!("{what} {i} panicked: {note}"));
     }
 }
 
@@ -112,6 +132,25 @@ impl<T: Transport> Drop for LaneCloser<'_, T> {
     }
 }
 
+/// Owns the edge queues on the dispatching thread. If that thread
+/// unwinds — a panicking sink, or any other panic on the dispatch side —
+/// it drops the queues and closes the transport's request lanes, so every
+/// worker drains and exits and the scope re-raises the panic instead of
+/// joining workers that wait forever.
+struct DispatchCloser<'a, 'j, T: Transport> {
+    edge_txs: Vec<Sender<EdgeJob<'j>>>,
+    transport: &'a T,
+}
+
+impl<T: Transport> Drop for DispatchCloser<'_, '_, T> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.edge_txs.clear();
+            self.transport.close_requests();
+        }
+    }
+}
+
 /// Everything the serving workers of one run share, built once in
 /// [`serve_core`]: the configuration and resolved fleet spec, the wire,
 /// the mutexed policy state and the run's counters.
@@ -124,9 +163,10 @@ pub(crate) struct WorkerCtx<'a, T: Transport> {
     /// Calibrated per-channel activation grids, shared by edge encoders
     /// and cloud decoders out of band (empty when no wire needs them).
     pub(crate) grids: ActivationGrids,
-    /// Offloaded requests park here until their response frame returns
-    /// (the wire carries only the request id and the prediction back).
-    pub(crate) pending: Mutex<Vec<Option<PendingEntry>>>,
+    /// Offloaded requests park here, keyed by request id, until their
+    /// response frame returns (the wire carries only the request id and
+    /// the prediction back): it holds only the offloads in flight.
+    pub(crate) pending: Mutex<HashMap<usize, PendingEntry>>,
     pub(crate) counters: Mutex<CloudCounters>,
     /// Suffix MACs per resume layer (`suffix_macs[k]` = MACs of layers
     /// `[k, L)`): what the cloud pays per instance resumed at `k`, and
@@ -148,8 +188,8 @@ pub(crate) fn serve_core<T: Transport>(
     clouds: &mut [SegmentedCnn],
     requests: &[ServeRequest],
     transport: T,
-) -> ServeReport {
-    let n = requests.len();
+    mut sink: impl FnMut(Completion),
+) -> ServeStats {
     let cloud_available = cfg.cloud_workers > 0;
     let spec = implicit_spec(cfg);
     let cut_table = build_cut_table(cfg, edges, requests, &spec);
@@ -182,24 +222,17 @@ pub(crate) fn serve_core<T: Transport>(
         CloudIngress::Sharded if cloud_available => Some(ShardedIngress::new(cfg.cloud_workers, cfg.queue_depth)),
         _ => None,
     };
-    let suffix_macs: Vec<u64> = match clouds.first() {
-        Some(cloud) => {
-            let profiles = profile_network(cloud);
-            let mut acc = vec![0u64; profiles.len() + 1];
-            for k in (0..profiles.len()).rev() {
-                acc[k] = acc[k + 1] + profiles[k].macs;
-            }
-            acc
-        }
-        None => Vec::new(),
-    };
+    let suffix_macs: Vec<u64> = clouds.first().map_or_else(Vec::new, |cloud| {
+        let profiles = profile_network(cloud);
+        (0..=profiles.len()).map(|k| profiles[k..].iter().map(|p| p.macs).sum()).collect()
+    });
     let run = WorkerCtx {
         cfg,
         policy: Mutex::new(PolicyState::new(cfg, cloud_available, cut_table)),
         spec,
         transport,
         grids,
-        pending: Mutex::new((0..n).map(|_| None).collect()),
+        pending: Mutex::new(HashMap::new()),
         counters: Mutex::new(CloudCounters { per_shard: vec![0; cfg.cloud_workers], ..CloudCounters::default() }),
         suffix_macs,
         skipped_main_exits: AtomicUsize::new(0),
@@ -208,17 +241,30 @@ pub(crate) fn serve_core<T: Transport>(
     let (ctx, transport, spec) = (&run, &run.transport, &run.spec);
 
     let (done_tx, done_rx) = unbounded::<Completion>();
-    let mut edge_txs: Vec<Sender<EdgeJob<'_>>> = Vec::with_capacity(cfg.edge_workers);
-    let mut edge_rxs: Vec<Receiver<EdgeJob<'_>>> = Vec::with_capacity(cfg.edge_workers);
-    for _ in 0..cfg.edge_workers {
-        let (tx, rx) = bounded(cfg.queue_depth);
-        edge_txs.push(tx);
-        edge_rxs.push(rx);
-    }
+    let (edge_txs, edge_rxs): (Vec<Sender<EdgeJob<'_>>>, Vec<Receiver<EdgeJob<'_>>>) =
+        (0..cfg.edge_workers).map(|_| bounded(cfg.queue_depth)).unzip();
+
+    // The settle step: every completion is folded into the statistics and
+    // handed to the sink on this thread, in the order it landed — before
+    // each dispatch and once more after the joins — so nothing about a
+    // settled request outlives it.
+    let fleet = cfg.fleet.as_ref();
+    let (mut total, mut offloaded) = (0, 0);
+    // Per-class breakdowns only when a fleet is explicitly configured:
+    // the implicit spec would report classes nobody named.
+    let mut per_class = fleet.map(|f| vec![ClassStats::default(); f.class_count()]);
+    let mut settle = |c: Completion| {
+        total += 1;
+        offloaded += usize::from(c.record.exit == ExitPoint::Cloud);
+        if let (Some(fleet), Some(classes)) = (fleet, per_class.as_mut()) {
+            classes[fleet.class_of(c.device)].observe(&c);
+        }
+        sink(c);
+    };
 
     let t0 = Instant::now();
     let mut worker_panics: Vec<String> = Vec::new();
-    let completions = crossbeam::thread::scope(|scope| {
+    crossbeam::thread::scope(|scope| {
         // Sharded mode: one pump per lane drains arrived frames into its
         // bounded shard (the workers below coalesce from the shards and
         // steal across them). SingleQueue mode: the workers own the
@@ -261,11 +307,10 @@ pub(crate) fn serve_core<T: Transport>(
             let gate = &reorder;
             collector_handles.push(scope.spawn(move |_| {
                 while let RecvOutcome::Frame(resp) = downlink.recv() {
-                    let entry = ctx.pending.lock()[resp.frame.req_id as usize]
-                        .take()
-                        .expect("one pending entry per response frame");
+                    let req_id = resp.frame.req_id as usize;
+                    let entry = ctx.pending.lock().remove(&req_id).expect("one pending entry per response frame");
                     let completion = Completion {
-                        req_id: resp.frame.req_id as usize,
+                        req_id,
                         device: entry.device,
                         seq: entry.seq,
                         record: entry.pending.complete(resp.frame.prediction as usize),
@@ -292,23 +337,30 @@ pub(crate) fn serve_core<T: Transport>(
         drop(done_tx);
 
         // Dispatch: pace the trace in real time, device-sticky routing
-        // through the spec's canonical mapping. A dead edge worker
+        // through the spec's canonical mapping, settling whatever has
+        // completed before each request goes out. A dead edge worker
         // (closed queue) stops dispatch; the joins below surface its
         // panic.
+        let mut dispatch = DispatchCloser { edge_txs, transport };
         for (req_id, req) in requests.iter().enumerate() {
-            let due = t0 + Duration::from_secs_f64(req.arrival_s);
+            let due = t0
+                .checked_add(Duration::from_secs_f64(req.arrival_s))
+                .expect("validate_trace bounds every arrival");
             let now = Instant::now();
             if due > now {
                 std::thread::sleep(due - now);
             }
-            if edge_txs[spec.sticky_index(req.device, cfg.edge_workers)]
+            while let Ok(c) = done_rx.try_recv() {
+                settle(c);
+            }
+            if dispatch.edge_txs[spec.sticky_index(req.device, cfg.edge_workers)]
                 .send(EdgeJob { req_id, req, due })
                 .is_err()
             {
                 break;
             }
         }
-        drop(edge_txs);
+        dispatch.edge_txs.clear();
 
         // Shutdown cascade: edge workers drain their closed queues and
         // exit; the request stream then closes, cloud workers drain and
@@ -317,33 +369,14 @@ pub(crate) fn serve_core<T: Transport>(
         // completion count — means a panicked worker is *detected*: its
         // payload is collected and re-raised with context, rather than
         // wedging the runtime on completions that will never arrive.
-        for (w, h) in edge_handles.into_iter().enumerate() {
-            if let Err(p) = h.join() {
-                worker_panics.push(format!("edge worker {w} panicked: {}", panic_note(&p)));
-            }
-        }
+        join_noting("edge worker", edge_handles, &mut worker_panics);
         transport.close_requests();
-        for (lane, h) in pump_handles.into_iter().enumerate() {
-            if let Err(p) = h.join() {
-                worker_panics.push(format!("ingress pump {lane} panicked: {}", panic_note(&p)));
-            }
-        }
-        for (w, h) in cloud_handles.into_iter().enumerate() {
-            if let Err(p) = h.join() {
-                worker_panics.push(format!("cloud worker {w} panicked: {}", panic_note(&p)));
-            }
-        }
-        for (lane, h) in collector_handles.into_iter().enumerate() {
-            if let Err(p) = h.join() {
-                worker_panics.push(format!("response collector {lane} panicked: {}", panic_note(&p)));
-            }
-        }
-
-        let mut completions = Vec::with_capacity(n);
+        join_noting("ingress pump", pump_handles, &mut worker_panics);
+        join_noting("cloud worker", cloud_handles, &mut worker_panics);
+        join_noting("response collector", collector_handles, &mut worker_panics);
         while let Ok(c) = done_rx.try_recv() {
-            completions.push(c);
+            settle(c);
         }
-        completions
     })
     .expect("serving scope");
     if !worker_panics.is_empty() {
@@ -351,55 +384,18 @@ pub(crate) fn serve_core<T: Transport>(
     }
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let mut records: Vec<Option<InstanceRecord>> = vec![None; n];
-    for c in &completions {
-        assert!(records[c.req_id].is_none(), "request {} completed twice", c.req_id);
-        records[c.req_id] = Some(c.record);
-    }
-    let records: Vec<InstanceRecord> = records.into_iter().map(|r| r.expect("every request served")).collect();
-
-    let offloaded = records.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
-    let WorkerCtx { policy, counters, skipped_main_exits, peer: peer_telemetry, .. } = run;
-    let counters = counters.into_inner();
-    let (final_threshold, cut_replans, final_cuts, placements, link_estimates, governor_outcome) = {
-        let st = policy.into_inner();
-        let replans = st.cuts.as_ref().map_or(0, |t| t.replans);
-        let estimates = st.cuts.as_ref().and_then(|t| t.estimator.as_ref()).map(LinkEstimator::estimates);
-        let placements = st.cuts.map(|t| t.placements);
-        let cuts = placements.as_ref().map(|ps| ps.iter().map(PlacementPlan::final_cut).collect::<Vec<_>>());
-        let outcome = st.governor.map(|g| (g.governor.sla_violations(), g.decisions, g.trajectory));
-        (st.controller.map(|c| c.threshold()), replans, cuts, placements, estimates, outcome)
+    let WorkerCtx { policy, counters, skipped_main_exits, peer, .. } = run;
+    let (counters, st) = (counters.into_inner(), policy.into_inner());
+    let (cut_replans, link_estimates) = match &st.cuts {
+        Some(t) => (t.replans, t.estimator.as_ref().map(LinkEstimator::estimates)),
+        None => (0, None),
     };
-    let (sla_violations, governor_decisions, control_trajectory) = match governor_outcome {
-        Some((violations, decisions, trajectory)) => (violations, decisions, Some(trajectory)),
-        None => (0, 0, None),
-    };
-    // Per-class breakdowns only when a fleet is explicitly configured:
-    // the implicit spec would report classes nobody named.
-    let per_class = cfg.fleet.as_ref().map(|fleet| {
-        let k = fleet.class_count();
-        let mut served = vec![0usize; k];
-        let mut offload = vec![0usize; k];
-        // Bounded streaming histograms, fed one completion at a time: no
-        // per-class latency buffer scaling with the trace length.
-        let mut hists: Vec<Option<StreamingHistogram>> = vec![None; k];
-        for c in &completions {
-            let class = fleet.class_of(c.device);
-            served[class] += 1;
-            offload[class] += usize::from(c.record.exit == ExitPoint::Cloud);
-            hists[class].get_or_insert_with(StreamingHistogram::for_latency).record(c.latency_s);
-        }
-        (served, offload, hists)
-    });
-    let (per_class_served, per_class_offload, per_class_latency) = match per_class {
-        Some((s, o, h)) => (Some(s), Some(o), Some(h)),
-        None => (None, None, None),
-    };
-    let stats = ServeStats {
-        total: n,
+    let placements = st.cuts.map(|t| t.placements);
+    ServeStats {
+        total,
         offloaded,
         wall_s,
-        throughput_hz: if wall_s > 0.0 { n as f64 / wall_s } else { 0.0 },
+        throughput_hz: if wall_s > 0.0 { total as f64 / wall_s } else { 0.0 },
         cloud_batches: counters.batches,
         cloud_forwards: counters.forwards,
         max_batch_seen: counters.max_batch,
@@ -408,22 +404,19 @@ pub(crate) fn serve_core<T: Transport>(
         cloud_macs: counters.macs,
         cloud_macs_saved: counters.macs_saved,
         cut_replans,
-        final_cuts,
+        final_cuts: placements.as_ref().map(|ps| ps.iter().map(PlacementPlan::final_cut).collect()),
         placements,
-        peer_bytes: peer_telemetry.bytes.load(Ordering::Relaxed),
-        peer_hops: peer_telemetry.hops.load(Ordering::Relaxed),
+        peer_bytes: peer.bytes.into_inner(),
+        peer_hops: peer.hops.into_inner(),
         link_estimates,
-        final_threshold,
+        final_threshold: st.controller.map(|c| c.threshold()),
         skipped_main_exits: skipped_main_exits.into_inner(),
-        per_class_served,
-        per_class_offload,
-        per_class_latency,
+        per_class,
         steals: counters.steals,
         per_shard_batches: counters.per_shard,
         max_queue_depth: ingress.as_ref().map_or(0, ShardedIngress::max_depth),
-        sla_violations,
-        governor_decisions,
-        control_trajectory,
-    };
-    ServeReport { records, completions, stats }
+        sla_violations: st.governor.as_ref().map_or(0, |g| g.governor.sla_violations()),
+        governor_decisions: st.governor.as_ref().map_or(0, |g| g.decisions),
+        control_trajectory: st.governor.map(|g| g.trajectory),
+    }
 }

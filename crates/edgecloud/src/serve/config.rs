@@ -633,6 +633,14 @@ pub enum ServeError {
         /// Index of the offending request in the trace.
         index: usize,
     },
+    /// A request whose arrival time is finite but too far in the future to
+    /// become a deadline on the monotonic clock.
+    UnschedulableArrival {
+        /// Index of the offending request in the trace.
+        index: usize,
+        /// Its arrival time (s).
+        arrival_s: f64,
+    },
     /// A request whose image is not one instance of the edge network's
     /// input, `[1, C, H, W]` (a batched image is one case).
     ImageShapeMismatch {
@@ -681,6 +689,9 @@ impl fmt::Display for ServeError {
             ServeError::UnsortedArrivals => write!(f, "requests must be sorted by arrival time"),
             ServeError::NegativeArrival { index } => {
                 write!(f, "negative arrival time for request {index}")
+            }
+            ServeError::UnschedulableArrival { index, arrival_s } => {
+                write!(f, "arrival time {arrival_s} s of request {index} cannot be scheduled")
             }
             ServeError::ImageShapeMismatch { index, expected, found } => {
                 write!(f, "request {index} has image dims {found:?}; the edge network takes {expected:?}")
@@ -798,9 +809,10 @@ pub(crate) fn validate_replicas(
     }
 }
 
-/// Checks a request trace before [`Fleet::serve`] runs it: finite,
-/// sorted, non-negative arrival times, and images that are one instance
-/// of the edge network's `[C, H, W]` input.
+/// Checks a request trace before [`Fleet::serve_with`] runs it: finite,
+/// sorted, non-negative arrival times that each become a deadline from
+/// now, and images that are one instance of the edge network's
+/// `[C, H, W]` input.
 pub(crate) fn validate_trace(requests: &[ServeRequest], in_shape: [usize; 3]) -> Result<(), ServeError> {
     let [c, h, w] = in_shape;
     let expected = [1, c, h, w];
@@ -814,9 +826,13 @@ pub(crate) fn validate_trace(requests: &[ServeRequest], in_shape: [usize; 3]) ->
     if !requests.windows(2).all(|w| w[0].arrival_s <= w[1].arrival_s) {
         return Err(ServeError::UnsortedArrivals);
     }
+    let now = Instant::now();
     for (i, r) in requests.iter().enumerate() {
         if r.arrival_s < 0.0 {
             return Err(ServeError::NegativeArrival { index: i });
+        }
+        if Duration::try_from_secs_f64(r.arrival_s).ok().and_then(|d| now.checked_add(d)).is_none() {
+            return Err(ServeError::UnschedulableArrival { index: i, arrival_s: r.arrival_s });
         }
         if r.image.dims() != expected {
             return Err(ServeError::ImageShapeMismatch { index: i, expected, found: r.image.dims().to_vec() });

@@ -207,7 +207,6 @@ impl PolicyState {
                     trajectory: vec![ControlPoint {
                         after_batches: 0,
                         beta_target: None,
-                        cuts: table.placements.iter().map(PlacementPlan::final_cut).collect(),
                         placements: table.placements.clone(),
                         wires: table.wires.clone(),
                     }],
@@ -355,7 +354,6 @@ impl PolicyState {
         let point = ControlPoint {
             after_batches: table.observed_batches,
             beta_target: gv.governor.beta_target(),
-            cuts: table.placements.iter().map(PlacementPlan::final_cut).collect(),
             placements: table.placements.clone(),
             wires: table.wires.clone(),
         };
@@ -533,13 +531,14 @@ pub(crate) fn offload_to_cloud<T: Transport>(
     };
     // Park the pending record BEFORE the frame leaves: the response can
     // race back on another thread.
-    ctx.pending.lock()[job.req_id] = Some(PendingEntry {
+    let entry = PendingEntry {
         pending: parked.resume_at(resume),
         device: req.device,
         seq: req.seq,
         due: job.due,
         cloud_idx,
-    });
+    };
+    ctx.pending.lock().insert(job.req_id, entry);
     ctx.transport.send_request(ctx.spec.sticky_index(req.device, ctx.transport.lanes()), frame).is_ok()
 }
 
@@ -570,9 +569,8 @@ pub(crate) fn edge_worker<T: Transport>(
     let mut cloud_seq: HashMap<usize, u64> = HashMap::new();
     let mut next_cloud_idx = |device: usize| {
         let slot = cloud_seq.entry(device).or_insert(0);
-        let idx = *slot;
         *slot += 1;
-        idx
+        *slot - 1
     };
     while let Ok(job) = rx.recv() {
         let req = job.req;

@@ -1,93 +1,79 @@
 //! Multi-worker online serving runtime with dynamic cloud batching.
 //!
 //! The paper motivates early exits with the cloud pressure of "a large
-//! amount of IoT devices" — this module is the substrate that actually
-//! serves that traffic through a trained MEANet instead of modelling it in
-//! closed form (see [`crate::fleet`] for the analytic counterpart):
+//! amount of IoT devices" — this module serves that traffic through a
+//! trained MEANet instead of modelling it in closed form (see
+//! [`crate::fleet`] for the analytic counterpart):
 //!
 //! * **N edge workers**, each owning a bitwise-identical replica of the
-//!   trained [`MeaNet`] (see `MeaNet::replicate_into`), consume requests
-//!   from bounded per-worker queues. Requests are routed to workers
-//!   device-stickily (`device % N`), so one device's stream is processed
-//!   in order.
-//! * Every routing decision goes through the same
+//!   trained [`MeaNet`] (see `MeaNet::replicate_into`), consume bounded
+//!   per-worker queues. Routing is device-sticky (`device % N`), so one
+//!   device's stream is processed in order.
+//! * Every routing decision goes through the
 //!   [`meanet::routing::RoutingEngine`] the offline sweep
 //!   (`meanet::infer::run_inference`) uses, so the served system and the
-//!   evaluation sweep provably produce identical [`InstanceRecord`]s.
-//! * **M cloud workers** each drain a bounded ingress queue with
-//!   **dynamic batching**: whatever is queued is coalesced up to
+//!   sweep produce identical [`InstanceRecord`]s.
+//! * **M cloud workers** coalesce whatever is queued up to
 //!   [`ServeConfigBuilder::max_batch`] (waiting at most
-//!   [`ServeConfigBuilder::max_wait`] for stragglers) and classified in *one*
-//!   batched forward. Because eval-mode forwards are bitwise per-sample
-//!   independent, batch composition cannot change predictions.
-//! * Offloaded instances cross a real wire format ([`Payload`]) inside
-//!   length-prefixed request/response frames, carried by a pluggable
-//!   [`Transport`] ([`ServeConfigBuilder::transport`]). The default modelled
-//!   conduit pays an optional [`NetworkLink`] as upload + RTT + response
-//!   download wall-clock sleeps (deterministic, the CI path), so
-//!   cloud-worker scaling overlaps network latency exactly like
-//!   concurrent in-flight RPCs; [`TransportKind::Pipe`] instead ships the
-//!   same frames over a real in-process byte stream (and
-//!   `TransportKind::Uds` over a Unix socket) under an in-flight byte
-//!   budget, where transfer time is whatever the wire genuinely took
+//!   [`ServeConfigBuilder::max_wait`] for stragglers) into *one* batched
+//!   forward. Eval forwards are bitwise per-sample independent, so batch
+//!   composition cannot change a prediction.
+//! * Offloads cross a real wire format ([`Payload`]) in length-prefixed
+//!   frames over a pluggable [`Transport`]
+//!   ([`ServeConfigBuilder::transport`]): the default modelled conduit
+//!   sleeps an optional [`NetworkLink`]'s upload + RTT + download
+//!   (deterministic, the CI path); [`TransportKind::Pipe`] and
+//!   `TransportKind::Uds` ship the same frames over a real byte stream
+//!   under an in-flight byte budget, timed by the wire itself
 //!   ([`crate::transport`]).
-//! * One [`ControlPlan`] ([`ServeConfigBuilder::control`]) says who steers.
-//!   Every variant but [`ControlPlan::Image`] turns on **feature-payload
-//!   serving**: the edge runs the *cloud network's* prefix up to a cut
-//!   layer (each [`EdgeReplica`] carries a cloud-prefix replica) and
-//!   ships the activation — optionally int8-quantised through the
-//!   `mea-quant` wire codec — and the cloud resumes at the cut instead of
-//!   recomputing from pixels. The cut is fixed ([`ControlPlan::Static`])
-//!   or planned online by a [`CutPlanner`] per edge device class
-//!   ([`ControlPlan::OpenLoop`]), replanned whenever the
-//!   [`ThresholdController`] moves the offload fraction. Either way an
-//!   edge worker reads each request's route, placement and wire from
-//!   the one live policy state. Because suffix
-//!   execution is bitwise identical to the full forward (asserted in
-//!   `mea-nn`), the cut — like batch composition — is a pure cost knob:
-//!   it can never change a prediction under the lossless wire.
+//! * One [`ControlPlan`] ([`ServeConfigBuilder::control`]) says who
+//!   steers. Every variant but [`ControlPlan::Image`] serves **feature
+//!   payloads**: the edge runs the cloud network's prefix (each
+//!   [`EdgeReplica`] carries a replica) up to a cut, optionally
+//!   int8-quantises the activation, and the cloud resumes there. The cut
+//!   is fixed ([`ControlPlan::Static`]) or planned per device class by a
+//!   [`CutPlanner`] ([`ControlPlan::OpenLoop`]) and replanned whenever the
+//!   [`ThresholdController`] moves the offload fraction; an edge worker
+//!   reads each request's route, placement and wire from the one live
+//!   policy state. Suffix execution is bitwise identical to the full
+//!   forward (asserted in `mea-nn`), so under the lossless wire the cut is
+//!   a pure cost knob.
 //! * [`ControlPlan::ClosedLoop`]'s [`LinkFeedback`] closes the planner
-//!   loop: cloud workers record the upload/RTT/download time every batch
-//!   actually paid into a per-class [`LinkEstimator`] EWMA, and the
-//!   [`CutPlanner`] periodically replans
-//!   from the *measured* effective rates (blended with its static
-//!   `rate / max(1, β·streams)` contention prior by sample count) — so
-//!   real congestion, including a mid-run [`LinkChange`] the static model
-//!   never hears about, reaches the cut decision. On the modelled
-//!   transport those observations are the model's own times; on the pipe
-//!   they are `Instant::now()` deltas around the actual send/recv, so the
-//!   loop learns from time genuinely paid.
-//! * A [`ThresholdController`] (the plan's `controller` slot) can steer
-//!   the entropy threshold inside the serving path (SPINN-style runtime
-//!   adaptation): every
-//!   [`ControllerConfig::window`] routed instances, the achieved offload
-//!   fraction is fed back and the threshold retuned.
-//! * A [`FleetSpec`] ([`ServeConfigBuilder::fleet`]) makes the device population
-//!   **heterogeneous**: named [`DeviceClass`]es with a [`ComputeTier`]
-//!   (high/medium/low kernel-latency scaling), an optional per-class
-//!   radio prior, and explicit device→class assignments. The cut planner
-//!   then plans one cut per class from each class's *effective* profile
-//!   and link prior, the link estimator indexes its telemetry by the
-//!   spec's class map, and [`ServeStats`] breaks served/offloaded counts
-//!   and latency out per class. Without a spec, devices round-robin over
-//!   [`CutPlannerConfig::classes`] (planner class = `device % classes`).
-//! * A [`DifficultyPredictor`] ([`ServeConfigBuilder::difficulty`]) turns on
-//!   **difficulty-aware routing** from input statistics alone:
-//!   predicted-easy requests settle locally without consulting the
-//!   offload policy, predicted-hard requests pre-commit to the cloud
-//!   *without evaluating the main exit at all*
-//!   ([`ServeStats::skipped_main_exits`] counts the saved forwards), and
-//!   ambiguous requests take the full Algorithm-2 path unchanged.
+//!   loop: cloud workers feed the upload/RTT/download time every batch
+//!   paid into a per-class [`LinkEstimator`], and the [`CutPlanner`]
+//!   replans from the *measured* rates (blended with its static
+//!   `rate / max(1, β·streams)` prior by sample count), so congestion and
+//!   a mid-run [`LinkChange`] reach the cut. The modelled transport feeds
+//!   the model's own times; the pipe feeds `Instant::now()` deltas.
+//! * A [`ThresholdController`] (the plan's `controller` slot) retunes the
+//!   entropy threshold every [`ControllerConfig::window`] routed
+//!   instances from the achieved offload fraction (SPINN-style).
+//! * A [`FleetSpec`] ([`ServeConfigBuilder::fleet`]) makes the population
+//!   **heterogeneous**: named [`DeviceClass`]es with a [`ComputeTier`], an
+//!   optional radio prior and explicit device→class assignments. The
+//!   planner plans one cut per class from its effective profile, the link
+//!   estimator indexes telemetry by class, and [`ServeStats::per_class`]
+//!   breaks the run out per class. Without a spec, devices round-robin
+//!   over [`CutPlannerConfig::classes`].
+//! * A [`DifficultyPredictor`] ([`ServeConfigBuilder::difficulty`]) routes
+//!   from input statistics: predicted-easy requests settle locally,
+//!   predicted-hard ones pre-commit to the cloud *without evaluating the
+//!   main exit* ([`ServeStats::skipped_main_exits`]), and ambiguous ones
+//!   take the full Algorithm-2 path.
 //!
 //! The one entry point is [`Fleet`]. A [`ServeConfig`] is valid by
 //! construction ([`ServeConfig::builder`] is the only way to make one);
 //! [`Fleet::new`] checks the replicas against it once, and
-//! [`Fleet::serve`] checks each trace before serving it. Both return
+//! [`Fleet::serve_with`] checks each trace before serving it. Both return
 //! [`ServeError`] instead of panicking.
 //!
-//! Backpressure is end-to-end: bounded edge queues block the dispatcher,
-//! bounded cloud queues block edge workers, so a slow cloud tier slows
-//! admission instead of ballooning memory.
+//! Memory is bounded by the requests in flight, not by the trace: bounded
+//! edge queues block the dispatcher and bounded cloud queues block the
+//! edge workers, so a slow cloud tier slows admission; an offload is
+//! parked only until its response returns; and the dispatching thread
+//! settles each completion as it lands — folds it into [`ServeStats`] and
+//! hands it to the caller's sink — between arrivals. [`Fleet::serve`] is
+//! the sink that keeps everything, as a [`ServeReport`].
 
 mod cloud;
 mod collect;

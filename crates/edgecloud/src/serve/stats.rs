@@ -38,26 +38,21 @@ pub fn trace_requests(data: &Dataset, devices: usize, model: &ArrivalModel, rng:
         per_device.iter().map(|&c| if c == 0 { Vec::new() } else { model.generate(c, rng) }).collect();
     let mut requests: Vec<ServeRequest> = (0..n)
         .map(|i| {
-            let device = i % devices;
-            let seq = i / devices;
+            let (device, seq) = (i % devices, i / devices);
+            let arrival_s = times[device][seq];
+            assert!(
+                arrival_s.is_finite(),
+                "non-finite arrival time {arrival_s} for request {i} (device {device}, seq {seq})"
+            );
             ServeRequest {
                 device,
                 seq,
-                arrival_s: times[device][seq],
+                arrival_s,
                 image: data.images.slice_axis0(i, i + 1),
                 truth: data.labels[i],
             }
         })
         .collect();
-    for (i, r) in requests.iter().enumerate() {
-        assert!(
-            r.arrival_s.is_finite(),
-            "non-finite arrival time {} for request {i} (device {}, seq {})",
-            r.arrival_s,
-            r.device,
-            r.seq
-        );
-    }
     requests.sort_by(|a, b| a.arrival_s.total_cmp(&b.arrival_s));
     requests
 }
@@ -77,7 +72,34 @@ pub struct Completion {
     pub latency_s: f64,
 }
 
-/// Aggregate serving statistics.
+/// One fleet device class's share of a run, folded one completion at a
+/// time as requests settle.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ClassStats {
+    /// Requests of the class served.
+    pub served: usize,
+    /// Requests of the class classified by the cloud.
+    pub offloaded: usize,
+    /// End-to-end latency distribution (None until the class serves its
+    /// first request): a bounded [`StreamingHistogram`], so it stays the
+    /// same size at any trace length.
+    pub latency: Option<StreamingHistogram>,
+}
+
+impl ClassStats {
+    /// Folds one settled completion of the class in.
+    pub(crate) fn observe(&mut self, c: &Completion) {
+        self.served += 1;
+        self.offloaded += usize::from(c.record.exit == ExitPoint::Cloud);
+        self.latency.get_or_insert_with(StreamingHistogram::for_latency).record(c.latency_s);
+    }
+}
+
+/// Aggregate serving statistics: counters the workers keep, and
+/// ([`ServeStats::total`], [`ServeStats::offloaded`],
+/// [`ServeStats::per_class`]) a fold over completions as they settle. No
+/// field is built from a buffer of the trace, so they cost the same
+/// memory at any trace length.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeStats {
     /// Requests served.
@@ -141,18 +163,10 @@ pub struct ServeStats {
     /// [`ServeConfigBuilder::difficulty`]): the main-exit forwards
     /// difficulty-aware routing saved.
     pub skipped_main_exits: usize,
-    /// Requests served per fleet device class (Some exactly when
-    /// [`ServeConfigBuilder::fleet`] is set; indexed by class).
-    pub per_class_served: Option<Vec<usize>>,
-    /// Requests classified by the cloud per fleet device class (Some
-    /// exactly when [`ServeConfigBuilder::fleet`] is set).
-    pub per_class_offload: Option<Vec<usize>>,
-    /// End-to-end latency distribution per fleet device class (Some
-    /// exactly when [`ServeConfigBuilder::fleet`] is set; a class entry is None
-    /// until it serves its first request). Recorded incrementally into
-    /// bounded [`StreamingHistogram`]s, so memory stays flat at any
-    /// trace length.
-    pub per_class_latency: Option<Vec<Option<StreamingHistogram>>>,
+    /// Served and offloaded counts and the latency distribution per
+    /// fleet device class (Some exactly when [`ServeConfigBuilder::fleet`]
+    /// is set; indexed by class).
+    pub per_class: Option<Vec<ClassStats>>,
     /// Batches a cloud worker assembled from *another* worker's shard
     /// (always 0 under [`CloudIngress::SingleQueue`]). Scheduler-
     /// dependent with >1 workers: a measure of imbalance absorbed, not a

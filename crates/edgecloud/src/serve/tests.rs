@@ -818,6 +818,22 @@ fn serve_rejects_non_finite_arrivals() {
 }
 
 #[test]
+fn serve_rejects_an_arrival_too_late_to_schedule() {
+    // `1e20` s is finite, sorted and non-negative, but no `Duration`
+    // holds it: the dispatcher used to panic turning it into a deadline,
+    // and the cloud workers then waited forever on their uplinks.
+    let bundle = presets::tiny(87);
+    let mut reqs = instant_requests(&bundle.test, 1);
+    let last = reqs.len() - 1;
+    reqs[last].arrival_s = 1e20;
+    let clouds = replicas(1, || tiny_cloud(39));
+    let err = serve(config(OffloadPolicy::Always, 1, 1, 1), edge_replicas(1, 40), clouds, &reqs)
+        .expect_err("an unschedulable arrival");
+    assert_eq!(err, ServeError::UnschedulableArrival { index: last, arrival_s: 1e20 });
+    assert!(err.to_string().contains("cannot be scheduled"), "{err}");
+}
+
+#[test]
 #[should_panic(expected = "edge worker 0 panicked")]
 fn worker_panic_propagates_instead_of_hanging() {
     // An edge replica without its edge blocks blows up on the first
@@ -836,6 +852,20 @@ fn worker_panic_propagates_instead_of_hanging() {
     let clouds = replicas(2, || tiny_cloud(38));
     let policy = OffloadPolicy::EntropyThreshold(0.5);
     let _ = serve(config(policy, 1, 2, 1), vec![EdgeReplica::new(net)], clouds, &reqs);
+}
+
+#[test]
+#[should_panic(expected = "the sink refused a completion")]
+fn a_panicking_sink_propagates_instead_of_hanging() {
+    // The sink runs on the dispatching thread. If it panics with edge
+    // queues open and cloud workers waiting on their uplinks, the
+    // dispatch side must close both, so the run unwinds and re-raises the
+    // sink's panic instead of joining workers that wait forever.
+    let bundle = presets::tiny(88);
+    let reqs = instant_requests(&bundle.test, 2);
+    let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 2, 2, 2).build().expect("valid config");
+    let mut fleet = Fleet::new(cfg, edge_replicas(2, 41), replicas(2, || tiny_cloud(42))).expect("consistent");
+    let _ = fleet.serve_with(&reqs, |_| panic!("the sink refused a completion"));
 }
 
 #[test]
@@ -1195,7 +1225,6 @@ fn fleet_serves_again_from_its_parts_bitwise() {
     let cfg = config(OffloadPolicy::EntropyThreshold(0.8), 2, 1, 4).build().expect("valid config");
     let reqs = instant_requests(&bundle.test, 3);
     let mut fleet = Fleet::new(cfg, edge_replicas(2, 54), replicas(1, || tiny_cloud(55))).expect("consistent");
-    assert!(fleet.spec().is_none(), "no registry configured");
     let first = fleet.serve(&reqs).expect("serves");
 
     // The parts come back out, and a fleet rebuilt from them serves the
@@ -1241,9 +1270,9 @@ fn uniform_high_tier_fleet_matches_the_legacy_planner_path_bitwise() {
     assert_eq!(fleet.stats.final_cuts, legacy.stats.final_cuts);
     assert_eq!(fleet.stats.bytes_to_cloud, legacy.stats.bytes_to_cloud);
     // Only the registry path reports per-class breakdowns.
-    assert!(legacy.stats.per_class_served.is_none());
-    let served = fleet.stats.per_class_served.expect("fleet stats");
-    assert_eq!(served, vec![fleet.stats.total]);
+    assert!(legacy.stats.per_class.is_none());
+    let classes = fleet.stats.per_class.expect("fleet stats");
+    assert_eq!(classes.iter().map(|c| c.served).collect::<Vec<_>>(), vec![fleet.stats.total]);
 }
 
 #[test]
@@ -1281,13 +1310,12 @@ fn heterogeneous_tiers_plan_per_class_cuts_from_effective_profiles() {
 
     // Round-robin assignment: devices {0, 1} split across the classes,
     // and the per-class breakdown partitions the totals.
-    let served = report.stats.per_class_served.clone().expect("fleet stats");
-    let offload = report.stats.per_class_offload.clone().expect("fleet stats");
+    let classes = report.stats.per_class.expect("fleet stats");
+    let served: Vec<usize> = classes.iter().map(|c| c.served).collect();
     assert_eq!(served.iter().sum::<usize>(), report.stats.total);
-    assert_eq!(offload.iter().sum::<usize>(), report.stats.offloaded);
+    assert_eq!(classes.iter().map(|c| c.offloaded).sum::<usize>(), report.stats.offloaded);
     assert!(served.iter().all(|&s| s > 0), "both classes serve traffic: {served:?}");
-    let latency = report.stats.per_class_latency.expect("fleet stats");
-    assert!(latency.iter().all(Option::is_some), "both classes record latencies");
+    assert!(classes.iter().all(|c| c.latency.is_some()), "both classes record latencies");
 }
 
 #[test]
@@ -1307,10 +1335,10 @@ fn explicit_assignment_overrides_the_modulo_convention() {
     let edges = edge_replicas(2, 62);
     let clouds = replicas(1, || tiny_cloud(63));
     let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 2)).expect("serves");
-    let served = report.stats.per_class_served.expect("fleet stats");
-    assert_eq!(served[0], 0, "every device is pinned to class b");
-    assert_eq!(served[1], report.stats.total);
-    assert_eq!(report.stats.per_class_latency.expect("fleet stats")[0], None, "empty class has no histogram");
+    let classes = report.stats.per_class.expect("fleet stats");
+    assert_eq!(classes[0].served, 0, "every device is pinned to class b");
+    assert_eq!(classes[1].served, report.stats.total);
+    assert_eq!(classes[0].latency, None, "empty class has no histogram");
 }
 
 #[test]

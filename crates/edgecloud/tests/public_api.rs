@@ -71,6 +71,7 @@ fn crate_root_type_reexports_are_stable() {
     has::<ec::ActivationGrids>();
     has::<ec::Payload>();
     // serve
+    has::<ec::ClassStats>();
     has::<ec::Completion>();
     has::<ec::ControlPlan>();
     has::<ec::ControllerConfig>();
@@ -114,10 +115,21 @@ fn crate_root_type_reexports_are_stable() {
 #[test]
 fn crate_root_fn_signatures_are_stable() {
     // The one serving entry point: `Fleet::new` checks the replicas once,
-    // `Fleet::serve` checks and serves each trace.
+    // `Fleet::serve_with` checks each trace and hands every completion to
+    // a sink as it settles, and `Fleet::serve` is `serve_with` collecting
+    // a report. `serve_with` takes `impl FnMut(Completion)`, which cannot
+    // be named as a fn pointer, so it is pinned through a closure with
+    // the exact argument and return types.
     let _: fn(ec::ServeConfig, Vec<ec::EdgeReplica>, Vec<SegmentedCnn>) -> Result<ec::Fleet, ec::ServeError> =
         ec::Fleet::new;
     let _: fn(&mut ec::Fleet, &[ec::ServeRequest]) -> Result<ec::ServeReport, ec::ServeError> = ec::Fleet::serve;
+    let _: fn(&mut ec::Fleet, &[ec::ServeRequest], fn(ec::Completion)) -> Result<ec::ServeStats, ec::ServeError> =
+        |fleet, requests, sink| fleet.serve_with(requests, sink);
+    // The per-class breakdown is one field of one type, folded as
+    // completions settle.
+    let _: fn(&ec::ServeStats) -> &Option<Vec<ec::ClassStats>> = |stats| &stats.per_class;
+    let _: fn(&ec::ClassStats) -> (usize, usize, &Option<mea_metrics::StreamingHistogram>) =
+        |class| (class.served, class.offloaded, &class.latency);
     let _: fn(&Dataset, usize, &ec::ArrivalModel, &mut Rng) -> Vec<ec::ServeRequest> = ec::trace_requests;
 
     // Partition search.

@@ -389,10 +389,9 @@ proptest! {
         let report = fleet.serve(&requests).expect("serves");
         prop_assert_eq!(report.completions.len(), requests.len());
 
-        let served = report.stats.per_class_served.as_ref().expect("fleet stats");
-        let offload = report.stats.per_class_offload.as_ref().expect("fleet stats");
-        prop_assert_eq!(served.iter().sum::<usize>(), report.stats.total);
-        prop_assert_eq!(offload.iter().sum::<usize>(), report.stats.offloaded);
+        let classes = report.stats.per_class.as_ref().expect("fleet stats");
+        prop_assert_eq!(classes.iter().map(|c| c.served).sum::<usize>(), report.stats.total);
+        prop_assert_eq!(classes.iter().map(|c| c.offloaded).sum::<usize>(), report.stats.offloaded);
 
         for d in 0..devices {
             let mut last_cloud_seq = None;
