@@ -13,6 +13,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[coop_edge] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("coop_edge");
     let result = serving::coop_edge(Scale::from_env());
 

@@ -10,6 +10,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[feature_payload] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("feature_payload");
     let result = serving::feature_payload(Scale::from_env());
 

@@ -11,6 +11,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[hetero_fleet] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("hetero_fleet");
     let result = serving::hetero_fleet(Scale::from_env());
 

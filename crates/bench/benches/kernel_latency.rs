@@ -244,12 +244,7 @@ fn bench_qgemm(c: &mut Criterion) {
 // for its CPU (`matmul::kernel`), so both are printed first.
 fn main() {
     let tile = matmul::kernel();
-    match mea_bench::pin::pin_to_last_cpu() {
-        Some(cpu) => println!("[kernel_latency] pinned to cpu {cpu}, {tile} tile"),
-        None => println!(
-            "[kernel_latency] UNPINNED (no /proc or taskset): timings spread beyond the 20 % gate, {tile} tile"
-        ),
-    }
+    println!("[kernel_latency] {}, {tile} tile", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("kernel_latency");
     let mut repeats: Vec<Vec<(String, f64)>> = Vec::new();
     for _ in 0..3 {

@@ -10,6 +10,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[load_harness] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("load_harness");
     let result = serving::load_harness(Scale::from_env());
 

@@ -11,6 +11,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[planner_feedback] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("planner_feedback");
     let result = serving::planner_feedback(Scale::from_env());
 

@@ -13,6 +13,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[real_transport] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("real_transport");
     let result = serving::real_transport(Scale::from_env());
 

@@ -8,6 +8,7 @@ use mea_bench::Scale;
 use mea_metrics::Table;
 
 fn main() {
+    println!("[serving_throughput] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("serving_throughput");
     let result = serving::serving_throughput(Scale::from_env());
 

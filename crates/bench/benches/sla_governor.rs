@@ -31,6 +31,7 @@ fn wire_code(wire: FeatureWire) -> f64 {
 }
 
 fn main() {
+    println!("[sla_governor] {}", mea_bench::pin::pin_for_timing());
     let mut rep = Reporter::start("sla_governor");
     let result = serving::sla_governor(Scale::from_env());
 

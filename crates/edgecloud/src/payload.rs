@@ -12,7 +12,6 @@ use bytes::{BufMut, Bytes};
 use mea_quant::{wire, QTensor, QuantParams};
 use mea_tensor::reader::put_dims;
 use mea_tensor::{Reader, Tensor, WireError};
-use std::borrow::Cow;
 
 /// Calibrated per-channel int8 activation grids, one per partition cut.
 ///
@@ -22,9 +21,9 @@ use std::borrow::Cow;
 /// cloud agree on the quantization parameters for every cut **once, at
 /// serve setup** (calibrated from a sample activation), and the frames on
 /// the wire carry only a cut index — the parameter table never travels
-/// with the data. A grid-indexed frame (payload tag 3) is therefore
-/// strictly smaller than the per-tensor int8 frame (tag 2) at the same
-/// cut, while keeping per-channel scale resolution at deep cuts.
+/// with the data. A grid-indexed frame (payload tag 3) therefore has a
+/// header 16 bytes shorter than the per-tensor int8 frame (tag 2) at the
+/// same cut, while keeping per-channel scale resolution at deep cuts.
 ///
 /// Entries are indexed by cut layer; `None` marks cuts that were never
 /// calibrated (offloads at those cuts must use a self-describing wire).
@@ -35,11 +34,6 @@ pub struct ActivationGrids {
 }
 
 impl ActivationGrids {
-    /// Builds a grid table from per-cut parameters (index = cut layer).
-    pub fn new(per_cut: Vec<Option<QuantParams>>) -> Self {
-        ActivationGrids { per_cut }
-    }
-
     /// Builds a grid table from per-cut channel absolute maxima, producing
     /// symmetric per-channel parameters ([`QuantParams::symmetric_per_channel`]).
     pub fn from_absmax(per_cut: Vec<Option<Vec<f32>>>) -> Self {
@@ -82,10 +76,9 @@ pub enum Payload {
         features: Tensor,
     },
     /// Intermediate feature maps quantised to int8 through the `mea-quant`
-    /// wire codec: 1 byte per element plus a small parameter header, so a
-    /// deep-cut activation can undercut even the raw-image upload — the
-    /// answer to the paper's "f32 features are bigger than small images"
-    /// objection to sending features.
+    /// wire codec: at most 1 byte per element plus a parameter header, so a
+    /// deep cut undercuts even the raw-image upload — the answer to the
+    /// paper's "f32 features are bigger than small images" objection.
     QuantFeatures {
         /// Quantised feature tensor.
         features: QTensor,
@@ -102,7 +95,7 @@ impl Payload {
 
     /// Size on the wire in bytes: 1 byte/sample for raw images, 4 for f32
     /// features, plus the shape header; quantised features carry the
-    /// `mea_quant::wire` frame (1 byte/element plus parameter header).
+    /// `mea_quant::wire` frame (≤ 1 byte/element plus parameter header).
     pub fn wire_size_bytes(&self) -> u64 {
         match self {
             Payload::RawImage { image } => 2 + 4 * image.shape().rank() as u64 + image.numel() as u64,
@@ -148,7 +141,8 @@ impl Payload {
     /// the `mea_quant::wire` frame is written directly into the output
     /// buffer (no intermediate frame allocation).
     pub fn encode_quant(features: &QTensor) -> Bytes {
-        let mut buf = Vec::with_capacity(1 + wire::encoded_len(features) as usize);
+        let raw_len = 8 + 8 * features.params().channels() + 4 * features.dims().len() + features.numel();
+        let mut buf = Vec::with_capacity(raw_len);
         buf.put_u8(2);
         wire::encode_into(features, &mut buf);
         Bytes::from(buf)
@@ -186,10 +180,10 @@ impl Payload {
         let row = features.numel() / ch;
         let mut data = Vec::with_capacity(features.numel());
         for (c, chunk) in features.as_slice().chunks(row).enumerate() {
-            data.extend(chunk.iter().map(|&x| params.quantize_value(x, c)));
+            params.quantize_into(chunk, c, &mut data);
         }
         let q = QTensor::from_parts(data, dims[1..].to_vec(), params.clone());
-        let mut buf = Vec::with_capacity(2 + wire::indexed_encoded_len(&q) as usize);
+        let mut buf = Vec::with_capacity(4 + 4 * q.dims().len() + q.numel());
         buf.put_u8(3);
         buf.put_u8(cut as u8);
         wire::encode_indexed_into(&q, &mut buf);
@@ -201,10 +195,11 @@ impl Payload {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a malformed buffer, and on tag 3.
+    /// Returns a [`WireError`] on a malformed or overlong buffer, and on tag 3.
     pub fn decode(buf: Bytes) -> Result<Payload, WireError> {
         if let Some((&2, frame)) = buf.split_first() {
-            return Ok(Payload::QuantFeatures { features: wire::try_decode(frame)?.0 });
+            let (features, used) = wire::try_decode(frame)?;
+            return whole(&buf, 1 + used).map(|()| Payload::QuantFeatures { features });
         }
         let raw = buf.first() == Some(&0);
         let mut data = Vec::new();
@@ -231,8 +226,8 @@ impl Payload {
     ///
     /// # Errors
     ///
-    /// Returns a [`WireError`] on a malformed buffer or a cut with no
-    /// calibrated grid; `out` may then hold a partial append.
+    /// Returns a [`WireError`] on a malformed or overlong buffer or a cut
+    /// with no calibrated grid; `out` may then hold a partial append.
     pub fn decode_into_with_grids(
         buf: Bytes,
         grids: &ActivationGrids,
@@ -240,7 +235,7 @@ impl Payload {
     ) -> Result<Vec<usize>, WireError> {
         let mut r = Reader::new(&buf);
         let tag = r.u8()?;
-        let (q, batch_axis) = match tag {
+        let ((q, used), batch_axis) = match tag {
             0 | 1 => {
                 let rank = r.u8()? as usize;
                 let (dims, numel) = r.dims(rank)?;
@@ -249,16 +244,17 @@ impl Payload {
                 } else {
                     out.extend(r.f32s(numel)?);
                 }
-                return Ok(dims);
+                return whole(&buf, r.position()).map(|()| dims);
             }
-            2 => (wire::try_decode(r.rest())?.0, None),
+            2 => (wire::try_decode(r.rest())?, None),
             3 => {
                 let cut = r.u8()? as usize;
                 let params = grids.params(cut).ok_or(WireError::NoGrid(cut))?;
-                (wire::decode_indexed(r.rest(), params.clone())?.0, Some(1))
+                (wire::decode_indexed(r.rest(), params.clone())?, Some(1))
             }
             t => return Err(WireError::UnknownTag(t)),
         };
+        whole(&buf, r.position() + used)?;
         q.dequantize_into(out);
         Ok(batch_axis.into_iter().chain(q.dims().iter().copied()).collect())
     }
@@ -274,15 +270,14 @@ impl Payload {
             Payload::QuantFeatures { features } => features.dequantize(),
         }
     }
+}
 
-    /// Borrows the f32 tensor the cloud computes on: f32 variants are
-    /// handed out without any copy, only int8 features pay a dequantise.
-    pub fn as_tensor(&self) -> Cow<'_, Tensor> {
-        match self {
-            Payload::RawImage { image } => Cow::Borrowed(image),
-            Payload::Features { features } => Cow::Borrowed(features),
-            Payload::QuantFeatures { features } => Cow::Owned(features.dequantize()),
-        }
+/// A payload is exactly its frame: bytes past the `used` ones are an error.
+fn whole(buf: &[u8], used: usize) -> Result<(), WireError> {
+    if used == buf.len() {
+        Ok(())
+    } else {
+        Err(WireError::FrameLength(buf.len()))
     }
 }
 
@@ -390,31 +385,6 @@ mod tests {
     }
 
     #[test]
-    fn as_tensor_borrows_f32_payloads_and_matches_into_tensor() {
-        let mut rng = Rng::new(9);
-        let t = Tensor::randn([2, 3, 3], 1.0, &mut rng);
-        for p in [
-            Payload::RawImage { image: t.clone() },
-            Payload::Features { features: t.clone() },
-            Payload::quantize_features(&t),
-        ] {
-            let borrowed = p.as_tensor();
-            assert_eq!(*borrowed, p.clone().into_tensor(), "accessors must agree");
-            match (&p, &borrowed) {
-                // f32 payloads hand out the exact tensor they hold — no copy.
-                (Payload::RawImage { image }, std::borrow::Cow::Borrowed(b)) => {
-                    assert!(std::ptr::eq(*b, image));
-                }
-                (Payload::Features { features }, std::borrow::Cow::Borrowed(b)) => {
-                    assert!(std::ptr::eq(*b, features));
-                }
-                (Payload::QuantFeatures { .. }, std::borrow::Cow::Owned(_)) => {}
-                _ => panic!("unexpected borrow mode"),
-            }
-        }
-    }
-
-    #[test]
     fn decode_into_appends_exactly_the_decoded_tensor() {
         let mut rng = Rng::new(4);
         let a = Tensor::randn([2, 3, 4], 1.0, &mut rng);
@@ -477,7 +447,7 @@ mod tests {
     fn decode_into_with_grids_falls_through_on_other_tags() {
         let mut rng = Rng::new(13);
         let t = Tensor::randn([1, 4, 3, 3], 1.0, &mut rng);
-        let grids = ActivationGrids::new(vec![]);
+        let grids = ActivationGrids::default();
         for buf in [Payload::encode_features(&t), Payload::encode_quantized_features(&t)] {
             let (mut a, mut b) = (Vec::new(), Vec::new());
             let da = Payload::decode_into_with_grids(buf.clone(), &grids, &mut a).unwrap();
@@ -491,7 +461,7 @@ mod tests {
     #[should_panic(expected = "no activation grid calibrated")]
     fn grid_encode_rejects_uncalibrated_cut() {
         let t = Tensor::ones([1, 4, 2, 2]);
-        let grids = ActivationGrids::new(vec![None, None]);
+        let grids = ActivationGrids::from_absmax(vec![None, None]);
         let _ = Payload::encode_grid_features(&t, 1, &grids);
     }
 

@@ -1245,8 +1245,20 @@ mod tests {
         f.extend(zero_points.iter().flat_map(|z| z.to_le_bytes()));
         f.push(dims.len() as u8);
         f.extend(dims.iter().flat_map(|d| d.to_le_bytes()));
+        f.push(0); // raw body
         f.extend(std::iter::repeat_n(0, dims.iter().product::<u32>() as usize));
         f
+    }
+
+    /// A ReLU activation whose int8 frame travels Huffman-coded, and the
+    /// offset of the coded body's mode byte in its tag-2 payload.
+    fn coded_payload() -> (Bytes, usize) {
+        let mut rng = mea_tensor::Rng::new(5);
+        let relu = (0..3072).map(|_| rng.normal().max(0.0)).collect();
+        let p = Payload::encode_quantized_features(&Tensor::from_vec(relu, &[1, 48, 8, 8]).unwrap());
+        let mode = 1 + 13 + 1 + 16;
+        assert_eq!(p[mode], 1, "the corpus's activation should travel coded");
+        (p, mode)
     }
 
     /// The grid table the corpus's payloads decode against: 4 channels at
@@ -1280,11 +1292,13 @@ mod tests {
         type Decoder = fn(&[u8]) -> Option<WireError>;
         let t = Tensor::rand_uniform([3, 2, 2], -1.0, 1.0, &mut mea_tensor::Rng::new(3));
         let act = Tensor::rand_uniform([1, 4, 2, 2], -1.0, 1.0, &mut mea_tensor::Rng::new(4));
+        let (coded, mode) = coded_payload();
         let payloads = [
             Payload::encode_raw_image(&t),
             Payload::encode_features(&t),
             Payload::encode_quantized_features(&t),
             Payload::encode_grid_features(&act, 1, &corpus_grids()),
+            coded.clone(),
         ];
         let request = frame(9, vec![1, 2, 3]).encode();
         let response = ResponseFrame { req_id: 9, prediction: 4 }.encode();
@@ -1311,6 +1325,50 @@ mod tests {
         for k in 0..24 {
             rows.push(("request body under 24 bytes", request_err, framed(&request[4..4 + k]), FrameLength(k)));
         }
+        for p in &payloads {
+            rows.push((
+                "payload with a trailing byte",
+                payload_err,
+                [&p[..], &[0]].concat(),
+                FrameLength(p.len() + 1),
+            ));
+        }
+        // The coded body: a mode byte, 128 bytes of four-bit code lengths,
+        // the stream. 0x88 gives all 256 symbols 8-bit codes: complete. (A
+        // length above 15 cannot be written in four bits; the decoder's
+        // own tests reject one.)
+        let coded_with = |at: std::ops::Range<usize>, byte: u8| {
+            let mut b = coded.to_vec();
+            b[at].fill(byte);
+            b
+        };
+        let table = mode + 1..mode + 129;
+        let mut over = coded_with(table.clone(), 0x88);
+        over[mode + 1] = 0x87;
+        let mut under = coded_with(table.clone(), 0x88);
+        under[mode + 1] = 0x89;
+        // One channel more or fewer is 64 symbols the stream does not hold,
+        // or holds past `numel`: it runs out, or leaves code bits where the
+        // padding must be zero (and whole bytes after the frame).
+        let channels = |c: u32| {
+            let mut b = coded.to_vec();
+            b[mode - 12..mode - 8].copy_from_slice(&c.to_le_bytes());
+            b
+        };
+        rows.extend([
+            ("coded body, unknown mode", payload_err as Decoder, coded_with(mode..mode + 1, 2), UnknownTag(2)),
+            ("coded body, over-subscribed lengths", payload_err, over, BadCode),
+            ("coded body, incomplete lengths", payload_err, under, BadCode),
+            ("coded body, no code", payload_err, coded_with(table, 0), BadCode),
+            (
+                "coded body, non-zero padding",
+                payload_err,
+                [&coded[..coded.len() - 1], &[coded[coded.len() - 1] | 1]].concat(),
+                BadCode,
+            ),
+            ("coded body, more symbols than the stream", payload_err, channels(49), Truncated),
+            ("coded body, fewer symbols than the stream", payload_err, channels(47), BadCode),
+        ]);
         for k in (0..12).chain([13]) {
             let body = [&response[4..], &[0]].concat();
             rows.push(("response body other than 12 bytes", response_err, framed(&body[..k]), FrameLength(k)));
@@ -1349,19 +1407,19 @@ mod tests {
             (
                 "tag 3, uncalibrated cut",
                 payload_err,
-                tag(3, &[&[0][..], &shape(&[4]), &[0; 4]].concat()),
+                tag(3, &[&[0][..], &shape(&[4]), &[0; 5]].concat()),
                 NoGrid(0),
             ),
             (
                 "tag 3, cut past the table",
                 payload_err,
-                tag(3, &[&[9][..], &shape(&[4]), &[0; 4]].concat()),
+                tag(3, &[&[9][..], &shape(&[4]), &[0; 5]].concat()),
                 NoGrid(9),
             ),
             (
                 "tag 3, axis off the grid",
                 payload_err,
-                tag(3, &[&[1][..], &shape(&[3]), &[0; 3]].concat()),
+                tag(3, &[&[1][..], &shape(&[3]), &[0; 4]].concat()),
                 GridMismatch(4, 3),
             ),
         ]);

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 pub mod convert;
+mod entropy;
 pub mod error;
 pub mod kernels;
 pub mod observer;

@@ -134,17 +134,49 @@ impl QuantParams {
         self.zero_points[ch]
     }
 
-    /// Quantizes one value in channel `ch` with round-to-nearest and
-    /// saturation.
+    /// Quantizes one value in channel `ch` with round-to-nearest (ties
+    /// away from zero, as [`f32::round`]) and saturation; NaN goes to the
+    /// zero point.
     pub fn quantize_value(&self, x: f32, ch: usize) -> i8 {
-        let q = (x / self.scales[ch]).round() as i32 + self.zero_points[ch];
-        q.clamp(QMIN, QMAX) as i8
+        onto_grid(x / self.scales[ch], self.zero_points[ch])
+    }
+
+    /// Quantizes `xs`, all in channel `ch`, appending to `out`: for each
+    /// value what [`QuantParams::quantize_value`] gives, with the channel's
+    /// scale and zero point read once, so that the loop vectorises.
+    pub fn quantize_into(&self, xs: &[f32], ch: usize, out: &mut Vec<i8>) {
+        let (scale, zero_point) = (self.scales[ch], self.zero_points[ch]);
+        out.extend(xs.iter().map(|&x| onto_grid(x / scale, zero_point)));
     }
 
     /// Dequantizes one value in channel `ch`.
     pub fn dequantize_value(&self, q: i8, ch: usize) -> f32 {
         (q as i32 - self.zero_points[ch]) as f32 * self.scales[ch]
     }
+
+    /// Dequantizes `qs`, all in channel `ch`, appending to `out`: for each
+    /// value what [`QuantParams::dequantize_value`] gives, with the
+    /// channel's grid read once.
+    pub fn dequantize_into(&self, qs: &[i8], ch: usize, out: &mut Vec<f32>) {
+        let (scale, zero_point) = (self.scales[ch], self.zero_points[ch]);
+        out.extend(qs.iter().map(|&q| (q as i32 - zero_point) as f32 * scale));
+    }
+}
+
+/// Rounds the quotient `v` to the nearest integer, ties away from zero,
+/// and saturates `v + zero_point` onto the int8 grid.
+///
+/// The rounding is inline, so a quantizing loop calls no `roundf`: `v` is
+/// first saturated to ±256, where every value already lands on the grid's
+/// edge whatever the zero point, then truncated, and the exact fraction
+/// `v − trunc(v)` picks the neighbour. NaN truncates to 0.
+#[inline]
+fn onto_grid(v: f32, zero_point: i32) -> i8 {
+    let v = v.clamp(-256.0, 256.0);
+    let t = v as i32;
+    let frac = v - t as f32;
+    let q = t + (frac >= 0.5) as i32 - (frac <= -0.5) as i32 + zero_point;
+    q.clamp(QMIN, QMAX) as i8
 }
 
 #[cfg(test)]
@@ -199,6 +231,50 @@ mod tests {
         let p = QuantParams::affine_from_range(0.0, 0.0);
         assert!(p.scale(0) > 0.0);
         assert_eq!(p.dequantize_value(p.quantize_value(0.0, 0), 0), 0.0);
+    }
+
+    /// The reference: [`f32::round`], then a saturating add of the zero
+    /// point (a plain `+` overflows on a quotient beyond `i32` and a
+    /// positive zero point: a panic in debug, −128 for +∞ in release).
+    fn quantize_with_round(p: &QuantParams, x: f32, ch: usize) -> i8 {
+        ((x / p.scales[ch]).round() as i32).saturating_add(p.zero_points[ch]).clamp(QMIN, QMAX) as i8
+    }
+
+    #[test]
+    fn inline_rounding_equals_f32_round_at_every_edge() {
+        let grids = [
+            QuantParams::affine_from_range(-3.0, 1.0), // zero point 63
+            QuantParams::affine_from_range(-0.5, 4.0), // zero point -114
+            QuantParams::symmetric_from_absmax(127.0), // scale 1: quotients are the values
+            QuantParams::symmetric_per_channel(&[127.0, 0.3, 1e-9]),
+        ];
+        let mut xs = vec![0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45, 1e-40];
+        xs.extend([f32::INFINITY, f32::NEG_INFINITY, f32::NAN, f32::MAX, f32::MIN, 3e9, -3e9, 2.2e9, 1e20]);
+        for k in -300..=300 {
+            for tie in [k as f32 + 0.5, k as f32 - 0.5] {
+                xs.extend([tie, f32::from_bits(tie.to_bits() + 1), f32::from_bits(tie.to_bits() - 1)]);
+            }
+            xs.push(k as f32);
+        }
+        for p in &grids {
+            for ch in 0..p.channels() {
+                // `base` itself, and `base` steps of the channel's scale,
+                // whose quotient lands on or next to the tie.
+                let values: Vec<f32> = xs.iter().flat_map(|&base| [base, base * p.scale(ch)]).collect();
+                let mut slice = Vec::new();
+                p.quantize_into(&values, ch, &mut slice);
+                for (&x, &sliced) in values.iter().zip(&slice) {
+                    let old = quantize_with_round(p, x, ch);
+                    assert_eq!(
+                        p.quantize_value(x, ch),
+                        old,
+                        "x = {x:e} ({:#x}), channel {ch} of {p:?}",
+                        x.to_bits()
+                    );
+                    assert_eq!(sliced, old, "quantize_into, x = {x:e}, channel {ch}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -24,7 +24,8 @@ impl QTensor {
             params.scheme() != QScheme::SymmetricPerChannel,
             "per-channel quantization requires quantize_per_channel"
         );
-        let data = t.as_slice().iter().map(|&x| params.quantize_value(x, 0)).collect();
+        let mut data = Vec::with_capacity(t.numel());
+        params.quantize_into(t.as_slice(), 0, &mut data);
         QTensor { data, dims: t.dims().to_vec(), params }
     }
 
@@ -40,7 +41,7 @@ impl QTensor {
         let row = t.numel() / out_c;
         let mut data = Vec::with_capacity(t.numel());
         for (c, chunk) in t.as_slice().chunks(row).enumerate() {
-            data.extend(chunk.iter().map(|&x| params.quantize_value(x, c)));
+            params.quantize_into(chunk, c, &mut data);
         }
         QTensor { data, dims: t.dims().to_vec(), params }
     }
@@ -73,10 +74,10 @@ impl QTensor {
                 let out_c = self.dims[0];
                 let row = self.data.len() / out_c;
                 for (c, chunk) in self.data.chunks(row).enumerate() {
-                    out.extend(chunk.iter().map(|&q| self.params.dequantize_value(q, c)));
+                    self.params.dequantize_into(chunk, c, out);
                 }
             }
-            _ => out.extend(self.data.iter().map(|&q| self.params.dequantize_value(q, 0))),
+            _ => self.params.dequantize_into(&self.data, 0, out),
         }
     }
 

@@ -3,26 +3,44 @@
 //!
 //! The paper flags that f32 feature maps are often *larger* than the raw
 //! image for small inputs — the reason it ships pixels. Quantizing the
-//! activation to int8 removes that 4× penalty, so a deep partition cut
-//! can beat the raw-image upload on bytes *and* spare the cloud the
-//! prefix recompute. This module fixes the byte layout (everything
-//! little-endian):
+//! activation to int8 removes that 4× penalty, and a lossless entropy code
+//! over the int8 elements takes off what their skew leaves (a ReLU
+//! activation sits at its zero point a third of the time), so a deep
+//! partition cut can beat the raw-image upload on bytes *and* spare the
+//! cloud the prefix recompute. This module fixes the byte layout
+//! (everything little-endian):
 //!
-//! | field       | size                | meaning                              |
-//! |-------------|---------------------|--------------------------------------|
-//! | scheme      | 1 byte              | 0 affine, 1 symmetric, 2 per-channel |
-//! | channels    | 4 bytes (u32)       | parameter channel count `n`          |
-//! | scales      | 4·`n` bytes (f32)   | one per channel                      |
-//! | zero points | 4·`n` bytes (i32)   | one per channel                      |
-//! | rank        | 1 byte              | tensor rank `r`                      |
-//! | dims        | 4·`r` bytes (u32)   | dimension sizes                      |
-//! | data        | `numel` bytes (i8)  | the quantized elements               |
+//! | field       | size                         | meaning                              |
+//! |-------------|------------------------------|--------------------------------------|
+//! | scheme      | 1 byte                       | 0 affine, 1 symmetric, 2 per-channel |
+//! | channels    | 4 bytes (u32)                | parameter channel count `n`          |
+//! | scales      | 4·`n` bytes (f32)            | one per channel                      |
+//! | zero points | 4·`n` bytes (i32)            | one per channel                      |
+//! | rank        | 1 byte                       | tensor rank `r`                      |
+//! | dims        | 4·`r` bytes (u32)            | dimension sizes                      |
+//! | mode        | 1 byte                       | 0 raw, 1 Huffman-coded               |
+//! | data, raw   | `numel` bytes (i8)           | the quantized elements               |
+//! | data, coded | 128 bytes                    | 256 four-bit code lengths            |
+//! |             | ⌈bits/8⌉ bytes               | one code per element                 |
 //!
-//! For a per-tensor activation the header is 14 + 4·`r` bytes (one more
-//! for the payload tag when framed inside `mea_edgecloud`'s `Payload`) —
-//! noise next to the 4× payload shrink on anything bigger than a few
-//! dozen elements.
+//! A coded body gives each element the canonical Huffman code of its
+//! offset from the channel-0 zero point (the zero point is symbol 0):
+//! lengths of at most 15 bits, the even symbol's in a byte's low nibble,
+//! 0 for an absent symbol, and the codes most significant bit first, the
+//! last byte padded with zero bits. The encoder writes whichever body is
+//! shorter for the frame at hand (raw on a tie), so no frame is more than
+//! the mode byte longer than its raw elements, and the decoded tensor is
+//! the encoded one bit for bit. The decoder rejects an unknown mode, a
+//! length table that is not a complete prefix code, a stream that ends
+//! early and padding that is not zero.
+//!
+//! For a per-tensor activation the header is 15 + 4·`r` bytes (one more
+//! for the payload tag when framed inside `mea_edgecloud`'s `Payload`).
+//! At the end-to-end benchmark's split cut, a `[1, 48, 8, 8]` ReLU
+//! activation, a payload would take 3,104 bytes raw and takes 2,325 on
+//! average coded (`mea-edgecloud`'s `wire_sizes` test prints the table).
 
+use crate::entropy::{self, Body};
 use crate::qparams::{QScheme, QuantParams};
 use crate::qtensor::QTensor;
 use mea_tensor::reader::put_dims;
@@ -57,7 +75,6 @@ pub fn encoded_len(t: &QTensor) -> u64 {
 /// Encodes a quantized tensor, appending to `out`: its parameter block,
 /// then the indexed frame of [`encode_indexed_into`].
 pub fn encode_into(t: &QTensor, out: &mut Vec<u8>) {
-    out.reserve(encoded_len(t) as usize);
     let params = t.params();
     out.push(params.scheme() as u8);
     out.extend_from_slice(&(params.channels() as u32).to_le_bytes());
@@ -104,10 +121,16 @@ pub fn try_decode(buf: &[u8]) -> Result<(QTensor, usize), WireError> {
     Ok((t, r.position() + used))
 }
 
-/// Bytes [`encode_indexed_into`] produces for `t`: rank (1) + dims (4·r)
-/// + data (numel). No parameter block — the grid travels out of band.
+/// Bytes [`encode_indexed_into`] produces for `t`: rank (1), dims (4·r),
+/// mode (1) and data (at most numel). No parameter block — the grid
+/// travels out of band.
 pub fn indexed_encoded_len(t: &QTensor) -> u64 {
-    1 + 4 * t.dims().len() as u64 + t.numel() as u64
+    1 + 4 * t.dims().len() as u64 + body(t).len()
+}
+
+/// The shorter body for `t`'s elements.
+fn body(t: &QTensor) -> Body<'_> {
+    Body::plan(t.as_slice(), t.params().zero_point(0) as i8)
 }
 
 /// Encodes a quantized tensor **without its parameters**, appending to
@@ -118,9 +141,10 @@ pub fn indexed_encoded_len(t: &QTensor) -> u64 {
 /// per channel on the self-describing wire — is hoisted out of every
 /// frame entirely.
 pub fn encode_indexed_into(t: &QTensor, out: &mut Vec<u8>) {
-    out.reserve(indexed_encoded_len(t) as usize);
+    let body = body(t);
+    out.reserve(1 + 4 * t.dims().len() + body.len() as usize);
     put_dims(out, t.dims());
-    out.extend(t.as_slice().iter().map(|&q| q as u8));
+    body.write(out);
 }
 
 /// Decodes a buffer produced by [`encode_indexed_into`] against the
@@ -130,18 +154,19 @@ pub fn encode_indexed_into(t: &QTensor, out: &mut Vec<u8>) {
 ///
 /// # Errors
 ///
-/// Returns a [`WireError`] on a truncated buffer or an invalid shape, or
-/// if `params` is per-channel and its channel count differs from the
-/// frame's leading dimension.
+/// Returns a [`WireError`] on a truncated buffer, an invalid shape or a
+/// malformed body (see the module docs), or if `params` is per-channel
+/// and its channel count differs from the frame's leading dimension.
 pub fn decode_indexed(buf: &[u8], params: QuantParams) -> Result<(QTensor, usize), WireError> {
     let mut r = Reader::new(buf);
     let rank = r.u8()? as usize;
     let (dims, numel) = r.dims(rank)?;
-    let data = r.take(numel)?.iter().map(|&b| b as i8).collect();
     let frame = dims.first().copied().unwrap_or_default();
     if params.scheme() == QScheme::SymmetricPerChannel && frame != params.channels() {
         return Err(WireError::GridMismatch(params.channels(), frame));
     }
+    let mut data = Vec::new();
+    entropy::read(&mut r, numel, params.zero_point(0) as i8, &mut data)?;
     Ok((QTensor::from_parts(data, dims, params), r.position()))
 }
 
@@ -218,6 +243,108 @@ mod tests {
         let (back, consumed) = decode_indexed(&buf, params).unwrap();
         assert_eq!(consumed, buf.len());
         assert_eq!(back, q, "indexed wire round trip must be exact");
+    }
+
+    /// A ReLU activation on its affine grid: half the elements at the zero
+    /// point, the rest skewed toward it — the shape a cut ships.
+    fn relu_activation(numel: usize, seed: u64) -> QTensor {
+        let mut rng = Rng::new(seed);
+        let t = Tensor::from_vec((0..numel).map(|_| rng.normal().max(0.0)).collect(), &[1, numel]).unwrap();
+        QTensor::quantize(&t, QuantParams::affine_from_range(t.min(), t.max()))
+    }
+
+    /// Where the mode byte of `q`'s self-describing frame sits.
+    fn mode_at(q: &QTensor) -> usize {
+        5 + 8 * q.params().channels() + 1 + 4 * q.dims().len()
+    }
+
+    #[test]
+    fn skewed_activations_travel_coded_and_decode_bit_for_bit() {
+        let q = relu_activation(3072, 7);
+        let buf = encode(&q);
+        assert_eq!(buf[mode_at(&q)], 1, "a skewed activation should travel Huffman-coded");
+        assert_eq!(buf.len() as u64, encoded_len(&q));
+        assert!(buf.len() < mode_at(&q) + 1 + q.numel() * 7 / 8, "{} bytes", buf.len());
+        assert_eq!(try_decode(&buf), Ok((q, buf.len())));
+    }
+
+    #[test]
+    fn a_frame_the_code_cannot_shorten_travels_raw() {
+        // A tiny tensor cannot pay for the 128-byte length table.
+        let q = relu_activation(100, 8);
+        let buf = encode(&q);
+        assert_eq!(buf[mode_at(&q)], 0);
+        assert_eq!(&buf[mode_at(&q) + 1..], q.as_slice().iter().map(|&e| e as u8).collect::<Vec<_>>());
+    }
+
+    /// A coded frame with its parts at hand, for the hostile cases below.
+    fn coded_frame() -> (QTensor, Vec<u8>, usize) {
+        let q = relu_activation(3072, 9);
+        let buf = encode(&q);
+        assert_eq!(buf[mode_at(&q)], 1);
+        let mode = mode_at(&q);
+        (q, buf, mode)
+    }
+
+    #[test]
+    fn hostile_coded_bodies_are_rejected_not_panicked_on() {
+        let (q, good, mode) = coded_frame();
+        let table = mode + 1..mode + 129;
+        let patched = |at: usize, byte: u8| {
+            let mut b = good.clone();
+            b[at] = byte;
+            b
+        };
+        let mut all_eights = good.clone();
+        all_eights[table.clone()].fill(0x88); // 256 codes of 8 bits: complete
+        let mut over = all_eights.clone();
+        over[table.start] = 0x87; // one 7-bit code too many
+        let mut under = all_eights.clone();
+        under[table.start] = 0x89; // one code short of complete
+        let mut empty = good.clone();
+        empty[table.clone()].fill(0);
+        // The last byte's low bits are padding: the codes' lengths, read
+        // off the table, leave some.
+        let lens: Vec<usize> =
+            good[table.clone()].iter().flat_map(|&b| [b & 0xF, b >> 4]).map(usize::from).collect();
+        let zp = q.params().zero_point(0) as i8;
+        let bits: usize = q.as_slice().iter().map(|&e| lens[e.wrapping_sub(zp) as u8 as usize]).sum();
+        assert_ne!(bits % 8, 0, "this frame's stream fills its last byte; pick another seed");
+        let mut padded = good.clone();
+        *padded.last_mut().unwrap() |= 1;
+        let cases: [(&str, Vec<u8>, WireError); 7] = [
+            ("unknown mode byte", patched(mode, 2), WireError::UnknownTag(2)),
+            ("over-subscribed length table", over, WireError::BadCode),
+            ("incomplete length table", under, WireError::BadCode),
+            ("no code at all", empty, WireError::BadCode),
+            ("table cut short", good[..table.end - 1].to_vec(), WireError::Truncated),
+            ("stream cut short", good[..good.len() - 1].to_vec(), WireError::Truncated),
+            ("non-zero padding bits", padded, WireError::BadCode),
+        ];
+        for (name, bytes, expected) in cases {
+            assert_eq!(try_decode(&bytes).err(), Some(expected), "{name}");
+        }
+    }
+
+    #[test]
+    fn a_symbol_count_other_than_numel_never_decodes_whole() {
+        // Each code is 1 to 15 bits, so 8 symbols more than the stream
+        // holds run past its end, and 8 fewer leave code bits where the
+        // padding should be zero, or a whole byte unread (which a payload,
+        // exactly one frame, rejects).
+        let (q, good, mode) = coded_frame();
+        assert_eq!(q.dims(), &[1, 3072]);
+        let with_numel = |numel: u32| {
+            let mut b = good.clone();
+            let at = mode - 4;
+            b[at..mode].copy_from_slice(&numel.to_le_bytes());
+            try_decode(&b)
+        };
+        assert_eq!(with_numel(3072 + 8).err(), Some(WireError::Truncated));
+        match with_numel(3072 - 8) {
+            Err(e) => assert_eq!(e, WireError::BadCode),
+            Ok((_, used)) => assert!(used < good.len(), "8 symbols fewer decoded the whole frame"),
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Property-based tests on the quantization grid and integer kernels.
 
 use mea_quant::qparams::{QMAX, QMIN};
-use mea_quant::{QTensor, QuantParams};
-use mea_tensor::Tensor;
+use mea_quant::{wire, QTensor, QuantParams};
+use mea_tensor::{Rng, Tensor};
 use proptest::prelude::*;
 
 proptest! {
@@ -89,6 +89,58 @@ proptest! {
                 }
                 prop_assert_eq!(got[m * 5 + n] as i64, want);
             }
+        }
+    }
+
+    /// Every int8 frame decodes to the tensor it encodes, bit for bit, and
+    /// is at most its mode byte longer than its raw elements. Kinds: 0
+    /// all-zero and 1 single-value (coded in one bit per element, so raw
+    /// wins exactly when that cannot pay for the 128-byte length table),
+    /// 2 uniform-random bytes (raw always wins), 3 a ReLU activation on its
+    /// affine grid, and 4 a per-channel grid through the indexed frame.
+    #[test]
+    fn wire_frames_round_trip_and_never_grow(
+        kind in 0u8..5,
+        shape in (1usize..9, 1usize..9, 1usize..80),
+        seed in any::<u64>(),
+    ) {
+        let (c, h, w) = shape;
+        let numel = c * h * w;
+        let mut rng = Rng::new(seed);
+        let normal = Tensor::randn([c, h, w], 1.0, &mut rng);
+        let affine = QuantParams::affine_from_range(-1.5, 2.5);
+        let q = match kind {
+            0 => QTensor::from_parts(vec![0; numel], vec![c, h, w], affine),
+            1 => QTensor::from_parts(vec![rng.below(256) as u8 as i8; numel], vec![c, h, w], affine),
+            2 => QTensor::from_parts((0..numel).map(|_| rng.below(256) as u8 as i8).collect(), vec![c, h, w], affine),
+            3 => {
+                let relu = normal.as_slice().iter().map(|v| v.max(0.0)).collect();
+                let t = Tensor::from_vec(relu, &[c, h, w]).unwrap();
+                QTensor::quantize(&t, QuantParams::affine_from_range(t.min(), t.max()))
+            }
+            _ => {
+                let absmax: Vec<f32> =
+                    normal.as_slice().chunks(h * w).map(|ch| ch.iter().fold(0.0f32, |m, v| m.max(v.abs()))).collect();
+                QTensor::quantize_per_channel(&normal, QuantParams::symmetric_per_channel(&absmax))
+            }
+        };
+        let buf = wire::encode(&q);
+        prop_assert_eq!(buf.len() as u64, wire::encoded_len(&q));
+        prop_assert_eq!(wire::try_decode(&buf), Ok((q.clone(), buf.len())));
+        let mut indexed = Vec::new();
+        wire::encode_indexed_into(&q, &mut indexed);
+        prop_assert_eq!(indexed.len() as u64, wire::indexed_encoded_len(&q));
+        prop_assert_eq!(wire::decode_indexed(&indexed, q.params().clone()), Ok((q.clone(), indexed.len())));
+        let raw = 1 + 4 * 3 + numel as u64;
+        prop_assert!(indexed.len() as u64 <= raw + 1, "{} bytes for {numel} elements", indexed.len());
+        let coded = indexed[1 + 4 * 3] == 1;
+        match kind {
+            0 | 1 => prop_assert_eq!(coded, 128 + numel.div_ceil(8) < numel),
+            2 => prop_assert!(!coded, "uniform bytes took the code"),
+            _ => {}
+        }
+        if coded {
+            prop_assert!(indexed.len() as u64 <= raw, "a coded body longer than the raw one");
         }
     }
 

@@ -19,8 +19,11 @@ pub enum WireError {
     NoGrid(usize),
     /// A per-channel frame's leading dim (second) differs from its grid's (first).
     GridMismatch(usize, usize),
-    /// A lane frame's length is over the frame cap or wrong for its type.
+    /// A frame's length is over the frame cap or wrong for its content.
     FrameLength(usize),
+    /// An int8 frame's entropy-coded body: a code-length table that is not
+    /// a complete prefix code, or padding bits that are not zero.
+    BadCode,
 }
 
 impl fmt::Display for WireError {
