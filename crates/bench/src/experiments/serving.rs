@@ -11,8 +11,8 @@ use mea_edgecloud::governor::{AccuracyModel, ControlPoint, SlaTarget};
 use mea_edgecloud::network::{LinkEstimate, NetworkLink};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange,
-    LinkFeedback, ServeConfig, ServeConfigBuilder, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
+    trace_requests, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange, LinkFeedback,
+    ServeConfig, ServeConfigBuilder, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_edgecloud::transport::{PaceChange, PipeConfig, TransportKind};
@@ -774,11 +774,11 @@ pub fn hetero_fleet(scale: Scale) -> HeteroFleetResult {
     HeteroFleetResult { tiers, base, routed, predicted_hard, predicted_easy, link_mbps }
 }
 
-/// One ingress/transport configuration's outcome in the saturation load
+/// One topology/transport configuration's outcome in the saturation load
 /// harness.
 #[derive(Debug, Clone)]
 pub struct LoadRow {
-    /// Row label (ingress mode + transport).
+    /// Row label (cloud workers + transport or trace).
     pub label: &'static str,
     /// Sustained throughput at saturation (req/s of wall clock).
     pub sustained_hz: f64,
@@ -791,10 +791,9 @@ pub struct LoadRow {
     pub p95_ms: f64,
     /// 99th-percentile latency (ms).
     pub p99_ms: f64,
-    /// Device-sticky runs a cloud worker stole from another shard.
+    /// Batches holding a frame of another cloud worker's lane.
     pub steals: u64,
-    /// High-water mark of frames queued across all ingress shards
-    /// (0 under the single-queue ingress, which has no shards).
+    /// High-water mark of frames in the shared cloud ingress queue.
     pub max_queue_depth: usize,
     /// Batched cloud forwards executed.
     pub cloud_batches: u64,
@@ -815,18 +814,21 @@ pub struct LoadHarnessResult {
     pub frames_per_device: usize,
     /// Total requests per run.
     pub total: usize,
-    /// Cloud workers (= ingress shards) in every run.
+    /// Cloud workers in every run but `one_worker`.
     pub cloud_workers: usize,
-    /// Sharded work-stealing ingress, modelled WiFi link, heavy tail.
-    pub sharded: LoadRow,
-    /// Single-queue ingress on the identical trace (the A/B baseline).
-    pub single_queue: LoadRow,
-    /// Sharded ingress over the real byte-pipe transport, same trace.
+    /// All cloud workers at the shared ingress queue, modelled WiFi link,
+    /// heavy tail.
+    pub shared: LoadRow,
+    /// One cloud worker on the identical trace (the A/B baseline): what
+    /// a worker draining only its own lane amounts to when every frame
+    /// rides lane 0.
+    pub one_worker: LoadRow,
+    /// All cloud workers over the real byte-pipe transport, same trace.
     pub pipe: LoadRow,
-    /// Sharded ingress on the diurnal-modulated Poisson trace.
+    /// All cloud workers on the diurnal-modulated Poisson trace.
     pub diurnal: LoadRow,
-    /// `single_queue.service_ms / sharded.service_ms` — the scheduling
-    /// win from stealing under a pathologically skewed device population.
+    /// `one_worker.service_ms / shared.service_ms` — the scheduling win
+    /// from stealing under a pathologically skewed device population.
     pub speedup: f64,
 }
 
@@ -834,8 +836,8 @@ pub struct LoadHarnessResult {
 /// cycling the dataset's instances round-robin (instance `seq·devices +
 /// device`, modulo the dataset), with every device id multiplied by
 /// `lane_stride` so all sticky lanes collapse to lane 0 — the worst-case
-/// skew for a sharded ingress, and exactly the population where work
-/// stealing has to carry the whole cloud tier.
+/// skew, and exactly the population where stealing from the shared
+/// ingress queue has to carry the whole cloud tier.
 fn skewed_trace(
     data: &Dataset,
     devices: usize,
@@ -872,7 +874,7 @@ fn skewed_trace(
 /// harness measures *scheduling* (how well link sleeps overlap across the
 /// cloud tier), so per-request model compute is kept far below the
 /// modelled link time — otherwise the edge tier's forwards would bound
-/// both ingress modes on a small CI host and hide the scheduling gap.
+/// both topologies on a small CI host and hide the scheduling gap.
 fn slim_edge(seed: u64, hard: &[usize]) -> MeaNet {
     let mut rng = Rng::new(seed);
     let mut cfg = CifarResNetConfig::repro_scale(6);
@@ -902,14 +904,14 @@ fn slim_cloud(seed: u64) -> SegmentedCnn {
 
 /// Runs the scale-out saturation harness: a heavy-tailed (log-normal)
 /// trace from a large skewed device population — every sticky lane maps
-/// to shard 0 — through the sharded work-stealing ingress and the legacy
-/// single-queue ingress on the modelled-link transport (A/B on identical
-/// requests), plus the same trace over the real byte-pipe transport and a
-/// diurnal-modulated Poisson trace, all at a high offload fraction.
+/// to lane 0 — through six cloud workers at the shared ingress queue and
+/// through one cloud worker on the modelled-link transport (A/B on
+/// identical requests), plus the same trace over the real byte-pipe
+/// transport and a diurnal-modulated Poisson trace, all at a high offload
+/// fraction.
 ///
 /// The modelled link charges each coalesced batch an upload plus a 20 ms
-/// RTT; under the single queue those sleeps serialise behind shard 0's
-/// owner, while stealing overlaps them across the whole cloud tier — the
+/// RTT; one worker serialises those sleeps, while six overlap them — the
 /// measured speedup is pure scheduling, which is why records must still
 /// match the offline sweep bit for bit in every run.
 pub fn load_harness(scale: Scale) -> LoadHarnessResult {
@@ -922,7 +924,7 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
     let policy = scenario.policy(0.8);
     // Ground truth: the sequential offline sweep over the base instances.
     // Each request is a cycled instance, so its record must equal the
-    // offline record of that instance regardless of ingress or transport.
+    // offline record of that instance whatever the topology or transport.
     let offline = scenario.offline(policy);
 
     let topology = Topology { edge_workers: 2, cloud_workers: 6, max_batch: 8, queue_depth: 64 };
@@ -940,16 +942,16 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         skewed_trace(data, devices, frames_per_device, cloud_workers, &diurnal_model, &mut rng);
 
     let run = |label: &'static str,
-               ingress: CloudIngress,
+               topology: Topology,
                transport: TransportKind,
                requests: &[ServeRequest],
                instance_of: &[usize]|
      -> LoadRow {
-        let mut cfg = ServeConfig::builder(policy).ingress(ingress);
+        let mut cfg = ServeConfig::builder(policy);
         if matches!(transport, TransportKind::Modelled) {
             // WiFi-class uplink with a 20 ms RTT: each batch pays real
             // wall-clock sleep, so overlap (not host cores) sets capacity,
-            // and deep shards let stolen prefixes fill whole batches.
+            // and a deep queue lets every worker fill whole batches.
             cfg = cfg.link(NetworkLink::wifi(50.0).with_rtt(0.020));
         }
         let report = scenario.serve(topology, ControlPlan::default(), cfg.transport(transport), requests);
@@ -987,38 +989,37 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         }
     };
 
-    let sharded =
-        run("sharded / modelled", CloudIngress::Sharded, TransportKind::Modelled, &requests, &instance_of);
-    let single_queue = run(
-        "single-queue / modelled",
-        CloudIngress::SingleQueue,
+    let shared = run("6 workers / modelled", topology, TransportKind::Modelled, &requests, &instance_of);
+    let one_worker = run(
+        "1 worker / modelled",
+        Topology { cloud_workers: 1, ..topology },
         TransportKind::Modelled,
         &requests,
         &instance_of,
     );
     let pipe = run(
-        "sharded / byte pipe",
-        CloudIngress::Sharded,
+        "6 workers / byte pipe",
+        topology,
         TransportKind::Pipe(PipeConfig::default()),
         &requests,
         &instance_of,
     );
     let diurnal = run(
-        "sharded / diurnal trace",
-        CloudIngress::Sharded,
+        "6 workers / diurnal trace",
+        topology,
         TransportKind::Modelled,
         &diurnal_requests,
         &diurnal_instance_of,
     );
 
-    let speedup = single_queue.service_ms / sharded.service_ms;
+    let speedup = one_worker.service_ms / shared.service_ms;
     LoadHarnessResult {
         devices,
         frames_per_device,
         total: requests.len(),
         cloud_workers,
-        sharded,
-        single_queue,
+        shared,
+        one_worker,
         pipe,
         diurnal,
         speedup,

@@ -15,11 +15,11 @@
 //! ([`crate::serve::Fleet`]) plans per-class cuts and reports per-class
 //! stats from it, and the virtual-clock simulator here
 //! ([`simulate_fleet`]) prices the same fleet analytically. Skew is
-//! also why the runtime's cloud tier defaults to the sharded
-//! work-stealing ingress ([`crate::serve::CloudIngress`]): a population
-//! whose sticky lanes collapse onto few shards would otherwise idle every
-//! other cloud worker, exactly the regime a lopsided [`FleetSpec`]
-//! produces. In the simulator each device runs its own FIFO pipeline
+//! also why the runtime's cloud workers share one ingress queue instead
+//! of each draining its own lane: a population whose sticky lanes
+//! collapse onto a few lanes, exactly the regime a lopsided [`FleetSpec`]
+//! produces, would otherwise idle every other cloud worker. In the
+//! simulator each device runs its own FIFO pipeline
 //! (edge compute, an optional cooperative peer hop, radio), while the
 //! cloud is a shared pool of `cloud_servers` FIFO execution slots.
 //! Offloaded jobs queue when all slots are busy, so cloud latency

@@ -81,6 +81,13 @@ impl NetworkLink {
         NetworkLink::lte(5.64)
     }
 
+    /// Whether both rates are finite and positive and the RTT finite and
+    /// non-negative: a link the runtime can sleep on and plan with.
+    pub(crate) fn is_valid(&self) -> bool {
+        let rate_ok = |mbps: f64| mbps.is_finite() && mbps > 0.0;
+        rate_ok(self.throughput_mbps) && rate_ok(self.download_mbps) && self.rtt_s.is_finite() && self.rtt_s >= 0.0
+    }
+
     /// Adds a propagation delay (builder style).
     pub fn with_rtt(mut self, rtt_s: f64) -> Self {
         self.rtt_s = rtt_s;

@@ -291,7 +291,10 @@ pub struct PartitionEnv {
     /// The uplink.
     pub link: NetworkLink,
     /// Bytes per transmitted activation element (4 for f32 features, 1
-    /// for int8-quantized features).
+    /// for int8-quantized features). Int8 is priced at its raw body's
+    /// bound ([`crate::serve::FeatureWire::bytes_per_elem`]): a
+    /// Huffman-coded frame can be shorter, so the int8 upload of a cut is
+    /// an upper bound.
     pub bytes_per_elem: u64,
     /// Bytes of one raw input image (the cut-at-0 upload).
     pub raw_input_bytes: u64,

@@ -1,5 +1,6 @@
-//! Cloud-tier execution: ingress sharding/work stealing, batch
-//! coalescing, the cloud worker loop and batched suffix execution.
+//! Cloud-tier execution: the shared ingress queue the cloud workers take
+//! turns at, batch coalescing, the cloud worker loop and batched suffix
+//! execution.
 
 use super::*;
 
@@ -14,212 +15,37 @@ pub(crate) struct CloudCounters {
     pub(crate) macs: u64,
     pub(crate) macs_saved: u64,
     pub(crate) steals: u64,
-    /// Coalesced batches per ingress shard / lane (sized `cloud_workers`).
-    pub(crate) per_shard: Vec<u64>,
+    /// Coalesced batches per cloud worker (sized `cloud_workers`).
+    pub(crate) per_worker: Vec<u64>,
 }
 
-/// Coalesces queued request frames into a batch: blocks for the first
-/// frame, then drains greedily up to `max_batch`, waiting at most
-/// `max_wait` for stragglers. Returns `None` once the uplink is closed
-/// and drained.
-pub(crate) fn coalesce_frames<U: UplinkReceiver>(
-    up: &mut U,
-    max_batch: usize,
-    max_wait: Duration,
-) -> Option<Vec<InboundRequest>> {
-    let first = match up.recv(None) {
-        RecvOutcome::Frame(f) => f,
-        RecvOutcome::Closed => return None,
-        RecvOutcome::TimedOut => unreachable!("recv without a timeout cannot time out"),
-    };
-    let mut batch = vec![first];
-    let deadline = Instant::now() + max_wait;
+/// The one cloud ingress: every lane's pump sends `(lane, frame)` into one
+/// bounded queue, and the cloud workers take turns at its receiver (the
+/// vendored channel's `Receiver` cannot be cloned, hence the mutex). Only
+/// the pumps hold senders and only the workers hold this, so ownership
+/// drives shutdown: the last pump to exit closes the queue and the
+/// workers drain it and stop; the last worker to exit — normally or by
+/// unwinding — drops the receiver, the pumps' sends fail and the lanes
+/// close behind them.
+pub(crate) type IngressQueue = Arc<Mutex<Receiver<(usize, InboundRequest)>>>;
+
+/// Coalesces queued frames into a batch: blocks for the first frame, then
+/// drains greedily up to `max_batch`, waiting at most `max_wait` for
+/// stragglers. A `max_wait` too long for the clock to hold as a deadline
+/// sets none: the batch then waits until it is full or the queue closes.
+/// Returns `None` once the queue is closed and drained.
+pub(crate) fn coalesce_frames<F>(queue: &Receiver<F>, max_batch: usize, max_wait: Duration) -> Option<Vec<F>> {
+    let mut batch = vec![queue.recv().ok()?];
+    let deadline = Instant::now().checked_add(max_wait);
     while batch.len() < max_batch {
-        match up.recv(Some(deadline.saturating_duration_since(Instant::now()))) {
-            RecvOutcome::Frame(f) => batch.push(f),
-            RecvOutcome::TimedOut | RecvOutcome::Closed => break,
-        }
+        let next = match deadline {
+            Some(deadline) => queue.recv_timeout(deadline.saturating_duration_since(Instant::now())).ok(),
+            None => queue.recv().ok(),
+        };
+        let Some(frame) = next else { break };
+        batch.push(frame);
     }
     Some(batch)
-}
-
-/// One bounded shard of the [`ShardedIngress`]: the frames pumped off one
-/// transport lane that have not yet been coalesced into a batch.
-#[derive(Debug)]
-pub(crate) struct ShardState {
-    pub(crate) queue: VecDeque<InboundRequest>,
-    /// False once the lane's pump saw the uplink close and drained it.
-    pub(crate) open: bool,
-}
-
-/// Shared state behind the [`ShardedIngress`] lock.
-#[derive(Debug)]
-pub(crate) struct IngressState {
-    pub(crate) shards: Vec<ShardState>,
-    /// Set by [`ShardedIngress::abort`] when any cloud worker unwinds, so
-    /// pumps and peers blocked on the condvars wake and exit instead of
-    /// deadlocking the join cascade.
-    pub(crate) aborted: bool,
-    /// High-water mark of frames queued across all shards at any instant.
-    pub(crate) max_depth: usize,
-}
-
-/// The sharded work-stealing cloud ingress ([`CloudIngress::Sharded`]).
-///
-/// One pump thread per transport lane drains arrived frames into that
-/// lane's bounded shard; each cloud worker coalesces batches from its own
-/// shard first and, when its shard is empty, *steals* from the deepest
-/// backlogged peer instead of sleeping. A steal takes a **FIFO prefix**
-/// of the victim shard — whole device-sticky runs, in arrival order, up
-/// to a full batch — so a device's frames are never reordered (relative
-/// to each other) on their way into a batch, and stolen batches coalesce
-/// as fully as owned ones; the
-/// [`ReorderGate`] then restores per-device completion order across
-/// concurrently running batches.
-///
-/// Built on `std::sync` primitives (the vendored `parking_lot` carries no
-/// `Condvar`), like the framed lanes' budget in [`crate::transport`].
-#[derive(Debug)]
-pub(crate) struct ShardedIngress {
-    pub(crate) state: StdMutex<IngressState>,
-    /// Signalled on frame arrival, shard close, or abort.
-    pub(crate) arrived: Condvar,
-    /// Signalled when frames leave a full shard (and on abort).
-    pub(crate) space: Condvar,
-    /// Per-shard frame capacity ([`ServeConfigBuilder::queue_depth`]).
-    pub(crate) depth_cap: usize,
-}
-
-impl ShardedIngress {
-    pub(crate) fn new(shards: usize, depth_cap: usize) -> Self {
-        let shards = (0..shards).map(|_| ShardState { queue: VecDeque::new(), open: true }).collect();
-        ShardedIngress {
-            state: StdMutex::new(IngressState { shards, aborted: false, max_depth: 0 }),
-            arrived: Condvar::new(),
-            space: Condvar::new(),
-            depth_cap,
-        }
-    }
-
-    /// Pump side: enqueues one frame on `shard`, blocking while the shard
-    /// is at capacity (backpressure reaches the transport and from there
-    /// the edge workers). `Err(())` once the ingress aborted.
-    pub(crate) fn push(&self, shard: usize, req: InboundRequest) -> Result<(), ()> {
-        let mut st = self.state.lock().expect("ingress lock poisoned");
-        while !st.aborted && st.shards[shard].queue.len() >= self.depth_cap {
-            st = self.space.wait(st).expect("ingress lock poisoned");
-        }
-        if st.aborted {
-            return Err(());
-        }
-        st.shards[shard].queue.push_back(req);
-        let depth: usize = st.shards.iter().map(|s| s.queue.len()).sum();
-        st.max_depth = st.max_depth.max(depth);
-        self.arrived.notify_all();
-        Ok(())
-    }
-
-    /// Pump side: marks `shard`'s lane as closed and drained.
-    pub(crate) fn close_shard(&self, shard: usize) {
-        self.state.lock().expect("ingress lock poisoned").shards[shard].open = false;
-        self.arrived.notify_all();
-    }
-
-    /// Unblocks every thread parked on the ingress; pushes fail and
-    /// `next_batch` returns `None` from here on. Idempotent.
-    pub(crate) fn abort(&self) {
-        self.state.lock().expect("ingress lock poisoned").aborted = true;
-        self.arrived.notify_all();
-        self.space.notify_all();
-    }
-
-    pub(crate) fn max_depth(&self) -> usize {
-        self.state.lock().expect("ingress lock poisoned").max_depth
-    }
-
-    /// Worker side: the next coalesced batch for `shard`'s owner, and
-    /// whether it was stolen. Own-shard batches block for the first frame,
-    /// drain greedily to `max_batch` and wait up to `max_wait` for
-    /// stragglers — the same contract as [`coalesce_frames`]. When the own
-    /// shard is empty but a peer's is not, a FIFO prefix — whole
-    /// device-sticky runs, in arrival order, up to `max_batch` — is stolen
-    /// from the deepest victim and returned immediately (no straggler
-    /// wait: the point of stealing is to soak backlog now, and taking a
-    /// prefix keeps every device's frames in order while still filling
-    /// the batch). `None` once every shard is closed and drained, or on
-    /// abort.
-    pub(crate) fn next_batch(
-        &self,
-        shard: usize,
-        max_batch: usize,
-        max_wait: Duration,
-    ) -> Option<(Vec<InboundRequest>, bool)> {
-        let mut st = self.state.lock().expect("ingress lock poisoned");
-        loop {
-            if st.aborted {
-                return None;
-            }
-            if let Some(first) = st.shards[shard].queue.pop_front() {
-                let mut batch = vec![first];
-                let deadline = Instant::now() + max_wait;
-                loop {
-                    let queue = &mut st.shards[shard].queue;
-                    batch.extend(queue.drain(..queue.len().min(max_batch - batch.len())));
-                    // A partial batch is returned (never dropped) on
-                    // abort, lane close, or deadline — mirroring how
-                    // `coalesce_frames` gives up on stragglers.
-                    if batch.len() >= max_batch || st.aborted {
-                        break;
-                    }
-                    if st.shards[shard].queue.is_empty() && !st.shards[shard].open {
-                        break;
-                    }
-                    let now = Instant::now();
-                    if now >= deadline {
-                        break;
-                    }
-                    let (guard, _) = self.arrived.wait_timeout(st, deadline - now).expect("ingress lock poisoned");
-                    st = guard;
-                }
-                self.space.notify_all();
-                return Some((batch, false));
-            }
-            let victim = st
-                .shards
-                .iter()
-                .enumerate()
-                .filter(|(i, s)| *i != shard && !s.queue.is_empty())
-                .max_by_key(|(_, s)| s.queue.len())
-                .map(|(i, _)| i);
-            if let Some(v) = victim {
-                let take = st.shards[v].queue.len().min(max_batch);
-                let batch: Vec<InboundRequest> = st.shards[v].queue.drain(..take).collect();
-                self.space.notify_all();
-                return Some((batch, true));
-            }
-            if st.shards.iter().all(|s| s.queue.is_empty() && !s.open) {
-                return None;
-            }
-            st = self.arrived.wait(st).expect("ingress lock poisoned");
-        }
-    }
-}
-
-/// Aborts the ingress if its holder unwinds. Held by every pump and
-/// sharded cloud worker: if one panics mid-operation, the abort unwedges
-/// every thread blocked on the ingress condvars so the join cascade can
-/// collect the panic instead of deadlocking. A clean exit leaves the
-/// ingress alone — peers may still be draining their shards.
-pub(crate) struct IngressAbortGuard<'a> {
-    pub(crate) ingress: &'a ShardedIngress,
-}
-
-impl Drop for IngressAbortGuard<'_> {
-    fn drop(&mut self) {
-        if std::thread::panicking() {
-            self.ingress.abort();
-        }
-    }
 }
 
 /// Per-device release state of the [`ReorderGate`].
@@ -232,11 +58,9 @@ pub(crate) struct DeviceGate {
 }
 
 /// Releases offload completions in per-device offload order
-/// ([`PendingEntry::cloud_idx`]), regardless of which cloud worker — own
-/// shard or thief — classified each batch. This is what keeps the
-/// per-device FIFO guarantee of the single-queue path intact under work
-/// stealing: a stolen batch can *finish* before an earlier in-flight
-/// batch of the same device, but its completions wait here.
+/// ([`PendingEntry::cloud_idx`]), whichever cloud worker classified each
+/// batch. Two workers can run batches of one device at the same time, and
+/// the later batch can *finish* first; its completions wait here.
 #[derive(Debug, Default)]
 pub(crate) struct ReorderGate {
     pub(crate) devices: HashMap<usize, DeviceGate>,
@@ -260,54 +84,24 @@ impl ReorderGate {
     }
 }
 
-/// Where a cloud worker's coalesced batches come from.
-pub(crate) enum BatchSource<'a, U: UplinkReceiver> {
-    /// [`CloudIngress::SingleQueue`]: the worker owns its transport lane
-    /// and blocks on it alone — the record-identity reference path.
-    Lane(U),
-    /// [`CloudIngress::Sharded`]: the worker's own ingress shard, stealing
-    /// FIFO prefixes (whole device-sticky runs) from backlogged peers when
-    /// idle.
-    Shard(&'a ShardedIngress),
-}
-
-impl<'a, U: UplinkReceiver> BatchSource<'a, U> {
-    /// The next coalesced batch for `lane`'s worker and whether it was
-    /// stolen; `None` once the source is closed and drained.
-    fn next_batch(&mut self, lane: usize, cfg: &ServeConfig) -> Option<(Vec<InboundRequest>, bool)> {
-        match self {
-            BatchSource::Lane(uplink) => coalesce_frames(uplink, cfg.max_batch, cfg.max_wait).map(|b| (b, false)),
-            BatchSource::Shard(ingress) => ingress.next_batch(lane, cfg.max_batch, cfg.max_wait),
-        }
-    }
-
-    fn ingress(&self) -> Option<&'a ShardedIngress> {
-        match self {
-            BatchSource::Lane(_) => None,
-            BatchSource::Shard(ingress) => Some(ingress),
-        }
-    }
-}
-
-/// Cloud worker loop: classify each coalesced batch of `source`.
+/// Cloud worker loop: take the next coalesced batch off the shared
+/// ingress — holding its lock only while the batch assembles — and
+/// classify it.
 pub(crate) fn cloud_worker<T: Transport>(
     ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
-    lane: usize,
-    mut source: BatchSource<'_, T::Uplink>,
+    worker: usize,
+    ingress: IngressQueue,
 ) {
-    // However this worker exits — drained source or a panic mid-batch —
+    // However this worker exits — drained queue or a panic mid-batch —
     // its response lane closes behind it (collector shutdown).
-    let _closer = LaneCloser { transport: &ctx.transport, lane };
-    let _guard = source.ingress().map(|ingress| IngressAbortGuard { ingress });
+    let _closer = LaneCloser { transport: &ctx.transport, lane: worker };
     let mut scratch = Vec::new();
-    while let Some((batch, stolen)) = source.next_batch(lane, ctx.cfg) {
-        if !process_cloud_batch(ctx, cloud, lane, stolen, batch, &mut scratch) {
-            // The collector died; unwedge pumps and peers so the join
-            // cascade can surface its panic instead of deadlocking.
-            if let Some(ingress) = source.ingress() {
-                ingress.abort();
-            }
+    loop {
+        let Some(batch) = coalesce_frames(&ingress.lock(), ctx.cfg.max_batch, ctx.cfg.max_wait) else { return };
+        ctx.queued.fetch_sub(batch.len(), Ordering::Relaxed);
+        if !process_cloud_batch(ctx, cloud, worker, batch, &mut scratch) {
+            // The collector died; its panic surfaces at join.
             return;
         }
     }
@@ -325,23 +119,22 @@ pub(crate) fn cloud_worker<T: Transport>(
 pub(crate) fn process_cloud_batch<T: Transport>(
     ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
-    lane: usize,
-    stolen: bool,
-    batch: Vec<InboundRequest>,
+    worker: usize,
+    batch: Vec<(usize, InboundRequest)>,
     scratch: &mut Vec<f32>,
 ) -> bool {
     let (cfg, transport, counters, shared) = (ctx.cfg, &ctx.transport, &ctx.counters, &ctx.policy);
     let (suffix_macs, grids) = (&ctx.suffix_macs, &ctx.grids);
     let measured = cfg.transport.is_measured();
-    let payload_bytes: u64 = batch.iter().map(|b| b.frame.payload.len() as u64).sum();
+    let payload_bytes: u64 = batch.iter().map(|(_, b)| b.frame.payload.len() as u64).sum();
     let response_bytes = RESPONSE_WIRE_BYTES * batch.len() as u64;
     // Real-wire telemetry: total frame bytes (headers included) and
     // the span from the first frame's send to the last frame's full
     // reassembly — queueing, pacing and scheduling noise included.
-    let wire_bytes: u64 = batch.iter().map(|b| b.frame.wire_bytes()).sum();
+    let wire_bytes: u64 = batch.iter().map(|(_, b)| b.frame.wire_bytes()).sum();
     let up_span_s = if measured {
-        let first_sent = batch.iter().map(|b| b.sent_at).min().expect("non-empty batch");
-        let last_received = batch.iter().map(|b| b.received_at).max().expect("non-empty batch");
+        let first_sent = batch.iter().map(|(_, b)| b.sent_at).min().expect("non-empty batch");
+        let last_received = batch.iter().map(|(_, b)| b.received_at).max().expect("non-empty batch");
         last_received.duration_since(first_sent).as_secs_f64()
     } else {
         0.0
@@ -353,11 +146,10 @@ pub(crate) fn process_cloud_batch<T: Transport>(
         c.max_batch = c.max_batch.max(batch.len());
         c.bytes += payload_bytes;
         c.bytes_down += response_bytes;
-        if stolen {
-            c.steals += 1;
-        }
-        c.per_shard[lane] += 1;
-        for b in &batch {
+        // A steal: the batch holds a frame another worker's lane carried.
+        c.steals += u64::from(batch.iter().any(|&(lane, _)| lane != worker));
+        c.per_worker[worker] += 1;
+        for (_, b) in &batch {
             let resume = b.frame.resume_layer as usize;
             c.macs += suffix_macs[resume];
             c.macs_saved += total_macs - suffix_macs[resume];
@@ -381,7 +173,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     // and run one batched forward per group. Per-sample independence
     // makes the grouping invisible in the predictions.
     let mut groups: BTreeMap<u32, Vec<RequestFrame>> = BTreeMap::new();
-    for b in batch {
+    for (_, b) in batch {
         groups.entry(b.frame.resume_layer).or_default().push(b.frame);
     }
     counters.lock().forwards += groups.len() as u64;
@@ -427,7 +219,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     let mut lane_open = true;
     for (frame, pred) in &classified {
         let resp = ResponseFrame { req_id: frame.req_id, prediction: *pred as u32 };
-        if transport.send_response(lane, resp).is_err() {
+        if transport.send_response(worker, resp).is_err() {
             // The collector is gone; its panic surfaces at join.
             lane_open = false;
             break;

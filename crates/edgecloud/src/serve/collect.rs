@@ -175,6 +175,10 @@ pub(crate) struct WorkerCtx<'a, T: Transport> {
     pub(crate) skipped_main_exits: AtomicUsize,
     /// Peer-stage byte/hop counters, fed by every multi-stage offload.
     pub(crate) peer: PeerTelemetry,
+    /// Frames in the cloud ingress queue (counted up by the pumps before
+    /// each send, down by the workers per batch taken), and its high-water.
+    pub(crate) queued: AtomicUsize,
+    pub(crate) max_queued: AtomicUsize,
 }
 
 /// The serving runtime over a concrete [`Transport`]. A measured wire
@@ -214,14 +218,8 @@ pub(crate) fn serve_core<T: Transport>(
         _ => ActivationGrids::default(),
     };
     // Completions of offloaded requests pass a per-device reorder gate,
-    // so work stealing cannot reorder a device's cloud responses.
+    // so concurrent cloud batches cannot reorder a device's responses.
     let reorder = Mutex::new(ReorderGate::default());
-    // The sharded work-stealing ingress (None under SingleQueue, where
-    // each cloud worker drains its own transport lane directly).
-    let ingress = match cfg.ingress {
-        CloudIngress::Sharded if cloud_available => Some(ShardedIngress::new(cfg.cloud_workers, cfg.queue_depth)),
-        _ => None,
-    };
     let suffix_macs: Vec<u64> = clouds.first().map_or_else(Vec::new, |cloud| {
         let profiles = profile_network(cloud);
         (0..=profiles.len()).map(|k| profiles[k..].iter().map(|p| p.macs).sum()).collect()
@@ -233,10 +231,12 @@ pub(crate) fn serve_core<T: Transport>(
         transport,
         grids,
         pending: Mutex::new(HashMap::new()),
-        counters: Mutex::new(CloudCounters { per_shard: vec![0; cfg.cloud_workers], ..CloudCounters::default() }),
+        counters: Mutex::new(CloudCounters { per_worker: vec![0; cfg.cloud_workers], ..CloudCounters::default() }),
         suffix_macs,
         skipped_main_exits: AtomicUsize::new(0),
         peer: PeerTelemetry::default(),
+        queued: AtomicUsize::new(0),
+        max_queued: AtomicUsize::new(0),
     };
     let (ctx, transport, spec) = (&run, &run.transport, &run.spec);
 
@@ -265,41 +265,35 @@ pub(crate) fn serve_core<T: Transport>(
     let t0 = Instant::now();
     let mut worker_panics: Vec<String> = Vec::new();
     crossbeam::thread::scope(|scope| {
-        // Sharded mode: one pump per lane drains arrived frames into its
-        // bounded shard (the workers below coalesce from the shards and
-        // steal across them). SingleQueue mode: the workers own the
-        // uplinks directly.
-        let mut pump_handles = Vec::new();
-        if let Some(ing) = ingress.as_ref() {
-            for lane in 0..cfg.cloud_workers {
-                let mut uplink = transport.take_uplink(lane);
-                pump_handles.push(scope.spawn(move |_| {
-                    let _guard = IngressAbortGuard { ingress: ing };
-                    loop {
-                        match uplink.recv(None) {
-                            RecvOutcome::Frame(f) => {
-                                if ing.push(lane, f).is_err() {
-                                    return;
-                                }
-                            }
-                            RecvOutcome::Closed => {
-                                ing.close_shard(lane);
-                                return;
-                            }
-                            RecvOutcome::TimedOut => unreachable!("recv without a timeout cannot time out"),
-                        }
+        // One pump per lane moves arrived frames into the one bounded
+        // ingress queue (`queue_depth` frames per cloud worker), and the
+        // cloud workers take turns at it. This scope keeps neither end,
+        // so the pumps and the workers own the shutdown (see
+        // `IngressQueue`).
+        let (ingress_tx, ingress_rx) = bounded(cfg.queue_depth * cfg.cloud_workers);
+        let ingress_rx: IngressQueue = Arc::new(Mutex::new(ingress_rx));
+        let mut pump_handles = Vec::with_capacity(cfg.cloud_workers);
+        for lane in 0..cfg.cloud_workers {
+            let mut uplink = transport.take_uplink(lane);
+            let tx = ingress_tx.clone();
+            pump_handles.push(scope.spawn(move |_| {
+                while let RecvOutcome::Frame(f) = uplink.recv(None) {
+                    // Count up before the send, so a worker's count down
+                    // never passes zero.
+                    let depth = ctx.queued.fetch_add(1, Ordering::Relaxed) + 1;
+                    ctx.max_queued.fetch_max(depth, Ordering::Relaxed);
+                    if tx.send((lane, f)).is_err() {
+                        return;
                     }
-                }));
-            }
+                }
+            }));
         }
         let mut cloud_handles = Vec::with_capacity(cfg.cloud_workers);
-        for (lane, cloud) in clouds.iter_mut().enumerate() {
-            let source = match ingress.as_ref() {
-                Some(ing) => BatchSource::Shard(ing),
-                None => BatchSource::Lane(transport.take_uplink(lane)),
-            };
-            cloud_handles.push(scope.spawn(move |_| cloud_worker(ctx, cloud, lane, source)));
+        for (worker, cloud) in clouds.iter_mut().enumerate() {
+            let rx = Arc::clone(&ingress_rx);
+            cloud_handles.push(scope.spawn(move |_| cloud_worker(ctx, cloud, worker, rx)));
         }
+        drop((ingress_tx, ingress_rx));
         let mut collector_handles = Vec::with_capacity(cfg.cloud_workers);
         for lane in 0..cfg.cloud_workers {
             let mut downlink = transport.take_downlink(lane);
@@ -363,9 +357,9 @@ pub(crate) fn serve_core<T: Transport>(
         dispatch.edge_txs.clear();
 
         // Shutdown cascade: edge workers drain their closed queues and
-        // exit; the request stream then closes, cloud workers drain and
-        // exit (each closing its response lane via LaneCloser), and the
-        // collectors follow. Joining — instead of blocking on a
+        // exit; the request lanes then close, the pumps exit and close the
+        // ingress queue, cloud workers drain it and exit (each closing its
+        // response lane via LaneCloser), and the collectors follow. Joining — instead of blocking on a
         // completion count — means a panicked worker is *detected*: its
         // payload is collected and re-raised with context, rather than
         // wedging the runtime on completions that will never arrive.
@@ -384,7 +378,7 @@ pub(crate) fn serve_core<T: Transport>(
     }
     let wall_s = t0.elapsed().as_secs_f64();
 
-    let WorkerCtx { policy, counters, skipped_main_exits, peer, .. } = run;
+    let WorkerCtx { policy, counters, skipped_main_exits, peer, max_queued, .. } = run;
     let (counters, st) = (counters.into_inner(), policy.into_inner());
     let (cut_replans, link_estimates) = match &st.cuts {
         Some(t) => (t.replans, t.estimator.as_ref().map(LinkEstimator::estimates)),
@@ -413,8 +407,8 @@ pub(crate) fn serve_core<T: Transport>(
         skipped_main_exits: skipped_main_exits.into_inner(),
         per_class,
         steals: counters.steals,
-        per_shard_batches: counters.per_shard,
-        max_queue_depth: ingress.as_ref().map_or(0, ShardedIngress::max_depth),
+        per_worker_batches: counters.per_worker,
+        max_queue_depth: max_queued.into_inner(),
         sla_violations: st.governor.as_ref().map_or(0, |g| g.governor.sla_violations()),
         governor_decisions: st.governor.as_ref().map_or(0, |g| g.decisions),
         control_trajectory: st.governor.map(|g| g.trajectory),

@@ -57,7 +57,11 @@ pub enum FeatureWire {
 }
 
 impl FeatureWire {
-    /// Bytes one activation element occupies on the wire, at most.
+    /// Bytes one activation element occupies on the wire, at most: both
+    /// int8 wires are priced at their raw body's byte per element. A
+    /// Huffman-coded body is often shorter (0.757 B per element on average
+    /// at the e2e split cut, `tests/wire_sizes.rs`), so a planner pricing
+    /// by this overstates int8 uplink bytes by up to 1.32×.
     pub fn bytes_per_elem(self) -> u64 {
         match self {
             FeatureWire::F32 => 4,
@@ -278,7 +282,6 @@ pub struct ServeConfig {
     pub(crate) link_schedule: Vec<LinkChange>,
     pub(crate) fleet: Option<FleetSpec>,
     pub(crate) difficulty: Option<DifficultyPredictor>,
-    pub(crate) ingress: CloudIngress,
 }
 
 /// One scheduled change of serving link conditions (see
@@ -294,33 +297,6 @@ pub struct LinkChange {
     pub after_batches: u64,
     /// The link every later batch pays (and telemetry observes).
     pub link: NetworkLink,
-}
-
-/// How offloaded frames reach the cloud workers (see
-/// [`ServeConfigBuilder::ingress`]).
-///
-/// Either way every frame still enters through its device-sticky lane
-/// (`spec.sticky_index(device, lanes)`), so the wire-level ordering
-/// guarantees are identical; the choice only controls how cloud *workers*
-/// pick frames up once they have arrived.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CloudIngress {
-    /// Sharded work-stealing ingress (the default): each cloud worker
-    /// owns one bounded shard fed by a pump thread draining its lane, and
-    /// an idle worker steals a FIFO prefix of frames (whole device-sticky
-    /// runs, in arrival order) from the deepest backlogged shard instead
-    /// of sleeping. Per-device FIFO survives stealing because (a) a steal
-    /// takes a *prefix* of a shard, preserving every device's frame order
-    /// within it, and (b) completions pass a per-device reorder gate
-    /// keyed on the edge-assigned offload index, so results leave the
-    /// cloud tier in exactly per-device offload order. [`ServeStats::steals`] / [`ServeStats::per_shard_batches`]
-    /// expose the balancing behaviour.
-    #[default]
-    Sharded,
-    /// The reference path: each cloud worker blocks on its own lane only.
-    /// A skewed device population can idle every other worker; kept as
-    /// the record-identity reference and for A/B measurement.
-    SingleQueue,
 }
 
 /// The link a batch rides given how many batches the cloud tier has
@@ -360,7 +336,6 @@ impl ServeConfig {
                 link_schedule: Vec::new(),
                 fleet: None,
                 difficulty: None,
-                ingress: CloudIngress::default(),
             },
         }
     }
@@ -405,7 +380,11 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Capacity of each bounded edge/cloud ingress queue.
+    /// Frames each bounded queue holds per worker: every edge worker's
+    /// queue and every lane of the modelled transport hold this many
+    /// (the byte-stream transports bound their lanes in bytes instead),
+    /// and the cloud workers' one shared ingress queue holds this many
+    /// per cloud worker.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.queue_depth = depth;
         self
@@ -487,17 +466,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// How cloud workers pick up arrived frames: the sharded
-    /// work-stealing ingress (default) or the one-queue-per-worker
-    /// reference path. Pure scheduling knob — the served
-    /// [`InstanceRecord`]s are identical either way (asserted by the
-    /// property suite); only throughput and the [`ServeStats`] scheduling
-    /// counters differ.
-    pub fn ingress(mut self, ingress: CloudIngress) -> Self {
-        self.cfg.ingress = ingress;
-        self
-    }
-
     /// Validates every static invariant and returns the configuration.
     ///
     /// # Errors
@@ -530,6 +498,12 @@ pub enum ServeConfigError {
     /// A [`TransportKind::Pipe`] pacing rate (`up_mbps`, `down_mbps` or a
     /// throttle's `up_mbps`) that is not finite and positive.
     InvalidPaceRate,
+    /// A [`NetworkLink`] the runtime sleeps on or plans with — the
+    /// [`ServeConfigBuilder::link`], a [`LinkChange::link`], a fleet
+    /// class's `link_prior` or its cooperative group's link — whose
+    /// `throughput_mbps` or `download_mbps` is not finite and positive, or
+    /// whose `rtt_s` is not finite and non-negative.
+    InvalidLink,
     /// A [`ControllerConfig::window`] of zero instances.
     ControllerWindowEmpty,
     /// An offloading policy (or a controller, which implies one) with no
@@ -571,6 +545,11 @@ impl fmt::Display for ServeConfigError {
             ServeConfigError::InvalidPaceRate => {
                 write!(f, "pipe pacing rates (up_mbps, down_mbps, throttle) must be finite and positive")
             }
+            ServeConfigError::InvalidLink => write!(
+                f,
+                "every network link (the serving link, each scheduled change, each fleet class's link prior \
+                 and coop-group link) needs finite positive rates and a finite non-negative rtt_s"
+            ),
             ServeConfigError::ControllerWindowEmpty => write!(f, "controller window must be non-empty"),
             ServeConfigError::PolicyNeedsCloud => {
                 write!(f, "an offloading policy requires a cloud model (no cloud workers configured)")
@@ -733,6 +712,13 @@ fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
     }
     if matches!(&cfg.transport, TransportKind::Pipe(pipe) if !pipe.rates_are_valid()) {
         return Err(ServeConfigError::InvalidPaceRate);
+    }
+    // Every link the runtime sleeps on or plans with.
+    let scheduled = cfg.link_schedule.iter().map(|c| &c.link);
+    let classes = cfg.fleet.iter().flat_map(|f| f.classes());
+    let class_links = classes.flat_map(|c| c.link_prior.iter().chain(c.coop.as_ref().map(|g| &g.link)));
+    if !cfg.link.iter().chain(scheduled).chain(class_links).all(NetworkLink::is_valid) {
+        return Err(ServeConfigError::InvalidLink);
     }
     let controller = cfg.control.controller();
     if controller.is_some_and(|cc| cc.window == 0) {

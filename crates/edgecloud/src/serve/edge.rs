@@ -22,7 +22,8 @@ pub(crate) struct PendingEntry {
     pub(crate) due: Instant,
     /// Per-device offload index assigned by the (single) edge worker that
     /// owns the device's stream — the key the [`ReorderGate`] releases
-    /// completions in, so per-device FIFO survives work stealing.
+    /// completions in, so per-device FIFO survives concurrent cloud
+    /// batches.
     pub(crate) cloud_idx: u64,
 }
 

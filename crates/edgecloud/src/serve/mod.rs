@@ -13,11 +13,15 @@
 //!   [`meanet::routing::RoutingEngine`] the offline sweep
 //!   (`meanet::infer::run_inference`) uses, so the served system and the
 //!   sweep produce identical [`InstanceRecord`]s.
-//! * **M cloud workers** coalesce whatever is queued up to
+//! * **M cloud workers** share one bounded ingress queue, fed by every
+//!   transport lane. Each in turn coalesces whatever is queued up to
 //!   [`ServeConfigBuilder::max_batch`] (waiting at most
 //!   [`ServeConfigBuilder::max_wait`] for stragglers) into *one* batched
-//!   forward. Eval forwards are bitwise per-sample independent, so batch
-//!   composition cannot change a prediction.
+//!   forward, so a skewed population whose devices all ride one lane
+//!   still keeps every worker busy. Eval forwards are bitwise per-sample
+//!   independent, so batch composition cannot change a prediction, and a
+//!   per-device reorder gate releases each device's cloud completions in
+//!   offload order whichever worker ran them.
 //! * Offloads cross a real wire format ([`Payload`]) in length-prefixed
 //!   frames over a pluggable [`Transport`]
 //!   ([`ServeConfigBuilder::transport`]): the default modelled conduit
@@ -117,9 +121,9 @@ pub(crate) use meanet::{
 };
 pub(crate) use parking_lot::Mutex;
 pub(crate) use serde::{Deserialize, Serialize};
-pub(crate) use std::collections::{BTreeMap, HashMap, VecDeque};
+pub(crate) use std::collections::{BTreeMap, HashMap};
 pub(crate) use std::fmt;
 pub(crate) use std::num::NonZeroU64;
 pub(crate) use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-pub(crate) use std::sync::{Condvar, Mutex as StdMutex};
+pub(crate) use std::sync::Arc;
 pub(crate) use std::time::{Duration, Instant};

@@ -167,18 +167,18 @@ pub struct ServeStats {
     /// fleet device class (Some exactly when [`ServeConfigBuilder::fleet`]
     /// is set; indexed by class).
     pub per_class: Option<Vec<ClassStats>>,
-    /// Batches a cloud worker assembled from *another* worker's shard
-    /// (always 0 under [`CloudIngress::SingleQueue`]). Scheduler-
-    /// dependent with >1 workers: a measure of imbalance absorbed, not a
-    /// deterministic invariant.
+    /// Batches holding a frame that arrived on another cloud worker's
+    /// lane (worker `w` owns lane `w`; a device rides lane
+    /// `spec.sticky_index(device, cloud_workers)`). Always 0 with one cloud
+    /// worker; scheduler-dependent with more: a measure of imbalance
+    /// absorbed, not a deterministic invariant.
     pub steals: u64,
-    /// Coalesced batches per ingress shard (indexed by lane; length
-    /// `cloud_workers`). Under [`CloudIngress::SingleQueue`] this is the
-    /// per-worker batch count. Sums to [`ServeStats::cloud_batches`].
-    pub per_shard_batches: Vec<u64>,
-    /// High-water mark of frames queued across all ingress shards at any
-    /// instant (0 under [`CloudIngress::SingleQueue`], where arrivals sit
-    /// in the transport's own lanes instead).
+    /// Coalesced batches per cloud worker (length `cloud_workers`). Sums
+    /// to [`ServeStats::cloud_batches`].
+    pub per_worker_batches: Vec<u64>,
+    /// High-water mark of frames in the shared cloud ingress queue
+    /// (counting a frame from just before a lane's pump sends it until a
+    /// worker's batch takes it).
     pub max_queue_depth: usize,
     /// Decision windows whose live p95 latency violated the governed SLA
     /// (always 0 without [`ControlPlan::Governed`]). Each violation

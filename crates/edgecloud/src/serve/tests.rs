@@ -74,51 +74,77 @@ fn serve_matches_offline_sweep_bitwise() {
     let mut offline_cloud = tiny_cloud(2);
     let expected = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &bundle.test, policy, 8);
 
-    for (e, c, b) in [(1usize, 1usize, 1usize), (2, 1, 4), (3, 2, 4)] {
+    let offloaded = expected.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
+    for (e, c, b) in [(1usize, 1usize, 1usize), (2, 1, 4), (3, 2, 4), (1, 2, 1), (2, 3, 4)] {
         let edges = edge_replicas(e, 1);
         let clouds = replicas(c, || tiny_cloud(2));
         let cfg = config(policy, e, c, b);
         let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves");
         assert_eq!(report.records, expected, "serve({e} edge, {c} cloud, batch {b}) diverged");
-        assert_eq!(report.stats.total, bundle.test.len());
+        let stats = &report.stats;
+        assert_eq!((stats.total, stats.offloaded), (bundle.test.len(), offloaded));
+        assert_eq!(stats.per_worker_batches.len(), c);
+        assert_eq!(stats.per_worker_batches.iter().sum::<u64>(), stats.cloud_batches);
     }
 }
 
 #[test]
-fn sharded_ingress_serves_record_identically_to_single_queue() {
-    // The ingress is a pure scheduling knob: same trace, same
-    // replicas, same records — whatever the worker/batch topology.
-    let bundle = presets::tiny(170);
+fn a_max_wait_past_the_clock_waits_for_a_full_batch() {
+    // `Instant::now() + Duration::MAX` overflows the clock; a panic there
+    // used to abort the whole process. No deadline is set instead: a
+    // batch waits until it is full or the ingress closes, and the records
+    // still match the offline sweep.
+    let bundle = presets::tiny(64);
     let policy = OffloadPolicy::EntropyThreshold(0.8);
-    let requests = instant_requests(&bundle.test, 4);
-    for (e, c, b) in [(1usize, 2usize, 1usize), (2, 3, 4), (3, 1, 2)] {
-        let run = |ingress: CloudIngress| {
-            let edges = edge_replicas(e, 21);
-            let clouds = replicas(c, || tiny_cloud(22));
-            let cfg = config(policy, e, c, b).ingress(ingress);
-            serve(cfg, edges, clouds, &requests).expect("serves")
-        };
-        let sharded = run(CloudIngress::Sharded);
-        let single = run(CloudIngress::SingleQueue);
-        assert_eq!(sharded.records, single.records, "ingress changed records at ({e},{c},{b})");
-        assert_eq!(sharded.stats.offloaded, single.stats.offloaded);
-        assert_eq!(single.stats.steals, 0, "the single-queue path never steals");
-        assert_eq!(single.stats.max_queue_depth, 0, "single-queue frames wait in transport lanes");
-        for stats in [&sharded.stats, &single.stats] {
-            assert_eq!(stats.per_shard_batches.len(), c);
-            assert_eq!(stats.per_shard_batches.iter().sum::<u64>(), stats.cloud_batches);
-        }
-    }
+    let mut offline_net = tiny_net(8);
+    let mut offline_cloud = tiny_cloud(9);
+    let expected = run_inference_with_policy(&mut offline_net, Some(&mut offline_cloud), &bundle.test, policy, 8);
+    let cfg = config(policy, 2, 2, 4).max_wait(Duration::MAX);
+    let clouds = replicas(2, || tiny_cloud(9));
+    let report = serve(cfg, edge_replicas(2, 8), clouds, &instant_requests(&bundle.test, 3)).expect("serves");
+    assert_eq!(report.records, expected);
+}
+
+#[test]
+fn a_dying_cloud_tier_with_a_backlog_neither_hangs_nor_aborts() {
+    // Both cloud replicas end their last segment in a 1×1 convolution of
+    // the wrong input width: `profile_network` prices it (a convolution's
+    // MACs read only the spatial dims) but every cloud forward panics. An
+    // instant trace of every offload, larger than all the queues
+    // together, leaves the pumps and edge workers blocked behind the
+    // dead tier. The last worker's exit drops the ingress receiver, the
+    // pumps' sends fail, the lanes close, and the run re-raises the
+    // cloud workers' panics instead of hanging.
+    let bundle = presets::tiny(89);
+    let requests = instant_requests(&bundle.test, 2);
+    let broken = || {
+        let mut cloud = tiny_cloud(43);
+        let width = cloud.out_channels(cloud.segments.len() - 1);
+        let mut rng = Rng::new(44);
+        let wrong = mea_nn::layers::Conv2d::new(width + 1, width, 1, 1, 0, false, &mut rng);
+        cloud.segments.last_mut().expect("segments").push(Box::new(wrong));
+        cloud
+    };
+    let cfg = config(OffloadPolicy::Always, 1, 2, 1).queue_depth(1);
+    // Queued: the edge queue (1), the two lanes (1 each) and the ingress
+    // queue (2); in hand: the edge worker, two pumps, two cloud workers.
+    assert!(requests.len() > 5 + 5, "the trace must outgrow every queue");
+    let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        serve(cfg, edge_replicas(1, 45), replicas(2, broken), &requests)
+    }));
+    let payload = run.expect_err("a dead cloud tier cannot serve");
+    let message = payload.downcast_ref::<String>().expect("a formatted panic message");
+    assert!(message.contains("cloud worker") && message.contains("panicked"), "{message}");
 }
 
 #[test]
 fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
-    // Every request comes from device 0, so every frame lands on
-    // shard 0 of a 3-worker cloud tier: under SingleQueue two workers
-    // would idle, under the sharded ingress they steal the backlog.
-    // The modelled link sleep keeps whichever worker holds a batch
-    // busy long enough for the shard to refill, forcing steals even
-    // on a single-core host.
+    // Every request comes from device 0, so every frame rides lane 0 of
+    // a 3-worker cloud tier: were each worker to drain only its own
+    // lane, two would idle; from the shared ingress queue they take the
+    // backlog. The modelled link sleep keeps whichever worker holds a
+    // batch busy long enough for the queue to refill, forcing steals
+    // even on a single-core host.
     let bundle = presets::tiny(171);
     let edges = edge_replicas(1, 23);
     let clouds = replicas(3, || tiny_cloud(24));
@@ -127,8 +153,8 @@ fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
     assert_eq!(report.stats.offloaded, report.stats.total);
     assert!(
         report.stats.steals > 0,
-        "skewed population must force steals: per-shard {:?}",
-        report.stats.per_shard_batches
+        "skewed population must force steals: per-worker {:?}",
+        report.stats.per_worker_batches
     );
     assert!(report.stats.max_queue_depth > 0, "the backlog must have queued");
     // Cloud completions of the single device leave in offload order
@@ -1050,6 +1076,41 @@ fn builder_rejects_each_static_invariant_by_name() {
         );
     }
     assert!(paced(PipeConfig { up_mbps: Some(5.0), down_mbps: Some(5.0), ..PipeConfig::default() }).is_ok());
+    // A bad modelled link used to pass the builder and then kill a cloud
+    // (or edge) worker converting its sleep to a `Duration`. Every link
+    // the runtime sleeps on or plans with is checked.
+    let good = NetworkLink::wifi(1.0);
+    let bad_links = [
+        NetworkLink::wifi(0.0),
+        NetworkLink::wifi(-1.0),
+        NetworkLink::wifi(f64::NAN),
+        NetworkLink::wifi(f64::INFINITY),
+        NetworkLink { download_mbps: 0.0, ..good },
+        NetworkLink { download_mbps: f64::NAN, ..good },
+        good.with_rtt(f64::NAN),
+        good.with_rtt(f64::INFINITY),
+        good.with_rtt(-1.0),
+    ];
+    let class = || DeviceClass::new("edge", edge.clone(), ComputeTier::High);
+    for bad in bad_links {
+        let change = |link| vec![LinkChange { after_batches: 1, link }];
+        let built = [
+            b().link(bad).build(),
+            b().link(good).link_events(change(bad)).build(),
+            b().link(good).fleet(FleetSpec::uniform(class().with_link_prior(bad))).build(),
+            b().link(good).fleet(FleetSpec::uniform(class().coop_group(2, bad))).build(),
+        ];
+        for (place, result) in ["link", "link_events", "link_prior", "coop_group"].iter().zip(built) {
+            assert_eq!(result, Err(ServeConfigError::InvalidLink), "{bad:?} as the {place}");
+        }
+    }
+    let spec = FleetSpec::uniform(class().with_link_prior(good).coop_group(2, good.with_rtt(0.001)));
+    assert!(b()
+        .link(good)
+        .link_events(vec![LinkChange { after_batches: 1, link: good }])
+        .fleet(spec)
+        .build()
+        .is_ok());
     let controller =
         ControllerConfig { controller: ThresholdController::new(1.0, 0.5, 2.0, (0.0, 3.0)), window: 0 };
     assert_eq!(

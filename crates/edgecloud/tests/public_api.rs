@@ -185,7 +185,8 @@ fn control_plan_variants_are_pinned_by_construction() {
 fn serve_module_surface_survived_the_decomposition() {
     // Items that were public on the old `serve.rs` monolith but are not
     // re-exported at the crate root: still reachable at their historical
-    // `mea_edgecloud::serve::` paths.
-    has::<ec::serve::CloudIngress>();
+    // `mea_edgecloud::serve::` paths. (`serve::CloudIngress` was removed
+    // on purpose: the cloud workers share one ingress queue, so there is
+    // no pickup path left to choose.)
     let _: u64 = ec::serve::RESPONSE_WIRE_BYTES;
 }

@@ -10,8 +10,8 @@ use mea_edgecloud::governor::SlaTarget;
 use mea_edgecloud::network::{LinkEstimate, LinkEstimator, NetworkLink};
 use mea_edgecloud::partition::{CutPlanner, Objective, PartitionEnv};
 use mea_edgecloud::serve::{
-    trace_requests, CloudIngress, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange,
-    LinkFeedback, ServeConfig, ServeReport, ServeRequest, RESPONSE_WIRE_BYTES,
+    trace_requests, ControlPlan, CutPlannerConfig, EdgeReplica, FeatureWire, Fleet, LinkChange, LinkFeedback,
+    ServeConfig, ServeReport, ServeRequest, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig, SegmentedCnn};
@@ -113,13 +113,15 @@ proptest! {
     }
 
     /// Whatever the configuration, the records equal the sequential
-    /// offline sweep's — worker scheduling is invisible in the output.
+    /// offline sweep's — worker scheduling is invisible in the output —
+    /// and every cloud worker's batches add up to the tier's.
     #[test]
     fn any_configuration_matches_the_offline_sweep(
-        devices in 1usize..4,
+        devices in 1usize..5,
         edge_workers in 1usize..4,
-        cloud_workers in 1usize..3,
-        max_batch in 1usize..6,
+        cloud_workers in 1usize..5,
+        max_batch in 1usize..9,
+        wait_us in 0u64..1500,
         batch_size in 1usize..17,
         threshold in 0.0f32..2.0,
     ) {
@@ -144,10 +146,15 @@ proptest! {
             .edge_workers(edge_workers)
             .cloud_workers(cloud_workers)
             .max_batch(max_batch)
+            .max_wait(Duration::from_micros(wait_us))
             .build()
             .expect("valid config");
         let report = serve(cfg, edges, clouds, &requests);
+        let offloaded = expected.iter().filter(|r| r.exit == ExitPoint::Cloud).count();
         prop_assert_eq!(report.records, expected);
+        prop_assert_eq!(report.stats.offloaded, offloaded);
+        prop_assert_eq!(report.stats.per_worker_batches.len(), cloud_workers);
+        prop_assert_eq!(report.stats.per_worker_batches.iter().sum::<u64>(), report.stats.cloud_batches);
     }
 
     /// Any cut index yields bitwise-identical cloud predictions: serving
@@ -414,56 +421,11 @@ proptest! {
         }
     }
 
-    /// The sharded work-stealing ingress is a pure scheduling knob:
-    /// whatever the shard count (= cloud workers), batch cap, straggler
-    /// wait or threshold, the served records are identical to the
-    /// single-queue reference path, steal accounting only ever appears on
-    /// the sharded side, and the per-shard batch counts partition the
-    /// batch total in both modes.
-    #[test]
-    fn sharded_ingress_is_record_identical_to_single_queue(
-        devices in 1usize..5,
-        edge_workers in 1usize..4,
-        cloud_workers in 1usize..5,
-        max_batch in 1usize..9,
-        wait_us in 0u64..1500,
-        threshold in 0.0f32..2.0,
-    ) {
-        let bundle = presets::tiny(95);
-        let mut rng = Rng::new(11);
-        let requests =
-            trace_requests(&bundle.test, devices, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
-        let run = |ingress: CloudIngress| {
-            let edges: Vec<EdgeReplica> =
-                (0..edge_workers).map(|_| EdgeReplica::new(tiny_net(33))).collect();
-            let clouds: Vec<SegmentedCnn> = (0..cloud_workers).map(|_| tiny_cloud(34)).collect();
-            let cfg = ServeConfig::builder(OffloadPolicy::EntropyThreshold(threshold))
-                .edge_workers(edge_workers)
-                .cloud_workers(cloud_workers)
-                .max_batch(max_batch)
-                .max_wait(Duration::from_micros(wait_us))
-                .ingress(ingress)
-                .build()
-                .expect("valid config");
-            serve(cfg, edges, clouds, &requests)
-        };
-        let sharded = run(CloudIngress::Sharded);
-        let single = run(CloudIngress::SingleQueue);
-        prop_assert_eq!(&sharded.records, &single.records, "ingress changed the served records");
-        prop_assert_eq!(sharded.stats.offloaded, single.stats.offloaded);
-        prop_assert_eq!(single.stats.steals, 0);
-        prop_assert_eq!(single.stats.max_queue_depth, 0);
-        for stats in [&sharded.stats, &single.stats] {
-            prop_assert_eq!(stats.per_shard_batches.len(), cloud_workers);
-            prop_assert_eq!(stats.per_shard_batches.iter().sum::<u64>(), stats.cloud_batches);
-        }
-    }
-
     /// Per-device FIFO per exit lane survives work stealing under a
     /// deliberately skewed population: every device id is a multiple of
-    /// the cloud worker count, so every frame lands on shard 0 and any
+    /// the cloud worker count, so every frame rides lane 0 and any
     /// parallelism the other workers contribute comes entirely from
-    /// steals. The completion stream must still be sequence-ordered per
+    /// steals (batches of another worker's lane). The completion stream must still be sequence-ordered per
     /// device and exit lane, and the records identical to the offline
     /// sweep.
     #[test]
