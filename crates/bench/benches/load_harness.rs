@@ -1,8 +1,8 @@
 //! Saturation load harness for the scale-out serving substrate: a
-//! heavy-tailed trace from a large device population whose sticky lanes
-//! all collapse onto lane 0, served by six cloud workers at the shared
-//! ingress queue vs one cloud worker (identical requests), plus the
-//! byte-pipe transport and a diurnal-modulated trace.
+//! heavy-tailed trace from a large device population that all rides one
+//! edge worker, served by six cloud workers sharing the run's one lane vs
+//! one cloud worker (identical requests), plus the byte-pipe transport
+//! and a diurnal-modulated trace.
 
 use mea_bench::experiments::serving;
 use mea_bench::regression::Reporter;
@@ -14,16 +14,8 @@ fn main() {
     let mut rep = Reporter::start("load_harness");
     let result = serving::load_harness(Scale::from_env());
 
-    let mut table = Table::new(&[
-        "configuration",
-        "req/s",
-        "p50 (ms)",
-        "p95 (ms)",
-        "p99 (ms)",
-        "steals",
-        "max depth",
-        "batches",
-    ]);
+    let mut table =
+        Table::new(&["configuration", "req/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "max depth", "batches"]);
     for r in [&result.shared, &result.one_worker, &result.pipe, &result.diurnal] {
         table.row(&[
             r.label.to_string(),
@@ -31,7 +23,6 @@ fn main() {
             format!("{:.2}", r.p50_ms),
             format!("{:.2}", r.p95_ms),
             format!("{:.2}", r.p99_ms),
-            r.steals.to_string(),
             r.max_queue_depth.to_string(),
             r.cloud_batches.to_string(),
         ]);
@@ -51,9 +42,8 @@ fn main() {
         assert_eq!(r.offloaded, result.shared.offloaded, "{}: offload count moved", r.label);
     }
 
-    // The skew puts every frame on lane 0: one worker serialises all link
-    // sleeps, while the other five steal from the shared queue and
-    // overlap them — six workers must sustain >= 1.5x.
+    // One worker serialises all link sleeps, while six take turns at the
+    // one lane and overlap them — six workers must sustain >= 1.5x.
     assert!(
         result.speedup >= 1.5,
         "{} workers sustained only {:.2}x over one ({:.1} vs {:.1} req/s)",
@@ -64,11 +54,10 @@ fn main() {
     );
     println!("{} workers vs one at saturation: {:.2}x sustained throughput", result.cloud_workers, result.speedup);
 
-    // Stealing must actually carry the tier (and is impossible without
-    // backlog, so the high-water mark must be visible too). Raw steal and
-    // depth counts are scheduler-dependent — gate derived booleans only.
-    assert!(result.shared.steals > 0, "skewed saturation produced no steals");
-    assert!(result.one_worker.steals == 0, "one worker has no other lane to steal from");
+    // The backlog must actually spread over the workers (and a backlog
+    // must show in the high-water mark). Raw batch and depth counts are
+    // scheduler-dependent — gate derived booleans only.
+    assert!(result.shared.busy_workers >= 2, "skewed saturation ran on one cloud worker");
 
     // Deterministic routing outcomes gate as exact invariants; wall-clock
     // service times gate as `_ms` latencies, and the six-worker run's
@@ -77,7 +66,7 @@ fn main() {
     rep.metric("offloaded", result.shared.offloaded as f64);
     rep.metric("record_identity", 1.0);
     rep.metric("fifo_ok", 1.0);
-    rep.metric("steals_exercised", f64::from(u8::from(result.shared.steals > 0)));
+    rep.metric("workers_shared_backlog", f64::from(u8::from(result.shared.busy_workers >= 2)));
     rep.metric("backlog_observed", f64::from(u8::from(result.shared.max_queue_depth > 0)));
     rep.metric("speedup_ok", f64::from(u8::from(result.speedup >= 1.5)));
     // `sharded_service_ms` keeps its baseline name: the six-worker run.

@@ -791,9 +791,9 @@ pub struct LoadRow {
     pub p95_ms: f64,
     /// 99th-percentile latency (ms).
     pub p99_ms: f64,
-    /// Batches holding a frame of another cloud worker's lane.
-    pub steals: u64,
-    /// High-water mark of frames in the shared cloud ingress queue.
+    /// Cloud workers that ran at least one batch.
+    pub busy_workers: usize,
+    /// High-water mark of frames on their way to the cloud tier.
     pub max_queue_depth: usize,
     /// Batched cloud forwards executed.
     pub cloud_batches: u64,
@@ -819,30 +819,29 @@ pub struct LoadHarnessResult {
     /// All cloud workers at the shared ingress queue, modelled WiFi link,
     /// heavy tail.
     pub shared: LoadRow,
-    /// One cloud worker on the identical trace (the A/B baseline): what
-    /// a worker draining only its own lane amounts to when every frame
-    /// rides lane 0.
+    /// One cloud worker on the identical trace (the A/B baseline).
     pub one_worker: LoadRow,
     /// All cloud workers over the real byte-pipe transport, same trace.
     pub pipe: LoadRow,
     /// All cloud workers on the diurnal-modulated Poisson trace.
     pub diurnal: LoadRow,
     /// `one_worker.service_ms / shared.service_ms` — the scheduling win
-    /// from stealing under a pathologically skewed device population.
+    /// from sharing a pathologically skewed device population's backlog.
     pub speedup: f64,
 }
 
 /// Builds a saturating trace of `devices * frames_per_device` requests by
 /// cycling the dataset's instances round-robin (instance `seq·devices +
 /// device`, modulo the dataset), with every device id multiplied by
-/// `lane_stride` so all sticky lanes collapse to lane 0 — the worst-case
-/// skew, and exactly the population where stealing from the shared
-/// ingress queue has to carry the whole cloud tier.
+/// `stride`: every id is then one residue modulo any divisor of `stride`,
+/// so device-sticky dispatch (`device % edge_workers`) sends the whole
+/// population through one edge worker — the worst-case skew, whose one
+/// stream the cloud workers still share.
 fn skewed_trace(
     data: &Dataset,
     devices: usize,
     frames_per_device: usize,
-    lane_stride: usize,
+    stride: usize,
     model: &ArrivalModel,
     rng: &mut Rng,
 ) -> (Vec<usize>, Vec<ServeRequest>) {
@@ -855,7 +854,7 @@ fn skewed_trace(
             tagged.push((
                 instance,
                 ServeRequest {
-                    device: d * lane_stride,
+                    device: d * stride,
                     seq: s,
                     arrival_s,
                     image: data.images.slice_axis0(instance, instance + 1),
@@ -903,8 +902,8 @@ fn slim_cloud(seed: u64) -> SegmentedCnn {
 }
 
 /// Runs the scale-out saturation harness: a heavy-tailed (log-normal)
-/// trace from a large skewed device population — every sticky lane maps
-/// to lane 0 — through six cloud workers at the shared ingress queue and
+/// trace from a large skewed device population — every device rides one
+/// edge worker — through six cloud workers sharing the run's one lane and
 /// through one cloud worker on the modelled-link transport (A/B on
 /// identical requests), plus the same trace over the real byte-pipe
 /// transport and a diurnal-modulated Poisson trace, all at a high offload
@@ -980,7 +979,7 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
             p50_ms: h.p50() * 1e3,
             p95_ms: h.p95() * 1e3,
             p99_ms: h.p99() * 1e3,
-            steals: report.stats.steals,
+            busy_workers: report.stats.per_worker_batches.iter().filter(|&&b| b > 0).count(),
             max_queue_depth: report.stats.max_queue_depth,
             cloud_batches: report.stats.cloud_batches,
             offloaded: report.stats.offloaded,

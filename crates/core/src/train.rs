@@ -60,20 +60,6 @@ impl TrainConfig {
         }
     }
 
-    /// The paper's CIFAR schedule (LR 0.1, ×0.1 at 60/120/160, 200 epochs).
-    pub fn paper_cifar() -> Self {
-        TrainConfig {
-            epochs: 200,
-            batch_size: 128,
-            base_lr: 0.1,
-            milestones: vec![60, 120, 160],
-            gamma: 0.1,
-            momentum: 0.9,
-            weight_decay: 5e-4,
-            shuffle_seed: 0x5eed,
-        }
-    }
-
     fn scheduler(&self) -> MultiStepLr {
         MultiStepLr::new(self.base_lr, self.milestones.clone(), self.gamma)
     }

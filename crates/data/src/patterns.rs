@@ -5,8 +5,6 @@
 //! into visually similar images, which is exactly the confusability knob the
 //! synthetic datasets need.
 
-use mea_tensor::Tensor;
-
 /// A fixed dictionary of 2-D sinusoidal basis patterns over 3 channels.
 #[derive(Debug, Clone)]
 pub struct PatternDictionary {
@@ -79,11 +77,6 @@ impl PatternDictionary {
             }
         }
         img
-    }
-
-    /// Renders into a `[3, hw, hw]` [`Tensor`].
-    pub fn render_tensor(&self, coeffs: &[f32]) -> Tensor {
-        Tensor::from_vec(self.render(coeffs), &[3, self.hw, self.hw]).expect("render length matches shape")
     }
 }
 

@@ -15,10 +15,10 @@
 //! ([`crate::serve::Fleet`]) plans per-class cuts and reports per-class
 //! stats from it, and the virtual-clock simulator here
 //! ([`simulate_fleet`]) prices the same fleet analytically. Skew is
-//! also why the runtime's cloud workers share one ingress queue instead
-//! of each draining its own lane: a population whose sticky lanes
-//! collapse onto a few lanes, exactly the regime a lopsided [`FleetSpec`]
-//! produces, would otherwise idle every other cloud worker. In the
+//! also why the runtime's cloud workers all read one lane instead of each
+//! draining its own: a population whose devices collapse onto a few
+//! lanes, exactly the regime a lopsided [`FleetSpec`] produces, would
+//! otherwise idle every other cloud worker. In the
 //! simulator each device runs its own FIFO pipeline
 //! (edge compute, an optional cooperative peer hop, radio), while the
 //! cloud is a shared pool of `cloud_servers` FIFO execution slots.
@@ -240,7 +240,7 @@ impl FleetSpec {
     }
 
     /// Device-sticky slot selection: maps a device id onto one of `n`
-    /// serving resources (transport lanes, edge-worker queues) such that
+    /// serving resources (the edge workers' queues) such that
     /// one device always lands on the same slot. This is the single
     /// definition of the serving runtime's `device → slot` mapping.
     ///

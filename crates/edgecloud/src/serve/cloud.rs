@@ -1,5 +1,5 @@
-//! Cloud-tier execution: the shared ingress queue the cloud workers take
-//! turns at, batch coalescing, the cloud worker loop and batched suffix
+//! Cloud-tier execution: the run's one lane as the cloud workers share
+//! it, batch coalescing, the cloud worker loop and batched suffix
 //! execution.
 
 use super::*;
@@ -14,35 +14,49 @@ pub(crate) struct CloudCounters {
     pub(crate) bytes_down: u64,
     pub(crate) macs: u64,
     pub(crate) macs_saved: u64,
-    pub(crate) steals: u64,
     /// Coalesced batches per cloud worker (sized `cloud_workers`).
     pub(crate) per_worker: Vec<u64>,
 }
 
-/// The one cloud ingress: every lane's pump sends `(lane, frame)` into one
-/// bounded queue, and the cloud workers take turns at its receiver (the
-/// vendored channel's `Receiver` cannot be cloned, hence the mutex). Only
-/// the pumps hold senders and only the workers hold this, so ownership
-/// drives shutdown: the last pump to exit closes the queue and the
-/// workers drain it and stop; the last worker to exit — normally or by
-/// unwinding — drops the receiver, the pumps' sends fail and the lanes
-/// close behind them.
-pub(crate) type IngressQueue = Arc<Mutex<Receiver<(usize, InboundRequest)>>>;
+/// The cloud end of the run's one lane, owned by the cloud workers
+/// together: the ingress they take turns at and the response direction.
+/// The last worker to exit, normally or by unwinding, drops it: edge sends
+/// then fail instead of blocking, and the collector drains and stops.
+pub(crate) struct SharedLane<'a, T: Transport> {
+    /// The modelled wire's uplink itself, or a byte wire's [`ReaderQueue`].
+    pub(crate) ingress: Mutex<Box<dyn UplinkReceiver + Send + 'a>>,
+    pub(crate) transport: &'a T,
+}
 
-/// Coalesces queued frames into a batch: blocks for the first frame, then
-/// drains greedily up to `max_batch`, waiting at most `max_wait` for
+impl<T: Transport> Drop for SharedLane<'_, T> {
+    fn drop(&mut self) {
+        self.transport.close_responses(0);
+    }
+}
+
+/// A byte wire's ingress: the bounded queue the lane's reader fills. The
+/// reader stamps `received_at` as each frame reassembles, so measured
+/// uplink time excludes the wait behind a busy cloud worker.
+pub(crate) struct ReaderQueue(pub(crate) Receiver<InboundRequest>);
+
+impl UplinkReceiver for ReaderQueue {
+    fn recv(&mut self, timeout: Option<Duration>) -> RecvOutcome<InboundRequest> {
+        recv_channel(&self.0, timeout, |frame| frame)
+    }
+}
+
+/// Coalesces arrived frames into a batch: blocks for the first frame,
+/// then drains greedily up to `max_batch`, waiting at most `max_wait` for
 /// stragglers. A `max_wait` too long for the clock to hold as a deadline
-/// sets none: the batch then waits until it is full or the queue closes.
-/// Returns `None` once the queue is closed and drained.
-pub(crate) fn coalesce_frames<F>(queue: &Receiver<F>, max_batch: usize, max_wait: Duration) -> Option<Vec<F>> {
-    let mut batch = vec![queue.recv().ok()?];
-    let deadline = Instant::now().checked_add(max_wait);
-    while batch.len() < max_batch {
-        let next = match deadline {
-            Some(deadline) => queue.recv_timeout(deadline.saturating_duration_since(Instant::now())).ok(),
-            None => queue.recv().ok(),
-        };
-        let Some(frame) = next else { break };
+/// sets none: the batch then waits until it is full or the ingress
+/// closes. Returns `None` once the ingress is closed and drained.
+pub(crate) fn coalesce_frames(ingress: &mut dyn UplinkReceiver, cfg: &ServeConfig) -> Option<Vec<InboundRequest>> {
+    let RecvOutcome::Frame(first) = ingress.recv(None) else { return None };
+    let mut batch = vec![first];
+    let deadline = Instant::now().checked_add(cfg.max_wait);
+    while batch.len() < cfg.max_batch {
+        let wait = deadline.map(|d| d.saturating_duration_since(Instant::now()));
+        let RecvOutcome::Frame(frame) = ingress.recv(wait) else { break };
         batch.push(frame);
     }
     Some(batch)
@@ -91,14 +105,11 @@ pub(crate) fn cloud_worker<T: Transport>(
     ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
     worker: usize,
-    ingress: IngressQueue,
+    lane: Arc<SharedLane<'_, T>>,
 ) {
-    // However this worker exits — drained queue or a panic mid-batch —
-    // its response lane closes behind it (collector shutdown).
-    let _closer = LaneCloser { transport: &ctx.transport, lane: worker };
     let mut scratch = Vec::new();
     loop {
-        let Some(batch) = coalesce_frames(&ingress.lock(), ctx.cfg.max_batch, ctx.cfg.max_wait) else { return };
+        let Some(batch) = coalesce_frames(&mut **lane.ingress.lock(), ctx.cfg) else { return };
         ctx.queued.fetch_sub(batch.len(), Ordering::Relaxed);
         if !process_cloud_batch(ctx, cloud, worker, batch, &mut scratch) {
             // The collector died; its panic surfaces at join.
@@ -120,21 +131,21 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     ctx: &WorkerCtx<'_, T>,
     cloud: &mut SegmentedCnn,
     worker: usize,
-    batch: Vec<(usize, InboundRequest)>,
+    batch: Vec<InboundRequest>,
     scratch: &mut Vec<f32>,
 ) -> bool {
     let (cfg, transport, counters, shared) = (ctx.cfg, &ctx.transport, &ctx.counters, &ctx.policy);
     let (suffix_macs, grids) = (&ctx.suffix_macs, &ctx.grids);
     let measured = cfg.transport.is_measured();
-    let payload_bytes: u64 = batch.iter().map(|(_, b)| b.frame.payload.len() as u64).sum();
+    let payload_bytes: u64 = batch.iter().map(|b| b.frame.payload.len() as u64).sum();
     let response_bytes = RESPONSE_WIRE_BYTES * batch.len() as u64;
     // Real-wire telemetry: total frame bytes (headers included) and
     // the span from the first frame's send to the last frame's full
     // reassembly — queueing, pacing and scheduling noise included.
-    let wire_bytes: u64 = batch.iter().map(|(_, b)| b.frame.wire_bytes()).sum();
+    let wire_bytes: u64 = batch.iter().map(|b| b.frame.wire_bytes()).sum();
     let up_span_s = if measured {
-        let first_sent = batch.iter().map(|(_, b)| b.sent_at).min().expect("non-empty batch");
-        let last_received = batch.iter().map(|(_, b)| b.received_at).max().expect("non-empty batch");
+        let first_sent = batch.iter().map(|b| b.sent_at).min().expect("non-empty batch");
+        let last_received = batch.iter().map(|b| b.received_at).max().expect("non-empty batch");
         last_received.duration_since(first_sent).as_secs_f64()
     } else {
         0.0
@@ -146,10 +157,8 @@ pub(crate) fn process_cloud_batch<T: Transport>(
         c.max_batch = c.max_batch.max(batch.len());
         c.bytes += payload_bytes;
         c.bytes_down += response_bytes;
-        // A steal: the batch holds a frame another worker's lane carried.
-        c.steals += u64::from(batch.iter().any(|&(lane, _)| lane != worker));
         c.per_worker[worker] += 1;
-        for (_, b) in &batch {
+        for b in &batch {
             let resume = b.frame.resume_layer as usize;
             c.macs += suffix_macs[resume];
             c.macs_saved += total_macs - suffix_macs[resume];
@@ -173,7 +182,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     // and run one batched forward per group. Per-sample independence
     // makes the grouping invisible in the predictions.
     let mut groups: BTreeMap<u32, Vec<RequestFrame>> = BTreeMap::new();
-    for (_, b) in batch {
+    for b in batch {
         groups.entry(b.frame.resume_layer).or_default().push(b.frame);
     }
     counters.lock().forwards += groups.len() as u64;
@@ -219,7 +228,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     let mut lane_open = true;
     for (frame, pred) in &classified {
         let resp = ResponseFrame { req_id: frame.req_id, prediction: *pred as u32 };
-        if transport.send_response(worker, resp).is_err() {
+        if transport.send_response(0, resp).is_err() {
             // The collector is gone; its panic surfaces at join.
             lane_open = false;
             break;

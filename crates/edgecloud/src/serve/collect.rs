@@ -81,17 +81,18 @@ impl Fleet {
     ) -> Result<ServeStats, ServeError> {
         validate_trace(requests, self.edges[0].net.in_shape())?;
         let Fleet { config: cfg, edges, clouds } = self;
-        let (lanes, depth) = (cfg.cloud_workers, cfg.queue_depth);
+        // One lane per run, whatever the cloud worker count.
         Ok(match &cfg.transport {
             TransportKind::Modelled => {
-                serve_core(cfg, edges, clouds, requests, ModelledTransport::new(lanes, depth), sink)
+                let lane = ModelledTransport::new(1, ingress_depth(cfg));
+                serve_core(cfg, edges, clouds, requests, lane, sink)
             }
             TransportKind::Pipe(pc) => {
-                serve_core(cfg, edges, clouds, requests, PipeTransport::new(lanes, pc.clone()), sink)
+                serve_core(cfg, edges, clouds, requests, PipeTransport::new(1, pc.clone()), sink)
             }
             #[cfg(unix)]
             TransportKind::Uds(uc) => {
-                serve_core(cfg, edges, clouds, requests, UdsTransport::new(lanes, uc.clone()), sink)
+                serve_core(cfg, edges, clouds, requests, UdsTransport::new(1, uc.clone()), sink)
             }
         })
     }
@@ -118,18 +119,10 @@ fn join_noting(what: &str, handles: Vec<crossbeam::thread::ScopedJoinHandle<'_, 
     }
 }
 
-/// Closes a lane's response direction when its cloud worker exits —
-/// normally or mid-unwind — so the lane's response collector always sees
-/// end-of-stream instead of blocking forever behind a dead worker.
-pub(crate) struct LaneCloser<'a, T: Transport> {
-    pub(crate) transport: &'a T,
-    pub(crate) lane: usize,
-}
-
-impl<T: Transport> Drop for LaneCloser<'_, T> {
-    fn drop(&mut self) {
-        self.transport.close_responses(self.lane);
-    }
+/// Frames the cloud ingress holds: `queue_depth` per cloud worker, and
+/// one slot when there is none, so an edge-only run still builds its lane.
+fn ingress_depth(cfg: &ServeConfig) -> usize {
+    (cfg.queue_depth * cfg.cloud_workers).max(1)
 }
 
 /// Owns the edge queues on the dispatching thread. If that thread
@@ -175,8 +168,9 @@ pub(crate) struct WorkerCtx<'a, T: Transport> {
     pub(crate) skipped_main_exits: AtomicUsize,
     /// Peer-stage byte/hop counters, fed by every multi-stage offload.
     pub(crate) peer: PeerTelemetry,
-    /// Frames in the cloud ingress queue (counted up by the pumps before
-    /// each send, down by the workers per batch taken), and its high-water.
+    /// Frames on their way to the cloud tier (counted up by an edge worker
+    /// before each send, down by the cloud workers per batch taken), and
+    /// its high-water.
     pub(crate) queued: AtomicUsize,
     pub(crate) max_queued: AtomicUsize,
 }
@@ -217,9 +211,6 @@ pub(crate) fn serve_core<T: Transport>(
         }
         _ => ActivationGrids::default(),
     };
-    // Completions of offloaded requests pass a per-device reorder gate,
-    // so concurrent cloud batches cannot reorder a device's responses.
-    let reorder = Mutex::new(ReorderGate::default());
     let suffix_macs: Vec<u64> = clouds.first().map_or_else(Vec::new, |cloud| {
         let profiles = profile_network(cloud);
         (0..=profiles.len()).map(|k| profiles[k..].iter().map(|p| p.macs).sum()).collect()
@@ -265,64 +256,63 @@ pub(crate) fn serve_core<T: Transport>(
     let t0 = Instant::now();
     let mut worker_panics: Vec<String> = Vec::new();
     crossbeam::thread::scope(|scope| {
-        // One pump per lane moves arrived frames into the one bounded
-        // ingress queue (`queue_depth` frames per cloud worker), and the
-        // cloud workers take turns at it. This scope keeps neither end,
-        // so the pumps and the workers own the shutdown (see
-        // `IngressQueue`).
-        let (ingress_tx, ingress_rx) = bounded(cfg.queue_depth * cfg.cloud_workers);
-        let ingress_rx: IngressQueue = Arc::new(Mutex::new(ingress_rx));
-        let mut pump_handles = Vec::with_capacity(cfg.cloud_workers);
-        for lane in 0..cfg.cloud_workers {
-            let mut uplink = transport.take_uplink(lane);
-            let tx = ingress_tx.clone();
-            pump_handles.push(scope.spawn(move |_| {
+        // The cloud workers read the run's one lane together. On the
+        // modelled wire its uplink channel is the ingress itself. A byte
+        // wire keeps one reader, which stamps `received_at` as each frame
+        // reassembles and feeds a queue of the same bound.
+        let mut uplink = transport.take_uplink(0);
+        let mut reader_handle = Vec::new();
+        let ingress: Box<dyn UplinkReceiver + Send> = if cfg.transport.is_measured() {
+            let (tx, rx) = bounded(ingress_depth(cfg));
+            reader_handle.push(scope.spawn(move |_| {
                 while let RecvOutcome::Frame(f) = uplink.recv(None) {
-                    // Count up before the send, so a worker's count down
-                    // never passes zero.
-                    let depth = ctx.queued.fetch_add(1, Ordering::Relaxed) + 1;
-                    ctx.max_queued.fetch_max(depth, Ordering::Relaxed);
-                    if tx.send((lane, f)).is_err() {
+                    if tx.send(f).is_err() {
                         return;
                     }
                 }
             }));
-        }
+            Box::new(ReaderQueue(rx))
+        } else {
+            Box::new(uplink)
+        };
+        // This scope keeps no share of the lane, so the workers own the
+        // shutdown (see `SharedLane`).
+        let lane = Arc::new(SharedLane { ingress: Mutex::new(ingress), transport });
         let mut cloud_handles = Vec::with_capacity(cfg.cloud_workers);
         for (worker, cloud) in clouds.iter_mut().enumerate() {
-            let rx = Arc::clone(&ingress_rx);
-            cloud_handles.push(scope.spawn(move |_| cloud_worker(ctx, cloud, worker, rx)));
+            let lane = Arc::clone(&lane);
+            cloud_handles.push(scope.spawn(move |_| cloud_worker(ctx, cloud, worker, lane)));
         }
-        drop((ingress_tx, ingress_rx));
-        let mut collector_handles = Vec::with_capacity(cfg.cloud_workers);
-        for lane in 0..cfg.cloud_workers {
-            let mut downlink = transport.take_downlink(lane);
-            let dtx = done_tx.clone();
-            let gate = &reorder;
-            collector_handles.push(scope.spawn(move |_| {
-                while let RecvOutcome::Frame(resp) = downlink.recv() {
-                    let req_id = resp.frame.req_id as usize;
-                    let entry = ctx.pending.lock().remove(&req_id).expect("one pending entry per response frame");
-                    let completion = Completion {
-                        req_id,
-                        device: entry.device,
-                        seq: entry.seq,
-                        record: entry.pending.complete(resp.frame.prediction as usize),
-                        latency_s: entry.due.elapsed().as_secs_f64(),
-                    };
-                    // The governor's live evidence: every cloud
-                    // completion's end-to-end latency, recorded as it
-                    // lands (release order is irrelevant to quantiles).
-                    if governed {
-                        ctx.policy.lock().record_latency(spec.class_of(entry.device), completion.latency_s);
-                    }
-                    // Latency is measured at arrival; only the *release*
-                    // into the completion stream is deferred until every
-                    // earlier offload of the device has come back.
-                    gate.lock().release(entry.device, entry.cloud_idx, completion, &dtx);
+        drop(lane);
+        // One collector reads the downlink and owns the per-device reorder
+        // gate, so concurrent cloud batches cannot reorder a device's
+        // responses.
+        let mut downlink = transport.take_downlink(0);
+        let dtx = done_tx.clone();
+        let collector_handle = scope.spawn(move |_| {
+            let mut gate = ReorderGate::default();
+            while let RecvOutcome::Frame(resp) = downlink.recv() {
+                let req_id = resp.frame.req_id as usize;
+                let entry = ctx.pending.lock().remove(&req_id).expect("one pending entry per response frame");
+                let completion = Completion {
+                    req_id,
+                    device: entry.device,
+                    seq: entry.seq,
+                    record: entry.pending.complete(resp.frame.prediction as usize),
+                    latency_s: entry.due.elapsed().as_secs_f64(),
+                };
+                // The governor's live evidence: every cloud completion's
+                // end-to-end latency, recorded as it lands (release order
+                // is irrelevant to quantiles).
+                if governed {
+                    ctx.policy.lock().record_latency(spec.class_of(entry.device), completion.latency_s);
                 }
-            }));
-        }
+                // Latency is measured at arrival; only the *release* into
+                // the completion stream is deferred until every earlier
+                // offload of the device has come back.
+                gate.release(entry.device, entry.cloud_idx, completion, &dtx);
+            }
+        });
         let mut edge_handles = Vec::with_capacity(cfg.edge_workers);
         for (rx, replica) in edge_rxs.into_iter().zip(edges.iter_mut()) {
             let dtx = done_tx.clone();
@@ -357,17 +347,18 @@ pub(crate) fn serve_core<T: Transport>(
         dispatch.edge_txs.clear();
 
         // Shutdown cascade: edge workers drain their closed queues and
-        // exit; the request lanes then close, the pumps exit and close the
-        // ingress queue, cloud workers drain it and exit (each closing its
-        // response lane via LaneCloser), and the collectors follow. Joining — instead of blocking on a
-        // completion count — means a panicked worker is *detected*: its
-        // payload is collected and re-raised with context, rather than
-        // wedging the runtime on completions that will never arrive.
+        // exit; the request lane then closes (a byte wire's reader drains
+        // it and closes its queue), cloud workers drain the ingress and
+        // exit, the last one closing the response lane, and the collector
+        // follows. Joining — instead of blocking on a completion count —
+        // means a panicked worker is *detected*: its payload is collected
+        // and re-raised with context, rather than wedging the runtime on
+        // completions that will never arrive.
         join_noting("edge worker", edge_handles, &mut worker_panics);
         transport.close_requests();
-        join_noting("ingress pump", pump_handles, &mut worker_panics);
+        join_noting("lane reader", reader_handle, &mut worker_panics);
         join_noting("cloud worker", cloud_handles, &mut worker_panics);
-        join_noting("response collector", collector_handles, &mut worker_panics);
+        join_noting("response collector", vec![collector_handle], &mut worker_panics);
         while let Ok(c) = done_rx.try_recv() {
             settle(c);
         }
@@ -406,7 +397,7 @@ pub(crate) fn serve_core<T: Transport>(
         final_threshold: st.controller.map(|c| c.threshold()),
         skipped_main_exits: skipped_main_exits.into_inner(),
         per_class,
-        steals: counters.steals,
+        steals: 0,
         per_worker_batches: counters.per_worker,
         max_queue_depth: max_queued.into_inner(),
         sla_violations: st.governor.as_ref().map_or(0, |g| g.governor.sla_violations()),

@@ -381,10 +381,10 @@ impl ServeConfigBuilder {
     }
 
     /// Frames each bounded queue holds per worker: every edge worker's
-    /// queue and every lane of the modelled transport hold this many
-    /// (the byte-stream transports bound their lanes in bytes instead),
-    /// and the cloud workers' one shared ingress queue holds this many
-    /// per cloud worker.
+    /// queue holds this many, and the cloud ingress this many per cloud
+    /// worker. On the modelled wire the ingress is the run's one lane; a
+    /// byte-stream wire bounds its lane in bytes instead and its reader
+    /// feeds an ingress queue of that size.
     pub fn queue_depth(mut self, depth: usize) -> Self {
         self.cfg.queue_depth = depth;
         self

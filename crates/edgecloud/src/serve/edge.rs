@@ -452,7 +452,7 @@ pub(crate) fn build_cut_table(
 /// cannot change a value) — then encodes the final-cut activation (or
 /// the raw image, when there is no `placement`) straight from the
 /// borrowed tensor, parks the pending record, and puts the frame on the
-/// device's sticky lane. `cloud_idx` is the device's offload sequence
+/// run's one lane. `cloud_idx` is the device's offload sequence
 /// number, the key the [`ReorderGate`] releases the completion in.
 /// Returns `false` when the cloud tier is gone (uplink dropped) — the
 /// caller stops quietly and the join in `serve_core` surfaces whatever
@@ -540,12 +540,14 @@ pub(crate) fn offload_to_cloud<T: Transport>(
         cloud_idx,
     };
     ctx.pending.lock().insert(job.req_id, entry);
-    ctx.transport.send_request(ctx.spec.sticky_index(req.device, ctx.transport.lanes()), frame).is_ok()
+    // Counted in before it leaves, so a cloud worker's count down never passes zero.
+    ctx.max_queued.fetch_max(ctx.queued.fetch_add(1, Ordering::Relaxed) + 1, Ordering::Relaxed);
+    ctx.transport.send_request(0, frame).is_ok()
 }
 
 /// Edge worker loop: route each request through the shared engine,
 /// finish main/extension exits locally, ship cloud exits as
-/// [`RequestFrame`]s up the sticky transport lane — as images, or as
+/// [`RequestFrame`]s up the run's one transport lane — as images, or as
 /// cut-layer activations of the local cloud-prefix replica in
 /// feature-payload mode.
 ///

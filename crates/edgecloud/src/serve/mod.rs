@@ -13,15 +13,16 @@
 //!   [`meanet::routing::RoutingEngine`] the offline sweep
 //!   (`meanet::infer::run_inference`) uses, so the served system and the
 //!   sweep produce identical [`InstanceRecord`]s.
-//! * **M cloud workers** share one bounded ingress queue, fed by every
-//!   transport lane. Each in turn coalesces whatever is queued up to
+//! * A run has **one transport lane**. **M cloud workers** read its uplink
+//!   together, each in turn coalescing what has arrived up to
 //!   [`ServeConfigBuilder::max_batch`] (waiting at most
 //!   [`ServeConfigBuilder::max_wait`] for stragglers) into *one* batched
-//!   forward, so a skewed population whose devices all ride one lane
-//!   still keeps every worker busy. Eval forwards are bitwise per-sample
-//!   independent, so batch composition cannot change a prediction, and a
-//!   per-device reorder gate releases each device's cloud completions in
-//!   offload order whichever worker ran them.
+//!   forward, and answer down it to one collector thread. Eval forwards
+//!   are bitwise per-sample independent, so batch composition cannot
+//!   change a prediction, and the collector's per-device reorder gate
+//!   releases each device's cloud completions in offload order whichever
+//!   worker ran them. A run holds `N + M + 1` threads besides the
+//!   dispatching one (a byte wire adds the lane's reader).
 //! * Offloads cross a real wire format ([`Payload`]) in length-prefixed
 //!   frames over a pluggable [`Transport`]
 //!   ([`ServeConfigBuilder::transport`]): the default modelled conduit
@@ -106,8 +107,8 @@ pub(crate) use crate::traces::ArrivalModel;
 #[cfg(unix)]
 pub(crate) use crate::transport::UdsTransport;
 pub(crate) use crate::transport::{
-    DownlinkReceiver, InboundRequest, ModelledTransport, PipeTransport, RecvOutcome, RequestFrame, ResponseFrame,
-    Transport, TransportKind, UplinkReceiver,
+    recv_channel, DownlinkReceiver, InboundRequest, ModelledTransport, PipeTransport, RecvOutcome, RequestFrame,
+    ResponseFrame, Transport, TransportKind, UplinkReceiver,
 };
 pub(crate) use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 pub(crate) use mea_data::Dataset;

@@ -167,17 +167,15 @@ pub struct ServeStats {
     /// fleet device class (Some exactly when [`ServeConfigBuilder::fleet`]
     /// is set; indexed by class).
     pub per_class: Option<Vec<ClassStats>>,
-    /// Batches holding a frame that arrived on another cloud worker's
-    /// lane (worker `w` owns lane `w`; a device rides lane
-    /// `spec.sticky_index(device, cloud_workers)`). Always 0 with one cloud
-    /// worker; scheduler-dependent with more: a measure of imbalance
-    /// absorbed, not a deterministic invariant.
+    /// Always 0: a run has one transport lane, which every cloud worker
+    /// reads, so no batch holds a frame of "another worker's lane". How a
+    /// backlog spread over the workers is [`ServeStats::per_worker_batches`].
     pub steals: u64,
     /// Coalesced batches per cloud worker (length `cloud_workers`). Sums
     /// to [`ServeStats::cloud_batches`].
     pub per_worker_batches: Vec<u64>,
-    /// High-water mark of frames in the shared cloud ingress queue
-    /// (counting a frame from just before a lane's pump sends it until a
+    /// High-water mark of frames on their way to the cloud tier (counting
+    /// a frame from just before an edge worker sends it until a cloud
     /// worker's batch takes it).
     pub max_queue_depth: usize,
     /// Decision windows whose live p95 latency violated the governed SLA

@@ -111,10 +111,10 @@ fn a_dying_cloud_tier_with_a_backlog_neither_hangs_nor_aborts() {
     // the wrong input width: `profile_network` prices it (a convolution's
     // MACs read only the spatial dims) but every cloud forward panics. An
     // instant trace of every offload, larger than all the queues
-    // together, leaves the pumps and edge workers blocked behind the
-    // dead tier. The last worker's exit drops the ingress receiver, the
-    // pumps' sends fail, the lanes close, and the run re-raises the
-    // cloud workers' panics instead of hanging.
+    // together, leaves the edge worker blocked behind the dead tier. The
+    // last worker's exit drops the lane's uplink, the edge worker's send
+    // fails, and the run re-raises the cloud workers' panics instead of
+    // hanging.
     let bundle = presets::tiny(89);
     let requests = instant_requests(&bundle.test, 2);
     let broken = || {
@@ -126,8 +126,9 @@ fn a_dying_cloud_tier_with_a_backlog_neither_hangs_nor_aborts() {
         cloud
     };
     let cfg = config(OffloadPolicy::Always, 1, 2, 1).queue_depth(1);
-    // Queued: the edge queue (1), the two lanes (1 each) and the ingress
-    // queue (2); in hand: the edge worker, two pumps, two cloud workers.
+    // Queued: the edge queue (1) and the one lane, which is the ingress
+    // (1 per cloud worker: 2); in hand: the edge worker and two cloud
+    // workers (3). Six in all, well under the bound below.
     assert!(requests.len() > 5 + 5, "the trace must outgrow every queue");
     let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         serve(cfg, edge_replicas(1, 45), replicas(2, broken), &requests)
@@ -139,21 +140,21 @@ fn a_dying_cloud_tier_with_a_backlog_neither_hangs_nor_aborts() {
 
 #[test]
 fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
-    // Every request comes from device 0, so every frame rides lane 0 of
-    // a 3-worker cloud tier: were each worker to drain only its own
-    // lane, two would idle; from the shared ingress queue they take the
-    // backlog. The modelled link sleep keeps whichever worker holds a
-    // batch busy long enough for the queue to refill, forcing steals
-    // even on a single-core host.
+    // Every request comes from device 0 through one edge worker, yet the
+    // 3-worker cloud tier shares the backlog: the modelled link sleep
+    // keeps whichever worker holds a batch busy long enough for the lane
+    // to refill, so another worker takes the next batch even on a
+    // single-core host.
     let bundle = presets::tiny(171);
     let edges = edge_replicas(1, 23);
     let clouds = replicas(3, || tiny_cloud(24));
     let cfg = config(OffloadPolicy::Always, 1, 3, 1).queue_depth(8).link(NetworkLink::wifi(50.0).with_rtt(0.002));
     let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     assert_eq!(report.stats.offloaded, report.stats.total);
+    let busy = report.stats.per_worker_batches.iter().filter(|&&b| b > 0).count();
     assert!(
-        report.stats.steals > 0,
-        "skewed population must force steals: per-worker {:?}",
+        busy >= 2,
+        "one device's backlog must spread over the workers: per-worker {:?}",
         report.stats.per_worker_batches
     );
     assert!(report.stats.max_queue_depth > 0, "the backlog must have queued");
@@ -163,12 +164,30 @@ fn work_stealing_soaks_a_skewed_population_and_keeps_device_fifo() {
         report.completions.iter().filter(|c| c.record.exit == ExitPoint::Cloud).map(|c| c.seq).collect();
     let mut sorted = seqs.clone();
     sorted.sort_unstable();
-    assert_eq!(seqs, sorted, "per-device cloud FIFO violated under stealing");
+    assert_eq!(seqs, sorted, "per-device cloud FIFO violated across workers");
     // And the records still match the offline sweep bit for bit.
     let mut net = tiny_net(23);
     let mut cloud = tiny_cloud(24);
     let expected = run_inference_with_policy(&mut net, Some(&mut cloud), &bundle.test, OffloadPolicy::Always, 8);
     assert_eq!(report.records, expected);
+}
+
+#[test]
+fn the_shared_response_lane_stays_open_until_the_last_cloud_worker_exits() {
+    // Two offloads, four cloud workers and a 50 ms RTT: at most two
+    // workers hold a batch, and each sleeps 25 ms on the uplink leg. The
+    // request lane closes as soon as the edge worker has sent both, so
+    // the idle workers exit while a busy one still sleeps. Its responses
+    // must still go down the lane and settle.
+    let bundle = presets::tiny(2);
+    let requests = &instant_requests(&bundle.test, 1)[..2];
+    let cfg = config(OffloadPolicy::Always, 1, 4, 1).link(NetworkLink::wifi(50.0).with_rtt(0.050));
+    let report = serve(cfg, edge_replicas(1, 46), replicas(4, || tiny_cloud(47)), requests).expect("serves");
+    assert_eq!((report.stats.total, report.stats.offloaded), (2, 2));
+    let mut net = tiny_net(46);
+    let mut cloud = tiny_cloud(47);
+    let expected = run_inference_with_policy(&mut net, Some(&mut cloud), &bundle.test, OffloadPolicy::Always, 8);
+    assert_eq!(report.records, expected[..2]);
 }
 
 #[test]

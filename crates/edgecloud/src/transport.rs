@@ -34,15 +34,15 @@
 //! does; and carries per-frame send timestamps in a side queue (the
 //! stand-in for NIC timestamping).
 //!
-//! One **lane** connects the edge tier to one cloud worker: requests flow
-//! up the lane, responses flow back down it. Both directions carry
-//! little-endian length-prefixed frames ([`RequestFrame`],
-//! [`ResponseFrame`]); the response frame's exact encoded size is what
-//! the serving stats and the partition planner charge on the downlink
-//! ([`ResponseFrame::WIRE_BYTES`]).
+//! A **lane** connects the edge tier to the cloud tier: requests flow up
+//! it, responses flow back down. A serving run opens one lane, whatever
+//! its number of cloud workers. Both directions carry little-endian
+//! length-prefixed frames ([`RequestFrame`], [`ResponseFrame`]); the
+//! response frame's exact encoded size is what the serving stats and the
+//! partition planner charge on the downlink ([`ResponseFrame::WIRE_BYTES`]).
 //!
 //! Shutdown is ownership-driven so a panicking worker can never wedge its
-//! peers: the cloud worker *owns* its lane's [`Transport::Uplink`]
+//! peers: the cloud tier *owns* the lane's [`Transport::Uplink`]
 //! (dropping it — normally or during unwind — refuses further sends), the
 //! edge side owns the [`Transport::Downlink`], and the explicit
 //! [`Transport::close_requests`]/[`Transport::close_responses`] calls let
@@ -207,7 +207,7 @@ pub enum RecvOutcome<T> {
     Closed,
 }
 
-/// The cloud worker's owned receiving end of one lane's uplink. Dropping
+/// The cloud tier's owned receiving end of one lane's uplink. Dropping
 /// it (normally or during a panic unwind) closes the lane: blocked and
 /// future senders get [`TransportClosed`] instead of waiting forever.
 pub trait UplinkReceiver {
@@ -223,18 +223,15 @@ pub trait DownlinkReceiver {
     fn recv(&mut self) -> RecvOutcome<InboundResponse>;
 }
 
-/// A duplex frame conduit between the edge tier and the cloud tier, one
-/// lane per cloud worker. Senders share the transport by reference;
-/// receivers are taken out once per lane and owned by the consuming
-/// thread (so a dead consumer closes its lane instead of wedging it).
+/// A duplex frame conduit between the edge tier and the cloud tier over
+/// independent lanes. Senders share the transport by reference; receivers
+/// are taken out once per lane and owned by the consuming side (so a dead
+/// consumer closes its lane instead of wedging it).
 pub trait Transport: Sync {
-    /// The owned uplink receiving endpoint (cloud worker side).
+    /// The owned uplink receiving endpoint (cloud tier side).
     type Uplink: UplinkReceiver + Send;
     /// The owned downlink receiving endpoint (edge side).
     type Downlink: DownlinkReceiver + Send;
-
-    /// Number of lanes (one per cloud worker).
-    fn lanes(&self) -> usize;
 
     /// Takes ownership of lane `lane`'s uplink receiving end.
     ///
@@ -278,7 +275,7 @@ pub trait Transport: Sync {
 /// model (slept on by the cloud workers) is the *only* clock, which keeps
 /// the CI/record-identity path and every telemetry trajectory exactly
 /// reproducible. Backpressure is the channel bound (`queue_depth` frames
-/// per lane), the same end-to-end blocking the serving runtime always had.
+/// per lane); a serving run's cloud workers take batches straight off it.
 pub struct ModelledTransport {
     lanes: Vec<ModelledLane>,
 }
@@ -325,40 +322,44 @@ pub struct ModelledDownlink {
     rx: Receiver<(ResponseFrame, Instant)>,
 }
 
+/// One receive off an in-memory channel as a lane outcome, `arrived` applied
+/// to the item; waits up to `timeout` (`None` = until an item or the end).
+pub(crate) fn recv_channel<T, U>(
+    rx: &Receiver<T>,
+    timeout: Option<Duration>,
+    arrived: impl FnOnce(T) -> U,
+) -> RecvOutcome<U> {
+    let got = match timeout {
+        None => rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
+        Some(t) => rx.recv_timeout(t),
+    };
+    match got {
+        Ok(item) => RecvOutcome::Frame(arrived(item)),
+        Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
+        Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
+    }
+}
+
+/// A modelled frame as received now.
+fn stamped<F>((frame, sent_at): (F, Instant)) -> Inbound<F> {
+    Inbound { frame, sent_at, received_at: Instant::now() }
+}
+
 impl UplinkReceiver for ModelledUplink {
     fn recv(&mut self, timeout: Option<Duration>) -> RecvOutcome<InboundRequest> {
-        let got = match timeout {
-            None => self.rx.recv().map_err(|_| RecvTimeoutError::Disconnected),
-            Some(t) => self.rx.recv_timeout(t),
-        };
-        match got {
-            Ok((frame, sent_at)) => {
-                RecvOutcome::Frame(InboundRequest { frame, sent_at, received_at: Instant::now() })
-            }
-            Err(RecvTimeoutError::Timeout) => RecvOutcome::TimedOut,
-            Err(RecvTimeoutError::Disconnected) => RecvOutcome::Closed,
-        }
+        recv_channel(&self.rx, timeout, stamped)
     }
 }
 
 impl DownlinkReceiver for ModelledDownlink {
     fn recv(&mut self) -> RecvOutcome<InboundResponse> {
-        match self.rx.recv() {
-            Ok((frame, sent_at)) => {
-                RecvOutcome::Frame(InboundResponse { frame, sent_at, received_at: Instant::now() })
-            }
-            Err(_) => RecvOutcome::Closed,
-        }
+        recv_channel(&self.rx, None, stamped)
     }
 }
 
 impl Transport for ModelledTransport {
     type Uplink = ModelledUplink;
     type Downlink = ModelledDownlink;
-
-    fn lanes(&self) -> usize {
-        self.lanes.len()
-    }
 
     fn take_uplink(&self, lane: usize) -> ModelledUplink {
         ModelledUplink { rx: self.lanes[lane].req_rx.lock().take().expect("uplink taken once") }
@@ -909,10 +910,6 @@ impl UdsTransport {
 impl<W: Write + Send, R: TimedRead + Send> Transport for FramedTransport<W, R> {
     type Uplink = FramedReceiver<R, RequestFrame>;
     type Downlink = FramedReceiver<R, ResponseFrame>;
-
-    fn lanes(&self) -> usize {
-        self.up.len()
-    }
 
     fn take_uplink(&self, lane: usize) -> Self::Uplink {
         self.up[lane].take_receiver()

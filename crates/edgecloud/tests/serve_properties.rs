@@ -421,13 +421,12 @@ proptest! {
         }
     }
 
-    /// Per-device FIFO per exit lane survives work stealing under a
-    /// deliberately skewed population: every device id is a multiple of
-    /// the cloud worker count, so every frame rides lane 0 and any
-    /// parallelism the other workers contribute comes entirely from
-    /// steals (batches of another worker's lane). The completion stream must still be sequence-ordered per
-    /// device and exit lane, and the records identical to the offline
-    /// sweep.
+    /// Per-device FIFO per exit lane survives several cloud workers
+    /// sharing a deliberately skewed population's backlog: every device id
+    /// is a multiple of the cloud worker count, so one device's batches can
+    /// run on several workers at once. The completion stream must still be
+    /// sequence-ordered per device and exit lane, and the records
+    /// identical to the offline sweep.
     #[test]
     fn work_stealing_preserves_per_device_fifo_under_skew(
         device_count in 1usize..4,
@@ -441,7 +440,7 @@ proptest! {
         let mut requests =
             trace_requests(&bundle.test, device_count, &ArrivalModel::Uniform { interval_s: 0.0 }, &mut rng);
         // Skew: device d -> d * cloud_workers keeps ids distinct while
-        // pinning every sticky lane index to 0.
+        // giving every device the same residue modulo the worker count.
         for r in &mut requests {
             r.device *= cloud_workers;
         }
@@ -479,7 +478,7 @@ proptest! {
         let mut net = tiny_net(35);
         let mut cloud = tiny_cloud(36);
         let expected = run_inference_with_policy(&mut net, Some(&mut cloud), &bundle.test, policy, 8);
-        prop_assert_eq!(report.records, expected, "skewed stealing run diverged from the sweep");
+        prop_assert_eq!(report.records, expected, "skewed shared-backlog run diverged from the sweep");
     }
 
     /// The identity embedding of the old API into the new one: a fleet of

@@ -33,12 +33,6 @@ impl Table {
         self
     }
 
-    /// Convenience for rows of displayable values.
-    pub fn row_display<T: fmt::Display>(&mut self, cells: &[T]) -> &mut Self {
-        let cells: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&cells)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

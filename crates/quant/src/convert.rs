@@ -119,11 +119,6 @@ impl QNetwork {
     pub fn in_params(&self) -> &QuantParams {
         &self.in_params
     }
-
-    /// Number of top-level ops (fused groups), for introspection.
-    pub fn op_count(&self) -> usize {
-        self.ops.len()
-    }
 }
 
 enum Applied {

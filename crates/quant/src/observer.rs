@@ -27,11 +27,6 @@ impl MinMaxObserver {
         self.observed = self.observed || t.numel() > 0;
     }
 
-    /// Whether any data has been observed.
-    pub fn has_observed(&self) -> bool {
-        self.observed
-    }
-
     /// The observed `(min, max)` range.
     ///
     /// # Panics

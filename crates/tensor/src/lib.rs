@@ -13,7 +13,7 @@
 //!   one place in the crate with an `unsafe` block;
 //! * [`conv`] — im2col / col2im transforms and convolution geometry;
 //! * [`pool`] — average / max pooling forward and backward kernels;
-//! * [`ops`] — softmax, ReLU, bias broadcast and other pointwise kernels;
+//! * [`ops`] — softmax, bias broadcast and other pointwise kernels;
 //! * [`reader`] — the bounds-checked cursor every wire decoder parses
 //!   received bytes through;
 //! * [`rng`] — a seeded random source with normal/uniform fills so every

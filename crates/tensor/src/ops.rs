@@ -1,4 +1,4 @@
-//! Pointwise and broadcast kernels: softmax, ReLU, bias addition, entropy.
+//! Pointwise and broadcast kernels: softmax, bias addition, entropy.
 
 use crate::tensor::Tensor;
 
@@ -69,30 +69,6 @@ pub fn entropy_rows(probs: &Tensor) -> Vec<f32> {
     assert_eq!(probs.shape().rank(), 2, "entropy_rows expects [N, K], got {}", probs.shape());
     let k = probs.dims()[1];
     probs.as_slice().chunks_exact(k).map(entropy).collect()
-}
-
-/// In-place ReLU.
-pub fn relu_inplace(x: &mut Tensor) {
-    for v in x.as_mut_slice() {
-        if *v < 0.0 {
-            *v = 0.0;
-        }
-    }
-}
-
-/// ReLU backward: zeroes gradient entries where the forward *input* was
-/// non-positive. `grad` and `input` must share a shape.
-///
-/// # Panics
-///
-/// Panics if the shapes differ.
-pub fn relu_backward_inplace(grad: &mut Tensor, input: &Tensor) {
-    assert_eq!(grad.shape(), input.shape(), "relu_backward shape mismatch");
-    for (g, &x) in grad.as_mut_slice().iter_mut().zip(input.as_slice()) {
-        if x <= 0.0 {
-            *g = 0.0;
-        }
-    }
 }
 
 /// Adds a length-`K` bias to every row of a `[N, K]` tensor.
@@ -193,17 +169,6 @@ mod tests {
         assert!((uniform - (4.0f32).ln()).abs() < 1e-5);
         // Uniform maximises entropy.
         assert!(entropy(&[0.7, 0.1, 0.1, 0.1]) < uniform);
-    }
-
-    #[test]
-    fn relu_and_backward_mask_agree() {
-        let input = Tensor::from_vec(vec![-1.0, 0.0, 2.0, -0.5], &[2, 2]).unwrap();
-        let mut fwd = input.clone();
-        relu_inplace(&mut fwd);
-        assert_eq!(fwd.as_slice(), &[0.0, 0.0, 2.0, 0.0]);
-        let mut grad = Tensor::ones([2, 2]);
-        relu_backward_inplace(&mut grad, &input);
-        assert_eq!(grad.as_slice(), &[0.0, 0.0, 1.0, 0.0]);
     }
 
     #[test]
