@@ -60,6 +60,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod clock;
 pub mod cost;
 pub mod device;
 pub mod energy;

@@ -2,6 +2,7 @@
 //! and Eshratifar & Pedram): `P_upload = 283.17 mW/Mbps · s + 132.86 mW`.
 
 use serde::{Deserialize, Serialize};
+use std::time::Instant;
 
 /// Linear throughput→power model of the uplink radio.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -81,11 +82,20 @@ impl NetworkLink {
         NetworkLink::lte(5.64)
     }
 
-    /// Whether both rates are finite and positive and the RTT finite and
-    /// non-negative: a link the runtime can sleep on and plan with.
-    pub(crate) fn is_valid(&self) -> bool {
+    /// Whether both rates are finite and positive, the RTT finite and
+    /// non-negative, and each leg carrying `max_bytes` short enough for
+    /// the clock to hold as a deadline: a link the runtime can sleep on
+    /// and plan with.
+    pub(crate) fn is_valid(&self, max_bytes: u64) -> bool {
         let rate_ok = |mbps: f64| mbps.is_finite() && mbps > 0.0;
-        rate_ok(self.throughput_mbps) && rate_ok(self.download_mbps) && self.rtt_s.is_finite() && self.rtt_s >= 0.0
+        let now = Instant::now();
+        let leg_ok = |secs: f64| crate::clock::after(now, secs).is_some();
+        rate_ok(self.throughput_mbps)
+            && rate_ok(self.download_mbps)
+            && self.rtt_s >= 0.0
+            && leg_ok(self.rtt_s / 2.0)
+            && leg_ok(self.uplink_leg_s(max_bytes))
+            && leg_ok(self.downlink_leg_s(max_bytes))
     }
 
     /// Adds a propagation delay (builder style).

@@ -98,6 +98,13 @@ impl ReorderGate {
     }
 }
 
+/// When a modelled leg of `secs` seconds, starting now, ends.
+/// [`ServeConfigBuilder::build`] rejects every link whose leg for the
+/// largest batch the run can ship has no such instant.
+pub(crate) fn leg_deadline(secs: f64) -> Instant {
+    clock::after(Instant::now(), secs).expect("build() bounds every modelled leg")
+}
+
 /// Cloud worker loop: take the next coalesced batch off the shared
 /// ingress — holding its lock only while the batch assembles — and
 /// classify it.
@@ -174,7 +181,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     // pipe, so no modelled sleep is charged.
     let link = if measured { None } else { scheduled_link(cfg, batches_before) };
     if let Some(link) = &link {
-        std::thread::sleep(Duration::from_secs_f64(link.uplink_leg_s(payload_bytes)));
+        clock::sleep_until(leg_deadline(link.uplink_leg_s(payload_bytes)));
     }
     // A coalesced batch may mix cut points (the planner re-planned
     // mid-flight, or device classes cut differently): group by resume
@@ -222,7 +229,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     // completion: the modelled leg as a sleep, the real one as the
     // pipe's own transfer time.
     if let Some(link) = &link {
-        std::thread::sleep(Duration::from_secs_f64(link.downlink_leg_s(response_bytes)));
+        clock::sleep_until(leg_deadline(link.downlink_leg_s(response_bytes)));
     }
     let down_t0 = Instant::now();
     let mut lane_open = true;

@@ -104,6 +104,14 @@ impl Fleet {
     }
 }
 
+/// `later − earlier` in seconds: negative when `later` is the earlier one.
+fn signed_secs_since(later: Instant, earlier: Instant) -> f64 {
+    match later.checked_duration_since(earlier) {
+        Some(d) => d.as_secs_f64(),
+        None => -earlier.duration_since(later).as_secs_f64(),
+    }
+}
+
 /// Joins one kind of worker, noting each panic as "`what` `i` panicked:
 /// …" with its original message, so the message survives propagation out
 /// of the serving runtime.
@@ -253,6 +261,8 @@ pub(crate) fn serve_core<T: Transport>(
         sink(c);
     };
 
+    // How late each request left the dispatcher, stamped just before its send.
+    let mut dispatch_lateness = StreamingHistogram::for_latency();
     let t0 = Instant::now();
     let mut worker_panics: Vec<String> = Vec::new();
     crossbeam::thread::scope(|scope| {
@@ -322,21 +332,18 @@ pub(crate) fn serve_core<T: Transport>(
 
         // Dispatch: pace the trace in real time, device-sticky routing
         // through the spec's canonical mapping, settling whatever has
-        // completed before each request goes out. A dead edge worker
+        // completed before each request waits for its due time, so the
+        // sink never delays a send. A dead edge worker
         // (closed queue) stops dispatch; the joins below surface its
         // panic.
         let mut dispatch = DispatchCloser { edge_txs, transport };
         for (req_id, req) in requests.iter().enumerate() {
-            let due = t0
-                .checked_add(Duration::from_secs_f64(req.arrival_s))
-                .expect("validate_trace bounds every arrival");
-            let now = Instant::now();
-            if due > now {
-                std::thread::sleep(due - now);
-            }
+            let due = clock::after(t0, req.arrival_s).expect("validate_trace bounds every arrival");
             while let Ok(c) = done_rx.try_recv() {
                 settle(c);
             }
+            clock::sleep_until(due);
+            dispatch_lateness.record(signed_secs_since(Instant::now(), due));
             if dispatch.edge_txs[spec.sticky_index(req.device, cfg.edge_workers)]
                 .send(EdgeJob { req_id, req, due })
                 .is_err()
@@ -397,6 +404,7 @@ pub(crate) fn serve_core<T: Transport>(
         final_threshold: st.controller.map(|c| c.threshold()),
         skipped_main_exits: skipped_main_exits.into_inner(),
         per_class,
+        dispatch_lateness,
         steals: 0,
         per_worker_batches: counters.per_worker,
         max_queue_depth: max_queued.into_inner(),

@@ -496,13 +496,18 @@ pub enum ServeConfigError {
     /// time (the schedule drives the modelled wire only).
     ScheduleOnMeasuredWire,
     /// A [`TransportKind::Pipe`] pacing rate (`up_mbps`, `down_mbps` or a
-    /// throttle's `up_mbps`) that is not finite and positive.
+    /// throttle's `up_mbps`) that is not finite and positive, or so slow
+    /// that pacing the largest batch the run can ship (`max_batch` frames
+    /// of [`MAX_FRAME_BYTES`](crate::transport::MAX_FRAME_BYTES)) takes no
+    /// time the clock can hold.
     InvalidPaceRate,
     /// A [`NetworkLink`] the runtime sleeps on or plans with — the
     /// [`ServeConfigBuilder::link`], a [`LinkChange::link`], a fleet
     /// class's `link_prior` or its cooperative group's link — whose
-    /// `throughput_mbps` or `download_mbps` is not finite and positive, or
-    /// whose `rtt_s` is not finite and non-negative.
+    /// `throughput_mbps` or `download_mbps` is not finite and positive,
+    /// whose `rtt_s` is not finite and non-negative, or on which half the
+    /// RTT or a leg carrying the largest batch the run can ship takes no
+    /// time the clock can hold.
     InvalidLink,
     /// A [`ControllerConfig::window`] of zero instances.
     ControllerWindowEmpty,
@@ -543,12 +548,17 @@ impl fmt::Display for ServeConfigError {
                  whatever its own wire takes"
             ),
             ServeConfigError::InvalidPaceRate => {
-                write!(f, "pipe pacing rates (up_mbps, down_mbps, throttle) must be finite and positive")
+                write!(
+                    f,
+                    "pipe pacing rates (up_mbps, down_mbps, throttle) must be finite, positive and fast enough \
+                     to pace a full batch"
+                )
             }
             ServeConfigError::InvalidLink => write!(
                 f,
                 "every network link (the serving link, each scheduled change, each fleet class's link prior \
-                 and coop-group link) needs finite positive rates and a finite non-negative rtt_s"
+                 and coop-group link) needs finite positive rates, a finite non-negative rtt_s, and legs short \
+                 enough to schedule"
             ),
             ServeConfigError::ControllerWindowEmpty => write!(f, "controller window must be non-empty"),
             ServeConfigError::PolicyNeedsCloud => {
@@ -710,14 +720,16 @@ fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
     if cfg.transport.is_measured() && !cfg.link_schedule.is_empty() {
         return Err(ServeConfigError::ScheduleOnMeasuredWire);
     }
-    if matches!(&cfg.transport, TransportKind::Pipe(pipe) if !pipe.rates_are_valid()) {
+    // The most a run ships in one go: a full batch of the largest frames.
+    let max_bytes = (cfg.max_batch as u64).saturating_mul(crate::transport::MAX_FRAME_BYTES as u64);
+    if matches!(&cfg.transport, TransportKind::Pipe(pipe) if !pipe.rates_are_valid(max_bytes)) {
         return Err(ServeConfigError::InvalidPaceRate);
     }
     // Every link the runtime sleeps on or plans with.
     let scheduled = cfg.link_schedule.iter().map(|c| &c.link);
     let classes = cfg.fleet.iter().flat_map(|f| f.classes());
     let class_links = classes.flat_map(|c| c.link_prior.iter().chain(c.coop.as_ref().map(|g| &g.link)));
-    if !cfg.link.iter().chain(scheduled).chain(class_links).all(NetworkLink::is_valid) {
+    if !cfg.link.iter().chain(scheduled).chain(class_links).all(|link| link.is_valid(max_bytes)) {
         return Err(ServeConfigError::InvalidLink);
     }
     let controller = cfg.control.controller();
@@ -818,7 +830,7 @@ pub(crate) fn validate_trace(requests: &[ServeRequest], in_shape: [usize; 3]) ->
         if r.arrival_s < 0.0 {
             return Err(ServeError::NegativeArrival { index: i });
         }
-        if Duration::try_from_secs_f64(r.arrival_s).ok().and_then(|d| now.checked_add(d)).is_none() {
+        if clock::after(now, r.arrival_s).is_none() {
             return Err(ServeError::UnschedulableArrival { index: i, arrival_s: r.arrival_s });
         }
         if r.image.dims() != expected {

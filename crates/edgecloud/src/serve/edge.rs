@@ -504,8 +504,7 @@ pub(crate) fn offload_to_cloud<T: Transport>(
                             // coop group ships on a free wire rather
                             // than panicking mid-serve.
                             if let Some(group) = ctx.spec.classes()[class].coop {
-                                let leg = group.link.uplink_leg_s(bytes.len() as u64);
-                                std::thread::sleep(Duration::from_secs_f64(leg));
+                                clock::sleep_until(leg_deadline(group.link.uplink_leg_s(bytes.len() as u64)));
                             }
                             act = Payload::decode(bytes)
                                 .expect("a peer hop ships a well-formed frame")

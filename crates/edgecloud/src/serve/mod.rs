@@ -94,6 +94,7 @@ pub use config::*;
 pub(crate) use edge::*;
 pub use stats::*;
 
+pub(crate) use crate::clock;
 pub(crate) use crate::device::DeviceProfile;
 pub(crate) use crate::fleet::{ComputeTier, DeviceClass, FleetSpec};
 pub(crate) use crate::governor::{ControlPoint, Governor, GovernorConfig, SlaTarget};

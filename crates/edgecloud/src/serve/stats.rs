@@ -167,6 +167,14 @@ pub struct ServeStats {
     /// fleet device class (Some exactly when [`ServeConfigBuilder::fleet`]
     /// is set; indexed by class).
     pub per_class: Option<Vec<ClassStats>>,
+    /// How late each request left the dispatcher: `now − due` in seconds,
+    /// taken just before the send to its edge worker, one sample per
+    /// dispatched request. A paced request waits on a clock that sleeps
+    /// short of its due time and spins the rest, so its sample is 0 to a
+    /// few µs; a request due while the dispatcher was still busy (a
+    /// saturated trace) reads how far dispatch ran behind. Never
+    /// negative: nothing leaves before it is due.
+    pub dispatch_lateness: StreamingHistogram,
     /// Always 0: a run has one transport lane, which every cloud worker
     /// reads, so no batch holds a frame of "another worker's lane". How a
     /// backlog spread over the workers is [`ServeStats::per_worker_batches`].

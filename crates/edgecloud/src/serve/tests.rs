@@ -281,6 +281,34 @@ fn simulated_link_delay_shows_up_in_latency() {
 }
 
 #[test]
+fn no_request_is_dispatched_before_it_is_due() {
+    // A paced trace, one request per millisecond: the dispatcher waits on
+    // the runtime's clock and stamps how late each request left.
+    let bundle = presets::tiny(66);
+    let mut rng = Rng::new(0);
+    let requests = trace_requests(&bundle.test, 1, &ArrivalModel::Uniform { interval_s: 1e-3 }, &mut rng);
+    let cfg = config(OffloadPolicy::EntropyThreshold(0.8), 1, 1, 1).build().expect("valid config");
+    let mut fleet = Fleet::new(cfg, edge_replicas(1, 12), replicas(1, || tiny_cloud(13))).expect("consistent");
+    let (waits_before, spun_before) = clock::spin_totals();
+    let stats = fleet.serve_with(&requests, |_| {}).expect("serves");
+    let (waits, spun) = clock::spin_totals();
+    let lateness = &stats.dispatch_lateness;
+    // Other tests of this process may wait meanwhile; their share only
+    // blurs the printed spin.
+    let spin_us = (spun - spun_before).as_secs_f64() * 1e6 / (waits - waits_before).max(1) as f64;
+    println!(
+        "dispatch lateness over {} paced requests: min {:.1} µs, p50 {:.1} µs, max {:.1} µs; mean spin {spin_us:.1} µs \
+         per clock wait",
+        lateness.count(),
+        lateness.min() * 1e6,
+        lateness.p50() * 1e6,
+        lateness.max() * 1e6,
+    );
+    assert_eq!(lateness.count(), stats.total as u64, "one lateness sample per request");
+    assert!(lateness.min() >= 0.0, "a request left {:.1} µs before it was due", -lateness.min() * 1e6);
+}
+
+#[test]
 fn quantised_wire_serves_everything_and_mostly_agrees_with_lossless() {
     let bundle = presets::tiny(69);
     let run = |wire: WireFormat| {
@@ -1079,7 +1107,9 @@ fn builder_rejects_each_static_invariant_by_name() {
     // A NaN rate used to panic a worker inside the pacer; a rate <= 0
     // silently ran unpaced.
     let paced = |cfg: PipeConfig| b().transport(TransportKind::Pipe(cfg)).build();
-    for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+    // A rate too slow to pace one full batch in a time the clock can hold
+    // used to pass and then panic the sender on its first paced frame.
+    for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e-300] {
         assert_eq!(
             paced(PipeConfig { up_mbps: Some(bad), ..PipeConfig::default() }),
             Err(ServeConfigError::InvalidPaceRate)
@@ -1109,6 +1139,11 @@ fn builder_rejects_each_static_invariant_by_name() {
         good.with_rtt(f64::NAN),
         good.with_rtt(f64::INFINITY),
         good.with_rtt(-1.0),
+        // Finite, but half the RTT or a full batch's leg overflows the
+        // clock: these used to pass and then panic the first batch leg.
+        good.with_rtt(1e300),
+        NetworkLink::wifi(1e-300),
+        NetworkLink { download_mbps: 1e-300, ..good },
     ];
     let class = || DeviceClass::new("edge", edge.clone(), ComputeTier::High);
     for bad in bad_links {

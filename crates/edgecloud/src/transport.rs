@@ -48,6 +48,7 @@
 //! [`Transport::close_requests`]/[`Transport::close_responses`] calls let
 //! receivers drain in-flight frames before seeing end-of-stream.
 
+use crate::clock;
 use bytes::Bytes;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender};
 use mea_tensor::{Reader, WireError};
@@ -751,11 +752,15 @@ impl Default for PipeConfig {
 
 impl PipeConfig {
     /// Whether every pacing rate set (`up_mbps`, `down_mbps`, each
-    /// throttle's) is finite and positive.
-    pub(crate) fn rates_are_valid(&self) -> bool {
+    /// throttle's) is finite and positive, and paces `max_bytes` in a time
+    /// the clock can hold as a deadline.
+    pub(crate) fn rates_are_valid(&self, max_bytes: u64) -> bool {
         let mut rates =
             self.up_mbps.into_iter().chain(self.down_mbps).chain(self.throttle.iter().map(|c| c.up_mbps));
-        rates.all(|mbps| mbps.is_finite() && mbps > 0.0)
+        let now = Instant::now();
+        rates.all(|mbps| {
+            mbps.is_finite() && mbps > 0.0 && clock::after(now, max_bytes as f64 * 8.0 / (mbps * 1e6)).is_some()
+        })
     }
 }
 
@@ -808,18 +813,15 @@ impl Pacer {
         if rate <= 0.0 {
             return;
         }
-        let transfer = Duration::from_secs_f64(bytes as f64 * 8.0 / rate);
         let until = {
             let mut free = lk(&self.next_free);
             let start = free.map_or_else(Instant::now, |t| t.max(Instant::now()));
-            let until = start + transfer;
+            let until = clock::after(start, bytes as f64 * 8.0 / rate)
+                .expect("validated rates keep the pacer on the clock");
             *free = Some(until);
             until
         };
-        let now = Instant::now();
-        if until > now {
-            std::thread::sleep(until - now);
-        }
+        clock::sleep_until(until);
     }
 }
 
@@ -885,9 +887,11 @@ impl PipeTransport {
     ///
     /// # Panics
     ///
-    /// Panics if a pacing rate in `cfg` is not finite and positive.
+    /// Panics if a pacing rate in `cfg` is not finite and positive, or
+    /// is too slow for the clock to hold the deadline of a
+    /// [`MAX_FRAME_BYTES`] frame.
     pub fn new(lanes: usize, cfg: PipeConfig) -> Self {
-        assert!(cfg.rates_are_valid(), "pacing rates must be finite and positive");
+        assert!(cfg.rates_are_valid(MAX_FRAME_BYTES as u64), "pacing rates must be finite and positive");
         let pacers = [Pacer::new(cfg.up_mbps, cfg.throttle), Pacer::new(cfg.down_mbps, Vec::new())];
         FramedTransport::with_streams(lanes, cfg.buffer_bytes, stream::pipe, pacers)
     }

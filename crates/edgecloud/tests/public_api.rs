@@ -130,6 +130,9 @@ fn crate_root_fn_signatures_are_stable() {
     let _: fn(&ec::ServeStats) -> &Option<Vec<ec::ClassStats>> = |stats| &stats.per_class;
     let _: fn(&ec::ClassStats) -> (usize, usize, &Option<mea_metrics::StreamingHistogram>) =
         |class| (class.served, class.offloaded, &class.latency);
+    // How late each request left the dispatcher, one signed sample per
+    // request in a bounded histogram.
+    let _: fn(&ec::ServeStats) -> &mea_metrics::StreamingHistogram = |stats| &stats.dispatch_lateness;
     let _: fn(&Dataset, usize, &ec::ArrivalModel, &mut Rng) -> Vec<ec::ServeRequest> = ec::trace_requests;
 
     // Partition search.

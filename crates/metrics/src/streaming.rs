@@ -14,8 +14,9 @@ use std::fmt;
 
 /// A fixed-memory histogram with logarithmically spaced buckets.
 ///
-/// Values below `lo` clamp into the first bucket and values at or above
-/// `hi` clamp into the last, so tails never disappear; the observed
+/// Values below `lo` (zero and negative ones included) clamp into the
+/// first bucket and values at or above `hi` clamp into the last, so tails
+/// never disappear; the observed
 /// minimum and maximum are tracked exactly and bound every quantile
 /// estimate.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -63,14 +64,15 @@ impl StreamingHistogram {
         StreamingHistogram::new(Self::LO, Self::HI, DEFAULT_BUCKETS)
     }
 
-    /// Records one non-negative sample in `O(1)` time and `O(1)` extra
-    /// memory.
+    /// Records one sample in `O(1)` time and `O(1)` extra memory. A
+    /// negative sample (a signed delay that came out early) lands in the
+    /// first bucket and shows in [`StreamingHistogram::min`].
     ///
     /// # Panics
     ///
-    /// Panics on a negative or non-finite sample.
+    /// Panics on a non-finite sample.
     pub fn record(&mut self, v: f64) {
-        assert!(v.is_finite() && v >= 0.0, "streaming histogram got an invalid sample: {v}");
+        assert!(v.is_finite(), "streaming histogram got an invalid sample: {v}");
         let buckets = self.counts.len();
         let idx = if v < self.lo {
             0
@@ -218,6 +220,11 @@ mod tests {
         assert_eq!(h.max(), 1e9);
         // Quantile estimates still bracket the clamped extremes.
         assert!(h.quantile(0.0) >= 0.0);
+        // A negative sample clamps too, and the exact minimum keeps it.
+        h.record(-2e-6);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.min(), -2e-6);
+        assert!(h.quantile(0.0) >= -2e-6);
         assert!(h.quantile(1.0) <= 1e9);
     }
 
