@@ -55,11 +55,6 @@ impl Selection {
     }
 }
 
-/// The paper's default: half of all classes are hard.
-pub fn default_hard_count(num_classes: usize) -> usize {
-    (num_classes / 2).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -100,12 +95,6 @@ mod tests {
         let m = confusion_with_known_hardness();
         let dict = Selection::HardestByPrecision { n: 2 }.select_dict(&m);
         assert_eq!(dict.len(), 2);
-    }
-
-    #[test]
-    fn default_hard_count_is_half() {
-        assert_eq!(default_hard_count(100), 50);
-        assert_eq!(default_hard_count(1), 1);
     }
 
     #[test]

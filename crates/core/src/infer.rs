@@ -220,16 +220,6 @@ pub fn run_cloud_only(cloud: &mut SegmentedCnn, data: &Dataset, batch_size: usiz
     records
 }
 
-/// Helper for Table I/VIII-style payload sizing: the per-instance tensor a
-/// route would transmit (raw image vs main-block features).
-pub fn payload_elems(net: &MeaNet, send_features: bool) -> usize {
-    if send_features {
-        net.main_out_shape().iter().product()
-    } else {
-        net.in_shape().iter().product()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,13 +319,6 @@ mod tests {
             // hard class — in both cases a valid original label.
             assert!(r.prediction < 6);
         }
-    }
-
-    #[test]
-    fn payload_elems_for_both_modes() {
-        let net = tiny_net(7);
-        assert_eq!(payload_elems(&net, false), 3 * 8 * 8);
-        assert_eq!(payload_elems(&net, true), 32 * 2 * 2);
     }
 
     #[test]

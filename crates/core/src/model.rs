@@ -922,7 +922,7 @@ mod tests {
         let split = net.cost_split();
         let mut visited = 0u64;
         net.visit_all_params(&mut |p| visited += p.numel() as u64);
-        assert_eq!(split.total_params(), visited);
+        assert_eq!(split.fixed_params + split.trained_params, visited);
         assert!(split.fixed_params > 0 && split.trained_params > 0);
     }
 

@@ -155,12 +155,6 @@ impl PendingCloud {
         }
     }
 
-    /// Whether this offload was pre-committed by a difficulty predictor
-    /// (its record carries sentinel main-exit fields).
-    pub fn is_precommitted(&self) -> bool {
-        self.main_prediction == Self::PRECOMMITTED
-    }
-
     /// Captures the main-exit side of instance `i`'s record. The resume
     /// point defaults to `0` (cloud computes from pixels); feature-payload
     /// paths override it with [`PendingCloud::resume_at`].
@@ -536,7 +530,6 @@ mod tests {
     #[test]
     fn precommit_carries_sentinels_and_completes_like_any_offload() {
         let pending = PendingCloud::precommit(3, 1.25);
-        assert!(pending.is_precommitted());
         assert_eq!(pending.main_prediction, PendingCloud::PRECOMMITTED);
         assert!(!pending.detected_hard);
         assert_eq!(pending.resume_layer, 0);
@@ -549,7 +542,7 @@ mod tests {
         let bundle = presets::tiny(35);
         let images = bundle.test.images.slice_axis0(0, 2);
         let main = RoutingEngine::evaluate_main(&mut net, &images);
-        assert!(!PendingCloud::from_main(&net, &main, 0, 0).is_precommitted());
+        assert_ne!(PendingCloud::from_main(&net, &main, 0, 0).main_prediction, PendingCloud::PRECOMMITTED);
     }
 
     #[test]

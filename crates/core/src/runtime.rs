@@ -89,20 +89,6 @@ impl ThresholdController {
         self.threshold = (self.threshold + self.gain * error).clamp(self.min_threshold, self.max_threshold);
         self.threshold
     }
-
-    /// Convenience: routes one window of main-exit entropies with the
-    /// current threshold, feeds the outcome back, and returns the
-    /// per-instance offload decisions made *with the pre-update
-    /// threshold*.
-    pub fn route_window(&mut self, entropies: &[f32]) -> Vec<bool> {
-        let t = self.threshold;
-        let decisions: Vec<bool> = entropies.iter().map(|&e| e > t).collect();
-        let offloaded = decisions.iter().filter(|&&d| d).count();
-        if !entropies.is_empty() {
-            self.observe_window(offloaded, entropies.len());
-        }
-        decisions
-    }
 }
 
 #[cfg(test)]
@@ -128,9 +114,12 @@ mod tests {
         let mut offloaded = 0usize;
         let mut total = 0usize;
         for _ in 0..windows {
-            let decisions = ctrl.route_window(&entropy_window(rng, 64, frac, hi));
-            offloaded += decisions.iter().filter(|&&d| d).count();
-            total += decisions.len();
+            let window = entropy_window(rng, 64, frac, hi);
+            let t = ctrl.threshold();
+            let sent = window.iter().filter(|&&e| e > t).count();
+            ctrl.observe_window(sent, window.len());
+            offloaded += sent;
+            total += window.len();
         }
         offloaded as f64 / total as f64
     }

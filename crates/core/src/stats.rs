@@ -32,25 +32,6 @@ impl MainEval {
         self.predictions.iter().zip(&self.truth).map(|(p, t)| p == t).collect()
     }
 
-    /// Accuracy restricted to instances whose true class is in `classes`.
-    pub fn accuracy_on_classes(&self, classes: &[usize]) -> f64 {
-        let mut total = 0usize;
-        let mut correct = 0usize;
-        for (i, &t) in self.truth.iter().enumerate() {
-            if classes.contains(&t) {
-                total += 1;
-                if self.predictions[i] == t {
-                    correct += 1;
-                }
-            }
-        }
-        if total == 0 {
-            0.0
-        } else {
-            correct as f64 / total as f64
-        }
-    }
-
     /// The Fig. 5 error taxonomy under a hard-class dictionary.
     pub fn error_breakdown(&self, dict: &ClassDict) -> ErrorBreakdown {
         ErrorBreakdown::from_predictions(&self.truth, &self.predictions, |c| dict.contains(c))
@@ -141,11 +122,6 @@ impl ExitStats {
         let n = self.main_exits + self.extension_exits + self.cloud_exits;
         self.cloud_exits as f64 / n as f64
     }
-
-    /// Fraction of instances that terminated on the edge.
-    pub fn edge_fraction(&self) -> f64 {
-        1.0 - self.cloud_fraction()
-    }
 }
 
 #[cfg(test)]
@@ -179,7 +155,6 @@ mod tests {
         assert!((s.hard_class_accuracy - 0.5).abs() < 1e-12);
         assert!((s.detection_accuracy - 0.75).abs() < 1e-12);
         assert!((s.cloud_fraction() - 0.25).abs() < 1e-12);
-        assert!((s.edge_fraction() - 0.75).abs() < 1e-12);
     }
 
     #[test]
@@ -191,8 +166,6 @@ mod tests {
             truth: vec![0, 1, 2, 2],
         };
         assert!((eval.accuracy() - 0.5).abs() < 1e-12);
-        assert!((eval.accuracy_on_classes(&[2]) - 0.5).abs() < 1e-12);
-        assert!((eval.accuracy_on_classes(&[0]) - 1.0).abs() < 1e-12);
         assert_eq!(eval.correct_flags(), vec![true, false, true, false]);
     }
 }

@@ -128,47 +128,6 @@ pub fn train_backbone(net: &mut SegmentedCnn, data: &Dataset, cfg: &TrainConfig)
     })
 }
 
-/// [`train_backbone`] with per-epoch data augmentation (the standard
-/// CIFAR pad-crop/flip recipe the paper's training setup implies). Each
-/// epoch draws fresh augmentations before shuffling, so the model never
-/// sees the same pixels twice.
-pub fn train_backbone_augmented(
-    net: &mut SegmentedCnn,
-    data: &Dataset,
-    cfg: &TrainConfig,
-    augment: &mea_data::Augment,
-) -> Vec<EpochStats> {
-    let loss_fn = CrossEntropyLoss::new();
-    let mut opt = cfg.optimizer();
-    let sched = cfg.scheduler();
-    let mut rng = Rng::new(cfg.shuffle_seed);
-    let mut aug_rng = Rng::new(cfg.shuffle_seed ^ 0xA9C6);
-    let mut stats = Vec::with_capacity(cfg.epochs);
-    for epoch in 0..cfg.epochs {
-        opt.set_lr(sched.lr_at(epoch));
-        let augmented = augment.apply_dataset(data, &mut aug_rng);
-        let shuffled = augmented.shuffled(&mut rng);
-        let mut loss_sum = 0.0;
-        let mut correct = 0usize;
-        let mut batches = 0usize;
-        for (images, labels) in shuffled.batches(cfg.batch_size) {
-            net.visit_params(&mut |p| p.zero_grad());
-            let logits = net.forward(&images, Mode::Train);
-            let out = loss_fn.forward(&logits, labels);
-            net.backward(&out.grad);
-            opt.step_with(&mut |f| net.visit_params(f));
-            loss_sum += out.loss;
-            correct += count_correct(&out.probs, labels);
-            batches += 1;
-        }
-        stats.push(EpochStats {
-            loss: loss_sum / batches.max(1) as f64,
-            accuracy: correct as f64 / data.len() as f64,
-        });
-    }
-    stats
-}
-
 /// Fits a freshly created main exit (model A) on frozen main-block
 /// features. Cheap: only the exit's pool + FC learn.
 pub fn train_main_exit(net: &mut MeaNet, data: &Dataset, cfg: &TrainConfig) -> Vec<EpochStats> {
@@ -419,35 +378,6 @@ mod tests {
     fn edge_training_rejects_unremapped_labels() {
         let (mut net, train, _) = tiny_setup();
         let _ = train_edge_blocks(&mut net, &train, &TrainConfig::repro(1));
-    }
-
-    #[test]
-    fn augmented_training_still_learns() {
-        let bundle = presets::tiny(30);
-        let mut rng = Rng::new(31);
-        let mut cfg = CifarResNetConfig::repro_scale(6);
-        cfg.input_hw = 8;
-        let mut backbone = resnet_cifar(&cfg, &mut rng);
-        let stats = train_backbone_augmented(
-            &mut backbone,
-            &bundle.train,
-            &TrainConfig::repro(6),
-            &mea_data::Augment::cifar_standard(),
-        );
-        assert!(stats.last().unwrap().loss < stats.first().unwrap().loss, "loss did not fall: {stats:?}");
-    }
-
-    #[test]
-    fn augmentation_changes_the_trajectory() {
-        let bundle = presets::tiny(32);
-        let tc = TrainConfig::repro(2);
-        let mut cfg = CifarResNetConfig::repro_scale(6);
-        cfg.input_hw = 8;
-        let mut plain = resnet_cifar(&cfg, &mut Rng::new(33));
-        let mut auged = resnet_cifar(&cfg, &mut Rng::new(33));
-        let a = train_backbone(&mut plain, &bundle.train, &tc);
-        let b = train_backbone_augmented(&mut auged, &bundle.train, &tc, &mea_data::Augment::cifar_standard());
-        assert_ne!(a.last().unwrap().loss, b.last().unwrap().loss, "augmentation had no effect at all");
     }
 
     #[test]

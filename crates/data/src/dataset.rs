@@ -85,15 +85,6 @@ impl Dataset {
         self.subset(&keep)
     }
 
-    /// Instance indices grouped by class label.
-    pub fn per_class_indices(&self) -> Vec<Vec<usize>> {
-        let mut groups = vec![Vec::new(); self.num_classes];
-        for (i, &l) in self.labels.iter().enumerate() {
-            groups[l].push(i);
-        }
-        groups
-    }
-
     /// Iterates over mini-batches of at most `batch_size` instances, in
     /// order (shuffle first for SGD).
     ///
@@ -174,17 +165,6 @@ mod tests {
         let hard = ds.filter_classes(&[1, 3]);
         assert_eq!(hard.len(), 6);
         assert!(hard.labels.iter().all(|&l| l == 1 || l == 3));
-    }
-
-    #[test]
-    fn per_class_indices_group_correctly() {
-        let ds = toy(9, 3);
-        let groups = ds.per_class_indices();
-        assert_eq!(groups.len(), 3);
-        for (c, group) in groups.iter().enumerate() {
-            assert_eq!(group.len(), 3);
-            assert!(group.iter().all(|&i| ds.labels[i] == c));
-        }
     }
 
     #[test]

@@ -30,14 +30,12 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod augment;
 pub mod dataset;
 pub mod patterns;
 pub mod presets;
 pub mod remap;
 pub mod synth;
 
-pub use augment::Augment;
 pub use dataset::{Batches, Dataset};
 pub use remap::ClassDict;
 pub use synth::{DatasetBundle, SynthConfig};

@@ -228,12 +228,6 @@ impl PlacementPlan {
     pub fn peer_stage(&self) -> Option<&Stage> {
         self.stages.iter().find(|s| matches!(s.executor, StageExecutor::Peer(_)))
     }
-
-    /// Whether this is a legacy-shaped plan with no peer stage (the
-    /// two-tier special case the scalar-cut path served).
-    pub fn is_two_stage(&self) -> bool {
-        self.peer_stage().is_none()
-    }
 }
 
 /// Scored evaluation of one [`PlacementPlan`] — the placement analogue of
@@ -1107,13 +1101,12 @@ mod tests {
     #[test]
     fn placement_plan_accessors_cover_the_shapes() {
         let two = PlacementPlan::two_stage(2, 5);
-        assert!(two.is_two_stage());
         assert_eq!(two.final_cut(), 2);
         assert_eq!(two.total_layers(), 5);
         assert!(two.peer_stage().is_none());
         assert_eq!(two.stages().len(), 2);
         let three = PlacementPlan::three_stage(1, 3, 7, 5);
-        assert!(!three.is_two_stage());
+        assert!(three.peer_stage().is_some());
         assert_eq!(three.final_cut(), 3);
         assert_eq!(three.total_layers(), 5);
         let peer = three.peer_stage().expect("has a peer stage");
@@ -1156,7 +1149,7 @@ mod tests {
                     .min_by(|a, b| score(a).partial_cmp(&score(b)).expect("finite costs"))
                     .expect("at least the raw-upload cut exists");
                 let placed = planner.plan_placement_for_measured(&edge, None, measured.as_ref(), None);
-                assert!(placed.plan.is_two_stage());
+                assert!(placed.plan.peer_stage().is_none());
                 assert_eq!(placed.plan, PlacementPlan::two_stage(scalar.cut, 3));
                 assert_eq!(placed.upload_bytes, scalar.upload_bytes);
                 assert_eq!(placed.peer_bytes, 0);
@@ -1199,7 +1192,7 @@ mod tests {
         };
         let planner = CutPlanner::new(profiles, e.clone(), Objective::Latency, 1);
         let solo = planner.plan_placement_for_measured(&e.edge, None, None, None);
-        assert!(solo.plan.is_two_stage());
+        assert!(solo.plan.peer_stage().is_none());
         assert!(solo.plan.final_cut() < 2, "solo cannot afford the bottleneck layer: {solo:?}");
         let pool = PeerPool {
             class: 0,
@@ -1275,7 +1268,14 @@ mod tests {
         let profiles = profile_network(&net);
         let total: u64 = profiles.iter().map(|p| p.macs).sum();
         assert_eq!(total, net.total_macs(), "profiled MACs must equal the model's total");
-        // Head is the last profile and outputs one logit per class.
-        assert_eq!(profiles.last().unwrap().out_elems, 6);
+        // One profile per top-level segment layer, in order, then the head,
+        // which outputs one logit per class.
+        let layers: Vec<&str> =
+            net.segments.iter().flat_map(|seg| seg.layers().iter().map(|l| l.name())).collect();
+        assert_eq!(profiles.len(), layers.len() + 1);
+        assert!(profiles.iter().zip(&layers).all(|(p, &name)| p.name == name));
+        let head = profiles.last().unwrap();
+        assert_eq!(head.name, "Head");
+        assert_eq!(head.out_elems, 6);
     }
 }

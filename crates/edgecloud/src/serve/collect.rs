@@ -112,6 +112,14 @@ fn signed_secs_since(later: Instant, earlier: Instant) -> f64 {
     }
 }
 
+/// The histogram behind [`ServeStats::dispatch_lateness`]. Punctual
+/// dispatch is sub-µs late, below [`StreamingHistogram::for_latency`]'s
+/// 1 µs floor, so this one starts at 1 ns: 1,024 log-spaced buckets up to
+/// [`StreamingHistogram::HI`], ≤ 3 % relative quantile error.
+pub(super) fn lateness_histogram() -> StreamingHistogram {
+    StreamingHistogram::new(1e-9, StreamingHistogram::HI, 1024)
+}
+
 /// Joins one kind of worker, noting each panic as "`what` `i` panicked:
 /// …" with its original message, so the message survives propagation out
 /// of the serving runtime.
@@ -262,10 +270,9 @@ pub(crate) fn serve_core<T: Transport>(
     };
 
     // How late each request left the dispatcher, stamped just before its send.
-    let mut dispatch_lateness = StreamingHistogram::for_latency();
-    let t0 = Instant::now();
+    let mut dispatch_lateness = lateness_histogram();
     let mut worker_panics: Vec<String> = Vec::new();
-    crossbeam::thread::scope(|scope| {
+    let t0 = crossbeam::thread::scope(|scope| {
         // The cloud workers read the run's one lane together. On the
         // modelled wire its uplink channel is the ingress itself. A byte
         // wire keeps one reader, which stamps `received_at` as each frame
@@ -337,6 +344,9 @@ pub(crate) fn serve_core<T: Transport>(
         // (closed queue) stops dispatch; the joins below surface its
         // panic.
         let mut dispatch = DispatchCloser { edge_txs, transport };
+        // Every due time counts from here, after the last spawn, so the
+        // first request does not pay for thread start-up.
+        let t0 = Instant::now();
         for (req_id, req) in requests.iter().enumerate() {
             let due = clock::after(t0, req.arrival_s).expect("validate_trace bounds every arrival");
             while let Ok(c) = done_rx.try_recv() {
@@ -369,6 +379,7 @@ pub(crate) fn serve_core<T: Transport>(
         while let Ok(c) = done_rx.try_recv() {
             settle(c);
         }
+        t0
     })
     .expect("serving scope");
     if !worker_panics.is_empty() {

@@ -173,7 +173,8 @@ pub struct ServeStats {
     /// short of its due time and spins the rest, so its sample is 0 to a
     /// few µs; a request due while the dispatcher was still busy (a
     /// saturated trace) reads how far dispatch ran behind. Never
-    /// negative: nothing leaves before it is due.
+    /// negative: nothing leaves before it is due. Its buckets start at
+    /// 1 ns, so quantiles resolve sub-µs lateness.
     pub dispatch_lateness: StreamingHistogram,
     /// Always 0: a run has one transport lane, which every cloud worker
     /// reads, so no batch holds a frame of "another worker's lane". How a

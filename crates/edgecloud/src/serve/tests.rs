@@ -309,6 +309,20 @@ fn no_request_is_dispatched_before_it_is_due() {
 }
 
 #[test]
+fn dispatch_lateness_resolves_sub_microsecond_samples() {
+    // Punctual dispatch: most requests leave a fraction of a µs late, a
+    // few tens of µs late. The median must read the typical sample, not
+    // a 1 µs floor.
+    let mut lateness = lateness_histogram();
+    for i in 0..100 {
+        lateness.record(if i % 10 == 0 { 40e-6 } else { 0.3e-6 });
+    }
+    let p50 = lateness.p50();
+    assert!(p50 < 1e-6, "p50 {:.3} µs: sub-µs lateness hidden by the histogram's floor", p50 * 1e6);
+    assert!((p50 / 0.3e-6 - 1.0).abs() < 0.03, "p50 {:.3} µs, want ≈ 0.3 µs", p50 * 1e6);
+}
+
+#[test]
 fn quantised_wire_serves_everything_and_mostly_agrees_with_lossless() {
     let bundle = presets::tiny(69);
     let run = |wire: WireFormat| {

@@ -629,7 +629,7 @@ proptest! {
         prop_assert_eq!(single.stats.peer_bytes, 0);
         let placements = single.stats.placements.as_ref().expect("planned placements");
         prop_assert!(
-            placements.iter().all(mea_edgecloud::PlacementPlan::is_two_stage),
+            placements.iter().all(|plan| plan.peer_stage().is_none()),
             "single-member pool must stay two-stage: {:?}",
             placements
         );

@@ -87,11 +87,6 @@ impl Reliability {
         self.bins.iter().map(|b| (b.count as f64 / self.total as f64) * b.gap().abs()).sum()
     }
 
-    /// Maximum calibration error: the worst occupied bin's |gap|.
-    pub fn mce(&self) -> f64 {
-        self.bins.iter().filter(|b| b.count > 0).map(|b| b.gap().abs()).fold(0.0, f64::max)
-    }
-
     /// Total predictions binned.
     pub fn total(&self) -> usize {
         self.total
@@ -153,14 +148,6 @@ mod tests {
         assert_eq!(r.total(), 101);
         // Confidence 1.0 lands in the last bin, not out of range.
         assert!(r.bins().last().unwrap().count >= 1);
-    }
-
-    #[test]
-    fn mce_at_least_ece() {
-        let confidences = vec![0.9f32, 0.9, 0.2, 0.2];
-        let correct = vec![true, false, true, false];
-        let r = Reliability::from_predictions(&confidences, &correct, 4);
-        assert!(r.mce() >= r.ece() - 1e-12);
     }
 
     #[test]

@@ -88,17 +88,6 @@ impl ConfusionMatrix {
         }
     }
 
-    /// Recall of class `c`: `TP / (TP + FN)` over instances of `c`.
-    pub fn recall(&self, c: usize) -> f64 {
-        let tp = self.count(c, c);
-        let actual: u64 = (0..self.k).map(|p| self.count(c, p)).sum();
-        if actual == 0 {
-            0.0
-        } else {
-            tp as f64 / actual as f64
-        }
-    }
-
     /// False discovery rate: `1 − precision` — the paper's class-wise
     /// complexity measure (Fig. 3).
     pub fn fdr(&self, c: usize) -> f64 {
@@ -151,7 +140,6 @@ mod tests {
         // Class 1 predicted 3 times, 2 correct.
         assert!((m.precision(1) - 2.0 / 3.0).abs() < 1e-12);
         assert!((m.fdr(1) - 1.0 / 3.0).abs() < 1e-12);
-        assert!((m.recall(2) - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -57,11 +57,6 @@ impl CostSplit {
         cost.out_shape
     }
 
-    /// Total parameters.
-    pub fn total_params(&self) -> u64 {
-        self.fixed_params + self.trained_params
-    }
-
     /// Total per-image MACs.
     pub fn total_macs(&self) -> u64 {
         self.fixed_macs + self.trained_macs
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!(split.fixed_params, 8 * 27);
         assert_eq!(split.trained_params, 8 * 4 + 4);
         assert!(split.fixed_macs > 0 && split.trained_macs > 0);
-        assert_eq!(split.total_params(), split.fixed_params + split.trained_params);
     }
 
     #[test]

@@ -118,16 +118,6 @@ impl Histogram {
     pub fn p99(&self) -> f64 {
         self.quantile(0.99)
     }
-
-    /// The mean of the recorded (clamped) values, approximated from bins.
-    pub fn approx_mean(&self) -> f64 {
-        let total = self.total();
-        if total == 0 {
-            return 0.0;
-        }
-        let s: f64 = self.counts.iter().enumerate().map(|(i, &c)| c as f64 * self.bin_center(i)).sum();
-        s / total as f64
-    }
 }
 
 impl fmt::Display for Histogram {
@@ -159,13 +149,6 @@ mod tests {
         h.add(-5.0);
         h.add(7.0);
         assert_eq!(h.counts(), &[1, 1]);
-    }
-
-    #[test]
-    fn approx_mean_is_reasonable() {
-        let mut h = Histogram::new(0.0, 2.0, 100);
-        h.extend((0..1000).map(|i| i as f64 / 1000.0)); // uniform on [0,1)
-        assert!((h.approx_mean() - 0.5).abs() < 0.02);
     }
 
     #[test]

@@ -126,14 +126,6 @@ pub fn zero_grads(layer: &mut dyn Layer) {
     layer.visit_params(&mut |p| p.zero_grad());
 }
 
-/// Collects the total parameter count reachable through `visit_params`
-/// (sanity helper for tests; should equal [`Layer::param_count`]).
-pub fn visited_param_count(layer: &mut dyn Layer) -> usize {
-    let mut n = 0;
-    layer.visit_params(&mut |p| n += p.numel());
-    n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,11 +48,9 @@ pub mod models;
 pub mod optim;
 pub mod sequential;
 pub mod serialize;
-pub mod summary;
 
 pub use layer::{Layer, Mode, Param};
 pub use loss::CrossEntropyLoss;
 pub use optim::{MultiStepLr, Sgd};
 pub use sequential::Sequential;
 pub use serialize::{StateDict, StateDictError};
-pub use summary::{Summary, SummaryRow};

@@ -141,11 +141,6 @@ impl SegmentedCnn {
         self.specs[i].out_channels
     }
 
-    /// Cumulative downsampling after segment `i` (inclusive).
-    pub fn cumulative_downsample(&self, i: usize) -> usize {
-        self.specs[..=i].iter().map(|s| s.downsample).product()
-    }
-
     /// Decomposes into `(segments, head)` for MEANet assembly.
     pub fn into_parts(self) -> (Vec<Sequential>, Sequential) {
         (self.segments, self.head)

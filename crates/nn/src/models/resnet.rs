@@ -215,14 +215,4 @@ mod tests {
         let y = net.forward(&x, Mode::Eval);
         assert_eq!(y.dims(), &[2, 7]);
     }
-
-    #[test]
-    fn cumulative_downsample_tracks_stages() {
-        let mut rng = Rng::new(3);
-        let net = resnet_cifar(&CifarResNetConfig::repro_scale(10), &mut rng);
-        assert_eq!(net.cumulative_downsample(0), 1);
-        assert_eq!(net.cumulative_downsample(1), 1);
-        assert_eq!(net.cumulative_downsample(2), 2);
-        assert_eq!(net.cumulative_downsample(3), 4);
-    }
 }

@@ -176,11 +176,6 @@ impl StateDict {
         self.params.len()
     }
 
-    /// Number of state buffers.
-    pub fn num_buffers(&self) -> usize {
-        self.buffers.len()
-    }
-
     /// Total scalar parameters across all tensors.
     pub fn total_scalars(&self) -> usize {
         self.params.iter().map(Tensor::numel).sum::<usize>() + self.buffers.iter().map(Vec::len).sum::<usize>()
@@ -295,12 +290,12 @@ mod tests {
         let x = Tensor::randn([8, 3, 6, 6], 2.0, &mut rng);
         let _ = src.forward(&x, Mode::Train);
         let dict = StateDict::from_layer(&mut src);
-        assert_eq!(dict.num_buffers(), 2, "BN contributes running mean and var");
         // A fresh net has default stats; after apply they must match src's.
         let mut dst = small_net(2);
         dict.apply_to_layer(&mut dst).unwrap();
         let mut src_bufs = Vec::new();
         src.visit_buffers(&mut |b| src_bufs.push(b.clone()));
+        assert_eq!(src_bufs.len(), 2, "BN contributes running mean and var");
         let mut dst_bufs = Vec::new();
         dst.visit_buffers(&mut |b| dst_bufs.push(b.clone()));
         assert_eq!(src_bufs, dst_bufs);

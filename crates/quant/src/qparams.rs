@@ -67,17 +67,6 @@ impl QuantParams {
         }
     }
 
-    /// Symmetric per-tensor parameters from an absolute maximum.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `absmax` is negative or non-finite.
-    pub fn symmetric_from_absmax(absmax: f32) -> Self {
-        assert!(absmax.is_finite() && absmax >= 0.0, "invalid absmax {absmax}");
-        let scale = (absmax / QMAX as f32).max(MIN_SCALE);
-        QuantParams { scheme: QScheme::SymmetricPerTensor, scales: vec![scale], zero_points: vec![0] }
-    }
-
     /// Symmetric per-channel parameters, one scale per output channel.
     ///
     /// # Panics
@@ -203,7 +192,7 @@ mod tests {
 
     #[test]
     fn symmetric_keeps_zero_point_zero() {
-        let p = QuantParams::symmetric_from_absmax(4.0);
+        let p = QuantParams::symmetric_per_channel(&[4.0]);
         assert_eq!(p.zero_point(0), 0);
         assert_eq!(p.quantize_value(0.0, 0), 0);
         // absmax maps close to QMAX
@@ -245,7 +234,8 @@ mod tests {
         let grids = [
             QuantParams::affine_from_range(-3.0, 1.0), // zero point 63
             QuantParams::affine_from_range(-0.5, 4.0), // zero point -114
-            QuantParams::symmetric_from_absmax(127.0), // scale 1: quotients are the values
+            // scale 1: quotients are the values
+            QuantParams::from_parts(QScheme::SymmetricPerTensor, vec![1.0], vec![0]).unwrap(),
             QuantParams::symmetric_per_channel(&[127.0, 0.3, 1e-9]),
         ];
         let mut xs = vec![0.0, -0.0, f32::MIN_POSITIVE, -f32::MIN_POSITIVE, 1e-45, -1e-45, 1e-40];

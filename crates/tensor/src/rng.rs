@@ -22,12 +22,6 @@ impl Rng {
         Rng { inner: StdRng::seed_from_u64(seed), spare_normal: None }
     }
 
-    /// Derives an independent generator; used to give each worker or
-    /// sub-experiment its own stream without coupling their sequences.
-    pub fn fork(&mut self) -> Rng {
-        Rng::new(self.inner.gen::<u64>())
-    }
-
     /// Uniform `f32` in `[0, 1)`.
     pub fn uniform(&mut self) -> f32 {
         self.inner.gen::<f32>()
@@ -152,16 +146,6 @@ mod tests {
         sorted.dedup();
         assert_eq!(sorted.len(), 10);
         assert!(idx.iter().all(|&i| i < 20));
-    }
-
-    #[test]
-    fn fork_produces_independent_stream() {
-        let mut a = Rng::new(9);
-        let mut forked = a.fork();
-        // The fork must not replay the parent stream.
-        let parent: Vec<u32> = (0..8).map(|_| a.uniform().to_bits()).collect();
-        let child: Vec<u32> = (0..8).map(|_| forked.uniform().to_bits()).collect();
-        assert_ne!(parent, child);
     }
 
     #[test]
