@@ -1,78 +1,422 @@
-//! Regenerates every table and figure of the paper in one run and prints
-//! them in order. `MEA_SCALE=repro cargo run --release -p mea-bench --bin
-//! repro` is the documented reproduction entry point; the default smoke
-//! scale finishes in a few minutes on a small machine.
+//! Regenerates every table and figure of the paper, prints them in order
+//! and asserts the claims each one makes (who wins, which way a trend
+//! goes). `MEA_SCALE=repro cargo run --release -p mea-bench --bin repro`
+//! is the documented reproduction entry point; the default smoke scale
+//! finishes in about two minutes on a small machine.
+//!
+//! `repro` runs every step of [`STEPS`]; `repro NAME…` runs only the named
+//! steps, and an unknown name exits non-zero with the list of steps.
 
 use mea_bench::experiments::{ablations, extensions, figures, tables};
 use mea_bench::Scale;
+use mea_edgecloud::Objective;
 use std::time::Instant;
+
+/// A step's name, which `repro NAME` selects, and the function that runs
+/// its experiment once, prints it, then asserts its claims.
+type Step = (&'static str, fn(Scale));
+
+/// The steps in run order.
+const STEPS: &[Step] = &[
+    ("fig2_confusion", fig2_confusion),
+    ("fig3_complexity", fig3_complexity),
+    ("fig5_error_types", fig5_error_types),
+    ("fig6_memory", fig6_memory),
+    ("fig7_threshold_sweep", fig7_threshold_sweep),
+    ("fig8_energy", fig8_energy),
+    ("table1_cost_model", table1_cost_model),
+    ("table2_hard_classes", table2_hard_classes),
+    ("table3_all_classes", table3_all_classes),
+    ("table45_class_selection", table45_class_selection),
+    ("table6_flops", table6_flops),
+    ("table7_per_image", table7_per_image),
+    ("ablation_merge", ablation_merge),
+    ("ablation_blockwise", ablation_blockwise),
+    ("ablation_payload", ablation_payload),
+    ("ablation_quant", ablation_quant),
+    ("ablation_partition", ablation_partition),
+    ("ablation_radio", ablation_radio),
+    ("ablation_policies", ablation_policies),
+    ("fleet_scaling", fleet_scaling),
+    ("ablation_continual", ablation_continual),
+    ("ablation_detector", ablation_detector),
+    ("ablation_training_methods", ablation_training_methods),
+];
 
 fn main() {
     let scale = Scale::from_env();
+    let names: Vec<String> = std::env::args().skip(1).collect();
+    if let Some(unknown) = names.iter().find(|n| !STEPS.iter().any(|(step, _)| step == n)) {
+        eprintln!("repro: unknown step `{unknown}`; the steps are:");
+        for (step, _) in STEPS {
+            eprintln!("  {step}");
+        }
+        std::process::exit(2);
+    }
     let t0 = Instant::now();
     println!("MEANet reproduction — scale {scale:?}\n");
+    for (step, run) in STEPS {
+        if names.is_empty() || names.iter().any(|n| n == step) {
+            run(scale);
+        }
+    }
+    println!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
+}
 
-    let (rendered, _) = figures::fig2_confusion(scale);
+/// Fig. 2: per-class precision is visibly non-uniform (class-wise
+/// complexity).
+fn fig2_confusion(scale: Scale) {
+    let (rendered, confusion) = figures::fig2_confusion(scale);
     println!("== Fig. 2: confusion matrix (CIFAR-10-like) ==\n{rendered}");
+    let prec = confusion.per_class_precision();
+    let min = prec.iter().cloned().fold(f64::INFINITY, f64::min);
+    let max = prec.iter().cloned().fold(0.0, f64::max);
+    println!("precision spread: min {min:.2} max {max:.2}");
+    assert!(max - min > 0.08, "per-class precision unexpectedly uniform");
+}
 
-    let (t3, _, stats) = figures::fig3_complexity(scale);
-    println!("== Fig. 3: class-wise FDR / hard set ==\n{t3}");
+/// Fig. 3: wrong predictions carry higher entropy than correct ones.
+fn fig3_complexity(scale: Scale) {
+    let (table, fdrs, stats) = figures::fig3_complexity(scale);
+    println!("== Fig. 3: class-wise FDR / hard set ==\n{table}");
     println!("instance-wise entropy: mu_correct {:.3}, mu_wrong {:.3}\n", stats.mean_correct, stats.mean_wrong);
+    assert!(stats.mean_wrong > stats.mean_correct, "entropy should separate correct/wrong");
+    let mean_fdr = fdrs.iter().sum::<f64>() / fdrs.len() as f64;
+    println!("mean FDR {mean_fdr:.3}");
+}
 
-    let (t5, _) = figures::fig5_error_types(scale);
-    println!("== Fig. 5: error-type proportions (%) ==\n{t5}");
+/// Fig. 5: type IV (hard-as-hard) is the largest share of the errors —
+/// the error mass the extension block attacks.
+fn fig5_error_types(scale: Scale) {
+    let (table, results) = figures::fig5_error_types(scale);
+    println!("== Fig. 5: error-type proportions (%) ==\n{table}");
+    for (label, b) in &results {
+        let (_, _, _, p4) = b.proportions();
+        println!("{label}: type IV share {:.1}%", 100.0 * p4);
+        assert!(p4 > 0.25, "{label}: hard-as-hard should dominate errors (got {p4:.2})");
+    }
+}
 
-    let (t6, _) = figures::fig6_memory();
-    println!("== Fig. 6: training memory at batch 128 (paper scale) ==\n{t6}");
+/// Fig. 6: blockwise training needs less memory than joint optimisation
+/// (the paper reports ~60% savings for ResNets, ~30% for MobileNets).
+fn fig6_memory(_: Scale) {
+    let (table, rows) = figures::fig6_memory();
+    println!("== Fig. 6: training memory at batch 128 (paper scale) ==\n{table}");
+    for r in &rows {
+        assert!(
+            r.ours_mib < r.joint_mib,
+            "{}: blockwise must use less memory ({} vs {})",
+            r.label,
+            r.ours_mib,
+            r.joint_mib
+        );
+    }
+    let saving = |r: &figures::MemoryRow| 1.0 - r.ours_mib / r.joint_mib;
+    let resnet_b = rows.iter().find(|r| r.label.contains("ResNet32 B")).expect("row");
+    let mobilenet = rows.iter().find(|r| r.label.contains("MobileNet")).expect("row");
+    println!(
+        "savings: ResNet32B {:.0}% vs MobileNetV2 {:.0}%",
+        100.0 * saving(resnet_b),
+        100.0 * saving(mobilenet)
+    );
+}
 
-    let cifar_sweep = figures::fig78_cifar(scale);
-    println!("== Fig. 7 ({}) ==\n{}", cifar_sweep.label, figures::render_fig7(&cifar_sweep));
-    println!("== Fig. 8 ({}) ==\n{}", cifar_sweep.label, figures::render_fig8(&cifar_sweep));
+/// Figs. 7 and 8 on the CIFAR-like side: a lower threshold offloads more
+/// and gains accuracy, approaching cloud-only.
+fn fig7_threshold_sweep(scale: Scale) {
+    let result = figures::fig78_cifar(scale);
+    println!("== Fig. 7 ({}) ==\n{}", result.label, figures::render_fig7(&result));
+    println!("== Fig. 8 ({}) ==\n{}", result.label, figures::render_fig8(&result));
+    for w in result.points.windows(2) {
+        assert!(w[1].cloud_fraction <= w[0].cloud_fraction + 1e-9, "cloud fraction must fall with threshold");
+    }
+    let best = result.points.iter().map(|p| p.accuracy).fold(0.0, f64::max);
+    assert!(best + 1e-9 >= result.edge_only_accuracy, "some threshold should match/beat edge-only");
+}
 
-    let inet_sweep = figures::fig78_imagenet(scale);
-    println!("== Fig. 7 ({}) ==\n{}", inet_sweep.label, figures::render_fig7(&inet_sweep));
-    println!("== Fig. 8 ({}) ==\n{}", inet_sweep.label, figures::render_fig8(&inet_sweep));
+/// Figs. 7 and 8 on the ImageNet-like side: every partial offload costs
+/// less communication energy than cloud-only, and edge-only costs none.
+fn fig8_energy(scale: Scale) {
+    let result = figures::fig78_imagenet(scale);
+    println!("== Fig. 7 ({}) ==\n{}", result.label, figures::render_fig7(&result));
+    println!("== Fig. 8 ({}) ==\n{}", result.label, figures::render_fig8(&result));
+    for (thr, e) in &result.energy {
+        assert!(
+            e.communication_j <= result.energy_cloud_only.communication_j + 1e-9,
+            "thr {thr}: communication exceeds cloud-only"
+        );
+    }
+    assert_eq!(result.energy_edge_only.communication_j, 0.0);
+}
 
+/// Table I: the cost model (its anchors are gated by the
+/// `table1_cost_model` bench target's report).
+fn table1_cost_model(_: Scale) {
     let (t1, _) = tables::table1_cost_model();
     println!("== Table I: cost model ==\n{t1}");
+}
 
-    let (t2, _) = tables::table2_hard_classes(scale);
-    println!("== Table II: hard-class accuracy (%) ==\n{t2}");
+/// Table II: MEANet lifts hard-class accuracy over the main block.
+fn table2_hard_classes(scale: Scale) {
+    let (table, rows) = tables::table2_hard_classes(scale);
+    println!("== Table II: hard-class accuracy (%) ==\n{table}");
+    let mut wins = 0;
+    let mut losses = 0;
+    for r in &rows {
+        assert!(
+            r.train_meanet + 1e-9 >= r.train_main,
+            "{}: MEANet should not lose on hard-class training data",
+            r.label
+        );
+        if r.test_meanet > r.test_main {
+            wins += 1;
+        } else if r.test_meanet < r.test_main {
+            losses += 1;
+        }
+    }
+    if scale == Scale::Smoke {
+        // At smoke scale the hard test sets are tens of instances and a
+        // well-trained main exit often exactly ties MEANet, so the check
+        // is directional: at least one strict improvement and no net
+        // regression across rows.
+        assert!(wins >= 1, "MEANet should improve hard-class test accuracy somewhere");
+        assert!(wins >= losses, "MEANet regressed more rows ({losses}) than it improved ({wins})");
+    } else {
+        // At repro scale we ask for the majority of rows to improve on
+        // test (the paper improves on all four at CIFAR/ImageNet scale).
+        assert!(wins >= rows.len() / 2, "MEANet should improve hard-class test accuracy on most rows");
+    }
+}
 
-    let (t3b, _) = tables::table3_all_classes(scale);
-    println!("== Table III: all-class accuracy (%) ==\n{t3b}");
+/// Table III: easy/hard detection beats chance solidly, and MEANet does
+/// not regress the all-class accuracy materially.
+fn table3_all_classes(scale: Scale) {
+    let (table, rows) = tables::table3_all_classes(scale);
+    println!("== Table III: all-class accuracy (%) ==\n{table}");
+    // The paper's detection accuracy is 83–91%; require every row to beat
+    // chance solidly at every scale. (The MobileNetV2 row gets a doubled
+    // smoke training schedule in `helpers::imagenet_mobilenet_b`.)
+    for r in &rows {
+        let detection_floor = 0.6;
+        assert!(
+            r.detection > detection_floor,
+            "{}: detection accuracy {:.2} below floor {detection_floor}",
+            r.label,
+            r.detection
+        );
+        assert!(r.meanet + 0.03 >= r.main, "{}: MEANet regressed ({:.3} vs {:.3})", r.label, r.meanet, r.main);
+    }
+}
 
-    let (t4, t5b, _) = tables::table45_class_selection(scale);
+/// Tables IV and V: selecting fewer classes gives at least the training
+/// improvement of selecting all of them.
+fn table45_class_selection(scale: Scale) {
+    let (t4, t5, rows) = tables::table45_class_selection(scale);
     println!("== Table IV: detection accuracy ==\n{t4}");
-    println!("== Table V: selected-class accuracy (%) ==\n{t5b}");
+    println!("== Table V: selected-class accuracy (%) ==\n{t5}");
+    let hard_half = &rows[0];
+    let all = rows.last().expect("all-classes row");
+    let gain_half = hard_half.train_meanet - hard_half.train_main;
+    let gain_all = all.train_meanet - all.train_main;
+    println!("train gain: half={gain_half:.3} all={gain_all:.3}");
+    assert!(
+        gain_half + 1e-9 >= gain_all,
+        "selecting fewer classes should give at least the improvement of selecting all"
+    );
+}
 
-    let (t6b, _) = tables::table6_flops();
-    println!("== Table VI: MACs / params (millions, paper scale) ==\n{t6b}");
+/// Table VI: MACs and parameters (gated by the `table6_flops` bench
+/// target's report).
+fn table6_flops(_: Scale) {
+    let (t6, _) = tables::table6_flops();
+    println!("== Table VI: MACs / params (millions, paper scale) ==\n{t6}");
+}
 
+/// Table VII: per-image edge costs (gated by the `table7_per_image` bench
+/// target's report).
+fn table7_per_image(_: Scale) {
     let (t7, _) = tables::table7_per_image();
     println!("== Table VII: per-image edge costs ==\n{t7}");
+}
 
-    let (am, _) = ablations::ablation_merge(scale);
-    println!("== Ablation: merge mode ==\n{am}");
-    let (ab, _) = ablations::ablation_blockwise(scale);
-    println!("== Ablation: blockwise vs joint ==\n{ab}");
-    let (ap, _) = ablations::ablation_payload();
-    println!("== Ablation: payload sizing ==\n{ap}");
+/// Sum and concat merges at the extension-block input both train.
+fn ablation_merge(scale: Scale) {
+    let (table, results) = ablations::ablation_merge(scale);
+    println!("== Ablation: merge mode ==\n{table}");
+    for (_, acc) in &results {
+        assert!(*acc > 0.2, "merge variant collapsed");
+    }
+}
 
-    let (aq, _) = extensions::ablation_quant(scale);
-    println!("== Ablation: int8 quantized edge backbone ==\n{aq}");
-    let (apart, _) = extensions::ablation_partition();
-    println!("== Ablation: DNN partition sweep (paper-scale ResNet18) ==\n{apart}");
-    let (apol, _) = extensions::ablation_policies(scale);
-    println!("== Ablation: offload policies ==\n{apol}");
-    let (afleet, _) = extensions::fleet_scaling(scale);
-    println!("== Fleet scaling (shared regional cloud) ==\n{afleet}");
-    let (acont, _) = extensions::ablation_continual(scale);
-    println!("== Ablation: continual adaptation with replay ==\n{acont}");
-    let (adet, _) = extensions::ablation_detector(scale);
-    println!("== Ablation: easy/hard detection rules ==\n{adet}");
-    let (atm, _) = extensions::ablation_training_methods(scale);
-    println!("== Ablation: multi-exit training methods ==\n{atm}");
+/// Blockwise (frozen main) training needs less memory than joint training
+/// and protects the easy classes from catastrophic forgetting.
+fn ablation_blockwise(scale: Scale) {
+    let (table, results) = ablations::ablation_blockwise(scale);
+    println!("== Ablation: blockwise vs joint ==\n{table}");
+    let ours = &results[0];
+    let joint = &results[1];
+    assert!(ours.3 < joint.3, "blockwise must need less training memory");
+    println!("easy-class accuracy: ours {:.3} vs joint {:.3}", ours.2, joint.2);
+    assert!(ours.2 + 1e-9 >= joint.2 - 0.02, "freezing should protect easy classes");
+}
 
-    println!("total wall time: {:.1}s", t0.elapsed().as_secs_f64());
+/// Uplink payloads: CIFAR features outweigh raw pixels, ImageNet raw
+/// pixels outweigh late features.
+fn ablation_payload(_: Scale) {
+    let (table, rows) = ablations::ablation_payload();
+    println!("== Ablation: payload sizing ==\n{table}");
+    assert!(rows[1].1 > rows[0].1, "CIFAR f32 features should out-weigh raw pixels");
+    assert!(rows[2].1 > rows[3].1, "ImageNet raw should out-weigh late features");
+}
+
+/// An int8 edge backbone is under half the download, agrees with float
+/// and costs less energy, within 10 accuracy points.
+fn ablation_quant(scale: Scale) {
+    let (table, rows) = extensions::ablation_quant(scale);
+    println!("== Ablation: int8 quantized edge backbone ==\n{table}");
+    let float = &rows[0];
+    let int8 = &rows[1];
+    assert!(int8.model_bytes * 2 < float.model_bytes, "int8 download must be well under half the float size");
+    assert!(int8.agreement >= 0.80, "int8 predictions diverged from float: {:.3}", int8.agreement);
+    assert!(
+        int8.accuracy >= float.accuracy - 0.10,
+        "quantization cost more than 10 accuracy points: {:.3} vs {:.3}",
+        int8.accuracy,
+        float.accuracy
+    );
+    assert!(int8.energy_mj < float.energy_mj, "int8 MACs must be cheaper");
+}
+
+/// The partition optimiser's pick matches or beats both endpoints, and
+/// the offloaded share sweeps from 0 to 1.
+fn ablation_partition(_: Scale) {
+    let (table, costs) = extensions::ablation_partition();
+    println!("== Ablation: DNN partition sweep (paper-scale ResNet18) ==\n{table}");
+    for obj in [Objective::Latency, Objective::EdgeEnergy] {
+        let score = |c: &mea_edgecloud::CutCost| match obj {
+            Objective::Latency => c.latency_s,
+            Objective::EdgeEnergy => c.edge_energy_j,
+        };
+        let best = costs.iter().cloned().min_by(|a, b| score(a).partial_cmp(&score(b)).unwrap()).unwrap();
+        assert!(score(&best) <= score(&costs[0]) + 1e-12, "{obj:?}: best worse than cloud-only");
+        assert!(score(&best) <= score(costs.last().unwrap()) + 1e-12, "{obj:?}: best worse than edge-only");
+    }
+    assert_eq!(costs.first().unwrap().q, 0.0);
+    assert_eq!(costs.last().unwrap().q, 1.0);
+}
+
+/// WiFi reproduces Table VII's uplink energies, and LTE costs more than
+/// twice as much per image.
+fn ablation_radio(_: Scale) {
+    let (table, rows) = extensions::ablation_radio();
+    println!("== Ablation: uplink radio (per raw image) ==\n{table}");
+    let wifi = rows.iter().find(|r| r.label.starts_with("WiFi")).expect("wifi row");
+    let lte = rows.iter().find(|r| r.label.starts_with("LTE")).expect("lte row");
+    assert!(lte.cifar_mj > 2.0 * wifi.cifar_mj, "LTE should cost >2x per CIFAR image");
+    assert!(lte.imagenet_mj > 2.0 * wifi.imagenet_mj, "LTE should cost >2x per ImageNet image");
+    // Table VII: 7.12 mJ per CIFAR image, 349 mJ per ImageNet image.
+    assert!((wifi.cifar_mj - 7.12).abs() < 0.1, "CIFAR WiFi energy {}", wifi.cifar_mj);
+    assert!((wifi.imagenet_mj - 349.0).abs() < 3.0, "ImageNet WiFi energy {}", wifi.imagenet_mj);
+}
+
+/// Entropy offloading keeps edge-only accuracy, and the budgeted rule
+/// sends its target share.
+fn ablation_policies(scale: Scale) {
+    let (table, rows) = extensions::ablation_policies(scale);
+    println!("== Ablation: offload policies ==\n{table}");
+    let by_label = |needle: &str| {
+        rows.iter().find(|r| r.label.contains(needle)).unwrap_or_else(|| panic!("row {needle} missing"))
+    };
+    let never = by_label("never");
+    let always = by_label("always");
+    let entropy = by_label("entropy");
+    let budget = by_label("budget");
+    assert_eq!(never.cloud_fraction, 0.0);
+    assert_eq!(always.cloud_fraction, 1.0);
+    assert!(entropy.accuracy + 1e-9 >= never.accuracy - 0.02, "paper policy regressed vs edge-only");
+    assert!(
+        (budget.cloud_fraction - 0.25).abs() < 0.10,
+        "budget missed its beta: sent {:.3}",
+        budget.cloud_fraction
+    );
+}
+
+/// Cloud queueing, utilisation and tail latency grow with the fleet.
+fn fleet_scaling(scale: Scale) {
+    let (table, rows) = extensions::fleet_scaling(scale);
+    println!("== Fleet scaling (shared regional cloud) ==\n{table}");
+    for pair in rows.windows(2) {
+        assert!(
+            pair[1].cloud_wait_ms >= pair[0].cloud_wait_ms - 1e-9,
+            "cloud wait shrank when the fleet grew: {pair:?}"
+        );
+        assert!(pair[1].utilization >= pair[0].utilization - 1e-9, "utilization shrank with more devices");
+    }
+    assert!(rows.last().unwrap().p95_ms >= rows[0].p95_ms, "tail latency should grow with contention");
+}
+
+/// Replay retains more hard-class accuracy than naive fine-tuning.
+fn ablation_continual(scale: Scale) {
+    let (table, rows) = extensions::ablation_continual(scale);
+    println!("== Ablation: continual adaptation with replay ==\n{table}");
+    let naive = rows.iter().find(|r| r.replay_ratio == 0.0).expect("ratio 0 present");
+    let replayed = rows.iter().filter(|r| r.replay_ratio > 0.0).collect::<Vec<_>>();
+    assert!(!replayed.is_empty());
+    let best_replay = replayed.iter().map(|r| r.retained_accuracy).fold(0.0f64, f64::max);
+    assert!(
+        best_replay > naive.retained_accuracy,
+        "replay ({best_replay:.3}) must retain more hard-class accuracy than naive fine-tuning ({:.3})",
+        naive.retained_accuracy
+    );
+}
+
+/// The argmax easy/hard rule beats chance and stays close to a trained
+/// binary detector without its extra parameters.
+fn ablation_detector(scale: Scale) {
+    let (table, cmp) = extensions::ablation_detector(scale);
+    println!("== Ablation: easy/hard detection rules ==\n{table}");
+    assert!(cmp.argmax_accuracy > 0.5, "argmax detection no better than chance");
+    assert!(cmp.binary_accuracy > 0.5, "binary detection no better than chance");
+    assert!(
+        cmp.argmax_accuracy >= cmp.binary_accuracy - 0.15,
+        "argmax rule fell far behind the trained detector: {:.3} vs {:.3}",
+        cmp.argmax_accuracy,
+        cmp.binary_accuracy
+    );
+}
+
+/// Blockwise training is the cheapest multi-exit method in memory, and
+/// every method trains a working hard-class classifier.
+fn ablation_training_methods(scale: Scale) {
+    let (table, rows) = extensions::ablation_training_methods(scale);
+    println!("== Ablation: multi-exit training methods ==\n{table}");
+    let blockwise = rows.iter().find(|r| r.label.contains("blockwise")).expect("blockwise row");
+    for other in rows.iter().filter(|r| !r.label.contains("blockwise")) {
+        assert!(
+            blockwise.memory_mib < other.memory_mib,
+            "blockwise must be the cheapest in training memory: {} vs {} ({})",
+            blockwise.memory_mib,
+            other.memory_mib,
+            other.label
+        );
+    }
+    for r in &rows {
+        assert!(r.hard_accuracy > 0.0, "{} produced a dead model", r.label);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The steps that train nothing run in a second: Fig. 6's memory
+    /// ordering, payload sizes, the partition sweep and Table VII's radio
+    /// anchors are checked on every test run.
+    #[test]
+    fn closed_form_steps_hold_their_claims() {
+        for name in ["fig6_memory", "ablation_payload", "ablation_partition", "ablation_radio"] {
+            let (_, run) = STEPS.iter().find(|(step, _)| *step == name).expect("step exists");
+            run(Scale::Smoke);
+        }
+    }
 }

@@ -134,7 +134,7 @@ pub fn meanet_accuracy_on_hard(net: &mut MeaNet, data: &Dataset, batch: usize) -
     correct as f64 / data.len() as f64
 }
 
-/// Evaluates the main exit over a dataset (wrapper for bench targets).
+/// Evaluates the main exit over a dataset (wrapper for the runners).
 pub fn evaluate_main(net: &mut MeaNet, data: &Dataset, batch: usize) -> MainEval {
     meanet::stats::evaluate_main_exit(net, data, batch)
 }

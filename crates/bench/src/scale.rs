@@ -5,7 +5,7 @@ use mea_data::SynthConfig;
 /// How big the experiments run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
-    /// Seconds per experiment; used by `cargo bench` and CI.
+    /// Seconds per experiment; the default, and the scale CI runs.
     Smoke,
     /// The documented reproduction scale (minutes per experiment).
     Repro,
@@ -14,13 +14,29 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Reads `MEA_SCALE` from the environment (default [`Scale::Smoke`]).
-    pub fn from_env() -> Scale {
-        match std::env::var("MEA_SCALE").unwrap_or_default().to_lowercase().as_str() {
-            "repro" => Scale::Repro,
-            "full" => Scale::Full,
-            _ => Scale::Smoke,
+    /// Parses a `MEA_SCALE` value, ignoring case: `smoke`, `repro` or
+    /// `full`, and the empty string means [`Scale::Smoke`]. `None` for
+    /// anything else.
+    pub fn parse(value: &str) -> Option<Scale> {
+        match value.to_lowercase().as_str() {
+            "" | "smoke" => Some(Scale::Smoke),
+            "repro" => Some(Scale::Repro),
+            "full" => Some(Scale::Full),
+            _ => None,
         }
+    }
+
+    /// Reads `MEA_SCALE` from the environment (unset means
+    /// [`Scale::Smoke`]). Any value [`Scale::parse`] rejects exits the
+    /// process with the accepted values, so a typo never quietly runs at
+    /// smoke scale.
+    pub fn from_env() -> Scale {
+        let value = std::env::var_os("MEA_SCALE").unwrap_or_default();
+        let value = value.to_string_lossy();
+        Scale::parse(&value).unwrap_or_else(|| {
+            eprintln!("MEA_SCALE={value:?} is not a scale: use smoke, repro or full (unset means smoke)");
+            std::process::exit(2)
+        })
     }
 
     /// Training epochs for backbone/edge phases.
@@ -107,5 +123,16 @@ mod tests {
         assert_eq!(s.cifar10_like(0).num_classes, 10);
         assert!(s.cifar100_like(0).num_classes >= 20);
         assert_eq!(s.imagenet_like(0).image_hw, 24);
+    }
+
+    #[test]
+    fn parse_accepts_the_three_scales_and_rejects_the_rest() {
+        assert_eq!(Scale::parse(""), Some(Scale::Smoke));
+        assert_eq!(Scale::parse("smoke"), Some(Scale::Smoke));
+        assert_eq!(Scale::parse("Repro"), Some(Scale::Repro));
+        assert_eq!(Scale::parse("FULL"), Some(Scale::Full));
+        for typo in ["reproduction", "smok", " repro", "1"] {
+            assert_eq!(Scale::parse(typo), None, "{typo:?}");
+        }
     }
 }
