@@ -8,7 +8,7 @@
 //!
 //! Exit code 0 when every report is within tolerance; 1 with one line per
 //! violation otherwise. `MEA_BENCH_BASELINES` overrides the baseline
-//! directory, `MEA_BENCH_TOLERANCE` the 0.20 (=20%) latency threshold.
+//! directory; the latency threshold is `DEFAULT_TOLERANCE` (0.20, =20%).
 
 use mea_bench::regression::{compare, BenchReport, DEFAULT_TOLERANCE};
 use std::path::{Path, PathBuf};
@@ -49,8 +49,7 @@ fn main() {
     let baseline_dir = std::env::var("MEA_BENCH_BASELINES")
         .map(PathBuf::from)
         .unwrap_or_else(|_| Path::new(env!("CARGO_MANIFEST_DIR")).join("baselines"));
-    let tolerance: f64 =
-        std::env::var("MEA_BENCH_TOLERANCE").ok().and_then(|t| t.parse().ok()).unwrap_or(DEFAULT_TOLERANCE);
+    let tolerance = DEFAULT_TOLERANCE;
 
     let baselines = load_reports(&baseline_dir);
     let currents = load_reports(Path::new(&current_dir));

@@ -33,7 +33,7 @@ use meanet::{ExitPoint, HardDetector, OffloadPolicy};
 /// the standard ≈4× arithmetic-energy advantage of 8-bit datapaths
 /// (Horowitz, ISSCC'14 energy tables), used to scale
 /// [`DeviceProfile::compute_energy_j`] for quantized edge models.
-pub const INT8_MAC_ENERGY_RATIO: f64 = 0.25;
+pub(crate) const INT8_MAC_ENERGY_RATIO: f64 = 0.25;
 
 /// One row of the quantization ablation.
 #[derive(Debug, Clone)]

@@ -147,7 +147,7 @@ pub struct SweepResult {
 
 /// Figs. 7 & 8: sweep the entropy threshold, recording accuracy, cloud
 /// fraction and edge energy for one trained system.
-pub fn fig78_sweep(
+pub(crate) fn fig78_sweep(
     sys: &mut helpers::TrainedSystem,
     label: &str,
     device: &DeviceProfile,

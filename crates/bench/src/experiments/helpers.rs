@@ -33,7 +33,7 @@ fn shrink_schedules(cfg: &mut PipelineConfig, scale: Scale) {
 }
 
 /// Model A (split ResNet) on the CIFAR-100-like dataset.
-pub fn cifar_system_a(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
+pub(crate) fn cifar_system_a(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
     let bundle = generate(&scale.cifar100_like(seed));
     let classes = bundle.train.num_classes;
     let mut cfg = PipelineConfig::repro_resnet_a(classes, scale.epochs(), seed);
@@ -45,7 +45,7 @@ pub fn cifar_system_a(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSyste
 }
 
 /// Model B (full ResNet + fresh extension) on the CIFAR-100-like dataset.
-pub fn cifar_system_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
+pub(crate) fn cifar_system_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
     let bundle = generate(&scale.cifar100_like(seed));
     let classes = bundle.train.num_classes;
     let mut cfg = PipelineConfig::repro_resnet_b(classes, scale.epochs(), seed);
@@ -57,7 +57,7 @@ pub fn cifar_system_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSyste
 }
 
 /// Model B with a ResNet main block on the ImageNet-like dataset.
-pub fn imagenet_resnet_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
+pub(crate) fn imagenet_resnet_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
     let bundle = generate(&scale.imagenet_like(seed));
     let classes = bundle.train.num_classes;
     let mut cfg = PipelineConfig::repro_imagenet_resnet_b(classes, scale.epochs(), seed);
@@ -69,7 +69,7 @@ pub fn imagenet_resnet_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSy
 }
 
 /// Model B with a MobileNetV2 main block on the ImageNet-like dataset.
-pub fn imagenet_mobilenet_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
+pub(crate) fn imagenet_mobilenet_b(scale: Scale, seed: u64, with_cloud: bool) -> TrainedSystem {
     let mut data_cfg = scale.imagenet_like(seed);
     if scale == Scale::Smoke {
         // The depthwise-separable MobileNet backbone converges slower than
@@ -97,7 +97,7 @@ pub fn imagenet_mobilenet_b(scale: Scale, seed: u64, with_cloud: bool) -> Traine
 
 /// Accuracy of the main exit alone over a dataset slice with *original*
 /// labels.
-pub fn main_accuracy(net: &mut MeaNet, data: &Dataset, batch: usize) -> f64 {
+pub(crate) fn main_accuracy(net: &mut MeaNet, data: &Dataset, batch: usize) -> f64 {
     let mut correct = 0usize;
     for (images, labels) in data.batches(batch) {
         let logits = net.main_logits(&images, Mode::Eval);
@@ -111,7 +111,7 @@ pub fn main_accuracy(net: &mut MeaNet, data: &Dataset, batch: usize) -> f64 {
 /// extension path always activated and confidence arbitration between the
 /// exits — the protocol of paper Table II ("the extension and adaptive
 /// blocks are always activated").
-pub fn meanet_accuracy_on_hard(net: &mut MeaNet, data: &Dataset, batch: usize) -> f64 {
+pub(crate) fn meanet_accuracy_on_hard(net: &mut MeaNet, data: &Dataset, batch: usize) -> f64 {
     let dict = net.hard_dict().expect("edge blocks attached").clone();
     let mut correct = 0usize;
     for (images, labels) in data.batches(batch) {
@@ -135,13 +135,13 @@ pub fn meanet_accuracy_on_hard(net: &mut MeaNet, data: &Dataset, batch: usize) -
 }
 
 /// Evaluates the main exit over a dataset (wrapper for the runners).
-pub fn evaluate_main(net: &mut MeaNet, data: &Dataset, batch: usize) -> MainEval {
+pub(crate) fn evaluate_main(net: &mut MeaNet, data: &Dataset, batch: usize) -> MainEval {
     meanet::stats::evaluate_main_exit(net, data, batch)
 }
 
 /// Per-image MACs of the main path, the extension extra path and a cloud
 /// model — inputs for the energy/latency models.
-pub fn macs_profile(net: &MeaNet, cloud: Option<&SegmentedCnn>) -> (u64, u64, u64) {
+pub(crate) fn macs_profile(net: &MeaNet, cloud: Option<&SegmentedCnn>) -> (u64, u64, u64) {
     let split = net.cost_split();
     let macs_main = split.fixed_macs;
     let macs_ext = split.trained_macs;
@@ -150,6 +150,6 @@ pub fn macs_profile(net: &MeaNet, cloud: Option<&SegmentedCnn>) -> (u64, u64, u6
 }
 
 /// Formats a ratio as a percentage with two decimals.
-pub fn pct(x: f64) -> String {
+pub(crate) fn pct(x: f64) -> String {
     format!("{:.2}", 100.0 * x)
 }

@@ -4,7 +4,7 @@
 pub mod ablations;
 pub mod extensions;
 pub mod figures;
-pub mod helpers;
+mod helpers;
 pub mod serving;
 pub mod tables;
 

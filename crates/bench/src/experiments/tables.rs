@@ -332,11 +332,11 @@ pub struct FlopsRow {
 /// Builds the four *paper-scale* MEANets of Table VI (no training — pure
 /// architecture counting, so this runs at full CIFAR/ImageNet geometry)
 /// under the default [`AdaptivePlan`].
-pub fn paper_scale_meanets() -> Vec<(String, MeaNet)> {
+pub(crate) fn paper_scale_meanets() -> Vec<(String, MeaNet)> {
     paper_scale_meanets_under(AdaptivePlan::default())
 }
 
-/// [`paper_scale_meanets`] with an explicit adaptive plan, so benches can
+/// `paper_scale_meanets` with an explicit adaptive plan, so benches can
 /// contrast the depthwise-separable budget against the dense mirror.
 pub fn paper_scale_meanets_under(plan: AdaptivePlan) -> Vec<(String, MeaNet)> {
     let mut rng = Rng::new(0);

@@ -26,6 +26,6 @@
 pub mod experiments;
 pub mod pin;
 pub mod regression;
-pub mod scale;
+mod scale;
 
 pub use scale::Scale;

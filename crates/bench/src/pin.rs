@@ -28,7 +28,7 @@ fn allowed_cpus() -> Option<String> {
 /// Pins this process to the last CPU it is allowed on and returns that
 /// CPU, or `None` when it cannot (no `/proc`, no `taskset`, or the mask
 /// may not be changed): the run then measures unpinned and says so.
-pub fn pin_to_last_cpu() -> Option<usize> {
+pub(crate) fn pin_to_last_cpu() -> Option<usize> {
     let cpu = last_cpu(&allowed_cpus()?)?;
     let pinned = Command::new("taskset")
         .args(["-cp", &cpu.to_string(), &std::process::id().to_string()])
@@ -40,7 +40,7 @@ pub fn pin_to_last_cpu() -> Option<usize> {
     (pinned && allowed_cpus()? == cpu.to_string()).then_some(cpu)
 }
 
-/// Pins this process as [`pin_to_last_cpu`] does and describes the
+/// Pins this process as `pin_to_last_cpu` does and describes the
 /// outcome for a timing target's first line: the CPU, or that the run is
 /// unpinned and its timings will not repeat.
 pub fn pin_for_timing() -> String {

@@ -5,8 +5,7 @@
 //! the total wall time and their headline metrics. CI uploads those files
 //! as artifacts and runs the `bench_regression` binary, which compares
 //! them against the baselines checked in under `crates/bench/baselines/`
-//! and fails on a >20% latency regression (`MEA_BENCH_TOLERANCE`
-//! overrides the threshold).
+//! and fails on a >20% latency regression ([`DEFAULT_TOLERANCE`]).
 //!
 //! Comparison policy, by metric name:
 //!
@@ -14,7 +13,7 @@
 //!   regression beyond the tolerance fails (improvements pass — refresh
 //!   the baseline when one sticks). Quantile metrics (`*_p50_ms`,
 //!   `*_p95_ms`, `*_p99_ms`) additionally get a wider absolute floor
-//!   ([`QUANTILE_SLACK_MS`]) because order statistics of live threaded
+//!   (`QUANTILE_SLACK_MS`) because order statistics of live threaded
 //!   runs jitter by whole scheduler quanta.
 //! * every other metric is an **invariant** (parameter counts, MACs,
 //!   closed-form costs): any drift beyond float noise fails, so a
@@ -35,13 +34,13 @@ pub const DEFAULT_TOLERANCE: f64 = 0.20;
 /// sub-millisecond closed-form benches are dominated by startup jitter
 /// (observed >1 ms run-to-run on an idle host) and would otherwise fail
 /// on noise alone.
-pub const WALL_SLACK_MS: f64 = 5.0;
+pub(crate) const WALL_SLACK_MS: f64 = 5.0;
 
 /// Absolute slack for `_ms` metrics. These are in-process timings (means
 /// over repeated iterations), far more stable than process wall time, so
 /// the floor only absorbs sub-millisecond scheduler noise — a multi-×
 /// regression on a fast kernel must still fail.
-pub const METRIC_SLACK_MS: f64 = 0.5;
+pub(crate) const METRIC_SLACK_MS: f64 = 0.5;
 
 /// Absolute slack for latency *quantile* metrics (keys ending in
 /// `_p50_ms`, `_p95_ms` or `_p99_ms`). Quantiles are order statistics of
@@ -50,13 +49,13 @@ pub const METRIC_SLACK_MS: f64 = 0.5;
 /// run-to-run on an idle 1-core host), which is absolute noise, not a
 /// relative one. The relative tolerance still applies on top, so a real
 /// tail blow-up on a slow path must still fail.
-pub const QUANTILE_SLACK_MS: f64 = 10.0;
+pub(crate) const QUANTILE_SLACK_MS: f64 = 10.0;
 
 /// Relative drift tolerated on invariant (non-latency) metrics. The JSON
 /// codec round-trips f64 exactly (shortest-representation `Display`), so
 /// this only needs to absorb float noise — a ±1 drift in a million-scale
 /// parameter count must still fail.
-pub const INVARIANT_EPS: f64 = 1e-12;
+pub(crate) const INVARIANT_EPS: f64 = 1e-12;
 
 /// One bench target's machine-readable result.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +71,7 @@ pub struct BenchReport {
 
 impl BenchReport {
     /// Serializes the report as a flat JSON object.
-    pub fn to_json(&self) -> String {
+    pub(crate) fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -87,7 +86,7 @@ impl BenchReport {
         out
     }
 
-    /// Parses a report produced by [`BenchReport::to_json`].
+    /// Parses a report produced by `BenchReport::to_json`.
     ///
     /// # Errors
     ///

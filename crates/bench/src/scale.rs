@@ -2,7 +2,20 @@
 
 use mea_data::SynthConfig;
 
-/// How big the experiments run.
+/// How big the experiments run, and the synthetic datasets they train on
+/// at each scale:
+///
+/// | preset | stands in for | scale | classes | clusters | image | train/test per class |
+/// |---|---|---|---|---|---|---|
+/// | `cifar10_like` | CIFAR-10 (Fig. 2) | smoke | 10 | 4 | 16² | 24 / 10 |
+/// | | | repro | 10 | 4 | 16² | 30 / 10 |
+/// | | | full | 10 | 4 | 16² | 60 / 10 |
+/// | `cifar100_like` | CIFAR-100 | smoke | 20 | 5 | 16² | 24 / 8 |
+/// | | | repro | 100 | 20 | 16² | 24 / 8 |
+/// | | | full | 100 | 20 | 16² | 40 / 10 |
+/// | `imagenet_like` | ImageNet | smoke | 12 | 4 | 24² | 14 / 6 |
+/// | | | repro | 40 | 8 | 24² | 20 / 8 |
+/// | | | full | 40 | 8 | 24² | 36 / 10 |
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scale {
     /// Seconds per experiment; the default, and the scale CI runs.
@@ -17,7 +30,7 @@ impl Scale {
     /// Parses a `MEA_SCALE` value, ignoring case: `smoke`, `repro` or
     /// `full`, and the empty string means [`Scale::Smoke`]. `None` for
     /// anything else.
-    pub fn parse(value: &str) -> Option<Scale> {
+    pub(crate) fn parse(value: &str) -> Option<Scale> {
         match value.to_lowercase().as_str() {
             "" | "smoke" => Some(Scale::Smoke),
             "repro" => Some(Scale::Repro),
@@ -27,7 +40,7 @@ impl Scale {
     }
 
     /// Reads `MEA_SCALE` from the environment (unset means
-    /// [`Scale::Smoke`]). Any value [`Scale::parse`] rejects exits the
+    /// [`Scale::Smoke`]). Any value `Scale::parse` rejects exits the
     /// process with the accepted values, so a typo never quietly runs at
     /// smoke scale.
     pub fn from_env() -> Scale {
@@ -40,7 +53,7 @@ impl Scale {
     }
 
     /// Training epochs for backbone/edge phases.
-    pub fn epochs(self) -> usize {
+    pub(crate) fn epochs(self) -> usize {
         match self {
             Scale::Smoke => 8,
             Scale::Repro => 14,
@@ -49,7 +62,7 @@ impl Scale {
     }
 
     /// A CIFAR-100-like dataset scaled to this budget.
-    pub fn cifar100_like(self, seed: u64) -> SynthConfig {
+    pub(crate) fn cifar100_like(self, seed: u64) -> SynthConfig {
         let (classes, clusters, train, test) = match self {
             Scale::Smoke => (20, 5, 24, 8),
             Scale::Repro => (100, 20, 24, 8),
@@ -72,7 +85,7 @@ impl Scale {
     }
 
     /// A CIFAR-10-like dataset scaled to this budget (Fig. 2).
-    pub fn cifar10_like(self, seed: u64) -> SynthConfig {
+    pub(crate) fn cifar10_like(self, seed: u64) -> SynthConfig {
         let mut cfg = self.cifar100_like(seed);
         cfg.num_classes = 10;
         cfg.num_clusters = 4;
@@ -87,7 +100,7 @@ impl Scale {
     }
 
     /// An ImageNet-like dataset scaled to this budget.
-    pub fn imagenet_like(self, seed: u64) -> SynthConfig {
+    pub(crate) fn imagenet_like(self, seed: u64) -> SynthConfig {
         let (classes, clusters, train, test) = match self {
             Scale::Smoke => (12, 4, 14, 6),
             Scale::Repro => (40, 8, 20, 8),
@@ -115,14 +128,26 @@ mod tests {
     use super::*;
 
     #[test]
-    fn env_parsing_defaults_to_smoke() {
-        // Cannot mutate the environment safely in parallel tests; just
-        // check the default path and preset sizes.
-        let s = Scale::Smoke;
-        assert!(s.epochs() >= 4);
-        assert_eq!(s.cifar10_like(0).num_classes, 10);
-        assert!(s.cifar100_like(0).num_classes >= 20);
-        assert_eq!(s.imagenet_like(0).image_hw, 24);
+    fn presets_match_the_documented_table() {
+        type Preset = fn(Scale, u64) -> SynthConfig;
+        // (preset, scale, classes, clusters, image side, train, test), one
+        // row per row of the table in `Scale`'s docs.
+        let rows: [(Preset, Scale, usize, usize, usize, usize, usize); 9] = [
+            (Scale::cifar10_like, Scale::Smoke, 10, 4, 16, 24, 10),
+            (Scale::cifar10_like, Scale::Repro, 10, 4, 16, 30, 10),
+            (Scale::cifar10_like, Scale::Full, 10, 4, 16, 60, 10),
+            (Scale::cifar100_like, Scale::Smoke, 20, 5, 16, 24, 8),
+            (Scale::cifar100_like, Scale::Repro, 100, 20, 16, 24, 8),
+            (Scale::cifar100_like, Scale::Full, 100, 20, 16, 40, 10),
+            (Scale::imagenet_like, Scale::Smoke, 12, 4, 24, 14, 6),
+            (Scale::imagenet_like, Scale::Repro, 40, 8, 24, 20, 8),
+            (Scale::imagenet_like, Scale::Full, 40, 8, 24, 36, 10),
+        ];
+        for (i, (preset, scale, classes, clusters, hw, train, test)) in rows.into_iter().enumerate() {
+            let c = preset(scale, 0);
+            let got = (c.num_classes, c.num_clusters, c.image_hw, c.train_per_class, c.test_per_class);
+            assert_eq!(got, (classes, clusters, hw, train, test), "table row {}", i + 1);
+        }
     }
 
     #[test]

@@ -46,18 +46,13 @@ impl ReplayBuffer {
     }
 
     /// Instances currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.labels.len()
     }
 
     /// True when nothing has been stored yet.
-    pub fn is_empty(&self) -> bool {
+    pub(crate) fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Total instances ever observed (≥ [`ReplayBuffer::len`]).
-    pub fn seen(&self) -> usize {
-        self.seen
     }
 
     /// Streams a dataset through the reservoir: each instance lands in the
@@ -98,7 +93,7 @@ impl ReplayBuffer {
     /// # Panics
     ///
     /// Panics if the buffer is empty or `k` exceeds its length.
-    pub fn sample(&self, k: usize, rng: &mut Rng) -> Dataset {
+    pub(crate) fn sample(&self, k: usize, rng: &mut Rng) -> Dataset {
         assert!(!self.is_empty(), "cannot sample an empty replay buffer");
         assert!(k > 0 && k <= self.len(), "sample size {k} out of range 1..={}", self.len());
         let idx = rng.sample_indices(self.len(), k);
@@ -110,7 +105,7 @@ impl ReplayBuffer {
     /// # Panics
     ///
     /// Panics if the buffer is empty.
-    pub fn as_dataset(&self) -> Dataset {
+    pub(crate) fn as_dataset(&self) -> Dataset {
         assert!(!self.is_empty(), "empty replay buffer");
         let dims = self.image_dims.as_ref().expect("dims set when non-empty");
         let mut shape = vec![self.labels.len()];
@@ -197,10 +192,10 @@ mod tests {
         let mut rng = Rng::new(0);
         buf.observe(&bundle.train, &mut rng);
         assert_eq!(buf.len(), 10);
-        assert_eq!(buf.seen(), bundle.train.len());
+        assert_eq!(buf.seen, bundle.train.len());
         buf.observe(&bundle.test, &mut rng);
         assert_eq!(buf.len(), 10);
-        assert_eq!(buf.seen(), bundle.train.len() + bundle.test.len());
+        assert_eq!(buf.seen, bundle.train.len() + bundle.test.len());
     }
 
     #[test]

@@ -78,27 +78,10 @@ impl HardDetector {
     }
 
     /// Predicts hard/easy for precomputed main-block features.
-    pub fn predict_from_features(&mut self, features: &Tensor) -> Vec<bool> {
+    pub(crate) fn predict_from_features(&mut self, features: &Tensor) -> Vec<bool> {
         let logits = self.head.forward(features, Mode::Eval);
         let probs = ops::softmax_rows(&logits);
         probs.argmax_rows().into_iter().map(|c| c == 1).collect()
-    }
-
-    /// Detection accuracy on a dataset: fraction of instances whose
-    /// predicted hardness matches the true-class hardness.
-    pub fn accuracy(&mut self, net: &mut MeaNet, data: &Dataset, dict: &ClassDict, batch_size: usize) -> f64 {
-        let mut correct = 0usize;
-        for (images, labels) in data.batches(batch_size) {
-            let features = net.main_features(&images, Mode::Eval);
-            let preds = self.predict_from_features(&features);
-            correct += preds.iter().zip(labels).filter(|(&p, &l)| p == dict.contains(l)).count();
-        }
-        correct as f64 / data.len() as f64
-    }
-
-    /// Number of learnable parameters in the detector head.
-    pub fn param_count(&self) -> usize {
-        self.head.param_count()
     }
 }
 
@@ -179,7 +162,7 @@ mod tests {
             stats.last().unwrap().accuracy > 0.55,
             "binary detector should beat coin flipping on train: {stats:?}"
         );
-        let acc = det.accuracy(&mut net, &test, &dict, 8);
+        let acc = compare_detectors(&mut net, &mut det, &test, 8).binary_accuracy;
         assert!(acc > 0.5, "test detection accuracy {acc} not above chance");
     }
 
@@ -215,6 +198,6 @@ mod tests {
         let det = HardDetector::new(32, &mut rng);
         // GlobalAvgPool → Linear(32, 2): 66 parameters — negligible next to
         // the extension block, which is the point of the comparison.
-        assert_eq!(det.param_count(), 32 * 2 + 2);
+        assert_eq!(det.head.param_count(), 32 * 2 + 2);
     }
 }

@@ -66,8 +66,6 @@ pub struct DifficultyPredictor {
     easy_below: f32,
     /// Predicted entropies strictly above this are `Hard`.
     hard_above: f32,
-    /// The three entropy cluster centroids, ascending.
-    centroids: [f32; 3],
 }
 
 impl DifficultyPredictor {
@@ -107,7 +105,6 @@ impl DifficultyPredictor {
             weights,
             easy_below: ((centroids[0] + centroids[1]) / 2.0) as f32,
             hard_above: ((centroids[1] + centroids[2]) / 2.0) as f32,
-            centroids: [centroids[0] as f32, centroids[1] as f32, centroids[2] as f32],
         }
     }
 
@@ -129,7 +126,7 @@ impl DifficultyPredictor {
 
     /// Classifies an entropy value (predicted or measured) against the
     /// calibrated cluster boundaries.
-    pub fn classify_entropy(&self, entropy: f32) -> Difficulty {
+    pub(crate) fn classify_entropy(&self, entropy: f32) -> Difficulty {
         if entropy < self.easy_below {
             Difficulty::Easy
         } else if entropy > self.hard_above {
@@ -137,16 +134,6 @@ impl DifficultyPredictor {
         } else {
             Difficulty::Ambiguous
         }
-    }
-
-    /// The three calibrated entropy centroids, ascending.
-    pub fn centroids(&self) -> [f32; 3] {
-        self.centroids
-    }
-
-    /// The `(easy_below, hard_above)` decision thresholds.
-    pub fn thresholds(&self) -> (f32, f32) {
-        (self.easy_below, self.hard_above)
     }
 }
 
@@ -331,16 +318,19 @@ mod tests {
         // Eval forwards are per-sample independent, so the batch size is
         // a pure scheduling knob for calibration too.
         let c = DifficultyPredictor::calibrate(&mut tiny_net(7), &bundle.test.images, 3);
-        assert_eq!(a.centroids(), c.centroids());
+        assert_eq!((a.easy_below, a.hard_above), (c.easy_below, c.hard_above));
     }
 
     #[test]
     fn centroids_and_thresholds_are_ordered() {
         let bundle = presets::tiny(41);
-        let p = DifficultyPredictor::calibrate(&mut tiny_net(8), &bundle.test.images, 16);
-        let [c0, c1, c2] = p.centroids();
-        assert!(c0 <= c1 && c1 <= c2, "centroids must ascend: {:?}", p.centroids());
-        let (easy, hard) = p.thresholds();
+        let mut net = tiny_net(8);
+        let p = DifficultyPredictor::calibrate(&mut net, &bundle.test.images, 16);
+        let entropies = RoutingEngine::evaluate_main(&mut net, &bundle.test.images).entropies;
+        let centroids = kmeans3(&entropies);
+        let [c0, c1, c2] = centroids.map(|c| c as f32);
+        assert!(c0 <= c1 && c1 <= c2, "centroids must ascend: {centroids:?}");
+        let (easy, hard) = (p.easy_below, p.hard_above);
         assert!(easy <= hard, "boundaries must ascend: {easy} vs {hard}");
         assert!(c0 <= easy && easy <= c1, "easy boundary sits between its centroids");
         assert!(c1 <= hard && hard <= c2, "hard boundary sits between its centroids");
@@ -350,7 +340,7 @@ mod tests {
     fn classify_entropy_respects_the_boundaries() {
         let bundle = presets::tiny(42);
         let p = DifficultyPredictor::calibrate(&mut tiny_net(9), &bundle.test.images, 16);
-        let (easy, hard) = p.thresholds();
+        let (easy, hard) = (p.easy_below, p.hard_above);
         assert_eq!(p.classify_entropy(0.0), Difficulty::Easy);
         if hard > easy {
             assert_eq!(p.classify_entropy((easy + hard) / 2.0), Difficulty::Ambiguous);

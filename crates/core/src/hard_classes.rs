@@ -33,7 +33,7 @@ impl Selection {
     /// # Panics
     ///
     /// Panics if `n` is zero or exceeds the class count.
-    pub fn select(&self, confusion: &ConfusionMatrix) -> Vec<usize> {
+    pub(crate) fn select(&self, confusion: &ConfusionMatrix) -> Vec<usize> {
         let k = confusion.num_classes();
         match self {
             Selection::HardestByPrecision { n } => {

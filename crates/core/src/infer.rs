@@ -45,7 +45,7 @@ impl InferenceConfig {
     }
 
     /// Edge-cloud inference with the given threshold.
-    pub fn with_cloud(threshold: f32, batch_size: usize) -> Self {
+    pub(crate) fn with_cloud(threshold: f32, batch_size: usize) -> Self {
         InferenceConfig { entropy_threshold: threshold, cloud_enabled: true, batch_size }
     }
 }

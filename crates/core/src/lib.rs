@@ -25,21 +25,21 @@
 //!   out of the sweep: main-exit evaluation, route planning, the local
 //!   execution legs and record assembly, shared with the online serving
 //!   runtime in `mea_edgecloud::serve`.
-//! * [`difficulty`] — input-difficulty prediction for difficulty-aware
+//! * [`DifficultyPredictor`] — input-difficulty prediction for difficulty-aware
 //!   routing: main-exit entropies of a calibration set clustered into
 //!   easy/ambiguous/hard bands, plus a cheap input-statistics regressor
 //!   so serving can route a request before any forward pass (easy skips
 //!   the offload machinery, hard pre-commits to the cloud).
-//! * [`policy`] — the offload decision abstracted: the paper's entropy
+//! * [`OffloadPolicy`] — the offload decision abstracted: the paper's entropy
 //!   threshold plus margin-based and budgeted (quantile-calibrated)
 //!   alternatives, and the edge-only/cloud-only endpoints.
-//! * [`detector`] — the optional *trained* binary easy/hard detector the
+//! * [`HardDetector`] — the optional *trained* binary easy/hard detector the
 //!   paper mentions in §III-B, so its claim that the argmax rule suffices
 //!   can be measured.
 //! * [`continual`] — episodic-replay adaptation for newly collected edge
 //!   data, the paper's §III-A suggestion for avoiding catastrophic
 //!   forgetting, with a measurable forgetting protocol.
-//! * [`runtime`] — SPINN-style (reference \[42\]) runtime adaptation: an
+//! * [`ThresholdController`] — SPINN-style (reference \[42\]) runtime adaptation: an
 //!   integral controller that retunes the entropy threshold between
 //!   windows so the offload fraction tracks a target under input drift.
 //! * [`thresholds`] — the `(µ_correct, µ_wrong)` entropy threshold range.
@@ -52,15 +52,15 @@
 #![forbid(unsafe_code)]
 
 pub mod continual;
-pub mod detector;
-pub mod difficulty;
+mod detector;
+mod difficulty;
 pub mod hard_classes;
 pub mod infer;
 pub mod model;
 pub mod pipeline;
-pub mod policy;
+mod policy;
 pub mod routing;
-pub mod runtime;
+mod runtime;
 pub mod stats;
 pub mod thresholds;
 pub mod train;
@@ -70,7 +70,7 @@ pub use detector::{compare_detectors, DetectorComparison, HardDetector};
 pub use difficulty::{Difficulty, DifficultyPredictor};
 pub use hard_classes::Selection;
 pub use infer::{ExitPoint, InferenceConfig, InstanceRecord, SweepStats};
-pub use model::{AdaptivePlan, ExtensionPlan, MeaNet, Merge};
+pub use model::{AdaptivePlan, MeaNet, Merge};
 pub use pipeline::{Pipeline, PipelineConfig};
 pub use policy::OffloadPolicy;
 pub use routing::{MainExit, PendingCloud, RoutePlan, RoutingEngine, SweepPayload};

@@ -46,7 +46,7 @@ pub enum Merge {
 
 /// How the extension block is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExtensionPlan {
+pub(crate) enum ExtensionPlan {
     /// Model A: the tail of the pretrained backbone becomes the extension.
     /// Only [`Merge::Sum`] is possible, because the pretrained first tail
     /// layer expects the original channel count.
@@ -103,7 +103,6 @@ pub struct MeaNet {
     plan: ExtensionPlan,
     edge: Option<EdgeBlocks>,
     merge: Merge,
-    num_classes: usize,
     in_shape: [usize; 3],
     main_out_channels: usize,
 }
@@ -114,7 +113,7 @@ impl MeaNet {
     /// * Model A ([`Variant::SplitBackbone`]): keeps the first segments as
     ///   the main block, parks the pretrained tail as the future extension
     ///   and creates a *new, untrained* main exit (train it with
-    ///   [`crate::train::train_main_exit`]).
+    ///   `crate::train::train_main_exit`).
     /// * Model B ([`Variant::FullBackbone`]): the whole backbone plus its
     ///   trained head is the main block.
     ///
@@ -170,7 +169,6 @@ impl MeaNet {
                     plan: ExtensionPlan::FromBackbone,
                     edge: None,
                     merge,
-                    num_classes,
                     in_shape,
                     main_out_channels,
                 }
@@ -190,7 +188,6 @@ impl MeaNet {
                     plan: ExtensionPlan::Fresh { channels: extension_channels, blocks: extension_blocks },
                     edge: None,
                     merge,
-                    num_classes,
                     in_shape,
                     main_out_channels,
                 }
@@ -282,19 +279,9 @@ impl MeaNet {
 
     // ------------------------------------------------------------ accessors
 
-    /// Total number of classes.
-    pub fn num_classes(&self) -> usize {
-        self.num_classes
-    }
-
     /// Expected input shape `[C, H, W]`.
     pub fn in_shape(&self) -> [usize; 3] {
         self.in_shape
-    }
-
-    /// The feature-merge mode.
-    pub fn merge(&self) -> Merge {
-        self.merge
     }
 
     /// The hard-class dictionary, once edge blocks are attached.
@@ -319,19 +306,12 @@ impl MeaNet {
         (edge.adaptive.param_count() + edge.extension.param_count() + edge.exit.param_count()) as u64
     }
 
-    /// Parameters of the frozen main block + exit — the Table VI "fixed"
-    /// column. Available before edge blocks are attached (model A counts
-    /// its parked tail as pending-extension, not fixed).
-    pub fn fixed_params(&self) -> u64 {
-        (self.main.param_count() + self.main_exit.param_count()) as u64
-    }
-
     /// `IsHard` from the paper: whether a *predicted* class is hard.
     ///
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn is_hard(&self, class: usize) -> bool {
+    pub(crate) fn is_hard(&self, class: usize) -> bool {
         self.hard_dict().expect("edge blocks not attached").contains(class)
     }
 
@@ -393,14 +373,14 @@ impl MeaNet {
 
     /// Backpropagates a main-exit logits gradient through the main exit and
     /// the main block (used only during cloud-side pretraining).
-    pub fn main_backward(&mut self, grad_logits: &Tensor) {
+    pub(crate) fn main_backward(&mut self, grad_logits: &Tensor) {
         let g = self.main_exit.backward(grad_logits);
         let _ = self.main.backward(&g);
     }
 
     /// Backpropagates a main-exit logits gradient through the exit only
     /// (main block frozen) — for fitting a fresh model-A exit.
-    pub fn main_exit_backward(&mut self, grad_logits: &Tensor) {
+    pub(crate) fn main_exit_backward(&mut self, grad_logits: &Tensor) {
         let _ = self.main_exit.backward(grad_logits);
     }
 
@@ -412,7 +392,7 @@ impl MeaNet {
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn edge_backward(&mut self, grad_logits: &Tensor) {
+    pub(crate) fn edge_backward(&mut self, grad_logits: &Tensor) {
         let merge = self.merge;
         let main_c = self.main_out_channels;
         let edge = self.edge.as_mut().expect("edge blocks not attached");
@@ -433,7 +413,7 @@ impl MeaNet {
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn edge_backward_joint(&mut self, grad_logits: &Tensor) {
+    pub(crate) fn edge_backward_joint(&mut self, grad_logits: &Tensor) {
         let merge = self.merge;
         let main_c = self.main_out_channels;
         let edge = self.edge.as_mut().expect("edge blocks not attached");
@@ -449,14 +429,8 @@ impl MeaNet {
 
     // ---------------------------------------------------- parameter access
 
-    /// Visits the parameters of the main block and its exit (cloud-trained).
-    pub fn visit_main_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
-        self.main.visit_params(f);
-        self.main_exit.visit_params(f);
-    }
-
     /// Visits the parameters of the main exit only.
-    pub fn visit_main_exit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_main_exit_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.main_exit.visit_params(f);
     }
 
@@ -466,7 +440,7 @@ impl MeaNet {
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn visit_edge_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_edge_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         let edge = self.edge.as_mut().expect("edge blocks not attached");
         edge.adaptive.visit_params(f);
         edge.extension.visit_params(f);
@@ -474,7 +448,7 @@ impl MeaNet {
     }
 
     /// Visits every parameter (for joint-optimisation baselines).
-    pub fn visit_all_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+    pub(crate) fn visit_all_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
         self.main.visit_params(f);
         self.main_exit.visit_params(f);
         if let Some(edge) = &mut self.edge {
@@ -485,7 +459,7 @@ impl MeaNet {
     }
 
     /// Clears cached activations everywhere.
-    pub fn clear_caches(&mut self) {
+    pub(crate) fn clear_caches(&mut self) {
         self.main.clear_cache();
         self.main_exit.clear_cache();
         if let Some(edge) = &mut self.edge {
@@ -568,7 +542,7 @@ impl MeaNet {
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn edge_state_dict(&mut self) -> mea_nn::StateDict {
+    pub(crate) fn edge_state_dict(&mut self) -> mea_nn::StateDict {
         let edge = self.edge.as_mut().expect("edge blocks not attached");
         let mut chain = Sequential::empty();
         std::mem::swap(&mut chain, &mut edge.adaptive);
@@ -600,7 +574,7 @@ impl MeaNet {
     /// # Panics
     ///
     /// Panics if edge blocks are not attached.
-    pub fn load_edge_state_dict(&mut self, dict: &mea_nn::StateDict) -> Result<(), mea_nn::StateDictError> {
+    pub(crate) fn load_edge_state_dict(&mut self, dict: &mea_nn::StateDict) -> Result<(), mea_nn::StateDictError> {
         let edge = self.edge.as_mut().expect("edge blocks not attached");
         let mut chain = Sequential::empty();
         std::mem::swap(&mut chain, &mut edge.adaptive);
@@ -675,6 +649,23 @@ fn channel_slice(x: &Tensor, from: usize, to: usize) -> Tensor {
         dst[d..d + width * plane].copy_from_slice(&src[s..s + width * plane]);
     }
     out
+}
+
+#[cfg(test)]
+impl MeaNet {
+    /// Parameters of the frozen main block + exit — the Table VI "fixed"
+    /// column. Available before edge blocks are attached (model A counts
+    /// its parked tail as pending-extension, not fixed).
+    pub(crate) fn fixed_params(&self) -> u64 {
+        (self.main.param_count() + self.main_exit.param_count()) as u64
+    }
+
+    /// Visits the parameters of the main block and its exit (cloud-trained), so
+    /// tests can check that edge training leaves them frozen.
+    pub(crate) fn visit_main_params(&mut self, f: &mut dyn FnMut(&mut Param)) {
+        self.main.visit_params(f);
+        self.main_exit.visit_params(f);
+    }
 }
 
 #[cfg(test)]

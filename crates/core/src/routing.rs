@@ -54,7 +54,7 @@ pub enum SweepPayload {
 
 impl SweepPayload {
     /// The cut layer the cloud resumes at (`0` for pixels).
-    pub fn cut(&self) -> usize {
+    pub(crate) fn cut(&self) -> usize {
         match *self {
             SweepPayload::Pixels => 0,
             SweepPayload::Features { cut } | SweepPayload::QuantFeatures { cut } => cut,
@@ -78,13 +78,8 @@ pub struct MainExit {
 
 impl MainExit {
     /// Number of instances in the batch.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.preds.len()
-    }
-
-    /// Whether the batch is empty.
-    pub fn is_empty(&self) -> bool {
-        self.preds.is_empty()
     }
 }
 
@@ -98,12 +93,12 @@ pub struct RoutePlan {
 
 impl RoutePlan {
     /// Batch indices routed to the cloud, in batch order.
-    pub fn cloud_indices(&self) -> Vec<usize> {
+    pub(crate) fn cloud_indices(&self) -> Vec<usize> {
         self.indices_of(ExitPoint::Cloud)
     }
 
     /// Batch indices routed through the extension path, in batch order.
-    pub fn extension_indices(&self) -> Vec<usize> {
+    pub(crate) fn extension_indices(&self) -> Vec<usize> {
         self.indices_of(ExitPoint::Extension)
     }
 
@@ -208,11 +203,6 @@ impl RoutingEngine {
     pub fn new(policy: OffloadPolicy, cloud_available: bool) -> RoutingEngine {
         assert!(policy.is_edge_only() || cloud_available, "an offloading policy requires a cloud model");
         RoutingEngine { policy, cloud_available }
-    }
-
-    /// The current offload policy.
-    pub fn policy(&self) -> OffloadPolicy {
-        self.policy
     }
 
     /// Replaces the offload policy at runtime (the serving path does this
@@ -322,14 +312,14 @@ impl RoutingEngine {
     /// Runs the cloud network over an already-gathered sub-batch and
     /// returns its predictions — the one batched forward both the offline
     /// sweep and the dynamic-batching cloud worker perform.
-    pub fn classify_cloud(cloud: &mut SegmentedCnn, images: &Tensor) -> Vec<usize> {
+    pub(crate) fn classify_cloud(cloud: &mut SegmentedCnn, images: &Tensor) -> Vec<usize> {
         cloud.forward(images, Mode::Eval).argmax_rows()
     }
 
     /// Resumes the cloud network at `resume_layer` over a batch of
     /// activations shipped from the edge (see
     /// [`PendingCloud::resume_layer`]) and returns its predictions.
-    /// `resume_layer == 0` is exactly [`RoutingEngine::classify_cloud`]:
+    /// `resume_layer == 0` is exactly `RoutingEngine::classify_cloud`:
     /// suffix execution is bitwise identical to the full forward
     /// (asserted in `mea-nn`), so feature payloads cannot change a
     /// prediction — they only cut the cloud's recompute.
@@ -357,7 +347,7 @@ impl RoutingEngine {
     /// # Panics
     ///
     /// Panics if a feature cut is out of range for `cloud`.
-    pub fn classify_cloud_payload(
+    pub(crate) fn classify_cloud_payload(
         cloud: &mut SegmentedCnn,
         images: &Tensor,
         payload: SweepPayload,
@@ -578,7 +568,7 @@ mod tests {
     fn set_policy_is_checked_against_cloud_availability() {
         let mut engine = RoutingEngine::new(OffloadPolicy::Never, true);
         engine.set_policy(OffloadPolicy::EntropyThreshold(0.5));
-        assert_eq!(engine.policy(), OffloadPolicy::EntropyThreshold(0.5));
+        assert_eq!(engine.policy, OffloadPolicy::EntropyThreshold(0.5));
     }
 
     #[test]

@@ -28,7 +28,7 @@ impl MainEval {
     }
 
     /// Per-instance correctness flags.
-    pub fn correct_flags(&self) -> Vec<bool> {
+    pub(crate) fn correct_flags(&self) -> Vec<bool> {
         self.predictions.iter().zip(&self.truth).map(|(p, t)| p == t).collect()
     }
 

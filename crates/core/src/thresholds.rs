@@ -11,18 +11,6 @@ pub fn entropy_stats(eval: &MainEval) -> EntropyStats {
     EntropyStats::from_predictions(&eval.entropies, &eval.correct_flags())
 }
 
-/// A uniform sweep of `steps` thresholds over `[lo, hi]`, matching the
-/// paper's Fig. 7 x-axis (0 to 3).
-///
-/// # Panics
-///
-/// Panics if `steps < 2` or `lo > hi`.
-pub fn sweep(lo: f64, hi: f64, steps: usize) -> Vec<f64> {
-    assert!(steps >= 2, "a sweep needs at least two points");
-    assert!(lo <= hi, "invalid sweep range [{lo}, {hi}]");
-    (0..steps).map(|i| lo + (hi - lo) * i as f64 / (steps - 1) as f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -39,17 +27,5 @@ mod tests {
         let s = entropy_stats(&eval);
         assert!(s.mean_correct < 0.2);
         assert!(s.mean_wrong > 1.0);
-    }
-
-    #[test]
-    fn sweep_endpoints_and_spacing() {
-        let s = sweep(0.0, 3.0, 4);
-        assert_eq!(s, vec![0.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least two points")]
-    fn single_point_sweep_rejected() {
-        sweep(0.0, 1.0, 1);
     }
 }

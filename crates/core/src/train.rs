@@ -4,7 +4,7 @@
 //!
 //! 1. [`train_backbone`] — "cloud" pretraining of the full CNN on all
 //!    classes (and of the separate cloud DNN).
-//! 2. [`train_main_exit`] — model A only: fit the freshly created main exit
+//! 2. `train_main_exit` — model A only: fit the freshly created main exit
 //!    on frozen main-block features.
 //! 3. Hard classes are selected from validation statistics
 //!    ([`crate::hard_classes`]) and the hard subset is materialised with
@@ -130,7 +130,7 @@ pub fn train_backbone(net: &mut SegmentedCnn, data: &Dataset, cfg: &TrainConfig)
 
 /// Fits a freshly created main exit (model A) on frozen main-block
 /// features. Cheap: only the exit's pool + FC learn.
-pub fn train_main_exit(net: &mut MeaNet, data: &Dataset, cfg: &TrainConfig) -> Vec<EpochStats> {
+pub(crate) fn train_main_exit(net: &mut MeaNet, data: &Dataset, cfg: &TrainConfig) -> Vec<EpochStats> {
     let loss_fn = CrossEntropyLoss::new();
     let mut opt = cfg.optimizer();
     epoch_loop(data, cfg, |images, labels, lr| {

@@ -30,10 +30,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod dataset;
-pub mod patterns;
+mod dataset;
+mod patterns;
 pub mod presets;
-pub mod remap;
+mod remap;
 pub mod synth;
 
 pub use dataset::{Batches, Dataset};

@@ -7,7 +7,7 @@
 
 /// A fixed dictionary of 2-D sinusoidal basis patterns over 3 channels.
 #[derive(Debug, Clone)]
-pub struct PatternDictionary {
+pub(crate) struct PatternDictionary {
     hw: usize,
     /// Per basis function: (fx, fy, phase offset per channel step).
     bases: Vec<(f32, f32, f32)>,
@@ -22,7 +22,7 @@ impl PatternDictionary {
     /// # Panics
     ///
     /// Panics if `dim == 0` or `hw == 0`.
-    pub fn new(dim: usize, hw: usize) -> Self {
+    pub(crate) fn new(dim: usize, hw: usize) -> Self {
         assert!(dim > 0 && hw > 0, "pattern dictionary needs dim > 0 and hw > 0");
         let mut bases = Vec::with_capacity(dim);
         for d in 0..dim {
@@ -39,13 +39,8 @@ impl PatternDictionary {
     }
 
     /// Number of basis patterns (coefficient dimension).
-    pub fn dim(&self) -> usize {
+    pub(crate) fn dim(&self) -> usize {
         self.bases.len()
-    }
-
-    /// Image side length.
-    pub fn hw(&self) -> usize {
-        self.hw
     }
 
     /// Renders a coefficient vector into a `[3, hw, hw]` image buffer
@@ -54,7 +49,7 @@ impl PatternDictionary {
     /// # Panics
     ///
     /// Panics if `coeffs.len() != self.dim()`.
-    pub fn render(&self, coeffs: &[f32]) -> Vec<f32> {
+    pub(crate) fn render(&self, coeffs: &[f32]) -> Vec<f32> {
         assert_eq!(coeffs.len(), self.dim(), "expected {} coefficients, got {}", self.dim(), coeffs.len());
         let hw = self.hw;
         let mut img = vec![0.0f32; 3 * hw * hw];

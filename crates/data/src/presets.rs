@@ -1,12 +1,8 @@
-//! Ready-made dataset presets mirroring the paper's benchmarks at a scale
-//! that trains on a 2-CPU box.
+//! The ready-made dataset for unit and integration tests: [`tiny`], six
+//! classes in three clusters, 8² images, 8 / 4 train/test images per class.
 //!
-//! | preset | stands in for | classes | clusters | image | train/test per class |
-//! |---|---|---|---|---|---|
-//! | [`tiny`] | unit tests | 6 | 3 | 8² | 8 / 4 |
-//! | [`cifar10_like`] | CIFAR-10 (Fig. 2) | 10 | 4 | 16² | 30 / 10 |
-//! | [`cifar100_like`] | CIFAR-100 | 100 | 20 | 16² | 24 / 8 |
-//! | [`imagenet_like`] | ImageNet | 40 | 8 | 24² | 20 / 8 |
+//! The stand-ins for the paper's CIFAR-10, CIFAR-100 and ImageNet are built
+//! per experiment scale by `mea_bench::Scale`, whose docs list their sizes.
 
 use crate::synth::{generate, DatasetBundle, SynthConfig};
 
@@ -28,61 +24,6 @@ pub fn tiny(seed: u64) -> DatasetBundle {
     })
 }
 
-/// CIFAR-10 stand-in used for the Fig. 2 confusion matrix.
-pub fn cifar10_like(seed: u64) -> DatasetBundle {
-    generate(&SynthConfig {
-        num_classes: 10,
-        num_clusters: 4,
-        image_hw: 16,
-        feature_dim: 14,
-        train_per_class: 30,
-        test_per_class: 10,
-        cluster_separation: 3.0,
-        spread_tight: 0.18,
-        spread_loose: 1.3,
-        noise_mean: 0.25,
-        noise_cap: 1.5,
-        seed,
-    })
-}
-
-/// CIFAR-100 stand-in: 100 classes in 20 clusters of mixed tightness.
-pub fn cifar100_like(seed: u64) -> DatasetBundle {
-    generate(&SynthConfig {
-        num_classes: 100,
-        num_clusters: 20,
-        image_hw: 16,
-        feature_dim: 16,
-        train_per_class: 24,
-        test_per_class: 8,
-        cluster_separation: 3.2,
-        spread_tight: 0.15,
-        spread_loose: 1.3,
-        noise_mean: 0.25,
-        noise_cap: 1.5,
-        seed,
-    })
-}
-
-/// ImageNet stand-in: fewer classes than 1000 (documented substitution) but
-/// larger images and the same cluster-hardness structure.
-pub fn imagenet_like(seed: u64) -> DatasetBundle {
-    generate(&SynthConfig {
-        num_classes: 40,
-        num_clusters: 8,
-        image_hw: 24,
-        feature_dim: 16,
-        train_per_class: 20,
-        test_per_class: 8,
-        cluster_separation: 3.0,
-        spread_tight: 0.15,
-        spread_loose: 1.2,
-        noise_mean: 0.28,
-        noise_cap: 1.6,
-        seed,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -91,23 +32,7 @@ mod tests {
     fn presets_have_documented_sizes() {
         let t = tiny(0);
         assert_eq!((t.train.len(), t.test.len()), (48, 24));
-        let c10 = cifar10_like(0);
-        assert_eq!((c10.train.len(), c10.test.len()), (300, 100));
-        assert_eq!(c10.train.images.dims()[2], 16);
-        let inet = imagenet_like(0);
-        assert_eq!(inet.train.num_classes, 40);
-        assert_eq!(inet.train.images.dims()[2], 24);
-    }
-
-    #[test]
-    fn cifar100_like_has_100_classes_in_20_clusters() {
-        let b = cifar100_like(1);
-        assert_eq!(b.train.num_classes, 100);
-        let max_cluster = b.class_cluster.iter().copied().max().unwrap();
-        assert_eq!(max_cluster, 19);
-        // Spread varies across clusters (hardness heterogeneity exists).
-        let min = b.class_spread.iter().cloned().fold(f32::INFINITY, f32::min);
-        let max = b.class_spread.iter().cloned().fold(0.0f32, f32::max);
-        assert!(max / min > 3.0, "spread range {min}..{max} too uniform");
+        assert_eq!(t.train.num_classes, 6);
+        assert_eq!(t.train.images.dims()[2], 8);
     }
 }

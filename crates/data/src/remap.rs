@@ -46,7 +46,7 @@ impl ClassDict {
     }
 
     /// Compact label for an original label, or `None` if the class is easy.
-    pub fn remap(&self, original: usize) -> Option<usize> {
+    pub(crate) fn remap(&self, original: usize) -> Option<usize> {
         self.orig_to_hard.get(&original).copied()
     }
 

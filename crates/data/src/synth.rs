@@ -54,7 +54,7 @@ impl SynthConfig {
     ///
     /// Panics on structurally invalid values (zero classes, more clusters
     /// than classes, inverted spreads, …).
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!(self.num_classes >= 2, "need at least two classes");
         assert!(self.num_clusters >= 1 && self.num_clusters <= self.num_classes, "invalid cluster count");
         assert!(self.image_hw >= 4, "images must be at least 4x4");
@@ -87,7 +87,7 @@ pub struct DatasetBundle {
 ///
 /// # Panics
 ///
-/// Panics if the configuration is invalid (see [`SynthConfig::validate`]).
+/// Panics if the configuration is invalid (see `SynthConfig::validate`).
 pub fn generate(config: &SynthConfig) -> DatasetBundle {
     config.validate();
     let mut rng = Rng::new(config.seed);

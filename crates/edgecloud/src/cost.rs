@@ -50,7 +50,7 @@ impl CostParams {
     /// # Panics
     ///
     /// Panics if `beta` or `q` leave `[0, 1]` or any unit cost is negative.
-    pub fn validate(&self) {
+    pub(crate) fn validate(&self) {
         assert!((0.0..=1.0).contains(&self.beta), "beta must be in [0,1], got {}", self.beta);
         assert!((0.0..=1.0).contains(&self.q), "q must be in [0,1], got {}", self.q);
         assert!(
@@ -79,11 +79,6 @@ impl CostBreakdown {
     /// since the paper ignores cloud compute energy.
     pub fn edge_total(&self) -> f64 {
         self.edge_compute + self.communication
-    }
-
-    /// Grand total.
-    pub fn total(&self) -> f64 {
-        self.edge_compute + self.cloud_compute + self.communication
     }
 }
 
@@ -173,7 +168,8 @@ mod tests {
         let raw = estimate(Strategy::EdgeCloudRaw, &p);
         let edge = estimate(Strategy::EdgeOnly, &p);
         assert_eq!(raw.edge_compute, edge.edge_compute);
-        assert_eq!(raw.total(), edge.total());
+        let total = |c: &CostBreakdown| c.edge_compute + c.cloud_compute + c.communication;
+        assert_eq!(total(&raw), total(&edge));
     }
 
     #[test]

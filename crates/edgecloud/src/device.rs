@@ -38,7 +38,7 @@ impl DeviceProfile {
     /// # Panics
     ///
     /// Panics if any input is non-positive.
-    pub fn calibrated(name: &str, power_w: f64, workload_macs: u64, latency_s: f64) -> Self {
+    pub(crate) fn calibrated(name: &str, power_w: f64, workload_macs: u64, latency_s: f64) -> Self {
         assert!(latency_s > 0.0 && workload_macs > 0, "calibration needs positive latency and MACs");
         DeviceProfile::new(name, power_w, workload_macs as f64 / latency_s)
     }
@@ -77,7 +77,7 @@ impl DeviceProfile {
     /// # Panics
     ///
     /// Panics if `factor` is not finite and positive.
-    pub fn scaled_throughput(&self, factor: f64) -> Self {
+    pub(crate) fn scaled_throughput(&self, factor: f64) -> Self {
         assert!(factor.is_finite() && factor > 0.0, "throughput scale must be finite and positive");
         DeviceProfile { name: self.name.clone(), power_w: self.power_w, macs_per_sec: self.macs_per_sec * factor }
     }

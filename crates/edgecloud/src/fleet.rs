@@ -145,7 +145,7 @@ impl DeviceClass {
     /// placement planner, stamped with this class's index: the group's
     /// tier-scaled throughput times its member count behind its local
     /// wire. `None` when the class serves solo.
-    pub fn peer_pool(&self, class: usize) -> Option<PeerPool> {
+    pub(crate) fn peer_pool(&self, class: usize) -> Option<PeerPool> {
         self.coop.map(|g| PeerPool {
             class,
             members: g.members,
@@ -200,34 +200,34 @@ impl FleetSpec {
     }
 
     /// The registered device classes, in index order.
-    pub fn classes(&self) -> &[DeviceClass] {
+    pub(crate) fn classes(&self) -> &[DeviceClass] {
         &self.classes
     }
 
     /// Number of registered classes (always ≥ 1).
-    pub fn class_count(&self) -> usize {
+    pub(crate) fn class_count(&self) -> usize {
         self.classes.len()
     }
 
     /// The class index device `device` belongs to: its explicit
     /// assignment if pinned, else `device % class_count`.
-    pub fn class_of(&self, device: usize) -> usize {
+    pub(crate) fn class_of(&self, device: usize) -> usize {
         self.assignment.get(&device).copied().unwrap_or(device % self.classes.len())
     }
 
     /// The class record device `device` belongs to.
-    pub fn device_class(&self, device: usize) -> &DeviceClass {
+    pub(crate) fn device_class(&self, device: usize) -> &DeviceClass {
         &self.classes[self.class_of(device)]
     }
 
     /// Tier-scaled compute profiles, one per class in index order — what
     /// the cut planner and the fleet simulator consume.
-    pub fn effective_profiles(&self) -> Vec<DeviceProfile> {
+    pub(crate) fn effective_profiles(&self) -> Vec<DeviceProfile> {
         self.classes.iter().map(DeviceClass::effective_profile).collect()
     }
 
     /// Per-class link priors in index order (`None` = shared link).
-    pub fn link_priors(&self) -> Vec<Option<NetworkLink>> {
+    pub(crate) fn link_priors(&self) -> Vec<Option<NetworkLink>> {
         self.classes.iter().map(|c| c.link_prior).collect()
     }
 
@@ -247,7 +247,7 @@ impl FleetSpec {
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn sticky_index(&self, device: usize, n: usize) -> usize {
+    pub(crate) fn sticky_index(&self, device: usize, n: usize) -> usize {
         assert!(n > 0, "cannot pick among zero slots");
         device % n
     }
@@ -332,7 +332,7 @@ struct CloudJob {
 /// hop of a multi-stage [`crate::partition::PlacementPlan`]: its own
 /// FIFO local wire (serialisation, then half that wire's RTT, with the
 /// upload energy charged to the edge) and its own FIFO pooled peer
-/// ([`DeviceClass::peer_pool`]) running `cfg.macs_peer`. A one-member
+/// (`DeviceClass::peer_pool`) running `cfg.macs_peer`. A one-member
 /// group serves solo, as the placement planner treats it.
 ///
 /// # Panics

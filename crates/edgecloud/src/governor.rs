@@ -63,7 +63,7 @@ impl SlaTarget {
 
     /// The p95 budget in seconds (latencies are measured in seconds
     /// everywhere inside the runtime).
-    pub fn p95_s(&self) -> f64 {
+    pub(crate) fn p95_s(&self) -> f64 {
         self.p95_ms / 1e3
     }
 }
@@ -129,7 +129,7 @@ pub struct GovernorConfig {
 
 impl GovernorConfig {
     /// A governor configuration with default tuning around `target`.
-    pub fn new(target: SlaTarget) -> Self {
+    pub(crate) fn new(target: SlaTarget) -> Self {
         GovernorConfig { target, accuracy: AccuracyModel::default(), beta_step: 0.1, min_window: 4 }
     }
 }
@@ -183,14 +183,9 @@ impl Governor {
     /// # Panics
     ///
     /// Panics if `classes == 0`.
-    pub fn new(config: GovernorConfig, classes: usize) -> Self {
+    pub(crate) fn new(config: GovernorConfig, classes: usize) -> Self {
         assert!(classes > 0, "need at least one device class to govern");
         Governor { config, rungs: vec![0; classes], beta_target: None, sla_violations: 0 }
-    }
-
-    /// The configuration this governor enforces.
-    pub fn config(&self) -> &GovernorConfig {
-        &self.config
     }
 
     /// Judges one decision window for `class`: the live window's p95
@@ -203,7 +198,7 @@ impl Governor {
     /// the β target when a violation first reaches the β rung (the
     /// governor lowers β *from where the system actually operates*, not
     /// from an assumed 1.0).
-    pub fn observe_window(
+    pub(crate) fn observe_window(
         &mut self,
         class: usize,
         live_p95_s: Option<f64>,
@@ -235,14 +230,14 @@ impl Governor {
     /// Whether `class`'s cuts should be planned against the
     /// SLA-constrained objective (any rung above 0) instead of the base
     /// objective.
-    pub fn sla_constrained(&self, class: usize) -> bool {
+    pub(crate) fn sla_constrained(&self, class: usize) -> bool {
         self.rungs[class] >= 1
     }
 
     /// The feature wire `class` currently ships offloads on: lossless f32
     /// until the wire rungs are reached, then per-tensor int8, then the
     /// grid-indexed per-channel int8.
-    pub fn wire(&self, class: usize) -> FeatureWire {
+    pub(crate) fn wire(&self, class: usize) -> FeatureWire {
         match self.rungs[class] {
             0 | 1 => FeatureWire::F32,
             2 => FeatureWire::Int8,
@@ -253,14 +248,14 @@ impl Governor {
     /// The governed target offload fraction, once the β rung has been
     /// spent. Never below the accuracy floor's
     /// [`AccuracyModel::min_beta`] bound.
-    pub fn beta_target(&self) -> Option<f64> {
+    pub(crate) fn beta_target(&self) -> Option<f64> {
         self.beta_target
     }
 
     /// The SLA-constrained cut objective built around `base` — what the
     /// planner scores cuts with for an [`Governor::sla_constrained`]
     /// class.
-    pub fn sla_objective(&self, base: Objective) -> SlaObjective {
+    pub(crate) fn sla_objective(&self, base: Objective) -> SlaObjective {
         SlaObjective {
             base,
             p95_budget_s: self.config.target.p95_s(),
@@ -269,7 +264,7 @@ impl Governor {
     }
 
     /// Windows that violated the SLA so far.
-    pub fn sla_violations(&self) -> u64 {
+    pub(crate) fn sla_violations(&self) -> u64 {
         self.sla_violations
     }
 }
@@ -343,14 +338,14 @@ mod tests {
     #[test]
     fn beta_never_crosses_the_accuracy_floor_bound() {
         let mut g = governor(10.0);
-        let floor_beta = g.config().accuracy.min_beta(0.90);
+        let floor_beta = g.config.accuracy.min_beta(0.90);
         assert!(floor_beta > 0.0, "a 0.90 floor must bind beta under the default model");
         for _ in 0..100 {
             g.observe_window(0, Some(0.5), 64, 0.9);
         }
         let t = g.beta_target().unwrap();
         assert!((t - floor_beta).abs() < 1e-12, "beta must stop at the floor bound: {t} vs {floor_beta}");
-        assert!(g.config().accuracy.predicted(t) >= 0.90 - 1e-12);
+        assert!(g.config.accuracy.predicted(t) >= 0.90 - 1e-12);
     }
 
     #[test]

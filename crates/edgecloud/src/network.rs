@@ -15,7 +15,7 @@ pub struct UploadPowerModel {
 
 impl UploadPowerModel {
     /// The paper's WiFi coefficients.
-    pub fn wifi() -> Self {
+    pub(crate) fn wifi() -> Self {
         UploadPowerModel { mw_per_mbps: 283.17, base_mw: 132.86 }
     }
 
@@ -24,12 +24,12 @@ impl UploadPowerModel {
     /// `α_u = 438.39 mW/Mbps`, `β = 1288.04 mW`). LTE burns ~10× the idle
     /// baseline of WiFi, which is why cellular deployments want even
     /// fewer offloads.
-    pub fn lte() -> Self {
+    pub(crate) fn lte() -> Self {
         UploadPowerModel { mw_per_mbps: 438.39, base_mw: 1288.04 }
     }
 
     /// Upload power in watts at the given throughput.
-    pub fn power_w(&self, throughput_mbps: f64) -> f64 {
+    pub(crate) fn power_w(&self, throughput_mbps: f64) -> f64 {
         (self.mw_per_mbps * throughput_mbps + self.base_mw) / 1e3
     }
 }
@@ -73,7 +73,7 @@ impl NetworkLink {
 
     /// An LTE link with a given throughput (Huang et al.'s measured
     /// average LTE uplink was ~5.6 Mb/s).
-    pub fn lte(throughput_mbps: f64) -> Self {
+    pub(crate) fn lte(throughput_mbps: f64) -> Self {
         NetworkLink { throughput_mbps, download_mbps: throughput_mbps, power: UploadPowerModel::lte(), rtt_s: 0.0 }
     }
 
@@ -146,14 +146,14 @@ impl NetworkLink {
     /// helpers; the virtual-clock simulator
     /// ([`crate::fleet::simulate_fleet`]) charges the same convention
     /// inline.
-    pub fn uplink_leg_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn uplink_leg_s(&self, bytes: u64) -> f64 {
         self.upload_time_s(bytes) + self.rtt_s / 2.0
     }
 
     /// Time of the **downlink leg** of one offload: cross half the
     /// propagation delay, then serialise `bytes` down the link (see
     /// [`NetworkLink::uplink_leg_s`] for the shared convention).
-    pub fn downlink_leg_s(&self, bytes: u64) -> f64 {
+    pub(crate) fn downlink_leg_s(&self, bytes: u64) -> f64 {
         self.rtt_s / 2.0 + self.download_time_s(bytes)
     }
 
@@ -231,7 +231,7 @@ impl LinkEstimator {
     }
 
     /// Number of device classes tracked.
-    pub fn class_count(&self) -> usize {
+    pub(crate) fn class_count(&self) -> usize {
         self.classes.len()
     }
 
@@ -258,11 +258,6 @@ impl LinkEstimator {
         }
         t.rtt_s = blend(t.rtt_s, rtt_s, t.samples == 0);
         t.samples += 1;
-    }
-
-    /// Batch observations recorded for `class`.
-    pub fn samples(&self, class: usize) -> u64 {
-        self.classes[class].samples
     }
 
     /// The current estimate for `class`, or `None` before the first
@@ -294,7 +289,7 @@ impl LinkEstimator {
 
     /// Estimates for every class, in class order (see
     /// [`LinkEstimator::estimate`]).
-    pub fn estimates(&self) -> Vec<Option<LinkEstimate>> {
+    pub(crate) fn estimates(&self) -> Vec<Option<LinkEstimate>> {
         (0..self.classes.len()).map(|c| self.estimate(c)).collect()
     }
 }

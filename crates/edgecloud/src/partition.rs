@@ -137,7 +137,7 @@ pub struct Stage {
 
 /// An ordered list of execution stages covering the whole network — the
 /// N-stage generalisation of the scalar cut. The legacy two-tier split is
-/// exactly [`PlacementPlan::two_stage`]: `Local [0, cut)` then
+/// exactly `PlacementPlan::two_stage`: `Local [0, cut)` then
 /// `Cloud [cut, L)`. Cooperative edge splitting inserts a `Peer` stage
 /// between them, so one forward crosses *two* wires: the dedicated local
 /// hop to the pooled peers, then the shared WAN hop to the cloud.
@@ -157,7 +157,7 @@ impl PlacementPlan {
     ///
     /// Panics if `stages` is empty, the ranges are not contiguous from
     /// layer 0, or the final stage is not [`StageExecutor::Cloud`].
-    pub fn from_stages(stages: Vec<Stage>) -> Self {
+    pub(crate) fn from_stages(stages: Vec<Stage>) -> Self {
         assert!(!stages.is_empty(), "a placement needs at least one stage");
         let mut at = 0usize;
         for s in &stages {
@@ -179,7 +179,7 @@ impl PlacementPlan {
     /// # Panics
     ///
     /// Panics if `cut > total_layers`.
-    pub fn two_stage(cut: usize, total_layers: usize) -> Self {
+    pub(crate) fn two_stage(cut: usize, total_layers: usize) -> Self {
         assert!(cut <= total_layers, "cut {cut} beyond the {total_layers}-layer network");
         PlacementPlan::from_stages(vec![
             Stage { executor: StageExecutor::Local, layer_range: (0, cut) },
@@ -194,7 +194,7 @@ impl PlacementPlan {
     /// # Panics
     ///
     /// Panics if the boundaries are not monotone within the network.
-    pub fn three_stage(local_end: usize, peer_end: usize, peer_class: usize, total_layers: usize) -> Self {
+    pub(crate) fn three_stage(local_end: usize, peer_end: usize, peer_class: usize, total_layers: usize) -> Self {
         assert!(
             local_end <= peer_end && peer_end <= total_layers,
             "placement boundaries must be monotone: {local_end} <= {peer_end} <= {total_layers}"
@@ -216,11 +216,6 @@ impl PlacementPlan {
     /// a two-stage plan).
     pub fn final_cut(&self) -> usize {
         self.stages.last().expect("validated non-empty").layer_range.0
-    }
-
-    /// Total layers covered by the plan.
-    pub fn total_layers(&self) -> usize {
-        self.stages.last().expect("validated non-empty").layer_range.1
     }
 
     /// The first peer stage, if the plan splits across cooperating edge
@@ -286,7 +281,7 @@ pub struct PartitionEnv {
     pub link: NetworkLink,
     /// Bytes per transmitted activation element (4 for f32 features, 1
     /// for int8-quantized features). Int8 is priced at its raw body's
-    /// bound ([`crate::serve::FeatureWire::bytes_per_elem`]): a
+    /// bound (`crate::serve::FeatureWire::bytes_per_elem`): a
     /// Huffman-coded frame can be shorter, so the int8 upload of a cut is
     /// an upper bound.
     pub bytes_per_elem: u64,
@@ -414,7 +409,12 @@ impl CutPlanner {
     /// # Panics
     ///
     /// Panics if `profiles` is empty or `streams == 0`.
-    pub fn new(profiles: Vec<LayerProfile>, env: PartitionEnv, objective: Objective, streams: usize) -> Self {
+    pub(crate) fn new(
+        profiles: Vec<LayerProfile>,
+        env: PartitionEnv,
+        objective: Objective,
+        streams: usize,
+    ) -> Self {
         assert!(!profiles.is_empty(), "nothing to partition");
         assert!(streams > 0, "need at least one device stream");
         CutPlanner {
@@ -432,18 +432,13 @@ impl CutPlanner {
         CutPlanner::new(profile_network(net), env, objective, streams)
     }
 
-    /// The current offload fraction the congestion model assumes.
-    pub fn beta(&self) -> f64 {
-        self.beta
-    }
-
     /// Feeds back an observed offload fraction (e.g. a
     /// `ThresholdController` window outcome).
     ///
     /// # Panics
     ///
     /// Panics if `beta` leaves `[0, 1]`.
-    pub fn set_beta(&mut self, beta: f64) {
+    pub(crate) fn set_beta(&mut self, beta: f64) {
         assert!((0.0..=1.0).contains(&beta), "offload fraction must be in [0,1], got {beta}");
         self.beta = beta;
     }
@@ -602,7 +597,7 @@ impl CutPlanner {
     /// can only be *reduced* by ignoring an unmeetable budget, never
     /// traded away) flagged `false` so the governor can count the SLA as
     /// unreachable instead of pretending.
-    pub fn plan_placement_for_sla(
+    pub(crate) fn plan_placement_for_sla(
         &self,
         edge: &DeviceProfile,
         link: Option<&NetworkLink>,
@@ -630,7 +625,7 @@ impl CutPlanner {
     /// One cost-minimal placement per device class under the static
     /// contention model, each with its own optional WAN link prior and
     /// cooperative peer pool — the heterogeneous-fleet placement entry
-    /// point ([`crate::fleet::FleetSpec::link_priors`] supplies `links`,
+    /// point (`crate::fleet::FleetSpec::link_priors` supplies `links`,
     /// [`crate::fleet::FleetSpec::peer_pools`] supplies `pools`).
     ///
     /// # Panics
@@ -1102,13 +1097,13 @@ mod tests {
     fn placement_plan_accessors_cover_the_shapes() {
         let two = PlacementPlan::two_stage(2, 5);
         assert_eq!(two.final_cut(), 2);
-        assert_eq!(two.total_layers(), 5);
+        assert_eq!(two.stages()[1].layer_range, (2, 5));
         assert!(two.peer_stage().is_none());
         assert_eq!(two.stages().len(), 2);
         let three = PlacementPlan::three_stage(1, 3, 7, 5);
         assert!(three.peer_stage().is_some());
         assert_eq!(three.final_cut(), 3);
-        assert_eq!(three.total_layers(), 5);
+        assert_eq!(three.stages()[2].layer_range, (3, 5));
         let peer = three.peer_stage().expect("has a peer stage");
         assert_eq!(peer.executor, StageExecutor::Peer(7));
         assert_eq!(peer.layer_range, (1, 3));

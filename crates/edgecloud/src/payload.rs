@@ -36,19 +36,19 @@ pub struct ActivationGrids {
 impl ActivationGrids {
     /// Builds a grid table from per-cut channel absolute maxima, producing
     /// symmetric per-channel parameters ([`QuantParams::symmetric_per_channel`]).
-    pub fn from_absmax(per_cut: Vec<Option<Vec<f32>>>) -> Self {
+    pub(crate) fn from_absmax(per_cut: Vec<Option<Vec<f32>>>) -> Self {
         let per_cut = per_cut.into_iter().map(|a| a.map(|m| QuantParams::symmetric_per_channel(&m))).collect();
         ActivationGrids { per_cut }
     }
 
     /// The calibrated parameters at `cut`, if any.
-    pub fn params(&self, cut: usize) -> Option<&QuantParams> {
+    pub(crate) fn params(&self, cut: usize) -> Option<&QuantParams> {
         self.per_cut.get(cut).and_then(|p| p.as_ref())
     }
 }
 
 /// Per-channel absolute maxima of a single-instance activation `[1, C, ...]`
-/// — the calibration statistic [`ActivationGrids::from_absmax`] consumes.
+/// — the calibration statistic `ActivationGrids::from_absmax` consumes.
 ///
 /// # Panics
 ///
@@ -140,7 +140,7 @@ impl Payload {
     /// Encodes an int8 feature payload straight from a borrowed tensor:
     /// the `mea_quant::wire` frame is written directly into the output
     /// buffer (no intermediate frame allocation).
-    pub fn encode_quant(features: &QTensor) -> Bytes {
+    pub(crate) fn encode_quant(features: &QTensor) -> Bytes {
         let raw_len = 8 + 8 * features.params().channels() + 4 * features.dims().len() + features.numel();
         let mut buf = Vec::with_capacity(raw_len);
         buf.put_u8(2);
@@ -167,7 +167,7 @@ impl Payload {
     ///
     /// Panics if no grid is calibrated at `cut`, the activation is not
     /// single-instance, or its channel count differs from the grid's.
-    pub fn encode_grid_features(features: &Tensor, cut: usize, grids: &ActivationGrids) -> Bytes {
+    pub(crate) fn encode_grid_features(features: &Tensor, cut: usize, grids: &ActivationGrids) -> Bytes {
         let params = grids.params(cut).unwrap_or_else(|| panic!("no activation grid calibrated for cut {cut}"));
         let dims = features.dims();
         assert!(dims.len() >= 2 && dims[0] == 1, "grid-indexed frames ship single-instance activations");
@@ -191,7 +191,7 @@ impl Payload {
     }
 
     /// Decodes a payload produced by [`Payload::encode`]; a grid-indexed
-    /// frame (tag 3) decodes only through [`Payload::decode_into_with_grids`].
+    /// frame (tag 3) decodes only through `Payload::decode_into_with_grids`.
     ///
     /// # Errors
     ///
@@ -208,7 +208,7 @@ impl Payload {
         Ok(if raw { Payload::RawImage { image: t } } else { Payload::Features { features: t } })
     }
 
-    /// [`Payload::decode_into_with_grids`] with no grid table, panicking
+    /// `Payload::decode_into_with_grids` with no grid table, panicking
     /// on a malformed buffer. Kept only because the benchmark crate calls
     /// it by this name.
     pub fn decode_into(buf: Bytes, out: &mut Vec<f32>) -> Vec<usize> {
@@ -228,7 +228,7 @@ impl Payload {
     ///
     /// Returns a [`WireError`] on a malformed or overlong buffer or a cut
     /// with no calibrated grid; `out` may then hold a partial append.
-    pub fn decode_into_with_grids(
+    pub(crate) fn decode_into_with_grids(
         buf: Bytes,
         grids: &ActivationGrids,
         out: &mut Vec<f32>,

@@ -96,12 +96,6 @@ impl Fleet {
             }
         })
     }
-
-    /// Releases the configuration and replicas (e.g. to retrain the
-    /// models or rebuild with a different configuration).
-    pub fn into_parts(self) -> (ServeConfig, Vec<EdgeReplica>, Vec<SegmentedCnn>) {
-        (self.config, self.edges, self.clouds)
-    }
 }
 
 /// `later − earlier` in seconds: negative when `later` is the earlier one.

@@ -47,7 +47,7 @@ pub enum FeatureWire {
     /// shorter (3,103 or 2,325 bytes on average at the e2e split cut).
     Int8,
     /// Per-channel int8 activations on a **calibrated grid**
-    /// ([`Payload::encode_grid_features`]): the per-channel scales are
+    /// (`Payload::encode_grid_features`): the per-channel scales are
     /// calibrated once at serve setup ([`ActivationGrids`]) and shared by
     /// edge and cloud out of band, so frames carry only a one-byte cut
     /// index plus the quantised data — a header 16 bytes shorter than
@@ -62,7 +62,7 @@ impl FeatureWire {
     /// Huffman-coded body is often shorter (0.757 B per element on average
     /// at the e2e split cut, `tests/wire_sizes.rs`), so a planner pricing
     /// by this overstates int8 uplink bytes by up to 1.32×.
-    pub fn bytes_per_elem(self) -> u64 {
+    pub(crate) fn bytes_per_elem(self) -> u64 {
         match self {
             FeatureWire::F32 => 4,
             FeatureWire::Int8 | FeatureWire::PerChannelInt8 => 1,
@@ -116,7 +116,7 @@ pub struct CutPlannerConfig {
     /// When [`ServeConfigBuilder::fleet`] is set this list must be **empty** —
     /// the fleet's effective per-class profiles (and link priors) drive
     /// the planner, and devices map to classes through
-    /// [`FleetSpec::class_of`] instead of the modulo convention.
+    /// `FleetSpec::class_of` instead of the modulo convention.
     pub classes: Vec<DeviceProfile>,
     /// The cloud device executing the suffix.
     pub cloud: DeviceProfile,
@@ -390,14 +390,6 @@ impl ServeConfigBuilder {
         self
     }
 
-    /// Replaces the offload policy. Ignored when the [`ControlPlan`]
-    /// carries a controller (the controller then drives an
-    /// entropy-threshold policy starting from its own threshold).
-    pub fn policy(mut self, policy: OffloadPolicy) -> Self {
-        self.cfg.policy = policy;
-        self
-    }
-
     /// Who steers ([`ControlPlan`]): what offloaded instances carry
     /// across the wire and how the (β, cut, wire) operating point is
     /// chosen.
@@ -410,7 +402,7 @@ impl ServeConfigBuilder {
     /// (the upload plus half the RTT) before the forward and its downlink
     /// leg (half the RTT plus the response download) after it, as real
     /// wall-clock delay on the worker that serves it — the same
-    /// [`NetworkLink::uplink_leg_s`]/[`NetworkLink::downlink_leg_s`]
+    /// `NetworkLink::uplink_leg_s`/`NetworkLink::downlink_leg_s`
     /// convention the virtual-clock simulator and the closed-form
     /// `round_trip_s` charge. On a real transport the wire's own transfer
     /// time replaces these sleeps; the model then only informs the
@@ -444,7 +436,7 @@ impl ServeConfigBuilder {
 
     /// Heterogeneous device registry: routes every device→class decision
     /// (planned cuts, link telemetry, per-class stats) through
-    /// [`FleetSpec::class_of`] and plans cuts from each class's
+    /// `FleetSpec::class_of` and plans cuts from each class's
     /// tier-scaled profile and radio prior. Without one, devices
     /// round-robin over [`CutPlannerConfig::classes`]. A spec whose
     /// classes equal those planner classes serves record-identically.
@@ -498,8 +490,7 @@ pub enum ServeConfigError {
     /// A [`TransportKind::Pipe`] pacing rate (`up_mbps`, `down_mbps` or a
     /// throttle's `up_mbps`) that is not finite and positive, or so slow
     /// that pacing the largest batch the run can ship (`max_batch` frames
-    /// of [`MAX_FRAME_BYTES`](crate::transport::MAX_FRAME_BYTES)) takes no
-    /// time the clock can hold.
+    /// of `MAX_FRAME_BYTES`) takes no time the clock can hold.
     InvalidPaceRate,
     /// A [`NetworkLink`] the runtime sleeps on or plans with — the
     /// [`ServeConfigBuilder::link`], a [`LinkChange::link`], a fleet

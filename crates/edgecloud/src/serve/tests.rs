@@ -1357,23 +1357,6 @@ fn fleet_new_checks_every_edge_prefix_against_the_clouds() {
 }
 
 #[test]
-fn fleet_serves_again_from_its_parts_bitwise() {
-    let bundle = presets::tiny(151);
-    let cfg = config(OffloadPolicy::EntropyThreshold(0.8), 2, 1, 4).build().expect("valid config");
-    let reqs = instant_requests(&bundle.test, 3);
-    let mut fleet = Fleet::new(cfg, edge_replicas(2, 54), replicas(1, || tiny_cloud(55))).expect("consistent");
-    let first = fleet.serve(&reqs).expect("serves");
-
-    // The parts come back out, and a fleet rebuilt from them serves the
-    // same records.
-    let (cfg, edges, clouds) = fleet.into_parts();
-    assert_eq!((edges.len(), clouds.len()), (cfg.edge_workers, cfg.cloud_workers));
-    let again = Fleet::new(cfg, edges, clouds).expect("consistent").serve(&reqs).expect("serves");
-    assert_eq!(again.records, first.records);
-    assert_eq!(again.stats.offloaded, first.stats.offloaded);
-}
-
-#[test]
 fn fleet_new_rejects_mismatched_replicas_up_front() {
     let cfg = config(OffloadPolicy::Never, 2, 0, 1).build().expect("valid config");
     let err = Fleet::new(cfg, edge_replicas(1, 56), Vec::new()).expect_err("one replica short");

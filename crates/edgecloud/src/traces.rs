@@ -51,7 +51,7 @@ pub enum ArrivalModel {
         scale: f64,
         /// Tail index. `shape <= 1` has an infinite mean — allowed for
         /// generation (the draws are still finite) but
-        /// [`ArrivalModel::mean_interval_s`] reports `f64::INFINITY`.
+        /// `ArrivalModel::mean_interval_s` reports `f64::INFINITY`.
         shape: f64,
     },
     /// Diurnal-modulated Poisson process: the instantaneous rate swings
@@ -154,14 +154,17 @@ impl ArrivalModel {
         }
         times
     }
+}
 
+#[cfg(test)]
+impl ArrivalModel {
     /// Mean inter-arrival time implied by the model (for rate-matched
     /// comparisons between models). Exact in closed form for every
     /// variant: log-normal mean is `exp(mu + sigma²/2)`, Pareto mean is
     /// `shape·scale/(shape−1)` (infinite for `shape <= 1`), and the
     /// diurnal modulation averages out to the base rate over whole
     /// cycles.
-    pub fn mean_interval_s(&self) -> f64 {
+    pub(crate) fn mean_interval_s(&self) -> f64 {
         match *self {
             ArrivalModel::Uniform { interval_s } => interval_s,
             ArrivalModel::Poisson { rate_hz } => 1.0 / rate_hz,

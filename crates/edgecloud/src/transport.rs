@@ -30,7 +30,7 @@
 //! [`UdsConfig::window_bytes`]: bytes sent but not yet decoded, where an
 //! idle direction admits one frame of any size); reassembles partial
 //! frames on the receiving side, where a malformed frame (a length over
-//! [`MAX_FRAME_BYTES`], a body wrong for its type) ends the lane as EOF
+//! `MAX_FRAME_BYTES`, a body wrong for its type) ends the lane as EOF
 //! does; and carries per-frame send timestamps in a side queue (the
 //! stand-in for NIC timestamping).
 //!
@@ -39,7 +39,7 @@
 //! its number of cloud workers. Both directions carry little-endian
 //! length-prefixed frames ([`RequestFrame`], [`ResponseFrame`]); the
 //! response frame's exact encoded size is what the serving stats and the
-//! partition planner charge on the downlink ([`ResponseFrame::WIRE_BYTES`]).
+//! partition planner charge on the downlink (`ResponseFrame::WIRE_BYTES`).
 //!
 //! Shutdown is ownership-driven so a panicking worker can never wedge its
 //! peers: the cloud tier *owns* the lane's [`Transport::Uplink`]
@@ -115,7 +115,7 @@ pub struct RequestFrame {
 impl RequestFrame {
     /// Frame overhead on the byte wire: the length prefix (4) plus the
     /// `req_id`/`device`/`seq`/`resume_layer` header (24).
-    pub const HEADER_BYTES: u64 = 28;
+    pub(crate) const HEADER_BYTES: u64 = 28;
 
     /// Total bytes this frame occupies on the byte wire.
     pub fn wire_bytes(&self) -> u64 {
@@ -152,10 +152,10 @@ pub struct ResponseFrame {
 impl ResponseFrame {
     /// Exact encoded size: length prefix (4) + `req_id` (8) +
     /// `prediction` (4).
-    pub const WIRE_BYTES: u64 = 16;
+    pub(crate) const WIRE_BYTES: u64 = 16;
 
     /// Serialises the frame (length-prefixed, little-endian).
-    pub fn encode(&self) -> [u8; 16] {
+    pub(crate) fn encode(&self) -> [u8; 16] {
         let mut out = [0u8; 16];
         out[0..4].copy_from_slice(&12u32.to_le_bytes());
         out[4..12].copy_from_slice(&self.req_id.to_le_bytes());
@@ -180,10 +180,10 @@ pub struct Inbound<F> {
 }
 
 /// A received request frame plus its transfer timestamps.
-pub type InboundRequest = Inbound<RequestFrame>;
+pub(crate) type InboundRequest = Inbound<RequestFrame>;
 
 /// A received response frame plus its transfer timestamps.
-pub type InboundResponse = Inbound<ResponseFrame>;
+pub(crate) type InboundResponse = Inbound<ResponseFrame>;
 
 /// Error returned by sends once the other end of a lane is gone (receiver
 /// dropped) or the direction was explicitly closed.
@@ -440,7 +440,7 @@ mod stream {
 
     /// An in-process byte stream with the std socket semantics a lane
     /// relies on.
-    pub fn pipe() -> (PipeWriter, PipeReader) {
+    pub(crate) fn pipe() -> (PipeWriter, PipeReader) {
         let (tx, rx) = unbounded();
         (PipeWriter(tx), PipeReader { rx, pending: VecDeque::new(), wait: None })
     }
@@ -682,7 +682,7 @@ type Decode<F> = fn(&mut Vec<u8>) -> Result<Option<F>, WireError>;
 
 /// The largest frame body a byte-stream lane accepts, far above the few
 /// MiB of the largest payload served (an f32 ImageNet-scale activation).
-pub const MAX_FRAME_BYTES: usize = 64 << 20;
+pub(crate) const MAX_FRAME_BYTES: usize = 64 << 20;
 
 /// Pops one complete length-prefixed frame body off `acc`, if present.
 /// The body leaves the reassembly buffer with a single copy and is handed
@@ -889,7 +889,7 @@ impl PipeTransport {
     ///
     /// Panics if a pacing rate in `cfg` is not finite and positive, or
     /// is too slow for the clock to hold the deadline of a
-    /// [`MAX_FRAME_BYTES`] frame.
+    /// `MAX_FRAME_BYTES` frame.
     pub fn new(lanes: usize, cfg: PipeConfig) -> Self {
         assert!(cfg.rates_are_valid(MAX_FRAME_BYTES as u64), "pacing rates must be finite and positive");
         let pacers = [Pacer::new(cfg.up_mbps, cfg.throttle), Pacer::new(cfg.down_mbps, Vec::new())];

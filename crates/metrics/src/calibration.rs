@@ -12,7 +12,7 @@ use serde::{Deserialize, Serialize};
 
 /// One confidence bin of a reliability diagram.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ReliabilityBin {
+pub(crate) struct ReliabilityBin {
     /// Inclusive lower edge of the bin.
     pub lo: f32,
     /// Exclusive upper edge (inclusive for the last bin).
@@ -28,14 +28,14 @@ pub struct ReliabilityBin {
 impl ReliabilityBin {
     /// Signed miscalibration of the bin (`accuracy − confidence`;
     /// negative = overconfident).
-    pub fn gap(&self) -> f64 {
+    pub(crate) fn gap(&self) -> f64 {
         self.accuracy - self.mean_confidence
     }
 }
 
 /// A reliability diagram over equal-width confidence bins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Reliability {
+pub(crate) struct Reliability {
     bins: Vec<ReliabilityBin>,
     total: usize,
 }
@@ -48,7 +48,7 @@ impl Reliability {
     ///
     /// Panics if the slices' lengths differ, `num_bins` is zero, or any
     /// confidence leaves `[0, 1]`.
-    pub fn from_predictions(confidences: &[f32], correct: &[bool], num_bins: usize) -> Self {
+    pub(crate) fn from_predictions(confidences: &[f32], correct: &[bool], num_bins: usize) -> Self {
         assert_eq!(confidences.len(), correct.len(), "confidence/correct length mismatch");
         assert!(num_bins > 0, "need at least one bin");
         let mut conf_sum = vec![0.0f64; num_bins];
@@ -74,22 +74,12 @@ impl Reliability {
         Reliability { bins, total: confidences.len() }
     }
 
-    /// The bins, in confidence order.
-    pub fn bins(&self) -> &[ReliabilityBin] {
-        &self.bins
-    }
-
     /// Expected calibration error: occupancy-weighted mean |gap|.
-    pub fn ece(&self) -> f64 {
+    pub(crate) fn ece(&self) -> f64 {
         if self.total == 0 {
             return 0.0;
         }
         self.bins.iter().map(|b| (b.count as f64 / self.total as f64) * b.gap().abs()).sum()
-    }
-
-    /// Total predictions binned.
-    pub fn total(&self) -> usize {
-        self.total
     }
 }
 
@@ -135,7 +125,7 @@ mod tests {
         let confidences = vec![0.3f32; 100];
         let correct = vec![true; 100];
         let r = Reliability::from_predictions(&confidences, &correct, 5);
-        let bin = r.bins().iter().find(|b| b.count > 0).unwrap();
+        let bin = r.bins.iter().find(|b| b.count > 0).unwrap();
         assert!(bin.gap() > 0.6, "underconfidence should show a positive gap, got {}", bin.gap());
     }
 
@@ -144,10 +134,10 @@ mod tests {
         let confidences: Vec<f32> = (0..101).map(|i| i as f32 / 100.0).collect();
         let correct = vec![true; 101];
         let r = Reliability::from_predictions(&confidences, &correct, 7);
-        assert_eq!(r.bins().iter().map(|b| b.count).sum::<usize>(), 101);
-        assert_eq!(r.total(), 101);
+        assert_eq!(r.bins.iter().map(|b| b.count).sum::<usize>(), 101);
+        assert_eq!(r.total, 101);
         // Confidence 1.0 lands in the last bin, not out of range.
-        assert!(r.bins().last().unwrap().count >= 1);
+        assert!(r.bins.last().unwrap().count >= 1);
     }
 
     #[test]

@@ -56,12 +56,12 @@ impl ConfusionMatrix {
     }
 
     /// Count of instances of true class `t` predicted as `p`.
-    pub fn count(&self, t: usize, p: usize) -> u64 {
+    pub(crate) fn count(&self, t: usize, p: usize) -> u64 {
         self.counts[t * self.k + p]
     }
 
     /// Total recorded instances.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
@@ -78,7 +78,7 @@ impl ConfusionMatrix {
     /// Precision of class `c`: `TP / (TP + FP)` over predictions of `c`.
     /// Classes never predicted get precision 0 (maximally suspect, matching
     /// the paper's "rank by precision ascending" selection).
-    pub fn precision(&self, c: usize) -> f64 {
+    pub(crate) fn precision(&self, c: usize) -> f64 {
         let tp = self.count(c, c);
         let predicted: u64 = (0..self.k).map(|t| self.count(t, c)).sum();
         if predicted == 0 {

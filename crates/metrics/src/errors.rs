@@ -10,7 +10,7 @@ use serde::{Deserialize, Serialize};
 
 /// One of the four error types of Fig. 5.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum ErrorType {
+pub(crate) enum ErrorType {
     /// (I) A sample of an easy class predicted as a hard class.
     EasyAsHard,
     /// (II) A sample of a hard class predicted as an easy class.
@@ -27,7 +27,7 @@ impl ErrorType {
     /// # Panics
     ///
     /// Panics if `truth == predicted` (not an error).
-    pub fn classify(truth_is_hard: bool, predicted_is_hard: bool, truth: usize, predicted: usize) -> Self {
+    pub(crate) fn classify(truth_is_hard: bool, predicted_is_hard: bool, truth: usize, predicted: usize) -> Self {
         assert_ne!(truth, predicted, "correct predictions have no error type");
         match (truth_is_hard, predicted_is_hard) {
             (false, true) => ErrorType::EasyAsHard,
@@ -76,7 +76,7 @@ impl ErrorBreakdown {
     }
 
     /// Total number of errors.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.easy_as_hard + self.hard_as_easy + self.easy_as_easy + self.hard_as_hard
     }
 

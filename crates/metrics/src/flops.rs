@@ -6,7 +6,7 @@ use serde::{Deserialize, Serialize};
 
 /// Cost of a single layer or block for one image.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct LayerCost {
+pub(crate) struct LayerCost {
     /// Layer name (from [`Layer::name`]).
     pub name: String,
     /// Learnable parameter count.
@@ -18,7 +18,7 @@ pub struct LayerCost {
 }
 
 /// Computes the cost of one layer given its input shape.
-pub fn cost_of(layer: &dyn Layer, in_shape: &[usize]) -> LayerCost {
+pub(crate) fn cost_of(layer: &dyn Layer, in_shape: &[usize]) -> LayerCost {
     let (macs, out_shape) = layer.macs(in_shape);
     LayerCost { name: layer.name().to_string(), params: layer.param_count() as u64, macs, out_shape }
 }
@@ -55,11 +55,6 @@ impl CostSplit {
             self.trained_macs += cost.macs;
         }
         cost.out_shape
-    }
-
-    /// Total per-image MACs.
-    pub fn total_macs(&self) -> u64 {
-        self.fixed_macs + self.trained_macs
     }
 }
 

@@ -19,7 +19,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if `bins == 0` or `lo >= hi`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
+    pub(crate) fn new(lo: f64, hi: f64, bins: usize) -> Self {
         assert!(bins > 0, "histogram needs at least one bin");
         assert!(lo < hi, "histogram range must be non-empty, got [{lo}, {hi})");
         Histogram { lo, hi, counts: vec![0; bins] }
@@ -46,7 +46,7 @@ impl Histogram {
     }
 
     /// Adds a value (clamped into range).
-    pub fn add(&mut self, v: f64) {
+    pub(crate) fn add(&mut self, v: f64) {
         let bins = self.counts.len();
         let t = ((v - self.lo) / (self.hi - self.lo) * bins as f64).floor();
         let idx = (t.max(0.0) as usize).min(bins - 1);
@@ -54,24 +54,19 @@ impl Histogram {
     }
 
     /// Adds many values.
-    pub fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
+    pub(crate) fn extend(&mut self, values: impl IntoIterator<Item = f64>) {
         for v in values {
             self.add(v);
         }
     }
 
-    /// Raw bin counts.
-    pub fn counts(&self) -> &[u64] {
-        &self.counts
-    }
-
     /// Total observations.
-    pub fn total(&self) -> u64 {
+    pub(crate) fn total(&self) -> u64 {
         self.counts.iter().sum()
     }
 
     /// Centre of bin `i`.
-    pub fn bin_center(&self, i: usize) -> f64 {
+    pub(crate) fn bin_center(&self, i: usize) -> f64 {
         let w = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + (i as f64 + 0.5) * w
     }
@@ -85,7 +80,7 @@ impl Histogram {
     /// # Panics
     ///
     /// Panics if the histogram is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1], got {q}");
         let total = self.total();
         assert!(total > 0, "quantile of an empty histogram");
@@ -139,7 +134,7 @@ mod tests {
     fn bins_partition_range() {
         let mut h = Histogram::new(0.0, 1.0, 4);
         h.extend([0.1, 0.3, 0.6, 0.9, 0.95]);
-        assert_eq!(h.counts(), &[1, 1, 1, 2]);
+        assert_eq!(h.counts, &[1, 1, 1, 2]);
         assert_eq!(h.total(), 5);
     }
 
@@ -148,7 +143,7 @@ mod tests {
         let mut h = Histogram::new(0.0, 1.0, 2);
         h.add(-5.0);
         h.add(7.0);
-        assert_eq!(h.counts(), &[1, 1]);
+        assert_eq!(h.counts, &[1, 1]);
     }
 
     #[test]
@@ -210,7 +205,7 @@ mod tests {
         let h = Histogram::of_nonnegative(&[0.5, 1.0, 2.0], 100);
         assert_eq!(h.total(), 3);
         // The maximum lands inside the last bin, not clamped from above.
-        assert!(h.counts().last().copied().unwrap_or(0) >= 1);
+        assert!(h.counts.last().copied().unwrap_or(0) >= 1);
         assert!(h.quantile(1.0) >= 2.0 && h.quantile(1.0) <= 2.0 * 1.001 + 1e-9);
     }
 

@@ -32,11 +32,11 @@ pub struct StreamingHistogram {
 /// Default bucket count: 512 buckets over [`StreamingHistogram::LO`],
 /// [`StreamingHistogram::HI`]) keep the per-bucket growth factor at
 /// ~1.055, i.e. ≤5.5% relative quantile error.
-pub const DEFAULT_BUCKETS: usize = 512;
+pub(crate) const DEFAULT_BUCKETS: usize = 512;
 
 impl StreamingHistogram {
     /// Default lower edge: 1 µs, well under any modelled service time.
-    pub const LO: f64 = 1e-6;
+    pub(crate) const LO: f64 = 1e-6;
     /// Default upper edge: 10 000 s, far above any sane latency.
     pub const HI: f64 = 1e4;
 
@@ -58,7 +58,7 @@ impl StreamingHistogram {
         }
     }
 
-    /// The default latency histogram: [`DEFAULT_BUCKETS`] log-spaced
+    /// The default latency histogram: `DEFAULT_BUCKETS` log-spaced
     /// buckets over `[1 µs, 10 000 s)`.
     pub fn for_latency() -> Self {
         StreamingHistogram::new(Self::LO, Self::HI, DEFAULT_BUCKETS)
@@ -110,7 +110,7 @@ impl StreamingHistogram {
     /// # Panics
     ///
     /// Panics if the histogram is empty or `q` is outside `[0, 1]`.
-    pub fn quantile(&self, q: f64) -> f64 {
+    pub(crate) fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile must be in [0,1], got {q}");
         assert!(self.total > 0, "quantile of an empty histogram");
         let need = q * self.total as f64;

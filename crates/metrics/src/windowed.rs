@@ -51,31 +51,16 @@ impl WindowedQuantiles {
         self.window.count()
     }
 
-    /// Observations recorded since construction.
-    pub fn count(&self) -> u64 {
-        self.cumulative.count()
-    }
-
     /// The window's `q`-quantile without closing it, or `None` while the
     /// window is empty.
     pub fn window_quantile(&self, q: f64) -> Option<f64> {
         (self.window.count() > 0).then(|| self.window.quantile(q))
     }
 
-    /// The lifetime `q`-quantile, or `None` before the first observation.
-    pub fn quantile(&self, q: f64) -> Option<f64> {
-        (self.cumulative.count() > 0).then(|| self.cumulative.quantile(q))
-    }
-
     /// Closes the current window: returns it and starts an empty one. The
     /// cumulative view is untouched.
     pub fn roll(&mut self) -> StreamingHistogram {
         std::mem::replace(&mut self.window, StreamingHistogram::for_latency())
-    }
-
-    /// The lifetime histogram (for end-of-run reporting).
-    pub fn cumulative(&self) -> &StreamingHistogram {
-        &self.cumulative
     }
 }
 
@@ -89,10 +74,10 @@ mod tests {
         for i in 1..=100 {
             w.record(i as f64 * 1e-3);
         }
-        assert_eq!(w.count(), 100);
+        assert_eq!(w.cumulative.count(), 100);
         assert_eq!(w.window_count(), 100);
         // Same data → same quantile from both views.
-        assert_eq!(w.quantile(0.95), w.window_quantile(0.95));
+        assert_eq!(Some(w.cumulative.quantile(0.95)), w.window_quantile(0.95));
     }
 
     #[test]
@@ -104,7 +89,7 @@ mod tests {
         let closed = w.roll();
         assert_eq!(closed.count(), 10);
         assert_eq!(w.window_count(), 0);
-        assert_eq!(w.count(), 10);
+        assert_eq!(w.cumulative.count(), 10);
         assert_eq!(w.window_quantile(0.95), None);
         // A degradation shows up in the fresh window immediately, while
         // the cumulative view blends both regimes.
@@ -112,7 +97,7 @@ mod tests {
             w.record(1.0);
         }
         let live = w.window_quantile(0.5).unwrap();
-        let lifetime = w.quantile(0.5).unwrap();
+        let lifetime = w.cumulative.quantile(0.5);
         assert!(live > 0.5, "live window sees only the slow regime, got {live}");
         assert!(lifetime < live, "cumulative median blends the fast prefix");
     }
@@ -120,7 +105,7 @@ mod tests {
     #[test]
     fn empty_quantiles_are_none_not_panics() {
         let w = WindowedQuantiles::for_latency();
-        assert_eq!(w.quantile(0.95), None);
+        assert_eq!(w.cumulative.count(), 0);
         assert_eq!(w.window_quantile(0.95), None);
     }
 }

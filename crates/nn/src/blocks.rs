@@ -45,11 +45,6 @@ impl BasicBlock {
     /// The `(main path, projection shortcut)` sub-networks, for graph
     /// walkers (quantizer, serializer). The projection is `None` for
     /// identity shortcuts.
-    pub fn parts(&self) -> (&Sequential, Option<&Sequential>) {
-        (&self.main, self.projection.as_ref())
-    }
-
-    /// Mutable counterpart of [`BasicBlock::parts`].
     pub fn parts_mut(&mut self) -> (&mut Sequential, Option<&mut Sequential>) {
         (&mut self.main, self.projection.as_mut())
     }
@@ -183,11 +178,6 @@ impl InvertedResidual {
     }
 
     /// The expand → depthwise → project stack, for graph walkers.
-    pub fn inner(&self) -> &Sequential {
-        &self.main
-    }
-
-    /// Mutable counterpart of [`InvertedResidual::inner`].
     pub fn inner_mut(&mut self) -> &mut Sequential {
         &mut self.main
     }

@@ -5,20 +5,20 @@ use mea_tensor::{Rng, Tensor};
 /// Kaiming-normal initialisation for a convolution weight of shape
 /// `[out_c, in_c·kh·kw]`: `N(0, sqrt(2 / fan_in))`, the standard choice for
 /// ReLU networks (He et al., 2015) and what PyTorch uses for ResNets.
-pub fn kaiming_conv(out_c: usize, fan_in: usize, rng: &mut Rng) -> Tensor {
+pub(crate) fn kaiming_conv(out_c: usize, fan_in: usize, rng: &mut Rng) -> Tensor {
     let std = (2.0 / fan_in as f32).sqrt();
     Tensor::randn([out_c, fan_in], std, rng)
 }
 
 /// Kaiming-uniform initialisation for a linear weight of shape
 /// `[out_f, in_f]` (PyTorch's `nn.Linear` default: `U(-1/√in, 1/√in)`).
-pub fn linear_weight(out_f: usize, in_f: usize, rng: &mut Rng) -> Tensor {
+pub(crate) fn linear_weight(out_f: usize, in_f: usize, rng: &mut Rng) -> Tensor {
     let bound = 1.0 / (in_f as f32).sqrt();
     Tensor::rand_uniform([out_f, in_f], -bound, bound, rng)
 }
 
 /// Bias initialisation matching PyTorch's `nn.Linear` default.
-pub fn linear_bias(out_f: usize, in_f: usize, rng: &mut Rng) -> Tensor {
+pub(crate) fn linear_bias(out_f: usize, in_f: usize, rng: &mut Rng) -> Tensor {
     let bound = 1.0 / (in_f as f32).sqrt();
     Tensor::rand_uniform([out_f], -bound, bound, rng)
 }

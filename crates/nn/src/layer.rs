@@ -34,7 +34,7 @@ pub struct Param {
 
 impl Param {
     /// Wraps a tensor as a parameter with a zeroed gradient.
-    pub fn new(value: Tensor) -> Self {
+    pub(crate) fn new(value: Tensor) -> Self {
         let grad = Tensor::zeros(value.shape().clone());
         Param { value, grad }
     }

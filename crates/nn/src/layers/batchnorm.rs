@@ -42,11 +42,6 @@ impl BatchNorm2d {
         }
     }
 
-    /// Channel count this layer normalises.
-    pub fn channels(&self) -> usize {
-        self.channels
-    }
-
     /// Per-channel `(scale, shift)` that folds this layer's *inference*
     /// transform into a preceding convolution:
     /// `y_c = scale_c · x_c + shift_c` with

@@ -66,11 +66,6 @@ impl Conv2d {
         Conv2d { geom, out_channels, weight, bias, cols: Vec::new(), cache: None }
     }
 
-    /// Output channel count.
-    pub fn out_channels(&self) -> usize {
-        self.out_channels
-    }
-
     /// Convolution geometry (kernel/stride/pad).
     pub fn geom(&self) -> &ConvGeom {
         &self.geom

@@ -35,7 +35,7 @@ impl DepthwiseConv2d {
     /// # Panics
     ///
     /// Panics if `stride` is 0.
-    pub fn new(channels: usize, kernel: usize, stride: usize, pad: usize, rng: &mut Rng) -> Self {
+    pub(crate) fn new(channels: usize, kernel: usize, stride: usize, pad: usize, rng: &mut Rng) -> Self {
         let geom = ConvGeom::square(channels, kernel, stride, pad);
         let std = (2.0 / (kernel * kernel) as f32).sqrt();
         let weight = Param::new(Tensor::randn([channels, kernel * kernel], std, rng));

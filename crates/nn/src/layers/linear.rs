@@ -27,16 +27,6 @@ impl Linear {
         }
     }
 
-    /// Input feature count.
-    pub fn in_features(&self) -> usize {
-        self.in_features
-    }
-
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// The `[out_features, in_features]` weight matrix.
     pub fn weight_value(&self) -> &Tensor {
         &self.weight.value

@@ -75,7 +75,7 @@ impl MaxPool2d {
     }
 
     /// Creates a max pool with window and stride `k`.
-    pub fn new(k: usize) -> Self {
+    pub(crate) fn new(k: usize) -> Self {
         MaxPool2d { k, cache: None }
     }
 }

@@ -40,14 +40,14 @@
 #![forbid(unsafe_code)]
 
 pub mod blocks;
-pub mod init;
+mod init;
 pub mod layer;
 pub mod layers;
-pub mod loss;
+mod loss;
 pub mod models;
-pub mod optim;
-pub mod sequential;
-pub mod serialize;
+mod optim;
+mod sequential;
+mod serialize;
 
 pub use layer::{Layer, Mode, Param};
 pub use loss::CrossEntropyLoss;

@@ -30,11 +30,6 @@ impl Sgd {
         Sgd { lr, momentum, weight_decay, velocities: Vec::new() }
     }
 
-    /// Current learning rate.
-    pub fn lr(&self) -> f32 {
-        self.lr
-    }
-
     /// Updates the learning rate (driven by [`MultiStepLr`]).
     pub fn set_lr(&mut self, lr: f32) {
         assert!(lr > 0.0, "learning rate must be positive, got {lr}");

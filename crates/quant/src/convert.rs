@@ -26,7 +26,7 @@ use mea_tensor::Tensor;
 
 /// One node of the quantized graph.
 #[derive(Debug, Clone)]
-pub enum QOp {
+pub(crate) enum QOp {
     /// Fused int8 convolution (+BN +activation).
     Conv(QConv2d),
     /// Fused int8 depthwise convolution (+BN +activation).
@@ -53,7 +53,7 @@ pub enum QOp {
 /// A quantized residual block: main path, optional projection shortcut,
 /// requantized add, optional final rectifier.
 #[derive(Debug, Clone)]
-pub struct QResidual {
+pub(crate) struct QResidual {
     main: Vec<QOp>,
     /// `None` = identity shortcut.
     projection: Option<Vec<QOp>>,
@@ -113,11 +113,6 @@ impl QNetwork {
             }
         }
         self.ops.iter().map(op_bytes).sum()
-    }
-
-    /// The input quantization parameters.
-    pub fn in_params(&self) -> &QuantParams {
-        &self.in_params
     }
 }
 

@@ -26,7 +26,7 @@ use mea_tensor::conv::{unfold_into, ConvGeom};
 /// # Panics
 ///
 /// Panics if `image.len() != C·H·W`.
-pub fn qim2col(image: &[i8], h: usize, w: usize, geom: &ConvGeom, zero_point: i8) -> Vec<i8> {
+pub(crate) fn qim2col(image: &[i8], h: usize, w: usize, geom: &ConvGeom, zero_point: i8) -> Vec<i8> {
     let (oh, ow) = geom.out_hw(h, w);
     let mut cols = vec![0; geom.patch_len() * oh * ow];
     unfold_into(image, h, w, geom, zero_point, &mut cols);
@@ -62,7 +62,7 @@ pub fn qgemm_i32(a: &[i8], b: &[i8], m: usize, k: usize, n: usize) -> Vec<i32> {
 
 /// Per-row sums of an int8 matrix `[m, k]` — the input-zero-point
 /// correction term, precomputed once per layer.
-pub fn row_sums_i32(a: &[i8], m: usize, k: usize) -> Vec<i32> {
+pub(crate) fn row_sums_i32(a: &[i8], m: usize, k: usize) -> Vec<i32> {
     assert_eq!(a.len(), m * k, "matrix length mismatch");
     a.chunks(k).map(|row| row.iter().map(|&v| v as i32).sum()).collect()
 }

@@ -12,14 +12,14 @@
 //!
 //! * [`qparams`] — scale/zero-point grids (affine per-tensor for
 //!   activations, symmetric per-channel for weights);
-//! * [`qtensor`] — the int8 tensor;
-//! * [`observer`] — min-max and moving-average range calibration;
+//! * [`QTensor`] — the int8 tensor;
+//! * min-max range observers that calibrate activation grids;
 //! * [`kernels`] — integer im2col, int8 GEMM with i32 accumulation,
 //!   requantization;
-//! * [`qlayers`] — fused `conv+BN+ReLU`, depthwise conv, linear, pools,
+//! * int8 layers: fused `conv+BN+ReLU`, depthwise conv, linear, pools,
 //!   residual add;
-//! * [`convert`] — the graph walker that fuses, calibrates and emits the
-//!   quantized network;
+//! * [`quantize_segmented`] / [`quantize_sequential`] — the graph walker
+//!   that fuses, calibrates and emits the quantized network;
 //! * [`wire`] — the little-endian int8 byte codec quantized feature
 //!   payloads travel in on the edge→cloud link.
 //!
@@ -49,18 +49,17 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod convert;
+mod convert;
 mod entropy;
-pub mod error;
+mod error;
 pub mod kernels;
-pub mod observer;
-pub mod qlayers;
+mod observer;
+mod qlayers;
 pub mod qparams;
-pub mod qtensor;
+mod qtensor;
 pub mod wire;
 
-pub use convert::{quantize_segmented, quantize_sequential, QNetwork, QOp, QResidual};
+pub use convert::{quantize_segmented, quantize_sequential, QNetwork};
 pub use error::QuantError;
-pub use observer::{MinMaxObserver, MovingAverageObserver};
-pub use qparams::{QScheme, QuantParams};
+pub use qparams::QuantParams;
 pub use qtensor::QTensor;

@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 /// and is stored in i32 at scale `s_x · s_w[m]`. The activation is fused
 /// into the requantization clamp.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QConv2d {
+pub(crate) struct QConv2d {
     geom: ConvGeom,
     out_channels: usize,
     weight: Vec<i8>,
@@ -42,7 +42,7 @@ impl QConv2d {
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn new(
+    pub(crate) fn new(
         geom: ConvGeom,
         weight: &Tensor,
         bias: &[f32],
@@ -75,19 +75,9 @@ impl QConv2d {
         }
     }
 
-    /// The parameters this layer expects on its input.
-    pub fn in_params(&self) -> &QuantParams {
-        &self.in_params
-    }
-
-    /// The parameters of this layer's output.
-    pub fn out_params(&self) -> &QuantParams {
-        &self.out_params
-    }
-
     /// Size of the stored weights and biases in bytes (1 per weight,
     /// 4 per bias) — the model-download advantage of int8 deployment.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.weight.len() as u64 + 4 * self.bias_i32.len() as u64
     }
 
@@ -96,7 +86,7 @@ impl QConv2d {
     /// # Panics
     ///
     /// Panics if the input geometry disagrees with the layer.
-    pub fn forward(&self, x: &QTensor) -> QTensor {
+    pub(crate) fn forward(&self, x: &QTensor) -> QTensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "QConv2d expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -145,7 +135,7 @@ fn fused_clamp(out_params: &QuantParams, relu_clamp: Option<Option<f32>>) -> (i3
 /// An int8 fully connected layer that **dequantizes its output**: logits
 /// leave the quantized domain in f32, as in standard int8 deployment.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QLinear {
+pub(crate) struct QLinear {
     in_features: usize,
     out_features: usize,
     weight: Vec<i8>,
@@ -161,7 +151,7 @@ impl QLinear {
     /// # Panics
     ///
     /// Panics on shape mismatches.
-    pub fn new(weight: &Tensor, bias: &Tensor, in_params: QuantParams) -> Self {
+    pub(crate) fn new(weight: &Tensor, bias: &Tensor, in_params: QuantParams) -> Self {
         let (out_features, in_features) = (weight.dims()[0], weight.dims()[1]);
         assert_eq!(bias.numel(), out_features, "bias length mismatch");
         let w_params = QuantParams::symmetric_per_channel(&crate::observer::channel_absmax(weight));
@@ -179,13 +169,8 @@ impl QLinear {
         }
     }
 
-    /// Output feature count.
-    pub fn out_features(&self) -> usize {
-        self.out_features
-    }
-
     /// Size of the stored weights and biases in bytes.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.weight.len() as u64 + 4 * self.bias_f32.len() as u64
     }
 
@@ -195,7 +180,7 @@ impl QLinear {
     /// # Panics
     ///
     /// Panics if the feature count disagrees.
-    pub fn forward(&self, x: &QTensor) -> Tensor {
+    pub(crate) fn forward(&self, x: &QTensor) -> Tensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 2, "QLinear expects [N, features]");
         let (n, f) = (dims[0], dims[1]);
@@ -224,7 +209,7 @@ impl QLinear {
 /// MobileNetV2 building block. Each channel has its own `k × k` filter and
 /// its own weight scale.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct QDepthwiseConv2d {
+pub(crate) struct QDepthwiseConv2d {
     channels: usize,
     kernel: usize,
     stride: usize,
@@ -250,7 +235,7 @@ impl QDepthwiseConv2d {
     // grids; bundling into a config struct would just move the argument
     // list one call site up.
     #[allow(clippy::too_many_arguments)]
-    pub fn new(
+    pub(crate) fn new(
         channels: usize,
         kernel: usize,
         stride: usize,
@@ -287,13 +272,8 @@ impl QDepthwiseConv2d {
         }
     }
 
-    /// The parameters of this layer's output.
-    pub fn out_params(&self) -> &QuantParams {
-        &self.out_params
-    }
-
     /// Size of the stored weights and biases in bytes.
-    pub fn weight_bytes(&self) -> u64 {
+    pub(crate) fn weight_bytes(&self) -> u64 {
         self.weight.len() as u64 + 4 * self.bias_i32.len() as u64
     }
 
@@ -303,7 +283,7 @@ impl QDepthwiseConv2d {
     /// # Panics
     ///
     /// Panics if the channel count disagrees.
-    pub fn forward(&self, x: &QTensor) -> QTensor {
+    pub(crate) fn forward(&self, x: &QTensor) -> QTensor {
         let dims = x.dims();
         assert_eq!(dims.len(), 4, "QDepthwiseConv2d expects NCHW");
         let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -351,7 +331,7 @@ impl QDepthwiseConv2d {
 /// Global average pooling in the integer domain: `[N, C, H, W] → [N, C]`,
 /// quantization parameters preserved (an average of same-scale values stays
 /// on the same grid up to rounding).
-pub fn qglobal_avg_pool(x: &QTensor) -> QTensor {
+pub(crate) fn qglobal_avg_pool(x: &QTensor) -> QTensor {
     let dims = x.dims();
     assert_eq!(dims.len(), 4, "qglobal_avg_pool expects NCHW");
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -372,7 +352,7 @@ pub fn qglobal_avg_pool(x: &QTensor) -> QTensor {
 /// # Panics
 ///
 /// Panics if the spatial size is not divisible by `k`.
-pub fn qavg_pool(x: &QTensor, k: usize) -> QTensor {
+pub(crate) fn qavg_pool(x: &QTensor, k: usize) -> QTensor {
     let dims = x.dims();
     assert_eq!(dims.len(), 4, "qavg_pool expects NCHW");
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -405,7 +385,7 @@ pub fn qavg_pool(x: &QTensor, k: usize) -> QTensor {
 /// # Panics
 ///
 /// Panics if the spatial size is not divisible by `k`.
-pub fn qmax_pool(x: &QTensor, k: usize) -> QTensor {
+pub(crate) fn qmax_pool(x: &QTensor, k: usize) -> QTensor {
     let dims = x.dims();
     assert_eq!(dims.len(), 4, "qmax_pool expects NCHW");
     let (n, c, h, w) = (dims[0], dims[1], dims[2], dims[3]);
@@ -437,7 +417,7 @@ pub fn qmax_pool(x: &QTensor, k: usize) -> QTensor {
 /// # Panics
 ///
 /// Panics if the input shapes disagree.
-pub fn qadd(a: &QTensor, b: &QTensor, out_params: &QuantParams, relu: bool) -> QTensor {
+pub(crate) fn qadd(a: &QTensor, b: &QTensor, out_params: &QuantParams, relu: bool) -> QTensor {
     assert_eq!(a.dims(), b.dims(), "qadd shape mismatch: {:?} vs {:?}", a.dims(), b.dims());
     let (sa, za) = (a.params().scale(0), a.params().zero_point(0));
     let (sb, zb) = (b.params().scale(0), b.params().zero_point(0));
@@ -458,7 +438,7 @@ pub fn qadd(a: &QTensor, b: &QTensor, out_params: &QuantParams, relu: bool) -> Q
 
 /// Standalone quantized ReLU: clamps below at the zero-point (real zero),
 /// optionally above at a real-valued bound (ReLU6). Parameters preserved.
-pub fn qrelu(x: &QTensor, clamp_max: Option<f32>) -> QTensor {
+pub(crate) fn qrelu(x: &QTensor, clamp_max: Option<f32>) -> QTensor {
     let zp = x.params().zero_point(0) as i8;
     let hi: i8 = match clamp_max {
         None => QMAX as i8,

@@ -19,7 +19,7 @@ pub const QMAX: i32 = 127;
 /// How values are mapped onto the int8 grid. The discriminant is the
 /// scheme's tag on the wire ([`crate::wire`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum QScheme {
+pub(crate) enum QScheme {
     /// One `(scale, zero_point)` for the whole tensor; zero-point may be
     /// non-zero. Used for activations.
     AffinePerTensor = 0,
@@ -94,7 +94,7 @@ impl QuantParams {
     /// length-mismatched vectors, a per-tensor scheme with more than one
     /// channel, non-positive or non-finite scales, a zero-point off the
     /// int8 grid, or a non-zero zero-point under a symmetric scheme.
-    pub fn from_parts(scheme: QScheme, scales: Vec<f32>, zero_points: Vec<i32>) -> Result<Self, WireError> {
+    pub(crate) fn from_parts(scheme: QScheme, scales: Vec<f32>, zero_points: Vec<i32>) -> Result<Self, WireError> {
         let n = scales.len();
         let counts = n > 0 && n == zero_points.len() && (scheme == QScheme::SymmetricPerChannel || n == 1);
         let affine = scheme == QScheme::AffinePerTensor;
@@ -104,7 +104,7 @@ impl QuantParams {
     }
 
     /// The scheme these parameters follow.
-    pub fn scheme(&self) -> QScheme {
+    pub(crate) fn scheme(&self) -> QScheme {
         self.scheme
     }
 
@@ -119,7 +119,7 @@ impl QuantParams {
     }
 
     /// Zero-point of channel `ch` (use 0 for per-tensor parameters).
-    pub fn zero_point(&self, ch: usize) -> i32 {
+    pub(crate) fn zero_point(&self, ch: usize) -> i32 {
         self.zero_points[ch]
     }
 
@@ -146,7 +146,7 @@ impl QuantParams {
     /// Dequantizes `qs`, all in channel `ch`, appending to `out`: for each
     /// value what [`QuantParams::dequantize_value`] gives, with the
     /// channel's grid read once.
-    pub fn dequantize_into(&self, qs: &[i8], ch: usize, out: &mut Vec<f32>) {
+    pub(crate) fn dequantize_into(&self, qs: &[i8], ch: usize, out: &mut Vec<f32>) {
         let (scale, zero_point) = (self.scales[ch], self.zero_points[ch]);
         out.extend(qs.iter().map(|&q| (q as i32 - zero_point) as f32 * scale));
     }

@@ -82,7 +82,7 @@ impl QTensor {
     }
 
     /// The raw int8 data.
-    pub fn as_slice(&self) -> &[i8] {
+    pub(crate) fn as_slice(&self) -> &[i8] {
         &self.data
     }
 
@@ -106,7 +106,7 @@ impl QTensor {
     /// # Panics
     ///
     /// Panics if the element counts differ.
-    pub fn reshaped(mut self, dims: Vec<usize>) -> Self {
+    pub(crate) fn reshaped(mut self, dims: Vec<usize>) -> Self {
         assert_eq!(self.data.len(), dims.iter().product::<usize>(), "reshape changes element count");
         self.dims = dims;
         self

@@ -103,7 +103,7 @@ pub fn decode(buf: &[u8]) -> (QTensor, usize) {
 /// # Errors
 ///
 /// Returns a [`WireError`] on a truncated buffer, an unknown scheme tag,
-/// parameters [`QuantParams::from_parts`] rejects, or an indexed frame
+/// parameters `QuantParams::from_parts` rejects, or an indexed frame
 /// [`decode_indexed`] rejects against them.
 pub fn try_decode(buf: &[u8]) -> Result<(QTensor, usize), WireError> {
     let mut r = Reader::new(buf);

@@ -7,7 +7,7 @@
 //!
 //! Both transforms walk the patch matrix a tap `(c, ki, kj)` at a time, and
 //! a tap's source pixel is inside the image for a contiguous range of output
-//! rows and of output columns ([`ConvGeom::reaching`]). The ranges are
+//! rows and of output columns (`ConvGeom::reaching`). The ranges are
 //! computed once per tap and nothing inside them tests the border: at stride
 //! 1 an output row and its stretch of an image row are two slices, at a
 //! larger stride the image side takes every `stride`-th pixel. The unfold
@@ -81,7 +81,7 @@ impl ConvGeom {
     /// the image rather than padding — `o·stride + k − pad` falls in
     /// `0..size` — along one spatial dimension. Possibly empty, never
     /// inverted.
-    pub fn reaching(&self, k: usize, size: usize, outs: usize) -> Range<usize> {
+    pub(crate) fn reaching(&self, k: usize, size: usize, outs: usize) -> Range<usize> {
         let end = if size + self.pad > k { (size + self.pad - k - 1) / self.stride + 1 } else { 0 }.min(outs);
         self.pad.saturating_sub(k).div_ceil(self.stride).min(end)..end
     }
@@ -116,7 +116,7 @@ pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mu
 /// [`im2col_into`] for any element type, padding taps written as `padding`
 /// (zero for floats, the activation zero-point for quantised images).
 ///
-/// Per tap, the output rows and columns outside [`ConvGeom::reaching`] are
+/// Per tap, the output rows and columns outside `ConvGeom::reaching` are
 /// filled with `padding` and the rest copied from the image: at a larger
 /// stride every `stride`-th pixel of each image row, at stride 1 one slice
 /// per output row — or, when the output is as wide as the image (every
@@ -192,7 +192,7 @@ pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, pa
 ///
 /// Each output plane is zeroed, then each tap `(ki, kj)` in ascending order
 /// adds `weight · pixel` over the output rows and columns it reaches
-/// ([`ConvGeom::reaching`]): at stride 1 a run of an output row and its
+/// (`ConvGeom::reaching`): at stride 1 a run of an output row and its
 /// stretch of an image row are two slices. Every output element thus adds
 /// its in-image taps in the per-element loop's order (module docs).
 ///
@@ -241,7 +241,7 @@ pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weigh
 /// matrix; the result is added into `image_grad` (length `C·H·W`).
 ///
 /// The adjoint of [`im2col_into`], tap by tap over the same
-/// [`ConvGeom::reaching`] ranges: at stride 1 an output row is added to its
+/// `ConvGeom::reaching` ranges: at stride 1 an output row is added to its
 /// stretch of an image row as one slice, at a larger stride to every
 /// `stride`-th pixel of it. Taps are visited in `(c, ki, kj, oy, ox)` order,
 /// so each pixel of `image_grad` receives its taps in the same order

@@ -16,7 +16,7 @@
 //! * [`ops`] — softmax, bias broadcast and other pointwise kernels;
 //! * [`reader`] — the bounds-checked cursor every wire decoder parses
 //!   received bytes through;
-//! * [`rng`] — a seeded random source with normal/uniform fills so every
+//! * [`Rng`] — a seeded random source with normal/uniform fills so every
 //!   experiment in the reproduction is deterministic.
 //!
 //! # Example
@@ -25,8 +25,8 @@
 //! use mea_tensor::{Tensor, matmul};
 //!
 //! let a = Tensor::from_vec(vec![1.0, 2.0, 3.0, 4.0], &[2, 2])?;
-//! let b = Tensor::eye(2);
-//! let c = matmul::matmul(&a, &b);
+//! let identity = Tensor::from_vec(vec![1.0, 0.0, 0.0, 1.0], &[2, 2])?;
+//! let c = matmul::matmul(&a, &identity);
 //! assert_eq!(c.as_slice(), a.as_slice());
 //! # Ok::<(), mea_tensor::TensorError>(())
 //! ```
@@ -36,14 +36,14 @@
 #![deny(clippy::undocumented_unsafe_blocks)]
 
 pub mod conv;
-pub mod error;
+mod error;
 pub mod matmul;
 pub mod ops;
 pub mod pool;
 pub mod reader;
-pub mod rng;
-pub mod shape;
-pub mod tensor;
+mod rng;
+mod shape;
+mod tensor;
 
 pub use error::TensorError;
 pub use reader::{Reader, WireError};

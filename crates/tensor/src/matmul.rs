@@ -640,7 +640,7 @@ mod tests {
                 for kk in 0..k {
                     acc += a.at(&[i, kk]) * b.at(&[kk, j]);
                 }
-                c.set(&[i, j], acc);
+                c.as_mut_slice()[i * n + j] = acc;
             }
         }
         c
@@ -894,7 +894,7 @@ mod tests {
 
         let (bad_k, bad_j) = (1, 4);
         assert!((0..m).any(|i| a.at(&[i, bad_k]) == 0.0), "some rows meet the NaN through a zero");
-        b.set(&[bad_k, bad_j], f32::NAN);
+        b.as_mut_slice()[bad_k * n + bad_j] = f32::NAN;
         let c = &products_on(build, &a, &b, &vec![0.0; m * n])[kernel];
         for (at, v) in c.iter().enumerate() {
             assert_eq!(v.is_nan(), at % n == bad_j, "C[{}][{}]", at / n, at % n);

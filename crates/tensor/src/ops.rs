@@ -50,7 +50,7 @@ pub fn log_softmax_rows(logits: &Tensor) -> Tensor {
 ///
 /// The paper thresholds prediction entropy to route instances to the cloud;
 /// entropy near zero means a confident prediction.
-pub fn entropy(probs: &[f32]) -> f32 {
+pub(crate) fn entropy(probs: &[f32]) -> f32 {
     let mut h = 0.0f32;
     for &p in probs {
         if p > 0.0 {

@@ -99,7 +99,7 @@ impl<'a> Reader<'a> {
     }
 
     /// Consumes `rank` `u32` dims and returns them with their element
-    /// count, rejecting what [`crate::Shape::new`] rejects and overflow.
+    /// count, rejecting what `crate::Shape::new` rejects and overflow.
     pub fn dims(&mut self, rank: usize) -> Result<(Vec<usize>, usize), WireError> {
         let dims =
             (0..self.count(rank, 4)?).map(|_| self.u32().map(|d| d as usize)).collect::<Result<Vec<_>, _>>()?;

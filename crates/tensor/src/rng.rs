@@ -62,7 +62,7 @@ impl Rng {
     }
 
     /// Normal sample with the given mean and standard deviation.
-    pub fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
+    pub(crate) fn normal_with(&mut self, mean: f32, std: f32) -> f32 {
         mean + std * self.normal()
     }
 

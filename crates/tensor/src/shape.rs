@@ -7,7 +7,7 @@ use std::fmt;
 /// The shape of a [`crate::Tensor`]: an ordered list of dimension sizes.
 ///
 /// Shapes are cheap to clone and compare. Dimension sizes of zero are
-/// rejected by [`Shape::new`] — empty tensors never appear in the MEANet
+/// rejected by `Shape::new` — empty tensors never appear in the MEANet
 /// pipeline and permitting them would push degenerate-case handling into
 /// every kernel.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -20,7 +20,7 @@ impl Shape {
     ///
     /// Returns [`TensorError::InvalidShape`] if `dims` is empty or any
     /// dimension is zero.
-    pub fn new(dims: &[usize]) -> Result<Self, TensorError> {
+    pub(crate) fn new(dims: &[usize]) -> Result<Self, TensorError> {
         if dims.is_empty() {
             return Err(TensorError::InvalidShape { reason: "shape has no dimensions".into() });
         }
@@ -31,7 +31,7 @@ impl Shape {
     }
 
     /// Dimension sizes as a slice.
-    pub fn dims(&self) -> &[usize] {
+    pub(crate) fn dims(&self) -> &[usize] {
         &self.0
     }
 
@@ -41,7 +41,7 @@ impl Shape {
     }
 
     /// Total number of elements.
-    pub fn numel(&self) -> usize {
+    pub(crate) fn numel(&self) -> usize {
         self.0.iter().product()
     }
 
@@ -50,12 +50,12 @@ impl Shape {
     /// # Panics
     ///
     /// Panics if `axis >= self.rank()`.
-    pub fn dim(&self, axis: usize) -> usize {
+    pub(crate) fn dim(&self, axis: usize) -> usize {
         self.0[axis]
     }
 
     /// Row-major strides (in elements) for this shape.
-    pub fn strides(&self) -> Vec<usize> {
+    pub(crate) fn strides(&self) -> Vec<usize> {
         let mut strides = vec![1; self.0.len()];
         for i in (0..self.0.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.0[i + 1];
@@ -69,7 +69,7 @@ impl Shape {
     ///
     /// Panics if `index` has the wrong rank or any coordinate is out of
     /// bounds.
-    pub fn offset(&self, index: &[usize]) -> usize {
+    pub(crate) fn offset(&self, index: &[usize]) -> usize {
         assert_eq!(index.len(), self.rank(), "index rank {} != shape rank {}", index.len(), self.rank());
         let mut off = 0;
         let strides = self.strides();

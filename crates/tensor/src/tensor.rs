@@ -38,15 +38,6 @@ impl Tensor {
         Tensor { data: vec![value; shape.numel()], shape }
     }
 
-    /// Identity matrix of size `n × n`.
-    pub fn eye(n: usize) -> Self {
-        let mut t = Tensor::zeros([n, n]);
-        for i in 0..n {
-            t.data[i * n + i] = 1.0;
-        }
-        t
-    }
-
     /// Creates a tensor from existing data.
     ///
     /// # Errors
@@ -115,16 +106,6 @@ impl Tensor {
     /// Panics if the index rank or any coordinate is out of bounds.
     pub fn at(&self, index: &[usize]) -> f32 {
         self.data[self.shape.offset(index)]
-    }
-
-    /// Sets the element at a multi-dimensional index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the index rank or any coordinate is out of bounds.
-    pub fn set(&mut self, index: &[usize], value: f32) {
-        let off = self.shape.offset(index);
-        self.data[off] = value;
     }
 
     // -------------------------------------------------------------- reshape
@@ -286,18 +267,6 @@ impl Tensor {
         }
     }
 
-    /// Element-wise `self += alpha * other` (AXPY).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the shapes differ.
-    pub fn axpy(&mut self, alpha: f32, other: &Tensor) {
-        assert_eq!(self.shape, other.shape, "axpy shape mismatch: {} vs {}", self.shape, other.shape);
-        for (a, b) in self.data.iter_mut().zip(other.data.iter()) {
-            *a += alpha * b;
-        }
-    }
-
     /// Element-wise combination of two equally shaped tensors.
     ///
     /// # Panics
@@ -400,6 +369,19 @@ impl fmt::Display for Tensor {
 }
 
 #[cfg(test)]
+impl Tensor {
+    /// Identity matrix of size `n × n`, the neutral operand the matmul
+    /// tests multiply by.
+    pub(crate) fn eye(n: usize) -> Self {
+        let mut t = Tensor::zeros([n, n]);
+        for i in 0..n {
+            t.data[i * n + i] = 1.0;
+        }
+        t
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
 
@@ -475,11 +457,8 @@ mod tests {
     }
 
     #[test]
-    fn axpy_and_scale() {
-        let mut a = Tensor::ones([2, 2]);
-        let b = Tensor::full([2, 2], 2.0);
-        a.axpy(0.5, &b);
-        assert_eq!(a.as_slice(), &[2.0; 4]);
+    fn scale_multiplies_in_place() {
+        let mut a = Tensor::full([2, 2], 2.0);
         a.scale(2.0);
         assert_eq!(a.as_slice(), &[4.0; 4]);
     }
