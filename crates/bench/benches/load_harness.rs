@@ -1,7 +1,7 @@
 //! Saturation load harness for the scale-out serving substrate: a
 //! heavy-tailed trace from a large device population that all rides one
 //! edge worker, served by six cloud workers sharing the run's one lane vs
-//! one cloud worker (identical requests), plus the byte-pipe transport
+//! one cloud worker (identical requests), plus the Unix socket transport
 //! and a diurnal-modulated trace.
 
 use mea_bench::experiments::serving;
@@ -16,7 +16,7 @@ fn main() {
 
     let mut table =
         Table::new(&["configuration", "req/s", "p50 (ms)", "p95 (ms)", "p99 (ms)", "max depth", "batches"]);
-    for r in [&result.shared, &result.one_worker, &result.pipe, &result.diurnal] {
+    for r in [&result.shared, &result.one_worker, &result.uds, &result.diurnal] {
         table.row(&[
             r.label.to_string(),
             format!("{:.1}", r.sustained_hz),
@@ -36,7 +36,7 @@ fn main() {
     // count, either transport, either arrival model — must reproduce the
     // offline sweep bit for bit and keep per-device FIFO within each exit
     // lane.
-    for r in [&result.shared, &result.one_worker, &result.pipe, &result.diurnal] {
+    for r in [&result.shared, &result.one_worker, &result.uds, &result.diurnal] {
         assert!(r.record_identity, "{}: records diverged from the offline sweep", r.label);
         assert!(r.fifo_ok, "{}: per-device FIFO violated", r.label);
         assert_eq!(r.offloaded, result.shared.offloaded, "{}: offload count moved", r.label);
@@ -72,7 +72,7 @@ fn main() {
     // `sharded_service_ms` keeps its baseline name: the six-worker run.
     rep.metric("sharded_service_ms", result.shared.service_ms);
     rep.metric("one_worker_service_ms", result.one_worker.service_ms);
-    rep.metric("pipe_service_ms", result.pipe.service_ms);
+    rep.metric("uds_service_ms", result.uds.service_ms);
     rep.metric("diurnal_service_ms", result.diurnal.service_ms);
     rep.metric("saturation_p50_ms", result.shared.p50_ms);
     rep.metric("saturation_p95_ms", result.shared.p95_ms);

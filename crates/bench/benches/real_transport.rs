@@ -1,6 +1,6 @@
 //! Real-wire transport parity and measured closed-loop replanning: the
-//! same traces cross the deterministic modelled wire and the real
-//! in-process byte pipe. Routing outcomes (records, bytes, cuts) gate as
+//! same traces cross the deterministic modelled wire and a real Unix
+//! socket. Routing outcomes (records, bytes, cuts) gate as
 //! exact invariants — the transport may only change where the time comes
 //! from — while wall-clock service times gate as banded `_ms` latencies.
 //! The closed loop's link estimates come from `Instant::now()` deltas, so
@@ -18,7 +18,7 @@ fn main() {
     let result = serving::real_transport(Scale::from_env());
 
     let mut table =
-        Table::new(&["payload plan", "records", "bytes up", "bytes down", "cut", "modelled (ms)", "pipe (ms)"]);
+        Table::new(&["payload plan", "records", "bytes up", "bytes down", "cut", "modelled (ms)", "uds (ms)"]);
     for r in &result.parity {
         table.row(&[
             r.plan.to_string(),
@@ -27,13 +27,13 @@ fn main() {
             r.bytes_from_cloud.to_string(),
             r.cut.map_or("-".to_string(), |c| c.to_string()),
             format!("{:.2}", r.service_modelled_ms),
-            format!("{:.2}", r.service_pipe_ms),
+            format!("{:.2}", r.service_uds_ms),
         ]);
     }
-    println!("== Real transport: modelled wire vs in-process byte pipe ==\n{table}");
+    println!("== Real transport: modelled wire vs Unix socket ==\n{table}");
     let [a, b] = &result.closed;
     println!(
-        "throttled pipe closed loop: cut {} -> {} / {} (open loop held {}), estimates {:.3} / {:.3} Mbps \
+        "throttled socket closed loop: cut {} -> {} / {} (open loop held {}), estimates {:.3} / {:.3} Mbps \
          over {} batches (pacer throttled to {:.1} Mbps mid-run)",
         result.open_cut,
         a.final_cut,
@@ -45,13 +45,13 @@ fn main() {
         result.throttled_up_mbps
     );
 
-    // Record identity: the pipe may never change a routing outcome, on
+    // Record identity: the socket may never change a routing outcome, on
     // any payload plan or cut.
     for r in &result.parity {
-        assert!(r.records_match, "{}: byte-pipe records diverged from the modelled wire", r.plan);
+        assert!(r.records_match, "{}: socket records diverged from the modelled wire", r.plan);
     }
 
-    // The open loop over the throttled pipe keeps the static model's
+    // The open loop over the throttled socket keeps the static model's
     // nominal plan; the measured closed loop must notice the real
     // throttle and move the cut edge-heavier — in both repeat runs.
     for r in &result.closed {
@@ -98,7 +98,7 @@ fn main() {
     assert_eq!(result.parity.len(), SLUGS.len(), "one slug per payload plan");
     for (slug, r) in SLUGS.iter().zip(&result.parity) {
         rep.metric(&format!("service_{slug}_modelled_ms"), r.service_modelled_ms);
-        rep.metric(&format!("service_{slug}_pipe_ms"), r.service_pipe_ms);
+        rep.metric(&format!("service_{slug}_uds_ms"), r.service_uds_ms);
     }
     rep.metric("closed_service_ms", (a.service_ms + b.service_ms) / 2.0);
     rep.finish();

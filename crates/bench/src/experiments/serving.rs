@@ -15,7 +15,7 @@ use mea_edgecloud::serve::{
     ServeConfig, ServeConfigBuilder, ServeReport, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
-use mea_edgecloud::transport::{PaceChange, PipeConfig, TransportKind};
+use mea_edgecloud::transport::{PaceChange, TransportKind, UdsConfig};
 use mea_metrics::{Histogram, StreamingHistogram};
 use mea_nn::models::{resnet_cifar, CifarResNetConfig, SegmentedCnn};
 use mea_tensor::Rng;
@@ -480,13 +480,13 @@ pub fn planner_feedback(scale: Scale) -> PlannerFeedbackResult {
     PlannerFeedbackResult { open, closed, offline, offloaded, degraded_up_mbps: 1.0, estimate }
 }
 
-/// One payload plan's modelled-vs-pipe parity measurement in the
+/// One payload plan's modelled-vs-socket parity measurement in the
 /// real-transport experiment.
 #[derive(Debug, Clone)]
 pub struct TransportParityRow {
     /// Human-readable plan name.
     pub plan: &'static str,
-    /// Whether the pipe run's records equal the modelled run's, bitwise.
+    /// Whether the socket run's records equal the modelled run's, bitwise.
     pub records_match: bool,
     /// Uplink bytes (asserted identical across transports).
     pub bytes_to_cloud: u64,
@@ -496,13 +496,13 @@ pub struct TransportParityRow {
     pub cut: Option<usize>,
     /// Mean wall-clock service time per request over the modelled wire (ms).
     pub service_modelled_ms: f64,
-    /// Mean wall-clock service time per request over the byte pipe (ms).
-    pub service_pipe_ms: f64,
+    /// Mean wall-clock service time per request over the Unix socket (ms).
+    pub service_uds_ms: f64,
 }
 
-/// One closed-loop run over the real pipe (measured wall-clock telemetry).
+/// One closed-loop run over the paced socket (measured wall-clock telemetry).
 #[derive(Debug, Clone)]
-pub struct PipeLoopRow {
+pub struct SocketLoopRow {
     /// The cut the single device class ended the run on.
     pub final_cut: usize,
     /// Replans that actually changed a cut.
@@ -518,29 +518,29 @@ pub struct PipeLoopRow {
 /// Everything the `real_transport` bench target asserts and reports.
 #[derive(Debug)]
 pub struct RealTransportResult {
-    /// Modelled-vs-pipe parity, one row per payload plan.
+    /// Modelled-vs-socket parity, one row per payload plan.
     pub parity: Vec<TransportParityRow>,
     /// Instances served per parity run.
     pub total: usize,
     /// Requests offloaded per parity run (identical across transports).
     pub offloaded: usize,
-    /// Open loop over the throttled pipe: no feedback, the static model's
-    /// plan holds to the end.
+    /// Open loop over the throttled socket: no feedback, the static
+    /// model's plan holds to the end.
     pub open_cut: usize,
     /// Two identically-configured closed-loop runs over the throttled
-    /// pipe: real clocks make their link estimates differ run-to-run
+    /// socket: real clocks make their link estimates differ run-to-run
     /// while every routing outcome stays identical.
-    pub closed: [PipeLoopRow; 2],
+    pub closed: [SocketLoopRow; 2],
     /// The pacer rate (Mbps) the mid-run throttle drops the uplink to.
     pub throttled_up_mbps: f64,
 }
 
 /// Runs the real-transport experiment. Part one: the same high-offload
-/// trace crosses the modelled wire and the real in-process byte pipe
-/// under every payload plan (raw/quantised image, fixed f32/int8 cuts,
-/// planner-chosen cut) — records and byte accounting must be identical,
-/// since the transport only changes where the time comes from. Part two:
-/// the pipe's pacer silently throttles mid-run and only the measured
+/// trace crosses the modelled wire and a real Unix socket under every
+/// payload plan (raw/quantised image, fixed f32/int8 cuts, planner-chosen
+/// cut) — records and byte accounting must be identical, since the
+/// transport only changes where the time comes from. Part two: the
+/// socket's uplink pacer silently throttles mid-run and only the measured
 /// closed loop (fed by `Instant::now()` deltas around real sends) moves
 /// the cut; the static model is never told.
 pub fn real_transport(scale: Scale) -> RealTransportResult {
@@ -574,53 +574,53 @@ pub fn real_transport(scale: Scale) -> RealTransportResult {
     let mut offloaded = 0;
     for (name, control) in &plans {
         let modelled = run(control, TransportKind::Modelled);
-        let piped = run(control, TransportKind::Pipe(PipeConfig::default()));
+        let socket = run(control, TransportKind::Uds(UdsConfig::default()));
         assert_eq!(
-            piped.stats.bytes_to_cloud, modelled.stats.bytes_to_cloud,
+            socket.stats.bytes_to_cloud, modelled.stats.bytes_to_cloud,
             "{name}: uplink bytes diverged between transports"
         );
         assert_eq!(
-            piped.stats.bytes_from_cloud, modelled.stats.bytes_from_cloud,
+            socket.stats.bytes_from_cloud, modelled.stats.bytes_from_cloud,
             "{name}: downlink bytes diverged between transports"
         );
-        assert_eq!(piped.stats.final_cuts, modelled.stats.final_cuts, "{name}: the transport moved the cut");
+        assert_eq!(socket.stats.final_cuts, modelled.stats.final_cuts, "{name}: the transport moved the cut");
         offloaded = modelled.stats.offloaded;
         parity.push(TransportParityRow {
             plan: name,
-            records_match: piped.records == modelled.records,
+            records_match: socket.records == modelled.records,
             bytes_to_cloud: modelled.stats.bytes_to_cloud,
             bytes_from_cloud: modelled.stats.bytes_from_cloud,
             cut: modelled.stats.final_cuts.as_ref().map(|c| c[0]),
             service_modelled_ms: service_ms(&modelled),
-            service_pipe_ms: service_ms(&piped),
+            service_uds_ms: service_ms(&socket),
         });
     }
 
-    // Part two: a single deterministic pipeline over the PACED pipe. The
+    // Part two: a single deterministic pipeline over the PACED socket. The
     // pacer starts at 50 Mbps and silently throttles to 1 Mbps a quarter
     // of the way in; the static model (the planner's prior) is told
     // 100 Mbps and never updated.
     let throttled_up_mbps = 1.0;
     let loop_requests = scenario.trace(1, 0.0, &mut rng);
     let closed_loop = |feedback: Option<LinkFeedback>| -> ServeReport {
-        let pipe = PipeConfig {
+        let uds = UdsConfig {
             up_mbps: Some(50.0),
             throttle: vec![PaceChange {
                 after_frames: scenario.data.len() as u64 / 4,
                 up_mbps: throttled_up_mbps,
             }],
-            ..PipeConfig::default()
+            ..UdsConfig::default()
         };
         let cfg = ServeConfig::builder(OffloadPolicy::Always)
             .link(NetworkLink::wifi(100.0).with_rtt(0.0002))
-            .transport(TransportKind::Pipe(pipe));
+            .transport(TransportKind::Uds(uds));
         let planner = latency_planner(vec![DeviceProfile::new("edge", 10.0, 5e9)]);
         scenario.serve(PIPELINE, planned(planner, feedback), cfg, &loop_requests)
     };
     let open = closed_loop(None);
     let open_cut = open.stats.final_cuts.as_ref().expect("planned mode")[0];
     let feedback = Some(eager_feedback());
-    let closed = [closed_loop(feedback), closed_loop(feedback)].map(|report| PipeLoopRow {
+    let closed = [closed_loop(feedback), closed_loop(feedback)].map(|report| SocketLoopRow {
         final_cut: report.stats.final_cuts.as_ref().expect("planned mode")[0],
         cut_replans: report.stats.cut_replans,
         service_ms: service_ms(&report),
@@ -821,8 +821,8 @@ pub struct LoadHarnessResult {
     pub shared: LoadRow,
     /// One cloud worker on the identical trace (the A/B baseline).
     pub one_worker: LoadRow,
-    /// All cloud workers over the real byte-pipe transport, same trace.
-    pub pipe: LoadRow,
+    /// All cloud workers over the Unix socket transport, same trace.
+    pub uds: LoadRow,
     /// All cloud workers on the diurnal-modulated Poisson trace.
     pub diurnal: LoadRow,
     /// `one_worker.service_ms / shared.service_ms` — the scheduling win
@@ -905,7 +905,7 @@ fn slim_cloud(seed: u64) -> SegmentedCnn {
 /// trace from a large skewed device population — every device rides one
 /// edge worker — through six cloud workers sharing the run's one lane and
 /// through one cloud worker on the modelled-link transport (A/B on
-/// identical requests), plus the same trace over the real byte-pipe
+/// identical requests), plus the same trace over the Unix socket
 /// transport and a diurnal-modulated Poisson trace, all at a high offload
 /// fraction.
 ///
@@ -996,10 +996,10 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         &requests,
         &instance_of,
     );
-    let pipe = run(
-        "6 workers / byte pipe",
+    let uds = run(
+        "6 workers / Unix socket",
         topology,
-        TransportKind::Pipe(PipeConfig::default()),
+        TransportKind::Uds(UdsConfig::default()),
         &requests,
         &instance_of,
     );
@@ -1019,7 +1019,7 @@ pub fn load_harness(scale: Scale) -> LoadHarnessResult {
         cloud_workers,
         shared,
         one_worker,
-        pipe,
+        uds,
         diurnal,
         speedup,
     }

@@ -7,10 +7,10 @@
 //! cut, and the wire format is fixed up front. Nobody optimises them
 //! *together* against an explicit objective. The governor closes that
 //! gap: given a p95 latency SLA and a Table-III detection-accuracy
-//! floor, it watches the live latency window
-//! ([`mea_metrics::WindowedQuantiles`]) per device class and, whenever a
-//! window violates the SLA, escalates one rung up a deterministic
-//! ladder that trades progressively more for throughput:
+//! floor, it watches the live latency window (a
+//! [`mea_metrics::StreamingHistogram`] replaced each epoch) per device
+//! class and, whenever a window violates the SLA, escalates one rung up
+//! a deterministic ladder that trades progressively more for throughput:
 //!
 //! ```text
 //!        live window p95 > SLA?

@@ -19,10 +19,10 @@
 //!   per-exit refinement driven by Algorithm-2 records;
 //! * [`transport`] — the edge→cloud wire behind a [`transport::Transport`]
 //!   trait: a deterministic modelled conduit (bounded channels, the
-//!   [`network::NetworkLink`] model as the only clock) and two real wires
-//!   (an in-process byte stream and Unix-domain sockets) sharing one
-//!   framing layer with an in-flight byte budget and frame multiplexing,
-//!   whose transfer times come from `Instant::now()`;
+//!   [`network::NetworkLink`] model as the only clock) and, on unix, a
+//!   real wire over Unix-domain sockets: framed lanes with an in-flight
+//!   byte budget, frame multiplexing and an optional uplink pacer, whose
+//!   transfer times come from `Instant::now()`;
 //! * [`fleet`] — the edge-cloud simulator: a deterministic virtual-clock
 //!   model for latency and energy accounting where one or many edge
 //!   devices (each with an optional cooperative peer stage) share a
@@ -90,9 +90,6 @@ pub use serve::{
     ServeReport, ServeRequest, ServeStats, WireFormat,
 };
 pub use traces::ArrivalModel;
-pub use transport::{
-    ModelledTransport, PaceChange, PipeConfig, PipeTransport, RequestFrame, ResponseFrame, Transport,
-    TransportKind,
-};
+pub use transport::{ModelledTransport, RequestFrame, ResponseFrame, Transport, TransportKind};
 #[cfg(unix)]
-pub use transport::{UdsConfig, UdsTransport};
+pub use transport::{PaceChange, UdsConfig, UdsTransport};

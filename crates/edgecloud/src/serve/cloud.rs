@@ -178,7 +178,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     // assumes the nominal one — measured feedback is the only path by
     // which a degradation reaches the cut decision. On a real
     // transport the frames already paid their wire time crossing the
-    // pipe, so no modelled sleep is charged.
+    // socket, so no modelled sleep is charged.
     let link = if measured { None } else { scheduled_link(cfg, batches_before) };
     if let Some(link) = &link {
         clock::sleep_until(leg_deadline(link.uplink_leg_s(payload_bytes)));
@@ -227,7 +227,7 @@ pub(crate) fn process_cloud_batch<T: Transport>(
     classified.sort_by_key(|(f, _)| (f.device, f.seq));
     // The responses ride the downlink back before anyone observes a
     // completion: the modelled leg as a sleep, the real one as the
-    // pipe's own transfer time.
+    // socket's own transfer time.
     if let Some(link) = &link {
         clock::sleep_until(leg_deadline(link.downlink_leg_s(response_bytes)));
     }

@@ -87,12 +87,10 @@ impl Fleet {
                 let lane = ModelledTransport::new(1, ingress_depth(cfg));
                 serve_core(cfg, edges, clouds, requests, lane, sink)
             }
-            TransportKind::Pipe(pc) => {
-                serve_core(cfg, edges, clouds, requests, PipeTransport::new(1, pc.clone()), sink)
-            }
             #[cfg(unix)]
             TransportKind::Uds(uc) => {
-                serve_core(cfg, edges, clouds, requests, UdsTransport::new(1, uc.clone()), sink)
+                let lane = crate::transport::UdsTransport::new(1, uc.clone());
+                serve_core(cfg, edges, clouds, requests, lane, sink)
             }
         })
     }

@@ -414,8 +414,8 @@ impl ServeConfigBuilder {
 
     /// Which wire the offloaded payloads cross: the deterministic
     /// modelled conduit (default — the CI/record-identity path) or a real
-    /// byte stream (in-process pipe, Unix sockets) whose transfer times
-    /// feed the [`LinkEstimator`] as genuine `Instant::now()` deltas.
+    /// Unix socket whose transfer times feed the [`LinkEstimator`] as
+    /// genuine `Instant::now()` deltas.
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.cfg.transport = transport;
         self
@@ -487,10 +487,10 @@ pub enum ServeConfigError {
     /// A link schedule combined with a transport that pays real wire
     /// time (the schedule drives the modelled wire only).
     ScheduleOnMeasuredWire,
-    /// A [`TransportKind::Pipe`] pacing rate (`up_mbps`, `down_mbps` or a
-    /// throttle's `up_mbps`) that is not finite and positive, or so slow
-    /// that pacing the largest batch the run can ship (`max_batch` frames
-    /// of `MAX_FRAME_BYTES`) takes no time the clock can hold.
+    /// A `TransportKind::Uds` pacing rate (`up_mbps` or a throttle's
+    /// `up_mbps`) that is not finite and positive, or so slow that pacing
+    /// the largest batch the run can ship (`max_batch` frames of
+    /// `MAX_FRAME_BYTES`) takes no time the clock can hold.
     InvalidPaceRate,
     /// A [`NetworkLink`] the runtime sleeps on or plans with — the
     /// [`ServeConfigBuilder::link`], a [`LinkChange::link`], a fleet
@@ -535,14 +535,14 @@ impl fmt::Display for ServeConfigError {
             }
             ServeConfigError::ScheduleOnMeasuredWire => write!(
                 f,
-                "a link schedule drives the modelled wire only; a real transport (pipe, Unix socket) pays \
-                 whatever its own wire takes"
+                "a link schedule drives the modelled wire only; the Unix socket wire pays whatever its own \
+                 transfer takes (degrade it mid-run with UdsConfig::throttle)"
             ),
             ServeConfigError::InvalidPaceRate => {
                 write!(
                     f,
-                    "pipe pacing rates (up_mbps, down_mbps, throttle) must be finite, positive and fast enough \
-                     to pace a full batch"
+                    "UdsConfig pacing rates (up_mbps, throttle) must be finite, positive and fast enough to \
+                     pace a full batch"
                 )
             }
             ServeConfigError::InvalidLink => write!(
@@ -713,7 +713,8 @@ fn validate_config(cfg: &ServeConfig) -> Result<(), ServeConfigError> {
     }
     // The most a run ships in one go: a full batch of the largest frames.
     let max_bytes = (cfg.max_batch as u64).saturating_mul(crate::transport::MAX_FRAME_BYTES as u64);
-    if matches!(&cfg.transport, TransportKind::Pipe(pipe) if !pipe.rates_are_valid(max_bytes)) {
+    #[cfg(unix)]
+    if matches!(&cfg.transport, TransportKind::Uds(uds) if !uds.rates_are_valid(max_bytes)) {
         return Err(ServeConfigError::InvalidPaceRate);
     }
     // Every link the runtime sleeps on or plans with.

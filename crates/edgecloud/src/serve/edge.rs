@@ -158,9 +158,9 @@ pub(crate) const GOVERNOR_CONTROLLER_WINDOW: usize = 32;
 /// decision trajectory the stats report.
 pub(crate) struct GovernorState {
     pub(crate) governor: Governor,
-    /// Per-class end-to-end latency, cumulative + current decision
-    /// window, fed by every completion (local and cloud).
-    pub(crate) latency: Vec<WindowedQuantiles>,
+    /// Per-class end-to-end latency since the last decision epoch, fed
+    /// by every completion (local and cloud).
+    pub(crate) latency: Vec<StreamingHistogram>,
     /// Epochs that actually moved the (β, cut, wire) operating point.
     pub(crate) decisions: u64,
     /// The initial operating point plus one entry per decision.
@@ -200,7 +200,7 @@ impl PolicyState {
                 let classes = table.placements.len();
                 Some(GovernorState {
                     governor: Governor::new(GovernorConfig::new(*target), classes),
-                    latency: vec![WindowedQuantiles::for_latency(); classes],
+                    latency: vec![StreamingHistogram::for_latency(); classes],
                     decisions: 0,
                     // Seed the trajectory with the initial operating point
                     // so `last()` is always the final (β, placement, wire)
@@ -320,11 +320,10 @@ impl PolicyState {
             if self.seen_total == 0 { 0.0 } else { self.offloaded_total as f64 / self.seen_total as f64 };
         let classes = table.placements.len();
         for class in 0..classes {
-            let w = &mut gv.latency[class];
-            gv.governor.observe_window(class, w.window_quantile(0.95), w.window_count(), achieved);
             // Each epoch judges only the evidence gathered since the
             // last one: close the window either way.
-            w.roll();
+            let w = std::mem::replace(&mut gv.latency[class], StreamingHistogram::for_latency());
+            gv.governor.observe_window(class, (w.count() > 0).then(|| w.p95()), w.count(), achieved);
         }
         for class in 0..classes {
             table.wires[class] = gv.governor.wire(class);

@@ -27,9 +27,9 @@
 //!   frames over a pluggable [`Transport`]
 //!   ([`ServeConfigBuilder::transport`]): the default modelled conduit
 //!   sleeps an optional [`NetworkLink`]'s upload + RTT + download
-//!   (deterministic, the CI path); [`TransportKind::Pipe`] and
-//!   `TransportKind::Uds` ship the same frames over a real byte stream
-//!   under an in-flight byte budget, timed by the wire itself
+//!   (deterministic, the CI path); `TransportKind::Uds` ships the same
+//!   frames over a real Unix socket under an in-flight byte budget and an
+//!   optional uplink pacer, timed by the wire itself
 //!   ([`crate::transport`]).
 //! * One [`ControlPlan`] ([`ServeConfigBuilder::control`]) says who
 //!   steers. Every variant but [`ControlPlan::Image`] serves **feature
@@ -49,7 +49,7 @@
 //!   replans from the *measured* rates (blended with its static
 //!   `rate / max(1, β·streams)` prior by sample count), so congestion and
 //!   a mid-run [`LinkChange`] reach the cut. The modelled transport feeds
-//!   the model's own times; the pipe feeds `Instant::now()` deltas.
+//!   the model's own times; the socket feeds `Instant::now()` deltas.
 //! * A [`ThresholdController`] (the plan's `controller` slot) retunes the
 //!   entropy threshold every [`ControllerConfig::window`] routed
 //!   instances from the achieved offload fraction (SPINN-style).
@@ -105,15 +105,13 @@ pub(crate) use crate::partition::{
 };
 pub(crate) use crate::payload::{channel_absmax, ActivationGrids, Payload};
 pub(crate) use crate::traces::ArrivalModel;
-#[cfg(unix)]
-pub(crate) use crate::transport::UdsTransport;
 pub(crate) use crate::transport::{
-    recv_channel, DownlinkReceiver, InboundRequest, ModelledTransport, PipeTransport, RecvOutcome, RequestFrame,
-    ResponseFrame, Transport, TransportKind, UplinkReceiver,
+    recv_channel, DownlinkReceiver, InboundRequest, ModelledTransport, RecvOutcome, RequestFrame, ResponseFrame,
+    Transport, TransportKind, UplinkReceiver,
 };
 pub(crate) use crossbeam::channel::{bounded, unbounded, Receiver, Sender};
 pub(crate) use mea_data::Dataset;
-pub(crate) use mea_metrics::{Histogram, StreamingHistogram, WindowedQuantiles};
+pub(crate) use mea_metrics::{Histogram, StreamingHistogram};
 pub(crate) use mea_nn::layer::Mode;
 pub(crate) use mea_nn::models::SegmentedCnn;
 pub(crate) use mea_tensor::{Rng, Tensor};

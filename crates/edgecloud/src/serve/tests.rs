@@ -1,5 +1,6 @@
 use super::*;
-use crate::transport::{PaceChange, PipeConfig};
+#[cfg(unix)]
+use crate::transport::{PaceChange, UdsConfig};
 use mea_data::{presets, ClassDict};
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
 use meanet::infer::run_inference;
@@ -826,15 +827,20 @@ fn serve_counts_every_uplink_byte() {
     // Every offloaded image crosses the wire as exactly one encoded
     // payload: `bytes_to_cloud` is the offload count times the codec's
     // wire size of one `[1, C, H, W]` image, on the modelled wire and on
-    // the byte pipe alike.
+    // the Unix socket alike.
     let bundle = presets::tiny(88);
     let image = bundle.test.images.slice_axis0(0, 1);
     let codecs = [
         (WireFormat::Float32, Payload::Features { features: image.clone() }),
         (WireFormat::Quantised8Bit, Payload::RawImage { image }),
     ];
+    let kinds = [
+        TransportKind::Modelled,
+        #[cfg(unix)]
+        TransportKind::Uds(UdsConfig::default()),
+    ];
     for (wire, payload) in codecs {
-        for kind in [TransportKind::Modelled, TransportKind::Pipe(PipeConfig::default())] {
+        for kind in kinds.clone() {
             let edges = edge_replicas(1, 42);
             let clouds = replicas(1, || tiny_cloud(43));
             let cfg = config(OffloadPolicy::EntropyThreshold(0.5), 1, 1, 4)
@@ -963,8 +969,9 @@ fn a_panicking_sink_propagates_instead_of_hanging() {
     let _ = fleet.serve_with(&reqs, |_| panic!("the sink refused a completion"));
 }
 
+#[cfg(unix)]
 #[test]
-fn pipe_transport_matches_modelled_records_bitwise() {
+fn uds_transport_matches_modelled_records_bitwise() {
     // The acceptance bar of the transport tentpole: byte-identical
     // frames ride a real buffered byte stream instead of a modelled
     // channel, so records, uplink bytes, and downlink bytes all match
@@ -986,28 +993,21 @@ fn pipe_transport_matches_modelled_records_bitwise() {
             serve(cfg, edges, clouds, &instant_requests(&bundle.test, 3)).expect("serves")
         };
         let modelled = run(TransportKind::Modelled);
-        let mut real_wires = vec![("pipe", TransportKind::Pipe(PipeConfig::default()))];
-        #[cfg(unix)]
-        real_wires.push(("uds", TransportKind::Uds(crate::transport::UdsConfig::default())));
-        for (wire, kind) in real_wires {
-            let real = run(kind);
-            assert_eq!(real.records, modelled.records, "{plan:?}: {wire} transport changed records");
-            assert_eq!(real.stats.offloaded, modelled.stats.offloaded);
-            assert_eq!(
-                real.stats.bytes_to_cloud, modelled.stats.bytes_to_cloud,
-                "{plan:?}: {wire} uplink bytes diverged"
-            );
-            assert_eq!(
-                real.stats.bytes_from_cloud, modelled.stats.bytes_from_cloud,
-                "{plan:?}: {wire} downlink bytes diverged"
-            );
-        }
+        let real = run(TransportKind::Uds(UdsConfig::default()));
+        assert_eq!(real.records, modelled.records, "{plan:?}: the socket changed records");
+        assert_eq!(real.stats.offloaded, modelled.stats.offloaded);
+        assert_eq!(real.stats.bytes_to_cloud, modelled.stats.bytes_to_cloud, "{plan:?}: uplink bytes diverged");
+        assert_eq!(
+            real.stats.bytes_from_cloud, modelled.stats.bytes_from_cloud,
+            "{plan:?}: downlink bytes diverged"
+        );
     }
 }
 
+#[cfg(unix)]
 #[test]
-fn pipe_telemetry_measures_the_real_wire_not_the_model() {
-    // Pace the pipe's uplink at 4 Mbps while telling the planner the
+fn uds_telemetry_measures_the_real_wire_not_the_model() {
+    // Pace the socket's uplink at 4 Mbps while telling the planner the
     // link is 100 Mbps. The estimator must report the paced wire (from
     // Instant::now() deltas around real sends), not echo the model.
     let bundle = presets::tiny(88);
@@ -1030,7 +1030,7 @@ fn pipe_telemetry_measures_the_real_wire_not_the_model() {
             controller: None,
         })
         .link(NetworkLink::wifi(100.0).with_rtt(0.0))
-        .transport(TransportKind::Pipe(PipeConfig { up_mbps: Some(4.0), ..PipeConfig::default() }));
+        .transport(TransportKind::Uds(UdsConfig { up_mbps: Some(4.0), ..UdsConfig::default() }));
     let report = serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves");
     let ests = report.stats.link_estimates.expect("feedback reports estimates");
     let est = ests[0].expect("class 0 observed");
@@ -1042,9 +1042,10 @@ fn pipe_telemetry_measures_the_real_wire_not_the_model() {
     );
 }
 
+#[cfg(unix)]
 #[test]
-fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
-    // The closed loop over REAL wall-clock time: the pipe's pacer
+fn uds_throttle_replans_toward_an_edge_heavier_cut() {
+    // The closed loop over REAL wall-clock time: the socket's pacer
     // silently throttles 50 -> 0.4 Mbps mid-run. The static model is
     // never told, but the measured estimates are, and the planner
     // moves the cut toward the edge (smaller uploads) — the modelled
@@ -1071,7 +1072,7 @@ fn pipe_throttle_replans_toward_an_edge_heavier_cut() {
                 controller: None,
             })
             .link(NetworkLink::wifi(100.0).with_rtt(0.0002))
-            .transport(TransportKind::Pipe(PipeConfig { up_mbps: Some(50.0), throttle, ..PipeConfig::default() }));
+            .transport(TransportKind::Uds(UdsConfig { up_mbps: Some(50.0), throttle, ..UdsConfig::default() }));
         serve(cfg, edges, clouds, &instant_requests(&bundle.test, 1)).expect("serves")
     };
     let steady = run(Vec::new());
@@ -1110,35 +1111,29 @@ fn builder_rejects_each_static_invariant_by_name() {
     assert_eq!(b().max_batch(0).build(), Err(ServeConfigError::ZeroMaxBatch));
     assert_eq!(b().queue_depth(0).build(), Err(ServeConfigError::ZeroQueueDepth));
     let schedule = vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(1.0) }];
-    assert_eq!(b().link_events(schedule.clone()).build(), Err(ServeConfigError::ScheduleWithoutLink));
-    assert_eq!(
-        b().link(NetworkLink::wifi(1.0))
-            .link_events(schedule)
-            .transport(TransportKind::Pipe(PipeConfig::default()))
-            .build(),
-        Err(ServeConfigError::ScheduleOnMeasuredWire)
-    );
-    // A NaN rate used to panic a worker inside the pacer; a rate <= 0
-    // silently ran unpaced.
-    let paced = |cfg: PipeConfig| b().transport(TransportKind::Pipe(cfg)).build();
-    // A rate too slow to pace one full batch in a time the clock can hold
-    // used to pass and then panic the sender on its first paced frame.
-    for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e-300] {
-        assert_eq!(
-            paced(PipeConfig { up_mbps: Some(bad), ..PipeConfig::default() }),
-            Err(ServeConfigError::InvalidPaceRate)
-        );
-        assert_eq!(
-            paced(PipeConfig { down_mbps: Some(bad), ..PipeConfig::default() }),
-            Err(ServeConfigError::InvalidPaceRate)
-        );
-        let throttle = vec![PaceChange { after_frames: 3, up_mbps: bad }];
-        assert_eq!(
-            paced(PipeConfig { throttle, ..PipeConfig::default() }),
-            Err(ServeConfigError::InvalidPaceRate)
-        );
+    assert_eq!(b().link_events(schedule).build(), Err(ServeConfigError::ScheduleWithoutLink));
+    #[cfg(unix)]
+    {
+        // A NaN rate used to panic a worker inside the pacer; a rate <= 0
+        // silently ran unpaced.
+        let paced = |cfg: UdsConfig| b().transport(TransportKind::Uds(cfg)).build();
+        // A rate too slow to pace one full batch in a time the clock can
+        // hold used to pass and then panic the sender on its first paced
+        // frame.
+        for bad in [f64::NAN, f64::INFINITY, 0.0, -1.0, 1e-300] {
+            assert_eq!(
+                paced(UdsConfig { up_mbps: Some(bad), ..UdsConfig::default() }),
+                Err(ServeConfigError::InvalidPaceRate)
+            );
+            let throttle = vec![PaceChange { after_frames: 3, up_mbps: bad }];
+            assert_eq!(
+                paced(UdsConfig { throttle, ..UdsConfig::default() }),
+                Err(ServeConfigError::InvalidPaceRate)
+            );
+        }
+        let throttle = vec![PaceChange { after_frames: 3, up_mbps: 1.0 }];
+        assert!(paced(UdsConfig { up_mbps: Some(5.0), throttle, ..UdsConfig::default() }).is_ok());
     }
-    assert!(paced(PipeConfig { up_mbps: Some(5.0), down_mbps: Some(5.0), ..PipeConfig::default() }).is_ok());
     // A bad modelled link used to pass the builder and then kill a cloud
     // (or edge) worker converting its sleep to a `Duration`. Every link
     // the runtime sleeps on or plans with is checked.
@@ -1206,17 +1201,20 @@ fn builder_rejects_each_static_invariant_by_name() {
 #[cfg(unix)]
 #[test]
 fn link_schedule_on_the_unix_socket_wire_rejected() {
-    // The Unix-socket wire pays real time like the pipe, so a modelled
-    // link schedule can never fire on it; the config used to build and
-    // the scheduled degradation silently never happened.
+    // The Unix-socket wire pays real time, so a modelled link schedule
+    // can never fire on it; the config used to build and the scheduled
+    // degradation silently never happened.
     let built = ServeConfig::builder(OffloadPolicy::Always)
         .link(NetworkLink::wifi(1.0))
         .link_events(vec![LinkChange { after_batches: 1, link: NetworkLink::wifi(0.1) }])
-        .transport(TransportKind::Uds(crate::transport::UdsConfig::default()))
+        .transport(TransportKind::Uds(UdsConfig::default()))
         .build();
     assert_eq!(built, Err(ServeConfigError::ScheduleOnMeasuredWire));
     let message = ServeConfigError::ScheduleOnMeasuredWire.to_string();
-    assert!(!message.contains("PipeConfig"), "a UDS user has no pipe to throttle: {message}");
+    assert!(
+        message.contains("UdsConfig::throttle"),
+        "the message should name the socket's own throttle: {message}"
+    );
 }
 
 /// A deeper cloud variant (two blocks per stage): same input shape as

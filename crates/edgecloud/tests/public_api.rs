@@ -93,21 +93,30 @@ fn crate_root_type_reexports_are_stable() {
     has::<ec::ArrivalModel>();
     // transport
     has::<ec::ModelledTransport>();
-    has::<ec::PaceChange>();
-    has::<ec::PipeConfig>();
-    has::<ec::PipeTransport>();
     has::<ec::RequestFrame>();
     has::<ec::ResponseFrame>();
     has::<ec::TransportKind>();
+    // Two wires (an exhaustive match) and the socket's three settings (a
+    // struct literal naming every field): a new variant or field fails
+    // to compile here.
+    let wire = |kind: &ec::TransportKind| match kind {
+        ec::TransportKind::Modelled => "modelled",
+        #[cfg(unix)]
+        ec::TransportKind::Uds(_) => "uds",
+    };
+    assert_eq!(wire(&ec::TransportKind::default()), "modelled");
     #[cfg(unix)]
-    has::<ec::UdsConfig>();
-    #[cfg(unix)]
-    has::<ec::UdsTransport>();
+    {
+        has::<ec::UdsTransport>();
+        let cfg = ec::UdsConfig { window_bytes: 256 * 1024, up_mbps: None, throttle: Vec::new() };
+        assert_eq!(cfg, ec::UdsConfig::default(), "a 256 KiB window, unpaced, no throttle");
+        let throttle = vec![ec::PaceChange { after_frames: 8, up_mbps: 1.0 }];
+        assert_eq!(wire(&ec::TransportKind::Uds(ec::UdsConfig { up_mbps: Some(50.0), throttle, ..cfg })), "uds");
+    }
 
     // `Transport` is a trait: name it in bound position.
     fn bound<T: ec::Transport>() {}
     let _ = bound::<ec::ModelledTransport>;
-    let _ = bound::<ec::PipeTransport>;
     #[cfg(unix)]
     let _ = bound::<ec::UdsTransport>;
 }

@@ -1,15 +1,13 @@
 //! Transport-conformance suite: every behavioural contract of the
 //! [`Transport`] trait, asserted against EVERY implementation — the
-//! deterministic modelled conduit, the real in-process byte pipe, and
-//! (on unix) the loopback kernel socket. Each test body is generic over
-//! `T: Transport`; the `#[test]` wrappers instantiate it per wire, so
-//! the implementations can never drift apart on framing, ordering,
-//! backpressure, or shutdown semantics.
+//! deterministic modelled conduit and (on unix) the loopback kernel
+//! socket. Each test body is generic over `T: Transport`; the `#[test]`
+//! wrappers instantiate it per wire, so the implementations can never
+//! drift apart on framing, ordering, backpressure, or shutdown semantics.
 
 use bytes::Bytes;
 use mea_edgecloud::transport::{
-    DownlinkReceiver, ModelledTransport, PipeConfig, PipeTransport, RecvOutcome, RequestFrame, ResponseFrame,
-    Transport, UplinkReceiver,
+    DownlinkReceiver, ModelledTransport, RecvOutcome, RequestFrame, ResponseFrame, Transport, UplinkReceiver,
 };
 use mea_edgecloud::Payload;
 use mea_tensor::{Rng, Tensor};
@@ -20,14 +18,10 @@ fn modelled(lanes: usize, queue_depth: usize) -> ModelledTransport {
     ModelledTransport::new(lanes, queue_depth)
 }
 
-fn pipe(lanes: usize, buffer_bytes: usize) -> PipeTransport {
-    PipeTransport::new(lanes, PipeConfig { buffer_bytes, ..PipeConfig::default() })
-}
-
 #[cfg(unix)]
 fn uds(lanes: usize, window_bytes: usize) -> mea_edgecloud::transport::UdsTransport {
     use mea_edgecloud::transport::{UdsConfig, UdsTransport};
-    UdsTransport::new(lanes, UdsConfig { window_bytes })
+    UdsTransport::new(lanes, UdsConfig { window_bytes, ..UdsConfig::default() })
 }
 
 fn request(req_id: u64, device: u32, seq: u64, payload: Bytes) -> RequestFrame {
@@ -92,11 +86,6 @@ fn modelled_round_trips_every_payload_codec() {
     check_round_trip(modelled(1, 4));
 }
 
-#[test]
-fn pipe_round_trips_every_payload_codec() {
-    check_round_trip(pipe(1, 64 * 1024));
-}
-
 #[cfg(unix)]
 #[test]
 fn uds_round_trips_every_payload_codec() {
@@ -151,13 +140,6 @@ fn modelled_multiplexes_concurrent_senders() {
     check_multiplexing(modelled(1, 4));
 }
 
-#[test]
-fn pipe_multiplexes_concurrent_senders() {
-    // A buffer smaller than one frame forces chunked writes, so frame
-    // serialisation (not luck) is what keeps the stream uncorrupted.
-    check_multiplexing(pipe(1, 48));
-}
-
 #[cfg(unix)]
 #[test]
 fn uds_multiplexes_concurrent_senders() {
@@ -207,16 +189,6 @@ fn modelled_backpressure_blocks_the_sender() {
     check_backpressure(modelled(1, 1), 1);
 }
 
-#[test]
-fn pipe_backpressure_blocks_the_sender() {
-    // A budget below one frame (24 bytes, or none at all) admits the
-    // first frame (idle-direction rule), then stalls the second until the
-    // receiver decodes — deterministically one frame in flight.
-    for budget in [24, 0] {
-        check_backpressure(pipe(1, budget), 1);
-    }
-}
-
 #[cfg(unix)]
 #[test]
 fn uds_backpressure_blocks_the_sender() {
@@ -251,15 +223,46 @@ fn modelled_zero_timeout_delivers_queued_frames() {
     check_zero_timeout(modelled(1, 4));
 }
 
-#[test]
-fn pipe_zero_timeout_delivers_queued_frames() {
-    check_zero_timeout(pipe(1, 64 * 1024));
-}
-
 #[cfg(unix)]
 #[test]
 fn uds_zero_timeout_delivers_queued_frames() {
     check_zero_timeout(uds(1, 64 * 1024));
+}
+
+// ---------------------------------------------------------------------------
+// Unbounded timeout: a wait no deadline can hold waits for the frame,
+// like `None`, instead of overflowing the clock.
+// ---------------------------------------------------------------------------
+
+fn check_max_timeout<T: Transport>(t: T) {
+    let mut up = t.take_uplink(0);
+    std::thread::scope(|s| {
+        let t = &t;
+        // After a pause, so the receiver is most likely already waiting;
+        // either order must deliver the frame, then `Closed`.
+        s.spawn(move || {
+            std::thread::sleep(Duration::from_millis(20));
+            t.send_request(0, request(0, 0, 0, tagged_payload(0, 0).encode())).expect("lane open");
+            std::thread::sleep(Duration::from_millis(20));
+            t.close_requests();
+        });
+        match up.recv(Some(Duration::MAX)) {
+            RecvOutcome::Frame(f) => assert_eq!(f.frame.seq, 0),
+            other => panic!("expected the frame, got {other:?}"),
+        }
+        assert!(matches!(up.recv(Some(Duration::MAX)), RecvOutcome::Closed), "closing the lane ends the wait");
+    });
+}
+
+#[test]
+fn modelled_max_timeout_waits_for_the_frame() {
+    check_max_timeout(modelled(1, 4));
+}
+
+#[cfg(unix)]
+#[test]
+fn uds_max_timeout_waits_for_the_frame() {
+    check_max_timeout(uds(1, 64 * 1024));
 }
 
 // ---------------------------------------------------------------------------
@@ -298,11 +301,6 @@ fn modelled_shutdown_drains_then_closes() {
     check_shutdown(modelled(1, 4));
 }
 
-#[test]
-fn pipe_shutdown_drains_then_closes() {
-    check_shutdown(pipe(1, 64 * 1024));
-}
-
 #[cfg(unix)]
 #[test]
 fn uds_shutdown_drains_then_closes() {
@@ -331,11 +329,6 @@ fn check_receiver_drop<T: Transport>(t: T) {
 #[test]
 fn modelled_receiver_drop_closes_only_its_lane() {
     check_receiver_drop(modelled(2, 4));
-}
-
-#[test]
-fn pipe_receiver_drop_closes_only_its_lane() {
-    check_receiver_drop(pipe(2, 64 * 1024));
 }
 
 #[cfg(unix)]

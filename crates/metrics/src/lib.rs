@@ -27,7 +27,6 @@ mod histogram;
 pub mod memory;
 mod report;
 mod streaming;
-mod windowed;
 
 pub use calibration::ece;
 pub use confusion::ConfusionMatrix;
@@ -37,4 +36,3 @@ pub use flops::CostSplit;
 pub use histogram::Histogram;
 pub use report::Table;
 pub use streaming::StreamingHistogram;
-pub use windowed::WindowedQuantiles;

@@ -20,7 +20,7 @@ use mea_edgecloud::serve::{
     LinkFeedback, ServeConfig, ServeRequest, WireFormat, RESPONSE_WIRE_BYTES,
 };
 use mea_edgecloud::traces::ArrivalModel;
-use mea_edgecloud::transport::{PaceChange, PipeConfig, TransportKind};
+use mea_edgecloud::transport::{PaceChange, TransportKind, UdsConfig};
 use mea_nn::models::SegmentedCnn;
 use mea_nn::StateDict;
 use mea_tensor::Rng;
@@ -226,7 +226,7 @@ fn main() {
     );
 
     // The same closed loop over a REAL wire: payload frames genuinely
-    // cross an in-process byte pipe whose pacer throttles 20 -> 1 Mbps
+    // cross a Unix socket whose uplink pacer throttles 20 -> 1 Mbps
     // mid-run. No modelled sleeps on this path — the telemetry is
     // Instant::now() deltas around the actual sends, so the estimate
     // (and hence the replanned cut) comes from time genuinely paid.
@@ -238,10 +238,10 @@ fn main() {
         .max_batch(8)
         .queue_depth(8)
         .link(NetworkLink::wifi(20.0).with_rtt(0.004))
-        .transport(TransportKind::Pipe(PipeConfig {
+        .transport(TransportKind::Uds(UdsConfig {
             up_mbps: Some(20.0),
             throttle: vec![PaceChange { after_frames: 24, up_mbps: 1.0 }],
-            ..PipeConfig::default()
+            ..UdsConfig::default()
         }))
         .control(ControlPlan::ClosedLoop {
             planner: CutPlannerConfig {
@@ -266,7 +266,7 @@ fn main() {
         .expect("a well-formed trace");
     let est = r.stats.link_estimates.as_ref().and_then(|e| e[0]);
     println!(
-        "\nsame loop over the real byte pipe (pacer throttled 20 -> 1 Mbps): {} replans, final cut {:?},\n\
+        "\nsame loop over a Unix socket (pacer throttled 20 -> 1 Mbps): {} replans, final cut {:?},\n\
          wall-clock-measured uplink {} over {} batches",
         r.stats.cut_replans,
         r.stats.final_cuts.unwrap_or_default(),
