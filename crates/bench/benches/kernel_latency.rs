@@ -6,8 +6,9 @@ use criterion::{BatchSize, Criterion};
 use mea_bench::regression::Reporter;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
-use mea_tensor::conv::{col2im, depthwise_into, im2col_into, ConvGeom};
+use mea_tensor::conv::{depthwise_into, ConvGeom, UnfoldPlan};
 use mea_tensor::{matmul, Rng, Tensor};
+use std::time::Instant;
 
 /// Batch 8 is the sweep regime; batch 1 is the serving regime, where
 /// per-call overhead (a spawn, a system call, an allocation per layer) is
@@ -62,61 +63,111 @@ fn conv_shapes() -> Vec<(ConvGeom, usize, usize)> {
     shapes
 }
 
-/// What `Conv2d::forward` runs per image — `im2col_into` and a zeroed
-/// `W·cols` — once over each of [`conv_shapes`], into buffers kept across
+/// One of [`conv_shapes`] as `Conv2d::forward` runs it per image: its
+/// unfold plan, built once as the layer builds it, and buffers kept across
 /// calls as the layer keeps them across images.
-fn bench_conv_forward_kernels(c: &mut Criterion) {
-    struct Conv {
-        geom: ConvGeom,
-        hw: usize,
-        weight: Tensor,
-        image: Tensor,
-        cols: Tensor,
-        out: Tensor,
+struct ForwardConv {
+    geom: ConvGeom,
+    hw: usize,
+    plan: UnfoldPlan,
+    weight: Tensor,
+    image: Tensor,
+    cols: Tensor,
+    out: Tensor,
+}
+
+impl ForwardConv {
+    fn all(rng: &mut Rng) -> Vec<ForwardConv> {
+        conv_shapes()
+            .into_iter()
+            .map(|(geom, hw, out_c)| {
+                let (oh, ow) = geom.out_hw(hw, hw);
+                let (patch, ncols) = (geom.patch_len(), oh * ow);
+                ForwardConv {
+                    geom,
+                    hw,
+                    plan: UnfoldPlan::new(&geom, hw, hw),
+                    weight: Tensor::randn([out_c, patch], 1.0, rng),
+                    image: Tensor::randn([geom.in_channels, hw, hw], 1.0, rng),
+                    cols: Tensor::zeros([patch, ncols]),
+                    out: Tensor::zeros([out_c, ncols]),
+                }
+            })
+            .collect()
     }
-    let mut rng = Rng::new(6);
-    let mut convs: Vec<Conv> = conv_shapes()
-        .into_iter()
-        .map(|(geom, hw, out_c)| {
-            let (oh, ow) = geom.out_hw(hw, hw);
-            let (patch, ncols) = (geom.patch_len(), oh * ow);
-            Conv {
-                geom,
-                hw,
-                weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
-                image: Tensor::randn([geom.in_channels, hw, hw], 1.0, &mut rng),
-                cols: Tensor::zeros([patch, ncols]),
-                out: Tensor::zeros([out_c, ncols]),
-            }
-        })
-        .collect();
+
+    fn unfold(&mut self) {
+        self.plan.unfold(self.image.as_slice(), 0.0, self.cols.as_mut_slice());
+    }
+
+    /// The zeroed `W·cols`.
+    fn multiply(&mut self) {
+        let (oc, patch, ncols) = (self.weight.dims()[0], self.cols.dims()[0], self.cols.dims()[1]);
+        self.out.fill(0.0);
+        matmul::gemm_into(self.weight.as_slice(), self.cols.as_slice(), self.out.as_mut_slice(), oc, patch, ncols);
+    }
+}
+
+/// What `Conv2d::forward` runs per image — the plan's unfold and a zeroed
+/// `W·cols` — once over each of [`conv_shapes`].
+fn bench_conv_forward_kernels(c: &mut Criterion) {
+    let mut convs = ForwardConv::all(&mut Rng::new(6));
     c.bench_function("conv_forward_kernels", |b| {
         b.iter(|| {
             for conv in &mut convs {
-                let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
-                im2col_into(conv.image.as_slice(), conv.hw, conv.hw, &conv.geom, conv.cols.as_mut_slice());
-                conv.out.fill(0.0);
-                matmul::gemm_into(
-                    conv.weight.as_slice(),
-                    conv.cols.as_slice(),
-                    conv.out.as_mut_slice(),
-                    oc,
-                    patch,
-                    ncols,
-                );
+                conv.unfold();
+                conv.multiply();
             }
         })
     });
 }
 
-/// What `Conv2d::backward` runs for a batch of one image — `dWᵀ = cols·dYᵀ`
-/// into a zeroed accumulator, a zeroed `Wᵀ·dY` and its `col2im`, then `dWᵀ`
-/// added to `dW` transposed — once over each of [`conv_shapes`], into
-/// buffers kept across calls.
+/// The forward of each of [`conv_shapes`] split into its unfold and its
+/// product, one line per shape and one for their sums, so the unfold's
+/// share of a dense convolution shows. Each time is the median of five
+/// batches of 200 calls, per call.
+fn print_conv_forward_split() {
+    fn per_call_us(mut f: impl FnMut()) -> f64 {
+        let mut batches: Vec<f64> = (0..5)
+            .map(|_| {
+                let start = Instant::now();
+                for _ in 0..200 {
+                    f();
+                }
+                start.elapsed().as_secs_f64() * 1e6 / 200.0
+            })
+            .collect();
+        batches.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
+        batches[2]
+    }
+    let (mut unfold_total, mut gemm_total) = (0.0, 0.0);
+    for mut conv in ForwardConv::all(&mut Rng::new(6)) {
+        let unfold = per_call_us(|| conv.unfold());
+        let gemm = per_call_us(|| conv.multiply());
+        let (g, out_c) = (conv.geom, conv.weight.dims()[0]);
+        println!(
+            "[kernel_latency] conv {:>2}→{out_c:<2} {hw:>2}×{hw:<2} stride {}: unfold {unfold:6.2} µs, GEMM {gemm:6.2} µs",
+            g.in_channels,
+            g.stride,
+            hw = conv.hw
+        );
+        unfold_total += unfold;
+        gemm_total += gemm;
+    }
+    println!(
+        "[kernel_latency] conv forward, {} shapes: unfold {unfold_total:.1} µs, GEMM {gemm_total:.1} µs, unfold/GEMM {:.2}",
+        conv_shapes().len(),
+        unfold_total / gemm_total
+    );
+}
+
+/// What `Conv2d::backward` runs for a batch of one image after its unfold —
+/// `dWᵀ = cols·dYᵀ` into a zeroed accumulator, a zeroed `Wᵀ·dY` folded
+/// through the plan, then `dWᵀ` added to `dW` transposed — once over each of
+/// [`conv_shapes`], into buffers and a plan kept across calls.
 fn bench_conv_backward_kernels(c: &mut Criterion) {
     struct Conv {
-        geom: ConvGeom,
-        hw: usize,
+        plan: UnfoldPlan,
         weight: Tensor,
         grad_out: Tensor,
         cols: Tensor,
@@ -132,8 +183,7 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
             let (oh, ow) = geom.out_hw(hw, hw);
             let (patch, ncols) = (geom.patch_len(), oh * ow);
             Conv {
-                geom,
-                hw,
+                plan: UnfoldPlan::new(&geom, hw, hw),
                 weight: Tensor::randn([out_c, patch], 1.0, &mut rng),
                 grad_out: Tensor::randn([out_c, ncols], 1.0, &mut rng),
                 cols: Tensor::randn([patch, ncols], 1.0, &mut rng),
@@ -153,7 +203,7 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
                 matmul::gemm_a_bt_into(conv.cols.as_slice(), g, &mut conv.dw_t, patch, ncols, oc);
                 conv.grad_cols.fill(0.0);
                 matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
-                col2im(conv.grad_cols.as_slice(), conv.hw, conv.hw, &conv.geom, &mut conv.grad_in);
+                conv.plan.fold(conv.grad_cols.as_slice(), &mut conv.grad_in);
                 for (o, dw_row) in conv.dw.chunks_exact_mut(patch).enumerate() {
                     for (d, dw_t_row) in dw_row.iter_mut().zip(conv.dw_t.chunks_exact(oc)) {
                         *d += dw_t_row[o];
@@ -270,5 +320,6 @@ fn main() {
         samples.sort_by(|a, b| a.partial_cmp(b).expect("finite timings"));
         rep.metric(&format!("{id}_ms"), samples[1]);
     }
+    print_conv_forward_split();
     rep.finish();
 }

@@ -3,14 +3,22 @@
 //! An image is unfolded into its patch matrix and multiplied by the
 //! flattened weights, the product accumulating straight into that image's
 //! slice of the output. The patch matrix lives in one slot the layer owns,
-//! which every image of every call, in either mode, is unfolded into: after
-//! the first call a forward allocates nothing but its output. A training
-//! forward keeps its input, not its patches (each about `kh·kw` times the
-//! image), and `backward` unfolds each image into the slot again just
-//! before that image's `dWᵀ` product, then computes the image's patch
-//! gradient `Wᵀ·dY` in the same slot. The input stays cached until the
-//! next forward or `clear_cache`, so one forward may be followed by
-//! several backwards.
+//! which every image of every call, in either mode, is unfolded into, and
+//! the unfold runs through an [`UnfoldPlan`] the layer keeps beside the
+//! slot: the plan works the taps' row and column ranges out once (into a
+//! block copy and padding positions per tap, or for a strided geometry each
+//! patch element's source pixel) and is rebuilt only when the input's
+//! height or width changes. After the first call a forward allocates
+//! nothing but its output. A 1×1 convolution at stride 1 without padding has
+//! the image itself as its patch matrix, so it multiplies the input slice
+//! directly and keeps neither plan nor slot.
+//!
+//! A training forward keeps its input, not its patches (each about `kh·kw`
+//! times the image), and `backward` unfolds each image into the slot again
+//! just before that image's `dWᵀ` product, then computes the image's patch
+//! gradient `Wᵀ·dY` in the same slot and folds it through the same plan. The
+//! input stays cached until the next forward or `clear_cache`, so one
+//! forward may be followed by several backwards.
 //!
 //! Both passes run on the calling thread, image after image, so their
 //! results are the same bits on any number of cores. Every element of
@@ -23,7 +31,7 @@
 
 use crate::init;
 use crate::layer::{Layer, Mode, Param};
-use mea_tensor::conv::{col2im, im2col_into, ConvGeom};
+use mea_tensor::conv::{ConvGeom, UnfoldPlan};
 use mea_tensor::{matmul, ops, Rng, Tensor};
 
 /// A standard 2-D convolution over `[N, C, H, W]` tensors.
@@ -37,8 +45,13 @@ pub struct Conv2d {
     weight: Param,
     bias: Option<Param>,
     /// The im2col patch matrix, `[in_c·kh·kw, oh·ow]`, filled on the
-    /// calling thread for one image at a time in both passes.
+    /// calling thread for one image at a time in both passes; empty for a
+    /// pointwise convolution.
     cols: Vec<f32>,
+    /// How `cols` is unfolded from and folded into an image of the last
+    /// input size; `None` before the first call and for a pointwise
+    /// convolution.
+    plan: Option<UnfoldPlan>,
     /// The input of the last training forward, for `backward`.
     cache: Option<Tensor>,
 }
@@ -63,7 +76,7 @@ impl Conv2d {
         let geom = ConvGeom::square(in_channels, kernel, stride, pad);
         let weight = Param::new(init::kaiming_conv(out_channels, geom.patch_len(), rng));
         let bias = bias.then(|| Param::new(Tensor::zeros([out_channels])));
-        Conv2d { geom, out_channels, weight, bias, cols: Vec::new(), cache: None }
+        Conv2d { geom, out_channels, weight, bias, cols: Vec::new(), plan: None, cache: None }
     }
 
     /// Convolution geometry (kernel/stride/pad).
@@ -93,6 +106,38 @@ impl Conv2d {
         (x.dims()[0], x.dims()[2], x.dims()[3])
     }
 
+    /// A 1×1 convolution at stride 1 without padding, whose patch matrix is
+    /// the image itself.
+    fn is_pointwise(&self) -> bool {
+        let g = &self.geom;
+        g.kh == 1 && g.kw == 1 && g.stride == 1 && g.pad == 0
+    }
+
+    /// Sizes the slot and the plan for `h × w` images, rebuilding the plan
+    /// only if the size changed.
+    fn prepare(&mut self, h: usize, w: usize) {
+        if self.is_pointwise() {
+            return;
+        }
+        if self.plan.as_ref().is_none_or(|p| p.input_hw() != (h, w)) {
+            self.plan = Some(UnfoldPlan::new(&self.geom, h, w));
+        }
+        let (oh, ow) = self.geom.out_hw(h, w);
+        self.cols.resize(self.geom.patch_len() * oh * ow, 0.0);
+    }
+
+    /// The patch matrix of `img`: the image itself for a pointwise
+    /// convolution, otherwise `img` unfolded into the slot.
+    fn patches<'a>(plan: Option<&UnfoldPlan>, cols: &'a mut [f32], img: &'a [f32]) -> &'a [f32] {
+        match plan {
+            Some(plan) => {
+                plan.unfold(img, 0.0, cols);
+                cols
+            }
+            None => img,
+        }
+    }
+
     /// The convolution of `x`, every image unfolded into the one slot.
     fn convolve(&mut self, x: &Tensor) -> Tensor {
         let (n, h, w) = self.check_input(x);
@@ -100,11 +145,11 @@ impl Conv2d {
         let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
         let (chw, out_per_img) = (self.geom.in_channels * h * w, oc * ncols);
         let mut out = Tensor::zeros([n, oc, oh, ow]);
-        self.cols.resize(patch * ncols, 0.0);
+        self.prepare(h, w);
         let weight = self.weight.value.as_slice();
         for (y, img) in out.as_mut_slice().chunks_exact_mut(out_per_img).zip(x.as_slice().chunks_exact(chw)) {
-            im2col_into(img, h, w, &self.geom, &mut self.cols);
-            matmul::gemm_into(weight, &self.cols, y, oc, patch, ncols);
+            let cols = Self::patches(self.plan.as_ref(), &mut self.cols, img);
+            matmul::gemm_into(weight, cols, y, oc, patch, ncols);
         }
         if let Some(bias) = &self.bias {
             ops::add_bias_nchw(&mut out, &bias.value);
@@ -140,6 +185,8 @@ impl Layer for Conv2d {
         let x = self.cache.as_ref().expect("Conv2d::backward called without a training forward");
         let (n, h, w) = (x.dims()[0], x.dims()[2], x.dims()[3]);
         assert_eq!(grad_out.dims()[0], n, "batch size changed between forward and backward");
+        self.prepare(h, w);
+        let x = self.cache.as_ref().expect("the training input, checked above");
         let (oh, ow) = self.geom.out_hw(h, w);
         let (oc, patch, ncols) = (self.out_channels, self.geom.patch_len(), oh * ow);
         let (chw, out_per_img) = (self.geom.in_channels * h * w, oc * ncols);
@@ -149,24 +196,30 @@ impl Layer for Conv2d {
         // `cols·dYᵀ`, each tile of dot products is stored as contiguous rows.
         let mut dw_t = vec![0.0; patch * oc];
         let mut db = Tensor::zeros([oc]);
-        let (geom, weight) = (self.geom, self.weight.value.as_slice());
+        let weight = self.weight.value.as_slice();
         let images = grad_in
             .as_mut_slice()
             .chunks_exact_mut(chw)
             .zip(grad_out.as_slice().chunks_exact(out_per_img))
             .zip(x.as_slice().chunks_exact(chw));
         for ((gi, g), img) in images {
-            im2col_into(img, h, w, &geom, &mut self.cols);
-            matmul::gemm_a_bt_into(&self.cols, g, &mut dw_t, patch, ncols, oc);
+            let cols = Self::patches(self.plan.as_ref(), &mut self.cols, img);
+            matmul::gemm_a_bt_into(cols, g, &mut dw_t, patch, ncols, oc);
             if self.bias.is_some() {
                 for (b, row) in db.as_mut_slice().iter_mut().zip(g.chunks_exact(ncols)) {
                     *b += row.iter().sum::<f32>();
                 }
             }
-            // The image's patches are spent: the slot takes their gradient.
-            self.cols.fill(0.0);
-            matmul::gemm_at_b_into(weight, g, &mut self.cols, patch, oc, ncols);
-            col2im(&self.cols, h, w, &geom, gi);
+            match &self.plan {
+                // The image's patches are spent: the slot takes their gradient.
+                Some(plan) => {
+                    self.cols.fill(0.0);
+                    matmul::gemm_at_b_into(weight, g, &mut self.cols, patch, oc, ncols);
+                    plan.fold(&self.cols, gi);
+                }
+                // The patch gradient is the image gradient, and `gi` starts at zero.
+                None => matmul::gemm_at_b_into(weight, g, gi, patch, oc, ncols),
+            }
         }
 
         for (o, dw_row) in self.weight.grad.as_mut_slice().chunks_exact_mut(patch).enumerate() {
@@ -205,6 +258,7 @@ impl Layer for Conv2d {
     fn clear_cache(&mut self) {
         self.cache = None;
         self.cols = Vec::new();
+        self.plan = None;
     }
 }
 
@@ -366,11 +420,12 @@ mod tests {
         out
     }
 
-    /// The patch slot outlives the call: a smaller input, a larger one
-    /// again, and a training batch in between must each see a slot that
-    /// leaks nothing of the previous occupant into its padding taps. A
-    /// training forward unfolds its images into the same one slot and
-    /// keeps its input instead of their patches.
+    /// The patch slot and its plan outlive the call: a smaller input, a
+    /// larger one again, and a training batch in between must each see a
+    /// slot that leaks nothing of the previous occupant into its padding
+    /// taps, through a plan rebuilt for each new input size. A training
+    /// forward unfolds its images into the same one slot and keeps its input
+    /// instead of their patches. A pointwise convolution keeps neither.
     #[test]
     fn reused_patch_buffer_leaks_nothing_across_input_sizes_and_modes() {
         let mut rng = Rng::new(10);
@@ -381,21 +436,71 @@ mod tests {
             fresh.clear_cache();
             fresh.forward(x, Mode::Eval)
         };
+        let planned_for = |conv: &Conv2d| conv.plan.as_ref().map(UnfoldPlan::input_hw);
         let big = Tensor::randn([1, 3, 16, 16], 1.0, &mut rng);
         let small = Tensor::randn([1, 3, 8, 8], 1.0, &mut rng);
         let batch = Tensor::randn([4, 3, 16, 16], 1.0, &mut rng);
         for x in [&big, &small, &big, &batch, &small] {
             assert!(same_bits(&conv.forward(x, Mode::Eval), &fresh_forward(x, &conv)), "eval {:?}", x.dims());
+            assert_eq!(planned_for(&conv), Some((x.dims()[2], x.dims()[3])), "the plan follows the input size");
         }
         let trained = conv.forward(&batch, Mode::Train);
         assert!(same_bits(&trained, &fresh_forward(&batch, &conv)));
         assert_eq!(conv.cols.len(), 27 * 256, "a training forward keeps one 27 × 256 patch slot");
+        assert_eq!(planned_for(&conv), Some((16, 16)));
         assert!(conv.cache.as_ref().is_some_and(|x| same_bits(x, &batch)), "and its input");
         let _ = conv.backward(&Tensor::randn([4, 5, 16, 16], 1.0, &mut rng));
         assert_eq!(conv.cols.len(), 27 * 256, "backward unfolds into the same slot");
         assert!(same_bits(&conv.forward(&small, Mode::Eval), &fresh_forward(&small, &conv)));
         assert_eq!(conv.cols.len(), 27 * 64);
+        assert_eq!(planned_for(&conv), Some((8, 8)));
         assert!(conv.cache.is_none(), "the next eval forward drops the training input");
+
+        let mut pointwise = Conv2d::new(3, 5, 1, 1, 0, false, &mut rng);
+        let _ = pointwise.forward(&batch, Mode::Train);
+        let _ = pointwise.backward(&Tensor::randn([4, 5, 16, 16], 1.0, &mut rng));
+        let _ = pointwise.forward(&small, Mode::Eval);
+        assert!(pointwise.cols.is_empty() && pointwise.plan.is_none(), "a 1×1 convolution keeps no slot");
+    }
+
+    /// A pointwise convolution multiplies its input where the others
+    /// multiply their patch matrix, which for a 1×1 kernel at stride 1
+    /// without padding holds the same values: its output, `grad_in` and
+    /// gradients are the bits of the unfold-and-fold path.
+    #[test]
+    fn pointwise_convolution_matches_its_unfolded_form_bit_for_bit() {
+        let mut rng = Rng::new(13);
+        let mut conv = Conv2d::new(6, 4, 1, 1, 0, true, &mut rng);
+        let (h, w) = (5, 7);
+        let x = Tensor::randn([3, 6, h, w], 1.0, &mut rng);
+        let g = Tensor::randn([3, 4, h, w], 1.0, &mut rng);
+        zero_grads(&mut conv);
+        let y = conv.forward(&x, Mode::Train);
+        let gx = conv.backward(&g);
+
+        let plan = UnfoldPlan::new(&conv.geom, h, w);
+        let weight = conv.weight.value.as_slice();
+        let (mut want_y, mut want_gx) = (Tensor::zeros([3, 4, h, w]), Tensor::zeros([3, 6, h, w]));
+        let (mut cols, mut dw_t) = (vec![f32::NAN; 6 * h * w], vec![0.0; 6 * 4]);
+        let images = want_y
+            .as_mut_slice()
+            .chunks_exact_mut(4 * h * w)
+            .zip(want_gx.as_mut_slice().chunks_exact_mut(6 * h * w));
+        for (i, (yi, gxi)) in images.enumerate() {
+            let gi = &g.as_slice()[i * 4 * h * w..][..4 * h * w];
+            plan.unfold(&x.as_slice()[i * 6 * h * w..][..6 * h * w], 0.0, &mut cols);
+            matmul::gemm_into(weight, &cols, yi, 4, 6, h * w);
+            matmul::gemm_a_bt_into(&cols, gi, &mut dw_t, 6, h * w, 4);
+            cols.fill(0.0);
+            matmul::gemm_at_b_into(weight, gi, &mut cols, 6, 4, h * w);
+            plan.fold(&cols, gxi);
+        }
+        ops::add_bias_nchw(&mut want_y, &conv.bias.as_ref().expect("a bias").value);
+        assert!(same_bits(&y, &want_y), "output");
+        assert!(same_bits(&gx, &want_gx), "grad_in");
+        let dw = conv.weight.grad.as_slice();
+        let same_dw = (0..4).all(|o| (0..6).all(|p| dw[o * 6 + p].to_bits() == (0.0 + dw_t[p * 4 + o]).to_bits()));
+        assert!(same_dw, "dW");
     }
 
     /// `train_edge_joint_weighted` backpropagates two losses through one

@@ -5,14 +5,38 @@
 //! `W · cols` with `W: [C_out, C·kh·kw]`. The backward pass uses
 //! [`col2im`] to scatter patch gradients back onto the input image.
 //!
-//! Both transforms walk the patch matrix a tap `(c, ki, kj)` at a time, and
-//! a tap's source pixel is inside the image for a contiguous range of output
-//! rows and of output columns (`ConvGeom::reaching`). The ranges are
-//! computed once per tap and nothing inside them tests the border: at stride
-//! 1 an output row and its stretch of an image row are two slices, at a
-//! larger stride the image side takes every `stride`-th pixel. The unfold
-//! of a "same" convolution copies a whole tap as one slice
-//! ([`unfold_into`]).
+//! Both transforms run through an [`UnfoldPlan`], built once per geometry
+//! and input size. A tap `(c, ki, kj)`'s source pixel is inside the image for
+//! a contiguous range of output rows and of output columns
+//! (`ConvGeom::reaching`). The plan computes the `kh` row ranges and `kw`
+//! column ranges once, not once per channel and tap, and turns them into one
+//! of two forms:
+//!
+//! * **Block**, for stride 1 with an output row as long as an image row
+//!   (every "same" convolution: `kw = 2·pad + 1`). Output element
+//!   `(oy, ox)` of tap `(ki, kj)` then reads pixel
+//!   `(oy + ki − pad, ox + kj − pad)`, which is `(ki − pad)·w + kj − pad`
+//!   elements from its own index for every element of the tap. So one slice
+//!   from the tap's first in-image element to its last puts each in-image
+//!   element's pixel in place. Between two in-image runs it also writes the
+//!   at most `pad` border columns at the end of one row and the start of the
+//!   next, with pixels of the neighbouring image row. The plan lists those,
+//!   and the rows and columns outside the slice, as the tap's padding
+//!   positions, which are set to padding after the copy; so the tap ends up
+//!   element for element what the per-element loop writes. The fold adds
+//!   each output row's in-image run to its stretch of an image row, or the
+//!   whole slice at once when no border column cuts it.
+//! * **Gather**, for every other geometry (a larger stride, or output rows
+//!   of another length than image rows). The plan stores, for each patch
+//!   element of a channel, the index of the pixel it reads within the
+//!   channel plane, or a padding sentinel; the unfold is then one straight
+//!   gather per channel and the fold one scatter-add in the same order.
+//!
+//! No short run costs a library call: a copy under 32 elements moves as
+//! 8-element arrays and padding is stored position by position, so
+//! `memcpy` is left to long copies and `memset` to none. Every pixel of a
+//! fold receives its taps in `(c, ki, kj, oy, ox)` order in both forms, so
+//! its sum is the per-element loop's, bit for bit.
 //!
 //! A depthwise convolution has no patch matrix to multiply: [`depthwise_into`]
 //! walks the same per-tap ranges and adds `weight · pixel` straight into the
@@ -114,73 +138,243 @@ pub fn im2col_into(image: &[f32], h: usize, w: usize, geom: &ConvGeom, cols: &mu
 }
 
 /// [`im2col_into`] for any element type, padding taps written as `padding`
-/// (zero for floats, the activation zero-point for quantised images).
-///
-/// Per tap, the output rows and columns outside `ConvGeom::reaching` are
-/// filled with `padding` and the rest copied from the image: at a larger
-/// stride every `stride`-th pixel of each image row, at stride 1 one slice
-/// per output row — or, when the output is as wide as the image (every
-/// "same" convolution: `kw = 2·pad + 1`), one slice for the whole tap.
-///
-/// That block copy writes the same elements as the row copies. With
-/// `ow = w`, output element `(oy, ox)` of tap `(ki, kj)` reads pixel
-/// `(oy + ki − pad, ox + kj − pad)`, which is `(ki − pad)·w + kj − pad`
-/// elements from its own index for every element of the tap. So one slice
-/// from the first in-image element to the last puts each in-image element's
-/// pixel in place. Between two in-image runs it also writes the at most
-/// `pad` border columns at the end of one row and the start of the next,
-/// with pixels of the neighbouring image row. Those are then overwritten
-/// with `padding`, as the row copies write them, so the tap ends up
-/// element for element the same.
+/// (zero for floats, the activation zero-point for quantised images),
+/// through an [`UnfoldPlan`] built for this one call.
 ///
 /// # Panics
 ///
 /// Panics if `image.len() != C·H·W` or `cols` has the wrong length.
 pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, padding: T, cols: &mut [T]) {
-    assert_eq!(image.len(), geom.in_channels * h * w, "image length mismatch");
-    let (oh, ow) = geom.out_hw(h, w);
-    let ncols = oh * ow;
-    assert_eq!(cols.len(), geom.patch_len() * ncols, "patch matrix length mismatch");
-    let (stride, pad) = (geom.stride, geom.pad);
-    for c in 0..geom.in_channels {
-        let img_plane = &image[c * h * w..][..h * w];
-        for ki in 0..geom.kh {
-            let oys = geom.reaching(ki, h, oh);
-            for kj in 0..geom.kw {
-                let tap = &mut cols[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
-                let oxs = geom.reaching(kj, w, ow);
-                if oxs.is_empty() || oys.is_empty() {
-                    tap.fill(padding);
-                    continue;
+    UnfoldPlan::new(geom, h, w).unfold(image, padding, cols);
+}
+
+/// Folds a patch-matrix gradient back into an image gradient, accumulating
+/// overlapping taps, through an [`UnfoldPlan`] built for this one call.
+/// `cols` must hold a row-major `[C·kh·kw, oh·ow]` matrix; the result is
+/// added into `image_grad` (length `C·H·W`).
+///
+/// # Panics
+///
+/// Panics if shapes disagree with the geometry.
+pub fn col2im(cols: &[f32], h: usize, w: usize, geom: &ConvGeom, image_grad: &mut [f32]) {
+    UnfoldPlan::new(geom, h, w).fold(cols, image_grad);
+}
+
+/// A patch element of a gather plan that reads padding.
+const PAD: u32 = u32::MAX;
+
+/// Runs at least this many elements long are copied by `memcpy`; shorter
+/// ones, for which the call costs more than the copy, are moved in place.
+const SHORT_RUN: usize = 32;
+
+/// How one geometry unfolds and folds an `h × w` image, worked out once and
+/// reused for every image of that size (module docs). A convolution layer
+/// keeps one beside its patch slot and builds a new one only when its input
+/// size changes; [`unfold_into`] and [`col2im`] build one per call.
+#[derive(Debug)]
+pub struct UnfoldPlan {
+    geom: ConvGeom,
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+    /// Block plans only: each tap's copy, in `(ki, kj)` order.
+    blocks: Vec<BlockTap>,
+    /// Gather plans only: for each patch element `(ki, kj, oy, ox)` of a
+    /// channel, in patch-matrix order, the index of the pixel it reads
+    /// within the channel plane, or `PAD`.
+    gather: Vec<u32>,
+}
+
+/// One tap of a block plan: `len` elements from `first` on are copied from
+/// the channel plane at `src` on, then every element at `padding` is set to
+/// padding — the tap's elements outside the copy and the border columns
+/// inside it. Every output row of the copy starts with `run` in-image
+/// elements.
+#[derive(Debug)]
+struct BlockTap {
+    first: usize,
+    src: usize,
+    len: usize,
+    run: usize,
+    padding: Vec<u32>,
+}
+
+impl UnfoldPlan {
+    /// The plan of `geom` over `h × w` images.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the kernel does not fit in the padded input, or a channel
+    /// plane or a tap has `u32::MAX` elements or more.
+    pub fn new(geom: &ConvGeom, h: usize, w: usize) -> Self {
+        let (oh, ow) = geom.out_hw(h, w);
+        assert!(h * w < PAD as usize && oh * ow < PAD as usize, "a {h}x{w} image is too large to index with u32");
+        let out_rows: Vec<_> = (0..geom.kh).map(|ki| geom.reaching(ki, h, oh)).collect();
+        let out_cols: Vec<_> = (0..geom.kw).map(|kj| geom.reaching(kj, w, ow)).collect();
+        let (stride, pad) = (geom.stride, geom.pad);
+        let (mut blocks, mut gather) = (Vec::new(), Vec::new());
+        let block = stride == 1 && ow == w;
+        for (ki, oys) in out_rows.iter().enumerate() {
+            for (kj, oxs) in out_cols.iter().enumerate() {
+                let inside = |oy, ox| oys.contains(&oy) && oxs.contains(&ox);
+                let source = |oy, ox| (oy * stride + ki - pad) * w + ox * stride + kj - pad;
+                let outputs = (0..oh).flat_map(|oy| (0..ow).map(move |ox| (oy, ox)));
+                if !block {
+                    gather
+                        .extend(outputs.map(|(oy, ox)| if inside(oy, ox) { source(oy, ox) as u32 } else { PAD }));
+                } else if oys.is_empty() || oxs.is_empty() {
+                    blocks.push(BlockTap {
+                        first: 0,
+                        src: 0,
+                        len: 0,
+                        run: 0,
+                        padding: (0..(oh * ow) as u32).collect(),
+                    });
+                } else {
+                    let padding =
+                        outputs.filter(|&(oy, ox)| !inside(oy, ox)).map(|(oy, ox)| (oy * ow + ox) as u32);
+                    blocks.push(BlockTap {
+                        first: oys.start * ow + oxs.start,
+                        src: source(oys.start, oxs.start),
+                        len: (oys.len() - 1) * ow + oxs.len(),
+                        run: oxs.len(),
+                        padding: padding.collect(),
+                    });
                 }
-                tap[..oys.start * ow].fill(padding);
-                tap[oys.end * ow..].fill(padding);
-                let rows = &mut tap[oys.start * ow..oys.end * ow];
-                if stride == 1 && ow == w {
-                    // The block copy of the doc above, then its border columns.
-                    let len = (oys.len() - 1) * ow + oxs.len();
-                    let src = (oys.start + ki - pad) * w + oxs.start + kj - pad;
-                    rows[oxs.start..][..len].copy_from_slice(&img_plane[src..][..len]);
-                    for row in rows.chunks_exact_mut(ow) {
-                        row[..oxs.start].fill(padding);
-                        row[oxs.end..].fill(padding);
-                    }
-                    continue;
-                }
-                for (oy, dst_row) in oys.clone().zip(rows.chunks_exact_mut(ow)) {
-                    let src = &img_plane[(oy * stride + ki - pad) * w + oxs.start * stride + kj - pad..];
-                    dst_row[..oxs.start].fill(padding);
-                    dst_row[oxs.end..].fill(padding);
-                    let dst = &mut dst_row[oxs.clone()];
-                    if stride == 1 {
-                        dst.copy_from_slice(&src[..dst.len()]);
-                    } else {
-                        for (d, &v) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-                            *d = v;
-                        }
+            }
+        }
+        UnfoldPlan { geom: *geom, h, w, oh, ow, blocks, gather }
+    }
+
+    /// The input height and width the plan was built for.
+    pub fn input_hw(&self) -> (usize, usize) {
+        (self.h, self.w)
+    }
+
+    /// Whether its taps are block copies: stride 1 with an output row as
+    /// long as an image row. Any other geometry gathers.
+    fn is_block(&self) -> bool {
+        self.geom.stride == 1 && self.ow == self.w
+    }
+
+    /// Elements of one image, `C·H·W`.
+    fn image_len(&self) -> usize {
+        self.geom.in_channels * self.h * self.w
+    }
+
+    /// Elements of the patch matrix, `C·kh·kw · oh·ow`.
+    fn cols_len(&self) -> usize {
+        self.geom.patch_len() * self.oh * self.ow
+    }
+
+    /// Unfolds one `[C, H, W]` image into its `[C·kh·kw, oh·ow]` patch
+    /// matrix `cols`, which may hold anything on entry: every element is
+    /// written, a tap inside the image with its pixel and a padding tap with
+    /// `padding`, so a buffer reused across images leaks nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image` or `cols` has the wrong length for the plan.
+    pub fn unfold<T: Copy>(&self, image: &[T], padding: T, cols: &mut [T]) {
+        assert_eq!(image.len(), self.image_len(), "image length mismatch");
+        assert_eq!(cols.len(), self.cols_len(), "patch matrix length mismatch");
+        let (plane, ncols, channels) = (self.h * self.w, self.oh * self.ow, self.geom.in_channels);
+        if self.is_block() {
+            // A tap at a time across the channels.
+            let taps = self.blocks.len();
+            for (t, block) in self.blocks.iter().enumerate() {
+                for c in 0..channels {
+                    let tap = &mut cols[(c * taps + t) * ncols..][..ncols];
+                    let img_plane = &image[c * plane..][..plane];
+                    copy_run(&mut tap[block.first..][..block.len], &img_plane[block.src..][..block.len]);
+                    for &at in &block.padding {
+                        tap[at as usize] = padding;
                     }
                 }
             }
+            return;
+        }
+        let per_channel = self.gather.len();
+        for c in 0..channels {
+            let img_plane = &image[c * plane..][..plane];
+            for (d, &i) in cols[c * per_channel..][..per_channel].iter_mut().zip(&self.gather) {
+                *d = img_plane.get(i as usize).copied().unwrap_or(padding);
+            }
+        }
+    }
+
+    /// Adds a patch-matrix gradient `cols` (`[C·kh·kw, oh·ow]`) into the
+    /// image gradient `image_grad` (`C·H·W`), overlapping taps accumulating:
+    /// the adjoint of [`UnfoldPlan::unfold`]. Every pixel receives its taps
+    /// in `(c, ki, kj, oy, ox)` order whatever the geometry, so the sum is
+    /// the per-element loop's, bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `image_grad` or `cols` has the wrong length for the plan.
+    pub fn fold(&self, cols: &[f32], image_grad: &mut [f32]) {
+        assert_eq!(cols.len(), self.cols_len(), "col2im shape mismatch");
+        assert_eq!(image_grad.len(), self.image_len(), "image gradient length mismatch");
+        let (plane, ow, ncols) = (self.h * self.w, self.ow, self.oh * self.ow);
+        let channels = self.geom.in_channels;
+        if !self.is_block() {
+            let per_channel = self.gather.len();
+            for c in 0..channels {
+                let img_plane = &mut image_grad[c * plane..][..plane];
+                for (&g, &i) in cols[c * per_channel..][..per_channel].iter().zip(&self.gather) {
+                    if let Some(d) = img_plane.get_mut(i as usize) {
+                        *d += g;
+                    }
+                }
+            }
+            return;
+        }
+        // A tap at a time across the channels: each output row's run of
+        // in-image columns onto its stretch of an image row, or the whole
+        // block as one run when no border column cuts it. Within a channel
+        // the order is still `(ki, kj, oy, ox)`.
+        for (t, block) in self.blocks.iter().enumerate() {
+            for c in 0..channels {
+                let tap = &cols[(c * self.blocks.len() + t) * ncols..][block.first..][..block.len];
+                let img = &mut image_grad[c * plane..][block.src..][..block.len];
+                if block.run == ow {
+                    add_run(img, tap);
+                } else {
+                    for (d, g) in img.chunks_mut(ow).zip(tap.chunks(ow)) {
+                        add_run(&mut d[..block.run], &g[..block.run]);
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// `dst += src`, element by element.
+#[inline(always)]
+fn add_run(dst: &mut [f32], src: &[f32]) {
+    for (d, &g) in dst.iter_mut().zip(src) {
+        *d += g;
+    }
+}
+
+/// `dst.copy_from_slice(src)`. A run shorter than `SHORT_RUN` moves as
+/// whole 8-element arrays, the last overlapping the one before, or element
+/// by element below 8: no `memcpy` call.
+#[inline(always)]
+fn copy_run<T: Copy>(dst: &mut [T], src: &[T]) {
+    const LANES: usize = 8;
+    let n = dst.len();
+    if n >= SHORT_RUN {
+        dst.copy_from_slice(src);
+    } else if n >= LANES {
+        for at in (0..n - LANES).step_by(LANES).chain([n - LANES]) {
+            let to: &mut [T; LANES] = (&mut dst[at..at + LANES]).try_into().expect("LANES elements");
+            *to = src[at..at + LANES].try_into().expect("LANES elements");
+        }
+    } else {
+        for (d, &s) in dst.iter_mut().zip(src) {
+            *d = s;
         }
     }
 }
@@ -190,11 +384,12 @@ pub fn unfold_into<T: Copy>(image: &[T], h: usize, w: usize, geom: &ConvGeom, pa
 /// convolved with its own `kh × kw` filter, row `c` of the `[C, kh·kw]`
 /// `weight`, into `out` (`N·C·oh·ow`), which may hold anything on entry.
 ///
-/// Each output plane is zeroed, then each tap `(ki, kj)` in ascending order
-/// adds `weight · pixel` over the output rows and columns it reaches
-/// (`ConvGeom::reaching`): at stride 1 a run of an output row and its
-/// stretch of an image row are two slices. Every output element thus adds
-/// its in-image taps in the per-element loop's order (module docs).
+/// The output is zeroed, then per image each tap `(ki, kj)` in ascending
+/// order adds `weight · pixel` over the output rows and columns it reaches
+/// (`ConvGeom::reaching`, computed once per tap of an image rather than per
+/// channel plane) in every channel: at stride 1 a run of an output row and
+/// its stretch of an image row are two slices. Every output element thus
+/// adds its in-image taps in the per-element loop's order (module docs).
 ///
 /// # Panics
 ///
@@ -207,9 +402,8 @@ pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weigh
     assert_eq!(weight.len(), geom.patch_len(), "depthwise weight length mismatch");
     assert_eq!(out.len(), images.len() / chw * geom.in_channels * oh * ow, "output length mismatch");
     let (stride, pad, taps) = (geom.stride, geom.pad, geom.kh * geom.kw);
-    let planes = images.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
-    for ((img_plane, out_plane), filt) in planes.zip(weight.chunks_exact(taps).cycle()) {
-        out_plane.fill(0.0);
+    out.fill(0.0);
+    for (image, out_image) in images.chunks_exact(chw).zip(out.chunks_exact_mut(geom.in_channels * oh * ow)) {
         for ki in 0..geom.kh {
             let oys = geom.reaching(ki, h, oh);
             for kj in 0..geom.kw {
@@ -217,64 +411,21 @@ pub fn depthwise_into(images: &[f32], h: usize, w: usize, geom: &ConvGeom, weigh
                 if oxs.is_empty() {
                     continue;
                 }
-                let (wv, ix0) = (filt[ki * geom.kw + kj], oxs.start * stride + kj - pad);
-                for oy in oys.clone() {
-                    let dst = &mut out_plane[oy * ow..][oxs.clone()];
-                    let src = &img_plane[(oy * stride + ki - pad) * w + ix0..];
-                    if stride == 1 {
-                        for (d, &x) in dst.iter_mut().zip(&src[..oxs.len()]) {
-                            *d += wv * x;
-                        }
-                    } else {
-                        for (d, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
-                            *d += wv * x;
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
-/// Folds a patch-matrix gradient back into an image gradient, accumulating
-/// overlapping taps. `cols` must hold a row-major `[C·kh·kw, oh·ow]`
-/// matrix; the result is added into `image_grad` (length `C·H·W`).
-///
-/// The adjoint of [`im2col_into`], tap by tap over the same
-/// `ConvGeom::reaching` ranges: at stride 1 an output row is added to its
-/// stretch of an image row as one slice, at a larger stride to every
-/// `stride`-th pixel of it. Taps are visited in `(c, ki, kj, oy, ox)` order,
-/// so each pixel of `image_grad` receives its taps in the same order
-/// whatever the geometry — the sum is the per-element loop's, bit for bit.
-///
-/// # Panics
-///
-/// Panics if shapes disagree with the geometry.
-pub fn col2im(cols: &[f32], h: usize, w: usize, geom: &ConvGeom, image_grad: &mut [f32]) {
-    let (oh, ow) = geom.out_hw(h, w);
-    assert_eq!(cols.len(), geom.patch_len() * oh * ow, "col2im shape mismatch");
-    assert_eq!(image_grad.len(), geom.in_channels * h * w, "image gradient length mismatch");
-    let (stride, pad, ncols) = (geom.stride, geom.pad, oh * ow);
-    for (c, img_plane) in image_grad.chunks_exact_mut(h * w).enumerate() {
-        for ki in 0..geom.kh {
-            let oys = geom.reaching(ki, h, oh);
-            for kj in 0..geom.kw {
-                let oxs = geom.reaching(kj, w, ow);
-                if oxs.is_empty() {
-                    continue;
-                }
-                let ix0 = oxs.start * stride + kj - pad;
-                let tap = &cols[((c * geom.kh + ki) * geom.kw + kj) * ncols..][..ncols];
-                for oy in oys.clone() {
-                    let src = &tap[oy * ow..][oxs.clone()];
-                    let dst = &mut img_plane[(oy * stride + ki - pad) * w + ix0..];
-                    if stride == 1 {
-                        for (d, &g) in dst.iter_mut().zip(src) {
-                            *d += g;
-                        }
-                    } else {
-                        for (d, &g) in dst.iter_mut().step_by(stride).zip(src) {
-                            *d += g;
+                let (tap, ix0) = (ki * geom.kw + kj, oxs.start * stride + kj - pad);
+                let planes = image.chunks_exact(h * w).zip(out_image.chunks_exact_mut(oh * ow));
+                for ((img_plane, out_plane), filt) in planes.zip(weight.chunks_exact(taps)) {
+                    let wv = filt[tap];
+                    for oy in oys.clone() {
+                        let dst = &mut out_plane[oy * ow..][oxs.clone()];
+                        let src = &img_plane[(oy * stride + ki - pad) * w + ix0..];
+                        if stride == 1 {
+                            for (d, &x) in dst.iter_mut().zip(&src[..oxs.len()]) {
+                                *d += wv * x;
+                            }
+                        } else {
+                            for (d, &x) in dst.iter_mut().zip(src.iter().step_by(stride)) {
+                                *d += wv * x;
+                            }
                         }
                     }
                 }
@@ -382,11 +533,14 @@ mod tests {
         }
     }
 
-    /// Row-wise, block and per-element unfolding agree bit for bit, into a
-    /// poisoned buffer, on non-square images including ones smaller than
-    /// the kernel and a single pixel, and with `pad ≥ kernel`, where some
-    /// taps find nothing but padding along a whole row or column range.
-    /// Each geometry also unfolds a `u8` image padded with a non-zero value,
+    /// The plan's unfold and the per-element loop agree bit for bit on
+    /// non-square images including ones smaller than the kernel and a
+    /// single pixel, and with `pad ≥ kernel`, where some taps find nothing
+    /// but padding along a whole row or column range. One plan per geometry
+    /// unfolds three images in turn into one buffer, poisoned before the
+    /// first, so an element a later image leaves unwritten shows the one
+    /// before; [`im2col_into`], which builds its own plan, must agree too.
+    /// Each geometry also unfolds `u8` images padded with a non-zero value,
     /// as an int8 activation is padded with its zero-point.
     #[test]
     fn im2col_into_matches_the_per_element_loop_bit_for_bit() {
@@ -401,34 +555,40 @@ mod tests {
                         }
                         let g = ConvGeom::square(2, kernel, stride, pad);
                         let (oh, ow) = g.out_hw(h, w);
-                        let x = Tensor::randn([2 * h * w], 1.0, &mut rng);
+                        let plan = UnfoldPlan::new(&g, h, w);
+                        assert_eq!(plan.input_hw(), (h, w));
                         let mut got = vec![f32::NAN; g.patch_len() * oh * ow];
-                        im2col_into(x.as_slice(), h, w, &g, &mut got);
-                        let mut want = vec![f32::NAN; got.len()];
-                        unfold_per_element(x.as_slice(), h, w, &g, 0.0, &mut want);
-                        let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}");
+                        let mut got_bytes = vec![0xAA; got.len()];
+                        for image in 0..3 {
+                            let at =
+                                format!("kernel {kernel}, stride {stride}, pad {pad}, image {image}, {h}x{w}");
+                            let x = Tensor::randn([2 * h * w], 1.0, &mut rng);
+                            plan.unfold(x.as_slice(), 0.0, &mut got);
+                            let mut want = vec![f32::NAN; got.len()];
+                            unfold_per_element(x.as_slice(), h, w, &g, 0.0, &mut want);
+                            let same = |a: &[f32]| a.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(same(&got), "{at}");
+                            let mut fresh = vec![f32::NAN; got.len()];
+                            im2col_into(x.as_slice(), h, w, &g, &mut fresh);
+                            assert!(same(&fresh), "im2col_into: {at}");
 
-                        let bytes: Vec<u8> = (0..2 * h * w).map(|_| rng.uniform_range(1.0, 256.0) as u8).collect();
-                        let mut got = vec![0xAA; want.len()];
-                        unfold_into(&bytes, h, w, &g, 128u8, &mut got);
-                        let mut want_bytes = vec![0x55; want.len()];
-                        unfold_per_element(&bytes, h, w, &g, 128u8, &mut want_bytes);
-                        assert_eq!(
-                            got, want_bytes,
-                            "u8: kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}"
-                        );
-
+                            let bytes: Vec<u8> =
+                                (0..2 * h * w).map(|_| rng.uniform_range(1.0, 256.0) as u8).collect();
+                            plan.unfold(&bytes, 128u8, &mut got_bytes);
+                            let mut want_bytes = vec![0x55; want.len()];
+                            unfold_per_element(&bytes, h, w, &g, 128u8, &mut want_bytes);
+                            assert_eq!(got_bytes, want_bytes, "u8: {at}");
+                            all_padding_taps +=
+                                want.chunks_exact(oh * ow).filter(|tap| tap.iter().all(|&v| v == 0.0)).count();
+                        }
                         geometries += 1;
-                        block_copies += usize::from(stride == 1 && ow == w);
-                        all_padding_taps +=
-                            want.chunks_exact(oh * ow).filter(|tap| tap.iter().all(|&v| v == 0.0)).count();
+                        block_copies += usize::from(plan.is_block());
                     }
                 }
             }
         }
         // 1×1 at pad 0, 3×3 at pad 1 and 5×5 at pad 2 on each of the five
-        // images: the geometries the block copy takes.
+        // images: the geometries the stride-1 block copy takes.
         assert_eq!(block_copies, 15, "geometries unfolded by the stride-1 block copy");
         assert!(
             geometries > 100 && all_padding_taps > 0,
@@ -490,9 +650,12 @@ mod tests {
         }
     }
 
-    /// Row-wise and per-element folding agree bit for bit, into a gradient
-    /// that is not zero on entry, on non-square images including ones
-    /// smaller than the kernel (some taps then reach no pixel at all).
+    /// The plan's fold and the per-element loop agree bit for bit, into a
+    /// gradient that is not zero on entry, on non-square images including
+    /// ones smaller than the kernel (some taps then reach no pixel at all).
+    /// One plan per geometry folds three patch gradients in turn into the
+    /// same image gradient, and [`col2im`], which builds its own plan, folds
+    /// the first.
     #[test]
     fn col2im_matches_the_per_element_loop_bit_for_bit() {
         let mut rng = Rng::new(8);
@@ -505,14 +668,27 @@ mod tests {
                         }
                         let g = ConvGeom::square(2, kernel, stride, pad);
                         let (oh, ow) = g.out_hw(h, w);
-                        let cols = Tensor::randn([g.patch_len(), oh * ow], 1.0, &mut rng);
+                        let plan = UnfoldPlan::new(&g, h, w);
                         let on_entry = Tensor::randn([2 * h * w], 1.0, &mut rng);
                         let mut got = on_entry.as_slice().to_vec();
-                        col2im(cols.as_slice(), h, w, &g, &mut got);
                         let mut want = on_entry.as_slice().to_vec();
-                        col2im_per_element(&cols, h, w, &g, &mut want);
-                        let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
-                        assert!(same, "kernel {kernel}, stride {stride}, pad {pad}, image {h}x{w}");
+                        for image in 0..3 {
+                            let at =
+                                format!("kernel {kernel}, stride {stride}, pad {pad}, image {image}, {h}x{w}");
+                            let cols = Tensor::randn([g.patch_len(), oh * ow], 1.0, &mut rng);
+                            plan.fold(cols.as_slice(), &mut got);
+                            if image == 0 {
+                                let mut fresh = on_entry.as_slice().to_vec();
+                                col2im(cols.as_slice(), h, w, &g, &mut fresh);
+                                assert!(
+                                    fresh.iter().zip(&got).all(|(a, b)| a.to_bits() == b.to_bits()),
+                                    "col2im: {at}"
+                                );
+                            }
+                            col2im_per_element(&cols, h, w, &g, &mut want);
+                            let same = got.iter().zip(&want).all(|(a, b)| a.to_bits() == b.to_bits());
+                            assert!(same, "{at}");
+                        }
                     }
                 }
             }

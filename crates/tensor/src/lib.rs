@@ -11,7 +11,8 @@
 //!   wrappers and as in-place slice kernels, used by linear layers and
 //!   im2col convolution, on the widest register tile the CPU runs — the
 //!   one place in the crate with an `unsafe` block;
-//! * [`conv`] — im2col / col2im transforms and convolution geometry;
+//! * [`conv`] — convolution geometry, the im2col / col2im transforms and
+//!   the `UnfoldPlan` a layer caches for them, and the depthwise kernel;
 //! * [`pool`] — average / max pooling forward and backward kernels;
 //! * [`ops`] — softmax, bias broadcast and other pointwise kernels;
 //! * [`reader`] — the bounds-checked cursor every wire decoder parses
