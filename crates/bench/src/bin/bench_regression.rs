@@ -1,6 +1,7 @@
-//! CI latency-regression gate: compares `BENCH_*.json` reports produced
-//! by a bench run (`MEA_BENCH_JSON=<dir> cargo bench --bench ...`) against
-//! the baselines checked in under `crates/bench/baselines/`.
+//! CI latency-regression gate: compares the `BENCH_*.json` reports a
+//! `repro` run writes (`MEA_BENCH_JSON=<dir> cargo run --release -p
+//! mea-bench --bin repro`) against the baselines checked in under
+//! `crates/bench/baselines/`.
 //!
 //! ```bash
 //! cargo run --release -p mea-bench --bin bench_regression -- bench-out

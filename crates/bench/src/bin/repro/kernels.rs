@@ -1,36 +1,69 @@
-//! Criterion micro-benchmarks: per-image inference latency and per-step
+//! Kernel micro-benchmarks: per-image inference latency and per-step
 //! training latency of the repro edge/cloud models, and the core
 //! matmul/conv kernels — the measured side of Table VII.
 
-use criterion::{BatchSize, Criterion};
-use mea_bench::regression::Reporter;
+use mea_bench::regression::BenchReport;
+use mea_bench::Scale;
 use mea_nn::layer::Mode;
 use mea_nn::models::{resnet_cifar, CifarResNetConfig};
 use mea_tensor::conv::{depthwise_into, ConvGeom, UnfoldPlan};
 use mea_tensor::{matmul, Rng, Tensor};
-use std::time::Instant;
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
+/// Timed calls per kernel and repeat.
+const SAMPLES: usize = 10;
+
+/// The mean time per call of every kernel one repeat timed, in
+/// milliseconds and run order.
+#[derive(Default)]
+struct Timings(Vec<(String, f64)>);
+
+impl Timings {
+    /// Times `routine`: one untimed call, then [`SAMPLES`] timed calls,
+    /// whose min/mean/max it prints and whose mean it records.
+    fn time<O>(&mut self, id: &str, mut routine: impl FnMut() -> O) {
+        self.time_batched(id, || (), |()| routine());
+    }
+
+    /// As [`Timings::time`], on a fresh input from `setup` per call;
+    /// `setup` stays outside the timed region.
+    fn time_batched<I, O>(&mut self, id: &str, mut setup: impl FnMut() -> I, mut routine: impl FnMut(I) -> O) {
+        black_box(routine(setup()));
+        let times: Vec<Duration> = (0..SAMPLES)
+            .map(|_| {
+                let input = setup();
+                let t0 = Instant::now();
+                black_box(routine(input));
+                t0.elapsed()
+            })
+            .collect();
+        let mean = times.iter().sum::<Duration>() / SAMPLES as u32;
+        let (min, max) = (times.iter().min().expect("samples"), times.iter().max().expect("samples"));
+        println!("{id:<40} time: [{min:>12.3?} {mean:>12.3?} {max:>12.3?}]  ({SAMPLES} samples)");
+        self.0.push((id.to_string(), mean.as_secs_f64() * 1e3));
+    }
+}
 
 /// Batch 8 is the sweep regime; batch 1 is the serving regime, where
 /// per-call overhead (a spawn, a system call, an allocation per layer) is
 /// not amortised over images and shows at full size; a training step is a
 /// `Mode::Train` forward plus `backward` at the batch size the end-to-end
 /// benchmark's recipe trains that network with.
-fn bench_network(c: &mut Criterion, name: &str, cfg: &CifarResNetConfig, train_batch: usize, seed: u64) {
+fn bench_network(c: &mut Timings, name: &str, cfg: &CifarResNetConfig, train_batch: usize, seed: u64) {
     let mut rng = Rng::new(seed);
     let mut net = resnet_cifar(cfg, &mut rng);
     let x = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
-    c.bench_function(&format!("{name}_resnet_forward_batch8"), |b| b.iter(|| net.forward(&x, Mode::Eval)));
+    c.time(&format!("{name}_resnet_forward_batch8"), || net.forward(&x, Mode::Eval));
     let x1 = x.slice_axis0(0, 1);
-    c.bench_function(&format!("{name}_resnet_forward_batch1"), |b| b.iter(|| net.forward(&x1, Mode::Eval)));
+    c.time(&format!("{name}_resnet_forward_batch1"), || net.forward(&x1, Mode::Eval));
     let xt = Tensor::randn([train_batch, 3, 16, 16], 1.0, &mut rng);
     let grad = Tensor::randn([train_batch, cfg.num_classes], 1.0, &mut rng);
-    c.bench_function(&format!("{name}_resnet_train_step_batch{train_batch}"), |b| {
-        b.iter(|| {
-            net.visit_params(&mut |p| p.zero_grad());
-            let logits = net.forward(&xt, Mode::Train);
-            net.backward(&grad);
-            logits
-        })
+    c.time(&format!("{name}_resnet_train_step_batch{train_batch}"), || {
+        net.visit_params(&mut |p| p.zero_grad());
+        let logits = net.forward(&xt, Mode::Train);
+        net.backward(&grad);
+        logits
     });
 }
 
@@ -41,11 +74,11 @@ fn cloud_config() -> CifarResNetConfig {
     cfg
 }
 
-fn bench_edge(c: &mut Criterion) {
+fn bench_edge(c: &mut Timings) {
     bench_network(c, "edge", &CifarResNetConfig::repro_scale(100), 10, 0);
 }
 
-fn bench_cloud(c: &mut Criterion) {
+fn bench_cloud(c: &mut Timings) {
     bench_network(c, "cloud", &cloud_config(), 6, 1);
 }
 
@@ -110,15 +143,13 @@ impl ForwardConv {
 
 /// What `Conv2d::forward` runs per image — the plan's unfold and a zeroed
 /// `W·cols` — once over each of [`conv_shapes`].
-fn bench_conv_forward_kernels(c: &mut Criterion) {
+fn bench_conv_forward_kernels(c: &mut Timings) {
     let mut convs = ForwardConv::all(&mut Rng::new(6));
-    c.bench_function("conv_forward_kernels", |b| {
-        b.iter(|| {
-            for conv in &mut convs {
-                conv.unfold();
-                conv.multiply();
-            }
-        })
+    c.time("conv_forward_kernels", || {
+        for conv in &mut convs {
+            conv.unfold();
+            conv.multiply();
+        }
     });
 }
 
@@ -165,7 +196,7 @@ fn print_conv_forward_split() {
 /// `dWᵀ = cols·dYᵀ` into a zeroed accumulator, a zeroed `Wᵀ·dY` folded
 /// through the plan, then `dWᵀ` added to `dW` transposed — once over each of
 /// [`conv_shapes`], into buffers and a plan kept across calls.
-fn bench_conv_backward_kernels(c: &mut Criterion) {
+fn bench_conv_backward_kernels(c: &mut Timings) {
     struct Conv {
         plan: UnfoldPlan,
         weight: Tensor,
@@ -194,23 +225,21 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
             }
         })
         .collect();
-    c.bench_function("conv_backward_kernels", |b| {
-        b.iter(|| {
-            for conv in &mut convs {
-                let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
-                let g = conv.grad_out.as_slice();
-                conv.dw_t.fill(0.0);
-                matmul::gemm_a_bt_into(conv.cols.as_slice(), g, &mut conv.dw_t, patch, ncols, oc);
-                conv.grad_cols.fill(0.0);
-                matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
-                conv.plan.fold(conv.grad_cols.as_slice(), &mut conv.grad_in);
-                for (o, dw_row) in conv.dw.chunks_exact_mut(patch).enumerate() {
-                    for (d, dw_t_row) in dw_row.iter_mut().zip(conv.dw_t.chunks_exact(oc)) {
-                        *d += dw_t_row[o];
-                    }
+    c.time("conv_backward_kernels", || {
+        for conv in &mut convs {
+            let (oc, patch, ncols) = (conv.weight.dims()[0], conv.cols.dims()[0], conv.cols.dims()[1]);
+            let g = conv.grad_out.as_slice();
+            conv.dw_t.fill(0.0);
+            matmul::gemm_a_bt_into(conv.cols.as_slice(), g, &mut conv.dw_t, patch, ncols, oc);
+            conv.grad_cols.fill(0.0);
+            matmul::gemm_at_b_into(conv.weight.as_slice(), g, conv.grad_cols.as_mut_slice(), patch, oc, ncols);
+            conv.plan.fold(conv.grad_cols.as_slice(), &mut conv.grad_in);
+            for (o, dw_row) in conv.dw.chunks_exact_mut(patch).enumerate() {
+                for (d, dw_t_row) in dw_row.iter_mut().zip(conv.dw_t.chunks_exact(oc)) {
+                    *d += dw_t_row[o];
                 }
             }
-        })
+        }
     });
 }
 
@@ -218,7 +247,7 @@ fn bench_conv_backward_kernels(c: &mut Criterion) {
 /// a request that exits at the extension runs it — once over each of the
 /// extension's five 3×3 depthwise convolutions, `(channels, input height =
 /// width, stride)`, into buffers kept across calls.
-fn bench_depthwise_forward_kernels(c: &mut Criterion) {
+fn bench_depthwise_forward_kernels(c: &mut Timings) {
     struct Depthwise {
         geom: ConvGeom,
         hw: usize,
@@ -241,25 +270,21 @@ fn bench_depthwise_forward_kernels(c: &mut Criterion) {
             }
         })
         .collect();
-    c.bench_function("depthwise_forward_kernels", |b| {
-        b.iter(|| {
-            for dw in &mut convs {
-                depthwise_into(dw.image.as_slice(), dw.hw, dw.hw, &dw.geom, dw.weight.as_slice(), &mut dw.out);
-            }
-        })
+    c.time("depthwise_forward_kernels", || {
+        for dw in &mut convs {
+            depthwise_into(dw.image.as_slice(), dw.hw, dw.hw, &dw.geom, dw.weight.as_slice(), &mut dw.out);
+        }
     });
 }
 
-fn bench_matmul(c: &mut Criterion) {
+fn bench_matmul(c: &mut Timings) {
     let mut rng = Rng::new(2);
     let a = Tensor::randn([128, 128], 1.0, &mut rng);
     let b2 = Tensor::randn([128, 128], 1.0, &mut rng);
-    c.bench_function("matmul_128", |b| {
-        b.iter_batched(|| (a.clone(), b2.clone()), |(a, b2)| matmul::matmul(&a, &b2), BatchSize::SmallInput)
-    });
+    c.time_batched("matmul_128", || (a.clone(), b2.clone()), |(a, b2)| matmul::matmul(&a, &b2));
 }
 
-fn bench_int8_inference(c: &mut Criterion) {
+fn bench_int8_inference(c: &mut Timings) {
     // Float vs int8 forward of the same trained-geometry edge model — the
     // latency side of the hybrid-deployment story.
     let mut rng = Rng::new(3);
@@ -267,38 +292,32 @@ fn bench_int8_inference(c: &mut Criterion) {
     let calib = vec![Tensor::randn([8, 3, 16, 16], 1.0, &mut rng)];
     let qnet = mea_quant::quantize_segmented(&mut net, &calib).expect("supported graph");
     let x = Tensor::randn([8, 3, 16, 16], 1.0, &mut rng);
-    c.bench_function("edge_resnet_int8_forward_batch8", |b| b.iter(|| qnet.forward(&x)));
+    c.time("edge_resnet_int8_forward_batch8", || qnet.forward(&x));
 }
 
-fn bench_qgemm(c: &mut Criterion) {
+fn bench_qgemm(c: &mut Timings) {
     let mut rng = Rng::new(4);
     let a: Vec<i8> = (0..128 * 128).map(|_| rng.uniform_range(-128.0, 127.0) as i8).collect();
     let b2: Vec<i8> = (0..128 * 128).map(|_| rng.uniform_range(-128.0, 127.0) as i8).collect();
-    c.bench_function("qgemm_i8_128", |b| b.iter(|| mea_quant::kernels::qgemm_i32(&a, &b2, 128, 128, 128)));
+    c.time("qgemm_i8_128", || mea_quant::kernels::qgemm_i32(&a, &b2, 128, 128, 128));
 }
 
-// Explicit main instead of `criterion_main!`: the per-kernel mean times
-// feed the CI regression gate as `_ms` metrics.
-//
-// The gate sees the per-kernel **median of three** full in-process
-// repeats: a single repeat's mean is at the mercy of transient background
-// load (a concurrent compile once pushed one kernel over the 20%
-// threshold), while a median tolerates one bad repeat without loosening
-// the gate itself.
-//
-// Pinned to one CPU before the first forward, only so that timings repeat:
-// across the two vCPUs of the reference host the same kernel spreads by 1.5×
-// between runs minutes apart, which no 20 % gate survives.
-//
-// Every row depends on the host and on the register tile the process picked
-// for its CPU (`matmul::kernel`), so both are printed first.
-fn main() {
-    let tile = matmul::kernel();
-    println!("[kernel_latency] {}, {tile} tile", mea_bench::pin::pin_for_timing());
-    let mut rep = Reporter::start("kernel_latency");
+/// Times every kernel above and records each one's mean per call as a
+/// `_ms` metric.
+///
+/// The gate sees the per-kernel **median of three** full in-process
+/// repeats: a single repeat's mean is at the mercy of transient background
+/// load (a concurrent compile once pushed one kernel over the 20%
+/// threshold), while a median tolerates one bad repeat without loosening
+/// the gate itself.
+///
+/// Every row depends on the host and on the register tile the process
+/// picked for its CPU (`matmul::kernel`), so the tile is printed first.
+pub(crate) fn kernel_latency(_: Scale, rep: &mut BenchReport) {
+    println!("[kernel_latency] {} tile", matmul::kernel());
     let mut repeats: Vec<Vec<(String, f64)>> = Vec::new();
     for _ in 0..3 {
-        let mut c = Criterion::default().sample_size(10);
+        let mut c = Timings::default();
         bench_edge(&mut c);
         bench_cloud(&mut c);
         bench_conv_forward_kernels(&mut c);
@@ -307,7 +326,7 @@ fn main() {
         bench_matmul(&mut c);
         bench_int8_inference(&mut c);
         bench_qgemm(&mut c);
-        repeats.push(c.mean_times_ms().to_vec());
+        repeats.push(c.0);
     }
     for (k, (id, _)) in repeats[0].iter().enumerate() {
         let mut samples: Vec<f64> = repeats
@@ -321,5 +340,4 @@ fn main() {
         rep.metric(&format!("{id}_ms"), samples[1]);
     }
     print_conv_forward_split();
-    rep.finish();
 }

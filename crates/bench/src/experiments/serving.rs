@@ -62,7 +62,7 @@ pub struct ServingRow {
     pub max_batch_seen: usize,
 }
 
-/// Everything the bench target needs to assert and report.
+/// Everything the `serving_throughput` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct ServingResult {
     /// One row per cloud-worker count, in sweep order (saturating load —
@@ -338,7 +338,7 @@ pub struct PayloadModeRow {
     pub records: Vec<InstanceRecord>,
 }
 
-/// Everything the `feature_payload` bench target asserts and reports.
+/// Everything the `feature_payload` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct FeaturePayloadResult {
     /// Raw-image upload (the paper's 1-byte-per-pixel baseline).
@@ -417,7 +417,7 @@ pub struct FeedbackRow {
     pub records: Vec<InstanceRecord>,
 }
 
-/// Everything the `planner_feedback` bench target asserts and reports.
+/// Everything the `planner_feedback` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct PlannerFeedbackResult {
     /// Open loop: the static contention model never hears about the
@@ -515,7 +515,7 @@ pub struct SocketLoopRow {
     pub records: Vec<InstanceRecord>,
 }
 
-/// Everything the `real_transport` bench target asserts and reports.
+/// Everything the `real_transport` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct RealTransportResult {
     /// Modelled-vs-socket parity, one row per payload plan.
@@ -682,7 +682,7 @@ pub struct FleetRunRow {
     pub service_ms: f64,
 }
 
-/// Everything the `hetero_fleet` bench target asserts and reports.
+/// Everything the `hetero_fleet` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct HeteroFleetResult {
     /// Per-class outcomes of the base run, High → Medium → Low.
@@ -805,7 +805,7 @@ pub struct LoadRow {
     pub record_identity: bool,
 }
 
-/// Everything the `load_harness` bench target asserts and reports.
+/// Everything the `load_harness` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct LoadHarnessResult {
     /// Devices in the trace (each contributes `frames_per_device` frames).
@@ -1053,7 +1053,7 @@ pub struct SlaRunRow {
     pub records: Vec<InstanceRecord>,
 }
 
-/// Everything the `sla_governor` bench target asserts and reports.
+/// Everything the `sla_governor` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct SlaGovernorResult {
     /// The governed p95 budget (ms).
@@ -1319,7 +1319,7 @@ pub struct CoopRunRow {
     pub service_ms: f64,
 }
 
-/// Everything the `coop_edge` bench target asserts and reports.
+/// Everything the `coop_edge` step of `repro` asserts and reports.
 #[derive(Debug)]
 pub struct CoopEdgeResult {
     /// The Low-tier class serving alone.

@@ -336,7 +336,7 @@ pub(crate) fn paper_scale_meanets() -> Vec<(String, MeaNet)> {
     paper_scale_meanets_under(AdaptivePlan::default())
 }
 
-/// `paper_scale_meanets` with an explicit adaptive plan, so benches can
+/// `paper_scale_meanets` with an explicit adaptive plan, so `repro` can
 /// contrast the depthwise-separable budget against the dense mirror.
 pub fn paper_scale_meanets_under(plan: AdaptivePlan) -> Vec<(String, MeaNet)> {
     let mut rng = Rng::new(0);

@@ -1,8 +1,9 @@
 //! # mea-bench
 //!
-//! The experiment harness: one runner per table/figure of the paper. The
-//! `repro` binary (`cargo run --release -p mea-bench --bin repro`) runs
-//! them in order, prints each table and asserts the claims it makes;
+//! The experiment harness: one runner per table/figure of the paper and
+//! per serving experiment. The `repro` binary (`cargo run --release -p
+//! mea-bench --bin repro`) is the one runner: it runs them in order, with
+//! the kernel timings, prints each table and asserts the claims it makes;
 //! `repro NAME…` runs only the named steps.
 //!
 //! Every runner returns a rendered table plus structured numbers, so
@@ -14,9 +15,10 @@
 //! seconds per experiment; `repro` is the documented reproduction scale;
 //! `full` raises epochs and data for tighter numbers.
 //!
-//! The serving and cost-model bench targets (`cargo bench`) emit
-//! machine-readable `BENCH_<name>.json` reports via
-//! [`regression::Reporter`] (set `MEA_BENCH_JSON=<dir>`); the
+//! The steps that record headline metrics into their
+//! [`regression::BenchReport`] (the cost-model tables, the kernel timings
+//! and the serving experiments) write machine-readable
+//! `BENCH_<step>.json` reports when `MEA_BENCH_JSON=<dir>` is set; the
 //! `bench_regression` binary gates them against the baselines under
 //! `baselines/` in CI.
 

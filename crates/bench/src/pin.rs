@@ -2,14 +2,14 @@
 //!
 //! A latency gate needs timings that repeat, and on a small virtualised
 //! host they do not while the scheduler moves the process between vCPUs.
-//! The standard library cannot set an affinity mask, so a timing target
-//! (`kernel_latency` and every bench that serves through the runtime and
-//! gates a `_ms` or `wall_ms` time) asks `taskset` to pin it before its
-//! first forward; every thread it spawns later inherits the mask. Pinning
-//! changes no result: every op runs on its caller's thread whatever the
-//! core count, so it exists only so that timings repeat. (The end-to-end benchmark under `e2e/` pins itself
-//! the same way; it is its own workspace and shares no code with this
-//! crate.)
+//! The standard library cannot set an affinity mask, so a timing run
+//! (`repro`, whose kernel and serving steps gate `_ms` and `wall_ms`
+//! times, and the `batch_cost` example) asks `taskset` to pin it before
+//! its first forward; every thread it spawns later inherits the mask.
+//! Pinning changes no result: every op runs on its caller's thread
+//! whatever the core count, so it exists only so that timings repeat.
+//! (The end-to-end benchmark under `e2e/` pins itself the same way; it is
+//! its own workspace and shares no code with this crate.)
 
 use std::process::{Command, Stdio};
 
@@ -41,7 +41,7 @@ pub(crate) fn pin_to_last_cpu() -> Option<usize> {
 }
 
 /// Pins this process as `pin_to_last_cpu` does and describes the
-/// outcome for a timing target's first line: the CPU, or that the run is
+/// outcome for a timing run's first line: the CPU, or that the run is
 /// unpinned and its timings will not repeat.
 pub fn pin_for_timing() -> String {
     match pin_to_last_cpu() {

@@ -1,11 +1,11 @@
 //! Machine-readable bench reports and the latency-regression gate.
 //!
-//! The fast asserting bench targets wrap their run in a [`Reporter`]; when
-//! `MEA_BENCH_JSON=<dir>` is set they drop a `BENCH_<name>.json` file with
-//! the total wall time and their headline metrics. CI uploads those files
-//! as artifacts and runs the `bench_regression` binary, which compares
-//! them against the baselines checked in under `crates/bench/baselines/`
-//! and fails on a >20% latency regression ([`DEFAULT_TOLERANCE`]).
+//! Every `repro` step that records a metric into its [`BenchReport`]
+//! drops a `BENCH_<step>.json` file with the step's wall time and those
+//! metrics when `MEA_BENCH_JSON=<dir>` is set. CI uploads those files as
+//! artifacts and runs the `bench_regression` binary, which compares them
+//! against the baselines checked in under `crates/bench/baselines/` and
+//! fails on a >20% latency regression ([`DEFAULT_TOLERANCE`]).
 //!
 //! Comparison policy, by metric name:
 //!
@@ -19,12 +19,15 @@
 //!   closed-form costs): any drift beyond float noise fails, so a
 //!   paper-claim number cannot silently change without a baseline update.
 //!
+//! A non-finite value (NaN or infinite), current or baseline, fails
+//! whatever its kind: no comparison with NaN is ever true, so it would
+//! otherwise pass every gate.
+//!
 //! The vendored `serde` stub has no JSON backend, so the flat report
 //! format is written and parsed by hand here.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::time::Instant;
 
 /// Relative latency regression tolerated by default (20%).
 pub const DEFAULT_TOLERANCE: f64 = 0.20;
@@ -57,12 +60,12 @@ pub(crate) const QUANTILE_SLACK_MS: f64 = 10.0;
 /// parameter count must still fail.
 pub(crate) const INVARIANT_EPS: f64 = 1e-12;
 
-/// One bench target's machine-readable result.
+/// One `repro` step's machine-readable result.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Bench target name (e.g. `table6_flops`).
+    /// Step name (e.g. `table6_flops`).
     pub name: String,
-    /// Total wall-clock time of the target's run, in milliseconds.
+    /// Wall-clock time of the step's run, in milliseconds.
     pub wall_ms: f64,
     /// Headline metrics: latencies end in `_ms`, everything else is an
     /// invariant.
@@ -70,8 +73,38 @@ pub struct BenchReport {
 }
 
 impl BenchReport {
+    /// An empty report for step `name`, to record metrics into.
+    pub fn new(name: &str) -> BenchReport {
+        BenchReport { name: name.to_string(), wall_ms: 0.0, metrics: BTreeMap::new() }
+    }
+
+    /// Records one headline metric (suffix `_ms` marks it as a latency).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` was recorded before: the second value would
+    /// silently replace the first one in the report.
+    pub fn metric(&mut self, key: &str, value: f64) {
+        let previous = self.metrics.insert(key.to_string(), value);
+        assert!(previous.is_none(), "{}: metric `{key}` reported twice", self.name);
+    }
+
+    /// Writes the report as `BENCH_<name>.json` into `dir`, creating the
+    /// directory if needed, and returns the file's path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the directory or file cannot be written: CI must notice
+    /// a broken artifact path, not skip it.
+    pub fn write_into(&self, dir: &str) -> String {
+        std::fs::create_dir_all(dir).expect("MEA_BENCH_JSON directory");
+        let path = format!("{dir}/BENCH_{}.json", self.name);
+        std::fs::write(&path, self.to_json()).expect("write bench report");
+        path
+    }
+
     /// Serializes the report as a flat JSON object.
-    pub(crate) fn to_json(&self) -> String {
+    fn to_json(&self) -> String {
         let mut out = String::new();
         let _ = write!(
             out,
@@ -139,57 +172,16 @@ fn parse_number_field(text: &str, field: &str) -> Result<f64, String> {
     rest[..end].trim().parse().map_err(|e| format!("{field}: bad number ({e})"))
 }
 
-/// Wall-clock reporter for a bench target. Create at the top of `main`,
-/// record metrics as they are computed, and [`Reporter::finish`] at the
-/// end; the JSON file is only written when `MEA_BENCH_JSON` names a
-/// directory.
-#[derive(Debug)]
-pub struct Reporter {
-    report: BenchReport,
-    started: Instant,
-}
-
-impl Reporter {
-    /// Starts timing bench target `name`.
-    pub fn start(name: &str) -> Reporter {
-        Reporter {
-            report: BenchReport { name: name.to_string(), wall_ms: 0.0, metrics: BTreeMap::new() },
-            started: Instant::now(),
-        }
-    }
-
-    /// Records one headline metric (suffix `_ms` marks it as a latency).
-    pub fn metric(&mut self, key: &str, value: f64) {
-        self.report.metrics.insert(key.to_string(), value);
-    }
-
-    /// Stops the clock and writes `BENCH_<name>.json` into the
-    /// `MEA_BENCH_JSON` directory, if that env var is set. Returns the
-    /// finished report.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `MEA_BENCH_JSON` is set but the directory or file cannot
-    /// be written — CI must notice a broken artifact path, not skip it.
-    pub fn finish(mut self) -> BenchReport {
-        self.report.wall_ms = self.started.elapsed().as_secs_f64() * 1e3;
-        if let Ok(dir) = std::env::var("MEA_BENCH_JSON") {
-            if !dir.is_empty() {
-                std::fs::create_dir_all(&dir).expect("MEA_BENCH_JSON directory");
-                let path = format!("{dir}/BENCH_{}.json", self.report.name);
-                std::fs::write(&path, self.report.to_json()).expect("write bench report");
-                println!("[bench-json] wrote {path}");
-            }
-        }
-        self.report
-    }
-}
-
 /// Compares a current report against its baseline. Returns one line per
 /// violation; empty means the gate passes.
 pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) -> Vec<String> {
     let mut failures = Vec::new();
-    if regressed(baseline.wall_ms, current.wall_ms, tolerance, WALL_SLACK_MS) {
+    if !(baseline.wall_ms.is_finite() && current.wall_ms.is_finite()) {
+        failures.push(format!(
+            "{}: wall_ms is not finite ({} -> {})",
+            current.name, baseline.wall_ms, current.wall_ms
+        ));
+    } else if regressed(baseline.wall_ms, current.wall_ms, tolerance, WALL_SLACK_MS) {
         failures.push(format!(
             "{}: wall_ms regressed {:.1} -> {:.1} (>{:.0}% over baseline)",
             current.name,
@@ -203,7 +195,9 @@ pub fn compare(baseline: &BenchReport, current: &BenchReport, tolerance: f64) ->
             failures.push(format!("{}: metric `{key}` disappeared", current.name));
             continue;
         };
-        if key.ends_with("_ms") {
+        if !(base.is_finite() && cur.is_finite()) {
+            failures.push(format!("{}: metric `{key}` is not finite ({base} -> {cur})", current.name));
+        } else if key.ends_with("_ms") {
             let is_quantile = key.ends_with("_p50_ms") || key.ends_with("_p95_ms") || key.ends_with("_p99_ms");
             let slack = if is_quantile { QUANTILE_SLACK_MS } else { METRIC_SLACK_MS };
             if regressed(base, cur, tolerance, slack) {
@@ -322,6 +316,37 @@ mod tests {
         let fails = compare(&base, &report(1.0, &[("trained_params", 1_100_001.0)]), 0.2);
         assert_eq!(fails.len(), 1, "{fails:?}");
         assert!(fails[0].contains("drifted"));
+    }
+
+    #[test]
+    fn non_finite_values_fail_every_kind_of_gate() {
+        let base = report(100.0, &[("trained_params", 1_100_000.0), ("k_ms", 10.0)]);
+        for (wall, params, k_ms, kind) in [
+            (100.0, f64::NAN, 10.0, "`trained_params`"),
+            (100.0, 1_100_000.0, f64::NAN, "`k_ms`"),
+            (f64::NAN, 1_100_000.0, 10.0, "wall_ms"),
+        ] {
+            let cur = report(wall, &[("trained_params", params), ("k_ms", k_ms)]);
+            let parsed = BenchReport::from_json(&cur.to_json()).expect("NaN round-trips");
+            let fails = compare(&base, &parsed, DEFAULT_TOLERANCE);
+            assert_eq!(fails.len(), 1, "{kind}: {fails:?}");
+            assert!(fails[0].contains(kind) && fails[0].contains("not finite"), "{fails:?}");
+        }
+        let cur = report(100.0, &[("trained_params", 1_100_000.0), ("k_ms", f64::INFINITY)]);
+        let fails = compare(&base, &cur, DEFAULT_TOLERANCE);
+        assert_eq!(fails.len(), 1, "{fails:?}");
+        assert!(fails[0].contains("not finite"), "{fails:?}");
+        // A non-finite baseline fails too, whatever the current value.
+        let nan_base = report(f64::NAN, &[("trained_params", f64::NAN), ("k_ms", f64::NAN)]);
+        assert_eq!(compare(&nan_base, &base, DEFAULT_TOLERANCE).len(), 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "metric `k_ms` reported twice")]
+    fn a_metric_reported_twice_panics() {
+        let mut rep = BenchReport::new("t");
+        rep.metric("k_ms", 1.0);
+        rep.metric("k_ms", 2.0);
     }
 
     #[test]
